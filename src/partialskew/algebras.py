@@ -152,6 +152,39 @@ class AlgebraElement:
         return self.algebra.format_vec(self.coeffs)
 
 
+def _associativity_witness(alg):
+    """First basis triple (i, j, k), in lexicographic order, with
+    (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
+
+    Works on the sparse table in raw scalars (see ``fields``): each side is
+    a sum of products of two structure constants, accumulated unreduced and
+    compared once per triple.
+    """
+    field = alg.field
+    p = field.characteristic
+    raw = field.raw
+    nz = [[tuple(zip([k for k, _ in cell], raw([v for _, v in cell])))
+           for cell in row] for row in alg._nz]
+    d = alg.dim
+    for i in range(d):
+        nzi = nz[i]
+        for j in range(d):
+            ij = nzi[j]
+            nzj = nz[j]
+            for k in range(d):
+                acc = {}
+                get = acc.get
+                for m, c in ij:
+                    for n, v in nz[m][k]:
+                        acc[n] = get(n, 0) + c * v
+                for m, c in nzj[k]:
+                    for n, v in nzi[m]:
+                        acc[n] = get(n, 0) - c * v
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
+                    return i, j, k
+    return None
+
+
 def make_algebra(field, table, unit, labels=None):
     """Validate structure constants exhaustively and return the algebra.
 
@@ -169,17 +202,10 @@ def make_algebra(field, table, unit, labels=None):
     if alg.unit is not None and len(alg.unit) != d:
         raise ValueError("unit vector has wrong length")
 
-    for i in range(d):
-        ti = alg.table[i]
-        for j in range(d):
-            z = ti[j]
-            tj = alg.table[j]
-            for k in range(d):
-                lhs = alg._vec_times_basis(z, k)
-                rhs = alg._basis_times_vec(i, tj[k])
-                if lhs != rhs:
-                    raise NotAssociative("algebra", alg.labels[i], alg.labels[j],
-                                         alg.labels[k])
+    witness = _associativity_witness(alg)
+    if witness is not None:
+        i, j, k = witness
+        raise NotAssociative("algebra", alg.labels[i], alg.labels[j], alg.labels[k])
     if alg.unit is not None:
         for i in range(d):
             b = alg.basis_element(i).coeffs
@@ -221,11 +247,14 @@ def ideal_basis(alg, e):
 
 def center_basis(alg):
     """Solution space of [x, b_j] = 0 for every basis element b_j."""
-    rows = []
-    for j in range(alg.dim):
-        for k in range(alg.dim):
-            rows.append([alg.table[i][j][k] - alg.table[j][i][k]
-                         for i in range(alg.dim)])
+    d = alg.dim
+    rows = [[alg.field.zero] * d for _ in range(d * d)]
+    for i in range(d):
+        for j in range(d):
+            for k, v in alg._nz[i][j]:
+                rows[j * d + k][i] = rows[j * d + k][i] + v
+            for k, v in alg._nz[j][i]:
+                rows[j * d + k][i] = rows[j * d + k][i] - v
     centre = kernel_basis(Mat(alg.field, rows))
     for v in centre.basis:
         for j in range(alg.dim):

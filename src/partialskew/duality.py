@@ -340,33 +340,30 @@ class TensorOverSubring:
         self.algebra = algebra
         dim = algebra.dim
         self.ambient = dim * dim
-        field = algebra.field
         gens = []
         for b in subring_vectors:
+            by = [[(m, c) for m, c in enumerate(algebra._vec_times_basis(b, y)) if c]
+                  for y in range(dim)]
             for x in range(dim):
-                xb = algebra._basis_times_vec(x, b)
+                xb = [(m, c) for m, c in enumerate(algebra._basis_times_vec(x, b)) if c]
                 for y in range(dim):
-                    by = algebra._vec_times_basis(b, y)
-                    gen = [field.zero] * self.ambient
-                    for m, c in enumerate(xb):
-                        if c:
-                            gen[m * dim + y] = gen[m * dim + y] + c
-                    for m, c in enumerate(by):
-                        if c:
-                            gen[x * dim + m] = gen[x * dim + m] - c
-                    if any(gen):
-                        gens.append(tuple(gen))
-        self.relations = Subspace.from_vectors(field, self.ambient, gens)
+                    gen = {m * dim + y: c for m, c in xb}
+                    for m, c in by[y]:
+                        key = x * dim + m
+                        gen[key] = gen[key] - c if key in gen else -c
+                    gens.append(gen)
+        self.relations = Subspace.from_sparse(algebra.field, self.ambient, gens)
 
-    def tensor(self, x, y):
+    def tensor(self, pairs):
+        """The sum of x⊗y over the (x, y) pairs, as a vector of B⊗B."""
         dim = self.algebra.dim
         out = [self.algebra.field.zero] * self.ambient
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    out[i * dim + j] = a * b
+        for x, y in pairs:
+            y_nz = [(j, b) for j, b in enumerate(y) if b]
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in y_nz:
+                        out[i * dim + j] = out[i * dim + j] + a * b
         return tuple(out)
 
     def equal_mod_relations(self, u, v):
@@ -395,18 +392,12 @@ def separability_report(smash):
                 u[smash.index(j, g)] = c
         unit_slices.append(tuple(u))
 
-    def tsum(pairs):
-        acc = tuple(vzero(field, tensor.ambient))
-        for x, y in pairs:
-            acc = vadd(acc, tensor.tensor(x, y))
-        return acc
-
-    f = tsum((u, u) for u in unit_slices)
+    f = tensor.tensor((u, u) for u in unit_slices)
 
     central = True
     for a in sub_vectors:
-        fa = tsum((u, B.mul_vec(u, a)) for u in unit_slices)
-        af = tsum((B.mul_vec(a, u), u) for u in unit_slices)
+        fa = tensor.tensor((u, B.mul_vec(u, a)) for u in unit_slices)
+        af = tensor.tensor((B.mul_vec(a, u), u) for u in unit_slices)
         if not tensor.equal_mod_relations(fa, af):
             central = False
             break

@@ -4,6 +4,12 @@ Rational scalars are plain ``fractions.Fraction`` values (already canonical,
 already a field).  Prime-field scalars are tiny wrapper objects around a
 residue so they support the same operator set.  Every scalar is immutable
 and compares by value.
+
+Bulk kernels (elimination, associativity) skip the wrappers: ``raw`` turns
+field elements into raw scalars, which are the ``Fraction`` itself over
+the rationals and the plain ``int`` residue over F_p, and ``lift`` turns a
+raw scalar back.  ``characteristic`` (0 or p) tells a kernel which
+arithmetic to use.
 """
 
 from __future__ import annotations
@@ -19,6 +25,13 @@ class RationalField:
     """The field of rationals; elements are ``Fraction``."""
 
     name = "Q"
+    characteristic = 0
+
+    def raw(self, xs):
+        return list(xs)
+
+    def lift(self, x):
+        return x
 
     @property
     def zero(self):
@@ -129,14 +142,37 @@ class PrimeFieldElement:
         return str(self.value)
 
 
-def _is_prime(p):
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases is a proof of primality
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases"); above it primality would be a guess, so larger moduli are
+# refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large to prove prime "
+                         f"(the bound is {_MR_BOUND})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -147,7 +183,14 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.characteristic = p
         self.name = f"F_{p}"
+
+    def raw(self, xs):
+        return [x.value for x in xs]
+
+    def lift(self, x):
+        return PrimeFieldElement(x, self.p)
 
     @property
     def zero(self):

@@ -1,10 +1,18 @@
-"""Dense exact linear algebra: matrices, solving, kernels, images, subspaces.
+"""Exact linear algebra: matrices, solving, kernels, images, subspaces.
 
 Everything is computed over one of the exact fields from :mod:`fields`, so
 rank, kernel and subspace equality are exact decisions, never numerical
 estimates.  Subspaces are kept in reduced row echelon form, which makes the
 echelon basis a canonical representative: two subspaces are equal iff their
 stored bases are identical.
+
+All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
+``{column: scalar}`` dicts of raw scalars (see :mod:`fields`): plain ``int``
+residues over F_p, ``Fraction`` over the rationals.  Field elements are
+converted only on the way in and out, so a large, sparse system such as the
+balancing relations of a tensor quotient costs time and memory in proportion
+to its nonzero entries.  ``Mat`` stays dense; ``rref`` keeps its dense
+interface on top of the kernel.
 """
 
 from __future__ import annotations
@@ -29,8 +37,72 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def is_zero_vec(u):
-    return not any(u)
+def _axpy(row, f, src, p):
+    """row -= f * src in place, dropping the entries that cancel."""
+    get = row.get
+    if p:
+        for k, v in src.items():
+            x = (get(k, 0) - f * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    else:
+        for k, v in src.items():
+            x = get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _echelon(rows, p):
+    """Canonical reduced row echelon form of sparse rows.
+
+    Each row is a ``{column: scalar}`` dict of nonzero raw scalars: int
+    residues mod ``p``, or ``Fraction`` when ``p`` is 0.  The input rows are
+    not modified.  Returns ``{pivot: row}`` in pivot order; each row has a 1
+    at its pivot, which is its smallest column, and 0 at every other pivot.
+
+    The pivot rows are kept fully reduced after every input row
+    (Gauss-Jordan), so reducing the next row is one pass over its pivot
+    columns, and subtracting a pivot row never creates a pivot entry.
+    """
+    pivots = {}
+    for src in rows:
+        row = dict(src)
+        for c in [c for c in row if c in pivots]:
+            _axpy(row, row[c], pivots[c], p)
+        if not row:
+            continue
+        c = min(row)
+        lead = row[c]
+        if lead != 1:
+            if p:
+                inv = pow(lead, -1, p)
+                row = {k: v * inv % p for k, v in row.items()}
+            else:
+                row = {k: v / lead for k, v in row.items()}
+        for prow in pivots.values():
+            f = prow.get(c)
+            if f is not None:
+                _axpy(prow, f, row, p)
+        pivots[c] = row
+    return dict(sorted(pivots.items()))
+
+
+def _sparse(vec, field):
+    """Nonzero entries of a dense vector as ``{column: raw scalar}``."""
+    return {c: x for c, x in enumerate(field.raw(vec)) if x}
+
+
+def _dense(row, field, n):
+    """Dense tuple of field elements from ``{column: raw scalar}``."""
+    out = [field.zero] * n
+    lift = field.lift
+    for c, x in row.items():
+        out[c] = lift(x)
+    return tuple(out)
 
 
 def rref(rows, field):
@@ -39,42 +111,11 @@ def rref(rows, field):
     Returns ``(reduced_rows, pivot_columns)`` with zero rows dropped and the
     remaining rows sorted by pivot column.  The input is not modified.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, len(work)):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot_val = work[row][col]
-        if pivot_val != field.one:
-            inv = field.one / pivot_val
-            work[row] = [inv * x for x in work[row]]
-        prow = work[row]
-        for r in range(len(work)):
-            if r == row:
-                continue
-            factor = work[r][col]
-            if not factor:
-                continue
-            target = work[r]
-            for c in range(col, ncols):
-                if prow[c]:
-                    target[c] = target[c] - factor * prow[c]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    reduced = [tuple(work[i]) for i in range(row)]
-    return reduced, pivots
+    ncols = len(rows[0])
+    reduced = _echelon([_sparse(r, field) for r in rows], field.characteristic)
+    return [_dense(r, field, ncols) for r in reduced.values()], list(reduced)
 
 
 class Mat:
@@ -119,11 +160,14 @@ class Mat:
         """Matrix times coordinate column."""
         if len(vec) != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} on vector of length {len(vec)}")
+        nz = [(j, x) for j, x in enumerate(vec) if x]
+        zero = self.field.zero
         out = []
         for row in self.entries:
-            acc = self.field.zero
-            for a, x in zip(row, vec):
-                if a and x:
+            acc = zero
+            for j, x in nz:
+                a = row[j]
+                if a:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
@@ -184,39 +228,67 @@ class Mat:
 
 
 class Subspace:
-    """Subspace of coordinate space, stored as its canonical echelon basis."""
+    """Subspace of coordinate space, stored as its canonical echelon basis.
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    The basis rows are kept sparse, as ``{pivot: {column: raw scalar}}``
+    (see ``_echelon``); the dense ``basis`` tuples are built on first use.
+    """
 
-    def __init__(self, field, ambient, basis, pivots):
+    __slots__ = ("field", "ambient", "_rows", "_basis")
+
+    def __init__(self, field, ambient, rows):
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(basis)
-        self.pivots = tuple(pivots)
+        self._rows = rows
+        self._basis = None
+
+    @classmethod
+    def _span(cls, field, ambient, rows):
+        """Span of sparse rows of raw scalars."""
+        return cls(field, ambient, _echelon(rows, field.characteristic))
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        vectors = [v for v in vectors if any(v)]
+        rows = []
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        basis, pivots = rref(vectors, field)
-        return cls(field, ambient, basis, pivots)
+            rows.append(_sparse(v, field))
+        return cls._span(field, ambient, rows)
+
+    @classmethod
+    def from_sparse(cls, field, ambient, rows):
+        """Span of sparse vectors given as ``{column: field element}`` dicts."""
+        raw = field.raw
+        return cls._span(field, ambient,
+                         [{c: x for c, x in zip(row, raw(row.values())) if x}
+                          for row in rows])
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), ())
+        return cls(field, ambient, {})
 
     @classmethod
     def full(cls, field, ambient):
         return cls.from_vectors(field, ambient, Mat.identity(field, ambient).entries)
 
     @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = tuple(_dense(r, self.field, self.ambient)
+                                for r in self._rows.values())
+        return self._basis
+
+    @property
+    def pivots(self):
+        return tuple(self._rows)
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
     def is_zero(self):
-        return not self.basis
+        return not self._rows
 
     def is_full(self):
         return self.dim == self.ambient
@@ -229,66 +301,53 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field == other.field and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.pivots))
 
     def __add__(self, other):
         self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient,
+                              list(self._rows.values()) + list(other._rows.values()))
 
     def intersect(self, other):
-        """Intersection via the kernel of the stacked coefficient system."""
+        """Intersection by Zassenhaus: the rows of the echelon form of
+        [[u, u], [w, 0]] that vanish on the left half span U ∩ W."""
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.field, self.ambient)
-        k, m = self.dim, other.dim
-        # columns: coefficients on self.basis then (negated) other.basis
-        rows = []
-        for i in range(self.ambient):
-            rows.append([self.basis[a][i] for a in range(k)]
-                        + [-other.basis[b][i] for b in range(m)])
-        sol = kernel_basis(Mat(self.field, rows))
-        vectors = []
-        for coeffs in sol.basis:
-            v = vzero(self.field, self.ambient)
-            for a in range(k):
-                if coeffs[a]:
-                    v = vadd(v, vscale(coeffs[a], self.basis[a]))
-            vectors.append(v)
-        return Subspace.from_vectors(self.field, self.ambient, vectors)
+        n = self.ambient
+        rows = [{**u, **{c + n: x for c, x in u.items()}} for u in self._rows.values()]
+        rows.extend(other._rows.values())
+        reduced = _echelon(rows, self.field.characteristic)
+        return Subspace(self.field, n,
+                        {q - n: {c - n: x for c, x in r.items()}
+                         for q, r in reduced.items() if q >= n})
 
-    def reduce_vector(self, vec):
-        """Remainder of vec after eliminating all pivot coordinates."""
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for i in range(p, self.ambient):
-                    if row[i]:
-                        v[i] = v[i] - c * row[i]
-        return tuple(v)
+    def _residual(self, row):
+        """Sparse remainder of a sparse row after eliminating every pivot."""
+        out = dict(row)
+        p = self.field.characteristic
+        for c, x in row.items():
+            prow = self._rows.get(c)
+            if prow is not None:
+                _axpy(out, x, prow, p)
+        return out
 
     def contains_vector(self, vec):
-        return is_zero_vec(self.reduce_vector(vec))
+        return not self._residual(_sparse(vec, self.field))
 
     def contains(self, other):
         """True when every vector of `other` lies in this subspace."""
         self._check_compatible(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(not self._residual(r) for r in other._rows.values())
 
     def coordinates_of(self, vec):
         """Coefficients of vec on the echelon basis, or None if outside."""
-        coords = tuple(vec[p] for p in self.pivots)
-        recon = vzero(self.field, self.ambient)
-        for c, row in zip(coords, self.basis):
-            if c:
-                recon = vadd(recon, vscale(c, row))
-        if recon != tuple(vec):
+        if self._residual(_sparse(vec, self.field)):
             return None
-        return coords
+        return tuple(vec[p] for p in self._rows)
 
     def linear_combination(self, coords):
         v = vzero(self.field, self.ambient)
@@ -303,17 +362,21 @@ class Subspace:
 
 def kernel_basis(m):
     """Canonical basis of the solution space of m·x = 0."""
-    reduced, pivots = rref(m.entries, m.field)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    field = m.field
+    p = field.characteristic
+    reduced = _echelon([_sparse(r, field) for r in m.entries], p)
+    one = field.raw([field.one])[0]
     vectors = []
-    for f in free:
-        v = list(vzero(m.field, m.cols))
-        v[f] = m.field.one
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        vectors.append(tuple(v))
-    return Subspace.from_vectors(m.field, m.cols, vectors)
+    for f in range(m.cols):
+        if f in reduced:
+            continue
+        v = {f: one}
+        for q, row in reduced.items():
+            x = row.get(f)
+            if x is not None:
+                v[q] = -x % p if p else -x
+        vectors.append(v)
+    return Subspace._span(field, m.cols, vectors)
 
 
 def image_basis(m):

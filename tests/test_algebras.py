@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,8 +154,7 @@ def test_subalgebra_extraction():
 
 # -- validation gate -----------------------------------------------------
 
-def _brute_force_valid(field, table, unit):
-    """Independent axiom oracle: associativity and unit law from scratch."""
+def _dense_mul(field, table):
     d = len(table)
 
     def mul(x, y):
@@ -171,17 +168,32 @@ def _brute_force_valid(field, table, unit):
 
     basis = [tuple(field.one if i == j else field.zero for j in range(d))
              for i in range(d)]
-    for a in basis:
-        for b in basis:
-            for c in basis:
+    return mul, basis
+
+
+def _first_nonassociative_triple(field, table):
+    """Independent oracle: the first basis triple, in (i, j, k) order, where
+    associativity fails, from dense products; None when there is none."""
+    mul, basis = _dense_mul(field, table)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            for k, c in enumerate(basis):
                 if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                    return False
+                    return i, j, k
+    return None
+
+
+def _brute_force_valid(field, table, unit):
+    """Independent axiom oracle: associativity and unit law from scratch."""
+    if _first_nonassociative_triple(field, table) is not None:
+        return False
+    mul, basis = _dense_mul(field, table)
     return all(mul(unit, b) == b and mul(b, unit) == b for b in basis)
 
 
 def _perturbed(table, i, j, k):
     new = [[[x for x in cell] for cell in row] for row in table]
-    new[i][j][k] = new[i][j][k] + Fraction(1)
+    new[i][j][k] = new[i][j][k] + 1
     return new
 
 
@@ -217,17 +229,22 @@ def test_unit_fails_witness():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
-def test_make_algebra_matches_oracle_randomized(i, j, k):
-    base = group_algebra(QQ, symmetric(3))
-    i, j, k = i % 6, j % 6, k % 6
+@given(st.sampled_from([QQ, GF(5)]), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 5))
+def test_make_algebra_matches_oracle_randomized(field, i, j, k):
+    base = group_algebra(field, symmetric(3))
     table = _perturbed(base.table, i, j, k)
-    expected = _brute_force_valid(QQ, table, base.unit)
+    expected = _brute_force_valid(field, table, base.unit)
+    witness = _first_nonassociative_triple(field, table)
     actual = True
     try:
-        make_algebra(QQ, table, base.unit)
+        make_algebra(field, table, base.unit)
+    except NotAssociative as exc:
+        actual = False
+        assert exc.witness == tuple(f"b{t}" for t in witness)
     except ValidationError:
         actual = False
+        assert witness is None
     assert actual == expected
 
 

@@ -129,8 +129,11 @@ def test_tensor_quotient_machinery(s1_smash):
     x = b.basis_element(0).coeffs
     y = b.basis_element(2).coeffs
     for bvec in sub:
-        u = t.tensor(b.mul_vec(x, bvec), y)
-        v = t.tensor(x, b.mul_vec(bvec, y))
+        u = t.tensor([(b.mul_vec(x, bvec), y)])
+        v = t.tensor([(x, b.mul_vec(bvec, y))])
         assert t.equal_mod_relations(u, v)
     # but plain tensors of different basis vectors do not all collapse
-    assert not t.equal_mod_relations(t.tensor(x, x), t.tensor(y, y))
+    assert not t.equal_mod_relations(t.tensor([(x, x)]), t.tensor([(y, y)]))
+    # a sum of pure tensors is the sum of their vectors
+    assert t.tensor([(x, x), (y, y)]) == tuple(
+        p + q for p, q in zip(t.tensor([(x, x)]), t.tensor([(y, y)])))

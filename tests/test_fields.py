@@ -1,10 +1,12 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from partialskew.errors import ParseError
-from partialskew.fields import GF, QQ, parse_field
+from partialskew.fields import GF, QQ, _is_prime, parse_field
 
 nonzero_rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50).filter(bool)
@@ -71,3 +73,23 @@ def test_field_tokens():
     assert GF(5) == GF(5) and GF(5) != GF(7) and QQ != GF(5)
     with pytest.raises(ParseError):
         parse_field("r")
+
+
+def test_large_prime_tokens_decided_fast():
+    start = time.perf_counter()
+    assert parse_field("fp:2305843009213693951") == GF(2**61 - 1)
+    with pytest.raises(ParseError):
+        parse_field("fp:2305843009213693953")  # 2^61 + 1 = 3 · 768614336404564651
+    # a Mersenne prime, but beyond the bound where the test is a proof
+    with pytest.raises(ParseError, match="too large"):
+        parse_field(f"fp:{2**89 - 1}")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_primality_matches_trial_division():
+    for n in range(-2, 3000):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert _is_prime(n) == trial, n
+    assert not _is_prime(41041)  # a Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(3825123056546413051)  # ... to bases 2 through 23

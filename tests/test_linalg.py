@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from partialskew.fields import GF, QQ
-from partialskew.linalg import Mat, Subspace, image_basis, kernel_basis, solve
+from partialskew.linalg import (Mat, Subspace, image_basis, kernel_basis, rref,
+                                solve)
 
 from corpus_helpers import qmat, qvec
 
@@ -78,15 +80,26 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def small_matrices(draw):
+def integer_matrices(draw):
+    """Integer matrices up to 5 x 8, half of them of rank below both sides
+    (a product through an inner dimension smaller than either)."""
     rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
-    entries = [[Fraction(draw(small_entries)) for _ in range(cols)]
-               for _ in range(rows)]
-    return Mat(QQ, entries)
+    cols = draw(st.integers(1, 8))
+    if draw(st.booleans()) and min(rows, cols) > 1:
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        left = [[draw(small_entries) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(small_entries) for _ in range(cols)] for _ in range(inner)]
+        return [[sum(left[r][t] * right[t][c] for t in range(inner))
+                 for c in range(cols)] for r in range(rows)]
+    return [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
 
 
-@settings(max_examples=60, deadline=None)
+def small_matrices():
+    return integer_matrices().map(
+        lambda entries: Mat(QQ, [[Fraction(x) for x in row] for row in entries]))
+
+
+@settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_nullity_against_sympy(m):
     sm = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.entries])
@@ -96,6 +109,27 @@ def test_rank_nullity_against_sympy(m):
     # every reported kernel vector really solves m·x = 0
     for v in kernel_basis(m).basis:
         assert not any(m.apply(v))
+    # the full reduced echelon form, rows and pivots
+    expected, pivots = sm.rref()
+    rows, ours = rref(m.entries, QQ)
+    assert ours == list(pivots)
+    assert rows == [tuple(Fraction(int(x.p), int(x.q)) for x in expected.row(r))
+                    for r in range(rank)]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@settings(max_examples=80, deadline=None)
+@given(entries=integer_matrices())
+def test_rref_against_sympy_over_prime_fields(p, entries):
+    domain = sympy.GF(p)
+    dm = DomainMatrix([[domain(x) for x in row] for row in entries],
+                      (len(entries), len(entries[0])), domain)
+    expected, pivots = dm.rref()
+    f = GF(p)
+    rows, ours = rref([[f.from_int(x) for x in row] for row in entries], f)
+    assert ours == list(pivots)
+    assert ([[x.value for x in row] for row in rows]
+            == [[int(x) % p for x in row] for row in expected.to_list()[:len(pivots)]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,7 +140,9 @@ def test_sum_intersection_dimension_formula(a, b):
                                       for r in a.entries])
     v = Subspace.from_vectors(QQ, n, [tuple(r) + (QQ.zero,) * (n - b.cols)
                                       for r in b.entries])
-    assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
+    inter = u.intersect(v)
+    assert (u + v).dim + inter.dim == u.dim + v.dim
+    assert u.contains(inter) and v.contains(inter)
 
 
 def test_prime_field_reduction():
