@@ -45,9 +45,6 @@ class PartialAction:
     def dot_vec(self, g, coeffs):
         return self.maps[g].apply(coeffs)
 
-    def idempotent_element(self, g):
-        return self.algebra.element(self.idempotents[g])
-
     def is_global(self):
         return all(e == self.algebra.unit for e in self.idempotents)
 

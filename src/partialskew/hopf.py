@@ -2,25 +2,30 @@
 operator picture.
 
 A Hopf algebra is stored as a validated structure algebra plus sparse
-comultiplication constants, a counit vector and an antipode matrix; the
-constructor re-proves coassociativity, the counit laws, compatibility of
+comultiplication triples (k, l, v), a counit vector and an antipode matrix;
+the constructor re-proves coassociativity, the counit laws, compatibility of
 coproduct/counit with the product, and the antipode identity, exhaustively
 on the basis.  The dual Hopf algebra swaps the two sets of constants.
 
-On top of that sit: the left/right hit actions between a Hopf algebra and
-its dual, the two Heisenberg-style smash products with their operator
-representations, partial actions of a Hopf algebra on an algebra (weakened
-so the unit of the target need not absorb h·1), the induced partial
-coaction, the corner maps into A⊗End(H), the twisted tensor-product algebra
-whose unital corner is the partial smash product, and the operator duality
-map with its corner idempotent.
+Every product table of the layer is a smash product A # B, where a
+bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c.  One
+builder, ``_smash_algebra``, makes all of them and validates each through
+``make_algebra``:
+
+  * H # H^* and H^* # H, acting on H through the hit actions; their
+    operator representations satisfy the λ/ρ exchange identity;
+  * A⊗H twisted by a partial action of H on A (weakened so the unit of A
+    need not absorb h·1), whose unital corner is the partial smash product;
+  * (A⊗H) # H^*, the domain of the operator duality map into A⊗End(H).
+
+Around them sit the partial coaction induced by a partial action and the
+corner maps into A⊗End(H) with their corner idempotent.
 """
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, StructureAlgebra, field_algebra,
-                       group_algebra, make_algebra, matrix_algebra,
-                       tensor_algebra)
+from .algebras import (AlgebraMap, field_algebra, group_algebra,
+                       make_algebra, matrix_algebra, tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
@@ -48,13 +53,6 @@ class HopfData:
     def dim(self):
         return self.algebra.dim
 
-    def comul_dense(self, i):
-        d = self.dim
-        out = list(vzero(self.algebra.field, d * d))
-        for k, l, v in self.comul[i]:
-            out[k * d + l] = v
-        return tuple(out)
-
     def dual(self):
         """The dual Hopf algebra on the dual basis (memoized)."""
         if self._dual is None:
@@ -62,26 +60,15 @@ class HopfData:
         return self._dual
 
 
-def _sparsify(comul, field):
-    """Accept dense d×d×d comultiplication constants or sparse triples."""
-    out = []
-    for row in comul:
-        if row and isinstance(row[0], (list, tuple)) and len(row[0]) == 3 \
-                and not isinstance(row[0][2], (list, tuple)):
-            triples = [(k, l, v) for k, l, v in row if v]
-        else:
-            triples = [(k, l, v) for k, krow in enumerate(row)
-                       for l, v in enumerate(krow) if v]
-        triples.sort(key=lambda t: (t[0], t[1]))
-        out.append(tuple(triples))
-    return tuple(out)
-
-
 def make_hopf(algebra, comul, counit, antipode, primal=None):
-    """Validate Hopf structure constants over an already validated algebra."""
+    """Validate Hopf structure constants over an already validated algebra.
+
+    ``comul[i]`` lists triples (k, l, v) with Δ(b_i) = Σ v·b_k⊗b_l.
+    """
     field = algebra.field
     d = algebra.dim
-    comul = _sparsify(comul, field)
+    comul = tuple(tuple(sorted(((k, l, v) for k, l, v in row if v),
+                               key=lambda t: t[:2])) for row in comul)
     counit = tuple(counit)
     if len(comul) != d or len(counit) != d:
         raise ValidationError("comultiplication/counit have wrong dimension")
@@ -188,23 +175,11 @@ def _build_dual(h):
     unit = list(h.counit)
     labels = [f"p_{lab}" for lab in h.algebra.labels]
     dual_alg = make_algebra(field, table, unit, labels=labels)
-    dual_comul = []
-    for i in range(d):
-        triples = []
-        for k in range(d):
-            for l in range(d):
-                v = h.algebra.table[k][l][i]
-                if v:
-                    triples.append([k, l, v])
-        dual_comul.append(triples)
+    dual_comul = [[(k, l, h.algebra.table[k][l][i])
+                   for k in range(d) for l in range(d)] for i in range(d)]
     dual_counit = list(h.algebra.unit)
     dual_antipode = h.antipode.transpose()
     return make_hopf(dual_alg, dual_comul, dual_counit, dual_antipode, primal=h)
-
-
-def dual_hopf(h):
-    """The dual Hopf algebra (multiplication and comultiplication swapped)."""
-    return h.dual()
 
 
 def group_hopf(field, group):
@@ -217,6 +192,51 @@ def group_hopf(field, group):
     antipode = Mat(field, [[field.one if i == group.inv(j) else zero
                             for j in range(n)] for i in range(n)])
     return make_hopf(alg, comul, counit, antipode)
+
+
+# -- smash products -------------------------------------------------------
+
+def _outer(u, v):
+    """Flattened outer product u⊗v, with index i·len(v) + j."""
+    return tuple(a * b for a in u for b in v)
+
+
+def _smash_algebra(a, b, comul, act, unit):
+    """The smash product A # B of an algebra A and a bialgebra B acting on it.
+
+    Basis x#b_i has index x·dim B + i, and
+    (x#b_i)(y#b_j) = Σ over (k, l, v) in Δ(b_i) of v·x(b_k▷y) # b_l·b_j,
+    where ``comul`` holds the comultiplication triples of B and ``act(k, y)``
+    is b_k▷y on a coefficient vector of A.  ``unit`` is None when the product
+    has no global unit.  The table is validated by ``make_algebra``; since
+    every caller builds it from validated data, a failure is internal.
+    """
+    field = a.field
+    da, db = a.dim, b.dim
+    basis = [a.basis_element(y).coeffs for y in range(da)]
+    acted = [[act(k, ey) for ey in basis] for k in range(db)]
+    table = []
+    for ex in basis:
+        for i in range(db):
+            row = []
+            for y in range(da):
+                # x·(b_k▷y) per term of Δ(b_i), shared by the whole row block
+                terms = [(l, v, [(s, w) for s, w in
+                                 enumerate(a.mul_vec(ex, acted[k][y])) if w])
+                         for k, l, v in comul[i]]
+                for j in range(db):
+                    cell = [field.zero] * (da * db)
+                    for l, v, xs in terms:
+                        for t, u in b._nz[l][j]:
+                            for s, w in xs:
+                                cell[s * db + t] = cell[s * db + t] + v * w * u
+                    row.append(cell)
+            table.append(row)
+    labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
+    try:
+        return make_algebra(field, table, unit, labels=labels)
+    except ValidationError as exc:
+        raise InternalCheckFailed(f"twisted tensor product: {exc}") from None
 
 
 # -- hit actions between a Hopf algebra and its dual ---------------------
@@ -245,14 +265,6 @@ def hit_right(h, xvec, fvec):
     return tuple(out)
 
 
-def hit(h, side, fvec, xvec):
-    if side == "left":
-        return hit_left(h, fvec, xvec)
-    if side == "right":
-        return hit_right(h, xvec, fvec)
-    raise ValueError(f"unknown side {side!r}")
-
-
 # -- operator representations --------------------------------------------
 
 def end_algebra(h):
@@ -262,10 +274,6 @@ def end_algebra(h):
 
 def mat_to_end_vec(m):
     return tuple(x for row in m.entries for x in row)
-
-
-def end_vec_to_mat(field, vec, d):
-    return Mat(field, [vec[i * d:(i + 1) * d] for i in range(d)])
 
 
 def lambda_matrix(h, hvec, fvec):
@@ -286,117 +294,38 @@ def rho_matrix(h, fvec, hvec):
     return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
 
 
-def left_operator_smash(h):
-    """H # H^* with product (h#f)(k#g) = sum of h(f1⇀k) # f2*g."""
-    field = h.algebra.field
-    dual = h.dual()
-    d = h.dim
-    dim = d * d
-    zero_row = [field.zero] * dim
-    table = []
-    for i in range(d):
-        for j in range(d):
-            row = []
-            for k in range(d):
-                for l in range(d):
-                    cell = list(zero_row)
-                    for u, w, m in dual.comul[j]:
-                        hv = h.algebra.mul_vec(
-                            h.algebra.basis_element(i).coeffs,
-                            hit_left(h, dual.algebra.basis_element(u).coeffs,
-                                     h.algebra.basis_element(k).coeffs))
-                        fv = dual.algebra.table[w][l]
-                        for a, va in enumerate(hv):
-                            if not va:
-                                continue
-                            for b, vb in enumerate(fv):
-                                if vb:
-                                    cell[a * d + b] = cell[a * d + b] + m * va * vb
-                    row.append(tuple(cell))
-            table.append(row)
-    unit = [field.zero] * dim
-    for a, va in enumerate(h.algebra.unit):
-        if va:
-            for b, vb in enumerate(dual.algebra.unit):
-                if vb:
-                    unit[a * d + b] = va * vb
-    labels = [f"{la}#{lb}" for la in h.algebra.labels for lb in dual.algebra.labels]
-    return StructureAlgebra(field, table, unit, labels=labels)
-
-
-def right_operator_smash(h):
-    """H^* # H with product (f#h)(g#k) = sum of f·(h1⇀g) # h2·k, where
-    (h⇀g)(x) = g(xh)."""
-    field = h.algebra.field
-    dual = h.dual()
-    d = h.dim
-    dim = d * d
-    zero_row = [field.zero] * dim
-    table = []
-    for j in range(d):
-        for i in range(d):
-            row = []
-            for l in range(d):
-                for k in range(d):
-                    cell = list(zero_row)
-                    for u, w, v in h.comul[i]:
-                        hitp = tuple(h.algebra.table[x][u][l] for x in range(d))
-                        fv = dual.algebra.mul_vec(
-                            dual.algebra.basis_element(j).coeffs, hitp)
-                        hv = h.algebra.table[w][k]
-                        for a, va in enumerate(fv):
-                            if not va:
-                                continue
-                            for b, vb in enumerate(hv):
-                                if vb:
-                                    cell[a * d + b] = cell[a * d + b] + v * va * vb
-                    row.append(tuple(cell))
-            table.append(row)
-    unit = [field.zero] * dim
-    for a, va in enumerate(dual.algebra.unit):
-        if va:
-            for b, vb in enumerate(h.algebra.unit):
-                if vb:
-                    unit[a * d + b] = va * vb
-    labels = [f"{la}#{lb}" for la in dual.algebra.labels for lb in h.algebra.labels]
-    return StructureAlgebra(field, table, unit, labels=labels)
-
-
 class Representations:
-    __slots__ = ("hopf", "end", "left_smash", "right_smash", "lambda_map",
-                 "rho_columns")
+    __slots__ = ("hopf", "end", "lambda_map", "rho_map")
 
-    def __init__(self, hopf, end, left_smash, right_smash, lambda_map,
-                 rho_columns):
+    def __init__(self, hopf, end, lambda_map, rho_map):
         self.hopf = hopf
         self.end = end
-        self.left_smash = left_smash
-        self.right_smash = right_smash
-        self.lambda_map = lambda_map
-        self.rho_columns = rho_columns
-
-    def rho_of_vec(self, svec):
-        acc = vzero(self.hopf.algebra.field, self.end.dim)
-        for t, c in enumerate(svec):
-            if c:
-                acc = vadd(acc, vscale(c, self.rho_columns[t]))
-        return acc
+        self.lambda_map = lambda_map   # algebra map H # H^* -> End(H)
+        self.rho_map = rho_map         # algebra anti-map H^* # H -> End(H)
 
 
 def build_representations(h):
     """Operator picture of H#H^* and H^*#H on H, with the exchange identity.
 
+    H # H^* has (h#f)(k#g) = sum of h(f1⇀k) # f2*g, and H^* # H has
+    (f#h)(g#k) = sum of f·(h1⇀g) # h2·k, where (h⇀g)(x) = g(xh).
     The left representation must be an algebra map, the right one an algebra
     anti-map, and for all basis h, f, g the exchange identity
     λ(h#f)ρ(g#1) = sum of ρ(g2#1)λ((h↼S(g1))#f) must hold; any failure
     aborts, since these are theorems for every valid Hopf algebra.
     """
-    field = h.algebra.field
     dual = h.dual()
     d = h.dim
     end = end_algebra(h)
-    ls = left_operator_smash(h)
-    rs = right_operator_smash(h)
+    ls = _smash_algebra(
+        h.algebra, dual.algebra, dual.comul,
+        lambda k, y: hit_left(h, dual.algebra.basis_element(k).coeffs, y),
+        _outer(h.algebra.unit, dual.algebra.unit))
+    # h⇀g is the left hit action of H = (H^*)^* on H^*
+    rs = _smash_algebra(
+        dual.algebra, h.algebra, h.comul,
+        lambda k, g: hit_left(dual, h.algebra.basis_element(k).coeffs, g),
+        _outer(dual.algebra.unit, h.algebra.unit))
 
     lam_cols = []
     for i in range(d):
@@ -414,29 +343,23 @@ def build_representations(h):
             rho_cols.append(mat_to_end_vec(rho_matrix(
                 h, dual.algebra.basis_element(j).coeffs,
                 h.algebra.basis_element(i).coeffs)))
-    reps = Representations(h, end, ls, rs, lam, rho_cols)
-    if reps.rho_of_vec(rs.unit) != end.unit:
+    rho = AlgebraMap.from_columns(rs, end, rho_cols)
+    if not rho.is_unital():
         raise InternalCheckFailed("right operator representation is not unital")
     for p in range(rs.dim):
         for q in range(rs.dim):
-            lhs = reps.rho_of_vec(rs.table[p][q])
-            rhs = end.mul_vec(rho_cols[q], rho_cols[p])
-            if lhs != tuple(rhs):
+            if rho.apply_vec(rs.table[p][q]) != end.mul_vec(rho_cols[q], rho_cols[p]):
                 raise InternalCheckFailed(
                     "right operator representation is not an anti-map")
 
-    _verify_exchange_identity(h, reps)
-    return reps
+    _verify_exchange_identity(h)
+    return Representations(h, end, lam, rho)
 
 
-def _verify_exchange_identity(h, reps):
+def _verify_exchange_identity(h):
     field = h.algebra.field
     dual = h.dual()
     d = h.dim
-
-    def rho_mat(fvec, hvec):
-        return rho_matrix(h, fvec, hvec)
-
     unit_h = h.algebra.unit
     for a in range(d):
         ha = h.algebra.basis_element(a).coeffs
@@ -445,12 +368,12 @@ def _verify_exchange_identity(h, reps):
             lam_ab = lambda_matrix(h, ha, fb)
             for c in range(d):
                 gc = dual.algebra.basis_element(c).coeffs
-                lhs = lam_ab @ rho_mat(gc, unit_h)
+                lhs = lam_ab @ rho_matrix(h, gc, unit_h)
                 acc = [[field.zero] * d for _ in range(d)]
                 for u, w, m in dual.comul[c]:
                     s_gu = dual.antipode.column(u)
                     twisted = hit_right(h, ha, s_gu)
-                    term = (rho_mat(dual.algebra.basis_element(w).coeffs, unit_h)
+                    term = (rho_matrix(h, dual.algebra.basis_element(w).coeffs, unit_h)
                             @ lambda_matrix(h, twisted, fb))
                     for r in range(d):
                         for s in range(d):
@@ -644,13 +567,6 @@ class CornerMaps:
         self.psi_columns = psi_columns  # per (i,j): image of b_i # p_j
         self.corner_unit = corner_unit  # phi(1), the corner idempotent
 
-    def psi_vec(self, svec):
-        acc = vzero(self.target.field, self.target.dim)
-        for t, c in enumerate(svec):
-            if c:
-                acc = vadd(acc, vscale(c, self.psi_columns[t]))
-        return acc
-
 
 def build_corner_maps(pha, reps=None):
     """phi(a) = sum of (b_i·a) ⊗ ρ(S^{-1}(p_i)#1) and psi(h#f) = 1⊗λ(h#f),
@@ -725,53 +641,28 @@ class PartialSmash:
 def build_partial_smash(pha):
     """The twisted product on A⊗H and its unital corner."""
     h, alg = pha.hopf, pha.algebra
-    field = alg.field
-    d, da = h.dim, alg.dim
-    dim = da * d
-    zero_row = [field.zero] * dim
-    table = []
-    for x in range(da):
-        ex = alg.basis_element(x).coeffs
-        for i in range(d):
-            row = []
-            for y in range(da):
-                ey = alg.basis_element(y).coeffs
-                for j in range(d):
-                    cell = list(zero_row)
-                    for k, l, v in h.comul[i]:
-                        avec = alg.mul_vec(ex, pha.act(k, ey))
-                        hvec = h.algebra.table[l][j]
-                        for a, va in enumerate(avec):
-                            if not va:
-                                continue
-                            for b, vb in enumerate(hvec):
-                                if vb:
-                                    cell[a * d + b] = cell[a * d + b] + v * va * vb
-                    row.append(tuple(cell))
-            table.append(row)
-    labels = [f"{la}#{lb}" for la in alg.labels for lb in h.algebra.labels]
-    ambient = StructureAlgebra(field, table, None, labels=labels)
-
-    for p in range(dim):
-        for q in range(dim):
-            z = ambient.table[p][q]
-            for r in range(dim):
-                if ambient._vec_times_basis(z, r) != \
-                        ambient._basis_times_vec(p, ambient.table[q][r]):
-                    raise InternalCheckFailed(
-                        "twisted tensor product is not associative")
-
-    u0 = [field.zero] * dim
-    for a, va in enumerate(alg.unit):
-        if va:
-            for b, vb in enumerate(h.algebra.unit):
-                if vb:
-                    u0[a * d + b] = va * vb
-    u0 = tuple(u0)
-
+    ambient = _smash_algebra(alg, h.algebra, h.comul, pha.act, None)
+    u0 = _outer(alg.unit, h.algebra.unit)
     sub = Subspace.from_vectors(
-        field, dim, [ambient._basis_times_vec(p, u0) for p in range(dim)])
+        alg.field, ambient.dim,
+        [ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
     return PartialSmash(pha, ambient, sub, u0)
+
+
+def _dual_act(h, m, vec):
+    """p_m ⇀ · on the H leg of a vector of A⊗H (index a·dim H + i)."""
+    d = h.dim
+    fm = h.dual().algebra.basis_element(m).coeffs
+    out = list(vzero(h.algebra.field, len(vec)))
+    for idx, c in enumerate(vec):
+        if not c:
+            continue
+        a, i = divmod(idx, d)
+        hv = hit_left(h, fm, h.algebra.basis_element(i).coeffs)
+        for b, vb in enumerate(hv):
+            if vb:
+                out[a * d + b] = out[a * d + b] + c * vb
+    return tuple(out)
 
 
 def partial_smash_report(ps):
@@ -856,38 +747,25 @@ def partial_smash_report(ps):
     dual = h.dual()
     da = alg.dim
 
-    def dual_act(m, vec):
-        out = list(vzero(field, amb.dim))
-        fm = dual.algebra.basis_element(m).coeffs
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            a, i = divmod(idx, d)
-            hv = hit_left(h, fm, h.algebra.basis_element(i).coeffs)
-            for b, vb in enumerate(hv):
-                if vb:
-                    out[a * d + b] = out[a * d + b] + c * vb
-        return tuple(out)
-
-    stable = all(sub.contains_vector(dual_act(m, v))
+    stable = all(sub.contains_vector(_dual_act(h, m, v))
                  for m in range(d) for v in sub.basis)
     unit_acts = True
     for v in sub.basis:
         acc = vzero(field, amb.dim)
         for m, c in enumerate(dual.algebra.unit):
             if c:
-                acc = vadd(acc, vscale(c, dual_act(m, v)))
+                acc = vadd(acc, vscale(c, _dual_act(h, m, v)))
         if acc != v:
             unit_acts = False
     module_alg = True
     for m in range(d):
         for u in sub.basis:
             for v in sub.basis:
-                lhs = dual_act(m, amb.mul_vec(u, v))
+                lhs = _dual_act(h, m, amb.mul_vec(u, v))
                 rhs = vzero(field, amb.dim)
                 for k, l, w in dual.comul[m]:
                     rhs = vadd(rhs, vscale(w, amb.mul_vec(
-                        dual_act(k, u), dual_act(l, v))))
+                        _dual_act(h, k, u), _dual_act(h, l, v))))
                 if lhs != tuple(rhs):
                     module_alg = False
     closed_form = True
@@ -895,7 +773,7 @@ def partial_smash_report(ps):
         for i in range(d):
             gen = amb.mul_vec(amb.basis_element(x * d + i).coeffs, u0)
             for m in range(d):
-                lhs = dual_act(m, gen)
+                lhs = _dual_act(h, m, gen)
                 hv = hit_left(h, dual.algebra.basis_element(m).coeffs,
                               h.algebra.basis_element(i).coeffs)
                 rhs_gen = list(vzero(field, amb.dim))
@@ -965,50 +843,9 @@ def operator_duality_report(pha, ps, maps=None):
         maps = build_corner_maps(pha)
     target = maps.target
 
-    dim_c = da * d * d
-
-    def cidx(x, i, j):
-        return (x * d + i) * d + j
-
-    # triple product table
-    table = []
-    for x in range(da):
-        ex = alg.basis_element(x).coeffs
-        for i in range(d):
-            for j in range(d):
-                row = []
-                for y in range(da):
-                    ey = alg.basis_element(y).coeffs
-                    for m in range(d):
-                        for l in range(d):
-                            cell = [field.zero] * dim_c
-                            for h1, h2, vh in h.comul[i]:
-                                avec = alg.mul_vec(ex, pha.act(h1, ey))
-                                if not any(avec):
-                                    continue
-                                for f1, f2, vf in dual.comul[j]:
-                                    hv = h.algebra.mul_vec(
-                                        h.algebra.basis_element(h2).coeffs,
-                                        hit_left(h, dual.algebra.basis_element(f1).coeffs,
-                                                 h.algebra.basis_element(m).coeffs))
-                                    if not any(hv):
-                                        continue
-                                    fv = dual.algebra.table[f2][l]
-                                    coef = vh * vf
-                                    for a, va in enumerate(avec):
-                                        if not va:
-                                            continue
-                                        for b, vb in enumerate(hv):
-                                            if not vb:
-                                                continue
-                                            cab = coef * va * vb
-                                            for e, ve in enumerate(fv):
-                                                if ve:
-                                                    pos = cidx(a, b, e)
-                                                    cell[pos] = cell[pos] + cab * ve
-                            row.append(tuple(cell))
-                table.append(row)
-    triple = StructureAlgebra(field, table, None)
+    triple = _smash_algebra(ps.ambient, dual.algebra, dual.comul,
+                            lambda m, v: _dual_act(h, m, v), None)
+    dim_c = triple.dim
 
     phi_cols = []
     for x in range(da):
@@ -1016,33 +853,12 @@ def operator_duality_report(pha, ps, maps=None):
             for j in range(d):
                 phi_cols.append(tuple(target.mul_vec(
                     maps.phi.matrix.column(x), maps.psi_columns[i * d + j])))
+    phi_of = Mat.from_columns(field, phi_cols, rows=target.dim).apply
 
-    def phi_of(vec):
-        acc = vzero(field, target.dim)
-        for t, c in enumerate(vec):
-            if c:
-                acc = vadd(acc, vscale(c, phi_cols[t]))
-        return acc
+    mult_ok = all(phi_of(triple.table[p][q]) == target.mul_vec(phi_cols[p], phi_cols[q])
+                  for p in range(dim_c) for q in range(dim_c))
 
-    mult_ok = True
-    for p in range(dim_c):
-        for q in range(dim_c):
-            lhs = phi_of(triple.table[p][q])
-            rhs = target.mul_vec(phi_cols[p], phi_cols[q])
-            if tuple(lhs) != tuple(rhs):
-                mult_ok = False
-
-    unit_c = [field.zero] * dim_c
-    for x, vx in enumerate(alg.unit):
-        if not vx:
-            continue
-        for i, vi in enumerate(h.algebra.unit):
-            if not vi:
-                continue
-            for j, vj in enumerate(dual.algebra.unit):
-                if vj:
-                    unit_c[cidx(x, i, j)] = vx * vi * vj
-    bold = phi_of(tuple(unit_c))
+    bold = phi_of(_outer(ps.unit_vec, dual.algebra.unit))
     idem_ok = (tuple(bold) == tuple(maps.corner_unit)
                and tuple(target.mul_vec(bold, bold)) == tuple(bold))
 
@@ -1058,7 +874,7 @@ def operator_duality_report(pha, ps, maps=None):
             for idx, c in enumerate(s):
                 if c:
                     x, i = divmod(idx, d)
-                    gamma[cidx(x, i, j)] = c
+                    gamma[(x * d + i) * d + j] = c
             restricted += 1
             if not corner.contains_vector(phi_of(tuple(gamma))):
                 member_ok = False
@@ -1073,8 +889,9 @@ def operator_duality_report(pha, ps, maps=None):
 
 # -- suite orchestration ---------------------------------------------------
 
-def hopf_data_checks(h):
-    """Axioms of a validated Hopf algebra, its dual, and the operator layer.
+def _hopf_checks(h):
+    """The hopf.axioms, hopf.dual_axioms and hopf.operator_reps checks of a
+    validated Hopf algebra, and its representations (None if one fails).
 
     Constructor-level failures are converted to failed checks so a scenario
     report stays a report.
@@ -1084,40 +901,36 @@ def hopf_data_checks(h):
     try:
         dual = h.dual()
         double = dual.dual()
-        same = (double.algebra.table == h.algebra.table
-                and double.comul == h.comul
-                and double.counit == h.counit
-                and double.antipode == h.antipode)
-        results.append(check("hopf.dual_axioms", same, {"dual_dim": dual.dim}))
     except ValidationError as exc:
         results.append(check("hopf.dual_axioms", False, {}, [str(exc)]))
-        return results
+        return results, None
+    same = (double.algebra.table == h.algebra.table
+            and double.comul == h.comul
+            and double.counit == h.counit
+            and double.antipode == h.antipode)
+    results.append(check("hopf.dual_axioms", same, {"dual_dim": dual.dim}))
     try:
-        build_representations(h)
-        results.append(check("hopf.operator_reps", True,
-                             {"end_dim": h.dim * h.dim}))
+        reps = build_representations(h)
     except InternalCheckFailed as exc:
         results.append(check("hopf.operator_reps", False, {}, [str(exc)]))
-    return results
+        return results, None
+    results.append(check("hopf.operator_reps", True, {"end_dim": h.dim * h.dim}))
+    return results, reps
+
+
+def hopf_data_checks(h):
+    """Axioms of a validated Hopf algebra, its dual, and the operator layer."""
+    return _hopf_checks(h)[0]
 
 
 def hopf_lift_suite(pa, skew_ring):
     """Everything the Hopf layer asserts about the lift of a group action."""
-    results = []
     try:
         pha = lift_group_action(pa)
     except ValidationError as exc:
         return [check("hopf.partial_action_axioms", False, {}, [str(exc)])]
     h = pha.hopf
-    results.append(check("hopf.axioms", True,
-                         {"dim": h.dim, "antipode_rank": h.antipode.rank()}))
-    dual = h.dual()
-    double = dual.dual()
-    results.append(check(
-        "hopf.dual_axioms",
-        double.algebra.table == h.algebra.table and double.comul == h.comul
-        and double.counit == h.counit and double.antipode == h.antipode,
-        {"dual_dim": dual.dim}))
+    results, reps = _hopf_checks(h)
     results.append(check("hopf.partial_action_axioms", True,
                          {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
 
@@ -1125,14 +938,9 @@ def hopf_lift_suite(pa, skew_ring):
     results.append(check("hopf.lift_matches_group_dot", matches, {}))
 
     results.extend(coaction_report(pha))
-
-    try:
-        reps = build_representations(h)
-        results.append(check("hopf.operator_reps", True,
-                             {"end_dim": h.dim * h.dim}))
-    except InternalCheckFailed as exc:
-        results.append(check("hopf.operator_reps", False, {}, [str(exc)]))
+    if reps is None:
         return results
+
     try:
         maps = build_corner_maps(pha, reps)
         idem = tuple(maps.target.mul_vec(maps.corner_unit, maps.corner_unit)) \
@@ -1155,5 +963,8 @@ def hopf_lift_suite(pa, skew_ring):
     results.extend(partial_smash_report(ps))
     if skew_ring is not None:
         results.extend(smash_matches_skew_report(ps, skew_ring))
-    results.extend(operator_duality_report(pha, ps, maps))
+    try:
+        results.extend(operator_duality_report(pha, ps, maps))
+    except InternalCheckFailed as exc:
+        results.append(check("opduality.multiplicative", False, {}, [str(exc)]))
     return results

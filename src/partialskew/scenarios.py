@@ -204,11 +204,11 @@ def _explicit_hopf_checks(field, spec):
                                         "labels": spec.get("labels")})
         d = algebra.dim
         comul = spec["comultiplication"]
-        dense = [[[_parse_scalar(field, comul[i][k][l]) for l in range(d)]
-                  for k in range(d)] for i in range(d)]
+        triples = [[(k, l, _parse_scalar(field, comul[i][k][l]))
+                    for k in range(d) for l in range(d)] for i in range(d)]
         counit = _parse_vector(field, spec["counit"], d)
         antipode = _parse_matrix(field, spec["antipode"], d)
-        data = hopf_mod.make_hopf(algebra, dense, counit, antipode)
+        data = hopf_mod.make_hopf(algebra, triples, counit, antipode)
     except ValidationError as exc:
         return [check("hopf.explicit_axioms", False, {}, [str(exc)])]
     results = []

@@ -168,6 +168,22 @@ def test_run_scenario_validation_passthrough(tmp_path):
         run_scenario(_write(tmp_path, doc2))
 
 
+def _z3_group_hopf_block():
+    # ℚ[Z₃]: comultiplication[i][k][l] is the coefficient of b_k⊗b_l in
+    # Δ(b_i); at dimension 3 each dense row [v0, v1, v2] has the shape of a
+    # sparse triple (k, l, v), which once crashed the parser
+    n = 3
+    return {
+        "constants": [[[int(k == (i + j) % n) for k in range(n)]
+                       for j in range(n)] for i in range(n)],
+        "unit": [1, 0, 0],
+        "comultiplication": [[[int(k == l == i) for l in range(n)]
+                              for k in range(n)] for i in range(n)],
+        "counit": [1, 1, 1],
+        "antipode": [[int(r == (-c) % n) for c in range(n)] for r in range(n)],
+    }
+
+
 def test_explicit_hopf_scenario(tmp_path, capsys):
     doc = dict(S1_DOC)
     doc.pop("expect")
@@ -183,3 +199,11 @@ def test_explicit_hopf_scenario(tmp_path, capsys):
     assert main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "hopf.explicit_axioms" in out and "hopf.explicit_operator_reps" in out
+
+    doc["hopf"] = _z3_group_hopf_block()
+    path = _write(tmp_path, doc, name="z3_hopf.json")
+    assert main(["verify", path, "--format", "structured"]) == 0
+    report = parse_structured(capsys.readouterr().out)
+    assert report.named("hopf.explicit_axioms").status == "pass"
+    assert report.named("hopf.explicit_axioms").measured["dim"] == 3
+    assert report.named("hopf.explicit_operator_reps").status == "pass"

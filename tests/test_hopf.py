@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from partialskew.algebras import group_algebra
-from partialskew.errors import (Axiom2Fails, HopfAxiomFails, ValidationError)
+from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
+                                InternalCheckFailed, ValidationError)
 from partialskew.fields import QQ
 from partialskew.groups import cyclic
-from partialskew.hopf import (build_corner_maps, build_partial_smash,
-                              build_representations, coaction_report,
-                              dual_hopf, group_hopf, hit_left, hit_right,
+from partialskew.hopf import (PartialHopfAction, build_corner_maps,
+                              build_partial_smash, build_representations,
+                              coaction_report, group_hopf, hit_left, hit_right,
                               hopf_lift_suite, lambda_matrix,
                               lift_group_action, make_hopf,
                               make_partial_hopf_action, operator_duality_report,
@@ -49,7 +50,7 @@ def test_perturbed_comultiplication_rejected():
 
 def test_dual_of_group_hopf():
     h = group_hopf(QQ, cyclic(2))
-    dual = dual_hopf(h)
+    dual = h.dual()
     # orthogonal idempotents: isomorphic to the split plane as an algebra
     p0, p1 = dual.algebra.basis_element(0), dual.algebra.basis_element(1)
     assert p0 * p0 == p0 and (p0 * p1).is_zero()
@@ -60,7 +61,7 @@ def test_dual_of_group_hopf():
 
 
 def test_dual_of_z3():
-    dual = dual_hopf(group_hopf(QQ, cyclic(3)))
+    dual = group_hopf(QQ, cyclic(3)).dual()
     for i in range(3):
         ei = dual.algebra.basis_element(i)
         assert ei * ei == ei
@@ -175,6 +176,17 @@ def test_partial_smash_s1(s1_action, s1_skew):
         assert c.status == "pass", (c.name, c.measured)
 
 
+def test_nonassociative_partial_smash_names_witness(s1_action):
+    # 2·I is not an algebra map, so the twisted product on A⊗H is not
+    # associative; the action is built directly to skip its validation
+    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
+                            [Mat.identity(QQ, 2), qmat([[2, 0], [0, 2]])])
+    with pytest.raises(InternalCheckFailed) as info:
+        build_partial_smash(pha)
+    assert "not associative" in str(info.value)
+    assert "(l_e0#g, l_e0#e, l_e0#e)" in str(info.value)
+
+
 def test_partial_smash_global_fills_ambient():
     pa = global_swap_action()
     ps = build_partial_smash(lift_group_action(pa))
@@ -216,7 +228,7 @@ def test_trivial_group_hopf_degeneration():
 def test_operator_layer_on_non_grouplike_hopf():
     # the dual of the Z3 group Hopf algebra has a genuinely spread-out
     # coproduct; the whole operator layer must still validate
-    d3 = dual_hopf(group_hopf(QQ, cyclic(3)))
+    d3 = group_hopf(QQ, cyclic(3)).dual()
     reps = build_representations(d3)
     assert reps.lambda_map.is_multiplicative()
     assert d3.dual().algebra.table == group_hopf(QQ, cyclic(3)).algebra.table
@@ -226,7 +238,7 @@ def test_noncommutative_group_hopf():
     from partialskew.groups import symmetric
     s3 = group_hopf(QQ, symmetric(3))
     assert s3.dim == 6
-    dual = dual_hopf(s3)        # validates all axioms on construction
+    dual = s3.dual()        # validates all axioms on construction
     assert dual.algebra.unit == tuple([QQ.one] * 6)
 
 

@@ -56,11 +56,24 @@ def test_nonabelian_full_duality():
 
 
 def test_nonabelian_operator_representations():
-    # the exchange identity composes operators in a fixed order, which only
-    # bites over a non-abelian group
-    from partialskew.hopf import build_representations, group_hopf
-    reps = build_representations(group_hopf(QQ, symmetric(3)))
-    assert reps.end.dim == 36
+    # the exchange identity composes operators in a fixed order, and the
+    # smash tables put the acting factor on a fixed side; both only bite
+    # over a non-abelian group.  The measured values were recorded before
+    # the Hopf tables moved to one smash-product builder.
+    pa = trivial_from_split(product_of_fields(QQ, 1), product_of_fields(QQ, 1),
+                            symmetric(3))
+    checks = {c.name: c for c in hopf_lift_suite(pa, build_skew(pa))}
+    assert len(checks) == 18
+    bad = [(c.name, c.witnesses) for c in checks.values() if c.status != "pass"]
+    assert not bad, bad
+    assert checks["hopf.operator_reps"].measured == {"end_dim": 36}
+    assert checks["hopf.corner_maps"].measured["target_dim"] == 72
+    assert checks["psmash.associative"].measured == {"ambient_dim": 12,
+                                                     "sub_dim": 7}
+    assert checks["opduality.multiplicative"].measured == {"dim": 72}
+    assert checks["opduality.idempotent"].measured == {"corner_dim": 37}
+    assert checks["opduality.corner_membership"].measured == {
+        "restricted_basis": 42}
 
 
 def test_zero_ideal_action_accepted(z4_degenerate_action):
