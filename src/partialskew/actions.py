@@ -155,7 +155,7 @@ def dot_identities_report(pa):
         for i in range(d):
             gi = pa.dot_vec(g, alg.basis_element(i).coeffs)
             for j in range(d):
-                lhs = pa.dot_vec(g, alg.table[i][j])
+                lhs = pa.dot_vec(g, alg.basis_product(i, j))
                 rhs = alg.mul_vec(gi, pa.dot_vec(g, alg.basis_element(j).coeffs))
                 if lhs != rhs:
                     bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")

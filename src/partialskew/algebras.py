@@ -1,11 +1,15 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
-An algebra of dimension d over an exact field is a d×d×d table:
-``table[i][j][k]`` is the coefficient of basis k in the product of basis i
-and basis j.  ``make_algebra`` re-proves associativity and the unit law on
-every basis triple before handing the table out; derived constructions
-(matrix algebras, tensor products, direct products) are built from validated
-parts and verified through their own characteristic identities.
+An algebra of dimension d over an exact field is stored as sparse product
+rows: ``products[i][j]`` lists the pairs (k, v) with v != 0 such that
+b_i·b_j = Σ v·b_k.  No dense d×d×d table exists; every builder emits these
+rows directly, and dense constants (a scenario's ``constants``) are
+converted once where they enter.  ``make_algebra`` checks the shape of the
+rows, then re-proves associativity and the unit law on every basis triple
+before handing the algebra out; derived constructions (matrix algebras,
+tensor products, direct products) are built from validated parts and
+verified through their own characteristic identities.  Maps between
+algebras are checked multiplicative by comparing sparse products.
 """
 
 from __future__ import annotations
@@ -17,21 +21,22 @@ from .linalg import (Mat, Subspace, image_basis, kernel_basis, vadd, vscale,
 
 
 class StructureAlgebra:
-    """Unital (or, when unit is None, non-unital) structure-constant algebra."""
+    """Unital (or, when unit is None, non-unital) structure-constant algebra.
 
-    def __init__(self, field, table, unit, labels=None):
+    ``products[i][j]`` is the product b_i·b_j as a tuple of (k, v) pairs,
+    one per nonzero coefficient v of b_k, sorted by k.  These sparse rows are
+    the only copy of the structure constants.
+    """
+
+    def __init__(self, field, products, unit, labels=None):
         self.field = field
-        self.dim = len(table)
-        self.table = tuple(tuple(tuple(cell) for cell in row) for row in table)
+        self.dim = len(products)
+        self.products = tuple(tuple(tuple(sorted(cell, key=_index)) for cell in row)
+                              for row in products)
         self.unit = None if unit is None else tuple(unit)
         if labels is None:
             labels = [f"b{i}" for i in range(self.dim)]
         self.labels = tuple(labels)
-        # sparse view of each product row, used by every multiplication
-        self._nz = tuple(
-            tuple(tuple((k, v) for k, v in enumerate(cell) if v) for cell in row)
-            for row in self.table
-        )
 
     # -- elements -------------------------------------------------------
 
@@ -56,38 +61,58 @@ class StructureAlgebra:
 
     # -- multiplication on raw coefficient tuples ------------------------
 
+    def basis_product(self, i, j):
+        """Coefficient vector of b_i·b_j."""
+        out = list(vzero(self.field, self.dim))
+        for k, v in self.products[i][j]:
+            out[k] = v
+        return tuple(out)
+
     def mul_vec(self, x, y):
         out = list(vzero(self.field, self.dim))
-        nz = self._nz
+        products = self.products
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            nzi = nz[i]
+            row = products[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
                 c = xi * yj
-                for k, v in nzi[j]:
+                for k, v in row[j]:
                     out[k] = out[k] + c * v
         return tuple(out)
 
+    def _mul_sparse(self, x, y):
+        """Product of elements given as ``{index: scalar}``, without zeros."""
+        acc = {}
+        get = acc.get
+        products = self.products
+        for i, xi in x.items():
+            row = products[i]
+            for j, yj in y.items():
+                c = xi * yj
+                for k, v in row[j]:
+                    acc[k] = get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
+
     def _basis_times_vec(self, i, y):
         out = list(vzero(self.field, self.dim))
-        nzi = self._nz[i]
+        row = self.products[i]
         for j, yj in enumerate(y):
             if not yj:
                 continue
-            for k, v in nzi[j]:
+            for k, v in row[j]:
                 out[k] = out[k] + yj * v
         return tuple(out)
 
     def _vec_times_basis(self, x, j):
         out = list(vzero(self.field, self.dim))
-        nz = self._nz
+        products = self.products
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for k, v in nz[i][j]:
+            for k, v in products[i][j]:
                 out[k] = out[k] + xi * v
         return tuple(out)
 
@@ -97,6 +122,25 @@ class StructureAlgebra:
 
     def __repr__(self):
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
+
+
+def _index(pair):
+    return pair[0]
+
+
+def _sparse_vec(vec):
+    """Nonzero entries of a coefficient vector as ``{index: scalar}``."""
+    return {k: v for k, v in enumerate(vec) if v}
+
+
+def _combine(cols, cell):
+    """The sparse vector Σ v·cols[k] over the (k, v) pairs of a product cell."""
+    acc = {}
+    get = acc.get
+    for k, v in cell:
+        for r, x in cols[k].items():
+            acc[r] = get(r, 0) + v * x
+    return {r: x for r, x in acc.items() if x}
 
 
 class AlgebraElement:
@@ -156,7 +200,7 @@ def _associativity_witness(alg):
     """First basis triple (i, j, k), in lexicographic order, with
     (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
 
-    Works on the sparse table in raw scalars (see ``fields``): each side is
+    Works on the sparse rows in raw scalars (see ``fields``): each side is
     a sum of products of two structure constants, accumulated unreduced and
     compared once per triple.
     """
@@ -164,7 +208,7 @@ def _associativity_witness(alg):
     p = field.characteristic
     raw = field.raw
     nz = [[tuple(zip([k for k, _ in cell], raw([v for _, v in cell])))
-           for cell in row] for row in alg._nz]
+           for cell in row] for row in alg.products]
     d = alg.dim
     for i in range(d):
         nzi = nz[i]
@@ -185,35 +229,60 @@ def _associativity_witness(alg):
     return None
 
 
-def make_algebra(field, table, unit, labels=None):
-    """Validate structure constants exhaustively and return the algebra.
-
-    Associativity is checked on all d^3 basis triples and the unit law on
-    every basis element; the first failure names its witness.
-    """
-    alg = StructureAlgebra(field, table, unit, labels)
-    d = alg.dim
-    for row in alg.table:
+def _check_shape(products, d):
+    for row in products:
         if len(row) != d:
-            raise ValueError("structure constant table is not d x d")
+            raise ValueError("structure constants are not d x d cells")
         for cell in row:
-            if len(cell) != d:
-                raise ValueError("structure constant cell has wrong length")
-    if alg.unit is not None and len(alg.unit) != d:
+            indices = [k for k, _ in cell]
+            if len(set(indices)) != len(indices):
+                raise ValueError("structure constant cell repeats an index")
+            for k, v in cell:
+                if not (isinstance(k, int) and 0 <= k < d):
+                    raise ValueError(f"structure constant index {k!r} out of range")
+                if not v:
+                    raise ValueError("structure constant cell lists a zero")
+
+
+def make_algebra(field, products, unit, labels=None):
+    """Validate sparse structure constants exhaustively and return the algebra.
+
+    ``products[i][j]`` lists the (k, v) pairs, v nonzero, of b_i·b_j.  Their
+    shape is checked first: d×d cells, indices in range, no zero and no
+    repeated index.  Associativity is then checked on all d^3 basis triples
+    and the unit law on every basis element; the first failure names its
+    witness.
+    """
+    d = len(products)
+    _check_shape(products, d)
+    if unit is not None and len(unit) != d:
         raise ValueError("unit vector has wrong length")
+    alg = StructureAlgebra(field, products, unit, labels)
 
     witness = _associativity_witness(alg)
     if witness is not None:
         i, j, k = witness
         raise NotAssociative("algebra", alg.labels[i], alg.labels[j], alg.labels[k])
     if alg.unit is not None:
-        for i in range(d):
-            b = alg.basis_element(i).coeffs
-            if alg.mul_vec(alg.unit, b) != b:
-                raise UnitFails(alg.labels[i], "left")
-            if alg.mul_vec(b, alg.unit) != b:
-                raise UnitFails(alg.labels[i], "right")
+        failure = _unit_law_failure(alg)
+        if failure is not None:
+            i, side = failure
+            raise UnitFails(alg.labels[i], side)
     return alg
+
+
+def _unit_law_failure(alg):
+    """First (basis index, "left" or "right") where 1·b = b = b·1 fails,
+    or None."""
+    unit = _sparse_vec(alg.unit)
+    one = alg.field.one
+    for i in range(alg.dim):
+        b = {i: one}
+        if alg._mul_sparse(unit, b) != b:
+            return i, "left"
+        if alg._mul_sparse(b, unit) != b:
+            return i, "right"
+    return None
 
 
 def is_central_idempotent(a):
@@ -248,14 +317,16 @@ def ideal_basis(alg, e):
 def center_basis(alg):
     """Solution space of [x, b_j] = 0 for every basis element b_j."""
     d = alg.dim
-    rows = [[alg.field.zero] * d for _ in range(d * d)]
+    rows = [{} for _ in range(d * d)]
     for i in range(d):
         for j in range(d):
-            for k, v in alg._nz[i][j]:
-                rows[j * d + k][i] = rows[j * d + k][i] + v
-            for k, v in alg._nz[j][i]:
-                rows[j * d + k][i] = rows[j * d + k][i] - v
-    centre = kernel_basis(Mat(alg.field, rows))
+            for k, v in alg.products[i][j]:
+                row = rows[j * d + k]
+                row[i] = row.get(i, 0) + v
+            for k, v in alg.products[j][i]:
+                row = rows[j * d + k]
+                row[i] = row.get(i, 0) - v
+    centre = Subspace.kernel_from_sparse(alg.field, d, rows)
     for v in centre.basis:
         for j in range(alg.dim):
             if alg._vec_times_basis(v, j) != alg._basis_times_vec(j, v):
@@ -263,19 +334,23 @@ def center_basis(alg):
     return centre
 
 
+def _idempotent_products(field, m):
+    """Sparse rows of m orthogonal idempotents: e_i e_j = [i = j] e_i."""
+    one = field.one
+    return [[((i, one),) if i == j else () for j in range(m)] for i in range(m)]
+
+
 def field_algebra(field):
     """The base field as a one-dimensional algebra."""
-    return make_algebra(field, [[[field.one]]], [field.one], labels=["1"])
+    return make_algebra(field, _idempotent_products(field, 1), [field.one],
+                        labels=["1"])
 
 
 def product_of_fields(field, m):
     """The split algebra field^m: orthogonal idempotents e_0..e_{m-1}."""
     if m < 1:
         raise ValueError("need at least one factor")
-    zero, one = field.zero, field.one
-    table = [[[one if i == j == k else zero for k in range(m)]
-              for j in range(m)] for i in range(m)]
-    return make_algebra(field, table, [one] * m,
+    return make_algebra(field, _idempotent_products(field, m), [field.one] * m,
                         labels=[f"e{i}" for i in range(m)])
 
 
@@ -283,21 +358,17 @@ def group_algebra(field, group):
     """Algebra with the group elements as basis and the Cayley table as product."""
     zero, one = field.zero, field.one
     d = group.order
-    table = [[[one if k == group.mul(i, j) else zero for k in range(d)]
-              for j in range(d)] for i in range(d)]
+    products = [[((group.mul(i, j), one),) for j in range(d)] for i in range(d)]
     unit = [one if i == group.identity else zero for i in range(d)]
-    return make_algebra(field, table, unit, labels=group.labels)
+    return make_algebra(field, products, unit, labels=group.labels)
 
 
 def dual_group_algebra(field, group):
     """Pointwise-function algebra on the group: orthogonal idempotents p_g."""
-    zero, one = field.zero, field.one
     d = group.order
-    table = [[[one if i == j == k else zero for k in range(d)]
-              for j in range(d)] for i in range(d)]
-    unit = [one] * d
     labels = [f"p_{lab}" for lab in group.labels]
-    return make_algebra(field, table, unit, labels=labels)
+    return make_algebra(field, _idempotent_products(field, d), [field.one] * d,
+                        labels=labels)
 
 
 class ProductAlgebra(StructureAlgebra):
@@ -310,18 +381,12 @@ class ProductAlgebra(StructureAlgebra):
         zero = field.zero
         dl, dr = left.dim, right.dim
         d = dl + dr
-        table = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        for i in range(dl):
-            for j in range(dl):
-                for k, v in enumerate(left.table[i][j]):
-                    table[i][j][k] = v
-        for i in range(dr):
-            for j in range(dr):
-                for k, v in enumerate(right.table[i][j]):
-                    table[dl + i][dl + j][dl + k] = v
+        products = [list(row) + [()] * dr for row in left.products]
+        products += [[()] * dl + [tuple((dl + k, v) for k, v in cell) for cell in row]
+                     for row in right.products]
         unit = list(left.unit) + list(right.unit)
         labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
-        super().__init__(field, table, unit, labels)
+        super().__init__(field, products, unit, labels)
         self.factors = (left, right)
         self.left_embed = AlgebraMap(left, self, Mat(
             field, [[field.one if (i < dl and i == j) else zero for j in range(dl)]
@@ -354,16 +419,18 @@ class MatrixAlgebra(StructureAlgebra):
         def idx(r, s, i):
             return (r * n + s) * d + i
 
-        table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        # (E_{gh} x)(E_{hs} y) = E_{gs} xy; every other product of units is 0
+        products = []
         for g in range(n):
             for h in range(n):
                 for i in range(d):
-                    row = table[idx(g, h, i)]
+                    base_row = base.products[i]
+                    row = [()] * dim
                     for s in range(n):
                         for j in range(d):
-                            cell = row[idx(h, s, j)]
-                            for k, v in enumerate(base.table[i][j]):
-                                cell[idx(g, s, k)] = v
+                            row[idx(h, s, j)] = tuple((idx(g, s, k), v)
+                                                      for k, v in base_row[j])
+                    products.append(row)
         unit = [zero] * dim
         for g in range(n):
             for i, v in enumerate(base.unit):
@@ -374,7 +441,7 @@ class MatrixAlgebra(StructureAlgebra):
         else:
             labels = [f"E[{r},{s}]*{base.labels[i]}"
                       for r in range(n) for s in range(n) for i in range(d)]
-        super().__init__(field, table, unit, labels)
+        super().__init__(field, products, unit, labels)
         self._verify()
 
     def slot(self, r, s, i):
@@ -394,24 +461,20 @@ class MatrixAlgebra(StructureAlgebra):
 
     def _verify(self):
         n = self.size
-        unit_slots = [self.place(g, h, self.base.unit) for g in range(n) for h in range(n)]
-
-        def eu(g, h):
-            return unit_slots[g * n + h]
-
+        mul = self._mul_sparse
+        base_unit = _sparse_vec(self.base.unit)
+        eu = [[{self.slot(g, h, i): v for i, v in base_unit.items()}
+               for h in range(n)] for g in range(n)]
         for g in range(n):
             for h in range(n):
                 for r in range(n):
                     for s in range(n):
-                        prod = self.mul_vec(eu(g, h), eu(r, s))
-                        want = eu(g, s) if h == r else vzero(self.field, self.dim)
-                        if prod != tuple(want):
+                        want = eu[g][s] if h == r else {}
+                        if mul(eu[g][h], eu[r][s]) != want:
                             raise InternalCheckFailed(
                                 f"matrix-unit relation fails at ({g},{h})x({r},{s})")
-        for i in range(self.dim):
-            b = self.basis_element(i).coeffs
-            if self.mul_vec(self.unit, b) != b or self.mul_vec(b, self.unit) != b:
-                raise InternalCheckFailed("matrix algebra unit law fails")
+        if _unit_law_failure(self) is not None:
+            raise InternalCheckFailed("matrix algebra unit law fails")
 
 
 def matrix_algebra(base, index):
@@ -432,31 +495,22 @@ class TensorAlgebra(StructureAlgebra):
         if left.field != right.field:
             raise FieldMismatch(left.field, right.field)
         field = left.field
-        zero = field.zero
         dl, dr = left.dim, right.dim
-        dim = dl * dr
         self.tensor_factors = (left, right)
-        table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for i in range(dl):
-            for j in range(dr):
-                row = table[i * dr + j]
-                for k in range(dl):
-                    lcell = left.table[i][k]
-                    for l in range(dr):
-                        cell = row[k * dr + l]
-                        rcell = right.table[j][l]
-                        for a, va in enumerate(lcell):
-                            if not va:
-                                continue
-                            for b, vb in enumerate(rcell):
-                                if vb:
-                                    cell[a * dr + b] = va * vb
+        # (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l; a product of nonzero
+        # constants is nonzero, so the cells stay free of zeros
+        products = []
+        for lrow in left.products:
+            for rrow in right.products:
+                products.append([
+                    tuple((a * dr + b, va * vb) for a, va in lcell for b, vb in rcell)
+                    for lcell in lrow for rcell in rrow])
         if left.unit is not None and right.unit is not None:
             unit = self._outer(left.unit, right.unit, dr)
         else:
             unit = None
         labels = [f"{la}(x){lb}" for la in left.labels for lb in right.labels]
-        super().__init__(field, table, unit, labels)
+        super().__init__(field, products, unit, labels)
 
     @staticmethod
     def _outer(xa, xb, dr):
@@ -514,15 +568,26 @@ class AlgebraMap:
             raise AlgebraMismatch()
         return AlgebraMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
+    def _multiplicativity_witness(self, anti=False):
+        """First basis pair (i, j), in lexicographic order, where
+        φ(b_i b_j) differs from φ(b_i)φ(b_j), or from φ(b_j)φ(b_i) when
+        ``anti``; None when there is no such pair.
+
+        Both sides are sparse: φ(b_i b_j) combines the sparse columns over
+        the product row (i, j), and φ(b_i)φ(b_j) is a sparse product.
+        """
+        cols = [_sparse_vec(col) for col in self.matrix.columns()]
+        mul = self.codomain._mul_sparse
+        for i, row in enumerate(self.domain.products):
+            ci = cols[i]
+            for j, cell in enumerate(row):
+                rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
+                if _combine(cols, cell) != rhs:
+                    return i, j
+        return None
+
     def is_multiplicative(self):
-        cols = self.matrix.columns()
-        for i in range(self.domain.dim):
-            for j in range(self.domain.dim):
-                lhs = self.apply_vec(self.domain.table[i][j])
-                rhs = self.codomain.mul_vec(cols[i], cols[j])
-                if lhs != rhs:
-                    return False
-        return True
+        return self._multiplicativity_witness() is None
 
     def is_unital(self):
         return self.apply_vec(self.domain.unit) == self.codomain.unit
@@ -544,20 +609,18 @@ def subalgebra(parent, span, unit_vec, labels=None):
     which becomes the unit of the subalgebra.  Returns the subalgebra and
     its inclusion map.
     """
-    d = span.dim
-    table = []
+    products = []
     for u in span.basis:
         row = []
         for v in span.basis:
-            prod = parent.mul_vec(u, v)
-            coords = span.coordinates_of(prod)
+            coords = span.coordinates_of(parent.mul_vec(u, v))
             if coords is None:
                 raise ValueError("subspace is not closed under multiplication")
-            row.append(coords)
-        table.append(row)
+            row.append(tuple(_sparse_vec(coords).items()))
+        products.append(row)
     unit_coords = span.coordinates_of(unit_vec)
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
-    alg = make_algebra(parent.field, table, unit_coords, labels=labels)
+    alg = make_algebra(parent.field, products, unit_coords, labels=labels)
     include = AlgebraMap.from_columns(alg, parent, list(span.basis))
     return alg, include

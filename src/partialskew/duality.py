@@ -231,6 +231,7 @@ def _delta_convention_tally(d):
     pa = skew.action
     alg, grp = pa.algebra, pa.group
     B = smash.algebra
+    one = alg.field.one
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
     for v in d.ideal.basis:
         blk = _block_of(smash, v)
@@ -239,25 +240,23 @@ def _delta_convention_tally(d):
         g, h = blk
         a_part = skew.project(
             tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
+        v_sparse = {i: c for i, c in enumerate(v) if c}
         for idx in range(B.dim):
             j, l = smash.parts(idx)
             k, pos = skew.grade_of(j)
             y = skew.component_bases[k][pos]
-            true = B._basis_times_vec(idx, v)
+            true = B._mul_sparse({idx: one}, v_sparse)
             w = alg.mul_vec(y, pa.dot_vec(k, a_part))
             kg = grp.mul(k, g)
             coords = pa.ideals[kg].coordinates_of(w)
             if coords is None:
                 raise InternalCheckFailed("ideal product left its graded block")
-            payload = list(vzero(alg.field, B.dim))
-            for t, c in enumerate(coords):
-                payload[smash.index(skew.offsets[kg] + t, h)] = c
-            payload = tuple(payload)
-            zero = tuple(vzero(alg.field, B.dim))
+            payload = {smash.index(skew.offsets[kg] + t, h): c
+                       for t, c in enumerate(coords) if c}
             for name, cond in (("l=gh", l == grp.mul(g, h)),
                                ("k=gh", k == grp.mul(g, h)),
                                ("h=kl", h == grp.mul(k, l))):
-                if true != (payload if cond else zero):
+                if true != (payload if cond else {}):
                     conventions[name] = False
     return conventions
 

@@ -7,7 +7,7 @@ the constructor re-proves coassociativity, the counit laws, compatibility of
 coproduct/counit with the product, and the antipode identity, exhaustively
 on the basis.  The dual Hopf algebra swaps the two sets of constants.
 
-Every product table of the layer is a smash product A # B, where a
+Every algebra this layer builds is a smash product A # B, where a
 bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c.  One
 builder, ``_smash_algebra``, makes all of them and validates each through
 ``make_algebra``:
@@ -112,20 +112,18 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
         dense.append(tuple(out))
     for i in range(d):
         for j in range(d):
-            prod = algebra.table[i][j]
+            prod = algebra.products[i][j]
             lhs = vzero(field, d * d)
-            for t, c in enumerate(prod):
-                if c:
-                    lhs = vadd(lhs, vscale(c, dense[t]))
+            for t, c in prod:
+                lhs = vadd(lhs, vscale(c, dense[t]))
             rhs = hh.mul_vec(dense[i], dense[j])
             if lhs != tuple(rhs):
                 raise HopfAxiomFails(
                     "coproduct multiplicative",
                     f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
             eps_lhs = field.zero
-            for t, c in enumerate(prod):
-                if c:
-                    eps_lhs = eps_lhs + c * counit[t]
+            for t, c in prod:
+                eps_lhs = eps_lhs + c * counit[t]
             if eps_lhs != counit[i] * counit[j]:
                 raise HopfAxiomFails(
                     "counit multiplicative",
@@ -167,16 +165,19 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
 def _build_dual(h):
     field = h.algebra.field
     d = h.dim
-    zero = field.zero
-    table = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    # the product of the dual is the transposed comultiplication, and back
+    products = [[[] for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for k, l, v in h.comul[i]:
-            table[k][l][i] = v
+            products[k][l].append((i, v))
     unit = list(h.counit)
     labels = [f"p_{lab}" for lab in h.algebra.labels]
-    dual_alg = make_algebra(field, table, unit, labels=labels)
-    dual_comul = [[(k, l, h.algebra.table[k][l][i])
-                   for k in range(d) for l in range(d)] for i in range(d)]
+    dual_alg = make_algebra(field, products, unit, labels=labels)
+    dual_comul = [[] for _ in range(d)]
+    for k, row in enumerate(h.algebra.products):
+        for l, cell in enumerate(row):
+            for i, v in cell:
+                dual_comul[i].append((k, l, v))
     dual_counit = list(h.algebra.unit)
     dual_antipode = h.antipode.transpose()
     return make_hopf(dual_alg, dual_comul, dual_counit, dual_antipode, primal=h)
@@ -208,33 +209,37 @@ def _smash_algebra(a, b, comul, act, unit):
     (x#b_i)(y#b_j) = Σ over (k, l, v) in Δ(b_i) of v·x(b_k▷y) # b_l·b_j,
     where ``comul`` holds the comultiplication triples of B and ``act(k, y)``
     is b_k▷y on a coefficient vector of A.  ``unit`` is None when the product
-    has no global unit.  The table is validated by ``make_algebra``; since
+    has no global unit.  The sparse rows are validated by ``make_algebra``; since
     every caller builds it from validated data, a failure is internal.
     """
     field = a.field
     da, db = a.dim, b.dim
-    basis = [a.basis_element(y).coeffs for y in range(da)]
-    acted = [[act(k, ey) for ey in basis] for k in range(db)]
-    table = []
-    for ex in basis:
+    one = field.one
+    acted = [[{s: w for s, w in enumerate(act(k, a.basis_element(y).coeffs)) if w}
+              for y in range(da)] for k in range(db)]
+    products = []
+    for x in range(da):
+        ex = {x: one}
         for i in range(db):
             row = []
             for y in range(da):
                 # x·(b_k▷y) per term of Δ(b_i), shared by the whole row block
-                terms = [(l, v, [(s, w) for s, w in
-                                 enumerate(a.mul_vec(ex, acted[k][y])) if w])
+                terms = [(l, v, a._mul_sparse(ex, acted[k][y]).items())
                          for k, l, v in comul[i]]
                 for j in range(db):
-                    cell = [field.zero] * (da * db)
+                    cell = {}
+                    get = cell.get
                     for l, v, xs in terms:
-                        for t, u in b._nz[l][j]:
+                        for t, u in b.products[l][j]:
+                            vu = v * u
                             for s, w in xs:
-                                cell[s * db + t] = cell[s * db + t] + v * w * u
-                    row.append(cell)
-            table.append(row)
+                                key = s * db + t
+                                cell[key] = get(key, 0) + vu * w
+                    row.append(tuple((key, c) for key, c in cell.items() if c))
+            products.append(row)
     labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
     try:
-        return make_algebra(field, table, unit, labels=labels)
+        return make_algebra(field, products, unit, labels=labels)
     except ValidationError as exc:
         raise InternalCheckFailed(f"twisted tensor product: {exc}") from None
 
@@ -346,38 +351,45 @@ def build_representations(h):
     rho = AlgebraMap.from_columns(rs, end, rho_cols)
     if not rho.is_unital():
         raise InternalCheckFailed("right operator representation is not unital")
-    for p in range(rs.dim):
-        for q in range(rs.dim):
-            if rho.apply_vec(rs.table[p][q]) != end.mul_vec(rho_cols[q], rho_cols[p]):
-                raise InternalCheckFailed(
-                    "right operator representation is not an anti-map")
+    if rho._multiplicativity_witness(anti=True) is not None:
+        raise InternalCheckFailed("right operator representation is not an anti-map")
 
     _verify_exchange_identity(h)
     return Representations(h, end, lam, rho)
 
 
 def _verify_exchange_identity(h):
+    """λ(h#f)ρ(g#1) = Σ ρ(g2#1)λ((h↼S(g1))#f) on every basis triple (a, b, c).
+
+    The d operators ρ(g#1) are built once, the d vectors h↼S(g_u) once per
+    h, and the d operators λ((h↼S(g_u))#f) and each term
+    ρ(g_w#1)λ((h↼S(g_u))#f) once per (h, f).
+    """
     field = h.algebra.field
     dual = h.dual()
     d = h.dim
     unit_h = h.algebra.unit
+    dual_basis = [dual.algebra.basis_element(c).coeffs for c in range(d)]
+    rho_g = [rho_matrix(h, g, unit_h) for g in dual_basis]
+    s_g = [dual.antipode.column(u) for u in range(d)]
     for a in range(d):
         ha = h.algebra.basis_element(a).coeffs
-        for b in range(d):
-            fb = dual.algebra.basis_element(b).coeffs
+        twisted = [hit_right(h, ha, s) for s in s_g]
+        for b, fb in enumerate(dual_basis):
             lam_ab = lambda_matrix(h, ha, fb)
+            lam_twisted = [lambda_matrix(h, t, fb) for t in twisted]
+            terms = {}
             for c in range(d):
-                gc = dual.algebra.basis_element(c).coeffs
-                lhs = lam_ab @ rho_matrix(h, gc, unit_h)
+                lhs = lam_ab @ rho_g[c]
                 acc = [[field.zero] * d for _ in range(d)]
                 for u, w, m in dual.comul[c]:
-                    s_gu = dual.antipode.column(u)
-                    twisted = hit_right(h, ha, s_gu)
-                    term = (rho_matrix(h, dual.algebra.basis_element(w).coeffs, unit_h)
-                            @ lambda_matrix(h, twisted, fb))
-                    for r in range(d):
-                        for s in range(d):
-                            acc[r][s] = acc[r][s] + m * term.entries[r][s]
+                    term = terms.get((u, w))
+                    if term is None:
+                        term = terms[u, w] = rho_g[w] @ lam_twisted[u]
+                    for acc_row, row in zip(acc, term.entries):
+                        for s, x in enumerate(row):
+                            if x:
+                                acc_row[s] = acc_row[s] + m * x
                 rhs = Mat(field, acc)
                 if lhs != rhs:
                     raise InternalCheckFailed(
@@ -420,7 +432,7 @@ def make_partial_hopf_action(h, algebra, mats):
         for x in range(da):
             ex = algebra.basis_element(x).coeffs
             for y in range(da):
-                lhs = pha.act(i, algebra.table[x][y])
+                lhs = pha.act(i, algebra.basis_product(x, y))
                 rhs = vzero(algebra.field, da)
                 for k, l, v in h.comul[i]:
                     rhs = vadd(rhs, vscale(v, algebra.mul_vec(
@@ -442,7 +454,7 @@ def make_partial_hopf_action(h, algebra, mats):
                 lhs = pha.act(i, pha.act(j, ex))
                 rhs = vzero(algebra.field, da)
                 for k, l, v in h.comul[i]:
-                    lj = h.algebra.table[l][j]
+                    lj = h.algebra.basis_product(l, j)
                     rhs = vadd(rhs, vscale(v, algebra.mul_vec(
                         pha.act(k, algebra.unit),
                         pha.act_combo(lj, ex))))
@@ -477,13 +489,7 @@ def coaction_report(pha):
         cols.append(acc)
     delta = Mat.from_columns(field, cols, rows=ahd.dim)
 
-    mult_ok = True
-    for x in range(da):
-        for y in range(da):
-            lhs = delta.apply(alg.table[x][y])
-            rhs = ahd.mul_vec(cols[x], cols[y])
-            if lhs != tuple(rhs):
-                mult_ok = False
+    mult_ok = AlgebraMap(alg, ahd, delta).is_multiplicative()
 
     counit_ok = True
     for x in range(da):
@@ -853,12 +859,12 @@ def operator_duality_report(pha, ps, maps=None):
             for j in range(d):
                 phi_cols.append(tuple(target.mul_vec(
                     maps.phi.matrix.column(x), maps.psi_columns[i * d + j])))
-    phi_of = Mat.from_columns(field, phi_cols, rows=target.dim).apply
+    phi = AlgebraMap.from_columns(triple, target, phi_cols)
+    pair = phi._multiplicativity_witness()
+    mult_witnesses = [] if pair is None else [
+        f"({triple.labels[pair[0]]}, {triple.labels[pair[1]]})"]
 
-    mult_ok = all(phi_of(triple.table[p][q]) == target.mul_vec(phi_cols[p], phi_cols[q])
-                  for p in range(dim_c) for q in range(dim_c))
-
-    bold = phi_of(_outer(ps.unit_vec, dual.algebra.unit))
+    bold = phi.apply_vec(_outer(ps.unit_vec, dual.algebra.unit))
     idem_ok = (tuple(bold) == tuple(maps.corner_unit)
                and tuple(target.mul_vec(bold, bold)) == tuple(bold))
 
@@ -876,11 +882,12 @@ def operator_duality_report(pha, ps, maps=None):
                     x, i = divmod(idx, d)
                     gamma[(x * d + i) * d + j] = c
             restricted += 1
-            if not corner.contains_vector(phi_of(tuple(gamma))):
+            if not corner.contains_vector(phi.apply_vec(tuple(gamma))):
                 member_ok = False
 
     return [
-        check("opduality.multiplicative", mult_ok, {"dim": dim_c}),
+        check("opduality.multiplicative", pair is None, {"dim": dim_c},
+              mult_witnesses),
         check("opduality.idempotent", idem_ok, {"corner_dim": corner.dim}),
         check("opduality.corner_membership", member_ok,
               {"restricted_basis": restricted}),
@@ -904,7 +911,7 @@ def _hopf_checks(h):
     except ValidationError as exc:
         results.append(check("hopf.dual_axioms", False, {}, [str(exc)]))
         return results, None
-    same = (double.algebra.table == h.algebra.table
+    same = (double.algebra.products == h.algebra.products
             and double.comul == h.comul
             and double.counit == h.counit
             and double.antipode == h.antipode)

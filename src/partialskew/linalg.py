@@ -96,6 +96,12 @@ def _sparse(vec, field):
     return {c: x for c, x in enumerate(field.raw(vec)) if x}
 
 
+def _raw_rows(field, rows):
+    """``{column: field element}`` rows as sparse rows of raw scalars."""
+    raw = field.raw
+    return [{c: x for c, x in zip(row, raw(row.values())) if x} for row in rows]
+
+
 def _dense(row, field, n):
     """Dense tuple of field elements from ``{column: raw scalar}``."""
     out = [field.zero] * n
@@ -259,10 +265,13 @@ class Subspace:
     @classmethod
     def from_sparse(cls, field, ambient, rows):
         """Span of sparse vectors given as ``{column: field element}`` dicts."""
-        raw = field.raw
-        return cls._span(field, ambient,
-                         [{c: x for c, x in zip(row, raw(row.values())) if x}
-                          for row in rows])
+        return cls._span(field, ambient, _raw_rows(field, rows))
+
+    @classmethod
+    def kernel_from_sparse(cls, field, n, rows):
+        """Solution space in n unknowns of the homogeneous system whose rows
+        are ``{column: field element}`` dicts."""
+        return _kernel(field, n, _raw_rows(field, rows))
 
     @classmethod
     def zero(cls, field, ambient):
@@ -362,12 +371,16 @@ class Subspace:
 
 def kernel_basis(m):
     """Canonical basis of the solution space of m·x = 0."""
-    field = m.field
+    return _kernel(m.field, m.cols, [_sparse(r, m.field) for r in m.entries])
+
+
+def _kernel(field, n, rows):
+    """Canonical basis of the solution space of the sparse raw rows in n unknowns."""
     p = field.characteristic
-    reduced = _echelon([_sparse(r, field) for r in m.entries], p)
+    reduced = _echelon(rows, p)
     one = field.raw([field.one])[0]
     vectors = []
-    for f in range(m.cols):
+    for f in range(n):
         if f in reduced:
             continue
         v = {f: one}
@@ -376,7 +389,7 @@ def kernel_basis(m):
             if x is not None:
                 v[q] = -x % p if p else -x
         vectors.append(v)
-    return Subspace._span(field, m.cols, vectors)
+    return Subspace._span(field, n, vectors)
 
 
 def image_basis(m):

@@ -61,6 +61,29 @@ def _parse_vector(field, data, length=None):
     return vec
 
 
+def _parse_cube(field, data, name, d=None):
+    """Sparse rows from a dense d×d×d array: row (i, j) lists the (k, v)
+    with ``data[i][j][k]`` = v nonzero.  d defaults to ``len(data)``."""
+    if not isinstance(data, list):
+        raise ParseError(f"{name} must be a d x d x d array")
+    if d is None:
+        d = len(data)
+    if len(data) != d:
+        raise ParseError(f"{name} has {len(data)} rows, expected {d}")
+    rows = []
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != d:
+            raise ParseError(f"{name}[{i}] must be a list of {d} cells")
+        cells = []
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != d:
+                raise ParseError(f"{name}[{i}][{j}] must be a list of {d} entries")
+            entries = [(k, _parse_scalar(field, x)) for k, x in enumerate(cell)]
+            cells.append([(k, v) for k, v in entries if v])
+        rows.append(cells)
+    return rows
+
+
 def _parse_matrix(field, data, size=None):
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty matrix")
@@ -107,12 +130,9 @@ def build_algebra(field, spec):
         return direct_product(build_algebra(field, parts[0]),
                               build_algebra(field, parts[1]))
     if "constants" in spec:
-        constants = spec["constants"]
-        d = len(constants)
-        table = [[[_parse_scalar(field, constants[i][j][k]) for k in range(d)]
-                  for j in range(d)] for i in range(d)]
-        unit = _parse_vector(field, spec["unit"], d)
-        return make_algebra(field, table, unit, labels=spec.get("labels"))
+        products = _parse_cube(field, spec["constants"], "constants")
+        unit = _parse_vector(field, spec["unit"], len(products))
+        return make_algebra(field, products, unit, labels=spec.get("labels"))
     raise ParseError(f"unknown algebra spec {sorted(spec)!r}")
 
 
@@ -203,9 +223,9 @@ def _explicit_hopf_checks(field, spec):
                                         "unit": spec["unit"],
                                         "labels": spec.get("labels")})
         d = algebra.dim
-        comul = spec["comultiplication"]
-        triples = [[(k, l, _parse_scalar(field, comul[i][k][l]))
-                    for k in range(d) for l in range(d)] for i in range(d)]
+        comul = _parse_cube(field, spec["comultiplication"], "comultiplication", d)
+        triples = [[(k, l, v) for k, cell in enumerate(row) for l, v in cell]
+                   for row in comul]
         counit = _parse_vector(field, spec["counit"], d)
         antipode = _parse_matrix(field, spec["antipode"], d)
         data = hopf_mod.make_hopf(algebra, triples, counit, antipode)

@@ -88,18 +88,18 @@ def build_skew(pa):
             out[offsets[g] + i] = c
         return out
 
-    table = []
+    products = []
     for g, i in tags:
         u = component_bases[g][i]
         row = []
         for h, j in tags:
             v = component_bases[h][j]
             w = alg.mul_vec(u, pa.dot_vec(g, v))
-            row.append(coords_at(grp.mul(g, h), w))
-        table.append(row)
+            row.append([(k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w)) if c])
+        products.append(row)
 
     unit = coords_at(grp.identity, alg.unit)
-    skew_alg = make_algebra(field, table, unit, labels=labels)
+    skew_alg = make_algebra(field, products, unit, labels=labels)
 
     components = []
     for g in range(n):

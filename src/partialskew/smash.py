@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .algebras import AlgebraMap, dual_group_algebra, make_algebra
 from .errors import InternalCheckFailed
-from .linalg import vzero
 from .report import check
 
 
@@ -55,13 +54,13 @@ def build_smash(skew):
 
     # the projection action must be a module-algebra action before the
     # smash multiplication is meaningful
+    products = skew.algebra.products
     for h in range(n):
         for j1 in range(ds):
             for j2 in range(ds):
-                prod = skew.algebra.table[j1][j2]
-                lhs = tuple(c if grades[k] == h else field.zero
-                            for k, c in enumerate(prod))
-                rhs = vzero(field, ds)
+                prod = products[j1][j2]
+                lhs = tuple((k, c) for k, c in prod if grades[k] == h)
+                rhs = ()
                 for u in range(n):
                     v = grp.mul(grp.inv(u), h)
                     if grades[j1] == u and grades[j2] == v:
@@ -72,40 +71,37 @@ def build_smash(skew):
                         "projection action is not a module-algebra action")
 
     dual = dual_group_algebra(field, grp)
-    zero_row = [field.zero] * dim
-    table = []
+    rows = []
     for j1 in range(ds):
         for h in range(n):
             row_for = {}
             for j2 in range(ds):
+                prod = products[j1][j2]
                 for l in range(n):
                     # generic route: split p_h over factorizations u·v = h,
                     # apply p_u to the right factor, multiply p_v * p_l in
                     # the dual group algebra
-                    generic = list(zero_row)
+                    generic = {}
                     for u in range(n):
                         if grades[j2] != u:      # p_u kills other grades
                             continue
                         v = grp.mul(grp.inv(u), h)
-                        pv_pl = dual.table[v][l]
-                        for k, c in enumerate(skew.algebra.table[j1][j2]):
-                            if not c:
-                                continue
-                            for m, w in enumerate(pv_pl):
-                                if w:
-                                    generic[index(k, m)] = generic[index(k, m)] + c * w
+                        for k, c in prod:
+                            for m, w in dual.products[v][l]:
+                                key = index(k, m)
+                                generic[key] = generic.get(key, 0) + c * w
+                    generic = {key: c for key, c in generic.items() if c}
                     # closed rule: keep p_l exactly when h = grade(y)·l
-                    closed = list(zero_row)
+                    closed = {}
                     if grp.mul(grades[j2], l) == h:
-                        for k, c in enumerate(skew.algebra.table[j1][j2]):
-                            if c:
-                                closed[index(k, l)] = c
+                        closed = {index(k, l): c for k, c in prod}
                     if generic != closed:
                         raise InternalCheckFailed(
                             "generic and closed smash products disagree")
-                    row_for[index(j2, l)] = tuple(generic)
-            table.append([row_for[c] for c in range(dim)])
+                    row_for[index(j2, l)] = tuple(generic.items())
+            rows.append([row_for[c] for c in range(dim)])
 
+    zero_row = [field.zero] * dim
     unit = list(zero_row)
     skew_unit = skew.algebra.unit
     for j, c in enumerate(skew_unit):
@@ -115,7 +111,7 @@ def build_smash(skew):
 
     labels = [f"{skew.algebra.labels[j]} # p_{grp.label(h)}"
               for j in range(ds) for h in range(n)]
-    alg = make_algebra(field, table, unit, labels=labels)
+    alg = make_algebra(field, rows, unit, labels=labels)
 
     embed_cols = []
     for j in range(ds):

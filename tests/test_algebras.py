@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partialskew.algebras import (center_basis, direct_product,
+from partialskew.algebras import (AlgebraMap, center_basis, direct_product,
                                   dual_group_algebra, field_algebra,
                                   group_algebra, ideal_basis,
                                   is_central_idempotent, make_algebra,
@@ -12,9 +12,9 @@ from partialskew.errors import (AlgebraMismatch, FieldMismatch, NotAssociative,
                                 ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.linalg import Subspace
+from partialskew.linalg import Mat, Subspace
 
-from corpus_helpers import qvec
+from corpus_helpers import qmat, qvec
 
 
 def test_base_field_algebra():
@@ -191,8 +191,26 @@ def _brute_force_valid(field, table, unit):
     return all(mul(unit, b) == b and mul(b, unit) == b for b in basis)
 
 
-def _perturbed(table, i, j, k):
-    new = [[[x for x in cell] for cell in row] for row in table]
+def _densify(alg):
+    """The d×d×d table of an algebra's sparse product rows."""
+    d = alg.dim
+    table = [[[alg.field.zero] * d for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(alg.products):
+        for j, cell in enumerate(row):
+            for k, v in cell:
+                table[i][j][k] = v
+    return table
+
+
+def _sparsify(table):
+    """Sparse product rows of a dense table, as make_algebra takes them."""
+    return [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
+            for row in table]
+
+
+def _perturbed(alg, i, j, k):
+    """Dense table of alg with one structure constant increased by 1."""
+    new = _densify(alg)
     new[i][j][k] = new[i][j][k] + 1
     return new
 
@@ -202,30 +220,30 @@ def test_make_algebra_rejects_matches_oracle_exhaustive():
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                table = _perturbed(base.table, i, j, k)
+                table = _perturbed(base, i, j, k)
                 expected = _brute_force_valid(QQ, table, base.unit)
                 if expected:
-                    make_algebra(QQ, table, base.unit)
+                    make_algebra(QQ, _sparsify(table), base.unit)
                 else:
                     with pytest.raises(ValidationError):
-                        make_algebra(QQ, table, base.unit)
+                        make_algebra(QQ, _sparsify(table), base.unit)
 
 
 def test_known_perturbation_outcomes():
     base = group_algebra(QQ, cyclic(2))
     # bumping the top-left constant: associativity is checked first
     with pytest.raises(ValidationError):
-        make_algebra(QQ, _perturbed(base.table, 0, 0, 0), base.unit)
+        make_algebra(QQ, _sparsify(_perturbed(base, 0, 0, 0)), base.unit)
     # x*x = e + x defines a valid commutative quadratic extension
-    quad = make_algebra(QQ, _perturbed(base.table, 1, 1, 1), base.unit)
-    assert _brute_force_valid(QQ, quad.table, quad.unit)
+    quad = make_algebra(QQ, _sparsify(_perturbed(base, 1, 1, 1)), base.unit)
+    assert _brute_force_valid(QQ, _densify(quad), quad.unit)
 
 
 def test_unit_fails_witness():
     # an associative table with a wrong declared unit hits the unit check
     kk = product_of_fields(QQ, 2)
     with pytest.raises(UnitFails):
-        make_algebra(QQ, kk.table, qvec([1, 0]))
+        make_algebra(QQ, kk.products, qvec([1, 0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,12 +251,12 @@ def test_unit_fails_witness():
        st.integers(0, 5))
 def test_make_algebra_matches_oracle_randomized(field, i, j, k):
     base = group_algebra(field, symmetric(3))
-    table = _perturbed(base.table, i, j, k)
+    table = _perturbed(base, i, j, k)
     expected = _brute_force_valid(field, table, base.unit)
     witness = _first_nonassociative_triple(field, table)
     actual = True
     try:
-        make_algebra(field, table, base.unit)
+        make_algebra(field, _sparsify(table), base.unit)
     except NotAssociative as exc:
         actual = False
         assert exc.witness == tuple(f"b{t}" for t in witness)
@@ -251,7 +269,89 @@ def test_make_algebra_matches_oracle_randomized(field, i, j, k):
 def test_not_associative_witness():
     # a table that passes the unit law but not associativity
     z4 = group_algebra(QQ, cyclic(4))
-    table = _perturbed(z4.table, 1, 1, 3)
+    table = _perturbed(z4, 1, 1, 3)
     if not _brute_force_valid(QQ, table, z4.unit):
         with pytest.raises((NotAssociative, UnitFails)):
-            make_algebra(QQ, table, z4.unit)
+            make_algebra(QQ, _sparsify(table), z4.unit)
+
+
+def test_make_algebra_checks_sparse_shape():
+    one = QQ.one
+    with pytest.raises(ValueError, match="out of range"):
+        make_algebra(QQ, [[[(1, one)]]], [one])
+    with pytest.raises(ValueError, match="zero"):
+        make_algebra(QQ, [[[(0, one)], []], [[], [(1, one), (0, QQ.zero)]]],
+                     qvec([1, 1]))
+    with pytest.raises(ValueError, match="repeats"):
+        make_algebra(QQ, [[[(0, one), (0, one)]]], [one])
+    with pytest.raises(ValueError, match="d x d"):
+        make_algebra(QQ, [[[(0, one)], []]], [one])
+
+
+def test_multiplicativity_witness_names_first_pair():
+    kk = product_of_fields(QQ, 2)
+    double = AlgebraMap(kk, kk, qmat([[2, 0], [0, 2]]))
+    assert not double.is_multiplicative()
+    i, j = double._multiplicativity_witness()
+    assert (kk.labels[i], kk.labels[j]) == ("e0", "e0")
+    ident = AlgebraMap(kk, kk, Mat.identity(QQ, 2))
+    assert ident._multiplicativity_witness() is None
+
+
+# -- sparse builders against an independent dense route --------------------
+
+def _basis(field, d):
+    return [tuple(field.one if i == j else field.zero for j in range(d))
+            for i in range(d)]
+
+
+def _assert_rows_match(alg, dense_product):
+    """Every cell of alg's sparse rows equals dense_product(i, j)."""
+    table = _densify(alg)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert tuple(table[i][j]) == tuple(dense_product(i, j)), (i, j)
+
+
+def _outer(u, v):
+    return [a * b for a in u for b in v]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("factors", [
+    lambda f: (product_of_fields(f, 2), group_algebra(f, cyclic(3))),
+    lambda f: (group_algebra(f, symmetric(3)), dual_group_algebra(f, symmetric(3))),
+])
+def test_tensor_rows_match_factorwise_products(field, factors):
+    # (a⊗b)(c⊗d) = ac⊗bd, from the factors' own multiplication
+    left, right = factors(field)
+    t = tensor_algebra(left, right)
+    lb, rb = _basis(field, left.dim), _basis(field, right.dim)
+    dr = right.dim
+
+    def dense_product(p, q):
+        (a, b), (c, d) = divmod(p, dr), divmod(q, dr)
+        return _outer(left.mul_vec(lb[a], lb[c]), right.mul_vec(rb[b], rb[d]))
+
+    _assert_rows_match(t, dense_product)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_matrix_rows_match_matrix_unit_rule(field):
+    # E_{gh}x · E_{rs}y = [h = r] E_{gs}xy
+    base = product_of_fields(field, 2)
+    grp = symmetric(3)
+    m = matrix_algebra(base, grp)
+    n, d = grp.order, base.dim
+    bb = _basis(field, d)
+
+    def dense_product(p, q):
+        (gh, x), (rs, y) = divmod(p, d), divmod(q, d)
+        (g, h), (r, s) = divmod(gh, n), divmod(rs, n)
+        out = [field.zero] * m.dim
+        if h == r:
+            for k, v in enumerate(base.mul_vec(bb[x], bb[y])):
+                out[(g * n + s) * d + k] = v
+        return out
+
+    _assert_rows_match(m, dense_product)

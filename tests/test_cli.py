@@ -124,6 +124,26 @@ def test_exact_rational_strings(tmp_path):
     assert main(["verify", _write(tmp_path, doc)]) == 0
 
 
+@pytest.mark.parametrize("constants, unit", [
+    ([[[1, 0], [0]], [[0, 1], [1, 0]]], [1, 0]),   # a 1-entry cell, dim 2
+    ([[[1, 5]]], [1]),                             # a 2-entry cell, dim 1
+])
+def test_ragged_constants_exit_two(tmp_path, capsys, constants, unit):
+    doc = {
+        "name": "ragged",
+        "group": {"cyclic": 1},
+        "algebra": {"constants": constants, "unit": unit},
+        "action": {"explicit": {"idempotents": [unit],
+                                "beta": [[[int(r == c) for c in unit]
+                                          for r in range(len(unit))]]}},
+        "suites": ["lemma1"],
+    }
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert "constants[" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_empty_report_renders_header_only():
     from partialskew.report import Report
     text = emit_report(Report("empty", []), "text")

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from partialskew.algebras import group_algebra
+from partialskew.algebras import field_algebra, group_algebra
 from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
 from partialskew.fields import QQ
-from partialskew.groups import cyclic
+from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (PartialHopfAction, build_corner_maps,
                               build_partial_smash, build_representations,
                               coaction_report, group_hopf, hit_left, hit_right,
@@ -56,7 +56,7 @@ def test_dual_of_group_hopf():
     assert p0 * p0 == p0 and (p0 * p1).is_zero()
     assert dual.algebra.unit == qvec([1, 1])
     double = dual.dual()
-    assert double.algebra.table == h.algebra.table
+    assert double.algebra.products == h.algebra.products
     assert double.comul == h.comul and double.counit == h.counit
 
 
@@ -231,7 +231,7 @@ def test_operator_layer_on_non_grouplike_hopf():
     d3 = group_hopf(QQ, cyclic(3)).dual()
     reps = build_representations(d3)
     assert reps.lambda_map.is_multiplicative()
-    assert d3.dual().algebra.table == group_hopf(QQ, cyclic(3)).algebra.table
+    assert d3.dual().algebra.products == group_hopf(QQ, cyclic(3)).algebra.products
 
 
 def test_noncommutative_group_hopf():
@@ -249,3 +249,38 @@ def test_lift_rejects_tampered_comultiplication(s1_action):
     with pytest.raises(ValidationError):
         make_hopf(alg, [[(0, 0, Fraction(2))], [(1, 1, QQ.one)]],
                   [QQ.one, QQ.one], Mat.identity(QQ, 2))
+
+
+def test_dual_action_direction_on_non_cocommutative_hopf():
+    # k^{S3} is commutative but not cocommutative, so f⇀h and h↼f differ
+    # and the side on which the dual acts is pinned; H acts on the field
+    # through its counit, p_g ↦ [g = e]
+    h = group_hopf(QQ, symmetric(3)).dual()
+    k = field_algebra(QQ)
+    pha = make_partial_hopf_action(h, k, [Mat(QQ, [[c]]) for c in h.counit])
+    ps = build_partial_smash(pha)
+    results = {c.name: c for c in
+               partial_smash_report(ps) + operator_duality_report(pha, ps)}
+    assert sorted(results) == [
+        "opduality.corner_membership", "opduality.idempotent",
+        "opduality.multiplicative", "psmash.closed", "psmash.comodule_algebra",
+        "psmash.dual_module_algebra", "psmash.unital"]
+    bad = [(c.name, c.measured) for c in results.values() if c.status != "pass"]
+    assert not bad, bad
+    assert results["psmash.closed"].measured["sub_dim"] == 6
+    assert results["opduality.multiplicative"].measured["dim"] == 36
+    assert results["opduality.idempotent"].measured["corner_dim"] == 36
+    assert results["opduality.corner_membership"].measured["restricted_basis"] == 36
+
+
+def test_operator_duality_names_multiplicativity_witness(s1_action):
+    # doubling ψ leaves φ linear but not multiplicative: φ(b_p b_q) scales
+    # by 2 and φ(b_p)φ(b_q) by 4, so the first nonzero product is the witness
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    maps = build_corner_maps(pha)
+    maps.psi_columns = [tuple(2 * x for x in col) for col in maps.psi_columns]
+    results = {c.name: c for c in operator_duality_report(pha, ps, maps)}
+    mult = results["opduality.multiplicative"]
+    assert mult.status == "fail"
+    assert mult.witnesses == ["(l_e0#e#p_e, l_e0#e#p_e)"]
