@@ -196,36 +196,52 @@ class AlgebraElement:
         return self.algebra.format_vec(self.coeffs)
 
 
+def _raw_products(alg):
+    """The sparse product rows of alg with raw scalars (see ``fields``).
+
+    An integral rational becomes an ``int``, which is equal to it and
+    multiplies faster; most tables this package builds hold only integers.
+    """
+    raw = alg.field.raw
+    return [[tuple((k, x.numerator if x.denominator == 1 else x)
+                   for (k, _), x in zip(cell, raw([v for _, v in cell])))
+             if cell else () for cell in row] for row in alg.products]
+
+
 def _associativity_witness(alg):
     """First basis triple (i, j, k), in lexicographic order, with
     (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
 
-    Works on the sparse rows in raw scalars (see ``fields``): each side is
-    a sum of products of two structure constants, accumulated unreduced and
-    compared once per triple.
+    Works on the sparse rows in raw scalars (see ``fields``).  For each pair
+    (i, j) one accumulator, keyed by k·d + n, collects the coefficient of
+    b_n in (b_i b_j) b_k minus that in b_i (b_j b_k) for every k at once:
+    the first side walks the nonempty cells of the rows b_i b_j reaches,
+    the second the nonempty cells of row j.  The cost is d² pairs plus the
+    nonzero product terms, not d³ triples; the smallest failing k of the
+    first failing pair is the lexicographically first failing triple.
     """
-    field = alg.field
-    p = field.characteristic
-    raw = field.raw
-    nz = [[tuple(zip([k for k, _ in cell], raw([v for _, v in cell])))
-           for cell in row] for row in alg.products]
+    p = alg.field.characteristic
     d = alg.dim
+    nz = _raw_products(alg)
+    cells = [[(k * d, cell) for k, cell in enumerate(row) if cell] for row in nz]
     for i in range(d):
         nzi = nz[i]
         for j in range(d):
-            ij = nzi[j]
-            nzj = nz[j]
-            for k in range(d):
-                acc = {}
-                get = acc.get
-                for m, c in ij:
-                    for n, v in nz[m][k]:
-                        acc[n] = get(n, 0) + c * v
-                for m, c in nzj[k]:
+            acc = {}
+            get = acc.get
+            for m, c in nzi[j]:
+                for base, cell in cells[m]:
+                    for n, v in cell:
+                        key = base + n
+                        acc[key] = get(key, 0) + c * v
+            for base, cell in cells[j]:
+                for m, c in cell:
                     for n, v in nzi[m]:
-                        acc[n] = get(n, 0) - c * v
-                if any(x % p for x in acc.values()) if p else any(acc.values()):
-                    return i, j, k
+                        key = base + n
+                        acc[key] = get(key, 0) - c * v
+            bad = [key for key, x in acc.items() if (x % p if p else x)]
+            if bad:
+                return i, j, min(bad) // d
     return None
 
 

@@ -18,7 +18,7 @@ promises about this map is re-proved here per instance, by linear algebra:
 
 from __future__ import annotations
 
-from .algebras import AlgebraMap, matrix_algebra
+from .algebras import AlgebraMap, _raw_products, _sparse_vec, matrix_algebra
 from .errors import InternalCheckFailed
 from .linalg import Mat, Subspace, image_basis, vadd, vzero
 from .report import check
@@ -197,14 +197,52 @@ def corner_report(d):
     return results
 
 
+def _scaled_cells(terms, p):
+    """Σ x·cell over the (x, cell) pairs, as a zero-free sparse row of raw
+    scalars (reduced mod p over F_p)."""
+    acc = {}
+    get = acc.get
+    for x, cell in terms:
+        for k, v in cell:
+            acc[k] = get(k, 0) + x * v
+    if p:
+        return {k: r for k, v in acc.items() if (r := v % p)}
+    return {k: v for k, v in acc.items() if v}
+
+
 def _is_two_sided_ideal(algebra, subspace):
+    """(True, "") when b·r and r·b lie in the subspace for every basis
+    element b and echelon row r; else (False, message) for the first
+    failure, b-major and left before right.  Works on the sparse echelon
+    rows in raw scalars."""
+    p = algebra.field.characteristic
+    prods = _raw_products(algebra)
+    rows = [list(r.items()) for r in subspace._rows.values()]
     for b in range(algebra.dim):
-        for v in subspace.basis:
-            if not subspace.contains_vector(algebra._basis_times_vec(b, v)):
+        left = prods[b]
+        for r in rows:
+            if subspace._residual(_scaled_cells(
+                    ((x, left[j]) for j, x in r), p)):
                 return False, f"left multiple of {algebra.labels[b]} escapes"
-            if not subspace.contains_vector(algebra._vec_times_basis(v, b)):
+            if subspace._residual(_scaled_cells(
+                    ((x, prods[i][b]) for i, x in r), p)):
                 return False, f"right multiple of {algebra.labels[b]} escapes"
     return True, ""
+
+
+def _cross_product_witness(algebra, ideal, kernel):
+    """First (ideal basis index, kernel basis index, side) whose product
+    is nonzero, ideal·kernel before kernel·ideal, or None."""
+    mul = algebra._mul_sparse
+    ks = [_sparse_vec(w) for w in kernel.basis]
+    for i, v in enumerate(ideal.basis):
+        sv = _sparse_vec(v)
+        for j, w in enumerate(ks):
+            if mul(sv, w):
+                return f"ideal[{i}]*kernel[{j}] is nonzero"
+            if mul(w, sv):
+                return f"kernel[{j}]*ideal[{i}] is nonzero"
+    return None
 
 
 def _block_of(smash, vec):
@@ -289,12 +327,9 @@ def decomposition_report(d):
                          {"restricted_rank": restricted_matrix.rank(),
                           "corner_dim": d.image.dim}))
 
-    cross_ok = True
-    for v in d.ideal.basis:
-        for w in d.kernel.basis:
-            if any(B.mul_vec(v, w)) or any(B.mul_vec(w, v)):
-                cross_ok = False
-    results.append(check("duality.cross_products_zero", cross_ok, {}))
+    cross = _cross_product_witness(B, d.ideal, d.kernel)
+    results.append(check("duality.cross_products_zero", cross is None, {},
+                         [cross] if cross else []))
 
     conv = _delta_convention_tally(d)
     results.append(check("duality.ideal_product_delta", conv["l=gh"],

@@ -24,7 +24,7 @@ corner maps into A⊗End(H) with their corner idempotent.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, field_algebra, group_algebra,
+from .algebras import (AlgebraMap, _sparse_vec, field_algebra, group_algebra,
                        make_algebra, matrix_algebra, tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
@@ -655,92 +655,87 @@ def build_partial_smash(pha):
     return PartialSmash(pha, ambient, sub, u0)
 
 
-def _dual_act(h, m, vec):
-    """p_m ⇀ · on the H leg of a vector of A⊗H (index a·dim H + i)."""
-    d = h.dim
-    fm = h.dual().algebra.basis_element(m).coeffs
-    out = list(vzero(h.algebra.field, len(vec)))
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
-        a, i = divmod(idx, d)
-        hv = hit_left(h, fm, h.algebra.basis_element(i).coeffs)
-        for b, vb in enumerate(hv):
-            if vb:
-                out[a * d + b] = out[a * d + b] + c * vb
-    return tuple(out)
+def _dual_hits(h):
+    """``hits[m][i]``: p_m ⇀ b_i as ``{index: scalar}``, for the dual basis
+    p_m of H^* and the basis b_i of H."""
+    basis, dual_basis = h.algebra.basis_element, h.dual().algebra.basis_element
+    return [[_sparse_vec(hit_left(h, dual_basis(m).coeffs, basis(i).coeffs))
+             for i in range(h.dim)] for m in range(h.dim)]
+
+
+def _dual_act(hits_m, d, vec):
+    """p_m ⇀ · on the H leg of a sparse vector of A⊗H (index a·d + i),
+    given ``hits_m`` = ``_dual_hits(h)[m]``."""
+    out = {}
+    get = out.get
+    for idx, c in vec.items():
+        base = idx - idx % d
+        for b, v in hits_m[idx % d].items():
+            key = base + b
+            out[key] = get(key, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 def partial_smash_report(ps):
     """Closure, unitality, the comodule-algebra structure over H and the
-    module-algebra structure over the dual, on the unital corner."""
-    pha = ps.pha
-    h, alg = pha.hopf, pha.algebra
-    field = alg.field
+    module-algebra structure over the dual, on the unital corner.
+
+    Works on sparse vectors: the products of corner basis vectors and their
+    images under every p_m ⇀ are formed once and shared by the checks.
+    """
+    h = ps.pha.hopf
     d = h.dim
     amb, sub, u0 = ps.ambient, ps.sub, ps.unit_vec
+    mul = amb._mul_sparse
+    su = [_sparse_vec(u) for u in sub.basis]
+    uv = [[mul(u, v) for v in su] for u in su]
     results = []
 
-    closed = all(sub.contains_vector(amb.mul_vec(u, v))
-                 for u in sub.basis for v in sub.basis)
+    closed = all(sub.contains_sparse(w) for row in uv for w in row)
     results.append(check("psmash.closed", closed, {"sub_dim": sub.dim}))
 
-    unital = sub.contains_vector(u0) and amb.mul_vec(u0, u0) == u0 and all(
-        amb.mul_vec(u0, v) == v and amb.mul_vec(v, u0) == v for v in sub.basis)
+    unit = _sparse_vec(u0)
+    unital = sub.contains_vector(u0) and mul(unit, unit) == unit and all(
+        mul(unit, v) == v and mul(v, unit) == v for v in su)
     results.append(check("psmash.unital", unital, {}))
 
     # right comodule algebra via 1 ⊗ coproduct
     t = tensor_algebra(amb, h.algebra)
 
     def corho(vec):
-        out = list(vzero(field, t.dim))
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
+        out = {}
+        for idx, c in vec.items():
             a, i = divmod(idx, d)
             for k, l, v in h.comul[i]:
                 pos = (a * d + k) * d + l
-                out[pos] = out[pos] + c * v
-        return tuple(out)
+                out[pos] = out.get(pos, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
-    comodule_ok = True
-    for u in sub.basis:
-        for v in sub.basis:
-            if corho(amb.mul_vec(u, v)) != tuple(
-                    t.mul_vec(corho(u), corho(v))):
-                comodule_ok = False
+    co = [corho(u) for u in su]
+    comodule_ok = all(corho(uv[a][b]) == t._mul_sparse(co[a], co[b])
+                      for a in range(len(su)) for b in range(len(su)))
     counit_ok = True
-    for u in sub.basis:
-        back = list(vzero(field, amb.dim))
-        for idx, c in enumerate(corho(u)):
-            if not c:
-                continue
+    for u, r in zip(su, co):
+        back = {}
+        for idx, c in r.items():
             ai, l = divmod(idx, d)
             if h.counit[l]:
-                back[ai] = back[ai] + c * h.counit[l]
-        if tuple(back) != u:
+                back[ai] = back.get(ai, 0) + c * h.counit[l]
+        if {k: v for k, v in back.items() if v} != u:
             counit_ok = False
     coassoc_ok = True
-    for u in sub.basis:
-        r = corho(u)
+    for r in co:
         route1 = {}
-        for idx, c in enumerate(r):
-            if not c:
-                continue
+        route2 = {}
+        for idx, c in r.items():
             ai, l = divmod(idx, d)
             a, i = divmod(ai, d)
             for k1, k2, v in h.comul[i]:
                 key = (a, k1, k2, l)
-                route1[key] = route1.get(key, field.zero) + c * v
-        route2 = {}
-        for idx, c in enumerate(r):
-            if not c:
-                continue
-            ai, l = divmod(idx, d)
-            a, i = divmod(ai, d)
+                route1[key] = route1.get(key, 0) + c * v
             for l1, l2, v in h.comul[l]:
                 key = (a, i, l1, l2)
-                route2[key] = route2.get(key, field.zero) + c * v
+                route2[key] = route2.get(key, 0) + c * v
         if {k: v for k, v in route1.items() if v} != \
                 {k: v for k, v in route2.items() if v}:
             coassoc_ok = False
@@ -749,51 +744,73 @@ def partial_smash_report(ps):
                          {"multiplicative": comodule_ok, "counit": counit_ok,
                           "coassociative": coassoc_ok}))
 
-    # left module algebra over the dual via 1 ⊗ (f ⇀ ·)
-    dual = h.dual()
-    da = alg.dim
+    results.append(_dual_module_check(ps, su, uv))
+    return results
 
-    stable = all(sub.contains_vector(_dual_act(h, m, v))
-                 for m in range(d) for v in sub.basis)
-    unit_acts = True
-    for v in sub.basis:
-        acc = vzero(field, amb.dim)
+
+def _dual_module_check(ps, su, uv):
+    """psmash.dual_module_algebra: the corner is a left module algebra over
+    the dual via 1 ⊗ (f ⇀ ·).  ``su`` are the corner basis vectors as sparse
+    dicts and ``uv[a][b]`` their products.  Each failing sub-check names its
+    first witness."""
+    h, alg = ps.pha.hopf, ps.pha.algebra
+    d, n = h.dim, len(su)
+    amb = ps.ambient
+    mul = amb._mul_sparse
+    dual = h.dual()
+    hits = _dual_hits(h)
+    # p_m ⇀ u for every m and every corner basis vector u, formed once
+    acted = [[_dual_act(hits[m], d, u) for u in su] for m in range(d)]
+
+    def unit_acts(a):
+        acc = {}
         for m, c in enumerate(dual.algebra.unit):
             if c:
-                acc = vadd(acc, vscale(c, _dual_act(h, m, v)))
-        if acc != v:
-            unit_acts = False
-    module_alg = True
-    for m in range(d):
-        for u in sub.basis:
-            for v in sub.basis:
-                lhs = _dual_act(h, m, amb.mul_vec(u, v))
-                rhs = vzero(field, amb.dim)
-                for k, l, w in dual.comul[m]:
-                    rhs = vadd(rhs, vscale(w, amb.mul_vec(
-                        _dual_act(h, k, u), _dual_act(h, l, v))))
-                if lhs != tuple(rhs):
-                    module_alg = False
-    closed_form = True
-    for x in range(da):
-        for i in range(d):
-            gen = amb.mul_vec(amb.basis_element(x * d + i).coeffs, u0)
-            for m in range(d):
-                lhs = _dual_act(h, m, gen)
-                hv = hit_left(h, dual.algebra.basis_element(m).coeffs,
-                              h.algebra.basis_element(i).coeffs)
-                rhs_gen = list(vzero(field, amb.dim))
-                for b, vb in enumerate(hv):
-                    if vb:
-                        rhs_gen[x * d + b] = vb
-                rhs = amb.mul_vec(tuple(rhs_gen), u0)
-                if lhs != tuple(rhs):
-                    closed_form = False
-    results.append(check("psmash.dual_module_algebra",
-                         stable and unit_acts and module_alg and closed_form,
-                         {"stable": stable, "unit_acts": unit_acts,
-                          "module_law": module_alg, "closed_form": closed_form}))
-    return results
+                for k, v in acted[m][a].items():
+                    acc[k] = acc.get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v} == su[a]
+
+    def module_law(m, a, b):
+        # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
+        rhs = {}
+        get = rhs.get
+        for k, l, w in dual.comul[m]:
+            for key, v in mul(acted[k][a], acted[l][b]).items():
+                rhs[key] = get(key, 0) + w * v
+        return _dual_act(hits[m], d, uv[a][b]) == {k: v for k, v in rhs.items() if v}
+
+    unit = _sparse_vec(ps.unit_vec)
+    one = alg.field.one
+
+    def closed_form(x, i, m):
+        # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
+        lhs = _dual_act(hits[m], d, mul({x * d + i: one}, unit))
+        return lhs == mul({x * d + b: v for b, v in hits[m][i].items()}, unit)
+
+    # a witness names p_m by its dual label, a corner basis vector by its
+    # expansion and a generator x#b_i by its ambient label
+    p = dual.algebra.labels
+
+    def vec(a):
+        return amb.format_vec(ps.sub.basis[a])
+
+    ms, corner = range(d), range(n)
+    failures = {
+        "stable": next((f"{p[m]}, {vec(a)}" for m in ms for a in corner
+                        if not ps.sub.contains_sparse(acted[m][a])), None),
+        "unit_acts": next((vec(a) for a in corner if not unit_acts(a)), None),
+        "module_law": next((f"{p[m]}, {vec(a)}, {vec(b)}"
+                            for m in ms for a in corner for b in corner
+                            if not module_law(m, a, b)), None),
+        "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
+                             for x in range(alg.dim) for i in range(d) for m in ms
+                             if not closed_form(x, i, m)), None),
+    }
+    witnesses = [f"{name} fails at ({where})"
+                 for name, where in failures.items() if where is not None]
+    return check("psmash.dual_module_algebra", not witnesses,
+                 {name: where is None for name, where in failures.items()},
+                 witnesses)
 
 
 def smash_matches_skew_report(ps, skew_ring):
@@ -849,8 +866,15 @@ def operator_duality_report(pha, ps, maps=None):
         maps = build_corner_maps(pha)
     target = maps.target
 
-    triple = _smash_algebra(ps.ambient, dual.algebra, dual.comul,
-                            lambda m, v: _dual_act(h, m, v), None)
+    hits = _dual_hits(h)
+
+    def dual_act(m, v):
+        out = list(vzero(field, len(v)))
+        for key, c in _dual_act(hits[m], d, _sparse_vec(v)).items():
+            out[key] = c
+        return tuple(out)
+
+    triple = _smash_algebra(ps.ambient, dual.algebra, dual.comul, dual_act, None)
     dim_c = triple.dim
 
     phi_cols = []

@@ -347,6 +347,10 @@ class Subspace:
     def contains_vector(self, vec):
         return not self._residual(_sparse(vec, self.field))
 
+    def contains_sparse(self, row):
+        """Membership of a vector given as a ``{column: field element}`` dict."""
+        return not self._residual(_raw_rows(self.field, [row])[0])
+
     def contains(self, other):
         """True when every vector of `other` lies in this subspace."""
         self._check_compatible(other)

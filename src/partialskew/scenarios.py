@@ -95,13 +95,30 @@ def _parse_matrix(field, data, size=None):
     return Mat(field, rows)
 
 
+def _entry(spec, key, where):
+    """spec[key], or a ParseError naming the missing key."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"{where} must be an object")
+    if key not in spec:
+        raise ParseError(f"{where} is missing its {key!r} entry")
+    return spec[key]
+
+
+def _positive_int(spec, key, where):
+    """spec[key] as a JSON integer >= 1 (not a boolean), else ParseError."""
+    x = _entry(spec, key, where)
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ParseError(f"{where}.{key} must be an integer >= 1, got {x!r}")
+    return x
+
+
 def build_group(spec):
     if not isinstance(spec, dict):
         raise ParseError("group spec must be an object")
     if "cyclic" in spec:
-        return cyclic(int(spec["cyclic"]))
+        return cyclic(_positive_int(spec, "cyclic", "group"))
     if "symmetric" in spec:
-        return symmetric(int(spec["symmetric"]))
+        return symmetric(_positive_int(spec, "symmetric", "group"))
     if "direct_product" in spec:
         parts = spec["direct_product"]
         if len(parts) != 2:
@@ -116,12 +133,10 @@ def build_algebra(field, spec):
     if not isinstance(spec, dict):
         raise ParseError("algebra spec must be an object")
     if "product_of_fields" in spec:
-        m = int(spec["product_of_fields"])
-        if m < 1:
-            raise ParseError("product_of_fields needs at least one factor")
-        return product_of_fields(field, m)
+        return product_of_fields(field, _positive_int(spec, "product_of_fields",
+                                                      "algebra"))
     if "matrix" in spec:
-        size = int(spec["matrix"]["size"])
+        size = _positive_int(spec["matrix"], "size", "matrix")
         return matrix_algebra(field_algebra(field), size)
     if "direct_product" in spec:
         parts = spec["direct_product"]
@@ -141,8 +156,8 @@ def build_action(field, group, algebra, spec):
         raise ParseError("action spec must be an object")
     if "trivial_split" in spec:
         split = spec["trivial_split"]
-        left = build_algebra(field, split["left"])
-        right = build_algebra(field, split["right"])
+        left = build_algebra(field, _entry(split, "left", "trivial_split"))
+        right = build_algebra(field, _entry(split, "right", "trivial_split"))
         return trivial_from_split(left, right, group)
     if algebra is None:
         raise ParseError("this action spec needs an explicit 'algebra' entry")
@@ -247,6 +262,8 @@ def run_scenario(source, suites=None, field_override=None):
     """
     doc = load_scenario(source) if not isinstance(source, dict) else dict(source)
     name = doc.get("name", "scenario")
+    if not isinstance(doc.get("suites", []), list):
+        raise ParseError("suites must be a list of suite names")
 
     field_token = field_override or doc.get("field", "q")
     if isinstance(field_token, dict):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partialskew.algebras import (AlgebraMap, center_basis, direct_product,
+from partialskew.algebras import (AlgebraMap, StructureAlgebra,
+                                  _associativity_witness, center_basis,
+                                  direct_product,
                                   dual_group_algebra, field_algebra,
                                   group_algebra, ideal_basis,
                                   is_central_idempotent, make_algebra,
@@ -273,6 +275,61 @@ def test_not_associative_witness():
     if not _brute_force_valid(QQ, table, z4.unit):
         with pytest.raises((NotAssociative, UnitFails)):
             make_algebra(QQ, _sparsify(table), z4.unit)
+
+
+def _s3_partial_smash_ambient(field):
+    """The 12-dim non-unital twisted A⊗H of the S₃ trivial-split lift."""
+    from partialskew.actions import trivial_from_split
+    from partialskew.hopf import build_partial_smash, lift_group_action
+
+    k = product_of_fields(field, 1)
+    pa = trivial_from_split(k, k, symmetric(3))
+    return build_partial_smash(lift_group_action(pa)).ambient
+
+
+def _failing_ks(field, table, i, j):
+    """Every k with (b_i b_j) b_k != b_i (b_j b_k), from dense products."""
+    mul, basis = _dense_mul(field, table)
+    a, b = basis[i], basis[j]
+    return [k for k, c in enumerate(basis)
+            if mul(mul(a, b), c) != mul(a, mul(b, c))]
+
+
+_SPARSE_TABLES = {
+    "s3_partial_smash_ambient": _s3_partial_smash_ambient,
+    "fields3_x_z3": lambda f: tensor_algebra(product_of_fields(f, 3),
+                                             group_algebra(f, cyclic(3))),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("name", sorted(_SPARSE_TABLES))
+def test_associativity_witness_on_sparse_tables(name, field):
+    # tables with many empty cells; the per-pair kernel must return the
+    # oracle's first failing triple for the table and for perturbations
+    alg = _SPARSE_TABLES[name](field)
+    d = alg.dim
+    assert any(not cell for row in alg.products for cell in row)
+    assert _associativity_witness(alg) is None
+    for i, j, k in [(0, 0, 0), (1, 2, 3), (d - 1, 1, d // 2), (d - 1, d - 1, d - 1)]:
+        table = _perturbed(alg, i, j, k)
+        expected = _first_nonassociative_triple(field, table)
+        assert expected is not None
+        bad = StructureAlgebra(field, _sparsify(table), None)
+        assert _associativity_witness(bad) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_associativity_witness_takes_smallest_k(field):
+    # with b0·b0 bumped by b0 the first failing pair fails at several k;
+    # the witness is the smallest of them
+    alg = tensor_algebra(product_of_fields(field, 3), group_algebra(field, cyclic(3)))
+    table = _perturbed(alg, 0, 0, 0)
+    witness = _associativity_witness(StructureAlgebra(field, _sparsify(table), None))
+    i, j, k = _first_nonassociative_triple(field, table)
+    ks = _failing_ks(field, table, i, j)
+    assert len(ks) >= 2 and k == ks[0]
+    assert witness == (i, j, k)
 
 
 def test_make_algebra_checks_sparse_shape():

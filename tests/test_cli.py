@@ -144,6 +144,42 @@ def test_ragged_constants_exit_two(tmp_path, capsys, constants, unit):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _split_doc(group, left=None, right=None, **extra):
+    split = {}
+    if left is not None:
+        split["left"] = left
+    if right is not None:
+        split["right"] = right
+    doc = {"name": "bad-input", "group": group,
+           "action": {"trivial_split": split}, "suites": ["lemma1"]}
+    doc.update(extra)
+    return doc
+
+
+FIELD_ONE = {"product_of_fields": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_split_doc({"cyclic": 2.5}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
+    (_split_doc({"cyclic": "x"}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
+    (_split_doc({"cyclic": -3}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
+    (_split_doc({"cyclic": True}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
+    (_split_doc({"symmetric": 0}, FIELD_ONE, FIELD_ONE), "group.symmetric"),
+    (_split_doc({"cyclic": 2}, {"product_of_fields": 2.0}, FIELD_ONE),
+     "algebra.product_of_fields"),
+    (_split_doc({"cyclic": 2}, {"matrix": {"size": "2"}}, FIELD_ONE), "matrix.size"),
+    (_split_doc({"cyclic": 2}, {"matrix": {}}, FIELD_ONE), "'size'"),
+    (_split_doc({"cyclic": 2}, None, FIELD_ONE), "'left'"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, None), "'right'"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites="duality"), "suites"),
+])
+def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_empty_report_renders_header_only():
     from partialskew.report import Report
     text = emit_report(Report("empty", []), "text")

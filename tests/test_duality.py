@@ -1,11 +1,15 @@
 import sympy
 
-from partialskew.duality import (TensorOverSubring, build_duality,
+import pytest
+
+from partialskew.algebras import field_algebra, matrix_algebra
+from partialskew.duality import (DualityData, TensorOverSubring,
+                                 _is_two_sided_ideal, build_duality,
                                  corner_report, decomposition_report,
                                  kernel_formula_subspace, kernel_report,
                                  separability_report, skew_injectivity_report)
-from partialskew.fields import QQ
-from partialskew.linalg import vadd
+from partialskew.fields import GF, QQ
+from partialskew.linalg import Subspace, vadd
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
 
@@ -137,3 +141,44 @@ def test_tensor_quotient_machinery(s1_smash):
     # a sum of pure tensors is the sum of their vectors
     assert t.tensor([(x, x), (y, y)]) == tuple(
         p + q for p, q in zip(t.tensor([(x, x)]), t.tensor([(y, y)])))
+
+
+def test_cross_products_zero_names_first_pair(s1_duality):
+    # a kernel replaced by the ideal itself: the first nonzero product, in
+    # (ideal index, kernel index, ideal·kernel before kernel·ideal) order,
+    # is found here by dense products and must be the witness
+    d = s1_duality
+    bad = DualityData(d.smash, d.mat, d.phi, d.corner_idempotent, d.ideal,
+                      d.image, d.ideal)
+    B = d.smash.algebra
+    expected = next(
+        text
+        for i, v in enumerate(d.ideal.basis)
+        for j, w in enumerate(d.ideal.basis)
+        for text, prod in ((f"ideal[{i}]*kernel[{j}] is nonzero", B.mul_vec(v, w)),
+                           (f"kernel[{j}]*ideal[{i}] is nonzero", B.mul_vec(w, v)))
+        if any(prod))
+    results = {c.name: c for c in decomposition_report(bad)}
+    cross = results["duality.cross_products_zero"]
+    assert cross.status == "fail"
+    assert cross.witnesses == [expected]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_two_sided_ideal_check_on_a_left_ideal(field):
+    # span{E11, E21} (first column) is a left ideal of M2 but not a right
+    # one: E11·E12 = E12 escapes, first at b = E12 on the right
+    m2 = matrix_algebra(field_algebra(field), 2)
+    one = (field.one,)
+    column = Subspace.from_vectors(field, 4, [m2.place(0, 0, one),
+                                              m2.place(1, 0, one)])
+    assert _is_two_sided_ideal(m2, column) == (
+        False, "right multiple of E[0,1]*1 escapes")
+    row = Subspace.from_vectors(field, 4, [m2.place(0, 0, one),
+                                           m2.place(0, 1, one)])
+    assert _is_two_sided_ideal(m2, row) == (
+        False, "left multiple of E[1,0]*1 escapes")
+    full = Subspace.from_vectors(field, 4, [m2.basis_element(i).coeffs
+                                            for i in range(4)])
+    assert _is_two_sided_ideal(m2, full) == (True, "")
+    assert _is_two_sided_ideal(m2, Subspace.zero(field, 4)) == (True, "")

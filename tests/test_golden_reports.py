@@ -1,7 +1,8 @@
-"""Structured reports of the bundled corpus are pinned byte for byte.
+"""Structured reports are pinned byte for byte.
 
 ``golden_reports.json`` holds the SHA-256 of ``emit_report(..., "structured")``
-for every bundled fixture over each field.  A change to the exact core that
+for every bundled fixture over each field, and for the inline documents of
+``INLINE`` over the fields they list there.  A change to the exact core that
 alters any printed dimension, status or witness fails here.  Re-record the
 digests only when a report is meant to change, and say why in the change.
 """
@@ -18,15 +19,43 @@ from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 FIELDS = ("q", "fp:5", "fp:2")
 
+# The bundled corpus is all cyclic; index conventions only differ over a
+# non-abelian group, so the S₃ trivial split (smash 42, matrix 72, the Hopf
+# lift at dim 6) is pinned too.  Same document as perfbench/scenarios/s3_split.json.
+INLINE = {
+    "s3_split": {
+        "name": "s3_split",
+        "field": "q",
+        "group": {"symmetric": 3},
+        "action": {"trivial_split": {"left": {"product_of_fields": 1},
+                                     "right": {"product_of_fields": 1}}},
+        "suites": ["lemma1", "grading", "duality", "hopf", "centers"],
+        "expect": {"skew_dimension": 7, "smash_dimension": 42,
+                   "matrix_dimension": 72, "kernel_dimension": 5,
+                   "corner_dimension": 37},
+    },
+}
+FIXTURES = sorted(name for name in GOLDEN if name not in INLINE)
+
+
+def _digest(source, field):
+    text = emit_report(run_scenario(source, field_override=field), "structured")
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def test_golden_set_covers_the_corpus():
-    assert sorted(GOLDEN) == bundled_fixtures()
-    assert all(sorted(GOLDEN[name]) == sorted(FIELDS) for name in GOLDEN)
+    assert FIXTURES == bundled_fixtures()
+    assert all(sorted(GOLDEN[name]) == sorted(FIELDS) for name in FIXTURES)
+    assert all(name in GOLDEN for name in INLINE)
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", FIXTURES)
 def test_structured_report_digest(name, field):
-    text = emit_report(run_scenario(fixture_path(name), field_override=field),
-                       "structured")
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name][field]
+    assert _digest(fixture_path(name), field) == GOLDEN[name][field]
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name in sorted(INLINE)
+                                         for field in sorted(GOLDEN[name])])
+def test_inline_report_digest(name, field):
+    assert _digest(INLINE[name], field) == GOLDEN[name][field]

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from partialskew.algebras import field_algebra, group_algebra
+from partialskew.algebras import StructureAlgebra, field_algebra, group_algebra
 from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
 from partialskew.fields import QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (PartialHopfAction, build_corner_maps,
+from partialskew.hopf import (PartialHopfAction, PartialSmash, build_corner_maps,
                               build_partial_smash, build_representations,
                               coaction_report, group_hopf, hit_left, hit_right,
                               hopf_lift_suite, lambda_matrix,
@@ -15,7 +15,7 @@ from partialskew.hopf import (PartialHopfAction, build_corner_maps,
                               make_partial_hopf_action, operator_duality_report,
                               partial_smash_report, rho_matrix,
                               smash_matches_skew_report)
-from partialskew.linalg import Mat
+from partialskew.linalg import Mat, Subspace
 from partialskew.skew import build_skew
 
 from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
@@ -284,3 +284,43 @@ def test_operator_duality_names_multiplicativity_witness(s1_action):
     mult = results["opduality.multiplicative"]
     assert mult.status == "fail"
     assert mult.witnesses == ["(l_e0#e#p_e, l_e0#e#p_e)"]
+
+
+def _partial_smash_checks(pha, ambient, sub, unit_vec):
+    return {c.name: c for c in
+            partial_smash_report(PartialSmash(pha, ambient, sub, unit_vec))}
+
+
+def test_dual_module_algebra_names_unstable_corner(s1_action):
+    # a corner spanned by l_e0#e + l_e0#g mixes two H-degrees, so p_e ⇀
+    # leaves it; the other three sub-checks still hold
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    amb = ps.ambient
+    u = tuple(QQ.one if i < 2 else QQ.zero for i in range(amb.dim))
+    corner = Subspace.from_vectors(QQ, amb.dim, [u])
+    check = _partial_smash_checks(pha, amb, corner, ps.unit_vec)[
+        "psmash.dual_module_algebra"]
+    assert check.status == "fail"
+    assert check.measured == {"stable": False, "unit_acts": True,
+                              "module_law": True, "closed_form": True}
+    assert check.witnesses == ["stable fails at (p_e, (1)*l_e0#e + (1)*l_e0#g)"]
+
+
+def test_dual_module_algebra_names_module_law_triple(s1_action):
+    # right-shifting the H-degree of every product by g breaks the grading
+    # the dual acts through: (l_e0#e)(l_e0#e) lands on l_e0#g, so
+    # p_e ⇀ (uv) = 0 while (p_e ⇀ u)(p_e ⇀ v) = uv != 0 at the first triple
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    amb = ps.ambient
+    d, grp = pha.hopf.dim, s1_action.group
+    shifted = [[tuple((k - k % d + grp.mul(k % d, 1), v) for k, v in cell)
+                for cell in row] for row in amb.products]
+    bad = StructureAlgebra(QQ, shifted, None, amb.labels)
+    check = _partial_smash_checks(pha, bad, ps.sub, ps.unit_vec)[
+        "psmash.dual_module_algebra"]
+    assert check.status == "fail"
+    assert check.measured["module_law"] is False
+    assert check.witnesses[0] == "module_law fails at (p_e, (1)*l_e0#e, (1)*l_e0#e)"
+    assert check.witnesses[1:] == ["closed_form fails at (p_e, l_e0#e)"]
