@@ -133,14 +133,15 @@ def _sparse_vec(vec):
     return {k: v for k, v in enumerate(vec) if v}
 
 
-def _combine(cols, cell):
-    """The sparse vector Σ v·cols[k] over the (k, v) pairs of a product cell."""
+def _lincomb(terms):
+    """The sparse vector Σ c·v over the (c, v) pairs of ``terms``, each v a
+    sparse vector ``{index: scalar}``, without zeros."""
     acc = {}
     get = acc.get
-    for k, v in cell:
-        for r, x in cols[k].items():
-            acc[r] = get(r, 0) + v * x
-    return {r: x for r, x in acc.items() if x}
+    for c, vec in terms:
+        for k, x in vec.items():
+            acc[k] = get(k, 0) + c * x
+    return {k: x for k, x in acc.items() if x}
 
 
 class AlgebraElement:
@@ -570,6 +571,13 @@ class AlgebraMap:
         return cls(domain, codomain,
                    Mat.from_columns(domain.field, columns, rows=codomain.dim))
 
+    @classmethod
+    def from_sparse(cls, domain, codomain, columns):
+        """The map whose column j is the ``{index: scalar}`` dict columns[j]."""
+        zero = domain.field.zero
+        return cls(domain, codomain, Mat(domain.field, [
+            [col.get(r, zero) for col in columns] for r in range(codomain.dim)]))
+
     def apply_vec(self, coeffs):
         return self.matrix.apply(coeffs)
 
@@ -598,7 +606,7 @@ class AlgebraMap:
             ci = cols[i]
             for j, cell in enumerate(row):
                 rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
-                if _combine(cols, cell) != rhs:
+                if _lincomb((v, cols[k]) for k, v in cell) != rhs:
                     return i, j
         return None
 

@@ -279,11 +279,11 @@ def _delta_convention_tally(d):
         a_part = skew.project(
             tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
         v_sparse = {i: c for i, c in enumerate(v) if c}
-        for idx in range(B.dim):
-            j, l = smash.parts(idx)
+        # the payload y·(k ▷ a) depends on the skew index j alone, so it is
+        # formed once per j and compared against every dual index l
+        for j in range(skew.dim):
             k, pos = skew.grade_of(j)
             y = skew.component_bases[k][pos]
-            true = B._mul_sparse({idx: one}, v_sparse)
             w = alg.mul_vec(y, pa.dot_vec(k, a_part))
             kg = grp.mul(k, g)
             coords = pa.ideals[kg].coordinates_of(w)
@@ -291,11 +291,13 @@ def _delta_convention_tally(d):
                 raise InternalCheckFailed("ideal product left its graded block")
             payload = {smash.index(skew.offsets[kg] + t, h): c
                        for t, c in enumerate(coords) if c}
-            for name, cond in (("l=gh", l == grp.mul(g, h)),
-                               ("k=gh", k == grp.mul(g, h)),
-                               ("h=kl", h == grp.mul(k, l))):
-                if true != (payload if cond else {}):
-                    conventions[name] = False
+            for l in range(grp.order):
+                true = B._mul_sparse({smash.index(j, l): one}, v_sparse)
+                for name, cond in (("l=gh", l == grp.mul(g, h)),
+                                   ("k=gh", k == grp.mul(g, h)),
+                                   ("h=kl", h == grp.mul(k, l))):
+                    if true != (payload if cond else {}):
+                        conventions[name] = False
     return conventions
 
 

@@ -24,12 +24,13 @@ corner maps into A⊗End(H) with their corner idempotent.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _sparse_vec, field_algebra, group_algebra,
-                       make_algebra, matrix_algebra, tensor_algebra)
+from .algebras import (AlgebraMap, _lincomb, _sparse_vec, field_algebra,
+                       group_algebra, make_algebra, matrix_algebra,
+                       tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
-from .linalg import Mat, Subspace, vadd, vscale, vzero
+from .linalg import Mat, Subspace, vzero
 from .report import check
 
 
@@ -102,22 +103,13 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
         if lhs != want or rhs != want:
             raise HopfAxiomFails("counit", f"basis {algebra.labels[i]}")
 
-    # coproduct and counit are algebra maps
+    # coproduct and counit are algebra maps, on sparse vectors of H⊗H
     hh = tensor_algebra(algebra, algebra)
-    dense = []
-    for i in range(d):
-        out = list(vzero(field, d * d))
-        for k, l, v in comul[i]:
-            out[k * d + l] = v
-        dense.append(tuple(out))
+    cop = [{k * d + l: v for k, l, v in row} for row in comul]
     for i in range(d):
         for j in range(d):
             prod = algebra.products[i][j]
-            lhs = vzero(field, d * d)
-            for t, c in prod:
-                lhs = vadd(lhs, vscale(c, dense[t]))
-            rhs = hh.mul_vec(dense[i], dense[j])
-            if lhs != tuple(rhs):
+            if _lincomb((c, cop[t]) for t, c in prod) != hh._mul_sparse(cop[i], cop[j]):
                 raise HopfAxiomFails(
                     "coproduct multiplicative",
                     f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
@@ -128,32 +120,26 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
                 raise HopfAxiomFails(
                     "counit multiplicative",
                     f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
-    unit_coprod = vzero(field, d * d)
-    for t, c in enumerate(algebra.unit):
-        if c:
-            unit_coprod = vadd(unit_coprod, vscale(c, dense[t]))
-    if tuple(unit_coprod) != hh.tensor_vec(algebra.unit, algebra.unit):
+    unit = _sparse_vec(algebra.unit)
+    if _lincomb((c, cop[t]) for t, c in unit.items()) != \
+            _sparse_vec(_outer(algebra.unit, algebra.unit)):
         raise HopfAxiomFails("coproduct unital", "unit element")
     eps_unit = field.zero
-    for t, c in enumerate(algebra.unit):
-        if c:
-            eps_unit = eps_unit + c * counit[t]
+    for t, c in unit.items():
+        eps_unit = eps_unit + c * counit[t]
     if eps_unit != field.one:
         raise HopfAxiomFails("counit unital", "unit element")
 
-    # antipode identity on every basis element
+    # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
+    # summed over Δ(b_i) equal ε(b_i)·1
+    mul = algebra._mul_sparse
+    one = field.one
+    s_cols = [_sparse_vec(col) for col in antipode.columns()]
     for i in range(d):
-        conv_left = vzero(field, d)
-        conv_right = vzero(field, d)
-        for k, l, v in comul[i]:
-            sk = antipode.column(k)
-            sl = antipode.column(l)
-            conv_left = vadd(conv_left, vscale(
-                v, algebra.mul_vec(sk, algebra.basis_element(l).coeffs)))
-            conv_right = vadd(conv_right, vscale(
-                v, algebra.mul_vec(algebra.basis_element(k).coeffs, sl)))
-        want = vscale(counit[i], algebra.unit)
-        if tuple(conv_left) != tuple(want) or tuple(conv_right) != tuple(want):
+        want = _lincomb([(counit[i], unit)])
+        conv_left = _lincomb((v, mul(s_cols[k], {l: one})) for k, l, v in comul[i])
+        conv_right = _lincomb((v, mul({k: one}, s_cols[l])) for k, l, v in comul[i])
+        if conv_left != want or conv_right != want:
             raise HopfAxiomFails("antipode", f"basis {algebra.labels[i]}")
 
     inv = antipode.inverse()
@@ -270,33 +256,22 @@ def hit_right(h, xvec, fvec):
     return tuple(out)
 
 
+def _dual_hits(h, right=False):
+    """``hits[m][i]``: p_m ⇀ b_i, or b_i ↼ p_m when ``right``, as
+    ``{index: scalar}``, for the dual basis p_m of H^* and the basis b_i of H."""
+    basis, dual_basis = h.algebra.basis_element, h.dual().algebra.basis_element
+
+    def hit(m, i):
+        f, x = dual_basis(m).coeffs, basis(i).coeffs
+        return hit_right(h, x, f) if right else hit_left(h, f, x)
+    return [[_sparse_vec(hit(m, i)) for i in range(h.dim)] for m in range(h.dim)]
+
+
 # -- operator representations --------------------------------------------
 
 def end_algebra(h):
     """Linear endomorphisms of the underlying space, as matrix units."""
     return matrix_algebra(field_algebra(h.algebra.field), h.dim)
-
-
-def mat_to_end_vec(m):
-    return tuple(x for row in m.entries for x in row)
-
-
-def lambda_matrix(h, hvec, fvec):
-    """Operator x ↦ h(f ⇀ x)."""
-    cols = []
-    for x in range(h.dim):
-        fx = hit_left(h, fvec, h.algebra.basis_element(x).coeffs)
-        cols.append(h.algebra.mul_vec(hvec, fx))
-    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
-
-
-def rho_matrix(h, fvec, hvec):
-    """Operator x ↦ (x ↼ f)h."""
-    cols = []
-    for x in range(h.dim):
-        xf = hit_right(h, h.algebra.basis_element(x).coeffs, fvec)
-        cols.append(h.algebra.mul_vec(xf, hvec))
-    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
 
 
 class Representations:
@@ -332,65 +307,83 @@ def build_representations(h):
         lambda k, g: hit_left(dual, h.algebra.basis_element(k).coeffs, g),
         _outer(dual.algebra.unit, h.algebra.unit))
 
-    lam_cols = []
-    for i in range(d):
-        for j in range(d):
-            lam_cols.append(mat_to_end_vec(lambda_matrix(
-                h, h.algebra.basis_element(i).coeffs,
-                dual.algebra.basis_element(j).coeffs)))
-    lam = AlgebraMap.from_columns(ls, end, lam_cols)
+    ops = _basis_operators(h)
+    lam_ops, rho_ops = ops
+    lam = AlgebraMap.from_sparse(ls, end, [_end_vec(lam_ops[i][j])
+                                           for i in range(d) for j in range(d)])
     if not (lam.is_multiplicative() and lam.is_unital()):
         raise InternalCheckFailed("left operator representation is not an algebra map")
 
-    rho_cols = []
-    for j in range(d):
-        for i in range(d):
-            rho_cols.append(mat_to_end_vec(rho_matrix(
-                h, dual.algebra.basis_element(j).coeffs,
-                h.algebra.basis_element(i).coeffs)))
-    rho = AlgebraMap.from_columns(rs, end, rho_cols)
+    rho = AlgebraMap.from_sparse(rs, end, [_end_vec(rho_ops[j][i])
+                                           for j in range(d) for i in range(d)])
     if not rho.is_unital():
         raise InternalCheckFailed("right operator representation is not unital")
     if rho._multiplicativity_witness(anti=True) is not None:
         raise InternalCheckFailed("right operator representation is not an anti-map")
 
-    _verify_exchange_identity(h)
+    _verify_exchange_identity(h, ops)
     return Representations(h, end, lam, rho)
 
 
-def _verify_exchange_identity(h):
+# An operator on H is a list of d sparse columns: column x is the image of
+# b_x as ``{row: scalar}``.
+
+def _compose(a, b):
+    """The operator a∘b (b first)."""
+    return [_lincomb((c, a[r]) for r, c in col.items()) for col in b]
+
+
+def _op_sum(d, terms):
+    """Σ c·op over the (c, op) pairs of ``terms``."""
+    return [_lincomb((c, op[x]) for c, op in terms) for x in range(d)]
+
+
+def _end_vec(op):
+    """An operator as a sparse vector of End(H), entry (r, x) at r·d + x."""
+    d = len(op)
+    return {r * d + x: c for x, col in enumerate(op) for r, c in col.items()}
+
+
+def _basis_operators(h):
+    """``lam[i][j]`` = λ(b_i#p_j): x ↦ b_i(p_j ⇀ x), and ``rho[j][i]`` =
+    ρ(p_j#b_i): x ↦ (x ↼ p_j)b_i, as sparse operators."""
+    d, one = h.dim, h.algebra.field.one
+    mul = h.algebra._mul_sparse
+    left, right = _dual_hits(h), _dual_hits(h, right=True)
+    lam = [[[mul({i: one}, left[j][x]) for x in range(d)] for j in range(d)]
+           for i in range(d)]
+    rho = [[[mul(right[j][x], {i: one}) for x in range(d)] for i in range(d)]
+           for j in range(d)]
+    return lam, rho
+
+
+def _verify_exchange_identity(h, ops=None):
     """λ(h#f)ρ(g#1) = Σ ρ(g2#1)λ((h↼S(g1))#f) on every basis triple (a, b, c).
 
-    The d operators ρ(g#1) are built once, the d vectors h↼S(g_u) once per
-    h, and the d operators λ((h↼S(g_u))#f) and each term
-    ρ(g_w#1)λ((h↼S(g_u))#f) once per (h, f).
+    Runs on sparse operators (``ops`` = ``_basis_operators(h)``).  The d
+    operators ρ(g#1) are formed once, the d vectors h↼S(g_u) once per h,
+    and the d operators λ((h↼S(g_u))#f) and each term ρ(g_w#1)λ((h↼S(g_u))#f)
+    once per (h, f).
     """
-    field = h.algebra.field
     dual = h.dual()
     d = h.dim
-    unit_h = h.algebra.unit
-    dual_basis = [dual.algebra.basis_element(c).coeffs for c in range(d)]
-    rho_g = [rho_matrix(h, g, unit_h) for g in dual_basis]
+    lam, rho = ops or _basis_operators(h)
+    unit = _sparse_vec(h.algebra.unit)
+    rho_g = [_op_sum(d, [(u, rho[c][i]) for i, u in unit.items()]) for c in range(d)]
     s_g = [dual.antipode.column(u) for u in range(d)]
     for a in range(d):
         ha = h.algebra.basis_element(a).coeffs
-        twisted = [hit_right(h, ha, s) for s in s_g]
-        for b, fb in enumerate(dual_basis):
-            lam_ab = lambda_matrix(h, ha, fb)
-            lam_twisted = [lambda_matrix(h, t, fb) for t in twisted]
+        twisted = [_sparse_vec(hit_right(h, ha, s)) for s in s_g]
+        for b in range(d):
+            lam_twisted = [_op_sum(d, [(c, lam[t][b]) for t, c in tw.items()])
+                           for tw in twisted]
             terms = {}
             for c in range(d):
-                lhs = lam_ab @ rho_g[c]
-                acc = [[field.zero] * d for _ in range(d)]
-                for u, w, m in dual.comul[c]:
-                    term = terms.get((u, w))
-                    if term is None:
-                        term = terms[u, w] = rho_g[w] @ lam_twisted[u]
-                    for acc_row, row in zip(acc, term.entries):
-                        for s, x in enumerate(row):
-                            if x:
-                                acc_row[s] = acc_row[s] + m * x
-                rhs = Mat(field, acc)
+                lhs = _compose(lam[a][b], rho_g[c])
+                for u, w, _ in dual.comul[c]:
+                    if (u, w) not in terms:
+                        terms[u, w] = _compose(rho_g[w], lam_twisted[u])
+                rhs = _op_sum(d, [(m, terms[u, w]) for u, w, m in dual.comul[c]])
                 if lhs != rhs:
                     raise InternalCheckFailed(
                         f"exchange identity fails at basis ({a},{b},{c})")
@@ -410,16 +403,16 @@ class PartialHopfAction:
     def act(self, i, avec):
         return self.mats[i].apply(avec)
 
-    def act_combo(self, hvec, avec):
-        out = vzero(self.algebra.field, self.algebra.dim)
-        for i, c in enumerate(hvec):
-            if c:
-                out = vadd(out, vscale(c, self.mats[i].apply(avec)))
-        return out
+
+def _act_columns(pha):
+    """``acts[i][x]``: b_i ▷ a_x as ``{index: scalar}``, for the bases b_i
+    of H and a_x of A."""
+    return [[_sparse_vec(col) for col in m.columns()] for m in pha.mats]
 
 
 def make_partial_hopf_action(h, algebra, mats):
-    """Validate the three weakened action axioms on all basis tuples."""
+    """Validate the three weakened action axioms on all basis tuples, on
+    sparse vectors; each b_i ▷ a_x is formed once."""
     if len(mats) != h.dim:
         raise ValidationError("need one action matrix per Hopf basis element")
     for m in mats:
@@ -427,38 +420,37 @@ def make_partial_hopf_action(h, algebra, mats):
             raise ValidationError("action matrices must be square of the algebra dimension")
     pha = PartialHopfAction(h, algebra, mats)
     d, da = h.dim, algebra.dim
+    acts = _act_columns(pha)
+    mul = algebra._mul_sparse
 
+    # h ▷ (xy) = Σ (h1 ▷ x)(h2 ▷ y)
     for i in range(d):
         for x in range(da):
-            ex = algebra.basis_element(x).coeffs
             for y in range(da):
-                lhs = pha.act(i, algebra.basis_product(x, y))
-                rhs = vzero(algebra.field, da)
-                for k, l, v in h.comul[i]:
-                    rhs = vadd(rhs, vscale(v, algebra.mul_vec(
-                        pha.act(k, ex),
-                        pha.act(l, algebra.basis_element(y).coeffs))))
-                if lhs != tuple(rhs):
+                lhs = _lincomb((c, acts[i][t]) for t, c in algebra.products[x][y])
+                rhs = _lincomb((v, mul(acts[k][x], acts[l][y]))
+                               for k, l, v in h.comul[i])
+                if lhs != rhs:
                     raise Axiom1Fails(h.algebra.labels[i], algebra.labels[x],
                                       algebra.labels[y])
 
+    unit = _sparse_vec(h.algebra.unit)
+    one = algebra.field.one
     for x in range(da):
-        ex = algebra.basis_element(x).coeffs
-        if pha.act_combo(h.algebra.unit, ex) != ex:
+        if _lincomb((c, acts[i][x]) for i, c in unit.items()) != {x: one}:
             raise Axiom2Fails(f"on basis {algebra.labels[x]}")
 
+    # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x)
+    unit_acts = [_sparse_vec(pha.act(k, algebra.unit)) for k in range(d)]
     for i in range(d):
         for j in range(d):
             for x in range(da):
-                ex = algebra.basis_element(x).coeffs
-                lhs = pha.act(i, pha.act(j, ex))
-                rhs = vzero(algebra.field, da)
-                for k, l, v in h.comul[i]:
-                    lj = h.algebra.basis_product(l, j)
-                    rhs = vadd(rhs, vscale(v, algebra.mul_vec(
-                        pha.act(k, algebra.unit),
-                        pha.act_combo(lj, ex))))
-                if lhs != tuple(rhs):
+                lhs = _lincomb((c, acts[i][t]) for t, c in acts[j][x].items())
+                rhs = _lincomb(
+                    (v, mul(unit_acts[k], _lincomb(
+                        (c, acts[t][x]) for t, c in h.algebra.products[l][j])))
+                    for k, l, v in h.comul[i])
+                if lhs != rhs:
                     raise Axiom3Fails(h.algebra.labels[i], h.algebra.labels[j],
                                       algebra.labels[x])
     return pha
@@ -474,70 +466,43 @@ def lift_group_action(pa):
 def coaction_report(pha):
     """The induced map a ↦ sum of (b_i·a)⊗p_i and its three properties."""
     h, alg = pha.hopf, pha.algebra
-    field = alg.field
     dual = h.dual()
     d, da = h.dim, alg.dim
-    ahd = tensor_algebra(alg, dual.algebra)
+    one = alg.field.one
+    acts = _act_columns(pha)
 
-    cols = []
-    for x in range(da):
-        acc = vzero(field, ahd.dim)
-        ex = alg.basis_element(x).coeffs
-        for i in range(d):
-            acc = vadd(acc, ahd.tensor_vec(pha.act(i, ex),
-                                           dual.algebra.basis_element(i).coeffs))
-        cols.append(acc)
-    delta = Mat.from_columns(field, cols, rows=ahd.dim)
+    # δ(a_x) in A ⊗ H*, index a·d + i
+    cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
+            for x in range(da)]
+    mult_ok = AlgebraMap.from_sparse(
+        alg, tensor_algebra(alg, dual.algebra), cols).is_multiplicative()
 
-    mult_ok = AlgebraMap(alg, ahd, delta).is_multiplicative()
+    unit = _sparse_vec(h.algebra.unit)
+    counit_ok = all(_lincomb((c, acts[i][x]) for i, c in unit.items()) == {x: one}
+                    for x in range(da))
 
-    counit_ok = True
-    for x in range(da):
-        ex = alg.basis_element(x).coeffs
-        acc = vzero(field, da)
-        for i in range(d):
-            if h.algebra.unit[i]:
-                acc = vadd(acc, vscale(h.algebra.unit[i], pha.act(i, ex)))
-        if acc != ex:
-            counit_ok = False
-
-    # weakened coassociativity in A ⊗ H* ⊗ H*
+    # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
-    dd = d * d
 
     def expand_left(vec):
-        out = list(vzero(field, da * dd))
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            a, i = divmod(idx, d)
-            col = cols[a]
-            for idx2, c2 in enumerate(col):
-                if c2:
-                    a2, j = divmod(idx2, d)
-                    out[a2 * dd + j * d + i] = out[a2 * dd + j * d + i] + c * c2
-        return tuple(out)
+        # (δ ⊗ 1): a⊗p_i ↦ δ(a)⊗p_i
+        return _lincomb((c, {k * d + idx % d: c2 for k, c2 in cols[idx // d].items()})
+                        for idx, c in vec.items())
 
     def expand_right(vec):
-        out = list(vzero(field, da * dd))
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            a, i = divmod(idx, d)
-            for k, l, v in dual.comul[i]:
-                out[a * dd + k * d + l] = out[a * dd + k * d + l] + c * v
-        return tuple(out)
+        # (1 ⊗ Δ): a⊗p_i ↦ a⊗Δ(p_i)
+        acc = {}
+        for idx, c in vec.items():
+            base = (idx - idx % d) * d
+            for k, l, v in dual.comul[idx % d]:
+                key = base + k * d + l
+                acc[key] = acc.get(key, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
 
-    delta_unit = delta.apply(alg.unit)
-    left_factor = list(vzero(field, da * dd))
-    for idx, c in enumerate(delta_unit):
-        if not c:
-            continue
-        a, i = divmod(idx, d)
-        for j, u in enumerate(dual.algebra.unit):
-            if u:
-                left_factor[a * dd + i * d + j] = c * u
-    left_factor = tuple(left_factor)
+    # δ(1) ⊗ 1
+    delta_unit = _lincomb((c, cols[t]) for t, c in enumerate(alg.unit) if c)
+    left_factor = {idx * d + j: c * u for idx, c in delta_unit.items()
+                   for j, u in _sparse_vec(dual.algebra.unit).items()}
 
     weak_ok = True
     strict_ok = True
@@ -545,8 +510,7 @@ def coaction_report(pha):
     for x in range(da):
         lhs = expand_left(cols[x])
         spread = expand_right(cols[x])
-        rhs = tuple(t3.mul_vec(left_factor, spread))
-        if lhs != rhs:
+        if lhs != t3._mul_sparse(left_factor, spread):
             weak_ok = False
         if lhs != spread:
             strict_ok = False
@@ -577,56 +541,57 @@ class CornerMaps:
 def build_corner_maps(pha, reps=None):
     """phi(a) = sum of (b_i·a) ⊗ ρ(S^{-1}(p_i)#1) and psi(h#f) = 1⊗λ(h#f),
     with phi verified multiplicative and the exchange lemma
-    phi(1)psi(h#f)phi(a) = sum of phi(h1·a)psi(h2#f) verified exhaustively.
+    phi(1)psi(h#f)phi(a) = sum of phi(h1·a)psi(h2#f) verified exhaustively,
+    on sparse vectors of the target.
     """
     h, alg = pha.hopf, pha.algebra
-    field = alg.field
     dual = h.dual()
     if reps is None:
         reps = build_representations(h)
     d, da = h.dim, alg.dim
+    dd = d * d
     target = tensor_algebra(alg, reps.end)
+    acts = _act_columns(pha)
 
+    # ρ(S^{-1}(p_i)#1): x ↦ (x ↼ S^{-1}(p_i))·1, as a sparse vector of End(H)
+    mul_h = h.algebra._mul_sparse
+    unit_h = _sparse_vec(h.algebra.unit)
+    basis = h.algebra.basis_element
     rho_sinv = []
     for i in range(d):
-        rho_sinv.append(mat_to_end_vec(
-            rho_matrix(h, dual.antipode_inv.column(i), h.algebra.unit)))
+        s_inv = dual.antipode_inv.column(i)
+        rho_sinv.append(_end_vec([
+            mul_h(_sparse_vec(hit_right(h, basis(x).coeffs, s_inv)), unit_h)
+            for x in range(d)]))
 
-    phi_cols = []
-    for x in range(da):
-        acc = vzero(field, target.dim)
-        ex = alg.basis_element(x).coeffs
-        for i in range(d):
-            acc = vadd(acc, target.tensor_vec(pha.act(i, ex), rho_sinv[i]))
-        phi_cols.append(acc)
-    phi = AlgebraMap.from_columns(alg, target, phi_cols)
+    # φ(a_x) = Σ_i (b_i ▷ a_x) ⊗ ρ(S^{-1}(p_i)#1), index a·d² + e
+    phi_cols = [_lincomb((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
+                         for i in range(d) for a, c in acts[i][x].items())
+                for x in range(da)]
+    phi = AlgebraMap.from_sparse(alg, target, phi_cols)
     if not phi.is_multiplicative():
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")
 
-    psi_cols = []
-    for i in range(d):
-        for j in range(d):
-            psi_cols.append(target.tensor_vec(
-                alg.unit, reps.lambda_map.matrix.column(i * d + j)))
+    psi_cols = [target.tensor_vec(alg.unit, reps.lambda_map.matrix.column(ij))
+                for ij in range(dd)]
+    psi = [_sparse_vec(col) for col in psi_cols]
 
     corner_unit = phi.apply_vec(alg.unit)
     maps = CornerMaps(pha, reps, target, phi, psi_cols, corner_unit)
 
     # exchange lemma
+    mul = target._mul_sparse
+    unit = _sparse_vec(corner_unit)
     for a in range(da):
-        phi_a = phi_cols[a]
-        ea = alg.basis_element(a).coeffs
+        # φ(b_k·a) for every basis b_k of H
+        phi_ka = [_lincomb((c, phi_cols[t]) for t, c in acts[k][a].items())
+                  for k in range(d)]
         for i in range(d):
             for j in range(d):
-                psi_ij = psi_cols[i * d + j]
-                lhs = target.mul_vec(corner_unit,
-                                     target.mul_vec(psi_ij, phi_a))
-                rhs = vzero(field, target.dim)
-                for k, l, v in h.comul[i]:
-                    rhs = vadd(rhs, vscale(v, target.mul_vec(
-                        phi.apply_vec(pha.act(k, ea)),
-                        psi_cols[l * d + j])))
-                if tuple(lhs) != tuple(rhs):
+                lhs = mul(unit, mul(psi[i * d + j], phi_cols[a]))
+                rhs = _lincomb((v, mul(phi_ka[k], psi[l * d + j]))
+                               for k, l, v in h.comul[i])
+                if lhs != rhs:
                     raise InternalCheckFailed(
                         f"corner exchange lemma fails at (a={a}, h={i}, f={j})")
     return maps
@@ -653,14 +618,6 @@ def build_partial_smash(pha):
         alg.field, ambient.dim,
         [ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
     return PartialSmash(pha, ambient, sub, u0)
-
-
-def _dual_hits(h):
-    """``hits[m][i]``: p_m ⇀ b_i as ``{index: scalar}``, for the dual basis
-    p_m of H^* and the basis b_i of H."""
-    basis, dual_basis = h.algebra.basis_element, h.dual().algebra.basis_element
-    return [[_sparse_vec(hit_left(h, dual_basis(m).coeffs, basis(i).coeffs))
-             for i in range(h.dim)] for m in range(h.dim)]
 
 
 def _dual_act(hits_m, d, vec):
@@ -763,21 +720,13 @@ def _dual_module_check(ps, su, uv):
     acted = [[_dual_act(hits[m], d, u) for u in su] for m in range(d)]
 
     def unit_acts(a):
-        acc = {}
-        for m, c in enumerate(dual.algebra.unit):
-            if c:
-                for k, v in acted[m][a].items():
-                    acc[k] = acc.get(k, 0) + c * v
-        return {k: v for k, v in acc.items() if v} == su[a]
+        return _lincomb((c, acted[m][a])
+                        for m, c in enumerate(dual.algebra.unit) if c) == su[a]
 
     def module_law(m, a, b):
         # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
-        rhs = {}
-        get = rhs.get
-        for k, l, w in dual.comul[m]:
-            for key, v in mul(acted[k][a], acted[l][b]).items():
-                rhs[key] = get(key, 0) + w * v
-        return _dual_act(hits[m], d, uv[a][b]) == {k: v for k, v in rhs.items() if v}
+        rhs = _lincomb((w, mul(acted[k][a], acted[l][b])) for k, l, w in dual.comul[m])
+        return _dual_act(hits[m], d, uv[a][b]) == rhs
 
     unit = _sparse_vec(ps.unit_vec)
     one = alg.field.one
@@ -877,36 +826,32 @@ def operator_duality_report(pha, ps, maps=None):
     triple = _smash_algebra(ps.ambient, dual.algebra, dual.comul, dual_act, None)
     dim_c = triple.dim
 
-    phi_cols = []
-    for x in range(da):
-        for i in range(d):
-            for j in range(d):
-                phi_cols.append(tuple(target.mul_vec(
-                    maps.phi.matrix.column(x), maps.psi_columns[i * d + j])))
-    phi = AlgebraMap.from_columns(triple, target, phi_cols)
+    # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
+    mul = target._mul_sparse
+    phis = [_sparse_vec(col) for col in maps.phi.matrix.columns()]
+    psis = [_sparse_vec(col) for col in maps.psi_columns]
+    cols = [mul(phis[x], psi) for x in range(da) for psi in psis]
+    phi = AlgebraMap.from_sparse(triple, target, cols)
     pair = phi._multiplicativity_witness()
     mult_witnesses = [] if pair is None else [
         f"({triple.labels[pair[0]]}, {triple.labels[pair[1]]})"]
 
-    bold = phi.apply_vec(_outer(ps.unit_vec, dual.algebra.unit))
-    idem_ok = (tuple(bold) == tuple(maps.corner_unit)
-               and tuple(target.mul_vec(bold, bold)) == tuple(bold))
+    bold = _lincomb((c, cols[t]) for t, c in
+                    enumerate(_outer(ps.unit_vec, dual.algebra.unit)) if c)
+    idem_ok = bold == _sparse_vec(maps.corner_unit) and mul(bold, bold) == bold
 
-    corner = Subspace.from_vectors(
+    one = field.one
+    corner = Subspace.from_sparse(
         field, target.dim,
-        [target.mul_vec(bold, target.mul_vec(target.basis_element(b).coeffs, bold))
-         for b in range(target.dim)])
+        [mul(bold, mul({b: one}, bold)) for b in range(target.dim)])
     member_ok = True
     restricted = 0
     for s in ps.sub.basis:
+        s = _sparse_vec(s)
         for j in range(d):
-            gamma = [field.zero] * dim_c
-            for idx, c in enumerate(s):
-                if c:
-                    x, i = divmod(idx, d)
-                    gamma[(x * d + i) * d + j] = c
             restricted += 1
-            if not corner.contains_vector(phi.apply_vec(tuple(gamma))):
+            if not corner.contains_sparse(
+                    _lincomb((c, cols[idx * d + j]) for idx, c in s.items())):
                 member_ok = False
 
     return [
@@ -974,8 +919,8 @@ def hopf_lift_suite(pa, skew_ring):
 
     try:
         maps = build_corner_maps(pha, reps)
-        idem = tuple(maps.target.mul_vec(maps.corner_unit, maps.corner_unit)) \
-            == tuple(maps.corner_unit)
+        e = _sparse_vec(maps.corner_unit)
+        idem = maps.target._mul_sparse(e, e) == e
         results.append(check("hopf.corner_maps", True,
                              {"target_dim": maps.target.dim,
                               "corner_unit_idempotent": idem}))

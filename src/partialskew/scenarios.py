@@ -104,6 +104,17 @@ def _entry(spec, key, where):
     return spec[key]
 
 
+def _list_entry(spec, key, where, length=None):
+    """spec[key] as a JSON list, of ``length`` items when given, else
+    ParseError naming the entry."""
+    x = _entry(spec, key, where)
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        items = "" if length is None else f" of {length} items"
+        got = f"{len(x)} items" if isinstance(x, list) else repr(x)
+        raise ParseError(f"{where}.{key} must be a list{items}, got {got}")
+    return x
+
+
 def _positive_int(spec, key, where):
     """spec[key] as a JSON integer >= 1 (not a boolean), else ParseError."""
     x = _entry(spec, key, where)
@@ -120,12 +131,17 @@ def build_group(spec):
     if "symmetric" in spec:
         return symmetric(_positive_int(spec, "symmetric", "group"))
     if "direct_product" in spec:
-        parts = spec["direct_product"]
-        if len(parts) != 2:
-            raise ParseError("group direct_product takes exactly two factors")
+        parts = _list_entry(spec, "direct_product", "group", 2)
         return group_product(build_group(parts[0]), build_group(parts[1]))
     if "table" in spec:
-        return make_group(spec["table"], spec.get("labels"))
+        table = _list_entry(spec, "table", "group")
+        if not all(isinstance(row, list) for row in table):
+            raise ParseError("group.table must be a list of rows")
+        labels = _list_entry(spec, "labels", "group") if "labels" in spec else None
+        try:
+            return make_group(table, labels)
+        except ValueError as exc:
+            raise ParseError(f"group.table: {exc}") from None
     raise ParseError(f"unknown group spec {sorted(spec)!r}")
 
 
@@ -139,14 +155,12 @@ def build_algebra(field, spec):
         size = _positive_int(spec["matrix"], "size", "matrix")
         return matrix_algebra(field_algebra(field), size)
     if "direct_product" in spec:
-        parts = spec["direct_product"]
-        if len(parts) != 2:
-            raise ParseError("algebra direct_product takes exactly two factors")
+        parts = _list_entry(spec, "direct_product", "algebra", 2)
         return direct_product(build_algebra(field, parts[0]),
                               build_algebra(field, parts[1]))
     if "constants" in spec:
         products = _parse_cube(field, spec["constants"], "constants")
-        unit = _parse_vector(field, spec["unit"], len(products))
+        unit = _parse_vector(field, _entry(spec, "unit", "algebra"), len(products))
         return make_algebra(field, products, unit, labels=spec.get("labels"))
     raise ParseError(f"unknown algebra spec {sorted(spec)!r}")
 
@@ -163,17 +177,18 @@ def build_action(field, group, algebra, spec):
         raise ParseError("this action spec needs an explicit 'algebra' entry")
     if "restrict_global" in spec:
         data = spec["restrict_global"]
-        mats = data["automorphisms"]
-        if len(mats) != group.order:
-            raise ParseError("need one automorphism matrix per group element")
+        mats = _list_entry(data, "automorphisms", "restrict_global", group.order)
         parsed = [_parse_matrix(field, m, algebra.dim) for m in mats]
         parent = global_action(group, algebra, parsed)
-        e = algebra.element(_parse_vector(field, data["idempotent"], algebra.dim))
+        e = algebra.element(_parse_vector(
+            field, _entry(data, "idempotent", "restrict_global"), algebra.dim))
         return restrict_global(parent, e)
     if "explicit" in spec:
         data = spec["explicit"]
-        idems = [_parse_vector(field, v, algebra.dim) for v in data["idempotents"]]
-        betas = [_parse_matrix(field, m, algebra.dim) for m in data["beta"]]
+        idems = [_parse_vector(field, v, algebra.dim)
+                 for v in _list_entry(data, "idempotents", "explicit")]
+        betas = [_parse_matrix(field, m, algebra.dim)
+                 for m in _list_entry(data, "beta", "explicit")]
         return make_partial_action(group, algebra, idems, betas)
     raise ParseError(f"unknown action spec {sorted(spec)!r}")
 
@@ -231,6 +246,10 @@ class _ScenarioRun:
         return self._matrix
 
 
+# the entries an explicit ``hopf`` block must have, checked before any suite runs
+_HOPF_KEYS = ("constants", "unit", "comultiplication", "counit", "antipode")
+
+
 def _explicit_hopf_checks(field, spec):
     """Validate user-supplied Hopf structure constants and the operator layer."""
     try:
@@ -269,6 +288,13 @@ def run_scenario(source, suites=None, field_override=None):
     if isinstance(field_token, dict):
         field_token = f"fp:{field_token.get('prime')}"
     field = parse_field(field_token)
+
+    expect = doc.get("expect", {})
+    if not isinstance(expect, dict):
+        raise ParseError("expect must be an object of measured values")
+    if "hopf" in doc:
+        for key in _HOPF_KEYS:
+            _entry(doc["hopf"], key, "hopf")
 
     if "group" not in doc:
         raise ParseError("scenario is missing its 'group' entry")
@@ -341,7 +367,7 @@ def run_scenario(source, suites=None, field_override=None):
     if "hopf" in selected:
         timed(lambda: hopf_mod.hopf_lift_suite(action, run.skew))
 
-    if "hopf" in doc and isinstance(doc["hopf"], dict):
+    if "hopf" in doc:
         timed(lambda: _explicit_hopf_checks(field, doc["hopf"]))
 
     if "centers" in selected:
@@ -357,8 +383,8 @@ def run_scenario(source, suites=None, field_override=None):
                                       "matrix_center_dimension")}))
 
     suites_overridden = bool(suites)
-    for key in sorted(doc.get("expect", {})):
-        want = doc["expect"][key]
+    for key in sorted(expect):
+        want = expect[key]
         if key not in measured:
             if suites_overridden:
                 # the caller deliberately narrowed the run; expectations of

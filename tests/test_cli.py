@@ -158,6 +158,21 @@ def _split_doc(group, left=None, right=None, **extra):
 
 FIELD_ONE = {"product_of_fields": 1}
 
+# ℚ[Z₂] as an explicit Hopf block (see the README)
+HOPF_Z2 = {
+    "constants": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+    "unit": [1, 0],
+    "comultiplication": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    "counit": [1, 1],
+    "antipode": [[1, 0], [0, 1]],
+}
+
+
+def _on_field(action):
+    """A scenario with the trivial group acting on the field by ``action``."""
+    return {"name": "bad-input", "group": {"cyclic": 1}, "algebra": FIELD_ONE,
+            "action": action, "suites": ["lemma1"]}
+
 
 @pytest.mark.parametrize("doc, message", [
     (_split_doc({"cyclic": 2.5}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
@@ -172,6 +187,28 @@ FIELD_ONE = {"product_of_fields": 1}
     (_split_doc({"cyclic": 2}, None, FIELD_ONE), "'left'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, None), "'right'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites="duality"), "suites"),
+    *[(_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE,
+                  hopf={k: v for k, v in HOPF_Z2.items() if k != key}),
+       f"hopf is missing its {key!r} entry") for key in HOPF_Z2],
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf=[]), "hopf must be an object"),
+    (_on_field({"explicit": {"idempotents": [[1]]}}), "explicit is missing its 'beta'"),
+    (_on_field({"explicit": {"beta": [[[1]]]}}),
+     "explicit is missing its 'idempotents'"),
+    (_on_field({"restrict_global": {"automorphisms": [[[1]]]}}),
+     "restrict_global is missing its 'idempotent'"),
+    (_on_field({"restrict_global": {"automorphisms": 5, "idempotent": [1]}}),
+     "restrict_global.automorphisms must be a list"),
+    ({**_on_field({"explicit": {"idempotents": [[1]], "beta": [[[1]]]}}),
+      "algebra": {"constants": [[[1]]]}}, "algebra is missing its 'unit'"),
+    (_split_doc({"direct_product": 3}, FIELD_ONE, FIELD_ONE),
+     "group.direct_product must be a list of 2 items"),
+    (_split_doc({"cyclic": 2}, {"direct_product": 3}, FIELD_ONE),
+     "algebra.direct_product must be a list of 2 items"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, expect=["skew_dimension"]),
+     "expect must be an object"),
+    (_split_doc({"table": "abc"}, FIELD_ONE, FIELD_ONE), "group.table must be a list"),
+    (_split_doc({"table": [[0, 1], [1]]}, FIELD_ONE, FIELD_ONE),
+     "group.table: Cayley table is not square"),
 ])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
     assert main(["verify", _write(tmp_path, doc)]) == 2

@@ -5,20 +5,46 @@ import pytest
 from partialskew.algebras import StructureAlgebra, field_algebra, group_algebra
 from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
-from partialskew.fields import QQ
+from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (PartialHopfAction, PartialSmash, build_corner_maps,
+from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
+                              _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations,
                               coaction_report, group_hopf, hit_left, hit_right,
-                              hopf_lift_suite, lambda_matrix,
-                              lift_group_action, make_hopf,
+                              hopf_lift_suite, lift_group_action, make_hopf,
                               make_partial_hopf_action, operator_duality_report,
-                              partial_smash_report, rho_matrix,
-                              smash_matches_skew_report)
+                              partial_smash_report, smash_matches_skew_report)
 from partialskew.linalg import Mat, Subspace
 from partialskew.skew import build_skew
 
 from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
+
+
+# Dense oracle for the sparse operators of the Hopf layer: the operators
+# λ(h#f) and ρ(f#h) as dense matrices, built column by column from the hit
+# actions and the algebra's own dense product.
+
+def mat_to_end_vec(m):
+    """A matrix as a vector of End(H), entry (r, s) at r·d + s."""
+    return tuple(x for row in m.entries for x in row)
+
+
+def lambda_matrix(h, hvec, fvec):
+    """Operator x ↦ h(f ⇀ x)."""
+    cols = []
+    for x in range(h.dim):
+        fx = hit_left(h, fvec, h.algebra.basis_element(x).coeffs)
+        cols.append(h.algebra.mul_vec(hvec, fx))
+    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
+
+
+def rho_matrix(h, fvec, hvec):
+    """Operator x ↦ (x ↼ f)h."""
+    cols = []
+    for x in range(h.dim):
+        xf = hit_right(h, h.algebra.basis_element(x).coeffs, fvec)
+        cols.append(h.algebra.mul_vec(xf, hvec))
+    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
 
 
 def test_group_hopf_z2():
@@ -116,6 +142,63 @@ def test_exchange_identity_example():
             for s in range(2):
                 rows[r][s] = rows[r][s] + m * term.entries[r][s]
     assert Mat(QQ, rows) == lhs == acc
+
+
+def _first_exchange_failure(h):
+    """First basis triple (a, b, c) where λ(h#f)ρ(g#1) and
+    Σ ρ(g2#1)λ((h↼S(g1))#f) differ, from dense λ/ρ matrices, or None."""
+    field, d = h.algebra.field, h.dim
+    dual = h.dual()
+    unit = h.algebra.unit
+    basis = [h.algebra.basis_element(i).coeffs for i in range(d)]
+    dual_basis = [dual.algebra.basis_element(i).coeffs for i in range(d)]
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                lhs = (lambda_matrix(h, basis[a], dual_basis[b])
+                       @ rho_matrix(h, dual_basis[c], unit))
+                rhs = [[field.zero] * d for _ in range(d)]
+                for u, w, m in dual.comul[c]:
+                    twisted = hit_right(h, basis[a], dual.antipode.column(u))
+                    term = (rho_matrix(h, dual_basis[w], unit)
+                            @ lambda_matrix(h, twisted, dual_basis[b]))
+                    rhs = [[x + m * y for x, y in zip(row, trow)]
+                           for row, trow in zip(rhs, term.entries)]
+                if lhs != Mat(field, rhs):
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+@pytest.mark.parametrize("group, first", [(cyclic(3), (1, 0, 0)),
+                                          (symmetric(3), (3, 0, 0))],
+                         ids=["z3", "s3"])
+def test_exchange_identity_witness_matches_dense_oracle(field, group, first):
+    # an identity antipode on the dual (not validated) breaks the exchange
+    # identity; the sparse check must name the first failing triple of the
+    # dense operator products
+    h = group_hopf(field, group)
+    dual = h.dual()
+    ident = Mat.identity(field, h.dim)
+    h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident, primal=h)
+    assert _first_exchange_failure(h) == first
+    with pytest.raises(InternalCheckFailed) as info:
+        _verify_exchange_identity(h)
+    a, b, c = first
+    assert str(info.value) == f"exchange identity fails at basis ({a},{b},{c})"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
+def test_make_hopf_names_multiplicativity_witness(field):
+    # Δ(g) = g⊗e + e⊗g with ε = (1, 0) is coassociative and counital on
+    # k[Z2], but Δ(g)Δ(g) = 2(e⊗e + g⊗g) differs from Δ(g·g) = e⊗e
+    alg = group_algebra(field, cyclic(2))
+    one = field.one
+    comul = [[(0, 0, one)], [(1, 0, one), (0, 1, one)]]
+    with pytest.raises(HopfAxiomFails) as info:
+        make_hopf(alg, comul, [one, field.zero], Mat.identity(field, 2))
+    assert info.value.axiom == "coproduct multiplicative"
+    assert str(info.value).endswith("pair (g, g)")
 
 
 def test_partial_hopf_action_lift(s1_action):
