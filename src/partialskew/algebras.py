@@ -198,14 +198,9 @@ class AlgebraElement:
 
 
 def _raw_products(alg):
-    """The sparse product rows of alg with raw scalars (see ``fields``).
-
-    An integral rational becomes an ``int``, which is equal to it and
-    multiplies faster; most tables this package builds hold only integers.
-    """
+    """The sparse product rows of alg with raw scalars (see ``fields``)."""
     raw = alg.field.raw
-    return [[tuple((k, x.numerator if x.denominator == 1 else x)
-                   for (k, _), x in zip(cell, raw([v for _, v in cell])))
+    return [[tuple((k, x) for (k, _), x in zip(cell, raw([v for _, v in cell])))
              if cell else () for cell in row] for row in alg.products]
 
 

@@ -1,13 +1,20 @@
 """Exact base fields: arbitrary-precision rationals and prime fields.
 
-Rational scalars are plain ``fractions.Fraction`` values (already canonical,
-already a field).  Prime-field scalars are tiny wrapper objects around a
+A rational scalar is a plain ``int`` when it is integral and a
+``fractions.Fraction`` otherwise: ``zero``, ``one``, ``from_int``, ``parse``
+and ``lift`` give an ``int`` whenever the denominator is 1, so integral
+structure constants (Cayley tables, matrix units, idempotents) multiply as
+machine integers.  Sums and products of the two kinds stay exact (a
+``Fraction`` result may then be integral; it compares and hashes equal to
+the ``int``).  The one division of rational scalars, the pivot
+normalisation in ``linalg._echelon``, goes through ``Fraction``, so no
+``float`` can arise.  Prime-field scalars are tiny wrapper objects around a
 residue so they support the same operator set.  Every scalar is immutable
 and compares by value.
 
 Bulk kernels (elimination, associativity) skip the wrappers: ``raw`` turns
-field elements into raw scalars, which are the ``Fraction`` itself over
-the rationals and the plain ``int`` residue over F_p, and ``lift`` turns a
+field elements into raw scalars, which are the rational itself (``int`` or
+``Fraction``) and the plain ``int`` residue over F_p, and ``lift`` turns a
 raw scalar back.  ``characteristic`` (0 or p) tells a kernel which
 arithmetic to use.
 """
@@ -15,6 +22,7 @@ arithmetic to use.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .errors import ParseError
 
@@ -22,32 +30,26 @@ _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
 
 
 class RationalField:
-    """The field of rationals; elements are ``Fraction``."""
+    """The field of rationals; elements are ``int`` or ``Fraction``."""
 
     name = "Q"
     characteristic = 0
+    zero = 0
+    one = 1
 
     def raw(self, xs):
         return list(xs)
 
     def lift(self, x):
-        return x
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+        return _canonical(x)
 
     def from_int(self, n):
-        return Fraction(n)
+        return index(n)
 
     def parse(self, text):
         text = str(text).strip().translate(_MINUS_VARIANTS)
         try:
-            return Fraction(text)
+            return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -62,6 +64,13 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+def _canonical(x):
+    """A rational scalar as an ``int`` when it is integral."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class PrimeFieldElement:

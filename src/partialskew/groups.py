@@ -53,19 +53,22 @@ def make_group(table, labels=None):
 
     Checks closure, associativity on all triples, a two-sided identity and
     two-sided inverses; failures name the witnessing element or triple.
+    Entries must be integers (a boolean is refused), and labels must be
+    distinct as printed, so that every witness names one element.
     """
     n = len(table)
     if n == 0:
         raise NoIdentity()
     if labels is None:
         labels = [str(i) for i in range(n)]
-    if len(labels) != n:
-        raise ValueError("label count does not match table size")
+    check_labels(labels, n)
     for row in table:
         if len(row) != n:
             raise ValueError("Cayley table is not square")
         for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"table entry {x!r} is not an integer")
+            if not 0 <= x < n:
                 raise ValueError(f"table entry {x!r} out of range")
 
     identity = None
@@ -96,6 +99,17 @@ def make_group(table, labels=None):
         inverse_table.append(inv)
 
     return FiniteGroup(n, labels, table, identity, inverse_table)
+
+
+def check_labels(labels, n):
+    """ValueError unless there are n labels, distinct as printed."""
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} elements")
+    seen = set()
+    for label in map(str, labels):
+        if label in seen:
+            raise ValueError(f"label {label!r} is repeated")
+        seen.add(label)
 
 
 def cyclic(n):

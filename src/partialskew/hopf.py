@@ -474,12 +474,17 @@ def coaction_report(pha):
     # δ(a_x) in A ⊗ H*, index a·d + i
     cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
             for x in range(da)]
-    mult_ok = AlgebraMap.from_sparse(
-        alg, tensor_algebra(alg, dual.algebra), cols).is_multiplicative()
+    pair = AlgebraMap.from_sparse(
+        alg, tensor_algebra(alg, dual.algebra), cols)._multiplicativity_witness()
+    mult_witnesses = [] if pair is None else [
+        f"multiplicativity fails at ({alg.labels[pair[0]]}, {alg.labels[pair[1]]})"]
 
     unit = _sparse_vec(h.algebra.unit)
-    counit_ok = all(_lincomb((c, acts[i][x]) for i, c in unit.items()) == {x: one}
-                    for x in range(da))
+    counit_failure = next(
+        (x for x in range(da)
+         if _lincomb((c, acts[i][x]) for i, c in unit.items()) != {x: one}), None)
+    counit_witnesses = [] if counit_failure is None else [
+        f"counit fails on basis {alg.labels[counit_failure]}"]
 
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
@@ -519,8 +524,10 @@ def coaction_report(pha):
                     f"strict coassociativity fails on basis {alg.labels[x]}")
 
     return [
-        check("coaction.multiplicative", mult_ok, {"pairs": da * da}),
-        check("coaction.counit", counit_ok, {"basis": da}),
+        check("coaction.multiplicative", pair is None, {"pairs": da * da},
+              mult_witnesses),
+        check("coaction.counit", counit_failure is None, {"basis": da},
+              counit_witnesses),
         check("coaction.weak_coassociativity", weak_ok,
               {"strict_coassociativity": strict_ok}, strict_witness),
     ]
@@ -844,22 +851,25 @@ def operator_duality_report(pha, ps, maps=None):
     corner = Subspace.from_sparse(
         field, target.dim,
         [mul(bold, mul({b: one}, bold)) for b in range(target.dim)])
-    member_ok = True
-    restricted = 0
-    for s in ps.sub.basis:
-        s = _sparse_vec(s)
-        for j in range(d):
-            restricted += 1
-            if not corner.contains_sparse(
-                    _lincomb((c, cols[idx * d + j]) for idx, c in s.items())):
-                member_ok = False
+    # the first restricted generator s#p_j whose image leaves the corner
+    subs = [_sparse_vec(s) for s in ps.sub.basis]
+    outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)
+                    if not corner.contains_sparse(
+                        _lincomb((c, cols[idx * d + j]) for idx, c in s.items()))),
+                   None)
+    member_witnesses = []
+    if outside is not None:
+        a, j = outside
+        vec = ps.ambient.format_vec(ps.sub.basis[a])
+        member_witnesses.append(
+            f"corner membership fails at ({vec}, {dual.algebra.labels[j]})")
 
     return [
         check("opduality.multiplicative", pair is None, {"dim": dim_c},
               mult_witnesses),
         check("opduality.idempotent", idem_ok, {"corner_dim": corner.dim}),
-        check("opduality.corner_membership", member_ok,
-              {"restricted_basis": restricted}),
+        check("opduality.corner_membership", outside is None,
+              {"restricted_basis": len(subs) * d}, member_witnesses),
     ]
 
 

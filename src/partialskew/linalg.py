@@ -8,7 +8,9 @@ stored bases are identical.
 
 All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
 ``{column: scalar}`` dicts of raw scalars (see :mod:`fields`): plain ``int``
-residues over F_p, ``Fraction`` over the rationals.  Field elements are
+residues over F_p; over the rationals an ``int`` or a ``Fraction``, and the
+pivot normalisation divides through ``Fraction``, so a division of two
+``int`` never yields a ``float``.  Field elements are
 converted only on the way in and out, so a large, sparse system such as the
 balancing relations of a tensor quotient costs time and memory in proportion
 to its nonzero entries.  ``Mat`` stays dense; ``rref`` keeps its dense
@@ -17,7 +19,10 @@ interface on top of the kernel.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import FieldMismatch
+from .fields import _canonical
 
 
 def vzero(field, n):
@@ -60,9 +65,12 @@ def _echelon(rows, p):
     """Canonical reduced row echelon form of sparse rows.
 
     Each row is a ``{column: scalar}`` dict of nonzero raw scalars: int
-    residues mod ``p``, or ``Fraction`` when ``p`` is 0.  The input rows are
-    not modified.  Returns ``{pivot: row}`` in pivot order; each row has a 1
-    at its pivot, which is its smallest column, and 0 at every other pivot.
+    residues mod ``p``, or ``int``/``Fraction`` rationals when ``p`` is 0.
+    Over the rationals a pivot row is divided by its lead through
+    ``Fraction`` and its integral entries are stored as ``int``.  The input
+    rows are not modified.  Returns ``{pivot: row}`` in pivot order; each
+    row has a 1 at its pivot, which is its smallest column, and 0 at every
+    other pivot.
 
     The pivot rows are kept fully reduced after every input row
     (Gauss-Jordan), so reducing the next row is one pass over its pivot
@@ -82,7 +90,7 @@ def _echelon(rows, p):
                 inv = pow(lead, -1, p)
                 row = {k: v * inv % p for k, v in row.items()}
             else:
-                row = {k: v / lead for k, v in row.items()}
+                row = {k: _canonical(Fraction(v, lead)) for k, v in row.items()}
         for prow in pivots.values():
             f = prow.get(c)
             if f is not None:

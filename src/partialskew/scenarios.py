@@ -24,7 +24,8 @@ from .duality import (build_duality, corner_report, decomposition_report,
                       skew_injectivity_report)
 from .errors import ParseError, ValidationError
 from .fields import parse_field
-from .groups import cyclic, direct_product as group_product, make_group, symmetric
+from .groups import (check_labels, cyclic, direct_product as group_product,
+                     make_group, symmetric)
 from .linalg import Mat
 from .report import SKIPPED, CheckResult, Report, check
 from .skew import build_skew, grading_report, strong_grading_test
@@ -137,7 +138,13 @@ def build_group(spec):
         table = _list_entry(spec, "table", "group")
         if not all(isinstance(row, list) for row in table):
             raise ParseError("group.table must be a list of rows")
-        labels = _list_entry(spec, "labels", "group") if "labels" in spec else None
+        labels = None
+        if "labels" in spec:
+            labels = _list_entry(spec, "labels", "group")
+            try:
+                check_labels(labels, len(table))
+            except ValueError as exc:
+                raise ParseError(f"group.labels: {exc}") from None
         try:
             return make_group(table, labels)
         except ValueError as exc:

@@ -209,6 +209,12 @@ def _on_field(action):
     (_split_doc({"table": "abc"}, FIELD_ONE, FIELD_ONE), "group.table must be a list"),
     (_split_doc({"table": [[0, 1], [1]]}, FIELD_ONE, FIELD_ONE),
      "group.table: Cayley table is not square"),
+    (_split_doc({"table": [[0, True], [True, 0]]}, FIELD_ONE, FIELD_ONE),
+     "group.table: table entry True is not an integer"),
+    (_split_doc({"table": [[0, 1], [1, 0]], "labels": ["a", "a"]}, FIELD_ONE, FIELD_ONE),
+     "group.labels: label 'a' is repeated"),
+    (_split_doc({"table": [[0, 1], [1, 0]], "labels": ["e"]}, FIELD_ONE, FIELD_ONE),
+     "group.labels: 1 labels for 2 elements"),
 ])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
     assert main(["verify", _write(tmp_path, doc)]) == 2

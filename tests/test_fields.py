@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from partialskew.errors import ParseError
+from partialskew.algebras import direct_product, product_of_fields, tensor_algebra
+from partialskew.errors import FieldMismatch, ParseError
 from partialskew.fields import GF, QQ, _is_prime, parse_field
+from partialskew.linalg import Mat
 
 nonzero_rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50).filter(bool)
@@ -65,6 +67,36 @@ def test_prime_field_parse_and_validation():
 def test_fields_mix_rejected():
     with pytest.raises(TypeError):
         GF(5).one + GF(7).one
+
+
+def test_integral_rationals_are_ints():
+    for x in (QQ.parse("4/2"), QQ.parse("-6/3"), QQ.lift(Fraction(3)),
+              QQ.from_int(3), QQ.zero, QQ.one):
+        assert type(x) is int
+    assert QQ.parse("4/2") == 2 and QQ.lift(Fraction(3)) == 3
+    assert QQ.parse("1/2") == Fraction(1, 2) and type(QQ.parse("1/2")) is Fraction
+    assert QQ.lift(Fraction(-1, 3)) == Fraction(-1, 3)
+    xs = [1, Fraction(1, 2)]
+    assert QQ.raw(xs) == xs
+
+
+def test_field_mix_caught_by_structural_guards():
+    # a ℚ scalar may be a plain int, and F_p elements absorb ints, so
+    # 3 * GF(5)(2) is silently an F_5 element; the structures themselves
+    # must still refuse to mix fields
+    assert 3 * GF(5).from_int(2) == GF(5).from_int(1)
+    q2 = Mat(QQ, [[1, 2], [3, 4]])
+    f2 = Mat(GF(5), [[GF(5).from_int(x) for x in row] for row in [[1, 2], [3, 4]]])
+    with pytest.raises(FieldMismatch):
+        q2 @ f2
+    with pytest.raises(FieldMismatch):
+        f2 @ q2
+    kq, kf = product_of_fields(QQ, 1), product_of_fields(GF(5), 1)
+    for build in (tensor_algebra, direct_product):
+        with pytest.raises(FieldMismatch):
+            build(kq, kf)
+        with pytest.raises(FieldMismatch):
+            build(kf, kq)
 
 
 def test_field_tokens():

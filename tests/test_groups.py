@@ -78,6 +78,19 @@ def test_validation_errors():
         make_group([[0, 1], [1, 2]])
 
 
+def test_boolean_entries_and_repeated_labels_refused():
+    # True == 1, so a boolean table would otherwise validate as Z/2
+    with pytest.raises(ValueError, match="not an integer"):
+        make_group([[0, True], [True, 0]])
+    # labels name witnesses, so two elements may not print alike
+    with pytest.raises(ValueError, match="repeated"):
+        make_group([[0, 1], [1, 0]], ["a", "a"])
+    with pytest.raises(ValueError, match="repeated"):
+        make_group([[0, 1], [1, 0]], [1, "1"])
+    with pytest.raises(ValueError, match="1 labels for 2 elements"):
+        make_group([[0, 1], [1, 0]], ["e"])
+
+
 def test_no_inverse_error():
     # associative monoid with absorbing element, not a group
     table = [[0, 1], [1, 1]]

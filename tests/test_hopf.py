@@ -407,3 +407,44 @@ def test_dual_module_algebra_names_module_law_triple(s1_action):
     assert check.measured["module_law"] is False
     assert check.witnesses[0] == "module_law fails at (p_e, (1)*l_e0#e, (1)*l_e0#e)"
     assert check.witnesses[1:] == ["closed_form fails at (p_e, l_e0#e)"]
+
+
+def test_coaction_names_multiplicativity_witness(s1_action):
+    # g doubles r_e0 only, so δ(r_e0) = r_e0⊗p_e + 2·r_e0⊗p_g squares to
+    # r_e0⊗p_e + 4·r_e0⊗p_g; the unit e still acts as the identity
+    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
+                            [Mat.identity(QQ, 2), qmat([[1, 0], [0, 2]])])
+    results = {c.name: c for c in coaction_report(pha)}
+    mult = results["coaction.multiplicative"]
+    assert mult.status == "fail"
+    assert mult.witnesses == ["multiplicativity fails at (r_e0, r_e0)"]
+    assert results["coaction.counit"].status == "pass"
+
+
+def test_coaction_names_counit_witness(s1_action):
+    # the unit e acts as the projection onto l_e0, so 1 ▷ r_e0 = 0; δ stays
+    # multiplicative because both action matrices are algebra maps
+    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
+                            [qmat([[1, 0], [0, 0]]), Mat.identity(QQ, 2)])
+    results = {c.name: c for c in coaction_report(pha)}
+    counit = results["coaction.counit"]
+    assert counit.status == "fail"
+    assert counit.witnesses == ["counit fails on basis r_e0"]
+    assert results["coaction.multiplicative"].status == "pass"
+
+
+def test_operator_duality_names_corner_membership_witness(s1_action):
+    # restricting to the whole of A⊗H instead of its unital corner lets
+    # r_e0#g in, whose image under p_g leaves the corner; the first three
+    # basis vectors are the corner's own and stay inside
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    amb = ps.ambient
+    whole = PartialSmash(pha, amb, Subspace.full(QQ, amb.dim), ps.unit_vec)
+    results = {c.name: c for c in operator_duality_report(pha, whole)}
+    member = results["opduality.corner_membership"]
+    assert member.status == "fail"
+    assert member.measured["restricted_basis"] == 8
+    assert member.witnesses == ["corner membership fails at ((1)*r_e0#g, p_g)"]
+    assert results["opduality.multiplicative"].status == "pass"
+    assert results["opduality.idempotent"].status == "pass"

@@ -159,3 +159,68 @@ def test_subspace_dimension_mismatch_rejected():
     v = Subspace.full(QQ, 3)
     with pytest.raises(ValueError):
         u.intersect(v)
+
+
+# ℚ scalars are ``int`` unless they need a denominator (see ``fields``); the
+# one division, the pivot normalisation of ``_echelon``, must stay exact.
+
+def _canonical_rational(x):
+    """An exact rational in canonical form: an int, or a non-integral
+    Fraction; never a float or a bool."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _square_matrices():
+    return st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def test_rref_fractional_pivot_row():
+    rows, pivots = rref([[2, 1]], QQ)
+    assert pivots == [0]
+    assert rows == [(1, Fraction(1, 2))]
+    assert [type(x) for x in rows[0]] == [int, Fraction]
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=integer_matrices(), data=st.data())
+def test_plain_int_rationals_stay_exact(entries, data):
+    # the input entries are plain ints, as QQ.parse and QQ.from_int give them
+    m = Mat(QQ, entries)
+    sm = sympy.Matrix(entries)
+
+    rows, pivots = rref(entries, QQ)
+    expected, sym_pivots = sm.rref()
+    assert pivots == list(sym_pivots)
+    assert rows == [tuple(_from_sympy(x) for x in expected.row(r))
+                    for r in range(len(pivots))]
+    assert all(_canonical_rational(x) for row in rows for x in row)
+
+    kernel = kernel_basis(m)
+    assert kernel == Subspace.from_vectors(
+        QQ, m.cols, [tuple(_from_sympy(x) for x in v) for v in sm.nullspace()])
+    assert all(_canonical_rational(x) for v in kernel.basis for x in v)
+
+    b = data.draw(st.lists(small_entries, min_size=m.rows, max_size=m.rows))
+    x = solve(m, b)
+    if sm.rank() != sm.row_join(sympy.Matrix(b)).rank():
+        assert x is None
+    else:
+        sol, params = sm.gauss_jordan_solve(sympy.Matrix(b))
+        particular = sol.subs({t: 0 for t in params})
+        assert x == tuple(_from_sympy(v) for v in particular)
+        assert all(_canonical_rational(v) for v in x)
+
+    square = data.draw(_square_matrices())
+    inv = Mat(QQ, square).inverse()
+    ssq = sympy.Matrix(square)
+    if ssq.det() == 0:
+        assert inv is None
+    else:
+        assert inv.entries == tuple(tuple(_from_sympy(v) for v in ssq.inv().row(r))
+                                    for r in range(len(square)))
+        assert all(_canonical_rational(v) for row in inv.entries for v in row)

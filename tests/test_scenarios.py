@@ -1,8 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
+from partialskew.algebras import center_basis
+from partialskew.duality import build_duality
 from partialskew.errors import ParseError
 from partialskew.fields import GF, QQ
-from partialskew.scenarios import build_algebra, build_group, run_scenario
+from partialskew.scenarios import (build_action, build_algebra, build_group,
+                                   bundled_fixtures, fixture_path,
+                                   load_scenario, run_scenario)
+from partialskew.skew import build_skew
+from partialskew.smash import build_smash
 
 
 def test_group_spec_dispatch():
@@ -67,3 +75,30 @@ def test_scenario_field_object_form():
         "suites": ["lemma1"],
     })
     assert report.passed()
+
+
+S3_SPLIT = {"name": "s3_split", "group": {"symmetric": 3},
+            "action": {"trivial_split": {"left": {"product_of_fields": 1},
+                                         "right": {"product_of_fields": 1}}}}
+
+
+@pytest.mark.parametrize("name", [*bundled_fixtures(), "s3_split"])
+def test_rational_scalars_are_int_or_fraction(name):
+    # over ℚ every scalar the pipeline stores is an int or a Fraction: the
+    # structure constants and units of the algebra, the twisted ring, the
+    # smash and the matrix target, and the bases of their subspaces
+    doc = S3_SPLIT if name == "s3_split" else load_scenario(fixture_path(name))
+    group = build_group(doc["group"])
+    algebra = build_algebra(QQ, doc["algebra"]) if "algebra" in doc else None
+    action = build_action(QQ, group, algebra, doc["action"])
+    skew = build_skew(action)
+    d = build_duality(build_smash(skew))
+    algebras = [action.algebra, skew.algebra, d.smash.algebra, d.mat]
+    subspaces = [*action.ideals, *skew.components, d.kernel, d.image, d.ideal,
+                 *(center_basis(a) for a in algebras)]
+    scalars = [v for a in algebras for row in a.products for cell in row
+               for _, v in cell]
+    scalars += [x for a in algebras for x in a.unit]
+    scalars += [x for sp in subspaces for v in sp.basis for x in v]
+    assert scalars
+    assert {type(x) for x in scalars} <= {int, Fraction}
