@@ -13,12 +13,14 @@ promises about this map is re-proved here per instance, by linear algebra:
   * the smash product splits as (kernel) × (complementary ideal), with the
     map restricting to a bijection from the ideal onto the corner;
   * the canonical separating element of B⊗B over the embedded twisted
-    group ring centralizes it and multiplies to the unit.
+    group ring R centralizes it and multiplies to the unit, compared in
+    B⊗_R B ≅ B^{|G|}, since B is (verifiably) free over R on {1#p_h}.
 """
 
 from __future__ import annotations
 
-from .algebras import AlgebraMap, _raw_products, _sparse_vec, matrix_algebra
+from .algebras import (AlgebraMap, _lincomb, _raw_products, _sparse_vec,
+                       matrix_algebra)
 from .errors import InternalCheckFailed
 from .linalg import Mat, Subspace, image_basis, vadd, vzero
 from .report import check
@@ -364,90 +366,86 @@ def skew_injectivity_report(d):
     ]
 
 
-class TensorOverSubring:
-    """B⊗B modulo the balancing relations over an embedded subring.
+def _embedded_basis(smash):
+    """ι(b_j) for every basis vector b_j of the twisted ring R, sparse."""
+    return [_sparse_vec(col) for col in smash.embed_skew().matrix.columns()]
 
-    Equality in the quotient is decided by membership of the difference in
-    the relation subspace, which is spanned by xb⊗y - x⊗by over basis x, y
-    of B and a basis b of the subring's image.
-    """
 
-    def __init__(self, algebra, subring_vectors):
-        self.algebra = algebra
-        dim = algebra.dim
-        self.ambient = dim * dim
-        gens = []
-        for b in subring_vectors:
-            by = [[(m, c) for m, c in enumerate(algebra._vec_times_basis(b, y)) if c]
-                  for y in range(dim)]
-            for x in range(dim):
-                xb = [(m, c) for m, c in enumerate(algebra._basis_times_vec(x, b)) if c]
-                for y in range(dim):
-                    gen = {m * dim + y: c for m, c in xb}
-                    for m, c in by[y]:
-                        key = x * dim + m
-                        gen[key] = gen[key] - c if key in gen else -c
-                    gens.append(gen)
-        self.relations = Subspace.from_sparse(algebra.field, self.ambient, gens)
+def _dual_units(smash):
+    """1#p_h for every h, sparse."""
+    unit = _sparse_vec(smash.skew.algebra.unit)
+    return [{smash.index(j, h): c for j, c in unit.items()}
+            for h in range(smash.group.order)]
 
-    def tensor(self, pairs):
-        """The sum of x⊗y over the (x, y) pairs, as a vector of B⊗B."""
-        dim = self.algebra.dim
-        out = [self.algebra.field.zero] * self.ambient
-        for x, y in pairs:
-            y_nz = [(j, b) for j, b in enumerate(y) if b]
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in y_nz:
-                        out[i * dim + j] = out[i * dim + j] + a * b
-        return tuple(out)
 
-    def equal_mod_relations(self, u, v):
-        diff = tuple(a - b for a, b in zip(u, v))
-        return self.relations.contains_vector(diff)
+def _verify_free_over_twisted_ring(smash):
+    """ι(b_j)·(1#p_h) = b_j#p_h for every j and h: B is a free left R-module
+    on {1#p_h}, so B⊗_R B ≅ B^{|G|}."""
+    B = smash.algebra
+    units = _dual_units(smash)
+    for j, a in enumerate(_embedded_basis(smash)):
+        for h, u in enumerate(units):
+            if B._mul_sparse(a, u) != {smash.index(j, h): B.field.one}:
+                raise InternalCheckFailed(
+                    f"smash is not free over the twisted ring at "
+                    f"({smash.skew.algebra.labels[j]}, p_{smash.group.label(h)})")
+
+
+def _tensor_image(smash, element):
+    """Φ(Σ x⊗y) = (Σ x·ι(y_h))_h in B^{|G|}, for the element given as (x, y)
+    pairs of sparse vectors of B, where y = Σ_h ι(y_h)·(1#p_h)."""
+    B = smash.algebra
+    n = smash.group.order
+    iota = _embedded_basis(smash)
+    slots = [[] for _ in range(n)]
+    for x, y in element:
+        blocks = [[] for _ in range(n)]
+        for idx, c in y.items():
+            j, h = smash.parts(idx)
+            blocks[h].append((c, iota[j]))
+        for h, terms in enumerate(blocks):
+            if terms:
+                slots[h].append((B.field.one, B._mul_sparse(x, _lincomb(terms))))
+    return [_lincomb(terms) for terms in slots]
+
+
+def _centrality_witness(smash, element):
+    """First (label of a basis vector a of R, dual index label), a-major,
+    where Φ(f·ι(a)) and Φ(ι(a)·f) differ for the tensor element f; None
+    when f centralizes the embedded twisted ring."""
+    mul = smash.algebra._mul_sparse
+    for j, a in enumerate(_embedded_basis(smash)):
+        fa = _tensor_image(smash, [(x, mul(y, a)) for x, y in element])
+        af = _tensor_image(smash, [(mul(a, x), y) for x, y in element])
+        for h in range(smash.group.order):
+            if fa[h] != af[h]:
+                return smash.skew.algebra.labels[j], smash.group.label(h)
+    return None
+
+
+def _separability_checks(smash, element):
+    """Separability checks of a tensor element, naming first witnesses."""
+    B = smash.algebra
+    field = B.field
+    central = _centrality_witness(smash, element)
+    mu = _lincomb((field.one, B._mul_sparse(x, y)) for x, y in element)
+    split = next((B.labels[k] for k, c in enumerate(B.unit)
+                  if mu.get(k, field.zero) != c), None)
+    return [
+        check("separability.centralizes", central is None,
+              {"ambient_dim": B.dim * B.dim,
+               "relation_dim": B.dim * B.dim - smash.group.order * B.dim},
+              [] if central is None else
+              [f"f*a != a*f for a = {central[0]} in component p_{central[1]}"]),
+        check("separability.splits_multiplication", split is None, {},
+              [] if split is None else [f"mu(f) differs from the unit at {split}"]),
+        check("separability.element_nonzero",
+              any(_tensor_image(smash, element)), {"tensor_terms": len(element)}),
+    ]
 
 
 def separability_report(smash):
-    """The canonical element sum of (unit#p_g)⊗(unit#p_g) centralizes the
-    embedded twisted group ring and multiplies to the unit."""
-    B = smash.algebra
-    grp = smash.group
-    field = B.field
-    n = grp.order
-
-    embed = smash.embed_skew()
-    sub_vectors = embed.matrix.columns()
-    tensor = TensorOverSubring(B, sub_vectors)
-
-    unit_slices = []
-    skew_unit = smash.skew.algebra.unit
-    for g in range(n):
-        u = [field.zero] * B.dim
-        for j, c in enumerate(skew_unit):
-            if c:
-                u[smash.index(j, g)] = c
-        unit_slices.append(tuple(u))
-
-    f = tensor.tensor((u, u) for u in unit_slices)
-
-    central = True
-    for a in sub_vectors:
-        fa = tensor.tensor((u, B.mul_vec(u, a)) for u in unit_slices)
-        af = tensor.tensor((B.mul_vec(a, u), u) for u in unit_slices)
-        if not tensor.equal_mod_relations(fa, af):
-            central = False
-            break
-
-    mu = tuple(vzero(field, B.dim))
-    for u in unit_slices:
-        mu = vadd(mu, B.mul_vec(u, u))
-    splits = mu == B.unit
-
-    return [
-        check("separability.centralizes", central,
-              {"ambient_dim": tensor.ambient,
-               "relation_dim": tensor.relations.dim}),
-        check("separability.splits_multiplication", splits, {}),
-        check("separability.element_nonzero", any(f),
-              {"tensor_terms": n}),
-    ]
+    """Σ_h (1#p_h)⊗(1#p_h) ∈ B⊗_R B centralizes R and multiplies to 1; the
+    balancing relations of B⊗B, reported by dimension, are ker Φ."""
+    _verify_free_over_twisted_ring(smash)
+    return _separability_checks(smash, [(u, u) for u in _dual_units(smash)])

@@ -10,11 +10,12 @@ All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
 ``{column: scalar}`` dicts of raw scalars (see :mod:`fields`): plain ``int``
 residues over F_p; over the rationals an ``int`` or a ``Fraction``, and the
 pivot normalisation divides through ``Fraction``, so a division of two
-``int`` never yields a ``float``.  Field elements are
-converted only on the way in and out, so a large, sparse system such as the
-balancing relations of a tensor quotient costs time and memory in proportion
-to its nonzero entries.  ``Mat`` stays dense; ``rref`` keeps its dense
-interface on top of the kernel.
+``int`` never yields a ``float``.  Field elements are converted only on the
+way in and out, so a large, sparse system such as the commutator equations of
+``algebras.center_basis`` costs time and memory in proportion to its nonzero
+entries.  (Separability needs none: the smash is free over the twisted ring,
+see :mod:`duality`.)  ``Mat`` stays dense; ``rref`` keeps its dense interface
+on top of the kernel.
 """
 
 from __future__ import annotations

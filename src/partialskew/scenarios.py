@@ -37,7 +37,7 @@ SUITE_DESCRIPTIONS = {
     "lemma1": "evaluation identities of the dot calculus, exhaustively on the basis",
     "grading": "graded structure of the twisted group ring; strong iff global",
     "duality": "matrix map: kernel/image formulas, corner splitting, embeddings",
-    "separability": "canonical separating element in the tensor quotient",
+    "separability": "separating element; the smash is free over the twisted ring: check in |G| copies",
     "hopf": "group-algebra lift: Hopf axioms, coaction, partial smash, operator duality",
     "centers": "center dimensions of the algebra, twisted ring, smash and matrix target",
 }

@@ -21,8 +21,18 @@ FIELDS = ("q", "fp:5", "fp:2")
 
 # The bundled corpus is all cyclic; index conventions only differ over a
 # non-abelian group, so the S₃ trivial split (smash 42, matrix 72, the Hopf
-# lift at dim 6) is pinned too.  Same document as perfbench/scenarios/s3_split.json.
+# lift at dim 6) is pinned too.  Same documents as perfbench/scenarios/s3_split.json
+# and perfbench/scenarios/s3_separability.json (separability at smash 42).
 INLINE = {
+    "s3_separability": {
+        "name": "s3_separability",
+        "field": "fp:5",
+        "group": {"symmetric": 3},
+        "action": {"trivial_split": {"left": {"product_of_fields": 1},
+                                     "right": {"product_of_fields": 1}}},
+        "suites": ["separability"],
+        "expect": {"skew_dimension": 7, "smash_dimension": 42},
+    },
     "s3_split": {
         "name": "s3_split",
         "field": "q",
