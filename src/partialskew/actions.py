@@ -51,7 +51,7 @@ class PartialAction:
     def complement_ideal(self, g):
         """The ideal A·(1 - 1_g)."""
         alg = self.algebra
-        comp = vsub(alg.unit, self.idempotents[g])
+        comp = vsub(alg.field, alg.unit, self.idempotents[g])
         return Subspace.from_vectors(
             alg.field, alg.dim,
             [alg._vec_times_basis(comp, i) for i in range(alg.dim)])
@@ -113,7 +113,7 @@ def make_partial_action(group, algebra, idempotents, maps):
 def _check_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
     ginv = group.inv(g)
     source, target = ideals[ginv], ideals[g]
-    comp = vsub(algebra.unit, idempotents[ginv])
+    comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
     for i in range(algebra.dim):
         off = algebra._vec_times_basis(comp, i)
         if any(maps[g].apply(off)):

@@ -10,6 +10,11 @@ before handing the algebra out; derived constructions (matrix algebras,
 tensor products, direct products) are built from validated parts and
 verified through their own characteristic identities.  Maps between
 algebras are checked multiplicative by comparing sparse products.
+
+Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
+``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
+accept any ``int`` representative over F_p and return canonical scalars,
+reducing once per output coefficient.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails)
 from .linalg import (Mat, Subspace, image_basis, kernel_basis, vadd, vscale,
-                     vzero)
+                     vsub, vzero)
 
 
 class StructureAlgebra:
@@ -41,7 +46,7 @@ class StructureAlgebra:
     # -- elements -------------------------------------------------------
 
     def element(self, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = self.field.vector(coeffs)
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
         return AlgebraElement(self, coeffs)
@@ -59,7 +64,7 @@ class StructureAlgebra:
             raise ValueError("algebra has no unit")
         return AlgebraElement(self, self.unit)
 
-    # -- multiplication on raw coefficient tuples ------------------------
+    # -- multiplication on coefficient tuples -----------------------------
 
     def basis_product(self, i, j):
         """Coefficient vector of b_i·b_j."""
@@ -69,19 +74,18 @@ class StructureAlgebra:
         return tuple(out)
 
     def mul_vec(self, x, y):
-        out = list(vzero(self.field, self.dim))
+        out = [0] * self.dim
         products = self.products
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
             row = products[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            for j, yj in ys:
                 c = xi * yj
                 for k, v in row[j]:
-                    out[k] = out[k] + c * v
-        return tuple(out)
+                    out[k] += c * v
+        return self.field.vector(out)
 
     def _mul_sparse(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
@@ -94,27 +98,27 @@ class StructureAlgebra:
                 c = xi * yj
                 for k, v in row[j]:
                     acc[k] = get(k, 0) + c * v
-        return {k: v for k, v in acc.items() if v}
+        return self.field.sparse(acc)
 
     def _basis_times_vec(self, i, y):
-        out = list(vzero(self.field, self.dim))
+        out = [0] * self.dim
         row = self.products[i]
         for j, yj in enumerate(y):
             if not yj:
                 continue
             for k, v in row[j]:
-                out[k] = out[k] + yj * v
-        return tuple(out)
+                out[k] += yj * v
+        return self.field.vector(out)
 
     def _vec_times_basis(self, x, j):
-        out = list(vzero(self.field, self.dim))
+        out = [0] * self.dim
         products = self.products
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for k, v in products[i][j]:
-                out[k] = out[k] + xi * v
-        return tuple(out)
+                out[k] += xi * v
+        return self.field.vector(out)
 
     def format_vec(self, coeffs):
         parts = [f"({c})*{self.labels[i]}" for i, c in enumerate(coeffs) if c]
@@ -133,15 +137,20 @@ def _sparse_vec(vec):
     return {k: v for k, v in enumerate(vec) if v}
 
 
-def _lincomb(terms):
+def _outer(field, u, v):
+    """Flattened outer product u⊗v, with index i·len(v) + j."""
+    return field.vector(a * b for a in u for b in v)
+
+
+def _lincomb(field, terms):
     """The sparse vector Σ c·v over the (c, v) pairs of ``terms``, each v a
-    sparse vector ``{index: scalar}``, without zeros."""
+    sparse vector ``{index: scalar}``, canonical and without zeros."""
     acc = {}
     get = acc.get
     for c, vec in terms:
         for k, x in vec.items():
             acc[k] = get(k, 0) + c * x
-    return {k: x for k, x in acc.items() if x}
+    return field.sparse(acc)
 
 
 class AlgebraElement:
@@ -157,30 +166,26 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._same(other)
-        return AlgebraElement(self.algebra, vadd(self.coeffs, other.coeffs))
+        return AlgebraElement(self.algebra, vadd(self.algebra.field, self.coeffs,
+                                                 other.coeffs))
 
     def __sub__(self, other):
         self._same(other)
-        return AlgebraElement(self.algebra,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement(self.algebra, vsub(self.algebra.field, self.coeffs,
+                                                 other.coeffs))
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
+        return AlgebraElement(self.algebra, vscale(self.algebra.field, -1, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._same(other)
             return AlgebraElement(self.algebra,
                                   self.algebra.mul_vec(self.coeffs, other.coeffs))
-        return AlgebraElement(self.algebra, vscale(self._scalar(other), self.coeffs))
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        return AlgebraElement(self.algebra, vscale(self._scalar(other), self.coeffs))
-
-    def _scalar(self, c):
-        if isinstance(c, int):
-            return self.algebra.field.from_int(c)
-        return c
+        return AlgebraElement(self.algebra, vscale(self.algebra.field, other, self.coeffs))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -197,18 +202,11 @@ class AlgebraElement:
         return self.algebra.format_vec(self.coeffs)
 
 
-def _raw_products(alg):
-    """The sparse product rows of alg with raw scalars (see ``fields``)."""
-    raw = alg.field.raw
-    return [[tuple((k, x) for (k, _), x in zip(cell, raw([v for _, v in cell])))
-             if cell else () for cell in row] for row in alg.products]
-
-
 def _associativity_witness(alg):
     """First basis triple (i, j, k), in lexicographic order, with
     (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
 
-    Works on the sparse rows in raw scalars (see ``fields``).  For each pair
+    Works on the sparse product rows.  For each pair
     (i, j) one accumulator, keyed by k·d + n, collects the coefficient of
     b_n in (b_i b_j) b_k minus that in b_i (b_j b_k) for every k at once:
     the first side walks the nonempty cells of the rows b_i b_j reaches,
@@ -216,9 +214,9 @@ def _associativity_witness(alg):
     nonzero product terms, not d³ triples; the smallest failing k of the
     first failing pair is the lexicographically first failing triple.
     """
-    p = alg.field.characteristic
+    sparse = alg.field.sparse
     d = alg.dim
-    nz = _raw_products(alg)
+    nz = alg.products
     cells = [[(k * d, cell) for k, cell in enumerate(row) if cell] for row in nz]
     for i in range(d):
         nzi = nz[i]
@@ -235,13 +233,13 @@ def _associativity_witness(alg):
                     for n, v in nzi[m]:
                         key = base + n
                         acc[key] = get(key, 0) - c * v
-            bad = [key for key, x in acc.items() if (x % p if p else x)]
+            bad = sparse(acc)
             if bad:
                 return i, j, min(bad) // d
     return None
 
 
-def _check_shape(products, d):
+def _check_shape(field, products, unit, d):
     for row in products:
         if len(row) != d:
             raise ValueError("structure constants are not d x d cells")
@@ -254,6 +252,15 @@ def _check_shape(products, d):
                     raise ValueError(f"structure constant index {k!r} out of range")
                 if not v:
                     raise ValueError("structure constant cell lists a zero")
+    if unit is not None and len(unit) != d:
+        raise ValueError("unit vector has wrong length")
+    p = field.characteristic
+    if p:
+        scalars = [v for row in products for cell in row for _, v in cell]
+        bad = next((x for x in scalars + list(unit or ())
+                    if type(x) is not int or not 0 <= x < p), None)
+        if bad is not None:
+            raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
 
 
 def make_algebra(field, products, unit, labels=None):
@@ -261,14 +268,13 @@ def make_algebra(field, products, unit, labels=None):
 
     ``products[i][j]`` lists the (k, v) pairs, v nonzero, of b_i·b_j.  Their
     shape is checked first: d×d cells, indices in range, no zero and no
-    repeated index.  Associativity is then checked on all d^3 basis triples
+    repeated index, and over F_p every scalar a residue in [0, p) (see
+    :mod:`fields`).  Associativity is then checked on all d^3 basis triples
     and the unit law on every basis element; the first failure names its
     witness.
     """
     d = len(products)
-    _check_shape(products, d)
-    if unit is not None and len(unit) != d:
-        raise ValueError("unit vector has wrong length")
+    _check_shape(field, products, unit, d)
     alg = StructureAlgebra(field, products, unit, labels)
 
     witness = _associativity_witness(alg)
@@ -517,28 +523,20 @@ class TensorAlgebra(StructureAlgebra):
                 products.append([
                     tuple((a * dr + b, va * vb) for a, va in lcell for b, vb in rcell)
                     for lcell in lrow for rcell in rrow])
+        p = field.characteristic
+        if p:
+            products = [[tuple((k, v % p) for k, v in cell) for cell in row]
+                        for row in products]
         if left.unit is not None and right.unit is not None:
-            unit = self._outer(left.unit, right.unit, dr)
+            unit = _outer(field, left.unit, right.unit)
         else:
             unit = None
         labels = [f"{la}(x){lb}" for la in left.labels for lb in right.labels]
         super().__init__(field, products, unit, labels)
 
-    @staticmethod
-    def _outer(xa, xb, dr):
-        return tuple(a * b for a in xa for b in xb)
-
     def tensor_vec(self, xa, xb):
         """Flattened outer product of coefficient vectors of the two factors."""
-        dr = self.tensor_factors[1].dim
-        out = list(vzero(self.field, self.dim))
-        for a, va in enumerate(xa):
-            if not va:
-                continue
-            for b, vb in enumerate(xb):
-                if vb:
-                    out[a * dr + b] = va * vb
-        return tuple(out)
+        return _outer(self.field, xa, xb)
 
 
 def tensor_algebra(left, right):
@@ -595,13 +593,14 @@ class AlgebraMap:
         Both sides are sparse: φ(b_i b_j) combines the sparse columns over
         the product row (i, j), and φ(b_i)φ(b_j) is a sparse product.
         """
+        field = self.codomain.field
         cols = [_sparse_vec(col) for col in self.matrix.columns()]
         mul = self.codomain._mul_sparse
         for i, row in enumerate(self.domain.products):
             ci = cols[i]
             for j, cell in enumerate(row):
                 rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
-                if _lincomb((v, cols[k]) for k, v in cell) != rhs:
+                if _lincomb(field, ((v, cols[k]) for k, v in cell)) != rhs:
                     return i, j
         return None
 

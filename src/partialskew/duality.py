@@ -19,10 +19,9 @@ promises about this map is re-proved here per instance, by linear algebra:
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _lincomb, _raw_products, _sparse_vec,
-                       matrix_algebra)
+from .algebras import AlgebraMap, _lincomb, _sparse_vec, matrix_algebra
 from .errors import InternalCheckFailed
-from .linalg import Mat, Subspace, image_basis, vadd, vzero
+from .linalg import Mat, Subspace, image_basis, vadd, vsub, vzero
 from .report import check
 
 
@@ -73,7 +72,7 @@ def kernel_formula_subspace(smash):
     grp = pa.group
 
     def multiplier(g, h):
-        comp = tuple(u - e for u, e in zip(alg.unit, pa.idempotents[grp.mul(g, h)]))
+        comp = vsub(alg.field, alg.unit, pa.idempotents[grp.mul(g, h)])
         return alg.mul_vec(comp, pa.idempotents[g])
 
     return _block_subspace(smash, multiplier)
@@ -142,7 +141,7 @@ def build_duality(smash):
 
     bold_e = vzero(alg.field, mat.dim)
     for g in range(n):
-        bold_e = vadd(bold_e, mat.place(g, g, pa.idempotents[grp.inv(g)]))
+        bold_e = vadd(alg.field, bold_e, mat.place(g, g, pa.idempotents[grp.inv(g)]))
     if phi.apply_vec(smash.algebra.unit) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
     if mat.mul_vec(bold_e, bold_e) != bold_e:
@@ -199,35 +198,33 @@ def corner_report(d):
     return results
 
 
-def _scaled_cells(terms, p):
-    """Σ x·cell over the (x, cell) pairs, as a zero-free sparse row of raw
-    scalars (reduced mod p over F_p)."""
+def _scaled_cells(sparse, terms):
+    """Σ x·cell over the (x, cell) pairs, as a zero-free sparse row put in
+    canonical form by the field normaliser ``sparse``."""
     acc = {}
     get = acc.get
     for x, cell in terms:
         for k, v in cell:
             acc[k] = get(k, 0) + x * v
-    if p:
-        return {k: r for k, v in acc.items() if (r := v % p)}
-    return {k: v for k, v in acc.items() if v}
+    return sparse(acc)
 
 
 def _is_two_sided_ideal(algebra, subspace):
     """(True, "") when b·r and r·b lie in the subspace for every basis
     element b and echelon row r; else (False, message) for the first
     failure, b-major and left before right.  Works on the sparse echelon
-    rows in raw scalars."""
-    p = algebra.field.characteristic
-    prods = _raw_products(algebra)
+    rows."""
+    sparse = algebra.field.sparse
+    prods = algebra.products
     rows = [list(r.items()) for r in subspace._rows.values()]
     for b in range(algebra.dim):
         left = prods[b]
         for r in rows:
             if subspace._residual(_scaled_cells(
-                    ((x, left[j]) for j, x in r), p)):
+                    sparse, ((x, left[j]) for j, x in r))):
                 return False, f"left multiple of {algebra.labels[b]} escapes"
             if subspace._residual(_scaled_cells(
-                    ((x, prods[i][b]) for i, x in r), p)):
+                    sparse, ((x, prods[i][b]) for i, x in r))):
                 return False, f"right multiple of {algebra.labels[b]} escapes"
     return True, ""
 
@@ -352,7 +349,7 @@ def skew_injectivity_report(d):
 
     argument_ok = True
     for g in range(pa.group.order):
-        comp = tuple(u - e for u, e in zip(alg.unit, pa.idempotents[g]))
+        comp = vsub(alg.field, alg.unit, pa.idempotents[g])
         m = alg.mul_vec(comp, pa.idempotents[g])
         span = Subspace.from_vectors(
             alg.field, alg.dim,
@@ -405,8 +402,8 @@ def _tensor_image(smash, element):
             blocks[h].append((c, iota[j]))
         for h, terms in enumerate(blocks):
             if terms:
-                slots[h].append((B.field.one, B._mul_sparse(x, _lincomb(terms))))
-    return [_lincomb(terms) for terms in slots]
+                slots[h].append((B.field.one, B._mul_sparse(x, _lincomb(B.field, terms))))
+    return [_lincomb(B.field, terms) for terms in slots]
 
 
 def _centrality_witness(smash, element):
@@ -428,7 +425,7 @@ def _separability_checks(smash, element):
     B = smash.algebra
     field = B.field
     central = _centrality_witness(smash, element)
-    mu = _lincomb((field.one, B._mul_sparse(x, y)) for x, y in element)
+    mu = _lincomb(field, ((field.one, B._mul_sparse(x, y)) for x, y in element))
     split = next((B.labels[k] for k, c in enumerate(B.unit)
                   if mu.get(k, field.zero) != c), None)
     return [

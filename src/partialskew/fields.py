@@ -1,22 +1,34 @@
 """Exact base fields: arbitrary-precision rationals and prime fields.
 
-A rational scalar is a plain ``int`` when it is integral and a
-``fractions.Fraction`` otherwise: ``zero``, ``one``, ``from_int``, ``parse``
-and ``lift`` give an ``int`` whenever the denominator is 1, so integral
-structure constants (Cayley tables, matrix units, idempotents) multiply as
-machine integers.  Sums and products of the two kinds stay exact (a
-``Fraction`` result may then be integral; it compares and hashes equal to
-the ``int``).  The one division of rational scalars, the pivot
-normalisation in ``linalg._echelon``, goes through ``Fraction``, so no
-``float`` can arise.  Prime-field scalars are tiny wrapper objects around a
-residue so they support the same operator set.  Every scalar is immutable
-and compares by value.
+Scalars are plain Python numbers, never wrapper objects.  A rational scalar
+is an ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
+``zero``, ``one``, ``from_int`` and ``parse`` give an ``int`` whenever the
+denominator is 1, so integral structure constants (Cayley tables, matrix
+units, idempotents) multiply as machine integers.  Sums and products of the
+two kinds stay exact (a ``Fraction`` result may then be integral; it
+compares and hashes equal to the ``int``).  The one division of rational
+scalars, the pivot normalisation in ``linalg._echelon``, goes through
+``Fraction``, so no ``float`` can arise.
 
-Bulk kernels (elimination, associativity) skip the wrappers: ``raw`` turns
-field elements into raw scalars, which are the rational itself (``int`` or
-``Fraction``) and the plain ``int`` residue over F_p, and ``lift`` turns a
-raw scalar back.  ``characteristic`` (0 or p) tells a kernel which
-arithmetic to use.
+An F_p scalar is its canonical residue: an ``int`` in ``[0, p)``.  Every F_p
+scalar that is stored in a table or vector, compared, hashed, zero-tested or
+printed is canonical; ``==`` on residues is then equality in F_p, and a
+residue prints as itself.  A kernel may take any ``int`` representative as
+input (a negative int, a multiple of p) and reduces once per output
+coefficient, through the normalisers below, which it binds once per call:
+
+  * ``reduce(x)``: one scalar;
+  * ``vector(xs)``: a dense coefficient tuple;
+  * ``sparse(acc)``: an ``{index: scalar}`` accumulator, zeros dropped.
+
+Over the rationals ``vector`` is ``tuple`` itself and ``sparse`` only drops
+zeros, so a kernel's integral ``Fraction`` results stay as they are;
+``reduce`` gives the ``int`` form, which ``linalg`` applies on the way out
+of elimination.  A kernel that branches on ``characteristic`` (0 or p)
+skips the normalisers over the rationals.
+
+Residues carry no modulus, so mixing fields is caught by the structures
+(``Mat``, tensor and direct products compare their fields), not by scalars.
 """
 
 from __future__ import annotations
@@ -29,6 +41,13 @@ from .errors import ParseError
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
 
 
+def _canonical(x):
+    """A rational scalar as an ``int`` when it is integral."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class RationalField:
     """The field of rationals; elements are ``int`` or ``Fraction``."""
 
@@ -36,12 +55,11 @@ class RationalField:
     characteristic = 0
     zero = 0
     one = 1
+    vector = staticmethod(tuple)
+    reduce = staticmethod(_canonical)
 
-    def raw(self, xs):
-        return list(xs)
-
-    def lift(self, x):
-        return _canonical(x)
+    def sparse(self, acc):
+        return {k: v for k, v in acc.items() if v}
 
     def from_int(self, n):
         return index(n)
@@ -64,91 +82,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-def _canonical(x):
-    """A rational scalar as an ``int`` when it is integral."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-class PrimeFieldElement:
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise TypeError(f"mixed prime fields F_{self.p} and F_{other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return PrimeFieldElement(self.value * pow(v, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return PrimeFieldElement(v * pow(self.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return str(self.value)
 
 
 # Miller-Rabin with the first 13 primes as bases is a proof of primality
@@ -186,7 +119,11 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """The field with a prime number of elements."""
+    """The field with a prime number of elements; elements are the residues
+    ``0 .. p-1`` as ``int``."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -195,32 +132,32 @@ class PrimeField:
         self.characteristic = p
         self.name = f"F_{p}"
 
-    def raw(self, xs):
-        return [x.value for x in xs]
+    def reduce(self, x):
+        return x % self.p
 
-    def lift(self, x):
-        return PrimeFieldElement(x, self.p)
+    def vector(self, xs):
+        p = self.p
+        return tuple(x % p for x in xs)
 
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
+    def sparse(self, acc):
+        p = self.p
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def from_int(self, n):
-        return PrimeFieldElement(n, self.p)
+        return index(n) % self.p
 
     def parse(self, text):
         text = str(text).strip().translate(_MINUS_VARIANTS)
         try:
             num, _, den = text.partition("/")
-            numerator = self.from_int(int(num))
+            value = int(num) % self.p
             if not den:
-                return numerator
-            return numerator / self.from_int(int(den))
-        except (ValueError, ZeroDivisionError) as exc:
+                return value
+            den = int(den) % self.p
+            if not den:
+                raise ValueError(f"division by zero in F_{self.p}")
+            return value * pow(den, -1, self.p) % self.p
+        except ValueError as exc:
             raise ParseError(f"bad F_{self.p} literal {text!r}: {exc}") from None
 
     def __eq__(self, other):

@@ -24,7 +24,7 @@ corner maps into A⊗End(H) with their corner idempotent.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _lincomb, _sparse_vec, field_algebra,
+from .algebras import (AlgebraMap, _lincomb, _outer, _sparse_vec, field_algebra,
                        group_algebra, make_algebra, matrix_algebra,
                        tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
@@ -77,57 +77,54 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
         raise ValidationError("antipode matrix has wrong shape")
 
     # coassociativity, on sparse three-leg expansions
+    sparse = field.sparse
     for i in range(d):
         left = {}
         right = {}
         for k, l, v in comul[i]:
             for k1, k2, w in comul[k]:
                 key = (k1, k2, l)
-                left[key] = left.get(key, field.zero) + v * w
+                left[key] = left.get(key, 0) + v * w
             for l1, l2, w in comul[l]:
                 key = (k, l1, l2)
-                right[key] = right.get(key, field.zero) + v * w
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        if left != right:
+                right[key] = right.get(key, 0) + v * w
+        if sparse(left) != sparse(right):
             raise HopfAxiomFails("coassociativity", f"basis {algebra.labels[i]}")
 
     # counit laws
+    vector = field.vector
     for i in range(d):
-        lhs = list(vzero(field, d))
-        rhs = list(vzero(field, d))
+        lhs = [0] * d
+        rhs = [0] * d
         for k, l, v in comul[i]:
-            lhs[l] = lhs[l] + v * counit[k]
-            rhs[k] = rhs[k] + v * counit[l]
-        want = list(algebra.basis_element(i).coeffs)
-        if lhs != want or rhs != want:
+            lhs[l] += v * counit[k]
+            rhs[k] += v * counit[l]
+        want = algebra.basis_element(i).coeffs
+        if vector(lhs) != want or vector(rhs) != want:
             raise HopfAxiomFails("counit", f"basis {algebra.labels[i]}")
 
     # coproduct and counit are algebra maps, on sparse vectors of H⊗H
+    reduce = field.reduce
     hh = tensor_algebra(algebra, algebra)
     cop = [{k * d + l: v for k, l, v in row} for row in comul]
     for i in range(d):
         for j in range(d):
             prod = algebra.products[i][j]
-            if _lincomb((c, cop[t]) for t, c in prod) != hh._mul_sparse(cop[i], cop[j]):
+            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != \
+                    hh._mul_sparse(cop[i], cop[j]):
                 raise HopfAxiomFails(
                     "coproduct multiplicative",
                     f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
-            eps_lhs = field.zero
-            for t, c in prod:
-                eps_lhs = eps_lhs + c * counit[t]
-            if eps_lhs != counit[i] * counit[j]:
+            eps_lhs = sum(c * counit[t] for t, c in prod)
+            if reduce(eps_lhs - counit[i] * counit[j]):
                 raise HopfAxiomFails(
                     "counit multiplicative",
                     f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
     unit = _sparse_vec(algebra.unit)
-    if _lincomb((c, cop[t]) for t, c in unit.items()) != \
-            _sparse_vec(_outer(algebra.unit, algebra.unit)):
+    if _lincomb(field, ((c, cop[t]) for t, c in unit.items())) != \
+            _sparse_vec(_outer(field, algebra.unit, algebra.unit)):
         raise HopfAxiomFails("coproduct unital", "unit element")
-    eps_unit = field.zero
-    for t, c in unit.items():
-        eps_unit = eps_unit + c * counit[t]
-    if eps_unit != field.one:
+    if reduce(sum(c * counit[t] for t, c in unit.items())) != field.one:
         raise HopfAxiomFails("counit unital", "unit element")
 
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
@@ -136,9 +133,11 @@ def make_hopf(algebra, comul, counit, antipode, primal=None):
     one = field.one
     s_cols = [_sparse_vec(col) for col in antipode.columns()]
     for i in range(d):
-        want = _lincomb([(counit[i], unit)])
-        conv_left = _lincomb((v, mul(s_cols[k], {l: one})) for k, l, v in comul[i])
-        conv_right = _lincomb((v, mul({k: one}, s_cols[l])) for k, l, v in comul[i])
+        want = _lincomb(field, [(counit[i], unit)])
+        conv_left = _lincomb(field, ((v, mul(s_cols[k], {l: one}))
+                                     for k, l, v in comul[i]))
+        conv_right = _lincomb(field, ((v, mul({k: one}, s_cols[l]))
+                                      for k, l, v in comul[i]))
         if conv_left != want or conv_right != want:
             raise HopfAxiomFails("antipode", f"basis {algebra.labels[i]}")
 
@@ -183,11 +182,6 @@ def group_hopf(field, group):
 
 # -- smash products -------------------------------------------------------
 
-def _outer(u, v):
-    """Flattened outer product u⊗v, with index i·len(v) + j."""
-    return tuple(a * b for a in u for b in v)
-
-
 def _smash_algebra(a, b, comul, act, unit):
     """The smash product A # B of an algebra A and a bialgebra B acting on it.
 
@@ -199,6 +193,7 @@ def _smash_algebra(a, b, comul, act, unit):
     every caller builds it from validated data, a failure is internal.
     """
     field = a.field
+    sparse = field.sparse
     da, db = a.dim, b.dim
     one = field.one
     acted = [[{s: w for s, w in enumerate(act(k, a.basis_element(y).coeffs)) if w}
@@ -221,7 +216,7 @@ def _smash_algebra(a, b, comul, act, unit):
                             for s, w in xs:
                                 key = s * db + t
                                 cell[key] = get(key, 0) + vu * w
-                    row.append(tuple((key, c) for key, c in cell.items() if c))
+                    row.append(tuple(sparse(cell).items()))
             products.append(row)
     labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
     try:
@@ -234,26 +229,26 @@ def _smash_algebra(a, b, comul, act, unit):
 
 def hit_left(h, fvec, xvec):
     """f ⇀ x = sum of x1·f(x2)."""
-    out = list(vzero(h.algebra.field, h.dim))
+    out = [0] * h.dim
     for i, c in enumerate(xvec):
         if not c:
             continue
         for k, l, v in h.comul[i]:
             if fvec[l]:
-                out[k] = out[k] + c * v * fvec[l]
-    return tuple(out)
+                out[k] += c * v * fvec[l]
+    return h.algebra.field.vector(out)
 
 
 def hit_right(h, xvec, fvec):
     """x ↼ f = sum of x2·f(x1)."""
-    out = list(vzero(h.algebra.field, h.dim))
+    out = [0] * h.dim
     for i, c in enumerate(xvec):
         if not c:
             continue
         for k, l, v in h.comul[i]:
             if fvec[k]:
-                out[l] = out[l] + c * v * fvec[k]
-    return tuple(out)
+                out[l] += c * v * fvec[k]
+    return h.algebra.field.vector(out)
 
 
 def _dual_hits(h, right=False):
@@ -297,15 +292,16 @@ def build_representations(h):
     dual = h.dual()
     d = h.dim
     end = end_algebra(h)
+    field = h.algebra.field
     ls = _smash_algebra(
         h.algebra, dual.algebra, dual.comul,
         lambda k, y: hit_left(h, dual.algebra.basis_element(k).coeffs, y),
-        _outer(h.algebra.unit, dual.algebra.unit))
+        _outer(field, h.algebra.unit, dual.algebra.unit))
     # h⇀g is the left hit action of H = (H^*)^* on H^*
     rs = _smash_algebra(
         dual.algebra, h.algebra, h.comul,
         lambda k, g: hit_left(dual, h.algebra.basis_element(k).coeffs, g),
-        _outer(dual.algebra.unit, h.algebra.unit))
+        _outer(field, dual.algebra.unit, h.algebra.unit))
 
     ops = _basis_operators(h)
     lam_ops, rho_ops = ops
@@ -328,14 +324,14 @@ def build_representations(h):
 # An operator on H is a list of d sparse columns: column x is the image of
 # b_x as ``{row: scalar}``.
 
-def _compose(a, b):
+def _compose(field, a, b):
     """The operator a∘b (b first)."""
-    return [_lincomb((c, a[r]) for r, c in col.items()) for col in b]
+    return [_lincomb(field, ((c, a[r]) for r, c in col.items())) for col in b]
 
 
-def _op_sum(d, terms):
+def _op_sum(field, d, terms):
     """Σ c·op over the (c, op) pairs of ``terms``."""
-    return [_lincomb((c, op[x]) for c, op in terms) for x in range(d)]
+    return [_lincomb(field, ((c, op[x]) for c, op in terms)) for x in range(d)]
 
 
 def _end_vec(op):
@@ -367,23 +363,25 @@ def _verify_exchange_identity(h, ops=None):
     """
     dual = h.dual()
     d = h.dim
+    field = h.algebra.field
     lam, rho = ops or _basis_operators(h)
     unit = _sparse_vec(h.algebra.unit)
-    rho_g = [_op_sum(d, [(u, rho[c][i]) for i, u in unit.items()]) for c in range(d)]
+    rho_g = [_op_sum(field, d, [(u, rho[c][i]) for i, u in unit.items()])
+             for c in range(d)]
     s_g = [dual.antipode.column(u) for u in range(d)]
     for a in range(d):
         ha = h.algebra.basis_element(a).coeffs
         twisted = [_sparse_vec(hit_right(h, ha, s)) for s in s_g]
         for b in range(d):
-            lam_twisted = [_op_sum(d, [(c, lam[t][b]) for t, c in tw.items()])
+            lam_twisted = [_op_sum(field, d, [(c, lam[t][b]) for t, c in tw.items()])
                            for tw in twisted]
             terms = {}
             for c in range(d):
-                lhs = _compose(lam[a][b], rho_g[c])
+                lhs = _compose(field, lam[a][b], rho_g[c])
                 for u, w, _ in dual.comul[c]:
                     if (u, w) not in terms:
-                        terms[u, w] = _compose(rho_g[w], lam_twisted[u])
-                rhs = _op_sum(d, [(m, terms[u, w]) for u, w, m in dual.comul[c]])
+                        terms[u, w] = _compose(field, rho_g[w], lam_twisted[u])
+                rhs = _op_sum(field, d, [(m, terms[u, w]) for u, w, m in dual.comul[c]])
                 if lhs != rhs:
                     raise InternalCheckFailed(
                         f"exchange identity fails at basis ({a},{b},{c})")
@@ -420,6 +418,7 @@ def make_partial_hopf_action(h, algebra, mats):
             raise ValidationError("action matrices must be square of the algebra dimension")
     pha = PartialHopfAction(h, algebra, mats)
     d, da = h.dim, algebra.dim
+    field = algebra.field
     acts = _act_columns(pha)
     mul = algebra._mul_sparse
 
@@ -427,17 +426,17 @@ def make_partial_hopf_action(h, algebra, mats):
     for i in range(d):
         for x in range(da):
             for y in range(da):
-                lhs = _lincomb((c, acts[i][t]) for t, c in algebra.products[x][y])
-                rhs = _lincomb((v, mul(acts[k][x], acts[l][y]))
-                               for k, l, v in h.comul[i])
+                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in algebra.products[x][y]))
+                rhs = _lincomb(field, ((v, mul(acts[k][x], acts[l][y]))
+                                       for k, l, v in h.comul[i]))
                 if lhs != rhs:
                     raise Axiom1Fails(h.algebra.labels[i], algebra.labels[x],
                                       algebra.labels[y])
 
     unit = _sparse_vec(h.algebra.unit)
-    one = algebra.field.one
+    one = field.one
     for x in range(da):
-        if _lincomb((c, acts[i][x]) for i, c in unit.items()) != {x: one}:
+        if _lincomb(field, ((c, acts[i][x]) for i, c in unit.items())) != {x: one}:
             raise Axiom2Fails(f"on basis {algebra.labels[x]}")
 
     # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x)
@@ -445,11 +444,11 @@ def make_partial_hopf_action(h, algebra, mats):
     for i in range(d):
         for j in range(d):
             for x in range(da):
-                lhs = _lincomb((c, acts[i][t]) for t, c in acts[j][x].items())
-                rhs = _lincomb(
+                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in acts[j][x].items()))
+                rhs = _lincomb(field, (
                     (v, mul(unit_acts[k], _lincomb(
-                        (c, acts[t][x]) for t, c in h.algebra.products[l][j])))
-                    for k, l, v in h.comul[i])
+                        field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))))
+                    for k, l, v in h.comul[i]))
                 if lhs != rhs:
                     raise Axiom3Fails(h.algebra.labels[i], h.algebra.labels[j],
                                       algebra.labels[x])
@@ -468,7 +467,8 @@ def coaction_report(pha):
     h, alg = pha.hopf, pha.algebra
     dual = h.dual()
     d, da = h.dim, alg.dim
-    one = alg.field.one
+    field = alg.field
+    one = field.one
     acts = _act_columns(pha)
 
     # δ(a_x) in A ⊗ H*, index a·d + i
@@ -482,7 +482,8 @@ def coaction_report(pha):
     unit = _sparse_vec(h.algebra.unit)
     counit_failure = next(
         (x for x in range(da)
-         if _lincomb((c, acts[i][x]) for i, c in unit.items()) != {x: one}), None)
+         if _lincomb(field, ((c, acts[i][x]) for i, c in unit.items())) != {x: one}),
+        None)
     counit_witnesses = [] if counit_failure is None else [
         f"counit fails on basis {alg.labels[counit_failure]}"]
 
@@ -491,8 +492,9 @@ def coaction_report(pha):
 
     def expand_left(vec):
         # (δ ⊗ 1): a⊗p_i ↦ δ(a)⊗p_i
-        return _lincomb((c, {k * d + idx % d: c2 for k, c2 in cols[idx // d].items()})
-                        for idx, c in vec.items())
+        return _lincomb(field, ((c, {k * d + idx % d: c2
+                                     for k, c2 in cols[idx // d].items()})
+                                for idx, c in vec.items()))
 
     def expand_right(vec):
         # (1 ⊗ Δ): a⊗p_i ↦ a⊗Δ(p_i)
@@ -502,12 +504,12 @@ def coaction_report(pha):
             for k, l, v in dual.comul[idx % d]:
                 key = base + k * d + l
                 acc[key] = acc.get(key, 0) + c * v
-        return {k: v for k, v in acc.items() if v}
+        return field.sparse(acc)
 
     # δ(1) ⊗ 1
-    delta_unit = _lincomb((c, cols[t]) for t, c in enumerate(alg.unit) if c)
-    left_factor = {idx * d + j: c * u for idx, c in delta_unit.items()
-                   for j, u in _sparse_vec(dual.algebra.unit).items()}
+    delta_unit = _lincomb(field, ((c, cols[t]) for t, c in enumerate(alg.unit) if c))
+    left_factor = field.sparse({idx * d + j: c * u for idx, c in delta_unit.items()
+                                for j, u in _sparse_vec(dual.algebra.unit).items()})
 
     weak_ok = True
     strict_ok = True
@@ -557,6 +559,7 @@ def build_corner_maps(pha, reps=None):
         reps = build_representations(h)
     d, da = h.dim, alg.dim
     dd = d * d
+    field = alg.field
     target = tensor_algebra(alg, reps.end)
     acts = _act_columns(pha)
 
@@ -572,8 +575,8 @@ def build_corner_maps(pha, reps=None):
             for x in range(d)]))
 
     # φ(a_x) = Σ_i (b_i ▷ a_x) ⊗ ρ(S^{-1}(p_i)#1), index a·d² + e
-    phi_cols = [_lincomb((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
-                         for i in range(d) for a, c in acts[i][x].items())
+    phi_cols = [_lincomb(field, ((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
+                                 for i in range(d) for a, c in acts[i][x].items()))
                 for x in range(da)]
     phi = AlgebraMap.from_sparse(alg, target, phi_cols)
     if not phi.is_multiplicative():
@@ -591,13 +594,13 @@ def build_corner_maps(pha, reps=None):
     unit = _sparse_vec(corner_unit)
     for a in range(da):
         # φ(b_k·a) for every basis b_k of H
-        phi_ka = [_lincomb((c, phi_cols[t]) for t, c in acts[k][a].items())
+        phi_ka = [_lincomb(field, ((c, phi_cols[t]) for t, c in acts[k][a].items()))
                   for k in range(d)]
         for i in range(d):
             for j in range(d):
                 lhs = mul(unit, mul(psi[i * d + j], phi_cols[a]))
-                rhs = _lincomb((v, mul(phi_ka[k], psi[l * d + j]))
-                               for k, l, v in h.comul[i])
+                rhs = _lincomb(field, ((v, mul(phi_ka[k], psi[l * d + j]))
+                                       for k, l, v in h.comul[i]))
                 if lhs != rhs:
                     raise InternalCheckFailed(
                         f"corner exchange lemma fails at (a={a}, h={i}, f={j})")
@@ -620,14 +623,14 @@ def build_partial_smash(pha):
     """The twisted product on A⊗H and its unital corner."""
     h, alg = pha.hopf, pha.algebra
     ambient = _smash_algebra(alg, h.algebra, h.comul, pha.act, None)
-    u0 = _outer(alg.unit, h.algebra.unit)
+    u0 = _outer(alg.field, alg.unit, h.algebra.unit)
     sub = Subspace.from_vectors(
         alg.field, ambient.dim,
         [ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
     return PartialSmash(pha, ambient, sub, u0)
 
 
-def _dual_act(hits_m, d, vec):
+def _dual_act(field, hits_m, d, vec):
     """p_m ⇀ · on the H leg of a sparse vector of A⊗H (index a·d + i),
     given ``hits_m`` = ``_dual_hits(h)[m]``."""
     out = {}
@@ -637,7 +640,7 @@ def _dual_act(hits_m, d, vec):
         for b, v in hits_m[idx % d].items():
             key = base + b
             out[key] = get(key, 0) + c * v
-    return {k: v for k, v in out.items() if v}
+    return field.sparse(out)
 
 
 def partial_smash_report(ps):
@@ -645,18 +648,29 @@ def partial_smash_report(ps):
     module-algebra structure over the dual, on the unital corner.
 
     Works on sparse vectors: the products of corner basis vectors and their
-    images under every p_m ⇀ are formed once and shared by the checks.
+    images under every p_m ⇀ are formed once and shared by the checks.  A
+    failing closure or comodule-algebra check names its first corner basis
+    pair or vector, by its expansion.
     """
     h = ps.pha.hopf
     d = h.dim
     amb, sub, u0 = ps.ambient, ps.sub, ps.unit_vec
+    sparse = amb.field.sparse
     mul = amb._mul_sparse
     su = [_sparse_vec(u) for u in sub.basis]
     uv = [[mul(u, v) for v in su] for u in su]
+    corner = range(len(su))
     results = []
 
-    closed = all(sub.contains_sparse(w) for row in uv for w in row)
-    results.append(check("psmash.closed", closed, {"sub_dim": sub.dim}))
+    def vec(a):
+        return amb.format_vec(sub.basis[a])
+
+    leaves = next(((a, b) for a in corner for b in corner
+                   if not sub.contains_sparse(uv[a][b])), None)
+    results.append(check("psmash.closed", leaves is None, {"sub_dim": sub.dim},
+                         [] if leaves is None else
+                         [f"product leaves the corner at ({vec(leaves[0])}, "
+                          f"{vec(leaves[1])})"]))
 
     unit = _sparse_vec(u0)
     unital = sub.contains_vector(u0) and mul(unit, unit) == unit and all(
@@ -673,22 +687,17 @@ def partial_smash_report(ps):
             for k, l, v in h.comul[i]:
                 pos = (a * d + k) * d + l
                 out[pos] = out.get(pos, 0) + c * v
-        return {k: v for k, v in out.items() if v}
+        return sparse(out)
 
-    co = [corho(u) for u in su]
-    comodule_ok = all(corho(uv[a][b]) == t._mul_sparse(co[a], co[b])
-                      for a in range(len(su)) for b in range(len(su)))
-    counit_ok = True
-    for u, r in zip(su, co):
+    def counit_back(r):
         back = {}
         for idx, c in r.items():
             ai, l = divmod(idx, d)
             if h.counit[l]:
                 back[ai] = back.get(ai, 0) + c * h.counit[l]
-        if {k: v for k, v in back.items() if v} != u:
-            counit_ok = False
-    coassoc_ok = True
-    for r in co:
+        return sparse(back)
+
+    def coassociative(r):
         route1 = {}
         route2 = {}
         for idx, c in r.items():
@@ -700,16 +709,30 @@ def partial_smash_report(ps):
             for l1, l2, v in h.comul[l]:
                 key = (a, i, l1, l2)
                 route2[key] = route2.get(key, 0) + c * v
-        if {k: v for k, v in route1.items() if v} != \
-                {k: v for k, v in route2.items() if v}:
-            coassoc_ok = False
-    results.append(check("psmash.comodule_algebra",
-                         comodule_ok and counit_ok and coassoc_ok,
-                         {"multiplicative": comodule_ok, "counit": counit_ok,
-                          "coassociative": coassoc_ok}))
+        return sparse(route1) == sparse(route2)
+
+    co = [corho(u) for u in su]
+    failures = {
+        "multiplicative": next((f"{vec(a)}, {vec(b)}" for a in corner for b in corner
+                                if corho(uv[a][b]) != t._mul_sparse(co[a], co[b])),
+                               None),
+        "counit": next((vec(a) for a in corner if counit_back(co[a]) != su[a]), None),
+        "coassociative": next((vec(a) for a in corner if not coassociative(co[a])),
+                              None),
+    }
+    results.append(_named_failures_check("psmash.comodule_algebra", failures))
 
     results.append(_dual_module_check(ps, su, uv))
     return results
+
+
+def _named_failures_check(name, failures):
+    """A check over named sub-checks; ``failures`` maps each sub-check to
+    the description of its first witness, or None when it holds."""
+    witnesses = [f"{sub} fails at ({where})"
+                 for sub, where in failures.items() if where is not None]
+    return check(name, not witnesses,
+                 {sub: where is None for sub, where in failures.items()}, witnesses)
 
 
 def _dual_module_check(ps, su, uv):
@@ -722,25 +745,27 @@ def _dual_module_check(ps, su, uv):
     amb = ps.ambient
     mul = amb._mul_sparse
     dual = h.dual()
+    field = alg.field
     hits = _dual_hits(h)
     # p_m ⇀ u for every m and every corner basis vector u, formed once
-    acted = [[_dual_act(hits[m], d, u) for u in su] for m in range(d)]
+    acted = [[_dual_act(field, hits[m], d, u) for u in su] for m in range(d)]
 
     def unit_acts(a):
-        return _lincomb((c, acted[m][a])
-                        for m, c in enumerate(dual.algebra.unit) if c) == su[a]
+        return _lincomb(field, ((c, acted[m][a])
+                                for m, c in enumerate(dual.algebra.unit) if c)) == su[a]
 
     def module_law(m, a, b):
         # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
-        rhs = _lincomb((w, mul(acted[k][a], acted[l][b])) for k, l, w in dual.comul[m])
-        return _dual_act(hits[m], d, uv[a][b]) == rhs
+        rhs = _lincomb(field, ((w, mul(acted[k][a], acted[l][b]))
+                               for k, l, w in dual.comul[m]))
+        return _dual_act(field, hits[m], d, uv[a][b]) == rhs
 
     unit = _sparse_vec(ps.unit_vec)
-    one = alg.field.one
+    one = field.one
 
     def closed_form(x, i, m):
         # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
-        lhs = _dual_act(hits[m], d, mul({x * d + i: one}, unit))
+        lhs = _dual_act(field, hits[m], d, mul({x * d + i: one}, unit))
         return lhs == mul({x * d + b: v for b, v in hits[m][i].items()}, unit)
 
     # a witness names p_m by its dual label, a corner basis vector by its
@@ -762,11 +787,7 @@ def _dual_module_check(ps, su, uv):
                              for x in range(alg.dim) for i in range(d) for m in ms
                              if not closed_form(x, i, m)), None),
     }
-    witnesses = [f"{name} fails at ({where})"
-                 for name, where in failures.items() if where is not None]
-    return check("psmash.dual_module_algebra", not witnesses,
-                 {name: where is None for name, where in failures.items()},
-                 witnesses)
+    return _named_failures_check("psmash.dual_module_algebra", failures)
 
 
 def smash_matches_skew_report(ps, skew_ring):
@@ -826,7 +847,7 @@ def operator_duality_report(pha, ps, maps=None):
 
     def dual_act(m, v):
         out = list(vzero(field, len(v)))
-        for key, c in _dual_act(hits[m], d, _sparse_vec(v)).items():
+        for key, c in _dual_act(field, hits[m], d, _sparse_vec(v)).items():
             out[key] = c
         return tuple(out)
 
@@ -843,8 +864,8 @@ def operator_duality_report(pha, ps, maps=None):
     mult_witnesses = [] if pair is None else [
         f"({triple.labels[pair[0]]}, {triple.labels[pair[1]]})"]
 
-    bold = _lincomb((c, cols[t]) for t, c in
-                    enumerate(_outer(ps.unit_vec, dual.algebra.unit)) if c)
+    bold = _lincomb(field, ((c, cols[t]) for t, c in
+                            enumerate(_outer(field, ps.unit_vec, dual.algebra.unit)) if c))
     idem_ok = bold == _sparse_vec(maps.corner_unit) and mul(bold, bold) == bold
 
     one = field.one
@@ -855,7 +876,7 @@ def operator_duality_report(pha, ps, maps=None):
     subs = [_sparse_vec(s) for s in ps.sub.basis]
     outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)
                     if not corner.contains_sparse(
-                        _lincomb((c, cols[idx * d + j]) for idx, c in s.items()))),
+                        _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items())))),
                    None)
     member_witnesses = []
     if outside is not None:

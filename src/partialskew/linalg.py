@@ -6,16 +6,22 @@ estimates.  Subspaces are kept in reduced row echelon form, which makes the
 echelon basis a canonical representative: two subspaces are equal iff their
 stored bases are identical.
 
+Scalars are the plain numbers of :mod:`fields`: over F_p canonical ``int``
+residues in ``[0, p)``, over the rationals an ``int`` or a ``Fraction``.
+Every vector and matrix a function here returns holds canonical scalars; the
+arithmetic kernels (``vadd``, ``vsub``, ``vscale``, ``Mat.apply``,
+``Mat @``, ``Subspace.linear_combination``) accept any ``int``
+representative and reduce each output coefficient once.
+
 All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
-``{column: scalar}`` dicts of raw scalars (see :mod:`fields`): plain ``int``
-residues over F_p; over the rationals an ``int`` or a ``Fraction``, and the
-pivot normalisation divides through ``Fraction``, so a division of two
-``int`` never yields a ``float``.  Field elements are converted only on the
-way in and out, so a large, sparse system such as the commutator equations of
-``algebras.center_basis`` costs time and memory in proportion to its nonzero
-entries.  (Separability needs none: the smash is free over the twisted ring,
-see :mod:`duality`.)  ``Mat`` stays dense; ``rref`` keeps its dense interface
-on top of the kernel.
+``{column: scalar}`` dicts of nonzero canonical scalars; over the rationals
+the pivot normalisation divides through ``Fraction``, so a division of two
+``int`` never yields a ``float``.  Dense vectors are only made sparse on the
+way in and dense on the way out, so a large, sparse system such as the
+commutator equations of ``algebras.center_basis`` costs time and memory in
+proportion to its nonzero entries.  (Separability needs none: the smash is
+free over the twisted ring, see :mod:`duality`.)  ``Mat`` stays dense;
+``rref`` keeps its dense interface on top of the kernel.
 """
 
 from __future__ import annotations
@@ -31,16 +37,16 @@ def vzero(field, n):
     return tuple(z for _ in range(n))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def vadd(field, u, v):
+    return field.vector(a + b for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def vsub(field, u, v):
+    return field.vector(a - b for a, b in zip(u, v))
 
 
-def vscale(c, u):
-    return tuple(c * a for a in u)
+def vscale(field, c, u):
+    return field.vector(c * a for a in u)
 
 
 def _axpy(row, f, src, p):
@@ -65,8 +71,8 @@ def _axpy(row, f, src, p):
 def _echelon(rows, p):
     """Canonical reduced row echelon form of sparse rows.
 
-    Each row is a ``{column: scalar}`` dict of nonzero raw scalars: int
-    residues mod ``p``, or ``int``/``Fraction`` rationals when ``p`` is 0.
+    Each row is a ``{column: scalar}`` dict of nonzero canonical scalars:
+    int residues mod ``p``, or ``int``/``Fraction`` rationals when ``p`` is 0.
     Over the rationals a pivot row is divided by its lead through
     ``Fraction`` and its integral entries are stored as ``int``.  The input
     rows are not modified.  Returns ``{pivot: row}`` in pivot order; each
@@ -100,23 +106,17 @@ def _echelon(rows, p):
     return dict(sorted(pivots.items()))
 
 
-def _sparse(vec, field):
-    """Nonzero entries of a dense vector as ``{column: raw scalar}``."""
-    return {c: x for c, x in enumerate(field.raw(vec)) if x}
-
-
-def _raw_rows(field, rows):
-    """``{column: field element}`` rows as sparse rows of raw scalars."""
-    raw = field.raw
-    return [{c: x for c, x in zip(row, raw(row.values())) if x} for row in rows]
+def _sparse(vec):
+    """Nonzero entries of a canonical dense vector as ``{column: scalar}``."""
+    return {c: x for c, x in enumerate(vec) if x}
 
 
 def _dense(row, field, n):
-    """Dense tuple of field elements from ``{column: raw scalar}``."""
+    """Dense tuple of canonical scalars from ``{column: scalar}``."""
     out = [field.zero] * n
-    lift = field.lift
+    reduce = field.reduce
     for c, x in row.items():
-        out[c] = lift(x)
+        out[c] = reduce(x)
     return tuple(out)
 
 
@@ -129,7 +129,7 @@ def rref(rows, field):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    reduced = _echelon([_sparse(r, field) for r in rows], field.characteristic)
+    reduced = _echelon([_sparse(r) for r in rows], field.characteristic)
     return [_dense(r, field, ncols) for r in reduced.values()], list(reduced)
 
 
@@ -176,16 +176,15 @@ class Mat:
         if len(vec) != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} on vector of length {len(vec)}")
         nz = [(j, x) for j, x in enumerate(vec) if x]
-        zero = self.field.zero
         out = []
         for row in self.entries:
-            acc = zero
+            acc = 0
             for j, x in nz:
                 a = row[j]
                 if a:
-                    acc = acc + a * x
+                    acc += a * x
             out.append(acc)
-        return tuple(out)
+        return self.field.vector(out)
 
     def __matmul__(self, other):
         if not isinstance(other, Mat):
@@ -194,18 +193,18 @@ class Mat:
             raise FieldMismatch(self.field, other.field)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = self.field.zero
+        vector = self.field.vector
         bt = other.transpose().entries
         out = []
         for row in self.entries:
             out_row = []
             for col in bt:
-                acc = zero
+                acc = 0
                 for a, b in zip(row, col):
                     if a and b:
-                        acc = acc + a * b
+                        acc += a * b
                 out_row.append(acc)
-            out.append(out_row)
+            out.append(vector(out_row))
         return Mat(self.field, out)
 
     def transpose(self):
@@ -245,7 +244,7 @@ class Mat:
 class Subspace:
     """Subspace of coordinate space, stored as its canonical echelon basis.
 
-    The basis rows are kept sparse, as ``{pivot: {column: raw scalar}}``
+    The basis rows are kept sparse, as ``{pivot: {column: scalar}}``
     (see ``_echelon``); the dense ``basis`` tuples are built on first use.
     """
 
@@ -259,7 +258,7 @@ class Subspace:
 
     @classmethod
     def _span(cls, field, ambient, rows):
-        """Span of sparse rows of raw scalars."""
+        """Span of sparse rows of nonzero canonical scalars."""
         return cls(field, ambient, _echelon(rows, field.characteristic))
 
     @classmethod
@@ -268,19 +267,22 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-            rows.append(_sparse(v, field))
+            rows.append(_sparse(v))
         return cls._span(field, ambient, rows)
 
     @classmethod
     def from_sparse(cls, field, ambient, rows):
-        """Span of sparse vectors given as ``{column: field element}`` dicts."""
-        return cls._span(field, ambient, _raw_rows(field, rows))
+        """Span of sparse vectors given as ``{column: scalar}`` dicts of any
+        representatives."""
+        sparse = field.sparse
+        return cls._span(field, ambient, [sparse(r) for r in rows])
 
     @classmethod
     def kernel_from_sparse(cls, field, n, rows):
         """Solution space in n unknowns of the homogeneous system whose rows
-        are ``{column: field element}`` dicts."""
-        return _kernel(field, n, _raw_rows(field, rows))
+        are ``{column: scalar}`` dicts of any representatives."""
+        sparse = field.sparse
+        return _kernel(field, n, [sparse(r) for r in rows])
 
     @classmethod
     def zero(cls, field, ambient):
@@ -354,11 +356,11 @@ class Subspace:
         return out
 
     def contains_vector(self, vec):
-        return not self._residual(_sparse(vec, self.field))
+        return not self._residual(_sparse(vec))
 
     def contains_sparse(self, row):
-        """Membership of a vector given as a ``{column: field element}`` dict."""
-        return not self._residual(_raw_rows(self.field, [row])[0])
+        """Membership of a vector given as a ``{column: scalar}`` dict."""
+        return not self._residual(self.field.sparse(row))
 
     def contains(self, other):
         """True when every vector of `other` lies in this subspace."""
@@ -367,16 +369,18 @@ class Subspace:
 
     def coordinates_of(self, vec):
         """Coefficients of vec on the echelon basis, or None if outside."""
-        if self._residual(_sparse(vec, self.field)):
+        if self._residual(_sparse(vec)):
             return None
         return tuple(vec[p] for p in self._rows)
 
     def linear_combination(self, coords):
-        v = vzero(self.field, self.ambient)
-        for c, row in zip(coords, self.basis):
+        acc = {}
+        get = acc.get
+        for c, row in zip(coords, self._rows.values()):
             if c:
-                v = vadd(v, vscale(c, row))
-        return v
+                for k, x in row.items():
+                    acc[k] = get(k, 0) + c * x
+        return _dense(self.field.sparse(acc), self.field, self.ambient)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -384,14 +388,14 @@ class Subspace:
 
 def kernel_basis(m):
     """Canonical basis of the solution space of m·x = 0."""
-    return _kernel(m.field, m.cols, [_sparse(r, m.field) for r in m.entries])
+    return _kernel(m.field, m.cols, [_sparse(r) for r in m.entries])
 
 
 def _kernel(field, n, rows):
-    """Canonical basis of the solution space of the sparse raw rows in n unknowns."""
+    """Canonical basis of the solution space of the sparse rows in n unknowns."""
     p = field.characteristic
     reduced = _echelon(rows, p)
-    one = field.raw([field.one])[0]
+    one = field.one
     vectors = []
     for f in range(n):
         if f in reduced:

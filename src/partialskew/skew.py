@@ -54,12 +54,13 @@ class SkewGroupRing:
     def project(self, coeffs, g):
         """A-coordinates of the g-component of a skew coefficient vector."""
         base = self.component_bases[g]
-        out = vzero(self.algebra.field, self.action.algebra.dim)
+        out = [0] * self.action.algebra.dim
         for i, v in enumerate(base):
             c = coeffs[self.offsets[g] + i]
             if c:
-                out = tuple(o + c * x for o, x in zip(out, v))
-        return out
+                for t, x in enumerate(v):
+                    out[t] += c * x
+        return self.algebra.field.vector(out)
 
 
 def build_skew(pa):

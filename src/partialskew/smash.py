@@ -71,6 +71,7 @@ def build_smash(skew):
                         "projection action is not a module-algebra action")
 
     dual = dual_group_algebra(field, grp)
+    sparse = field.sparse
     rows = []
     for j1 in range(ds):
         for h in range(n):
@@ -90,7 +91,7 @@ def build_smash(skew):
                             for m, w in dual.products[v][l]:
                                 key = index(k, m)
                                 generic[key] = generic.get(key, 0) + c * w
-                    generic = {key: c for key, c in generic.items() if c}
+                    generic = sparse(generic)
                     # closed rule: keep p_l exactly when h = grade(y)·l
                     closed = {}
                     if grp.mul(grades[j2], l) == h:

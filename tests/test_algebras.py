@@ -17,6 +17,7 @@ from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Mat, Subspace
 
 from corpus_helpers import qmat, qvec
+from fp_oracle import unwrap, wrap
 
 
 def test_base_field_algebra():
@@ -157,16 +158,19 @@ def test_subalgebra_extraction():
 # -- validation gate -----------------------------------------------------
 
 def _dense_mul(field, table):
+    """Dense product from the table, in the wrapper arithmetic over F_p."""
     d = len(table)
+    table = [[[wrap(field, v) for v in cell] for cell in row] for row in table]
 
     def mul(x, y):
-        out = [field.zero] * d
+        x, y = [wrap(field, v) for v in x], [wrap(field, v) for v in y]
+        out = [wrap(field, field.zero)] * d
         for i in range(d):
             for j in range(d):
                 if x[i] and y[j]:
                     for k in range(d):
                         out[k] = out[k] + x[i] * y[j] * table[i][j][k]
-        return tuple(out)
+        return tuple(unwrap(v) for v in out)
 
     basis = [tuple(field.one if i == j else field.zero for j in range(d))
              for i in range(d)]
@@ -213,7 +217,7 @@ def _sparsify(table):
 def _perturbed(alg, i, j, k):
     """Dense table of alg with one structure constant increased by 1."""
     new = _densify(alg)
-    new[i][j][k] = new[i][j][k] + 1
+    new[i][j][k] = unwrap(wrap(alg.field, new[i][j][k]) + 1)
     return new
 
 
@@ -345,6 +349,15 @@ def test_make_algebra_checks_sparse_shape():
         make_algebra(QQ, [[[(0, one)], []]], [one])
 
 
+@pytest.mark.parametrize("cell, unit", [(6, 1), (-4, 1), (1, 6), (1, -1)])
+def test_make_algebra_refuses_non_residues(cell, unit):
+    # 6 and -4 stand for 1 in F_5, but stored scalars are canonical residues
+    # (a kernel reduces what it computes; a table or unit is taken as given)
+    with pytest.raises(ValueError, match="not a residue mod 5"):
+        make_algebra(GF(5), [[[(0, cell)]]], [unit])
+    assert make_algebra(GF(5), [[[(0, 1)]]], [GF(5).from_int(6)]).unit == (1,)
+
+
 def test_multiplicativity_witness_names_first_pair():
     kk = product_of_fields(QQ, 2)
     double = AlgebraMap(kk, kk, qmat([[2, 0], [0, 2]]))
@@ -370,8 +383,8 @@ def _assert_rows_match(alg, dense_product):
             assert tuple(table[i][j]) == tuple(dense_product(i, j)), (i, j)
 
 
-def _outer(u, v):
-    return [a * b for a in u for b in v]
+def _outer(field, u, v):
+    return [unwrap(wrap(field, a) * b) for a in u for b in v]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -388,7 +401,7 @@ def test_tensor_rows_match_factorwise_products(field, factors):
 
     def dense_product(p, q):
         (a, b), (c, d) = divmod(p, dr), divmod(q, dr)
-        return _outer(left.mul_vec(lb[a], lb[c]), right.mul_vec(rb[b], rb[d]))
+        return _outer(field, left.mul_vec(lb[a], lb[c]), right.mul_vec(rb[b], rb[d]))
 
     _assert_rows_match(t, dense_product)
 

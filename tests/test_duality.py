@@ -19,6 +19,7 @@ from partialskew.skew import build_skew
 from partialskew.smash import SmashAlgebra, build_smash
 
 from corpus_helpers import qvec, z3_restricted_action
+from fp_oracle import unwrap, wrap
 
 
 def _smash_vec(smash, skew_vec, h):
@@ -44,7 +45,7 @@ def test_s1_map_images(s1_duality, s1_smash, s1_skew):
 
 def test_s1_corner_idempotent(s1_duality):
     mat = s1_duality.mat
-    want = vadd(mat.place(0, 0, qvec([1, 1])), mat.place(1, 1, qvec([1, 0])))
+    want = vadd(QQ, mat.place(0, 0, qvec([1, 1])), mat.place(1, 1, qvec([1, 0])))
     assert s1_duality.corner_idempotent == tuple(want)
     assert s1_duality.phi.apply_vec(s1_duality.smash.algebra.unit) == tuple(want)
 
@@ -158,17 +159,19 @@ class TensorOverSubring:
         self.relations = Subspace.from_sparse(algebra.field, self.ambient, gens)
 
     def tensor(self, pairs):
-        """The sum of x⊗y over the (x, y) pairs of sparse vectors of B."""
+        """The sum of x⊗y over the (x, y) pairs of sparse vectors of B, in
+        the wrapper arithmetic over F_p."""
+        field = self.algebra.field
         dim = self.algebra.dim
-        out = [self.algebra.field.zero] * self.ambient
+        out = [wrap(field, field.zero)] * self.ambient
         for x, y in pairs:
             for i, a in x.items():
                 for j, b in y.items():
-                    out[i * dim + j] = out[i * dim + j] + a * b
+                    out[i * dim + j] = out[i * dim + j] + wrap(field, a) * b
         return tuple(out)
 
     def equal_mod_relations(self, u, v):
-        return self.relations.contains_vector(tuple(a - b for a, b in zip(u, v)))
+        return self.relations.contains_vector(tuple(unwrap(a - b) for a, b in zip(u, v)))
 
     def centralizes(self, element, subring_vectors):
         """Whether f·b = b·f in the quotient for every subring vector b."""
@@ -330,7 +333,7 @@ def test_splits_multiplication_names_its_witness(s1_smash, s3_smash_fp5):
             for x, y in element:
                 dx = [x.get(k, B.field.zero) for k in range(B.dim)]
                 dy = [y.get(k, B.field.zero) for k in range(B.dim)]
-                mu = vadd(mu, B.mul_vec(dx, dy))
+                mu = vadd(B.field, mu, B.mul_vec(dx, dy))
             first = next(k for k in range(B.dim) if mu[k] != B.unit[k])
             checks = {c.name: c for c in _separability_checks(smash, element)}
             split = checks["separability.splits_multiplication"]

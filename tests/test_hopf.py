@@ -18,6 +18,7 @@ from partialskew.linalg import Mat, Subspace
 from partialskew.skew import build_skew
 
 from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
+from fp_oracle import unwrap, wrap
 
 
 # Dense oracle for the sparse operators of the Hopf layer: the operators
@@ -157,14 +158,14 @@ def _first_exchange_failure(h):
             for c in range(d):
                 lhs = (lambda_matrix(h, basis[a], dual_basis[b])
                        @ rho_matrix(h, dual_basis[c], unit))
-                rhs = [[field.zero] * d for _ in range(d)]
+                rhs = [[wrap(field, field.zero)] * d for _ in range(d)]
                 for u, w, m in dual.comul[c]:
                     twisted = hit_right(h, basis[a], dual.antipode.column(u))
                     term = (rho_matrix(h, dual_basis[w], unit)
                             @ lambda_matrix(h, twisted, dual_basis[b]))
-                    rhs = [[x + m * y for x, y in zip(row, trow)]
+                    rhs = [[x + wrap(field, m) * y for x, y in zip(row, trow)]
                            for row, trow in zip(rhs, term.entries)]
-                if lhs != Mat(field, rhs):
+                if lhs != Mat(field, [[unwrap(x) for x in row] for row in rhs]):
                     return a, b, c
     return None
 
@@ -407,6 +408,52 @@ def test_dual_module_algebra_names_module_law_triple(s1_action):
     assert check.measured["module_law"] is False
     assert check.witnesses[0] == "module_law fails at (p_e, (1)*l_e0#e, (1)*l_e0#e)"
     assert check.witnesses[1:] == ["closed_form fails at (p_e, l_e0#e)"]
+
+
+def test_closed_names_first_escaping_product(s1_action):
+    # g acts on l_e0 as the identity, so (l_e0#g)(l_e0#g) = l_e0(g▷l_e0)#g²
+    # = l_e0#e, which leaves the span of l_e0#g
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    amb = ps.ambient
+    line = Subspace.from_vectors(QQ, amb.dim, [qvec([0, 1, 0, 0])])
+    check = _partial_smash_checks(pha, amb, line, ps.unit_vec)["psmash.closed"]
+    assert check.status == "fail"
+    assert check.measured == {"sub_dim": 1}
+    assert check.witnesses == [
+        "product leaves the corner at ((1)*l_e0#g, (1)*l_e0#g)"]
+
+
+@pytest.mark.parametrize("comul_g, counit, measured, witnesses", [
+    # ε(g) = 2 doubles the g leg on the way back: only the counit law
+    # fails, first at the corner vector l_e0#g (l_e0#e has no g leg)
+    (((1, 1, 1),), (1, 2),
+     {"multiplicative": True, "counit": False, "coassociative": True},
+     ["counit fails at ((1)*l_e0#g)"]),
+    # Δ(g) = g⊗e + g⊗g with ε(g) = 0 keeps the counit law, but
+    # corho(l_e0#g)² = l_e0#e⊗(e + g)² is not corho(l_e0#e) = l_e0#e⊗e,
+    # and (Δ⊗1)Δ(g) - (1⊗Δ)Δ(g) = g⊗e⊗g
+    (((1, 0, 1), (1, 1, 1)), (1, 0),
+     {"multiplicative": False, "counit": True, "coassociative": False},
+     ["multiplicative fails at ((1)*l_e0#g, (1)*l_e0#g)",
+      "coassociative fails at ((1)*l_e0#g)"]),
+])
+def test_comodule_algebra_names_failing_property(s1_action, comul_g, counit,
+                                                 measured, witnesses):
+    # the lift of s1 with the coalgebra structure of g perturbed; the
+    # dual-module check reads the dual, so the valid one is kept
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    h = pha.hopf
+    bad = HopfData(h.algebra, (h.comul[0], comul_g), counit, h.antipode,
+                   h.antipode_inv)
+    bad._dual = h.dual()
+    check = _partial_smash_checks(
+        PartialHopfAction(bad, pha.algebra, pha.mats), ps.ambient, ps.sub,
+        ps.unit_vec)["psmash.comodule_algebra"]
+    assert check.status == "fail"
+    assert check.measured == measured
+    assert check.witnesses == witnesses
 
 
 def test_coaction_names_multiplicativity_witness(s1_action):

@@ -128,7 +128,8 @@ def test_rref_against_sympy_over_prime_fields(p, entries):
     f = GF(p)
     rows, ours = rref([[f.from_int(x) for x in row] for row in entries], f)
     assert ours == list(pivots)
-    assert ([[x.value for x in row] for row in rows]
+    assert all(type(x) is int and 0 <= x < p for row in rows for x in row)
+    assert ([list(row) for row in rows]
             == [[int(x) % p for x in row] for row in expected.to_list()[:len(pivots)]])
 
 
