@@ -2,22 +2,29 @@
 
 An algebra of dimension d over an exact field is stored as sparse product
 rows: ``products[i][j]`` lists the pairs (k, v) with v != 0 such that
-b_i·b_j = Σ v·b_k.  No dense d×d×d table exists; every builder emits these
-rows directly, and dense constants (a scenario's ``constants``) are
-converted once where they enter.  ``make_algebra`` checks the shape of the
-rows, then re-proves associativity and the unit law on every basis triple
-before handing the algebra out; derived constructions (matrix algebras,
-tensor products, direct products) are built from validated parts and
-verified through their own characteristic identities.  Maps between
-algebras are checked multiplicative by comparing sparse products.
+b_i·b_j = Σ v·b_k, sorted by k.  No dense d×d×d table exists; every builder
+emits these rows directly, and dense constants (a scenario's ``constants``)
+are converted once where they enter.  ``make_algebra`` checks the shape of
+the rows and puts each cell in index order, then re-proves associativity and
+the unit law on every basis triple before handing the algebra out; derived
+constructions (matrix algebras, direct products) are built from validated
+parts and verified through their own characteristic identities.  A tensor
+product multiplies through its factors' rows, (b_i⊗c_j)(b_k⊗c_l) =
+b_i b_k ⊗ c_j c_l, and builds its own table only when ``products`` is first
+read.  Maps between algebras are checked multiplicative by comparing sparse
+products.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
 ``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
 accept any ``int`` representative over F_p and return canonical scalars,
-reducing once per output coefficient.
+reducing once per output coefficient.  An element's coefficients and the
+scalar factor of an element go through the field's ``scalars``, so over F_p
+they are reduced and anything but an ``int`` is refused.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails)
@@ -30,14 +37,16 @@ class StructureAlgebra:
 
     ``products[i][j]`` is the product b_i·b_j as a tuple of (k, v) pairs,
     one per nonzero coefficient v of b_k, sorted by k.  These sparse rows are
-    the only copy of the structure constants.
+    the only copy of the structure constants.  The cells arrive in that
+    form and are stored as they are: ``make_algebra`` sorts the cells of
+    the tables it is given, and the matrix, product and tensor builders
+    emit sorted cells from sorted factors.
     """
 
     def __init__(self, field, products, unit, labels=None):
         self.field = field
         self.dim = len(products)
-        self.products = tuple(tuple(tuple(sorted(cell, key=_index)) for cell in row)
-                              for row in products)
+        self.products = tuple(tuple(row) for row in products)
         self.unit = None if unit is None else tuple(unit)
         if labels is None:
             labels = [f"b{i}" for i in range(self.dim)]
@@ -46,7 +55,7 @@ class StructureAlgebra:
     # -- elements -------------------------------------------------------
 
     def element(self, coeffs):
-        coeffs = self.field.vector(coeffs)
+        coeffs = self.field.scalars(coeffs)
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
         return AlgebraElement(self, coeffs)
@@ -89,6 +98,11 @@ class StructureAlgebra:
 
     def _mul_sparse(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
+        return self.field.sparse(self._mul_acc(x, y))
+
+    def _mul_acc(self, x, y):
+        """The product x·y before reduction: a fresh ``{index: scalar}``
+        accumulator of representatives, zeros possible."""
         acc = {}
         get = acc.get
         products = self.products
@@ -98,7 +112,7 @@ class StructureAlgebra:
                 c = xi * yj
                 for k, v in row[j]:
                     acc[k] = get(k, 0) + c * v
-        return self.field.sparse(acc)
+        return acc
 
     def _basis_times_vec(self, i, y):
         out = [0] * self.dim
@@ -130,6 +144,16 @@ class StructureAlgebra:
 
 def _index(pair):
     return pair[0]
+
+
+def _legs(x, dr):
+    """A sparse vector of a tensor product, index i·dr + j, as
+    ``{i: {j: scalar}}``: x = Σ_i b_i ⊗ x_i."""
+    legs = {}
+    for idx, c in x.items():
+        i, j = divmod(idx, dr)
+        legs.setdefault(i, {})[j] = c
+    return legs
 
 
 def _sparse_vec(vec):
@@ -185,7 +209,9 @@ class AlgebraElement:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        return AlgebraElement(self.algebra, vscale(self.algebra.field, other, self.coeffs))
+        field = self.algebra.field
+        (c,) = field.scalars((other,))
+        return AlgebraElement(self.algebra, vscale(field, c, self.coeffs))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -239,28 +265,36 @@ def _associativity_witness(alg):
     return None
 
 
-def _check_shape(field, products, unit, d):
+def _canonical_cells(field, products, unit, d):
+    """The shape pass of ``make_algebra``: the rows with every cell a tuple
+    sorted by index, or ValueError for a malformed table."""
+    rows = []
     for row in products:
         if len(row) != d:
             raise ValueError("structure constants are not d x d cells")
+        cells = []
         for cell in row:
-            indices = [k for k, _ in cell]
-            if len(set(indices)) != len(indices):
-                raise ValueError("structure constant cell repeats an index")
             for k, v in cell:
                 if not (isinstance(k, int) and 0 <= k < d):
                     raise ValueError(f"structure constant index {k!r} out of range")
                 if not v:
                     raise ValueError("structure constant cell lists a zero")
+            if len(cell) > 1:
+                cell = sorted(cell, key=_index)
+                if len({k for k, _ in cell}) != len(cell):
+                    raise ValueError("structure constant cell repeats an index")
+            cells.append(tuple(cell))
+        rows.append(cells)
     if unit is not None and len(unit) != d:
         raise ValueError("unit vector has wrong length")
     p = field.characteristic
     if p:
-        scalars = [v for row in products for cell in row for _, v in cell]
+        scalars = [v for row in rows for cell in row for _, v in cell]
         bad = next((x for x in scalars + list(unit or ())
                     if type(x) is not int or not 0 <= x < p), None)
         if bad is not None:
             raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
+    return rows
 
 
 def make_algebra(field, products, unit, labels=None):
@@ -269,13 +303,13 @@ def make_algebra(field, products, unit, labels=None):
     ``products[i][j]`` lists the (k, v) pairs, v nonzero, of b_i·b_j.  Their
     shape is checked first: d×d cells, indices in range, no zero and no
     repeated index, and over F_p every scalar a residue in [0, p) (see
-    :mod:`fields`).  Associativity is then checked on all d^3 basis triples
-    and the unit law on every basis element; the first failure names its
-    witness.
+    :mod:`fields`); each cell is put in index order in the same pass.
+    Associativity is then checked on all d^3 basis triples and the unit law
+    on every basis element; the first failure names its witness.
     """
     d = len(products)
-    _check_shape(field, products, unit, d)
-    alg = StructureAlgebra(field, products, unit, labels)
+    alg = StructureAlgebra(field, _canonical_cells(field, products, unit, d),
+                           unit, labels)
 
     witness = _associativity_witness(alg)
     if witness is not None:
@@ -506,33 +540,62 @@ class TensorAlgebra(StructureAlgebra):
     """Tensor product with componentwise multiplication.
 
     Basis (i, j) is flattened as i*dim(right) + j, so nested tensor products
-    flatten consistently regardless of grouping.
+    flatten consistently regardless of grouping.  Products go through the
+    factors: (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l, from the left factor's
+    rows and the right factor's own product, reduced once per output
+    coefficient.  The table ``products`` is built from the factors' rows on
+    its first read; a nested right factor is never tabulated for a product.
     """
 
     def __init__(self, left, right):
         if left.field != right.field:
             raise FieldMismatch(left.field, right.field)
-        field = left.field
-        dl, dr = left.dim, right.dim
+        self.field = left.field
+        self.dim = left.dim * right.dim
         self.tensor_factors = (left, right)
-        # (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l; a product of nonzero
-        # constants is nonzero, so the cells stay free of zeros
-        products = []
-        for lrow in left.products:
-            for rrow in right.products:
-                products.append([
-                    tuple((a * dr + b, va * vb) for a, va in lcell for b, vb in rcell)
-                    for lcell in lrow for rcell in rrow])
-        p = field.characteristic
-        if p:
-            products = [[tuple((k, v % p) for k, v in cell) for cell in row]
-                        for row in products]
         if left.unit is not None and right.unit is not None:
-            unit = _outer(field, left.unit, right.unit)
+            self.unit = _outer(self.field, left.unit, right.unit)
         else:
-            unit = None
-        labels = [f"{la}(x){lb}" for la in left.labels for lb in right.labels]
-        super().__init__(field, products, unit, labels)
+            self.unit = None
+        self.labels = tuple(f"{la}(x){lb}" for la in left.labels for lb in right.labels)
+
+    @cached_property
+    def products(self):
+        # a product of nonzero constants is nonzero, and a product of
+        # sorted cells is sorted by a·dim(right) + b
+        left, right = self.tensor_factors
+        dr = right.dim
+        sparse = self.field.sparse
+        return tuple(
+            tuple(tuple(sparse({a * dr + b: va * vb for a, va in lcell
+                                for b, vb in rcell}).items())
+                  for lcell in lrow for rcell in rrow)
+            for lrow in left.products for rrow in right.products)
+
+    def _mul_acc(self, x, y):
+        # x = Σ_i b_i⊗x_i and y = Σ_k b_k⊗y_k, so xy = Σ b_i b_k ⊗ x_i y_k:
+        # one product of right legs per nonzero cell b_i b_k
+        if not (x and y):
+            return {}
+        left, right = self.tensor_factors
+        dr = right.dim
+        rows = left.products
+        ys = _legs(y, dr).items()
+        acc = {}
+        get = acc.get
+        for i, xi in _legs(x, dr).items():
+            row = rows[i]
+            for k, yk in ys:
+                cell = row[k]
+                if not cell:
+                    continue
+                legs = right._mul_acc(xi, yk).items()
+                for a, va in cell:
+                    base = a * dr
+                    for b, w in legs:
+                        key = base + b
+                        acc[key] = get(key, 0) + va * w
+        return acc
 
     def tensor_vec(self, xa, xb):
         """Flattened outer product of coefficient vectors of the two factors."""

@@ -20,12 +20,21 @@ coefficient, through the normalisers below, which it binds once per call:
   * ``reduce(x)``: one scalar;
   * ``vector(xs)``: a dense coefficient tuple;
   * ``sparse(acc)``: an ``{index: scalar}`` accumulator, zeros dropped.
+    It may return ``acc`` itself (over the rationals, when ``acc`` holds no
+    zero), so a caller passes a dict it owns and does not reuse.
 
 Over the rationals ``vector`` is ``tuple`` itself and ``sparse`` only drops
 zeros, so a kernel's integral ``Fraction`` results stay as they are;
 ``reduce`` gives the ``int`` form, which ``linalg`` applies on the way out
 of elimination.  A kernel that branches on ``characteristic`` (0 or p)
 skips the normalisers over the rationals.
+
+Scalars that enter from the Python API (the entries of a ``Mat``, a spanning
+set, an ``rref`` input, an algebra element or its scalar factor) go through
+a fourth normaliser, ``scalars(xs)``, which returns a tuple: over the
+rationals it is ``tuple`` itself; over F_p it reduces each ``int``
+representative and refuses any other scalar (a ``Fraction``, a ``float``, a
+``bool``) with a ``ValueError`` naming it.
 
 Residues carry no modulus, so mixing fields is caught by the structures
 (``Mat``, tensor and direct products compare their fields), not by scalars.
@@ -56,10 +65,13 @@ class RationalField:
     zero = 0
     one = 1
     vector = staticmethod(tuple)
+    scalars = staticmethod(tuple)
     reduce = staticmethod(_canonical)
 
     def sparse(self, acc):
-        return {k: v for k, v in acc.items() if v}
+        if 0 in acc.values():
+            return {k: v for k, v in acc.items() if v}
+        return acc
 
     def from_int(self, n):
         return index(n)
@@ -142,6 +154,15 @@ class PrimeField:
     def sparse(self, acc):
         p = self.p
         return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def scalars(self, xs):
+        xs = tuple(xs)
+        if not set(map(type, xs)) <= {int}:
+            bad = next(x for x in xs if type(x) is not int)
+            raise ValueError(f"scalar {bad!r} is not an int representative "
+                             f"of an element of F_{self.p}")
+        p = self.p
+        return tuple(x % p for x in xs)
 
     def from_int(self, n):
         return index(n) % self.p

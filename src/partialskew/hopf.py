@@ -201,12 +201,14 @@ def _smash_algebra(a, b, comul, act, unit):
     products = []
     for x in range(da):
         ex = {x: one}
+        # x·(b_k▷y), formed once per (x, k, y) and shared by every term of
+        # every Δ(b_i) that has b_k as its first leg
+        xky = [[a._mul_sparse(ex, acted[k][y]).items() for y in range(da)]
+               for k in range(db)]
         for i in range(db):
             row = []
             for y in range(da):
-                # x·(b_k▷y) per term of Δ(b_i), shared by the whole row block
-                terms = [(l, v, a._mul_sparse(ex, acted[k][y]).items())
-                         for k, l, v in comul[i]]
+                terms = [(l, v, xky[k][y]) for k, l, v in comul[i]]
                 for j in range(db):
                     cell = {}
                     get = cell.get
@@ -463,7 +465,12 @@ def lift_group_action(pa):
 
 
 def coaction_report(pha):
-    """The induced map a ↦ sum of (b_i·a)⊗p_i and its three properties."""
+    """The induced map a ↦ sum of (b_i·a)⊗p_i and its three properties.
+
+    A failing property names its first basis element or pair; the weak
+    coassociativity check also names the first basis where the strict law,
+    which is only measured, fails.
+    """
     h, alg = pha.hopf, pha.algebra
     dual = h.dual()
     d, da = h.dim, alg.dim
@@ -511,19 +518,19 @@ def coaction_report(pha):
     left_factor = field.sparse({idx * d + j: c * u for idx, c in delta_unit.items()
                                 for j, u in _sparse_vec(dual.algebra.unit).items()})
 
-    weak_ok = True
-    strict_ok = True
-    strict_witness = []
+    weak_failure = strict_failure = None
     for x in range(da):
         lhs = expand_left(cols[x])
         spread = expand_right(cols[x])
-        if lhs != t3._mul_sparse(left_factor, spread):
-            weak_ok = False
-        if lhs != spread:
-            strict_ok = False
-            if len(strict_witness) < 1:
-                strict_witness.append(
-                    f"strict coassociativity fails on basis {alg.labels[x]}")
+        if weak_failure is None and lhs != t3._mul_sparse(left_factor, spread):
+            weak_failure = x
+        if strict_failure is None and lhs != spread:
+            strict_failure = x
+    weak_ok, strict_ok = weak_failure is None, strict_failure is None
+    coassoc_witnesses = [
+        f"{kind} coassociativity fails on basis {alg.labels[x]}"
+        for kind, x in (("weak", weak_failure), ("strict", strict_failure))
+        if x is not None]
 
     return [
         check("coaction.multiplicative", pair is None, {"pairs": da * da},
@@ -531,7 +538,7 @@ def coaction_report(pha):
         check("coaction.counit", counit_failure is None, {"basis": da},
               counit_witnesses),
         check("coaction.weak_coassociativity", weak_ok,
-              {"strict_coassociativity": strict_ok}, strict_witness),
+              {"strict_coassociativity": strict_ok}, coassoc_witnesses),
     ]
 
 
@@ -650,7 +657,8 @@ def partial_smash_report(ps):
     Works on sparse vectors: the products of corner basis vectors and their
     images under every p_m ⇀ are formed once and shared by the checks.  A
     failing closure or comodule-algebra check names its first corner basis
-    pair or vector, by its expansion.
+    pair or vector, by its expansion; a failing ``psmash.unital`` names the
+    first way the unit fails (see ``_unit_failure``).
     """
     h = ps.pha.hopf
     d = h.dim
@@ -672,10 +680,9 @@ def partial_smash_report(ps):
                          [f"product leaves the corner at ({vec(leaves[0])}, "
                           f"{vec(leaves[1])})"]))
 
-    unit = _sparse_vec(u0)
-    unital = sub.contains_vector(u0) and mul(unit, unit) == unit and all(
-        mul(unit, v) == v and mul(v, unit) == v for v in su)
-    results.append(check("psmash.unital", unital, {}))
+    failure = _unit_failure(sub, mul, su, u0, vec)
+    results.append(check("psmash.unital", failure is None, {},
+                         [] if failure is None else [failure]))
 
     # right comodule algebra via 1 ⊗ coproduct
     t = tensor_algebra(amb, h.algebra)
@@ -724,6 +731,23 @@ def partial_smash_report(ps):
 
     results.append(_dual_module_check(ps, su, uv))
     return results
+
+
+def _unit_failure(sub, mul, su, u0, vec):
+    """Why u0 is not a two-sided unit of the corner: it lies outside it,
+    u0·u0 != u0, or the first corner basis vector u (named by ``vec``) with
+    u0·u != u or u·u0 != u; None when it is."""
+    unit = _sparse_vec(u0)
+    if not sub.contains_vector(u0):
+        return "the unit lies outside the corner"
+    if mul(unit, unit) != unit:
+        return "the unit is not idempotent"
+    for a, u in enumerate(su):
+        if mul(unit, u) != u:
+            return f"left unit law fails at ({vec(a)})"
+        if mul(u, unit) != u:
+            return f"right unit law fails at ({vec(a)})"
+    return None
 
 
 def _named_failures_check(name, failures):

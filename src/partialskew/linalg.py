@@ -11,7 +11,10 @@ residues in ``[0, p)``, over the rationals an ``int`` or a ``Fraction``.
 Every vector and matrix a function here returns holds canonical scalars; the
 arithmetic kernels (``vadd``, ``vsub``, ``vscale``, ``Mat.apply``,
 ``Mat @``, ``Subspace.linear_combination``) accept any ``int``
-representative and reduce each output coefficient once.
+representative and reduce each output coefficient once.  The entries of a
+``Mat``, the vectors of ``Subspace.from_vectors`` and the rows of ``rref``
+go through the field's ``scalars`` on the way in, so over F_p any ``int``
+representative is reduced there and any other scalar refused.
 
 All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
 ``{column: scalar}`` dicts of nonzero canonical scalars; over the rationals
@@ -129,7 +132,8 @@ def rref(rows, field):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    reduced = _echelon([_sparse(r) for r in rows], field.characteristic)
+    scalars = field.scalars
+    reduced = _echelon([_sparse(scalars(r)) for r in rows], field.characteristic)
     return [_dense(r, field, ncols) for r in reduced.values()], list(reduced)
 
 
@@ -139,7 +143,7 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, entries):
-        entries = tuple(tuple(r) for r in entries)
+        entries = tuple(map(field.scalars, entries))
         self.field = field
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
@@ -263,11 +267,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
+        scalars = field.scalars
         rows = []
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-            rows.append(_sparse(v))
+            rows.append(_sparse(scalars(v)))
         return cls._span(field, ambient, rows)
 
     @classmethod

@@ -349,6 +349,16 @@ def test_make_algebra_checks_sparse_shape():
         make_algebra(QQ, [[[(0, one)], []]], [one])
 
 
+def test_make_algebra_sorts_cells_it_is_given():
+    # ℚ[x]/(x² - x - 1) on the basis (1, x), with x·x = x + 1 listed
+    # highest index first; builders emit sorted cells, outside input may not
+    one = QQ.one
+    alg = make_algebra(QQ, [[[(0, one)], [(1, one)]],
+                            [[(1, one)], [(1, one), (0, one)]]], [one, 0])
+    assert alg.products[1][1] == ((0, one), (1, one))
+    assert type(alg.products[0][0]) is tuple
+
+
 @pytest.mark.parametrize("cell, unit", [(6, 1), (-4, 1), (1, 6), (1, -1)])
 def test_make_algebra_refuses_non_residues(cell, unit):
     # 6 and -4 stand for 1 in F_5, but stored scalars are canonical residues

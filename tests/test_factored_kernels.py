@@ -1,0 +1,180 @@
+"""The factored product kernels against the table routes they replace.
+
+* ``TensorAlgebra._mul_sparse`` multiplies through its factors; it must
+  equal the plain sparse product over the tensor's own table, which is
+  built from the factors' rows on its first read.
+* ``hopf._smash_algebra`` forms each x·(b_k▷y) once per (x, k, y); its
+  cells must equal the per-term route, which forms x·(b_k▷y) afresh for
+  every term of every Δ(b_i), with a dense product.
+* ``make_algebra`` sorts the cells it is given and the builders emit sorted
+  cells, so ``StructureAlgebra`` stores them as they come: every cell of
+  every algebra a scenario builds is strictly sorted by index.
+"""
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from partialskew import hopf
+from partialskew.actions import trivial_from_split
+from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _sparse_vec,
+                                  product_of_fields)
+from partialskew.fields import GF, QQ
+from partialskew.groups import symmetric
+from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
+from partialskew.skew import build_skew
+
+from corpus_helpers import z3_restricted_action
+from test_golden_reports import INLINE
+
+FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
+
+
+def _scalars(field, nonzero=False):
+    """Scalars of the field; over F_p any int representative (negative, a
+    multiple of p), and only nonzero residues when ``nonzero``."""
+    if field.characteristic:
+        p = field.characteristic
+        if nonzero:
+            return st.integers(1, p - 1)
+        return st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p),
+                         st.integers(-3, 3).map(lambda m: m * p))
+    ints = st.integers(-4, 4)
+    if nonzero:
+        ints = ints.filter(bool)
+    return st.one_of(ints, st.fractions(max_denominator=5).filter(
+        lambda x: x or not nonzero))
+
+
+@st.composite
+def _algebra(draw, field):
+    """A structure algebra on a random sparse table of canonical nonzero
+    constants; the products kernels need no associativity."""
+    d = draw(st.integers(1, 3))
+    value = _scalars(field, nonzero=True)
+    table = [[tuple(sorted(draw(st.dictionaries(
+        st.integers(0, d - 1), value, max_size=2)).items()))
+        for _ in range(d)] for _ in range(d)]
+    return StructureAlgebra(field, table, None)
+
+
+@st.composite
+def _tensor_instances(draw):
+    """(tensor, x, y): A⊗B or A⊗(B⊗C) over a random field, and two sparse
+    vectors of arbitrary representatives."""
+    field = draw(st.sampled_from(FIELDS))
+    t = TensorAlgebra(draw(_algebra(field)), draw(_algebra(field)))
+    if draw(st.booleans()):
+        t = TensorAlgebra(draw(_algebra(field)), t)
+    vec = st.dictionaries(st.integers(0, t.dim - 1), _scalars(field), max_size=6)
+    return t, draw(vec), draw(vec)
+
+
+def _table_product(alg, x, y):
+    """x·y over alg's table, every representative reduced at the end."""
+    acc = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, v in alg.products[i][j]:
+                acc[k] = acc.get(k, 0) + xi * yj * v
+    p = alg.field.characteristic
+    if p:
+        acc = {k: v % p for k, v in acc.items()}
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tensor_instances())
+def test_factored_tensor_product_matches_table_route(inst):
+    t, x, y = inst
+    got = t._mul_sparse(x, y)
+    # the product went through the factors: no table was built, nested or not
+    assert not any("products" in vars(alg) for alg in (t, t.tensor_factors[1])
+                   if isinstance(alg, TensorAlgebra))
+    assert got == _table_product(t, x, y)
+    p = t.field.characteristic
+    assert all(v and (not p or (type(v) is int and 0 <= v < p))
+               for v in got.values())
+
+
+def _per_term_products(a, b, comul, act):
+    """The rows of A # B with x·(b_k▷y) formed anew, by a dense product,
+    for every term (k, l, v) of every Δ(b_i)."""
+    field = a.field
+    da, db = a.dim, b.dim
+    basis = a.basis_element
+    rows = []
+    for x in range(da):
+        for i in range(db):
+            row = []
+            for y in range(da):
+                for j in range(db):
+                    cell = {}
+                    for k, l, v in comul[i]:
+                        xy = _sparse_vec(a.mul_vec(basis(x).coeffs,
+                                                   act(k, basis(y).coeffs)))
+                        for t, u in b.products[l][j]:
+                            for s, w in xy.items():
+                                key = s * db + t
+                                cell[key] = cell.get(key, 0) + v * u * w
+                    row.append(tuple(sorted(field.sparse(cell).items())))
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _s3_split(field):
+    k = product_of_fields(field, 1)
+    return trivial_from_split(k, k, symmetric(3))
+
+
+@pytest.mark.parametrize("action", [
+    z3_restricted_action,
+    lambda: _s3_split(QQ),
+    lambda: _s3_split(GF(5)),
+], ids=["z3_q", "s3_q", "s3_fp5"])
+def test_smash_cells_match_per_term_route(monkeypatch, action):
+    # the four smash products of the Hopf lift: H#H*, H*#H, A⊗H twisted by
+    # the partial action, and (A⊗H)#H*
+    built = []
+    smash = hopf._smash_algebra
+
+    def spy(a, b, comul, act, unit):
+        alg = smash(a, b, comul, act, unit)
+        built.append((alg, (a, b, comul, act)))
+        return alg
+
+    monkeypatch.setattr(hopf, "_smash_algebra", spy)
+    pa = action()
+    results = hopf.hopf_lift_suite(pa, build_skew(pa))
+    assert all(c.status == "pass" for c in results)
+    a_dim = pa.algebra.dim
+    d = pa.group.order
+    assert [alg.dim for alg, _ in built] == [d * d, d * d, a_dim * d, a_dim * d * d]
+    for alg, args in built:
+        assert alg.products == _per_term_products(*args)
+
+
+def _record_algebras(monkeypatch):
+    built = []
+    for cls in (StructureAlgebra, TensorAlgebra):
+        init = cls.__init__
+
+        def record(self, *args, _init=init, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    return built
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5", "fp:2"])
+def test_every_built_cell_is_strictly_sorted(monkeypatch, field):
+    built = _record_algebras(monkeypatch)
+    sources = [fixture_path(name) for name in bundled_fixtures()] + [INLINE["s3_split"]]
+    for source in sources:
+        assert run_scenario(source, field_override=field).passed()
+    assert any(isinstance(alg, TensorAlgebra) for alg in built)
+    for alg in built:
+        for row in alg.products:
+            for cell in row:
+                assert type(cell) is tuple
+                assert all(a[0] < b[0] for a, b in zip(cell, cell[1:])), (alg, cell)

@@ -480,6 +480,42 @@ def test_coaction_names_counit_witness(s1_action):
     assert results["coaction.multiplicative"].status == "pass"
 
 
+def test_coaction_names_weak_coassociativity_witness(s1_action):
+    # g sends l_e0 to r_e0 and kills r_e0, an algebra map that is not
+    # unital, so δ stays multiplicative; the weak law holds on l_e0 but
+    # fails on r_e0, while the strict law already fails on l_e0
+    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
+                            [Mat.identity(QQ, 2), qmat([[0, 0], [1, 0]])])
+    results = {c.name: c for c in coaction_report(pha)}
+    weak = results["coaction.weak_coassociativity"]
+    assert weak.status == "fail"
+    assert weak.measured == {"strict_coassociativity": False}
+    assert weak.witnesses == ["weak coassociativity fails on basis r_e0",
+                              "strict coassociativity fails on basis l_e0"]
+    assert results["coaction.multiplicative"].status == "pass"
+
+
+@pytest.mark.parametrize("corner, unit, witness", [
+    # the line through l_e0#g does not hold 1 = l_e0#e + r_e0#e
+    (lambda ps: Subspace.from_vectors(QQ, 4, [qvec([0, 1, 0, 0])]),
+     lambda ps: ps.unit_vec, "the unit lies outside the corner"),
+    # 2·1 lies in the corner, but (2·1)(2·1) = 4·1
+    (lambda ps: ps.sub, lambda ps: tuple(2 * x for x in ps.unit_vec),
+     "the unit is not idempotent"),
+    # l_e0#e is an idempotent of the corner, but (l_e0#e)(r_e0#e) = 0
+    (lambda ps: ps.sub, lambda ps: qvec([1, 0, 0, 0]),
+     "left unit law fails at ((1)*r_e0#e)"),
+])
+def test_unital_names_its_failure(s1_action, corner, unit, witness):
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    check = _partial_smash_checks(pha, ps.ambient, corner(ps), unit(ps))[
+        "psmash.unital"]
+    assert check.status == "fail"
+    assert check.measured == {}
+    assert check.witnesses == [witness]
+
+
 def test_operator_duality_names_corner_membership_witness(s1_action):
     # restricting to the whole of A⊗H instead of its unital corner lets
     # r_e0#g in, whose image under p_g leaves the corner; the first three

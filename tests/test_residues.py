@@ -8,11 +8,15 @@ computation done in ``PrimeFieldElement`` arithmetic and return only
 residues.  p = 2⁶¹ - 1 makes products of residues pass 2⁶⁴.
 """
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+import re
 
-from partialskew.algebras import StructureAlgebra, _lincomb
-from partialskew.fields import GF
-from partialskew.linalg import Mat, vadd, vscale, vsub
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from partialskew.algebras import StructureAlgebra, _lincomb, product_of_fields
+from partialskew.fields import GF, QQ
+from partialskew.linalg import Mat, Subspace, kernel_basis, rref, vadd, vscale, vsub
 
 from fp_oracle import unwrap, wrap
 
@@ -111,3 +115,44 @@ def test_linear_kernels_match_wrapper_route(inst):
              for j in range(len(y))] for row in wm]
     assert prod.entries == tuple(tuple(unwrap(v) for v in row) for row in want)
     assert all(_residues(row, p) for row in prod.entries)
+
+
+# -- scalars from the Python API -------------------------------------------
+# ``Mat``, ``Subspace.from_vectors``, ``rref`` and algebra elements take any
+# int representative over F_p and reduce it on the way in; anything else is
+# refused, naming the scalar.
+
+def test_kernel_of_a_non_canonical_matrix():
+    # 5 is 0 in F_5, so the one equation is x_1 = 0
+    assert kernel_basis(Mat(GF(5), [[5, 1]])).basis == ((1, 0),)
+
+
+def test_matrices_compare_as_residues():
+    assert Mat(GF(5), [[7]]) == Mat(GF(5), [[2]])
+    assert Mat(GF(5), [[-3, 10]]).entries == ((2, 0),)
+    assert Subspace.from_vectors(GF(5), 2, [(5, 6)]).basis == ((0, 1),)
+    assert rref([[10, 3], [-1, 0]], GF(5)) == ([(1, 0), (0, 1)], [0, 1])
+
+
+def test_element_scalar_products_are_residues():
+    kk = product_of_fields(GF(5), 2)
+    one = kk.one()
+    assert (one * -3).coeffs == (2, 2) and (7 * one).coeffs == (2, 2)
+    assert kk.element([5, -1]).coeffs == (0, 4)
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+        one * Fraction(1, 2)
+    half = product_of_fields(QQ, 2).one() * Fraction(1, 2)
+    assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, x: Mat(f, [[1, x]]),
+    lambda f, x: Subspace.from_vectors(f, 2, [(1, x)]),
+    lambda f, x: rref([[1, x]], f),
+    lambda f, x: product_of_fields(f, 2).element([1, x]),
+    lambda f, x: x * product_of_fields(f, 2).one(),
+])
+@pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2), 1.0, True])
+def test_non_int_scalars_refused_over_fp(build, scalar):
+    with pytest.raises(ValueError, match=re.escape(f"scalar {scalar!r} is not an int")):
+        build(GF(5), scalar)
