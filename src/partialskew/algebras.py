@@ -11,7 +11,10 @@ constructions (matrix algebras, direct products) are built from validated
 parts and verified through their own characteristic identities.  A tensor
 product multiplies through its factors' rows, (b_i⊗c_j)(b_k⊗c_l) =
 b_i b_k ⊗ c_j c_l, and builds its own table only when ``products`` is first
-read.  Maps between algebras are checked multiplicative by comparing sparse
+read.  ``smash_algebra`` is the one builder of a smash product A # B, from
+the comultiplication triples of B and a sparse table of b_k▷a_y; the group
+smash of :mod:`smash` and every algebra of :mod:`hopf` are built by it.
+Maps between algebras are checked multiplicative by comparing sparse
 products.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
@@ -27,7 +30,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
-                     NotAssociative, NotCentralIdempotent, UnitFails)
+                     NotAssociative, NotCentralIdempotent, UnitFails,
+                     ValidationError)
 from .linalg import (Mat, Subspace, image_basis, kernel_basis, vadd, vscale,
                      vsub, vzero)
 
@@ -604,6 +608,51 @@ class TensorAlgebra(StructureAlgebra):
 
 def tensor_algebra(left, right):
     return TensorAlgebra(left, right)
+
+
+def smash_algebra(a, b, comul, acted, unit):
+    """The smash product A # B of an algebra A and a bialgebra B acting on it.
+
+    Basis x#b_i has index x·dim B + i, and
+    (x#b_i)(y#b_j) = Σ over (k, l, v) in Δ(b_i) of v·x(b_k▷y) # b_l·b_j,
+    where ``comul`` holds the comultiplication triples of B and
+    ``acted[k][y]`` is b_k▷a_y as ``{index: scalar}``.  ``unit`` is None when
+    the product has no global unit.  Each x·(b_k▷y) is formed once per
+    (x, k, y), and a term whose x·(b_k▷y) is zero is skipped.  The sparse
+    rows are validated by ``make_algebra``; since every caller builds it from
+    validated data, a failure is internal.
+    """
+    field = a.field
+    sparse = field.sparse
+    da, db = a.dim, b.dim
+    one = field.one
+    products = []
+    for x in range(da):
+        ex = {x: one}
+        # x·(b_k▷y), shared by every term of every Δ(b_i) that has b_k as
+        # its first leg
+        xky = [[a._mul_sparse(ex, acted[k][y]).items() for y in range(da)]
+               for k in range(db)]
+        for i in range(db):
+            row = []
+            for y in range(da):
+                terms = [(l, v, xky[k][y]) for k, l, v in comul[i] if xky[k][y]]
+                for j in range(db):
+                    cell = {}
+                    get = cell.get
+                    for l, v, xs in terms:
+                        for t, u in b.products[l][j]:
+                            vu = v * u
+                            for s, w in xs:
+                                key = s * db + t
+                                cell[key] = get(key, 0) + vu * w
+                    row.append(tuple(sparse(cell).items()))
+            products.append(row)
+    labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
+    try:
+        return make_algebra(field, products, unit, labels=labels)
+    except ValidationError as exc:
+        raise InternalCheckFailed(f"smash product: {exc}") from None
 
 
 class AlgebraMap:

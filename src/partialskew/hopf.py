@@ -8,9 +8,9 @@ coproduct/counit with the product, and the antipode identity, exhaustively
 on the basis.  The dual Hopf algebra swaps the two sets of constants.
 
 Every algebra this layer builds is a smash product A # B, where a
-bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c.  One
-builder, ``_smash_algebra``, makes all of them and validates each through
-``make_algebra``:
+bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c, made by
+``algebras.smash_algebra`` from a table of the action on basis vectors and
+validated through ``make_algebra``:
 
   * H # H^* and H^* # H, acting on H through the hit actions; their
     operator representations satisfy the λ/ρ exchange identity;
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from .algebras import (AlgebraMap, _lincomb, _outer, _sparse_vec, field_algebra,
                        group_algebra, make_algebra, matrix_algebra,
-                       tensor_algebra)
+                       smash_algebra, tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
-from .linalg import Mat, Subspace, vzero
+from .linalg import Mat, Subspace
 from .report import check
 
 
@@ -180,53 +180,6 @@ def group_hopf(field, group):
     return make_hopf(alg, comul, counit, antipode)
 
 
-# -- smash products -------------------------------------------------------
-
-def _smash_algebra(a, b, comul, act, unit):
-    """The smash product A # B of an algebra A and a bialgebra B acting on it.
-
-    Basis x#b_i has index x·dim B + i, and
-    (x#b_i)(y#b_j) = Σ over (k, l, v) in Δ(b_i) of v·x(b_k▷y) # b_l·b_j,
-    where ``comul`` holds the comultiplication triples of B and ``act(k, y)``
-    is b_k▷y on a coefficient vector of A.  ``unit`` is None when the product
-    has no global unit.  The sparse rows are validated by ``make_algebra``; since
-    every caller builds it from validated data, a failure is internal.
-    """
-    field = a.field
-    sparse = field.sparse
-    da, db = a.dim, b.dim
-    one = field.one
-    acted = [[{s: w for s, w in enumerate(act(k, a.basis_element(y).coeffs)) if w}
-              for y in range(da)] for k in range(db)]
-    products = []
-    for x in range(da):
-        ex = {x: one}
-        # x·(b_k▷y), formed once per (x, k, y) and shared by every term of
-        # every Δ(b_i) that has b_k as its first leg
-        xky = [[a._mul_sparse(ex, acted[k][y]).items() for y in range(da)]
-               for k in range(db)]
-        for i in range(db):
-            row = []
-            for y in range(da):
-                terms = [(l, v, xky[k][y]) for k, l, v in comul[i]]
-                for j in range(db):
-                    cell = {}
-                    get = cell.get
-                    for l, v, xs in terms:
-                        for t, u in b.products[l][j]:
-                            vu = v * u
-                            for s, w in xs:
-                                key = s * db + t
-                                cell[key] = get(key, 0) + vu * w
-                    row.append(tuple(sparse(cell).items()))
-            products.append(row)
-    labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
-    try:
-        return make_algebra(field, products, unit, labels=labels)
-    except ValidationError as exc:
-        raise InternalCheckFailed(f"twisted tensor product: {exc}") from None
-
-
 # -- hit actions between a Hopf algebra and its dual ---------------------
 
 def hit_left(h, fvec, xvec):
@@ -266,11 +219,6 @@ def _dual_hits(h, right=False):
 
 # -- operator representations --------------------------------------------
 
-def end_algebra(h):
-    """Linear endomorphisms of the underlying space, as matrix units."""
-    return matrix_algebra(field_algebra(h.algebra.field), h.dim)
-
-
 class Representations:
     __slots__ = ("hopf", "end", "lambda_map", "rho_map")
 
@@ -293,17 +241,13 @@ def build_representations(h):
     """
     dual = h.dual()
     d = h.dim
-    end = end_algebra(h)
     field = h.algebra.field
-    ls = _smash_algebra(
-        h.algebra, dual.algebra, dual.comul,
-        lambda k, y: hit_left(h, dual.algebra.basis_element(k).coeffs, y),
-        _outer(field, h.algebra.unit, dual.algebra.unit))
+    end = matrix_algebra(field_algebra(field), d)   # End(H), as matrix units
+    ls = smash_algebra(h.algebra, dual.algebra, dual.comul, _dual_hits(h),
+                       _outer(field, h.algebra.unit, dual.algebra.unit))
     # h⇀g is the left hit action of H = (H^*)^* on H^*
-    rs = _smash_algebra(
-        dual.algebra, h.algebra, h.comul,
-        lambda k, g: hit_left(dual, h.algebra.basis_element(k).coeffs, g),
-        _outer(field, dual.algebra.unit, h.algebra.unit))
+    rs = smash_algebra(dual.algebra, h.algebra, h.comul, _dual_hits(dual),
+                       _outer(field, dual.algebra.unit, h.algebra.unit))
 
     ops = _basis_operators(h)
     lam_ops, rho_ops = ops
@@ -392,22 +336,18 @@ def _verify_exchange_identity(h, ops=None):
 # -- partial Hopf actions -------------------------------------------------
 
 class PartialHopfAction:
-    __slots__ = ("hopf", "algebra", "mats", "source")
+    __slots__ = ("hopf", "algebra", "mats", "source", "acts")
 
     def __init__(self, hopf, algebra, mats, source=None):
         self.hopf = hopf
         self.algebra = algebra
         self.mats = tuple(mats)
         self.source = source
+        # acts[i][x]: b_i ▷ a_x as {index: scalar}
+        self.acts = [[_sparse_vec(col) for col in m.columns()] for m in self.mats]
 
     def act(self, i, avec):
         return self.mats[i].apply(avec)
-
-
-def _act_columns(pha):
-    """``acts[i][x]``: b_i ▷ a_x as ``{index: scalar}``, for the bases b_i
-    of H and a_x of A."""
-    return [[_sparse_vec(col) for col in m.columns()] for m in pha.mats]
 
 
 def make_partial_hopf_action(h, algebra, mats):
@@ -421,7 +361,7 @@ def make_partial_hopf_action(h, algebra, mats):
     pha = PartialHopfAction(h, algebra, mats)
     d, da = h.dim, algebra.dim
     field = algebra.field
-    acts = _act_columns(pha)
+    acts = pha.acts
     mul = algebra._mul_sparse
 
     # h ▷ (xy) = Σ (h1 ▷ x)(h2 ▷ y)
@@ -461,7 +401,8 @@ def lift_group_action(pa):
     """Linearize a partial group action over the group Hopf algebra."""
     h = group_hopf(pa.algebra.field, pa.group)
     pha = make_partial_hopf_action(h, pa.algebra, list(pa.maps))
-    return PartialHopfAction(h, pa.algebra, pha.mats, source=pa)
+    pha.source = pa
+    return pha
 
 
 def coaction_report(pha):
@@ -476,7 +417,7 @@ def coaction_report(pha):
     d, da = h.dim, alg.dim
     field = alg.field
     one = field.one
-    acts = _act_columns(pha)
+    acts = pha.acts
 
     # δ(a_x) in A ⊗ H*, index a·d + i
     cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
@@ -568,7 +509,7 @@ def build_corner_maps(pha, reps=None):
     dd = d * d
     field = alg.field
     target = tensor_algebra(alg, reps.end)
-    acts = _act_columns(pha)
+    acts = pha.acts
 
     # ρ(S^{-1}(p_i)#1): x ↦ (x ↼ S^{-1}(p_i))·1, as a sparse vector of End(H)
     mul_h = h.algebra._mul_sparse
@@ -629,7 +570,7 @@ class PartialSmash:
 def build_partial_smash(pha):
     """The twisted product on A⊗H and its unital corner."""
     h, alg = pha.hopf, pha.algebra
-    ambient = _smash_algebra(alg, h.algebra, h.comul, pha.act, None)
+    ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     u0 = _outer(alg.field, alg.unit, h.algebra.unit)
     sub = Subspace.from_vectors(
         alg.field, ambient.dim,
@@ -816,44 +757,49 @@ def _dual_module_check(ps, su, uv):
 
 def smash_matches_skew_report(ps, skew_ring):
     """For group lifts: the unital corner is the twisted group ring, via
-    x#b_g ↦ (x·1_g) placed at grade g."""
+    T(x#b_g) = x·1_g placed at grade g, on sparse vectors.  A failure names
+    the first way T fails: the dimensions when it is not bijective, the first
+    corner basis pair it does not multiply (by expansion), or the unit."""
     pha = ps.pha
     pa = pha.source
     alg = pha.algebra
     field = alg.field
     d = pha.hopf.dim
-    amb = ps.ambient
+    ring = skew_ring.algebra
 
+    # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
     cols = []
     for x in range(alg.dim):
-        ex = alg.basis_element(x).coeffs
         for g in range(d):
-            w = alg.mul_vec(ex, pa.idempotents[g])
-            coords = pa.ideals[g].coordinates_of(w)
-            col = list(vzero(field, skew_ring.dim))
-            for t, c in enumerate(coords):
-                col[skew_ring.offsets[g] + t] = c
-            cols.append(tuple(col))
-    t_map = Mat.from_columns(field, cols, rows=skew_ring.dim)
+            coords = pa.ideals[g].coordinates_of(
+                alg._basis_times_vec(x, pa.idempotents[g]))
+            cols.append({skew_ring.offsets[g] + t: c for t, c in enumerate(coords) if c})
 
-    images = [t_map.apply(v) for v in ps.sub.basis]
-    span = Subspace.from_vectors(field, skew_ring.dim, images)
-    bijective = (ps.sub.dim == skew_ring.dim and span.dim == skew_ring.dim)
+    def t_map(vec):
+        return _lincomb(field, ((c, cols[idx]) for idx, c in vec.items()))
 
-    multiplicative = True
-    for u in ps.sub.basis:
-        tu = t_map.apply(u)
-        for v in ps.sub.basis:
-            if t_map.apply(amb.mul_vec(u, v)) != \
-                    tuple(skew_ring.algebra.mul_vec(tu, t_map.apply(v))):
-                multiplicative = False
-    unital = t_map.apply(ps.unit_vec) == skew_ring.algebra.unit
+    su = [_sparse_vec(u) for u in ps.sub.basis]
+    images = [t_map(u) for u in su]
+    span = Subspace.from_sparse(field, skew_ring.dim, images)
+    bijective = ps.sub.dim == skew_ring.dim == span.dim
+    mul = ps.ambient._mul_sparse
+    pair = next(((a, b) for a, u in enumerate(su) for b, v in enumerate(su)
+                 if t_map(mul(u, v)) != ring._mul_sparse(images[a], images[b])), None)
+    unital = t_map(_sparse_vec(ps.unit_vec)) == _sparse_vec(ring.unit)
 
-    return [check("psmash.matches_skew_ring",
-                  bijective and multiplicative and unital,
+    vec = ps.ambient.format_vec
+    if not bijective:
+        failure = (f"not bijective: corner dim {ps.sub.dim}, image dim {span.dim}, "
+                   f"twisted ring dim {skew_ring.dim}")
+    elif pair is not None:
+        failure = (f"multiplicativity fails at ({vec(ps.sub.basis[pair[0]])}, "
+                   f"{vec(ps.sub.basis[pair[1]])})")
+    else:
+        failure = None if unital else "the unit does not map to the unit"
+    return [check("psmash.matches_skew_ring", failure is None,
                   {"sub_dim": ps.sub.dim, "skew_dim": skew_ring.dim,
-                   "bijective": bijective, "multiplicative": multiplicative,
-                   "unital": unital})]
+                   "bijective": bijective, "multiplicative": pair is None,
+                   "unital": unital}, [failure] if failure else [])]
 
 
 def operator_duality_report(pha, ps, maps=None):
@@ -868,14 +814,10 @@ def operator_duality_report(pha, ps, maps=None):
     target = maps.target
 
     hits = _dual_hits(h)
-
-    def dual_act(m, v):
-        out = list(vzero(field, len(v)))
-        for key, c in _dual_act(field, hits[m], d, _sparse_vec(v)).items():
-            out[key] = c
-        return tuple(out)
-
-    triple = _smash_algebra(ps.ambient, dual.algebra, dual.comul, dual_act, None)
+    one = field.one
+    acted = [[_dual_act(field, hits[m], d, {y: one}) for y in range(ps.ambient.dim)]
+             for m in range(d)]
+    triple = smash_algebra(ps.ambient, dual.algebra, dual.comul, acted, None)
     dim_c = triple.dim
 
     # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
@@ -890,9 +832,11 @@ def operator_duality_report(pha, ps, maps=None):
 
     bold = _lincomb(field, ((c, cols[t]) for t, c in
                             enumerate(_outer(field, ps.unit_vec, dual.algebra.unit)) if c))
-    idem_ok = bold == _sparse_vec(maps.corner_unit) and mul(bold, bold) == bold
+    idem_failure = ("the image of the unit is not the corner unit"
+                    if bold != _sparse_vec(maps.corner_unit) else
+                    "the image of the unit is not idempotent"
+                    if mul(bold, bold) != bold else None)
 
-    one = field.one
     corner = Subspace.from_sparse(
         field, target.dim,
         [mul(bold, mul({b: one}, bold)) for b in range(target.dim)])
@@ -912,7 +856,8 @@ def operator_duality_report(pha, ps, maps=None):
     return [
         check("opduality.multiplicative", pair is None, {"dim": dim_c},
               mult_witnesses),
-        check("opduality.idempotent", idem_ok, {"corner_dim": corner.dim}),
+        check("opduality.idempotent", idem_failure is None, {"corner_dim": corner.dim},
+              [idem_failure] if idem_failure else []),
         check("opduality.corner_membership", outside is None,
               {"restricted_basis": len(subs) * d}, member_witnesses),
     ]
@@ -965,8 +910,11 @@ def hopf_lift_suite(pa, skew_ring):
     results.append(check("hopf.partial_action_axioms", True,
                          {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
 
-    matches = all(pha.mats[g] == pa.maps[g] for g in range(pa.group.order))
-    results.append(check("hopf.lift_matches_group_dot", matches, {}))
+    grp = pa.group
+    differs = next((g for g in range(grp.order) if pha.mats[g] != pa.maps[g]), None)
+    results.append(check("hopf.lift_matches_group_dot", differs is None, {},
+                         [] if differs is None else
+                         [f"lifted action differs at {grp.label(differs)}"]))
 
     results.extend(coaction_report(pha))
     if reps is None:

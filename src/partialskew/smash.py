@@ -1,18 +1,19 @@
 """Smash product of the twisted group ring with the dual group algebra.
 
 A basis vector is a pair (skew basis j, group element h), standing for
-x # p_h with x the j-th homogeneous basis vector.  The ring structure is
-assembled twice and compared: once generically from the projection action
-p_h ▷ x = [grade(x) = h]·x together with the coproduct of the dual group
-algebra (sum over factorizations of h), and once from the closed product
-rule that multiplies the skew parts and keeps p_l exactly when the left
-p-index matches grade(y)·l.  Any mismatch would mean a transcription error
-in one of the two routes and aborts the build.
+x#p_h with x the j-th homogeneous basis vector.  The ring structure is
+assembled twice and compared: once generically by ``smash_algebra``, the
+one smash builder of :mod:`algebras`, from the projection action
+p_h ▷ x = [grade(x) = h]·x and the coproduct Δ(p_h) = Σ_{uv=h} p_u⊗p_v of
+the dual group algebra, and once from the closed product rule that
+multiplies the skew parts and keeps p_l exactly when the left p-index
+matches grade(y)·l.  Any mismatch would mean a transcription error in one
+of the two routes and aborts the build.
 """
 
 from __future__ import annotations
 
-from .algebras import AlgebraMap, dual_group_algebra, make_algebra
+from .algebras import AlgebraMap, _outer, dual_group_algebra, smash_algebra
 from .errors import InternalCheckFailed
 from .report import check
 
@@ -37,7 +38,7 @@ class SmashAlgebra:
         return divmod(idx, self.group.order)
 
     def embed_skew(self):
-        """The inclusion x |-> sum over h of x # p_h (verified at build)."""
+        """The inclusion x |-> sum over h of x#p_h (verified at build)."""
         return self.embed_skew_map
 
 
@@ -46,81 +47,40 @@ def build_smash(skew):
     field = skew.algebra.field
     n = grp.order
     ds = skew.dim
-    dim = ds * n
+    one = field.one
     grades = [skew.grade_of(j)[0] for j in range(ds)]
-
-    def index(j, h):
-        return j * n + h
+    products = skew.algebra.products
 
     # the projection action must be a module-algebra action before the
-    # smash multiplication is meaningful
-    products = skew.algebra.products
-    for h in range(n):
-        for j1 in range(ds):
-            for j2 in range(ds):
-                prod = products[j1][j2]
-                lhs = tuple((k, c) for k, c in prod if grades[k] == h)
-                rhs = ()
-                for u in range(n):
-                    v = grp.mul(grp.inv(u), h)
-                    if grades[j1] == u and grades[j2] == v:
-                        rhs = prod
-                        break
-                if lhs != rhs:
-                    raise InternalCheckFailed(
-                        "projection action is not a module-algebra action")
-
-    dual = dual_group_algebra(field, grp)
-    sparse = field.sparse
-    rows = []
+    # smash multiplication is meaningful: on basis vectors,
+    # p_h ▷ (y₁y₂) = Σ_{uv=h} (p_u ▷ y₁)(p_v ▷ y₂) is y₁y₂ when
+    # h = grade(y₁)·grade(y₂) and 0 otherwise, for every h
     for j1 in range(ds):
-        for h in range(n):
-            row_for = {}
-            for j2 in range(ds):
-                prod = products[j1][j2]
-                for l in range(n):
-                    # generic route: split p_h over factorizations u·v = h,
-                    # apply p_u to the right factor, multiply p_v * p_l in
-                    # the dual group algebra
-                    generic = {}
-                    for u in range(n):
-                        if grades[j2] != u:      # p_u kills other grades
-                            continue
-                        v = grp.mul(grp.inv(u), h)
-                        for k, c in prod:
-                            for m, w in dual.products[v][l]:
-                                key = index(k, m)
-                                generic[key] = generic.get(key, 0) + c * w
-                    generic = sparse(generic)
-                    # closed rule: keep p_l exactly when h = grade(y)·l
-                    closed = {}
-                    if grp.mul(grades[j2], l) == h:
-                        closed = {index(k, l): c for k, c in prod}
-                    if generic != closed:
-                        raise InternalCheckFailed(
-                            "generic and closed smash products disagree")
-                    row_for[index(j2, l)] = tuple(generic.items())
-            rows.append([row_for[c] for c in range(dim)])
+        for j2 in range(ds):
+            g = grp.mul(grades[j1], grades[j2])
+            if any(grades[k] != g for k, _ in products[j1][j2]):
+                raise InternalCheckFailed(
+                    "projection action is not a module-algebra action")
 
-    zero_row = [field.zero] * dim
-    unit = list(zero_row)
-    skew_unit = skew.algebra.unit
-    for j, c in enumerate(skew_unit):
-        if c:
-            for h in range(n):
-                unit[index(j, h)] = c
+    # generic route: Δ(p_h) = Σ_{uv=h} p_u⊗p_v and p_h ▷ y = [grade y = h]·y
+    dual = dual_group_algebra(field, grp)
+    comul = [[(u, grp.mul(grp.inv(u), h), one) for u in range(n)] for h in range(n)]
+    acted = [[{y: one} if grades[y] == h else {} for y in range(ds)]
+             for h in range(n)]
+    alg = smash_algebra(skew.algebra, dual, comul, acted,
+                        _outer(field, skew.algebra.unit, dual.unit))
 
-    labels = [f"{skew.algebra.labels[j]} # p_{grp.label(h)}"
-              for j in range(ds) for h in range(n)]
-    alg = make_algebra(field, rows, unit, labels=labels)
+    # closed rule: (x#p_h)(y#p_l) = xy#p_l when h = grade(y)·l, else 0
+    closed = tuple(
+        tuple(tuple((k * n + l, c) for k, c in products[j1][j2])
+              if grp.mul(grades[j2], l) == h else ()
+              for j2 in range(ds) for l in range(n))
+        for j1 in range(ds) for h in range(n))
+    if alg.products != closed:
+        raise InternalCheckFailed("generic and closed smash products disagree")
 
-    embed_cols = []
-    for j in range(ds):
-        col = list(zero_row)
-        for h in range(n):
-            col[index(j, h)] = field.one
-        embed_cols.append(tuple(col))
-    embed = AlgebraMap.from_columns(skew.algebra, alg, embed_cols)
+    embed = AlgebraMap.from_sparse(skew.algebra, alg, [
+        {j * n + h: one for h in range(n)} for j in range(ds)])
     if not (embed.is_multiplicative() and embed.is_unital() and embed.is_injective()):
         raise InternalCheckFailed("twisted group ring does not embed in its smash product")
 

@@ -3,9 +3,11 @@
 * ``TensorAlgebra._mul_sparse`` multiplies through its factors; it must
   equal the plain sparse product over the tensor's own table, which is
   built from the factors' rows on its first read.
-* ``hopf._smash_algebra`` forms each x·(b_k▷y) once per (x, k, y); its
-  cells must equal the per-term route, which forms x·(b_k▷y) afresh for
-  every term of every Δ(b_i), with a dense product.
+* ``algebras.smash_algebra`` forms each x·(b_k▷y) once per (x, k, y) and
+  skips the terms where it is zero; its cells must equal the per-term
+  route, which forms x·(b_k▷y) afresh for every term of every Δ(b_i), with
+  a dense product, for the group smash and the four smash products of the
+  Hopf lift.
 * ``make_algebra`` sorts the cells it is given and the builders emit sorted
   cells, so ``StructureAlgebra`` stores them as they come: every cell of
   every algebra a scenario builds is strictly sorted by index.
@@ -14,7 +16,7 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from partialskew import hopf
+from partialskew import hopf, smash
 from partialskew.actions import trivial_from_split
 from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _sparse_vec,
                                   product_of_fields)
@@ -22,6 +24,7 @@ from partialskew.fields import GF, QQ
 from partialskew.groups import symmetric
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 from partialskew.skew import build_skew
+from partialskew.smash import build_smash
 
 from corpus_helpers import z3_restricted_action
 from test_golden_reports import INLINE
@@ -96,12 +99,17 @@ def test_factored_tensor_product_matches_table_route(inst):
                for v in got.values())
 
 
-def _per_term_products(a, b, comul, act):
-    """The rows of A # B with x·(b_k▷y) formed anew, by a dense product,
-    for every term (k, l, v) of every Δ(b_i)."""
+def _per_term_products(a, b, comul, acted):
+    """The rows of A # B with x·(b_k▷y) formed anew, by a dense product of
+    a_x with the densified ``acted[k][y]``, for every term (k, l, v) of
+    every Δ(b_i)."""
     field = a.field
     da, db = a.dim, b.dim
     basis = a.basis_element
+
+    def act(k, y):
+        return tuple(acted[k][y].get(s, field.zero) for s in range(da))
+
     rows = []
     for x in range(da):
         for i in range(db):
@@ -110,8 +118,7 @@ def _per_term_products(a, b, comul, act):
                 for j in range(db):
                     cell = {}
                     for k, l, v in comul[i]:
-                        xy = _sparse_vec(a.mul_vec(basis(x).coeffs,
-                                                   act(k, basis(y).coeffs)))
+                        xy = _sparse_vec(a.mul_vec(basis(x).coeffs, act(k, y)))
                         for t, u in b.products[l][j]:
                             for s, w in xy.items():
                                 key = s * db + t
@@ -132,23 +139,28 @@ def _s3_split(field):
     lambda: _s3_split(GF(5)),
 ], ids=["z3_q", "s3_q", "s3_fp5"])
 def test_smash_cells_match_per_term_route(monkeypatch, action):
-    # the four smash products of the Hopf lift: H#H*, H*#H, A⊗H twisted by
-    # the partial action, and (A⊗H)#H*
+    # the group smash R#k^G, then the four smash products of the Hopf lift:
+    # H#H*, H*#H, A⊗H twisted by the partial action, and (A⊗H)#H*
     built = []
-    smash = hopf._smash_algebra
+    builder = hopf.smash_algebra
+    assert smash.smash_algebra is builder
 
-    def spy(a, b, comul, act, unit):
-        alg = smash(a, b, comul, act, unit)
-        built.append((alg, (a, b, comul, act)))
+    def spy(a, b, comul, acted, unit):
+        alg = builder(a, b, comul, acted, unit)
+        built.append((alg, (a, b, comul, acted)))
         return alg
 
-    monkeypatch.setattr(hopf, "_smash_algebra", spy)
+    monkeypatch.setattr(hopf, "smash_algebra", spy)
+    monkeypatch.setattr(smash, "smash_algebra", spy)
     pa = action()
-    results = hopf.hopf_lift_suite(pa, build_skew(pa))
+    skew = build_skew(pa)
+    build_smash(skew)
+    results = hopf.hopf_lift_suite(pa, skew)
     assert all(c.status == "pass" for c in results)
     a_dim = pa.algebra.dim
     d = pa.group.order
-    assert [alg.dim for alg, _ in built] == [d * d, d * d, a_dim * d, a_dim * d * d]
+    assert [alg.dim for alg, _ in built] == [
+        skew.dim * d, d * d, d * d, a_dim * d, a_dim * d * d]
     for alg, args in built:
         assert alg.products == _per_term_products(*args)
 

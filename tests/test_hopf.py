@@ -1,7 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from partialskew import hopf
 from partialskew.algebras import StructureAlgebra, field_algebra, group_algebra
 from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
@@ -531,3 +533,75 @@ def test_operator_duality_names_corner_membership_witness(s1_action):
     assert member.witnesses == ["corner membership fails at ((1)*r_e0#g, p_g)"]
     assert results["opduality.multiplicative"].status == "pass"
     assert results["opduality.idempotent"].status == "pass"
+
+
+def _doubled_ring(skew):
+    """The twisted ring with every structure constant doubled (not validated)."""
+    alg = skew.algebra
+    doubled = StructureAlgebra(QQ, [[tuple((k, 2 * v) for k, v in cell) for cell in row]
+                                    for row in alg.products], alg.unit)
+    return SimpleNamespace(algebra=doubled, dim=skew.dim, offsets=skew.offsets)
+
+
+@pytest.mark.parametrize("corner, unit, ring, measured, witness", [
+    # the line through l_e0#e is too small to be the twisted ring
+    (lambda ps: Subspace.from_vectors(QQ, 4, [qvec([1, 0, 0, 0])]),
+     lambda ps: ps.unit_vec, lambda skew: skew,
+     {"sub_dim": 1, "bijective": False, "multiplicative": True, "unital": True},
+     "not bijective: corner dim 1, image dim 1, twisted ring dim 3"),
+    # doubled constants: T((l_e0#e)²) = l_e0 at e, T(l_e0#e)² = 2·l_e0 at e
+    (lambda ps: ps.sub, lambda ps: ps.unit_vec, _doubled_ring,
+     {"sub_dim": 3, "bijective": True, "multiplicative": False, "unital": True},
+     "multiplicativity fails at ((1)*l_e0#e, (1)*l_e0#e)"),
+    # T(2·1) = 2·1
+    (lambda ps: ps.sub, lambda ps: tuple(2 * x for x in ps.unit_vec),
+     lambda skew: skew,
+     {"sub_dim": 3, "bijective": True, "multiplicative": True, "unital": False},
+     "the unit does not map to the unit"),
+])
+def test_matches_skew_ring_names_its_failure(s1_action, s1_skew, corner, unit, ring,
+                                             measured, witness):
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    tampered = PartialSmash(pha, ps.ambient, corner(ps), unit(ps))
+    (result,) = smash_matches_skew_report(tampered, ring(s1_skew))
+    assert result.status == "fail"
+    assert result.measured == {"skew_dim": 3, **measured}
+    assert result.witnesses == [witness]
+
+
+def test_lift_matches_group_dot_names_the_element(monkeypatch, s1_action):
+    # the lifted matrix of g is doubled after the lift; the action the rest
+    # of the suite reads (its sparse columns) is left as it was
+    lift = lift_group_action
+
+    def tampered_lift(pa):
+        pha = lift(pa)
+        pha.mats = (pha.mats[0], Mat(QQ, [[2 * x for x in row]
+                                          for row in pha.mats[1].entries]))
+        return pha
+
+    monkeypatch.setattr(hopf, "lift_group_action", tampered_lift)
+    results = hopf_lift_suite(s1_action, build_skew(s1_action))
+    failed = [(c.name, c.witnesses) for c in results if c.status == "fail"]
+    assert failed == [("hopf.lift_matches_group_dot", ["lifted action differs at g"])]
+
+
+@pytest.mark.parametrize("unit_scale, corner_scale, witness", [
+    # the corner unit recorded as 0 while φ(1) is the corner idempotent
+    (1, 0, "the image of the unit is not the corner unit"),
+    # 2·1 maps to 2·φ(1), recorded as the corner unit, but (2·φ(1))² = 4·φ(1)
+    (2, 2, "the image of the unit is not idempotent"),
+])
+def test_operator_duality_names_idempotent_failure(s1_action, unit_scale, corner_scale,
+                                                   witness):
+    pha = lift_group_action(s1_action)
+    ps = build_partial_smash(pha)
+    maps = build_corner_maps(pha)
+    scaled = PartialSmash(pha, ps.ambient, ps.sub,
+                          tuple(unit_scale * x for x in ps.unit_vec))
+    maps.corner_unit = tuple(corner_scale * x for x in maps.corner_unit)
+    results = {c.name: c for c in operator_duality_report(pha, scaled, maps)}
+    idem = results["opduality.idempotent"]
+    assert idem.status == "fail"
+    assert idem.witnesses == [witness]

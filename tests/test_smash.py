@@ -1,8 +1,12 @@
+import pytest
+
+from partialskew import smash
 from partialskew.actions import trivial_from_split
-from partialskew.algebras import product_of_fields
+from partialskew.algebras import StructureAlgebra, product_of_fields
+from partialskew.errors import InternalCheckFailed
 from partialskew.fields import QQ
 from partialskew.groups import cyclic
-from partialskew.skew import build_skew
+from partialskew.skew import SkewGroupRing, build_skew
 from partialskew.smash import build_smash, smash_report
 
 from corpus_helpers import qvec
@@ -72,3 +76,28 @@ def test_embedding(s1_smash, s1_skew):
 
 def test_smash_report(s1_smash):
     assert all(c.status == "pass" for c in smash_report(s1_smash))
+
+
+def test_perturbed_generic_cell_fails_the_closed_rule(monkeypatch, s1_skew):
+    builder = smash.smash_algebra
+
+    def perturbed(a, b, comul, acted, unit):
+        alg = builder(a, b, comul, acted, unit)
+        rows = [list(row) for row in alg.products]
+        rows[0][0] = tuple((k, 2 * v) for k, v in rows[0][0])
+        return StructureAlgebra(alg.field, rows, alg.unit, alg.labels)
+
+    monkeypatch.setattr(smash, "smash_algebra", perturbed)
+    with pytest.raises(InternalCheckFailed,
+                       match="generic and closed smash products disagree"):
+        build_smash(s1_skew)
+
+
+def test_wrong_grade_fails_the_module_algebra_check(monkeypatch, s1_skew):
+    # l_e0 at e graded as g: it is idempotent, and g·g = e is not g
+    grade_of = SkewGroupRing.grade_of
+    monkeypatch.setattr(SkewGroupRing, "grade_of",
+                        lambda self, j: (1, 0) if j == 0 else grade_of(self, j))
+    with pytest.raises(InternalCheckFailed,
+                       match="projection action is not a module-algebra action"):
+        build_smash(s1_skew)
