@@ -32,8 +32,8 @@ from functools import cached_property
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
-from .linalg import (Mat, Subspace, image_basis, kernel_basis, vadd, vscale,
-                     vsub, vzero)
+from .linalg import (Mat, Subspace, _sparse, image_basis, kernel_basis, vadd,
+                     vscale, vsub, vzero)
 
 
 class StructureAlgebra:
@@ -158,11 +158,6 @@ def _legs(x, dr):
         i, j = divmod(idx, dr)
         legs.setdefault(i, {})[j] = c
     return legs
-
-
-def _sparse_vec(vec):
-    """Nonzero entries of a coefficient vector as ``{index: scalar}``."""
-    return {k: v for k, v in enumerate(vec) if v}
 
 
 def _outer(field, u, v):
@@ -330,7 +325,7 @@ def make_algebra(field, products, unit, labels=None):
 def _unit_law_failure(alg):
     """First (basis index, "left" or "right") where 1·b = b = b·1 fails,
     or None."""
-    unit = _sparse_vec(alg.unit)
+    unit = _sparse(alg.unit)
     one = alg.field.one
     for i in range(alg.dim):
         b = {i: one}
@@ -518,7 +513,7 @@ class MatrixAlgebra(StructureAlgebra):
     def _verify(self):
         n = self.size
         mul = self._mul_sparse
-        base_unit = _sparse_vec(self.base.unit)
+        base_unit = _sparse(self.base.unit)
         eu = [[{self.slot(g, h, i): v for i, v in base_unit.items()}
                for h in range(n)] for g in range(n)]
         for g in range(n):
@@ -706,7 +701,7 @@ class AlgebraMap:
         the product row (i, j), and φ(b_i)φ(b_j) is a sparse product.
         """
         field = self.codomain.field
-        cols = [_sparse_vec(col) for col in self.matrix.columns()]
+        cols = [_sparse(col) for col in self.matrix.columns()]
         mul = self.codomain._mul_sparse
         for i, row in enumerate(self.domain.products):
             ci = cols[i]
@@ -746,7 +741,7 @@ def subalgebra(parent, span, unit_vec, labels=None):
             coords = span.coordinates_of(parent.mul_vec(u, v))
             if coords is None:
                 raise ValueError("subspace is not closed under multiplication")
-            row.append(tuple(_sparse_vec(coords).items()))
+            row.append(tuple(_sparse(coords).items()))
         products.append(row)
     unit_coords = span.coordinates_of(unit_vec)
     if unit_coords is None:

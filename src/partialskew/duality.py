@@ -19,9 +19,9 @@ promises about this map is re-proved here per instance, by linear algebra:
 
 from __future__ import annotations
 
-from .algebras import AlgebraMap, _lincomb, _sparse_vec, matrix_algebra
+from .algebras import AlgebraMap, _lincomb, matrix_algebra
 from .errors import InternalCheckFailed
-from .linalg import Mat, Subspace, image_basis, vadd, vsub, vzero
+from .linalg import Mat, Subspace, _sparse, image_basis, vadd, vsub, vzero
 from .report import check
 
 
@@ -233,9 +233,9 @@ def _cross_product_witness(algebra, ideal, kernel):
     """First (ideal basis index, kernel basis index, side) whose product
     is nonzero, ideal·kernel before kernel·ideal, or None."""
     mul = algebra._mul_sparse
-    ks = [_sparse_vec(w) for w in kernel.basis]
+    ks = [_sparse(w) for w in kernel.basis]
     for i, v in enumerate(ideal.basis):
-        sv = _sparse_vec(v)
+        sv = _sparse(v)
         for j, w in enumerate(ks):
             if mul(sv, w):
                 return f"ideal[{i}]*kernel[{j}] is nonzero"
@@ -365,12 +365,12 @@ def skew_injectivity_report(d):
 
 def _embedded_basis(smash):
     """ι(b_j) for every basis vector b_j of the twisted ring R, sparse."""
-    return [_sparse_vec(col) for col in smash.embed_skew().matrix.columns()]
+    return [_sparse(col) for col in smash.embed_skew().matrix.columns()]
 
 
 def _dual_units(smash):
     """1#p_h for every h, sparse."""
-    unit = _sparse_vec(smash.skew.algebra.unit)
+    unit = _sparse(smash.skew.algebra.unit)
     return [{smash.index(j, h): c for j, c in unit.items()}
             for h in range(smash.group.order)]
 

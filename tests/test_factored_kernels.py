@@ -18,10 +18,10 @@ import pytest
 
 from partialskew import hopf, smash
 from partialskew.actions import trivial_from_split
-from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _sparse_vec,
-                                  product_of_fields)
+from partialskew.algebras import StructureAlgebra, TensorAlgebra, product_of_fields
 from partialskew.fields import GF, QQ
 from partialskew.groups import symmetric
+from partialskew.linalg import _sparse
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
@@ -118,7 +118,7 @@ def _per_term_products(a, b, comul, acted):
                 for j in range(db):
                     cell = {}
                     for k, l, v in comul[i]:
-                        xy = _sparse_vec(a.mul_vec(basis(x).coeffs, act(k, y)))
+                        xy = _sparse(a.mul_vec(basis(x).coeffs, act(k, y)))
                         for t, u in b.products[l][j]:
                             for s, w in xy.items():
                                 key = s * db + t

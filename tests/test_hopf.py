@@ -9,14 +9,15 @@ from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
+from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations,
                               coaction_report, group_hopf, hit_left, hit_right,
-                              hopf_lift_suite, lift_group_action, make_hopf,
-                              make_partial_hopf_action, operator_duality_report,
-                              partial_smash_report, smash_matches_skew_report)
-from partialskew.linalg import Mat, Subspace
+                              hopf_data_checks, hopf_lift_suite, lift_group_action,
+                              make_hopf, make_partial_hopf_action,
+                              operator_duality_report, partial_smash_report,
+                              smash_matches_skew_report)
+from partialskew.linalg import Mat, Subspace, _sparse
 from partialskew.skew import build_skew
 
 from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
@@ -183,7 +184,7 @@ def test_exchange_identity_witness_matches_dense_oracle(field, group, first):
     h = group_hopf(field, group)
     dual = h.dual()
     ident = Mat.identity(field, h.dim)
-    h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident, primal=h)
+    h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
     assert _first_exchange_failure(h) == first
     with pytest.raises(InternalCheckFailed) as info:
         _verify_exchange_identity(h)
@@ -202,6 +203,77 @@ def test_make_hopf_names_multiplicativity_witness(field):
         make_hopf(alg, comul, [one, field.zero], Mat.identity(field, 2))
     assert info.value.axiom == "coproduct multiplicative"
     assert str(info.value).endswith("pair (g, g)")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
+def test_make_hopf_names_coassociativity_witness(field):
+    # Δ(g) = g⊗e + g⊗g: (Δ⊗1)Δ(g) - (1⊗Δ)Δ(g) = g⊗e⊗g, while Δ(e) = e⊗e
+    # is coassociative
+    alg = group_algebra(field, cyclic(2))
+    one = field.one
+    comul = [[(0, 0, one)], [(1, 0, one), (1, 1, one)]]
+    with pytest.raises(HopfAxiomFails) as info:
+        make_hopf(alg, comul, [one, field.zero], Mat.identity(field, 2))
+    assert str(info.value) == "Hopf axiom 'coassociativity' fails: basis g"
+
+
+def test_make_hopf_refuses_a_repeated_pair():
+    # ½e⊗e + ½e⊗e is e⊗e, but the dual's product table would list e twice
+    # in one cell
+    half = Fraction(1, 2)
+    with pytest.raises(ValidationError, match="repeats a pair"):
+        make_hopf(group_algebra(QQ, cyclic(2)), [[(0, 0, half), (0, 0, half)],
+                                                 [(1, 1, QQ.one)]],
+                  [QQ.one, QQ.one], Mat.identity(QQ, 2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
+@pytest.mark.parametrize("take_dual", [False, True], ids=["kS3", "k^S3"])
+def test_tables_match_dense_oracle(field, take_dual):
+    # k^{S3} is not cocommutative, so a transposed hit table fails here
+    h = group_hopf(field, symmetric(3))
+    if take_dual:
+        h = h.dual()
+    d = h.dim
+    basis = [h.algebra.basis_element(i).coeffs for i in range(d)]
+    dual_basis = [h.dual().algebra.basis_element(m).coeffs for m in range(d)]
+    for m in range(d):
+        for i in range(d):
+            assert h.left_hits[m][i] == _sparse(hit_left(h, dual_basis[m], basis[i]))
+            assert h.right_hits[m][i] == _sparse(hit_right(h, basis[i], dual_basis[m]))
+    for i, row in enumerate(h.comul):
+        dense = [field.zero] * (d * d)
+        for k, l, v in row:
+            dense[k * d + l] += v
+        assert h.coproduct[i] == _sparse(field.vector(dense))
+
+
+def test_on_leg_matches_dense_reference():
+    # b_i ↦ table[i] on the last leg of a vector of k²⊗k⁴ is the dense
+    # matrix I₂ ⊗ M, where column i of M is table[i]
+    field = GF(5)
+    table = [{0: 1, 2: 3}, {}, {1: 4}, {0: 2, 1: 1, 2: 1}]
+    d, width = len(table), 3
+    kron = Mat(field, [[table[i].get(t, 0) if x == y else 0
+                        for y in range(2) for i in range(d)]
+                       for x in range(2) for t in range(width)])
+    vec = (1, 2, 0, 4, 3, 0, 1, 1)
+    assert _on_leg(field, table, width, _sparse(vec)) == _sparse(kron.apply(vec))
+
+
+@pytest.mark.parametrize("counit, witness", [
+    ((1, 1), "double dual differs in antipode"),
+    # a double dual that differs in two parts names the first of them
+    ((1, 2), "double dual differs in counit"),
+])
+def test_dual_axioms_names_the_differing_part(counit, witness):
+    h = group_hopf(QQ, cyclic(2))
+    swap = qmat([[0, 1], [1, 0]])
+    h.dual()._dual = HopfData(h.algebra, h.comul, counit, swap, swap)
+    results = {c.name: c for c in hopf_data_checks(h)}
+    assert results["hopf.dual_axioms"].status == "fail"
+    assert results["hopf.dual_axioms"].witnesses == [witness]
+    assert results["hopf.operator_reps"].status == "pass"
 
 
 def test_partial_hopf_action_lift(s1_action):

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package imports is read in that module, and
+every module-level private helper is read somewhere in the package.
 
-No linter is part of the toolchain, so this ``ast`` pass stands in for the
-unused-import rule.  ``__init__`` is exempt: its imports are the package's
-public names.
+No linter is part of the toolchain, so these ``ast`` passes stand in for the
+unused-import and dead-code rules.  ``__init__`` is exempt from the first:
+its imports are the package's public names.
 """
 
 import ast
@@ -41,3 +42,36 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources):
+    """The module-level ``_private`` functions and classes defined in
+    ``sources`` that no source reads, by name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_detects_dead_helpers():
+    first = ("def _used():\n    pass\n\n"
+             "def _dead():\n    def _inner():\n        pass\n\n"
+             "class _Dead:\n    pass\n\n"
+             "def _by_attribute():\n    pass\n\n"
+             "def public():\n    return _used\n\n"
+             "def __getattr__(name):\n    pass\n")
+    second = "from . import first\nfirst._by_attribute()\n"
+    assert dead_helpers([first, second]) == ["_Dead", "_dead"]
+
+
+def test_no_dead_helpers():
+    paths = Path(partialskew.__file__).parent.glob("*.py")
+    assert dead_helpers([p.read_text(encoding="utf-8") for p in sorted(paths)]) == []
