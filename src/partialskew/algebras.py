@@ -10,12 +10,16 @@ the unit law on every basis triple before handing the algebra out; derived
 constructions (matrix algebras, direct products) are built from validated
 parts and verified through their own characteristic identities.  A tensor
 product multiplies through its factors' rows, (b_i⊗c_j)(b_k⊗c_l) =
-b_i b_k ⊗ c_j c_l, and builds its own table only when ``products`` is first
-read.  ``smash_algebra`` is the one builder of a smash product A # B, from
-the comultiplication triples of B and a sparse table of b_k▷a_y; the group
+b_i b_k ⊗ c_j c_l; its own table ``products`` is built from the factors'
+rows when first read, by the multiplicativity check of a map into it.
+``smash_algebra`` is the one builder of a smash product A # B, from the
+comultiplication triples of B and a sparse table of b_k▷a_y; the group
 smash of :mod:`smash` and every algebra of :mod:`hopf` are built by it.
-Maps between algebras are checked multiplicative by comparing sparse
-products.
+
+The exhaustive identity checks (associativity, matrix units, maps being
+multiplicative) sum the difference of both sides over every inner index in
+one accumulator per outer index: they cost the nonzero product terms, and
+the smallest nonzero key is the first failure of a tuple-by-tuple loop.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
 ``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
@@ -511,19 +515,41 @@ class MatrixAlgebra(StructureAlgebra):
         return tuple(coeffs[start:start + self.base.dim])
 
     def _verify(self):
-        n = self.size
-        mul = self._mul_sparse
+        """E_gh·E_rs = δ_hr·E_gs (E_gh = E_{g,h}⊗1) on every quadruple,
+        then the unit law.  For each (g, h) one accumulator, keyed
+        (r·n + s)·dim + t, collects E_gh·E_rs − δ_hr·E_gs for every (r, s),
+        over the nonempty cells of the rows E_gh reaches."""
+        n, d, dim = self.size, self.base.dim, self.dim
+        sparse = self.field.sparse
         base_unit = _sparse(self.base.unit)
         eu = [[{self.slot(g, h, i): v for i, v in base_unit.items()}
                for h in range(n)] for g in range(n)]
         for g in range(n):
             for h in range(n):
-                for r in range(n):
-                    for s in range(n):
-                        want = eu[g][s] if h == r else {}
-                        if mul(eu[g][h], eu[r][s]) != want:
-                            raise InternalCheckFailed(
-                                f"matrix-unit relation fails at ({g},{h})x({r},{s})")
+                acc = {}
+                get = acc.get
+                for x, cx in eu[g][h].items():
+                    for y, cell in enumerate(self.products[x]):
+                        if not cell:
+                            continue
+                        rs, i = divmod(y, d)
+                        cy = base_unit.get(i)
+                        if cy is None:
+                            continue
+                        c = cx * cy
+                        base = rs * dim
+                        for t, v in cell:
+                            key = base + t
+                            acc[key] = get(key, 0) + c * v
+                for s in range(n):
+                    base = (h * n + s) * dim
+                    for t, v in eu[g][s].items():
+                        acc[base + t] = get(base + t, 0) - v
+                bad = sparse(acc)
+                if bad:
+                    r, s = divmod(min(bad) // dim, n)
+                    raise InternalCheckFailed(
+                        f"matrix-unit relation fails at ({g},{h})x({r},{s})")
         if _unit_law_failure(self) is not None:
             raise InternalCheckFailed("matrix algebra unit law fails")
 
@@ -543,7 +569,8 @@ class TensorAlgebra(StructureAlgebra):
     factors: (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l, from the left factor's
     rows and the right factor's own product, reduced once per output
     coefficient.  The table ``products`` is built from the factors' rows on
-    its first read; a nested right factor is never tabulated for a product.
+    its first read, which ``AlgebraMap._multiplicativity_witness`` makes; a
+    nested right factor is never tabulated for a product.
     """
 
     def __init__(self, left, right):
@@ -561,13 +588,15 @@ class TensorAlgebra(StructureAlgebra):
     @cached_property
     def products(self):
         # a product of nonzero constants is nonzero, and a product of
-        # sorted cells is sorted by a·dim(right) + b
+        # sorted cells is sorted by a·dim(right) + b; a cell with an empty
+        # factor cell is empty
         left, right = self.tensor_factors
         dr = right.dim
         sparse = self.field.sparse
         return tuple(
             tuple(tuple(sparse({a * dr + b: va * vb for a, va in lcell
                                 for b, vb in rcell}).items())
+                  if lcell and rcell else ()
                   for lcell in lrow for rcell in rrow)
             for lrow in left.products for rrow in right.products)
 
@@ -697,18 +726,39 @@ class AlgebraMap:
         φ(b_i b_j) differs from φ(b_i)φ(b_j), or from φ(b_j)φ(b_i) when
         ``anti``; None when there is no such pair.
 
-        Both sides are sparse: φ(b_i b_j) combines the sparse columns over
-        the product row (i, j), and φ(b_i)φ(b_j) is a sparse product.
+        For each i one accumulator, keyed j·D + t (D = dim of the codomain),
+        collects the coefficient of b_t in φ(b_i b_j) − φ(b_i)φ(b_j) for
+        every j at once: the first side walks the nonempty cells of row i
+        of the domain, the second the codomain's product rows, for pairs of
+        nonzero columns only.  The cost is the nonzero product terms, not
+        d² products; the smallest failing j is the first failing pair of i.
         """
-        field = self.codomain.field
-        cols = [_sparse(col) for col in self.matrix.columns()]
-        mul = self.codomain._mul_sparse
+        sparse = self.codomain.field.sparse
+        dc = self.codomain.dim
+        rows = self.codomain.products
+        cols = [tuple(_sparse(col).items()) for col in self.matrix.columns()]
+        nonzero = [(j * dc, col) for j, col in enumerate(cols) if col]
         for i, row in enumerate(self.domain.products):
-            ci = cols[i]
+            acc = {}
+            get = acc.get
             for j, cell in enumerate(row):
-                rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
-                if _lincomb(field, ((v, cols[k]) for k, v in cell)) != rhs:
-                    return i, j
+                base = j * dc
+                for k, v in cell:
+                    for t, x in cols[k]:
+                        key = base + t
+                        acc[key] = get(key, 0) + v * x
+            for r, x in cols[i]:
+                for base, col in nonzero:
+                    for s, y in col:
+                        cell = rows[s][r] if anti else rows[r][s]
+                        if cell:
+                            c = x * y
+                            for t, v in cell:
+                                key = base + t
+                                acc[key] = get(key, 0) - c * v
+            bad = sparse(acc)
+            if bad:
+                return i, min(bad) // dc
         return None
 
     def is_multiplicative(self):

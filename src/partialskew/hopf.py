@@ -322,9 +322,11 @@ def _verify_exchange_identity(h, ops=None):
     """λ(h#f)ρ(g#1) = Σ ρ(g2#1)λ((h↼S(g1))#f) on every basis triple (a, b, c).
 
     Runs on sparse operators (``ops`` = ``_basis_operators(h)``).  The d
-    operators ρ(g#1) are formed once, the d vectors h↼S(g_u) once per h,
-    and the d operators λ((h↼S(g_u))#f) and each term ρ(g_w#1)λ((h↼S(g_u))#f)
-    once per (h, f).
+    operators ρ(g#1) are formed once, and so are the d³ products
+    ρ(g_w#1)λ(b_t#f) of basis operators; the right-hand side is linear in
+    h↼S(g_u) = Σ x·b_t, so each one is a single sum of m·x·ρ(g_w#1)λ(b_t#f)
+    over the terms (u, w, m) of Δ(g).  With the d³ left-hand sides that
+    makes 2·d³ compositions in all.
     """
     dual = h.dual()
     d = h.dim
@@ -333,21 +335,21 @@ def _verify_exchange_identity(h, ops=None):
     unit = _sparse(h.algebra.unit)
     rho_g = [_op_sum(field, d, [(u, rho[c][i]) for i, u in unit.items()])
              for c in range(d)]
+    # prod[b][w][t] = ρ(g_w#1)λ(b_t#p_b)
+    prod = [[[_compose(field, rho_g[w], lam[t][b]) for t in range(d)]
+             for w in range(d)] for b in range(d)]
     s_g = [_sparse(dual.antipode.column(u)) for u in range(d)]
     for a in range(d):
         # b_a ↼ S(p_u)
         twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items()))
                    for s in s_g]
         for b in range(d):
-            lam_twisted = [_op_sum(field, d, [(c, lam[t][b]) for t, c in tw.items()])
-                           for tw in twisted]
-            terms = {}
+            prod_b = prod[b]
             for c in range(d):
                 lhs = _compose(field, lam[a][b], rho_g[c])
-                for u, w, _ in dual.comul[c]:
-                    if (u, w) not in terms:
-                        terms[u, w] = _compose(field, rho_g[w], lam_twisted[u])
-                rhs = _op_sum(field, d, [(m, terms[u, w]) for u, w, m in dual.comul[c]])
+                rhs = _op_sum(field, d, [(m * x, prod_b[w][t])
+                                         for u, w, m in dual.comul[c]
+                                         for t, x in twisted[u].items()])
                 if lhs != rhs:
                     raise InternalCheckFailed(
                         f"exchange identity fails at basis ({a},{b},{c})")

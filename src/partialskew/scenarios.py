@@ -288,6 +288,8 @@ def run_scenario(source, suites=None, field_override=None):
     """
     doc = load_scenario(source) if not isinstance(source, dict) else dict(source)
     name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ParseError("name must be a string")
     if not isinstance(doc.get("suites", []), list):
         raise ParseError("suites must be a list of suite names")
 

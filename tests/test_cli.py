@@ -223,6 +223,17 @@ def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("name", [["x"], 7, None, {"a": 1}])
+def test_non_string_name_exits_two(tmp_path, capsys, name):
+    # the name heads every report, so it is refused before any suite runs
+    doc = dict(S1_DOC, name=name)
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert "name must be a string" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_empty_report_renders_header_only():
     from partialskew.report import Report
     text = emit_report(Report("empty", []), "text")

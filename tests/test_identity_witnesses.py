@@ -1,0 +1,316 @@
+"""The accumulator identity checks against per-product oracles.
+
+* ``AlgebraMap._multiplicativity_witness`` collects φ(b_i b_j) − φ(b_i)φ(b_j)
+  for every j in one accumulator per i; ``_pairwise_witness`` compares the
+  two sides pair by pair, with the codomain's own sparse product (through
+  the factors for a tensor codomain), and must name the same first pair.
+* ``MatrixAlgebra._verify`` collects E_gh·E_rs − δ_hr·E_gs for every (r, s)
+  in one accumulator per (g, h); ``_first_unit_relation_failure`` forms
+  each of the n⁴ products on its own.
+* ``hopf._verify_exchange_identity`` composes 2·d³ operators, not d⁴.
+"""
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from partialskew import hopf
+from partialskew.algebras import (AlgebraMap, TensorAlgebra, _lincomb,
+                                  field_algebra, group_algebra, make_algebra,
+                                  matrix_algebra, product_of_fields,
+                                  tensor_algebra)
+from partialskew.errors import InternalCheckFailed
+from partialskew.fields import GF, QQ
+from partialskew.groups import cyclic, symmetric
+from partialskew.hopf import (HopfData, _verify_exchange_identity, group_hopf,
+                              make_hopf)
+from partialskew.linalg import Mat, _sparse
+from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
+
+from test_golden_reports import INLINE
+from test_hopf import _first_exchange_failure
+
+FIELDS = (QQ, GF(5), GF(2))
+FIELD_IDS = ("q", "fp5", "fp2")
+
+
+def _pairwise_witness(phi, anti=False):
+    """First (i, j) where φ(b_i b_j) and φ(b_i)φ(b_j) (φ(b_j)φ(b_i) when
+    ``anti``) differ, one sparse product per pair, or None."""
+    field = phi.codomain.field
+    cols = [_sparse(col) for col in phi.matrix.columns()]
+    mul = phi.codomain._mul_sparse
+    for i, row in enumerate(phi.domain.products):
+        ci = cols[i]
+        for j, cell in enumerate(row):
+            rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
+            if _lincomb(field, ((v, cols[k]) for k, v in cell)) != rhs:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5", "fp:2"])
+def test_every_witness_call_matches_pairwise_oracle(monkeypatch, field):
+    calls = []
+    witness = AlgebraMap._multiplicativity_witness
+
+    def spy(self, anti=False):
+        got = witness(self, anti)
+        calls.append((self, anti, got))
+        return got
+
+    monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", spy)
+    sources = [fixture_path(name) for name in bundled_fixtures()] + list(INLINE.values())
+    for source in sources:
+        assert run_scenario(source, field_override=field).passed()
+    assert any(anti for _, anti, _ in calls)
+    assert any(isinstance(phi.codomain, TensorAlgebra) for phi, _, _ in calls)
+    assert max(phi.domain.dim for phi, _, _ in calls) == 72
+    for phi, anti, got in calls:
+        assert got == _pairwise_witness(phi, anti)
+
+
+def _map(domain, codomain, columns):
+    return AlgebraMap.from_sparse(domain, codomain, columns)
+
+
+def _perturbed(columns, j, vec):
+    """``columns`` with vec added to column j."""
+    out = [dict(col) for col in columns]
+    for k, v in vec.items():
+        out[j][k] = out[j].get(k, 0) + v
+    return out
+
+
+def _checked(phi, anti=False):
+    got = phi._multiplicativity_witness(anti)
+    assert got == _pairwise_witness(phi, anti)
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_perturbed_column_is_named(field):
+    alg = group_algebra(field, symmetric(3))
+    one = field.one
+    ident = [{i: one} for i in range(alg.dim)]
+    assert _checked(_map(alg, alg, ident)) is None
+    for j in range(alg.dim):
+        # φ(b_j) becomes b_j + e, b_j + b_{j+1} or 2·b_j (0 over F_2)
+        for vec in ({0: one}, {(j + 1) % alg.dim: one}, {j: one}):
+            assert _checked(_map(alg, alg, _perturbed(ident, j, vec))) is not None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_zero_column_with_nonzero_product_is_named(field):
+    # φ(g) = 0 but φ(g·g) = φ(e) = 1 on k[Z2] → k: the pair (g, g) fails
+    # although neither of its columns contributes a product term
+    kz2 = group_algebra(field, cyclic(2))
+    phi = _map(kz2, field_algebra(field), [{0: field.one}, {}])
+    assert _checked(phi) == (1, 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_anti_map_with_swapped_columns_is_named(field):
+    group = symmetric(3)
+    alg = group_algebra(field, group)
+    one = field.one
+    inverse = [{group.inv(g): one} for g in range(group.order)]
+    # inversion reverses products: an anti-map, not a map (S3 is not abelian)
+    assert _checked(_map(alg, alg, inverse), anti=True) is None
+    assert _checked(_map(alg, alg, inverse)) is not None
+    for a in range(1, group.order):
+        for b in range(a + 1, group.order):
+            swapped = list(inverse)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            assert _checked(_map(alg, alg, swapped), anti=True) is not None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("nested", [False, True], ids=["hh", "hhh"])
+def test_tensor_codomain_is_named(field, nested):
+    # g ↦ g⊗g (g ↦ g⊗g⊗g) is multiplicative on k[S3]
+    alg = group_algebra(field, symmetric(3))
+    d = alg.dim
+    codomain = tensor_algebra(alg, tensor_algebra(alg, alg) if nested else alg)
+    width = d * d if nested else d
+    diag = [{g * width + (g * d + g if nested else g): field.one} for g in range(d)]
+    assert _checked(_map(alg, codomain, diag)) is None
+    for j in range(d):
+        assert _checked(_map(alg, codomain, _perturbed(diag, j, {1: field.one}))) \
+            is not None
+
+
+@st.composite
+def _perturbed_maps(draw):
+    """(φ, anti): the identity or inversion on a small algebra, with one
+    column changed by a sparse vector of small representatives."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["s3", "z3", "kk", "m2"]))
+    one = field.one
+    if kind in ("s3", "z3"):
+        group = symmetric(3) if kind == "s3" else cyclic(3)
+        alg = group_algebra(field, group)
+        inverse = draw(st.booleans())
+        cols = [{group.inv(g) if inverse else g: one} for g in range(group.order)]
+    else:
+        alg = (product_of_fields(field, 2) if kind == "kk"
+               else matrix_algebra(field_algebra(field), 2))
+        cols = [{i: one} for i in range(alg.dim)]
+    j = draw(st.integers(0, alg.dim - 1))
+    vec = draw(st.dictionaries(st.integers(0, alg.dim - 1), st.integers(-3, 3),
+                               max_size=2))
+    return _map(alg, alg, _perturbed(cols, j, vec)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_maps())
+def test_witness_matches_pairwise_oracle_on_perturbed_maps(inst):
+    phi, anti = inst
+    _checked(phi, anti)
+
+
+# -- matrix units ----------------------------------------------------------
+
+def _first_unit_relation_failure(m):
+    """First (g, h, r, s) where E_gh·E_rs differs from δ_hr·E_gs, one sparse
+    product per quadruple, or None."""
+    n = m.size
+    base_unit = _sparse(m.base.unit)
+    eu = [[{m.slot(g, h, i): v for i, v in base_unit.items()}
+           for h in range(n)] for g in range(n)]
+    for g in range(n):
+        for h in range(n):
+            for r in range(n):
+                for s in range(n):
+                    want = eu[g][s] if h == r else {}
+                    if m._mul_sparse(eu[g][h], eu[r][s]) != want:
+                        return g, h, r, s
+    return None
+
+
+def _tamper(m, cells):
+    """Replace the cells ``{(x, y): cell}`` of m's table."""
+    m.products = tuple(
+        tuple(cells.get((i, j), c) for j, c in enumerate(row))
+        for i, row in enumerate(m.products))
+
+
+def _assert_verify_names(m):
+    first = _first_unit_relation_failure(m)
+    assert first is not None
+    with pytest.raises(InternalCheckFailed) as info:
+        m._verify()
+    g, h, r, s = first
+    assert str(info.value) == f"matrix-unit relation fails at ({g},{h})x({r},{s})"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("tampers", [
+    # E_12 e0 · E_20 e0 should be E_10 e0
+    {((1, 2, 0), (2, 0, 0)): ((1, 0, 1),)},
+    # E_01 e0 · E_22 e1 should be 0
+    {((0, 1, 0), (2, 2, 1)): ((0, 0, 0),)},
+    # E_22 e1 · E_21 e1 loses its term
+    {((2, 2, 1), (2, 1, 1)): ()},
+    # E_00 e0 · E_00 e0 gains a second term
+    {((0, 0, 0), (0, 0, 0)): ((0, 0, 0), (2, 2, 1))},
+    # two failing (r, s) under one (g, h): (0,1)x(1,2) is named, not (0,1)x(2,0)
+    {((0, 1, 0), (2, 0, 1)): ((0, 0, 1),), ((0, 1, 0), (1, 2, 0)): ()},
+], ids=["wrong-entry", "nonzero-off-diagonal", "lost-term", "extra-term",
+        "two-in-one-row"])
+def test_tampered_matrix_unit_is_named(field, tampers):
+    m = matrix_algebra(product_of_fields(field, 2), 3)
+    _tamper(m, {(m.slot(*x), m.slot(*y)): tuple((m.slot(*k), field.one) for k in cell)
+                for (x, y), cell in tampers.items()})
+    _assert_verify_names(m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_matrix_units_over_a_unit_that_is_not_a_basis_vector(field):
+    # k with basis b = 2·1: b·b = 2b and 1 = b/2, so E_gh = E_{g,h}⊗b/2 and
+    # every product term carries the unit coefficient twice
+    half = field.parse("1/2")
+    base = make_algebra(field, [[((0, field.parse("2")),)]], [half])
+    m = matrix_algebra(base, 3)
+    assert m._verify() is None
+    _tamper(m, {(m.slot(1, 2, 0), m.slot(2, 0, 0)): ((m.slot(1, 1, 0), field.one),)})
+    _assert_verify_names(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_random_tamper_matches_per_product_oracle(field, data):
+    m = matrix_algebra(product_of_fields(field, 2), 3)
+    index = st.integers(0, m.dim - 1)
+    cells = data.draw(st.dictionaries(
+        st.tuples(index, index),
+        st.dictionaries(index, st.integers(1, 4), max_size=2), min_size=1, max_size=2))
+    _tamper(m, {xy: tuple(sorted(field.sparse(cell).items()))
+                for xy, cell in cells.items()})
+    if _first_unit_relation_failure(m) is not None:
+        _assert_verify_names(m)
+    else:
+        # the matrix-unit relations do not see the change; the unit law may
+        try:
+            m._verify()
+        except InternalCheckFailed as exc:
+            assert str(exc) == "matrix algebra unit law fails"
+
+
+# -- the exchange identity ---------------------------------------------------
+
+def _rescaled_group_hopf(field, group, c):
+    """k[G] on the basis b_g = c_g·g, c_g = c(g) a nonzero int:
+    b_g b_h = (c_g c_h / c_gh)·b_gh, Δ(b_g) = b_g⊗b_g / c_g, ε(b_g) = c_g
+    and S(b_g) = (c_g / c_g⁻¹)·b_g⁻¹, so Δ, S and the product of the dual
+    have coefficients other than 1."""
+    n, e = group.order, group.identity
+
+    def q(a, b):
+        return field.parse(f"{a}/{b}")
+
+    products = [[((group.mul(g, h), q(c(g) * c(h), c(group.mul(g, h)))),)
+                 for h in range(n)] for g in range(n)]
+    unit = [q(1, c(e)) if g == e else field.zero for g in range(n)]
+    alg = make_algebra(field, products, unit)
+    comul = [[(g, g, q(1, c(g)))] for g in range(n)]
+    counit = [field.from_int(c(g)) for g in range(n)]
+    antipode = Mat(field, [[q(c(j), c(i)) if i == group.inv(j) else field.zero
+                            for j in range(n)] for i in range(n)])
+    return make_hopf(alg, comul, counit, antipode)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_exchange_identity_on_a_rescaled_basis(field):
+    h = _rescaled_group_hopf(field, symmetric(3), lambda g: g % 4 + 1)
+    assert any(v != field.one for row in h.comul for _, _, v in row)
+    assert any(v != field.one for row in h.dual().comul for _, _, v in row)
+    assert _first_exchange_failure(h) is None
+    _verify_exchange_identity(h)
+    # with an identity antipode on the dual the identity fails; the sparse
+    # check names the dense oracle's first triple
+    dual = h.dual()
+    ident = Mat.identity(field, h.dim)
+    h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
+    first = _first_exchange_failure(h)
+    assert first is not None
+    with pytest.raises(InternalCheckFailed) as info:
+        _verify_exchange_identity(h)
+    assert str(info.value) == "exchange identity fails at basis ({},{},{})".format(*first)
+
+
+def test_exchange_identity_composes_2d3_operators(monkeypatch):
+    # d³ left-hand sides and d³ products ρ(g_w#1)λ(b_t#f): 432 on k[S3],
+    # where the per-(h, f) route made 1,512 (d⁴ in general)
+    h = group_hopf(QQ, symmetric(3))
+    ops = hopf._basis_operators(h)
+    compose = hopf._compose
+    count = 0
+
+    def counting(field, a, b):
+        nonlocal count
+        count += 1
+        return compose(field, a, b)
+
+    monkeypatch.setattr(hopf, "_compose", counting)
+    _verify_exchange_identity(h, ops)
+    assert count == 2 * h.dim ** 3 == 432
