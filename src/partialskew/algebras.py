@@ -36,8 +36,7 @@ from functools import cached_property
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
-from .linalg import (Mat, Subspace, _sparse, image_basis, kernel_basis, vadd,
-                     vscale, vsub, vzero)
+from .linalg import Mat, Subspace, _sparse, vadd, vscale, vsub, vzero
 
 
 class StructureAlgebra:
@@ -59,6 +58,19 @@ class StructureAlgebra:
         if labels is None:
             labels = [f"b{i}" for i in range(self.dim)]
         self.labels = tuple(labels)
+
+    @cached_property
+    def nonempty_cells(self):
+        """The nonempty cells of the product table as (by_row, by_col):
+        by_row[i] lists the pairs (j, b_i·b_j), by_col[j] the pairs
+        (i, b_i·b_j), in index order."""
+        by_row = [[(j, cell) for j, cell in enumerate(row) if cell]
+                  for row in self.products]
+        by_col = [[] for _ in range(self.dim)]
+        for i, row in enumerate(by_row):
+            for j, cell in row:
+                by_col[j].append((i, cell))
+        return by_row, by_col
 
     # -- elements -------------------------------------------------------
 
@@ -369,23 +381,61 @@ def ideal_basis(alg, e):
     return span
 
 
-def center_basis(alg):
-    """Solution space of [x, b_j] = 0 for every basis element b_j."""
+def center_basis(alg, generators=None):
+    """The centre of the algebra, as the solution space of [x, g] = 0 for
+    every g of ``generators``, closed by an exact check.
+
+    ``generators`` are sparse vectors ``{index: scalar}`` that generate the
+    algebra; by default the basis vectors, which gives the full system
+    [x, b_j] = 0.  A caller that knows a smaller generating set passes it
+    (``SmashAlgebra.generators``, ``MatrixAlgebra.generators``): x is
+    central iff it commutes with the generators.  There is one equation per
+    (generator, output coordinate), built over the nonempty cells of the
+    product rows, and only for the coordinates the commutator reaches.
+
+    The solution space always contains the centre.  The closing check
+    proves the converse: every solution vector must commute with every
+    basis element, summed from the product rows in one accumulator per
+    vector.  So a returned space is the centre whatever set was passed; a
+    set that does not generate and leaves a larger solution space raises
+    InternalCheckFailed.
+    """
     d = alg.dim
-    rows = [{} for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            for k, v in alg.products[i][j]:
-                row = rows[j * d + k]
-                row[i] = row.get(i, 0) + v
-            for k, v in alg.products[j][i]:
-                row = rows[j * d + k]
-                row[i] = row.get(i, 0) - v
+    sparse = alg.field.sparse
+    by_row, by_col = alg.nonempty_cells
+    if generators is None:
+        one = alg.field.one
+        generators = [{j: one} for j in range(d)]
+    rows = []
+    for gen in generators:
+        # eqs[k][i]: coefficient of b_k in b_i·gen − gen·b_i
+        eqs = {}
+        for j, c in gen.items():
+            for i, cell in by_col[j]:
+                for k, v in cell:
+                    row = eqs.setdefault(k, {})
+                    row[i] = row.get(i, 0) + c * v
+            for i, cell in by_row[j]:
+                for k, v in cell:
+                    row = eqs.setdefault(k, {})
+                    row[i] = row.get(i, 0) - c * v
+        rows.extend(eqs[k] for k in sorted(eqs))
     centre = Subspace.kernel_from_sparse(alg.field, d, rows)
-    for v in centre.basis:
-        for j in range(alg.dim):
-            if alg._vec_times_basis(v, j) != alg._basis_times_vec(j, v):
-                raise InternalCheckFailed("central element does not commute")
+    for v in centre._rows.values():
+        # key j·d + k: coefficient of b_k in v·b_j − b_j·v
+        acc = {}
+        get = acc.get
+        for i, x in v.items():
+            for j, cell in by_row[i]:
+                base = j * d
+                for k, w in cell:
+                    acc[base + k] = get(base + k, 0) + x * w
+            for j, cell in by_col[i]:
+                base = j * d
+                for k, w in cell:
+                    acc[base + k] = get(base + k, 0) - x * w
+        if sparse(acc):
+            raise InternalCheckFailed("central element does not commute")
     return centre
 
 
@@ -508,6 +558,17 @@ class MatrixAlgebra(StructureAlgebra):
         for i, v in enumerate(avec):
             out[self.slot(r, s, i)] = v
         return tuple(out)
+
+    def generators(self):
+        """E_{0s}⊗1 and E_{s0}⊗1 for every s, and E_{00}⊗a_i for every basis
+        vector a_i of the base, sparse: they generate, since
+        E_{rs}⊗a = (E_{r0}⊗1)(E_{00}⊗a)(E_{0s}⊗1)."""
+        unit = _sparse(self.base.unit)
+        one = self.field.one
+        units = [(0, s) for s in range(self.size)]
+        units += [(s, 0) for s in range(1, self.size)]
+        return ([{self.slot(r, s, i): v for i, v in unit.items()} for r, s in units]
+                + [{self.slot(0, 0, i): one} for i in range(self.base.dim)])
 
     def entry(self, coeffs, r, s):
         """Base-algebra coefficient vector sitting in entry (r, s)."""
@@ -642,7 +703,9 @@ def smash_algebra(a, b, comul, acted, unit):
     where ``comul`` holds the comultiplication triples of B and
     ``acted[k][y]`` is b_k▷a_y as ``{index: scalar}``.  ``unit`` is None when
     the product has no global unit.  Each x·(b_k▷y) is formed once per
-    (x, k, y), and a term whose x·(b_k▷y) is zero is skipped.  The sparse
+    (x, k, y), a term whose x·(b_k▷y) is zero is skipped, and each term
+    walks only the nonempty cells of its row of B (one per row for k^G);
+    a cell no term reaches is emitted as ``()``.  The sparse
     rows are validated by ``make_algebra``; since every caller builds it from
     validated data, a failure is internal.
     """
@@ -650,6 +713,7 @@ def smash_algebra(a, b, comul, acted, unit):
     sparse = field.sparse
     da, db = a.dim, b.dim
     one = field.one
+    brows = b.nonempty_cells[0]
     products = []
     for x in range(da):
         ex = {x: one}
@@ -660,17 +724,25 @@ def smash_algebra(a, b, comul, acted, unit):
         for i in range(db):
             row = []
             for y in range(da):
-                terms = [(l, v, xky[k][y]) for k, l, v in comul[i] if xky[k][y]]
-                for j in range(db):
-                    cell = {}
-                    get = cell.get
-                    for l, v, xs in terms:
-                        for t, u in b.products[l][j]:
+                # the cells of (x#b_i)(y#b_j) for every j at once, over the
+                # nonempty cells b_l·b_j of the rows the terms of Δ(b_i) reach
+                cells = {}
+                for k, l, v in comul[i]:
+                    xs = xky[k][y]
+                    if not xs:
+                        continue
+                    for j, bcell in brows[l]:
+                        cell = cells.get(j)
+                        if cell is None:
+                            cell = cells[j] = {}
+                        get = cell.get
+                        for t, u in bcell:
                             vu = v * u
                             for s, w in xs:
                                 key = s * db + t
                                 cell[key] = get(key, 0) + vu * w
-                    row.append(tuple(sparse(cell).items()))
+                row.extend(tuple(sparse(cells[j]).items()) if j in cells else ()
+                           for j in range(db))
             products.append(row)
     labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
     try:
@@ -683,17 +755,21 @@ class AlgebraMap:
     """A linear map between algebras; columns are images of basis vectors.
 
     Multiplicativity and unitality are checkable predicates, not assumptions:
-    several maps in this package are homomorphisms only by theorem.
+    several maps in this package are homomorphisms only by theorem.  The
+    columns are kept twice: dense in ``matrix`` and sparse, as canonical
+    ``{index: scalar}`` dicts, in ``columns``.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "columns")
 
-    def __init__(self, domain, codomain, matrix):
+    def __init__(self, domain, codomain, matrix, columns=None):
         if matrix.rows != codomain.dim or matrix.cols != domain.dim:
             raise ValueError("map matrix has wrong shape")
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self.columns = ([_sparse(col) for col in matrix.columns()]
+                        if columns is None else columns)
 
     @classmethod
     def from_columns(cls, domain, codomain, columns):
@@ -702,10 +778,14 @@ class AlgebraMap:
 
     @classmethod
     def from_sparse(cls, domain, codomain, columns):
-        """The map whose column j is the ``{index: scalar}`` dict columns[j]."""
-        zero = domain.field.zero
-        return cls(domain, codomain, Mat(domain.field, [
-            [col.get(r, zero) for col in columns] for r in range(codomain.dim)]))
+        """The map whose column j is the ``{index: scalar}`` dict columns[j];
+        the columns are kept, in canonical form, as ``columns``."""
+        field = domain.field
+        zero = field.zero
+        columns = [field.sparse(col) for col in columns]
+        return cls(domain, codomain, Mat(field, [
+            [col.get(r, zero) for col in columns] for r in range(codomain.dim)]),
+                   columns)
 
     def apply_vec(self, coeffs):
         return self.matrix.apply(coeffs)
@@ -716,10 +796,13 @@ class AlgebraMap:
         return self.codomain.element(self.matrix.apply(element.coeffs))
 
     def compose(self, inner):
-        """self after inner."""
+        """self after inner, column by column from the sparse columns."""
         if inner.codomain is not self.domain:
             raise AlgebraMismatch()
-        return AlgebraMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
+        field, cols = self.codomain.field, self.columns
+        return AlgebraMap.from_sparse(inner.domain, self.codomain, [
+            _lincomb(field, ((c, cols[k]) for k, c in col.items()))
+            for col in inner.columns])
 
     def _multiplicativity_witness(self, anti=False):
         """First basis pair (i, j), in lexicographic order, where
@@ -736,7 +819,7 @@ class AlgebraMap:
         sparse = self.codomain.field.sparse
         dc = self.codomain.dim
         rows = self.codomain.products
-        cols = [tuple(_sparse(col).items()) for col in self.matrix.columns()]
+        cols = [tuple(col.items()) for col in self.columns]
         nonzero = [(j * dc, col) for j, col in enumerate(cols) if col]
         for i, row in enumerate(self.domain.products):
             acc = {}
@@ -768,10 +851,15 @@ class AlgebraMap:
         return self.apply_vec(self.domain.unit) == self.codomain.unit
 
     def kernel(self):
-        return kernel_basis(self.matrix)
+        rows = [{} for _ in range(self.codomain.dim)]
+        for j, col in enumerate(self.columns):
+            for t, x in col.items():
+                rows[t][j] = x
+        return Subspace.kernel_from_sparse(self.domain.field, self.domain.dim, rows)
 
     def image(self):
-        return image_basis(self.matrix)
+        return Subspace.from_sparse(self.domain.field, self.codomain.dim,
+                                    self.columns)
 
     def is_injective(self):
         return self.kernel().is_zero()

@@ -15,13 +15,20 @@ promises about this map is re-proved here per instance, by linear algebra:
   * the canonical separating element of B⊗B over the embedded twisted
     group ring R centralizes it and multiplies to the unit, compared in
     B⊗_R B ≅ B^{|G|}, since B is (verifiably) free over R on {1#p_h}.
+
+The checks work on sparse vectors and cost their nonzero product terms.
+``decomposition_report`` forms one left-product table of the complementary
+ideal, b·r for every basis element b and echelon row r (``_left_products``);
+the ideal's two-sided test and the Kronecker tally of its left products
+both read it.  The Pierce corner e·E_b·e, the map φ and its composite with
+the embedding of the twisted ring are formed from sparse columns.
 """
 
 from __future__ import annotations
 
 from .algebras import AlgebraMap, _lincomb, matrix_algebra
 from .errors import InternalCheckFailed
-from .linalg import Mat, Subspace, _sparse, image_basis, vadd, vsub, vzero
+from .linalg import Subspace, _sparse, vadd, vsub, vzero
 from .report import check
 
 
@@ -46,7 +53,6 @@ def _block_subspace(smash, multiplier):
     alg = pa.algebra
     field = alg.field
     n = pa.group.order
-    dim = smash.dim
     vectors = []
     for g in range(n):
         for h in range(n):
@@ -58,11 +64,9 @@ def _block_subspace(smash, multiplier):
                 coords = pa.ideals[g].coordinates_of(v)
                 if coords is None:
                     raise InternalCheckFailed("block generator left its ideal")
-                vec = list(vzero(field, dim))
-                for t, c in enumerate(coords):
-                    vec[smash.index(skew.offsets[g] + t, h)] = c
-                vectors.append(tuple(vec))
-    return Subspace.from_vectors(field, dim, vectors)
+                vectors.append({smash.index(skew.offsets[g] + t, h): c
+                                for t, c in enumerate(coords) if c})
+    return Subspace.from_sparse(field, smash.dim, vectors)
 
 
 def kernel_formula_subspace(smash):
@@ -92,25 +96,29 @@ def complement_ideal_subspace(smash):
 def _verify_twisted_entry_identity(pa):
     """The entry identity behind multiplicativity, checked exhaustively:
     k^{-1}·((gh)^{-1}·(a(g·b))) = ((hk)^{-1}·(g^{-1}·a)) (k^{-1}·(h^{-1}·b))
-    for all group triples and all basis pairs a of D_g, b of D_h."""
+    for all group triples and all basis pairs a of D_g, b of D_h.
+    (gh)^{-1}·(a(g·b)) is formed once per (g, h, a, b), and the two factors
+    of the right side once per (g, h, k) and basis vector, so each
+    (g, h, k, a, b) costs one image and one product; the triples are
+    visited in the same order, so the first failing one is named."""
     alg, grp = pa.algebra, pa.group
+    dot, inv, mul = pa.dot_vec, grp.inv, alg.mul_vec
     n = grp.order
+    bases = [pa.ideals[g].basis for g in range(n)]
+    # g^{-1}·a for every basis vector a of D_g
+    pulled = [[dot(inv(g), a) for a in bases[g]] for g in range(n)]
     for g in range(n):
         for h in range(n):
-            gh = grp.mul(g, h)
+            ghinv = inv(grp.mul(g, h))
+            moved = [dot(g, b) for b in bases[h]]
+            mids = [[dot(ghinv, mul(a, gb)) for gb in moved] for a in bases[g]]
             for k in range(n):
-                hk = grp.mul(h, k)
-                for a in pa.ideals[g].basis:
-                    ga_part = pa.dot_vec(grp.inv(hk), pa.dot_vec(grp.inv(g), a))
-                    for b in pa.ideals[h].basis:
-                        lhs = pa.dot_vec(
-                            grp.inv(k),
-                            pa.dot_vec(grp.inv(gh),
-                                       alg.mul_vec(a, pa.dot_vec(g, b))))
-                        rhs = alg.mul_vec(
-                            ga_part,
-                            pa.dot_vec(grp.inv(k), pa.dot_vec(grp.inv(h), b)))
-                        if lhs != rhs:
+                kinv, hkinv = inv(k), inv(grp.mul(h, k))
+                lefts = [dot(hkinv, x) for x in pulled[g]]
+                rights = [dot(kinv, y) for y in pulled[h]]
+                for row, left in zip(mids, lefts):
+                    for mid, right in zip(row, rights):
+                        if dot(kinv, mid) != mul(left, right):
                             raise InternalCheckFailed(
                                 f"entry identity fails at ({grp.label(g)},"
                                 f"{grp.label(h)},{grp.label(k)})")
@@ -132,8 +140,9 @@ def build_duality(smash):
         ginv_a = pa.dot_vec(grp.inv(g), a)
         for h in range(n):
             c = pa.dot_vec(grp.inv(h), ginv_a)
-            cols.append(mat.place(grp.mul(g, h), h, c))
-    phi = AlgebraMap.from_columns(smash.algebra, mat, cols)
+            gh = grp.mul(g, h)
+            cols.append({mat.slot(gh, h, t): x for t, x in enumerate(c) if x})
+    phi = AlgebraMap.from_sparse(smash.algebra, mat, cols)
 
     _verify_twisted_entry_identity(pa)
     if not phi.is_multiplicative():
@@ -173,16 +182,15 @@ def corner_report(d):
             m = alg.mul_vec(pa.idempotents[grp.inv(r)], pa.idempotents[grp.inv(s)])
             for i in range(alg.dim):
                 v = alg._basis_times_vec(i, m)
-                if any(v):
-                    vectors.append(mat.place(r, s, v))
-    entrywise = Subspace.from_vectors(alg.field, mat.dim, vectors)
+                vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
+    entrywise = Subspace.from_sparse(alg.field, mat.dim, vectors)
 
-    pierce = Subspace.from_vectors(
-        alg.field, mat.dim,
-        [mat.mul_vec(d.corner_idempotent,
-                     mat.mul_vec(mat.basis_element(b).coeffs,
-                                 d.corner_idempotent))
-         for b in range(mat.dim)])
+    # the Pierce corner e·E_b·e, one sparse product pair per basis element
+    mul = mat._mul_sparse
+    e = _sparse(d.corner_idempotent)
+    one = alg.field.one
+    pierce = Subspace.from_sparse(
+        alg.field, mat.dim, [mul(e, mul({b: one}, e)) for b in range(mat.dim)])
 
     results = [
         check("duality.image_entrywise", d.image == entrywise,
@@ -198,35 +206,62 @@ def corner_report(d):
     return results
 
 
-def _scaled_cells(sparse, terms):
-    """Σ x·cell over the (x, cell) pairs, as a zero-free sparse row put in
-    canonical form by the field normaliser ``sparse``."""
+def _products_by_basis(sparse, cells, r):
+    """``{b: Σ_j x·cell}`` over the entries (j, x) of the sparse row r and
+    the pairs (b, cell) of ``cells[j]``, each sum made canonical by the
+    field normaliser ``sparse``, the zero sums left out."""
     acc = {}
-    get = acc.get
-    for x, cell in terms:
-        for k, v in cell:
-            acc[k] = get(k, 0) + x * v
-    return sparse(acc)
+    for j, x in r.items():
+        for b, cell in cells[j]:
+            part = acc.get(b)
+            if part is None:
+                part = acc[b] = {}
+            get = part.get
+            for k, v in cell:
+                part[k] = get(k, 0) + x * v
+    out = {}
+    for b, part in acc.items():
+        part = sparse(part)
+        if part:
+            out[b] = part
+    return out
 
 
-def _is_two_sided_ideal(algebra, subspace):
+def _left_products(algebra, subspace):
+    """The left-product table of a subspace: for each echelon row r, in
+    order, the dict ``{b: b·r}`` over the basis elements b whose product
+    is nonzero.  Each row is formed once, over the nonempty cells of the
+    columns of the product table it reaches."""
+    sparse = algebra.field.sparse
+    by_col = algebra.nonempty_cells[1]
+    return [_products_by_basis(sparse, by_col, r) for r in subspace._rows.values()]
+
+
+def _is_two_sided_ideal(algebra, subspace, left=None):
     """(True, "") when b·r and r·b lie in the subspace for every basis
     element b and echelon row r; else (False, message) for the first
-    failure, b-major and left before right.  Works on the sparse echelon
-    rows."""
+    failure, b-major and left before right.
+
+    b·r is read from ``left``, the table of ``_left_products`` (built here
+    when not given); r·b is formed per row r for every b at once.  Only
+    nonzero products are reduced against the subspace, and none that
+    would come after a failure already found."""
+    if left is None:
+        left = _left_products(algebra, subspace)
     sparse = algebra.field.sparse
-    prods = algebra.products
-    rows = [list(r.items()) for r in subspace._rows.values()]
-    for b in range(algebra.dim):
-        left = prods[b]
-        for r in rows:
-            if subspace._residual(_scaled_cells(
-                    sparse, ((x, left[j]) for j, x in r))):
-                return False, f"left multiple of {algebra.labels[b]} escapes"
-            if subspace._residual(_scaled_cells(
-                    sparse, ((x, prods[i][b]) for i, x in r))):
-                return False, f"right multiple of {algebra.labels[b]} escapes"
-    return True, ""
+    residual = subspace._residual
+    by_row = algebra.nonempty_cells[0]
+    first = None   # (b, row index, 0 for left or 1 for right)
+    for t, r in enumerate(subspace._rows.values()):
+        for side, products in enumerate(
+                (left[t], _products_by_basis(sparse, by_row, r))):
+            for b, prod in products.items():
+                if (first is None or (b, t, side) < first) and residual(prod):
+                    first = (b, t, side)
+    if first is None:
+        return True, ""
+    b, _, side = first
+    return False, f"{('left', 'right')[side]} multiple of {algebra.labels[b]} escapes"
 
 
 def _cross_product_witness(algebra, ideal, kernel):
@@ -259,44 +294,51 @@ def _block_of(smash, vec):
     return found
 
 
-def _delta_convention_tally(d):
+def _delta_convention_tally(d, left):
     """Which printed Kronecker condition reproduces the true left product of
     the complementary ideal by basis elements: l = gh (the product rule),
-    k = gh, or h = kl."""
+    k = gh, or h = kl.  The true products b·v are read from ``left``, the
+    ``_left_products`` table of the ideal."""
     smash = d.smash
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
-    B = smash.algebra
-    one = alg.field.one
+    n = grp.order
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
-    for v in d.ideal.basis:
+    none = {}
+    for v, products in zip(d.ideal.basis, left):
         blk = _block_of(smash, v)
         if blk is None:
             continue
         g, h = blk
+        gh = grp.mul(g, h)
         a_part = skew.project(
             tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
-        v_sparse = {i: c for i, c in enumerate(v) if c}
+        moved = [pa.dot_vec(k, a_part) for k in range(n)]   # k ▷ a, per k
         # the payload y·(k ▷ a) depends on the skew index j alone, so it is
-        # formed once per j and compared against every dual index l
+        # formed once per j and compared against every dual index l; h = kl
+        # holds exactly at l = k^{-1}h
         for j in range(skew.dim):
             k, pos = skew.grade_of(j)
             y = skew.component_bases[k][pos]
-            w = alg.mul_vec(y, pa.dot_vec(k, a_part))
+            w = alg.mul_vec(y, moved[k])
             kg = grp.mul(k, g)
             coords = pa.ideals[kg].coordinates_of(w)
             if coords is None:
                 raise InternalCheckFailed("ideal product left its graded block")
             payload = {smash.index(skew.offsets[kg] + t, h): c
                        for t, c in enumerate(coords) if c}
-            for l in range(grp.order):
-                true = B._mul_sparse({smash.index(j, l): one}, v_sparse)
-                for name, cond in (("l=gh", l == grp.mul(g, h)),
-                                   ("k=gh", k == grp.mul(g, h)),
-                                   ("h=kl", h == grp.mul(k, l))):
-                    if true != (payload if cond else {}):
-                        conventions[name] = False
+            at_k = payload if k == gh else none
+            kinv_h = grp.mul(grp.inv(k), h)
+            base = smash.index(j, 0)
+            for l in range(n):
+                true = products.get(base + l, none)
+                if true != (payload if l == gh else none):
+                    conventions["l=gh"] = False
+                if true != at_k:
+                    conventions["k=gh"] = False
+                if true != (payload if l == kinv_h else none):
+                    conventions["h=kl"] = False
     return conventions
 
 
@@ -306,7 +348,8 @@ def decomposition_report(d):
     B = d.smash.algebra
     results = []
 
-    ok, why = _is_two_sided_ideal(B, d.ideal)
+    left = _left_products(B, d.ideal)
+    ok, why = _is_two_sided_ideal(B, d.ideal, left)
     results.append(check("duality.ideal_two_sided", ok,
                          {"ideal_dim": d.ideal.dim}, [why] if why else []))
     ok, why = _is_two_sided_ideal(B, d.kernel)
@@ -320,19 +363,22 @@ def decomposition_report(d):
                          {"intersection_dim": inter.dim, "sum_dim": total.dim,
                           "dim": B.dim}))
 
-    restricted = [d.phi.apply_vec(v) for v in d.ideal.basis]
-    restricted_matrix = Mat.from_columns(B.field, restricted, rows=d.mat.dim)
-    image = image_basis(restricted_matrix)
+    # φ on the ideal's echelon rows, from the sparse columns of φ; the
+    # rank of the restriction is the dimension of their span
+    cols = d.phi.columns
+    image = Subspace.from_sparse(B.field, d.mat.dim, [
+        _lincomb(B.field, ((c, cols[k]) for k, c in r.items()))
+        for r in d.ideal._rows.values()])
     results.append(check("duality.restricted_bijection",
-                         image == d.image and restricted_matrix.rank() == d.ideal.dim,
-                         {"restricted_rank": restricted_matrix.rank(),
+                         image == d.image and image.dim == d.ideal.dim,
+                         {"restricted_rank": image.dim,
                           "corner_dim": d.image.dim}))
 
     cross = _cross_product_witness(B, d.ideal, d.kernel)
     results.append(check("duality.cross_products_zero", cross is None, {},
                          [cross] if cross else []))
 
-    conv = _delta_convention_tally(d)
+    conv = _delta_convention_tally(d, left)
     results.append(check("duality.ideal_product_delta", conv["l=gh"],
                          {f"matches[{k}]": v for k, v in sorted(conv.items())}))
     return results
@@ -363,24 +409,12 @@ def skew_injectivity_report(d):
     ]
 
 
-def _embedded_basis(smash):
-    """ι(b_j) for every basis vector b_j of the twisted ring R, sparse."""
-    return [_sparse(col) for col in smash.embed_skew().matrix.columns()]
-
-
-def _dual_units(smash):
-    """1#p_h for every h, sparse."""
-    unit = _sparse(smash.skew.algebra.unit)
-    return [{smash.index(j, h): c for j, c in unit.items()}
-            for h in range(smash.group.order)]
-
-
 def _verify_free_over_twisted_ring(smash):
     """ι(b_j)·(1#p_h) = b_j#p_h for every j and h: B is a free left R-module
     on {1#p_h}, so B⊗_R B ≅ B^{|G|}."""
     B = smash.algebra
-    units = _dual_units(smash)
-    for j, a in enumerate(_embedded_basis(smash)):
+    units = smash.dual_units()
+    for j, a in enumerate(smash.embed_skew().columns):
         for h, u in enumerate(units):
             if B._mul_sparse(a, u) != {smash.index(j, h): B.field.one}:
                 raise InternalCheckFailed(
@@ -393,7 +427,7 @@ def _tensor_image(smash, element):
     pairs of sparse vectors of B, where y = Σ_h ι(y_h)·(1#p_h)."""
     B = smash.algebra
     n = smash.group.order
-    iota = _embedded_basis(smash)
+    iota = smash.embed_skew().columns
     slots = [[] for _ in range(n)]
     for x, y in element:
         blocks = [[] for _ in range(n)]
@@ -411,7 +445,7 @@ def _centrality_witness(smash, element):
     where Φ(f·ι(a)) and Φ(ι(a)·f) differ for the tensor element f; None
     when f centralizes the embedded twisted ring."""
     mul = smash.algebra._mul_sparse
-    for j, a in enumerate(_embedded_basis(smash)):
+    for j, a in enumerate(smash.embed_skew().columns):
         fa = _tensor_image(smash, [(x, mul(y, a)) for x, y in element])
         af = _tensor_image(smash, [(mul(a, x), y) for x, y in element])
         for h in range(smash.group.order):
@@ -445,4 +479,4 @@ def separability_report(smash):
     """Σ_h (1#p_h)⊗(1#p_h) ∈ B⊗_R B centralizes R and multiplies to 1; the
     balancing relations of B⊗B, reported by dimension, are ker Φ."""
     _verify_free_over_twisted_ring(smash)
-    return _separability_checks(smash, [(u, u) for u in _dual_units(smash)])
+    return _separability_checks(smash, [(u, u) for u in smash.dual_units()])

@@ -34,7 +34,7 @@ from .algebras import (AlgebraMap, _lincomb, _outer, field_algebra, group_algebr
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
-from .linalg import Mat, Subspace, _sparse
+from .linalg import Mat, Subspace, _dense, _sparse
 from .report import check
 
 
@@ -541,9 +541,12 @@ def build_corner_maps(pha, reps=None):
     if not phi.is_multiplicative():
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")
 
-    psi_cols = [target.tensor_vec(alg.unit, reps.lambda_map.matrix.column(ij))
-                for ij in range(dd)]
-    psi = [_sparse(col) for col in psi_cols]
+    # ψ(b_i#p_j) = 1⊗λ(b_i#p_j), from the sparse columns of λ
+    one_a = _sparse(alg.unit)
+    psi = [field.sparse({a * dd + e: u * c for a, u in one_a.items()
+                         for e, c in col.items()})
+           for col in reps.lambda_map.columns]
+    psi_cols = [_dense(col, field, target.dim) for col in psi]
 
     corner_unit = phi.apply_vec(alg.unit)
     maps = CornerMaps(target, phi, psi_cols, corner_unit)
@@ -793,7 +796,7 @@ def operator_duality_report(pha, ps, maps=None):
 
     # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
     mul = target._mul_sparse
-    phis = [_sparse(col) for col in maps.phi.matrix.columns()]
+    phis = maps.phi.columns
     psis = [_sparse(col) for col in maps.psi_columns]
     cols = [mul(phis[x], psi) for x in range(da) for psi in psis]
     phi = AlgebraMap.from_sparse(triple, target, cols)

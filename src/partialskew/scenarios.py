@@ -168,7 +168,14 @@ def build_algebra(field, spec):
     if "constants" in spec:
         products = _parse_cube(field, spec["constants"], "constants")
         unit = _parse_vector(field, _entry(spec, "unit", "algebra"), len(products))
-        return make_algebra(field, products, unit, labels=spec.get("labels"))
+        labels = None
+        if "labels" in spec:
+            labels = _list_entry(spec, "labels", "algebra")
+            try:
+                check_labels(labels, len(products))
+            except ValueError as exc:
+                raise ParseError(f"algebra.labels: {exc}") from None
+        return make_algebra(field, products, unit, labels=labels)
     raise ParseError(f"unknown algebra spec {sorted(spec)!r}")
 
 
@@ -260,9 +267,9 @@ _HOPF_KEYS = ("constants", "unit", "comultiplication", "counit", "antipode")
 def _explicit_hopf_checks(field, spec):
     """Validate user-supplied Hopf structure constants and the operator layer."""
     try:
-        algebra = build_algebra(field, {"constants": spec["constants"],
-                                        "unit": spec["unit"],
-                                        "labels": spec.get("labels")})
+        algebra = build_algebra(field, {key: spec[key] for key in
+                                        ("constants", "unit", "labels")
+                                        if key in spec})
         d = algebra.dim
         comul = _parse_cube(field, spec["comultiplication"], "comultiplication", d)
         triples = [[(k, l, v) for k, cell in enumerate(row) for l, v in cell]
@@ -382,8 +389,10 @@ def run_scenario(source, suites=None, field_override=None):
     if "centers" in selected:
         measured["algebra_center_dimension"] = center_basis(action.algebra).dim
         measured["skew_center_dimension"] = center_basis(run.skew.algebra).dim
-        measured["smash_center_dimension"] = center_basis(run.smash.algebra).dim
-        measured["matrix_center_dimension"] = center_basis(run.matrix).dim
+        measured["smash_center_dimension"] = center_basis(
+            run.smash.algebra, run.smash.generators()).dim
+        measured["matrix_center_dimension"] = center_basis(
+            run.matrix, run.matrix.generators()).dim
         report.checks.append(check(
             "centers.computed", True,
             {k: measured[k] for k in ("algebra_center_dimension",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraMap, _outer, dual_group_algebra, smash_algebra
 from .errors import InternalCheckFailed
+from .linalg import _sparse
 from .report import check
 
 
@@ -40,6 +41,17 @@ class SmashAlgebra:
     def embed_skew(self):
         """The inclusion x |-> sum over h of x#p_h (verified at build)."""
         return self.embed_skew_map
+
+    def dual_units(self):
+        """1#p_h for every h, sparse."""
+        unit = _sparse(self.skew.algebra.unit)
+        return [{self.index(j, h): c for j, c in unit.items()}
+                for h in range(self.group.order)]
+
+    def generators(self):
+        """ι(b_j) for every basis vector b_j of the twisted ring, then 1#p_h
+        for every h, sparse: they generate, since x#p_h = ι(x)(1#p_h)."""
+        return list(self.embed_skew_map.columns) + self.dual_units()
 
 
 def build_smash(skew):

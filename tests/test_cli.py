@@ -124,6 +124,42 @@ def test_exact_rational_strings(tmp_path):
     assert main(["verify", _write(tmp_path, doc)]) == 0
 
 
+def _labelled_doc(labels):
+    """The dim-2 algebra k[x]/(x² - 1/2) with the given ``algebra.labels``."""
+    return {
+        "name": "labelled",
+        "group": {"cyclic": 2},
+        "algebra": {
+            "constants": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1/2", "0"]]],
+            "unit": ["1", "0"],
+            "labels": labels,
+        },
+        "action": {"explicit": {
+            "idempotents": [["1", "0"], ["1", "0"]],
+            "beta": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]]],
+        }},
+    }
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["1"], "algebra.labels: 1 labels for 2 elements"),
+    (["1", "x", "y"], "algebra.labels: 3 labels for 2 elements"),
+    (["x", "x"], "algebra.labels: label 'x' is repeated"),
+    ("1x", "algebra.labels must be a list, got '1x'"),
+])
+def test_malformed_algebra_labels_exit_two(tmp_path, capsys, labels, message):
+    path = _write(tmp_path, _labelled_doc(labels))
+    assert main(["verify", path, "--suite", "lemma1", "--suite", "grading"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_valid_algebra_labels_are_accepted(tmp_path, capsys):
+    path = _write(tmp_path, _labelled_doc(["1", "x"]))
+    assert main(["verify", path, "--suite", "lemma1", "--suite", "grading"]) == 0
+
+
 @pytest.mark.parametrize("constants, unit", [
     ([[[1, 0], [0]], [[0, 1], [1, 0]]], [1, 0]),   # a 1-entry cell, dim 2
     ([[[1, 5]]], [1]),                             # a 2-entry cell, dim 1
@@ -292,6 +328,21 @@ def _z3_group_hopf_block():
         "counit": [1, 1, 1],
         "antipode": [[int(r == (-c) % n) for c in range(n)] for r in range(n)],
     }
+
+
+def test_hopf_block_labels_are_checked_like_algebra_labels(tmp_path, capsys):
+    # the hopf block's algebra goes through the same parser, so a short
+    # labels list is refused before any suite runs
+    doc = dict(S1_DOC)
+    doc.pop("expect")
+    doc["suites"] = ["lemma1"]
+    doc["hopf"] = dict(_z3_group_hopf_block(), labels=["e", "g"])
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert "algebra.labels: 2 labels for 3 elements" in captured.err
+    assert captured.out == ""
+    doc["hopf"]["labels"] = ["e", "g", "g2"]
+    assert main(["verify", _write(tmp_path, doc)]) == 0
 
 
 def test_explicit_hopf_scenario(tmp_path, capsys):

@@ -3,7 +3,7 @@ import sympy
 import pytest
 
 from partialskew.algebras import AlgebraMap, field_algebra, matrix_algebra
-from partialskew.duality import (DualityData, _centrality_witness, _dual_units,
+from partialskew.duality import (DualityData, _centrality_witness,
                                  _is_two_sided_ideal, _separability_checks,
                                  _tensor_image, build_duality,
                                  corner_report, decomposition_report,
@@ -266,12 +266,12 @@ def test_tensor_image_machinery(s1_smash):
 
 
 def _canonical(smash):
-    return [(u, u) for u in _dual_units(smash)]
+    return [(u, u) for u in smash.dual_units()]
 
 
 def _shifted(smash, s):
     """Σ_g (1#p_g)⊗(1#p_{g·s})."""
-    units = _dual_units(smash)
+    units = smash.dual_units()
     grp = smash.group
     return [(units[g], units[grp.mul(g, s)]) for g in range(grp.order)]
 
@@ -288,7 +288,7 @@ def test_non_central_element_rejected_by_both_routes(s1_smash, s3_smash_fp5,
                                   s1_smash.embed_skew().matrix.columns())
     for smash, oracle in ((s1_smash, s1_oracle), (s3_smash_fp5, s3_oracle_fp5)):
         e = smash.group.identity
-        units = _dual_units(smash)
+        units = smash.dual_units()
         # (1#p_e)⊗(1#p_e) alone does not commute with a homogeneous a of
         # grade k ≠ e: a·f has x#p_e in component e, f·a has it in k^{-1}
         assert _both_routes(smash, oracle, [(units[e], units[e])]) == (False, False)
@@ -306,7 +306,7 @@ def test_centralizes_names_its_witness(s1_smash, s3_smash_fp5):
     # of the components s and k^{-1}s
     for smash in (s1_smash, s3_smash_fp5):
         grp, skew = smash.group, smash.skew
-        units = _dual_units(smash)
+        units = smash.dual_units()
         first = next(j for j in range(skew.dim) if skew.grade_of(j)[0] != grp.identity)
         k = skew.grade_of(first)[0]
         for s in range(grp.order):
