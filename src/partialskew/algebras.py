@@ -20,6 +20,11 @@ The exhaustive identity checks (associativity, matrix units, maps being
 multiplicative) sum the difference of both sides over every inner index in
 one accumulator per outer index: they cost the nonzero product terms, and
 the smallest nonzero key is the first failure of a tuple-by-tuple loop.
+Associativity keeps one accumulator per middle index j, covering every
+(i, k), and walks the nonempty cells of the product table by row and by
+column (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that
+index in its shape pass, so the check reads no empty cell and allocates
+nothing per pair, and ``center_basis`` and ``smash_algebra`` reuse it.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
 ``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
@@ -63,7 +68,8 @@ class StructureAlgebra:
     def nonempty_cells(self):
         """The nonempty cells of the product table as (by_row, by_col):
         by_row[i] lists the pairs (j, b_i·b_j), by_col[j] the pairs
-        (i, b_i·b_j), in index order."""
+        (i, b_i·b_j), in index order.  ``make_algebra`` sets it from its
+        shape pass; any other algebra derives it on first read."""
         by_row = [[(j, cell) for j, cell in enumerate(row) if cell]
                   for row in self.products]
         by_col = [[] for _ in range(self.dim)]
@@ -247,59 +253,82 @@ def _associativity_witness(alg):
     """First basis triple (i, j, k), in lexicographic order, with
     (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
 
-    Works on the sparse product rows.  For each pair
-    (i, j) one accumulator, keyed by k·d + n, collects the coefficient of
-    b_n in (b_i b_j) b_k minus that in b_i (b_j b_k) for every k at once:
-    the first side walks the nonempty cells of the rows b_i b_j reaches,
-    the second the nonempty cells of row j.  The cost is d² pairs plus the
-    nonzero product terms, not d³ triples; the smallest failing k of the
-    first failing pair is the lexicographically first failing triple.
+    Works on the nonempty cells of the product table.  For each middle
+    index j one accumulator, keyed i·d² + k·d + n, collects the coefficient
+    of b_n in (b_i b_j) b_k minus that in b_i (b_j b_k) for every (i, k) at
+    once: the first side runs i over the nonempty cells of column j, m over
+    b_i b_j and k over the nonempty cells of row m; the second runs k over
+    the nonempty cells of row j, m over b_j b_k and i over the nonempty
+    cells of column m.  The cost is the nonzero product terms, not d³
+    triples.  The smallest failing key of a j gives its first (i, k), and
+    the witness is the least (i, j, k) over every j.
     """
     sparse = alg.field.sparse
     d = alg.dim
-    nz = alg.products
-    cells = [[(k * d, cell) for k, cell in enumerate(row) if cell] for row in nz]
-    for i in range(d):
-        nzi = nz[i]
-        for j in range(d):
-            acc = {}
-            get = acc.get
-            for m, c in nzi[j]:
-                for base, cell in cells[m]:
-                    for n, v in cell:
+    dd = d * d
+    by_row, by_col = alg.nonempty_cells
+    first = None
+    for j in range(d):
+        acc = {}
+        get = acc.get
+        for i, cell in by_col[j]:
+            base_i = i * dd
+            for m, c in cell:
+                for k, mcell in by_row[m]:
+                    base = base_i + k * d
+                    for n, v in mcell:
                         key = base + n
                         acc[key] = get(key, 0) + c * v
-            for base, cell in cells[j]:
-                for m, c in cell:
-                    for n, v in nzi[m]:
+        for k, cell in by_row[j]:
+            base_k = k * d
+            for m, c in cell:
+                for i, mcell in by_col[m]:
+                    base = i * dd + base_k
+                    for n, v in mcell:
                         key = base + n
                         acc[key] = get(key, 0) - c * v
-            bad = sparse(acc)
-            if bad:
-                return i, j, min(bad) // d
-    return None
+        bad = sparse(acc)
+        if bad:
+            i, rest = divmod(min(bad), dd)
+            witness = (i, j, rest // d)
+            if first is None or witness < first:
+                first = witness
+    return first
 
 
 def _canonical_cells(field, products, unit, d):
     """The shape pass of ``make_algebra``: the rows with every cell a tuple
-    sorted by index, or ValueError for a malformed table."""
+    sorted by index, and the (by_row, by_col) index of their nonempty cells
+    in the form of ``StructureAlgebra.nonempty_cells``; ValueError for a
+    malformed table."""
     rows = []
-    for row in products:
+    by_row = []
+    by_col = [[] for _ in range(d)]
+    for i, row in enumerate(products):
         if len(row) != d:
             raise ValueError("structure constants are not d x d cells")
         cells = []
-        for cell in row:
+        nonempty = []
+        for j, cell in enumerate(row):
+            size = len(cell)
+            if not size:
+                cells.append(())
+                continue
             for k, v in cell:
                 if not (isinstance(k, int) and 0 <= k < d):
                     raise ValueError(f"structure constant index {k!r} out of range")
                 if not v:
                     raise ValueError("structure constant cell lists a zero")
-            if len(cell) > 1:
+            if size > 1:
                 cell = sorted(cell, key=_index)
-                if len({k for k, _ in cell}) != len(cell):
+                if len({k for k, _ in cell}) != size:
                     raise ValueError("structure constant cell repeats an index")
-            cells.append(tuple(cell))
+            cell = tuple(cell)
+            nonempty.append((j, cell))
+            by_col[j].append((i, cell))
+            cells.append(cell)
         rows.append(cells)
+        by_row.append(nonempty)
     if unit is not None and len(unit) != d:
         raise ValueError("unit vector has wrong length")
     p = field.characteristic
@@ -309,7 +338,7 @@ def _canonical_cells(field, products, unit, d):
                     if type(x) is not int or not 0 <= x < p), None)
         if bad is not None:
             raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
-    return rows
+    return rows, (by_row, by_col)
 
 
 def make_algebra(field, products, unit, labels=None):
@@ -323,8 +352,9 @@ def make_algebra(field, products, unit, labels=None):
     on every basis element; the first failure names its witness.
     """
     d = len(products)
-    alg = StructureAlgebra(field, _canonical_cells(field, products, unit, d),
-                           unit, labels)
+    rows, index = _canonical_cells(field, products, unit, d)
+    alg = StructureAlgebra(field, rows, unit, labels)
+    alg.nonempty_cells = index   # seeds the cached index from the same walk
 
     witness = _associativity_witness(alg)
     if witness is not None:

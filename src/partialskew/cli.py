@@ -64,7 +64,12 @@ def main(argv=None):
         except (ParseError, ValidationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _write(emit_report(report, args.format), args.out)
+        try:
+            _write(emit_report(report, args.format), args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         return 0 if report.passed() else 1
 
     if args.command == "selftest":

@@ -298,7 +298,11 @@ def _delta_convention_tally(d, left):
     """Which printed Kronecker condition reproduces the true left product of
     the complementary ideal by basis elements: l = gh (the product rule),
     k = gh, or h = kl.  The true products b·v are read from ``left``, the
-    ``_left_products`` table of the ideal."""
+    ``_left_products`` table of the ideal.
+
+    For each (v, j) only l = gh, l = k⁻¹h and the l with a nonzero product
+    are compared: at every other l the true product and the l = gh and
+    h = kl predictions are all empty, so one such l decides k = gh."""
     smash = d.smash
     skew = smash.skew
     pa = skew.action
@@ -311,13 +315,17 @@ def _delta_convention_tally(d, left):
         if blk is None:
             continue
         g, h = blk
+        reached = {}   # j: the dual indices l with b_j#p_l · v nonzero
+        for b in products:
+            j, l = smash.parts(b)
+            reached.setdefault(j, set()).add(l)
         gh = grp.mul(g, h)
         a_part = skew.project(
             tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
         moved = [pa.dot_vec(k, a_part) for k in range(n)]   # k ▷ a, per k
         # the payload y·(k ▷ a) depends on the skew index j alone, so it is
-        # formed once per j and compared against every dual index l; h = kl
-        # holds exactly at l = k^{-1}h
+        # formed once per j and compared at the dual indices l that can
+        # differ; h = kl holds exactly at l = k^{-1}h
         for j in range(skew.dim):
             k, pos = skew.grade_of(j)
             y = skew.component_bases[k][pos]
@@ -331,7 +339,10 @@ def _delta_convention_tally(d, left):
             at_k = payload if k == gh else none
             kinv_h = grp.mul(grp.inv(k), h)
             base = smash.index(j, 0)
-            for l in range(n):
+            ls = reached.get(j, set()) | {gh, kinv_h}
+            if len(ls) < n and at_k:
+                conventions["k=gh"] = False
+            for l in ls:
                 true = products.get(base + l, none)
                 if true != (payload if l == gh else none):
                     conventions["l=gh"] = False

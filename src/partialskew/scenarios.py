@@ -210,9 +210,12 @@ def build_action(field, group, algebra, spec):
 def load_scenario(path):
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -309,8 +309,8 @@ _SPARSE_TABLES = {
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 @pytest.mark.parametrize("name", sorted(_SPARSE_TABLES))
 def test_associativity_witness_on_sparse_tables(name, field):
-    # tables with many empty cells; the per-pair kernel must return the
-    # oracle's first failing triple for the table and for perturbations
+    # tables with many empty cells; the witness must return the oracle's
+    # first failing triple for the table and for perturbations
     alg = _SPARSE_TABLES[name](field)
     d = alg.dim
     assert any(not cell for row in alg.products for cell in row)

@@ -6,7 +6,7 @@ from partialskew.cli import main
 from partialskew.errors import ParseError
 from partialskew.report import emit_report, parse_structured
 from partialskew.scenarios import (bundled_fixtures, fixture_path,
-                                   run_scenario)
+                                   load_scenario, run_scenario)
 
 S1_DOC = {
     "name": "s1-file",
@@ -63,6 +63,26 @@ def test_parse_error_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(S1_DOC).encode())
+    with pytest.raises(ParseError, match="latin.json: not UTF-8"):
+        load_scenario(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "latin.json" in captured.err
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, S1_DOC)
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["verify", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.parent.exists()
+    assert captured.err.startswith("error: cannot write ") and str(out) in captured.err
 
 
 def test_validation_error_exits_two(tmp_path, capsys):

@@ -1,5 +1,10 @@
 """The accumulator identity checks against per-product oracles.
 
+* ``algebras._associativity_witness`` collects (b_i b_j)b_k − b_i(b_j b_k)
+  for every (i, k) in one accumulator per middle index j;
+  ``_pairwise_associativity_witness`` keeps one accumulator per pair (i, j)
+  and returns at the first failing pair; both must name the same first
+  triple, which is also the dense oracle's.
 * ``AlgebraMap._multiplicativity_witness`` collects φ(b_i b_j) − φ(b_i)φ(b_j)
   for every j in one accumulator per i; ``_pairwise_witness`` compares the
   two sides pair by pair, with the codomain's own sparse product (through
@@ -13,12 +18,13 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from partialskew import hopf
-from partialskew.algebras import (AlgebraMap, TensorAlgebra, _lincomb,
+from partialskew import algebras, hopf
+from partialskew.algebras import (AlgebraMap, StructureAlgebra, TensorAlgebra,
+                                  _associativity_witness, _lincomb,
                                   field_algebra, group_algebra, make_algebra,
                                   matrix_algebra, product_of_fields,
                                   tensor_algebra)
-from partialskew.errors import InternalCheckFailed
+from partialskew.errors import InternalCheckFailed, NotAssociative
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (HopfData, _verify_exchange_identity, group_hopf,
@@ -26,11 +32,161 @@ from partialskew.hopf import (HopfData, _verify_exchange_identity, group_hopf,
 from partialskew.linalg import Mat, _sparse
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 
+from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
+                           _sparsify)
 from test_golden_reports import INLINE
 from test_hopf import _first_exchange_failure
 
 FIELDS = (QQ, GF(5), GF(2))
 FIELD_IDS = ("q", "fp5", "fp2")
+
+
+# -- associativity -----------------------------------------------------------
+
+def _pairwise_associativity_witness(alg):
+    """First (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None: for each
+    pair (i, j) one accumulator, keyed k·d + n, over the rows b_i b_j reaches
+    and the nonempty cells of row j; the first failing pair decides."""
+    sparse = alg.field.sparse
+    d = alg.dim
+    nz = alg.products
+    cells = [[(k * d, cell) for k, cell in enumerate(row) if cell] for row in nz]
+    for i in range(d):
+        nzi = nz[i]
+        for j in range(d):
+            acc = {}
+            get = acc.get
+            for m, c in nzi[j]:
+                for base, cell in cells[m]:
+                    for n, v in cell:
+                        acc[base + n] = get(base + n, 0) + c * v
+            for base, cell in cells[j]:
+                for m, c in cell:
+                    for n, v in nzi[m]:
+                        acc[base + n] = get(base + n, 0) - c * v
+            bad = sparse(acc)
+            if bad:
+                return i, j, min(bad) // d
+    return None
+
+
+def _bumped(alg, i, j, k):
+    """alg's product rows with the coefficient of b_k in b_i·b_j raised by
+    one (over F_2 a coefficient 1 drops out)."""
+    rows = [list(row) for row in alg.products]
+    cell = dict(rows[i][j])
+    cell[k] = cell.get(k, 0) + 1
+    rows[i][j] = tuple(sorted(alg.field.sparse(cell).items()))
+    return rows
+
+
+def _positions(alg):
+    """Cells to perturb: the corners, an interior cell, the first entry of
+    the first nonempty cell of the middle row, and its first empty cell."""
+    d = alg.dim
+    mid = alg.products[d // 2]
+    out = [(0, 0, 0), (d - 1, d - 1, d - 1), (d // 2, d // 3, (d - 1) // 2)]
+    out += [(d // 2, j, cell[0][0]) for j, cell in enumerate(mid) if cell][:1]
+    out += [(d // 2, j, d - 1) for j, cell in enumerate(mid) if not cell][:1]
+    return out
+
+
+def _make_algebra_witness(field, rows):
+    """The index triple ``make_algebra`` names for non-unital rows, or None
+    when it accepts them."""
+    try:
+        make_algebra(field, rows, None)
+    except NotAssociative as exc:
+        return tuple(int(label[1:]) for label in exc.witness)
+    return None
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5", "fp:2"])
+def test_every_associativity_check_matches_pairwise_oracle(monkeypatch, field):
+    # every table make_algebra receives from the corpus and both S₃
+    # documents, as given and with one perturbed cell
+    tables = {}
+    witness = algebras._associativity_witness
+
+    def spy(alg):
+        got = witness(alg)
+        tables.setdefault(alg.products, (alg, got))
+        return got
+
+    monkeypatch.setattr(algebras, "_associativity_witness", spy)
+    sources = [fixture_path(name) for name in bundled_fixtures()] + list(INLINE.values())
+    for source in sources:
+        assert run_scenario(source, field_override=field).passed()
+    monkeypatch.undo()
+    assert max(alg.dim for alg, _ in tables.values()) == 72
+    failing = 0
+    for alg, got in tables.values():
+        assert got is None and _pairwise_associativity_witness(alg) is None
+        for i, j, k in _positions(alg):
+            rows = _bumped(alg, i, j, k)
+            expected = _pairwise_associativity_witness(
+                StructureAlgebra(alg.field, rows, None))
+            assert witness(StructureAlgebra(alg.field, rows, None)) == expected
+            assert _make_algebra_witness(alg.field, rows) == expected
+            failing += expected is not None
+    assert failing > len(tables)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_first_failure_at_a_later_middle_index_is_named(field):
+    # k³ with e_2·e_0 = e_1: the triples (2, 0, 0) and (2, 0, 1) fail at
+    # j = 0, but (1, 2, 0) comes first: (e_1 e_2) e_0 = 0, e_1 (e_2 e_0) = e_1
+    one = field.one
+    rows = [[((i, one),) if i == j else () for j in range(3)] for i in range(3)]
+    rows[2][0] = ((1, one),)
+    alg = StructureAlgebra(field, rows, None)
+    mul, basis = _dense_mul(field, _densify(alg))
+    failures = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+                if mul(mul(basis[i], basis[j]), basis[k])
+                != mul(basis[i], mul(basis[j], basis[k]))]
+    assert failures[0] == (1, 2, 0) and (2, 0, 0) in failures
+    assert _associativity_witness(alg) == (1, 2, 0)
+    assert _pairwise_associativity_witness(alg) == (1, 2, 0)
+    with pytest.raises(NotAssociative) as info:
+        make_algebra(field, rows, None)
+    assert str(info.value) == "algebra is not associative at triple (b1, b2, b0)"
+
+
+_BASES = {
+    "s3": lambda f: group_algebra(f, symmetric(3)),
+    "z3": lambda f: group_algebra(f, cyclic(3)),
+    "kkk": lambda f: product_of_fields(f, 3),
+    "m2": lambda f: matrix_algebra(field_algebra(f), 2),
+    "kz2_x_kk": lambda f: tensor_algebra(group_algebra(f, cyclic(2)),
+                                         product_of_fields(f, 2)),
+}
+
+
+@st.composite
+def _perturbed_tables(draw):
+    """(field, dense table): a small algebra with one or two cells replaced
+    by sparse vectors of small representatives."""
+    field = draw(st.sampled_from(FIELDS))
+    alg = _BASES[draw(st.sampled_from(sorted(_BASES)))](field)
+    d = alg.dim
+    table = _densify(alg)
+    index = st.integers(0, d - 1)
+    cells = draw(st.dictionaries(
+        st.tuples(index, index), st.dictionaries(index, st.integers(-2, 2), max_size=2),
+        min_size=1, max_size=2))
+    for (i, j), vec in cells.items():
+        table[i][j] = list(field.vector([vec.get(k, 0) for k in range(d)]))
+    return field, table
+
+
+@settings(max_examples=80, deadline=None)
+@given(_perturbed_tables())
+def test_witness_matches_dense_oracle_on_perturbed_tables(inst):
+    field, table = inst
+    alg = StructureAlgebra(field, _sparsify(table), None)
+    expected = _first_nonassociative_triple(field, table)
+    assert _associativity_witness(alg) == expected
+    assert _pairwise_associativity_witness(alg) == expected
 
 
 def _pairwise_witness(phi, anti=False):

@@ -100,15 +100,16 @@ def _own_products_two_sided(algebra, subspace):
     return True, ""
 
 
-def _per_product_tally(d):
-    """The Kronecker tally with one sparse product per (v, j, l)."""
+def _per_product_tally(d, left=None):
+    """The Kronecker tally with one sparse product per (v, j, l), or, given
+    a left-product table, one lookup in it per (v, j, l)."""
     smash = d.smash
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
     B = smash.algebra
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
-    for v in d.ideal.basis:
+    for r, v in enumerate(d.ideal.basis):
         blk = _block_of(smash, v)
         if blk is None:
             continue
@@ -123,7 +124,9 @@ def _per_product_tally(d):
             payload = {smash.index(skew.offsets[kg] + t, h): c
                        for t, c in enumerate(coords) if c}
             for l in range(grp.order):
-                true = B._mul_sparse({smash.index(j, l): alg.field.one}, _sparse(v))
+                b = smash.index(j, l)
+                true = (B._mul_sparse({b: alg.field.one}, _sparse(v))
+                        if left is None else left[r].get(b, {}))
                 for name, cond in (("l=gh", l == grp.mul(g, h)),
                                    ("k=gh", k == grp.mul(g, h)),
                                    ("h=kl", h == grp.mul(k, l))):
@@ -202,6 +205,54 @@ def test_left_product_table_matches_own_products(name, field):
     for r, row in zip(d.ideal._rows.values(), left):
         assert all(row.get(b, {}) == B._mul_sparse({b: B.field.one}, r)
                    for b in range(B.dim))
+
+
+def _reshaped_left(d, left, where):
+    """A left-product table of the ideal in which b_j#p_l · v is the true
+    product at l = gh (the payload) for the l in ``where(g, h, k)`` and
+    empty elsewhere, for v in block (g, h) and b_j of grade k."""
+    smash, grp = d.smash, d.smash.group
+    out = []
+    for v, row in zip(d.ideal.basis, left):
+        g, h = _block_of(smash, v)
+        gh = grp.mul(g, h)
+        new = {}
+        for j in range(smash.skew.dim):
+            payload = row.get(smash.index(j, gh))
+            if payload:
+                for l in where(g, h, smash.skew.grade_of(j)[0]):
+                    new[smash.index(j, l)] = payload
+        out.append(new)
+    return out
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_tally_of_reshaped_tables_matches_every_index(name):
+    # tables shaped by each printed convention: the tally compares only
+    # l = gh, l = k⁻¹h and the reached l, and must agree with a lookup at
+    # every l; under k = gh with the payload at l = gh and l = k⁻¹h alone,
+    # the l left out decide k = gh
+    d = _duality(name, "q")
+    grp = d.smash.group
+    left = _left_products(d.smash.algebra, d.ideal)
+    mul, inv = grp.mul, grp.inv
+    shapes = {
+        "true": lambda g, h, k: [mul(g, h)],
+        "empty": lambda g, h, k: [],
+        "h=kl": lambda g, h, k: [mul(inv(k), h)],
+        "k=gh": lambda g, h, k: range(grp.order) if k == mul(g, h) else [],
+        "k=gh at two": lambda g, h, k: ({mul(g, h), mul(inv(k), h)}
+                                        if k == mul(g, h) else []),
+    }
+    tallies = {}
+    for shape, where in shapes.items():
+        table = _reshaped_left(d, left, where)
+        tallies[shape] = _delta_convention_tally(d, table)
+        assert tallies[shape] == _per_product_tally(d, table), shape
+    assert tallies["true"] == _per_product_tally(d)
+    assert tallies["h=kl"]["h=kl"] and tallies["k=gh"]["k=gh"]
+    if grp.order > 2:
+        assert not tallies["k=gh at two"]["k=gh"]
 
 
 @pytest.mark.parametrize("field", FIELDS)
