@@ -22,8 +22,7 @@ from .fields import GF, QQ, parse_field
 from .groups import FiniteGroup, cyclic, make_group, symmetric
 from .hopf import (HopfData, PartialHopfAction, build_corner_maps,
                    build_partial_smash, build_representations, group_hopf,
-                   hit_left, hit_right, lift_group_action, make_hopf,
-                   make_partial_hopf_action)
+                   lift_group_action, make_hopf, make_partial_hopf_action)
 from .linalg import Mat, Subspace, image_basis, kernel_basis, solve
 from .report import CheckResult, Report, emit_report, parse_structured
 from .scenarios import run_scenario

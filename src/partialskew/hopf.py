@@ -8,8 +8,9 @@ coproduct/counit with the product, and the antipode identity, exhaustively
 on the basis.  The dual Hopf algebra swaps the two sets of constants.
 ``HopfData`` reads its sparse tables off the triples once: Δ(b_i) as a
 vector of H⊗H and the hit actions p_m ⇀ b_i and b_i ↼ p_m of the dual
-basis; every later use of Δ or of a hit action reads them, and the dense
-``hit_left``/``hit_right`` are kept as the public reference.
+basis; every later use of Δ or of a hit action reads them.  The identity
+checks of this layer keep one accumulator per outer index, holding the left
+side minus the right for every inner tuple at once, reduced once.
 
 Every algebra this layer builds is a smash product A # B, where a
 bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c, made by
@@ -34,7 +35,7 @@ from .algebras import (AlgebraMap, _lincomb, _outer, field_algebra, group_algebr
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
-from .linalg import Mat, Subspace, _dense, _sparse
+from .linalg import Mat, Subspace, _sparse
 from .report import check
 
 
@@ -96,34 +97,25 @@ def make_hopf(algebra, comul, counit, antipode):
     if i is not None:
         raise HopfAxiomFails("coassociativity", f"basis {algebra.labels[i]}")
 
-    # counit laws
-    vector = field.vector
+    # counit laws: (ε⊗1)Δ(b_i) = b_i = (1⊗ε)Δ(b_i)
     for i in range(d):
-        lhs = [0] * d
-        rhs = [0] * d
-        for k, l, v in comul[i]:
-            lhs[l] += v * counit[k]
-            rhs[k] += v * counit[l]
-        want = algebra.basis_element(i).coeffs
-        if vector(lhs) != want or vector(rhs) != want:
+        left = _lincomb(field, ((v * counit[k], {l: 1}) for k, l, v in comul[i]))
+        right = _lincomb(field, ((v * counit[l], {k: 1}) for k, l, v in comul[i]))
+        if left != {i: field.one} or right != {i: field.one}:
             raise HopfAxiomFails("counit", f"basis {algebra.labels[i]}")
 
     # coproduct and counit are algebra maps, on sparse vectors of H⊗H
-    reduce = field.reduce
+    reduce, labels = field.reduce, algebra.labels
     hh = tensor_algebra(algebra, algebra)
     for i in range(d):
-        for j in range(d):
-            prod = algebra.products[i][j]
-            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != \
-                    hh._mul_sparse(cop[i], cop[j]):
-                raise HopfAxiomFails(
-                    "coproduct multiplicative",
-                    f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
-            eps_lhs = sum(c * counit[t] for t, c in prod)
-            if reduce(eps_lhs - counit[i] * counit[j]):
-                raise HopfAxiomFails(
-                    "counit multiplicative",
-                    f"pair ({algebra.labels[i]}, {algebra.labels[j]})")
+        for j, prod in enumerate(algebra.products[i]):
+            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh._mul_sparse(cop[i], cop[j]):
+                axiom = "coproduct multiplicative"
+            elif reduce(sum(c * counit[t] for t, c in prod) - counit[i] * counit[j]):
+                axiom = "counit multiplicative"
+            else:
+                continue
+            raise HopfAxiomFails(axiom, f"pair ({labels[i]}, {labels[j]})")
     unit = _sparse(algebra.unit)
     if _lincomb(field, ((c, cop[t]) for t, c in unit.items())) != \
             _sparse(_outer(field, algebra.unit, algebra.unit)):
@@ -134,16 +126,12 @@ def make_hopf(algebra, comul, counit, antipode):
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
     # summed over Δ(b_i) equal ε(b_i)·1
     mul = algebra._mul_sparse
-    one = field.one
     s_cols = [_sparse(col) for col in antipode.columns()]
     for i in range(d):
         want = _lincomb(field, [(counit[i], unit)])
-        conv_left = _lincomb(field, ((v, mul(s_cols[k], {l: one}))
-                                     for k, l, v in comul[i]))
-        conv_right = _lincomb(field, ((v, mul({k: one}, s_cols[l]))
-                                      for k, l, v in comul[i]))
-        if conv_left != want or conv_right != want:
-            raise HopfAxiomFails("antipode", f"basis {algebra.labels[i]}")
+        if (_lincomb(field, ((v, mul(s_cols[k], {l: 1})) for k, l, v in comul[i])) != want
+                or _lincomb(field, ((v, mul({k: 1}, s_cols[l])) for k, l, v in comul[i])) != want):
+            raise HopfAxiomFails("antipode", f"basis {labels[i]}")
 
     h.antipode_inv = antipode.inverse()
     if h.antipode_inv is None:
@@ -159,69 +147,47 @@ def _build_dual(h):
     for i in range(d):
         for k, l, v in h.comul[i]:
             products[k][l].append((i, v))
-    unit = list(h.counit)
-    labels = [f"p_{lab}" for lab in h.algebra.labels]
-    dual_alg = make_algebra(field, products, unit, labels=labels)
+    dual_alg = make_algebra(field, products, list(h.counit),
+                            labels=[f"p_{lab}" for lab in h.algebra.labels])
     dual_comul = [[] for _ in range(d)]
     for k, row in enumerate(h.algebra.products):
         for l, cell in enumerate(row):
             for i, v in cell:
                 dual_comul[i].append((k, l, v))
-    dual_counit = list(h.algebra.unit)
-    dual_antipode = h.antipode.transpose()
-    return make_hopf(dual_alg, dual_comul, dual_counit, dual_antipode)
+    return make_hopf(dual_alg, dual_comul, list(h.algebra.unit), h.antipode.transpose())
 
 
 def group_hopf(field, group):
     """The group algebra with its grouplike coproduct and inversion antipode."""
     alg = group_algebra(field, group)
-    n = group.order
-    comul = [[(g, g, field.one)] for g in range(n)]
-    counit = [field.one] * n
-    zero = field.zero
-    antipode = Mat(field, [[field.one if i == group.inv(j) else zero
-                            for j in range(n)] for i in range(n)])
-    return make_hopf(alg, comul, counit, antipode)
+    n, one = group.order, field.one
+    antipode = Mat(field, [[one if i == group.inv(j) else field.zero for j in range(n)]
+                           for i in range(n)])
+    return make_hopf(alg, [[(g, g, one)] for g in range(n)], [one] * n, antipode)
 
 
-# -- hit actions between a Hopf algebra and its dual ---------------------
+# -- sparse helpers --------------------------------------------------------
 
-def hit_left(h, fvec, xvec):
-    """f ⇀ x = sum of x1·f(x2)."""
-    out = [0] * h.dim
-    for i, c in enumerate(xvec):
-        if not c:
-            continue
-        for k, l, v in h.comul[i]:
-            if fvec[l]:
-                out[k] += c * v * fvec[l]
-    return h.algebra.field.vector(out)
+def _add(acc, base, c, vec):
+    """acc[base + t] += c·v for every entry (t, v) of the sparse vector ``vec``."""
+    get = acc.get
+    for t, v in vec.items():
+        acc[base + t] = get(base + t, 0) + c * v
 
 
-def hit_right(h, xvec, fvec):
-    """x ↼ f = sum of x2·f(x1)."""
-    out = [0] * h.dim
-    for i, c in enumerate(xvec):
-        if not c:
-            continue
-        for k, l, v in h.comul[i]:
-            if fvec[k]:
-                out[l] += c * v * fvec[k]
-    return h.algebra.field.vector(out)
+def _add_on_leg(acc, base, table, width, vec):
+    """Add to ``acc``, at base + x·width + t, the image of b_i ↦ ``table[i]``
+    on the last leg of a sparse vector with index x·d + i, d = len(table)."""
+    d = len(table)
+    for idx, c in vec.items():
+        x, i = divmod(idx, d)
+        _add(acc, base + x * width, c, table[i])
 
 
 def _on_leg(field, table, width, vec):
-    """b_i ↦ ``table[i]`` on the last leg of a sparse vector with index
-    x·d + i, d = len(table); the image has index x·width + t."""
-    d = len(table)
+    """b_i ↦ ``table[i]`` on the last leg of ``vec``, reduced (see ``_add_on_leg``)."""
     out = {}
-    get = out.get
-    for idx, c in vec.items():
-        x, i = divmod(idx, d)
-        base = x * width
-        for t, v in table[i].items():
-            key = base + t
-            out[key] = get(key, 0) + c * v
+    _add_on_leg(out, 0, table, width, vec)
     return field.sparse(out)
 
 
@@ -268,15 +234,12 @@ def build_representations(h):
     rs = smash_algebra(dual.algebra, h.algebra, h.comul, dual.left_hits,
                        _outer(field, dual.algebra.unit, h.algebra.unit))
 
-    ops = _basis_operators(h)
-    lam_ops, rho_ops = ops
-    lam = AlgebraMap.from_sparse(ls, end, [_end_vec(lam_ops[i][j])
-                                           for i in range(d) for j in range(d)])
+    lam_ops, rho_ops = ops = _basis_operators(h)
+    lam = AlgebraMap.from_sparse(ls, end, [_end_vec(op) for row in lam_ops for op in row])
     if not (lam.is_multiplicative() and lam.is_unital()):
         raise InternalCheckFailed("left operator representation is not an algebra map")
 
-    rho = AlgebraMap.from_sparse(rs, end, [_end_vec(rho_ops[j][i])
-                                           for j in range(d) for i in range(d)])
+    rho = AlgebraMap.from_sparse(rs, end, [_end_vec(op) for row in rho_ops for op in row])
     if not rho.is_unital():
         raise InternalCheckFailed("right operator representation is not unital")
     if rho._multiplicativity_witness(anti=True) is not None:
@@ -288,16 +251,6 @@ def build_representations(h):
 
 # An operator on H is a list of d sparse columns: column x is the image of
 # b_x as ``{row: scalar}``.
-
-def _compose(field, a, b):
-    """The operator a∘b (b first)."""
-    return [_lincomb(field, ((c, a[r]) for r, c in col.items())) for col in b]
-
-
-def _op_sum(field, d, terms):
-    """Σ c·op over the (c, op) pairs of ``terms``."""
-    return [_lincomb(field, ((c, op[x]) for c, op in terms)) for x in range(d)]
-
 
 def _end_vec(op):
     """An operator as a sparse vector of End(H), entry (r, x) at r·d + x."""
@@ -321,38 +274,50 @@ def _basis_operators(h):
 def _verify_exchange_identity(h, ops=None):
     """λ(h#f)ρ(g#1) = Σ ρ(g2#1)λ((h↼S(g1))#f) on every basis triple (a, b, c).
 
-    Runs on sparse operators (``ops`` = ``_basis_operators(h)``).  The d
-    operators ρ(g#1) are formed once, and so are the d³ products
-    ρ(g_w#1)λ(b_t#f) of basis operators; the right-hand side is linear in
-    h↼S(g_u) = Σ x·b_t, so each one is a single sum of m·x·ρ(g_w#1)λ(b_t#f)
-    over the terms (u, w, m) of Δ(g).  With the d³ left-hand sides that
-    makes 2·d³ compositions in all.
+    Runs on sparse operators (``ops`` = ``_basis_operators(h)``) and composes
+    none.  For each (a, b) one accumulator, keyed (c·d + x)·d + r, holds the
+    coefficient of b_r in column x of the left side minus the right side for
+    every c at once: the left side runs the columns of ρ(g_c#1) through
+    λ(b_a#p_b); the right side, linear in b_a↼S(g_u) = Σ x·b_t, runs the
+    terms (u, w, m) of Δ(g_c), the nonempty columns of λ(b_t#p_b), then ρ(g_w#1).
     """
     dual = h.dual()
     d = h.dim
     field = h.algebra.field
     lam, rho = ops or _basis_operators(h)
     unit = _sparse(h.algebra.unit)
-    rho_g = [_op_sum(field, d, [(u, rho[c][i]) for i, u in unit.items()])
-             for c in range(d)]
-    # prod[b][w][t] = ρ(g_w#1)λ(b_t#p_b)
-    prod = [[[_compose(field, rho_g[w], lam[t][b]) for t in range(d)]
-             for w in range(d)] for b in range(d)]
+    # ρ(g_c#1) by column, as (row, scalar) pairs, and its nonempty columns
+    rho_g = [[tuple(_lincomb(field, ((u, rho[c][i][x]) for i, u in unit.items())).items())
+              for x in range(d)] for c in range(d)]
+    rho_cols = [[(x, col) for x, col in enumerate(op) if col] for op in rho_g]
+    # the nonempty columns of λ(b_t#p_b), at [b][t]
+    lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
+                 for t in range(d)] for b in range(d)]
     s_g = [_sparse(dual.antipode.column(u)) for u in range(d)]
     for a in range(d):
         # b_a ↼ S(p_u)
-        twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items()))
+        twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items())).items()
                    for s in s_g]
         for b in range(d):
-            prod_b = prod[b]
+            acc = {}
+            get = acc.get
             for c in range(d):
-                lhs = _compose(field, lam[a][b], rho_g[c])
-                rhs = _op_sum(field, d, [(m * x, prod_b[w][t])
-                                         for u, w, m in dual.comul[c]
-                                         for t, x in twisted[u].items()])
-                if lhs != rhs:
-                    raise InternalCheckFailed(
-                        f"exchange identity fails at basis ({a},{b},{c})")
+                for x, col in rho_cols[c]:
+                    base = (c * d + x) * d
+                    for s, y in col:
+                        _add(acc, base, y, lam[a][b][s])
+                for u, w, m in dual.comul[c]:
+                    for t, xt in twisted[u]:
+                        for x, col in lam_cols[b][t]:
+                            base = (c * d + x) * d
+                            for s, y in col:
+                                my = m * xt * y
+                                for r, v in rho_g[w][s]:
+                                    acc[base + r] = get(base + r, 0) - my * v
+            bad = field.sparse(acc)
+            if bad:
+                raise InternalCheckFailed(
+                    f"exchange identity fails at basis ({a},{b},{min(bad) // (d * d)})")
 
 
 # -- partial Hopf actions -------------------------------------------------
@@ -374,48 +339,61 @@ class PartialHopfAction:
 
 def make_partial_hopf_action(h, algebra, mats):
     """Validate the three weakened action axioms on all basis tuples, on
-    sparse vectors; each b_i ▷ a_x is formed once."""
+    sparse vectors; each b_i ▷ a_x is formed once.
+
+    Axioms 1 and 3 keep one accumulator per b_i, holding the left side minus
+    the right for every tuple at once, keyed (x·dA + y)·dA + t at (b_i, a_x,
+    a_y) and (j·dA + x)·dA + t at (b_i, b_j, a_x), t the coefficient of a_t.
+    """
     if len(mats) != h.dim:
         raise ValidationError("need one action matrix per Hopf basis element")
-    for m in mats:
-        if m.rows != algebra.dim or m.cols != algebra.dim:
-            raise ValidationError("action matrices must be square of the algebra dimension")
+    if any(m.rows != algebra.dim or m.cols != algebra.dim for m in mats):
+        raise ValidationError("action matrices must be square of the algebra dimension")
     pha = PartialHopfAction(h, algebra, mats)
     d, da = h.dim, algebra.dim
     field = algebra.field
     acts = pha.acts
-    mul = algebra._mul_sparse
+    mul = algebra._mul_acc
+    ha, aa = h.algebra.labels, algebra.labels
 
     # h ▷ (xy) = Σ (h1 ▷ x)(h2 ▷ y)
     for i in range(d):
+        acc = {}
         for x in range(da):
             for y in range(da):
-                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in algebra.products[x][y]))
-                rhs = _lincomb(field, ((v, mul(acts[k][x], acts[l][y]))
-                                       for k, l, v in h.comul[i]))
-                if lhs != rhs:
-                    raise Axiom1Fails(h.algebra.labels[i], algebra.labels[x],
-                                      algebra.labels[y])
+                base = (x * da + y) * da
+                for t, c in algebra.products[x][y]:
+                    _add(acc, base, c, acts[i][t])
+                for k, l, v in h.comul[i]:
+                    _add(acc, base, -v, mul(acts[k][x], acts[l][y]))
+        bad = field.sparse(acc)
+        if bad:
+            x, y = divmod(min(bad) // da, da)
+            raise Axiom1Fails(ha[i], aa[x], aa[y])
 
     x = _unit_act_failure(pha)
     if x is not None:
         raise Axiom2Fails(f"on basis {algebra.labels[x]}")
 
-    # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x)
+    # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x), with (b_l b_j) ▷ a_x formed once
     unit = _sparse(algebra.unit)
     unit_acts = [_lincomb(field, ((c, acts[k][y]) for y, c in unit.items()))
                  for k in range(d)]
+    lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))
+                 for x in range(da)] for j in range(d)] for l in range(d)]
     for i in range(d):
+        acc = {}
         for j in range(d):
             for x in range(da):
-                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in acts[j][x].items()))
-                rhs = _lincomb(field, (
-                    (v, mul(unit_acts[k], _lincomb(
-                        field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))))
-                    for k, l, v in h.comul[i]))
-                if lhs != rhs:
-                    raise Axiom3Fails(h.algebra.labels[i], h.algebra.labels[j],
-                                      algebra.labels[x])
+                base = (j * da + x) * da
+                for t, c in acts[j][x].items():
+                    _add(acc, base, c, acts[i][t])
+                for k, l, v in h.comul[i]:
+                    _add(acc, base, -v, mul(unit_acts[k], lj_acts[l][j][x]))
+        bad = field.sparse(acc)
+        if bad:
+            j, x = divmod(min(bad) // da, da)
+            raise Axiom3Fails(ha[i], ha[j], aa[x])
     return pha
 
 
@@ -454,12 +432,7 @@ def coaction_report(pha):
             for x in range(da)]
     pair = AlgebraMap.from_sparse(
         alg, tensor_algebra(alg, dual.algebra), cols)._multiplicativity_witness()
-    mult_witnesses = [] if pair is None else [
-        f"multiplicativity fails at ({alg.labels[pair[0]]}, {alg.labels[pair[1]]})"]
-
     counit_failure = _unit_act_failure(pha)
-    counit_witnesses = [] if counit_failure is None else [
-        f"counit fails on basis {alg.labels[counit_failure]}"]
 
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
@@ -475,27 +448,21 @@ def coaction_report(pha):
     left_factor = field.sparse({idx * d + j: c * u for idx, c in delta_unit.items()
                                 for j, u in _sparse(dual.algebra.unit).items()})
 
-    weak_failure = strict_failure = None
-    for x in range(da):
-        lhs = expand_left(cols[x])
-        spread = _on_leg(field, dual.coproduct, d * d, cols[x])   # (1 ⊗ Δ)
-        if weak_failure is None and lhs != t3._mul_sparse(left_factor, spread):
-            weak_failure = x
-        if strict_failure is None and lhs != spread:
-            strict_failure = x
-    weak_ok, strict_ok = weak_failure is None, strict_failure is None
-    coassoc_witnesses = [
-        f"{kind} coassociativity fails on basis {alg.labels[x]}"
-        for kind, x in (("weak", weak_failure), ("strict", strict_failure))
-        if x is not None]
+    lhs = [expand_left(col) for col in cols]
+    spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]   # (1 ⊗ Δ)
+    weak = next((x for x in range(da) if lhs[x] != t3._mul_sparse(left_factor, spread[x])), None)
+    strict = next((x for x in range(da) if lhs[x] != spread[x]), None)
+    coassoc_witnesses = [f"{kind} coassociativity fails on basis {alg.labels[x]}"
+                         for kind, x in (("weak", weak), ("strict", strict)) if x is not None]
 
     return [
-        check("coaction.multiplicative", pair is None, {"pairs": da * da},
-              mult_witnesses),
+        check("coaction.multiplicative", pair is None, {"pairs": da * da}, [] if pair is None
+              else [f"multiplicativity fails at ({alg.labels[pair[0]]}, {alg.labels[pair[1]]})"]),
         check("coaction.counit", counit_failure is None, {"basis": da},
-              counit_witnesses),
-        check("coaction.weak_coassociativity", weak_ok,
-              {"strict_coassociativity": strict_ok}, coassoc_witnesses),
+              [] if counit_failure is None
+              else [f"counit fails on basis {alg.labels[counit_failure]}"]),
+        check("coaction.weak_coassociativity", weak is None,
+              {"strict_coassociativity": strict is None}, coassoc_witnesses),
     ]
 
 
@@ -505,7 +472,7 @@ class CornerMaps:
     def __init__(self, target, phi, psi_columns, corner_unit):
         self.target = target          # A ⊗ End(H)
         self.phi = phi                # AlgebraMap A -> target
-        self.psi_columns = psi_columns  # per (i,j): image of b_i # p_j
+        self.psi_columns = psi_columns  # per (i,j): image of b_i # p_j, sparse
         self.corner_unit = corner_unit  # phi(1), the corner idempotent
 
 
@@ -514,6 +481,10 @@ def build_corner_maps(pha, reps=None):
     with phi verified multiplicative and the exchange lemma
     phi(1)psi(h#f)phi(a) = sum of phi(h1·a)psi(h2#f) verified exhaustively,
     on sparse vectors of the target.
+
+    The exchange lemma keeps one accumulator per basis a_a, keyed
+    (i·d + j)·D + t (D = dim of the target), holding the left side minus
+    the right at (a_a, b_i, p_j) for every (i, j) at once.
     """
     h, alg = pha.hopf, pha.algebra
     dual = h.dual()
@@ -526,12 +497,9 @@ def build_corner_maps(pha, reps=None):
     acts = pha.acts
 
     # ρ(S^{-1}(p_i)#1): x ↦ x ↼ S^{-1}(p_i), as a sparse vector of End(H)
-    rho_sinv = []
-    for i in range(d):
-        s_inv = _sparse(dual.antipode_inv.column(i))
-        rho_sinv.append(_end_vec([
-            _lincomb(field, ((c, h.right_hits[m][x]) for m, c in s_inv.items()))
-            for x in range(d)]))
+    s_inv = [_sparse(dual.antipode_inv.column(i)) for i in range(d)]
+    rho_sinv = [_end_vec([_lincomb(field, ((c, h.right_hits[m][x]) for m, c in s.items()))
+                          for x in range(d)]) for s in s_inv]
 
     # φ(a_x) = Σ_i (b_i ▷ a_x) ⊗ ρ(S^{-1}(p_i)#1), index a·d² + e
     phi_cols = [_lincomb(field, ((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
@@ -546,26 +514,30 @@ def build_corner_maps(pha, reps=None):
     psi = [field.sparse({a * dd + e: u * c for a, u in one_a.items()
                          for e, c in col.items()})
            for col in reps.lambda_map.columns]
-    psi_cols = [_dense(col, field, target.dim) for col in psi]
 
     corner_unit = phi.apply_vec(alg.unit)
-    maps = CornerMaps(target, phi, psi_cols, corner_unit)
+    maps = CornerMaps(target, phi, psi, corner_unit)
 
     # exchange lemma
-    mul = target._mul_sparse
+    mul = target._mul_acc
     unit = _sparse(corner_unit)
+    dim = target.dim
     for a in range(da):
         # φ(b_k·a) for every basis b_k of H
         phi_ka = [_lincomb(field, ((c, phi_cols[t]) for t, c in acts[k][a].items()))
                   for k in range(d)]
+        acc = {}
         for i in range(d):
             for j in range(d):
-                lhs = mul(unit, mul(psi[i * d + j], phi_cols[a]))
-                rhs = _lincomb(field, ((v, mul(phi_ka[k], psi[l * d + j]))
-                                       for k, l, v in h.comul[i]))
-                if lhs != rhs:
-                    raise InternalCheckFailed(
-                        f"corner exchange lemma fails at (a={a}, h={i}, f={j})")
+                base = (i * d + j) * dim
+                _add(acc, base, 1, mul(unit, mul(psi[i * d + j], phi_cols[a])))
+                for k, l, v in h.comul[i]:
+                    _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]))
+        bad = field.sparse(acc)
+        if bad:
+            i, j = divmod(min(bad) // dim, d)
+            raise InternalCheckFailed(
+                f"corner exchange lemma fails at (a={a}, h={i}, f={j})")
     return maps
 
 
@@ -586,9 +558,8 @@ def build_partial_smash(pha):
     h, alg = pha.hopf, pha.algebra
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     u0 = _outer(alg.field, alg.unit, h.algebra.unit)
-    sub = Subspace.from_vectors(
-        alg.field, ambient.dim,
-        [ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
+    sub = Subspace.from_vectors(alg.field, ambient.dim, [
+        ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
     return PartialSmash(pha, ambient, sub, u0)
 
 
@@ -600,7 +571,10 @@ def partial_smash_report(ps):
     images under every p_m ⇀ are formed once and shared by the checks.  A
     failing closure or comodule-algebra check names its first corner basis
     pair or vector, by its expansion; a failing ``psmash.unital`` names the
-    first way the unit fails (see ``_unit_failure``).
+    first way the unit fails (see ``_unit_failure``).  The comodule
+    ``multiplicative`` sub-check keeps one accumulator per corner vector u_a,
+    keyed b·D + t (D = dim of A⊗H⊗H), holding ρ(u_a u_b) − ρ(u_a)ρ(u_b) for
+    every b at once.
     """
     h = ps.pha.hopf
     d = h.dim
@@ -610,43 +584,45 @@ def partial_smash_report(ps):
     su = [_sparse(u) for u in sub.basis]
     uv = [[mul(u, v) for v in su] for u in su]
     corner = range(len(su))
-    results = []
 
     def vec(a):
         return amb.format_vec(sub.basis[a])
 
     leaves = next(((a, b) for a in corner for b in corner
                    if not sub.contains_sparse(uv[a][b])), None)
-    results.append(check("psmash.closed", leaves is None, {"sub_dim": sub.dim},
-                         [] if leaves is None else
-                         [f"product leaves the corner at ({vec(leaves[0])}, "
-                          f"{vec(leaves[1])})"]))
-
     failure = _unit_failure(sub, mul, su, u0, vec)
-    results.append(check("psmash.unital", failure is None, {},
-                         [] if failure is None else [failure]))
 
-    # right comodule algebra via 1 ⊗ coproduct
+    # right comodule algebra via ρ = 1 ⊗ coproduct
     t = tensor_algebra(amb, h.algebra)
-
-    def corho(vec):
-        return _on_leg(field, h.coproduct, d * d, vec)
-
     counit = [{0: e} for e in h.counit]   # b_l ↦ ε(b_l), on the last leg
-    co = [corho(u) for u in su]
+    co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
     coassoc = _coassociativity_witness(field, h.coproduct, co)
+
+    def multiplicative():
+        dim = t.dim
+        for a in corner:
+            acc = {}
+            for b in corner:
+                _add_on_leg(acc, b * dim, h.coproduct, d * d, uv[a][b])
+                _add(acc, b * dim, -1, t._mul_acc(co[a], co[b]))
+            bad = field.sparse(acc)
+            if bad:
+                return f"{vec(a)}, {vec(min(bad) // dim)}"
+        return None
+
     failures = {
-        "multiplicative": next((f"{vec(a)}, {vec(b)}" for a in corner for b in corner
-                                if corho(uv[a][b]) != t._mul_sparse(co[a], co[b])),
-                               None),
+        "multiplicative": multiplicative(),
         "counit": next((vec(a) for a in corner
                         if _on_leg(field, counit, 1, co[a]) != su[a]), None),
         "coassociative": None if coassoc is None else vec(coassoc),
     }
-    results.append(_named_failures_check("psmash.comodule_algebra", failures))
-
-    results.append(_dual_module_check(ps, su, uv))
-    return results
+    return [
+        check("psmash.closed", leaves is None, {"sub_dim": sub.dim}, [] if leaves is None else
+              [f"product leaves the corner at ({vec(leaves[0])}, {vec(leaves[1])})"]),
+        check("psmash.unital", failure is None, {}, [] if failure is None else [failure]),
+        _named_failures_check("psmash.comodule_algebra", failures),
+        _dual_module_check(ps, su, uv),
+    ]
 
 
 def _unit_failure(sub, mul, su, u0, vec):
@@ -658,12 +634,9 @@ def _unit_failure(sub, mul, su, u0, vec):
         return "the unit lies outside the corner"
     if mul(unit, unit) != unit:
         return "the unit is not idempotent"
-    for a, u in enumerate(su):
-        if mul(unit, u) != u:
-            return f"left unit law fails at ({vec(a)})"
-        if mul(u, unit) != u:
-            return f"right unit law fails at ({vec(a)})"
-    return None
+    return next((f"{side} unit law fails at ({vec(a)})" for a, u in enumerate(su)
+                 for side, prod in (("left", mul(unit, u)), ("right", mul(u, unit)))
+                 if prod != u), None)
 
 
 def _named_failures_check(name, failures):
@@ -679,7 +652,10 @@ def _dual_module_check(ps, su, uv):
     """psmash.dual_module_algebra: the corner is a left module algebra over
     the dual via 1 ⊗ (f ⇀ ·).  ``su`` are the corner basis vectors as sparse
     dicts and ``uv[a][b]`` their products.  Each failing sub-check names its
-    first witness."""
+    first witness.  ``module_law`` keeps one accumulator per p_m, keyed
+    (a·n + b)·D + t (n corner vectors, D = dim of A⊗H), holding
+    p_m ⇀ (u_a u_b) minus Σ w·(p_k ⇀ u_a)(p_l ⇀ u_b) for every (a, b) at
+    once, over the terms (k, l, w) of Δ(p_m) and the product rows of A⊗H."""
     h, alg = ps.pha.hopf, ps.pha.algebra
     d, n = h.dim, len(su)
     amb = ps.ambient
@@ -690,23 +666,34 @@ def _dual_module_check(ps, su, uv):
     # p_m ⇀ u for every m and every corner basis vector u, formed once
     acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in range(d)]
 
-    def unit_acts(a):
-        return _lincomb(field, ((c, acted[m][a])
-                                for m, c in enumerate(dual.algebra.unit) if c)) == su[a]
-
-    def module_law(m, a, b):
+    def module_law():
         # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
-        rhs = _lincomb(field, ((w, mul(acted[k][a], acted[l][b]))
-                               for k, l, w in dual.comul[m]))
-        return _on_leg(field, hits[m], d, uv[a][b]) == rhs
+        dim = amb.dim
+        rows = amb.products
+        for m in ms:
+            acc = {}
+            get = acc.get
+            for a in corner:
+                for b in corner:
+                    _add_on_leg(acc, (a * n + b) * dim, hits[m], d, uv[a][b])
+            for k, l, w in dual.comul[m]:
+                for a in corner:
+                    for r, x in acted[k][a].items():
+                        row = rows[r]
+                        for b in corner:
+                            base = (a * n + b) * dim
+                            for s, y in acted[l][b].items():
+                                c = w * x * y
+                                for t, v in row[s]:
+                                    acc[base + t] = get(base + t, 0) - c * v
+            bad = field.sparse(acc)
+            if bad:
+                a, b = divmod(min(bad) // dim, n)
+                return f"{p[m]}, {vec(a)}, {vec(b)}"
+        return None
 
-    unit = _sparse(ps.unit_vec)
-    one = field.one
-
-    def closed_form(x, i, m):
-        # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
-        lhs = _on_leg(field, hits[m], d, mul({x * d + i: one}, unit))
-        return lhs == mul({x * d + b: v for b, v in hits[m][i].items()}, unit)
+    unit, one = _sparse(ps.unit_vec), field.one
+    dual_unit = _sparse(dual.algebra.unit).items()
 
     # a witness names p_m by its dual label, a corner basis vector by its
     # expansion and a generator x#b_i by its ambient label
@@ -719,13 +706,15 @@ def _dual_module_check(ps, su, uv):
     failures = {
         "stable": next((f"{p[m]}, {vec(a)}" for m in ms for a in corner
                         if not ps.sub.contains_sparse(acted[m][a])), None),
-        "unit_acts": next((vec(a) for a in corner if not unit_acts(a)), None),
-        "module_law": next((f"{p[m]}, {vec(a)}, {vec(b)}"
-                            for m in ms for a in corner for b in corner
-                            if not module_law(m, a, b)), None),
+        "unit_acts": next((vec(a) for a in corner if _lincomb(
+            field, ((c, acted[m][a]) for m, c in dual_unit)) != su[a]), None),
+        "module_law": module_law(),
+        # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
         "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
                              for x in range(alg.dim) for i in range(d) for m in ms
-                             if not closed_form(x, i, m)), None),
+                             if _on_leg(field, hits[m], d, mul({x * d + i: one}, unit))
+                             != mul({x * d + b: v for b, v in hits[m][i].items()}, unit)),
+                            None),
     }
     return _named_failures_check("psmash.dual_module_algebra", failures)
 
@@ -735,20 +724,13 @@ def smash_matches_skew_report(ps, skew_ring):
     T(x#b_g) = x·1_g placed at grade g, on sparse vectors.  A failure names
     the first way T fails: the dimensions when it is not bijective, the first
     corner basis pair it does not multiply (by expansion), or the unit."""
-    pha = ps.pha
-    pa = pha.source
-    alg = pha.algebra
-    field = alg.field
-    d = pha.hopf.dim
-    ring = skew_ring.algebra
+    pa, alg, d = ps.pha.source, ps.pha.algebra, ps.pha.hopf.dim
+    field, ring = alg.field, skew_ring.algebra
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
-    cols = []
-    for x in range(alg.dim):
-        for g in range(d):
-            coords = pa.ideals[g].coordinates_of(
-                alg._basis_times_vec(x, pa.idempotents[g]))
-            cols.append({skew_ring.offsets[g] + t: c for t, c in enumerate(coords) if c})
+    cols = [{skew_ring.offsets[g] + t: c for t, c in enumerate(pa.ideals[g].coordinates_of(
+        alg._basis_times_vec(x, pa.idempotents[g]))) if c}
+        for x in range(alg.dim) for g in range(d)]
 
     def t_map(vec):
         return _lincomb(field, ((c, cols[idx]) for idx, c in vec.items()))
@@ -780,10 +762,9 @@ def smash_matches_skew_report(ps, skew_ring):
 def operator_duality_report(pha, ps, maps=None):
     """The operator duality map on A⊗H#H^*: multiplicativity, the corner
     idempotent, and corner membership of the restricted domain."""
-    h, alg = pha.hopf, pha.algebra
-    field = alg.field
+    h, field = pha.hopf, pha.algebra.field
     dual = h.dual()
-    d, da = h.dim, alg.dim
+    d = h.dim
     if maps is None:
         maps = build_corner_maps(pha)
     target = maps.target
@@ -792,17 +773,11 @@ def operator_duality_report(pha, ps, maps=None):
     acted = [[_on_leg(field, h.left_hits[m], d, {y: one}) for y in range(ps.ambient.dim)]
              for m in range(d)]
     triple = smash_algebra(ps.ambient, dual.algebra, dual.comul, acted, None)
-    dim_c = triple.dim
 
     # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
     mul = target._mul_sparse
-    phis = maps.phi.columns
-    psis = [_sparse(col) for col in maps.psi_columns]
-    cols = [mul(phis[x], psi) for x in range(da) for psi in psis]
-    phi = AlgebraMap.from_sparse(triple, target, cols)
-    pair = phi._multiplicativity_witness()
-    mult_witnesses = [] if pair is None else [
-        f"({triple.labels[pair[0]]}, {triple.labels[pair[1]]})"]
+    cols = [mul(phi_x, psi) for phi_x in maps.phi.columns for psi in maps.psi_columns]
+    pair = AlgebraMap.from_sparse(triple, target, cols)._multiplicativity_witness()
 
     bold = _lincomb(field, ((c, cols[t]) for t, c in
                             enumerate(_outer(field, ps.unit_vec, dual.algebra.unit)) if c))
@@ -820,16 +795,13 @@ def operator_duality_report(pha, ps, maps=None):
                     if not corner.contains_sparse(
                         _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items())))),
                    None)
-    member_witnesses = []
-    if outside is not None:
-        a, j = outside
-        vec = ps.ambient.format_vec(ps.sub.basis[a])
-        member_witnesses.append(
-            f"corner membership fails at ({vec}, {dual.algebra.labels[j]})")
+    member_witnesses = [] if outside is None else [
+        f"corner membership fails at ({ps.ambient.format_vec(ps.sub.basis[outside[0]])}, "
+        f"{dual.algebra.labels[outside[1]]})"]
 
     return [
-        check("opduality.multiplicative", pair is None, {"dim": dim_c},
-              mult_witnesses),
+        check("opduality.multiplicative", pair is None, {"dim": triple.dim},
+              [] if pair is None else [f"({triple.labels[pair[0]]}, {triple.labels[pair[1]]})"]),
         check("opduality.idempotent", idem_failure is None, {"corner_dim": corner.dim},
               [idem_failure] if idem_failure else []),
         check("opduality.corner_membership", outside is None,
@@ -898,20 +870,19 @@ def hopf_lift_suite(pa, skew_ring):
 
     try:
         maps = build_corner_maps(pha, reps)
-        e = _sparse(maps.corner_unit)
-        idem = maps.target._mul_sparse(e, e) == e
-        results.append(check("hopf.corner_maps", True,
-                             {"target_dim": maps.target.dim,
-                              "corner_unit_idempotent": idem}))
     except InternalCheckFailed as exc:
         results.append(check("hopf.corner_maps", False, {}, [str(exc)]))
         return results
+    e = _sparse(maps.corner_unit)
+    idem = maps.target._mul_sparse(e, e) == e
+    results.append(check("hopf.corner_maps", idem,
+                         {"target_dim": maps.target.dim, "corner_unit_idempotent": idem},
+                         [] if idem else ["the corner unit φ(1) is not idempotent"]))
 
     try:
         ps = build_partial_smash(pha)
         results.append(check("psmash.associative", True,
-                             {"ambient_dim": ps.ambient.dim,
-                              "sub_dim": ps.sub.dim}))
+                             {"ambient_dim": ps.ambient.dim, "sub_dim": ps.sub.dim}))
     except InternalCheckFailed as exc:
         results.append(check("psmash.associative", False, {}, [str(exc)]))
         return results

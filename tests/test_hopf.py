@@ -12,7 +12,7 @@ from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations,
-                              coaction_report, group_hopf, hit_left, hit_right,
+                              coaction_report, group_hopf,
                               hopf_data_checks, hopf_lift_suite, lift_group_action,
                               make_hopf, make_partial_hopf_action,
                               operator_duality_report, partial_smash_report,
@@ -24,9 +24,34 @@ from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
 from fp_oracle import unwrap, wrap
 
 
-# Dense oracle for the sparse operators of the Hopf layer: the operators
-# λ(h#f) and ρ(f#h) as dense matrices, built column by column from the hit
-# actions and the algebra's own dense product.
+# Dense oracle for the sparse tables and operators of the Hopf layer: the
+# hit actions on dense vectors, straight from the comultiplication triples,
+# and the operators λ(h#f) and ρ(f#h) as dense matrices, built column by
+# column from them and the algebra's own dense product.
+
+def hit_left(h, fvec, xvec):
+    """f ⇀ x = sum of x1·f(x2)."""
+    out = [0] * h.dim
+    for i, c in enumerate(xvec):
+        if not c:
+            continue
+        for k, l, v in h.comul[i]:
+            if fvec[l]:
+                out[k] += c * v * fvec[l]
+    return h.algebra.field.vector(out)
+
+
+def hit_right(h, xvec, fvec):
+    """x ↼ f = sum of x2·f(x1)."""
+    out = [0] * h.dim
+    for i, c in enumerate(xvec):
+        if not c:
+            continue
+        for k, l, v in h.comul[i]:
+            if fvec[k]:
+                out[l] += c * v * fvec[k]
+    return h.algebra.field.vector(out)
+
 
 def mat_to_end_vec(m):
     """A matrix as a vector of End(H), entry (r, s) at r·d + s."""
@@ -437,7 +462,7 @@ def test_operator_duality_names_multiplicativity_witness(s1_action):
     pha = lift_group_action(s1_action)
     ps = build_partial_smash(pha)
     maps = build_corner_maps(pha)
-    maps.psi_columns = [tuple(2 * x for x in col) for col in maps.psi_columns]
+    maps.psi_columns = [{k: 2 * x for k, x in col.items()} for col in maps.psi_columns]
     results = {c.name: c for c in operator_duality_report(pha, ps, maps)}
     mult = results["opduality.multiplicative"]
     assert mult.status == "fail"
@@ -657,6 +682,29 @@ def test_lift_matches_group_dot_names_the_element(monkeypatch, s1_action):
     results = hopf_lift_suite(s1_action, build_skew(s1_action))
     failed = [(c.name, c.witnesses) for c in results if c.status == "fail"]
     assert failed == [("hopf.lift_matches_group_dot", ["lifted action differs at g"])]
+
+
+def test_corner_maps_fails_on_a_non_idempotent_corner_unit(monkeypatch, s1_action):
+    # the corner unit recorded as 2·φ(1): (2·φ(1))² = 4·φ(1), so the
+    # hopf.corner_maps check fails and says why
+    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
+    passing = results["hopf.corner_maps"]
+    assert passing.status == "pass" and passing.witnesses == []
+    assert passing.measured["corner_unit_idempotent"] is True
+    build = hopf.build_corner_maps
+
+    def doubled(pha, reps=None):
+        maps = build(pha, reps)
+        maps.corner_unit = tuple(2 * x for x in maps.corner_unit)
+        return maps
+
+    monkeypatch.setattr(hopf, "build_corner_maps", doubled)
+    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
+    corner = results["hopf.corner_maps"]
+    assert corner.status == "fail"
+    assert corner.measured == {"target_dim": passing.measured["target_dim"],
+                               "corner_unit_idempotent": False}
+    assert corner.witnesses == ["the corner unit φ(1) is not idempotent"]
 
 
 @pytest.mark.parametrize("unit_scale, corner_scale, witness", [

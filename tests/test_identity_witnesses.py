@@ -12,8 +12,18 @@
 * ``MatrixAlgebra._verify`` collects E_gh·E_rs − δ_hr·E_gs for every (r, s)
   in one accumulator per (g, h); ``_first_unit_relation_failure`` forms
   each of the n⁴ products on its own.
-* ``hopf._verify_exchange_identity`` composes 2·d³ operators, not d⁴.
+* The Hopf layer: ``hopf._verify_exchange_identity`` keeps one accumulator
+  per (a, b), keyed (c·d + x)·d + r, and composes no operator; the corner
+  exchange lemma of ``build_corner_maps`` one per a, keyed (i·d + j)·D + t;
+  the comodule ``multiplicative`` sub-check of ``partial_smash_report`` one
+  per corner vector a, keyed b·D + t; ``module_law`` one per p_m, keyed
+  (a·n + b)·D + t; axioms 1 and 3 of ``make_partial_hopf_action`` one per
+  b_i.  Each retired per-tuple loop is kept here as an oracle, and planted
+  failures on the lifts of the fixtures and of S₃, and on the rescaled
+  k[G], must be named by the same first tuple and message.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -24,13 +34,18 @@ from partialskew.algebras import (AlgebraMap, StructureAlgebra, TensorAlgebra,
                                   field_algebra, group_algebra, make_algebra,
                                   matrix_algebra, product_of_fields,
                                   tensor_algebra)
-from partialskew.errors import InternalCheckFailed, NotAssociative
+from partialskew.errors import (Axiom1Fails, Axiom2Fails, Axiom3Fails,
+                                InternalCheckFailed, NotAssociative, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (HopfData, _verify_exchange_identity, group_hopf,
-                              make_hopf)
+from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
+                              _verify_exchange_identity, build_corner_maps,
+                              build_partial_smash, build_representations, group_hopf,
+                              make_hopf, make_partial_hopf_action, partial_smash_report)
 from partialskew.linalg import Mat, _sparse
-from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
+from partialskew.scenarios import (build_action, build_algebra, build_group,
+                                   bundled_fixtures, fixture_path, load_scenario,
+                                   run_scenario)
 
 from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
                            _sparsify)
@@ -454,19 +469,327 @@ def test_exchange_identity_on_a_rescaled_basis(field):
     assert str(info.value) == "exchange identity fails at basis ({},{},{})".format(*first)
 
 
-def test_exchange_identity_composes_2d3_operators(monkeypatch):
-    # d³ left-hand sides and d³ products ρ(g_w#1)λ(b_t#f): 432 on k[S3],
-    # where the per-(h, f) route made 1,512 (d⁴ in general)
+def test_exchange_identity_keeps_d2_accumulators(monkeypatch):
+    # no operator is composed: the only reductions are one per column of the
+    # d operators ρ(g_c#1) and one per b_a ↼ S(p_u) (2·d² _lincomb calls),
+    # and one per accumulator (a, b): 36 on k[S3], where composing the
+    # operators made 432 compositions of d reductions each
     h = group_hopf(QQ, symmetric(3))
+    d = h.dim
     ops = hopf._basis_operators(h)
-    compose = hopf._compose
-    count = 0
+    h.dual()
+    counts = {"lincomb": 0, "sparse": 0}
+    lincomb, sparse = hopf._lincomb, QQ.sparse
 
-    def counting(field, a, b):
-        nonlocal count
-        count += 1
-        return compose(field, a, b)
+    def counting_lincomb(field, terms):
+        counts["lincomb"] += 1
+        return lincomb(field, terms)
 
-    monkeypatch.setattr(hopf, "_compose", counting)
+    def counting_sparse(acc):
+        counts["sparse"] += 1
+        return sparse(acc)
+
+    monkeypatch.setattr(hopf, "_lincomb", counting_lincomb)
+    monkeypatch.setattr(QQ, "sparse", counting_sparse)
     _verify_exchange_identity(h, ops)
-    assert count == 2 * h.dim ** 3 == 432
+    assert not hasattr(hopf, "_compose")
+    assert counts["lincomb"] == 2 * d * d
+    assert counts["sparse"] - counts["lincomb"] == d * d == 36
+
+
+# -- the Hopf-layer identity checks ---------------------------------------
+#
+# Each oracle below is the per-tuple loop the accumulator replaced: it forms
+# both sides of every tuple with sparse products and compares them, in the
+# same order.  The instances are the lifts of the five fixtures and of the
+# S₃ split document, and the same actions over the rescaled basis of k[G]
+# (``_rescaled_group_hopf``), over Q, F_5 and F_2.
+
+def _scale(field):
+    """c(g) for the rescaled basis: nonzero in ``field``."""
+    return (lambda g: 2 * (g % 2) + 1) if field.characteristic == 2 else (lambda g: g % 4 + 1)
+
+
+def _lifts(field):
+    """(name, H, A, action matrices) for every instance, group Hopf algebras
+    first, then the rescaled ones."""
+    docs = [load_scenario(fixture_path(name)) for name in bundled_fixtures()]
+    docs.append(INLINE["s3_split"])
+    actions = []
+    for doc in docs:
+        algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
+        actions.append((doc["name"], build_action(field, build_group(doc["group"]),
+                                                   algebra, doc["action"])))
+    out = [(name, group_hopf(field, pa.group), pa.algebra, list(pa.maps))
+           for name, pa in actions]
+    c = _scale(field)
+    for name, pa in actions:
+        h = _rescaled_group_hopf(field, pa.group, c)
+        mats = [Mat(field, [list(field.vector(c(g) * x for x in row)) for row in m.entries])
+                for g, m in enumerate(pa.maps)]
+        out.append((f"{name}/rescaled", h, pa.algebra, mats))
+    return out
+
+
+def _actions(field):
+    """(name, validated partial Hopf action) for every instance."""
+    return [(name, make_partial_hopf_action(h, alg, mats))
+            for name, h, alg, mats in _lifts(field)]
+
+
+def _composed_exchange_failure(h, ops):
+    """First (a, b, c) where λ(b_a#p_b)ρ(g_c#1) and Σ ρ(g_w#1)λ((b_a↼S(g_u))#p_b)
+    differ, composing the operators of each triple, or None."""
+    dual, d, field = h.dual(), h.dim, h.algebra.field
+    lam, rho = ops
+
+    def compose(p, q):
+        # p∘q: q first
+        return [_lincomb(field, ((c, p[r]) for r, c in col.items())) for col in q]
+
+    def op_sum(terms):
+        return [_lincomb(field, ((c, op[x]) for c, op in terms)) for x in range(d)]
+
+    unit = _sparse(h.algebra.unit)
+    rho_g = [op_sum([(u, rho[c][i]) for i, u in unit.items()]) for c in range(d)]
+    s_g = [_sparse(dual.antipode.column(u)) for u in range(d)]
+    for a in range(d):
+        twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items()))
+                   for s in s_g]
+        for b in range(d):
+            for c in range(d):
+                rhs = op_sum([(m * x, compose(rho_g[w], lam[t][b]))
+                              for u, w, m in dual.comul[c] for t, x in twisted[u].items()])
+                if compose(lam[a][b], rho_g[c]) != rhs:
+                    return a, b, c
+    return None
+
+
+def _raised(fn, *args):
+    """The message of the InternalCheckFailed ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except InternalCheckFailed as exc:
+        return str(exc)
+    return None
+
+
+def _tampered_operators(ops, t, b, x, field):
+    """A copy of ``ops`` with column x of λ(b_t#p_b) changed by b_0."""
+    lam, rho = ops
+    lam = [[list(op) for op in row] for row in lam]
+    col = dict(lam[t][b][x])
+    col[0] = col.get(0, 0) + 1
+    lam[t][b][x] = field.sparse(col)
+    return lam, rho
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_exchange_identity_matches_composed_oracle(field):
+    failing = 0
+    hopfs = {(h.comul, h.algebra.products): h for _, h, _, _ in _lifts(field)}
+    assert max(h.dim for h in hopfs.values()) == 6
+    for h in hopfs.values():
+        d = h.dim
+        ops = hopf._basis_operators(h)
+        assert _composed_exchange_failure(h, ops) is None
+        assert _raised(_verify_exchange_identity, h, ops) is None
+        for t, b, x in {(0, 0, 0), (d - 1, d - 1, d - 1), (d // 2, d // 3, (d - 1) // 2)}:
+            bad = _tampered_operators(ops, t, b, x, field)
+            first = _composed_exchange_failure(h, bad)
+            want = None if first is None else \
+                "exchange identity fails at basis ({},{},{})".format(*first)
+            assert _raised(_verify_exchange_identity, h, bad) == want
+            failing += first is not None
+        # an identity antipode on the dual, as in the rescaled-basis test
+        dual = h.dual()
+        ident = Mat.identity(field, d)
+        tampered = HopfData(h.algebra, h.comul, h.counit, h.antipode, h.antipode_inv)
+        tampered._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
+        first = _composed_exchange_failure(tampered, ops)
+        assert (first is None) == (dual.antipode == ident)
+        want = None if first is None else \
+            "exchange identity fails at basis ({},{},{})".format(*first)
+        assert _raised(_verify_exchange_identity, tampered, ops) == want
+        failing += first is not None
+    assert failing >= 2 * len(hopfs)
+
+
+def _corner_lemma_failure(pha, maps, lam_columns):
+    """First (a, i, j) where φ(1)ψ(b_i#p_j)φ(a_a) and Σ φ(b_k·a_a)ψ(b_l#p_j)
+    differ, with ψ formed from ``lam_columns``, two products per tuple; or
+    None."""
+    h, alg = pha.hopf, pha.algebra
+    d, dd, field = h.dim, h.dim * h.dim, alg.field
+    one_a = _sparse(alg.unit)
+    psi = [field.sparse({a * dd + e: u * c for a, u in one_a.items() for e, c in col.items()})
+           for col in lam_columns]
+    mul = maps.target._mul_sparse
+    unit = _sparse(maps.corner_unit)
+    phi_cols = maps.phi.columns
+    for a in range(alg.dim):
+        phi_ka = [_lincomb(field, ((c, phi_cols[t]) for t, c in pha.acts[k][a].items()))
+                  for k in range(d)]
+        for i in range(d):
+            for j in range(d):
+                rhs = _lincomb(field, ((v, mul(phi_ka[k], psi[l * d + j]))
+                                       for k, l, v in h.comul[i]))
+                if mul(unit, mul(psi[i * d + j], phi_cols[a])) != rhs:
+                    return a, i, j
+    return None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_corner_exchange_lemma_matches_per_tuple_oracle(field):
+    # ψ(b_i#p_j) = 1⊗λ(b_i#p_j) with λ(b_i#p_j) changed by λ(b_k#p_l), at
+    # one (i, j) and at three at once; φ does not read λ, so only the
+    # exchange lemma sees the change
+    failing = 0
+    for _, pha in _actions(field):
+        reps = build_representations(pha.hopf)
+        maps = build_corner_maps(pha, reps)
+        cols = reps.lambda_map.columns
+        assert _corner_lemma_failure(pha, maps, cols) is None
+        n = len(cols)
+        changes = [(0, n - 1), (n - 1, 0), (n // 2, n // 3)]
+        for subset in [[change] for change in changes] + [changes]:
+            bad = list(cols)
+            for ij, kl in subset:
+                bad[ij] = _lincomb(field, [(1, cols[ij]), (1, cols[kl])])
+            fake = hopf.Representations(reps.end, SimpleNamespace(columns=bad))
+            first = _corner_lemma_failure(pha, maps, bad)
+            want = None if first is None else \
+                "corner exchange lemma fails at (a={}, h={}, f={})".format(*first)
+            assert _raised(build_corner_maps, pha, fake) == want
+            failing += first is not None
+    assert failing >= 12
+
+
+def _psmash_oracle(ps):
+    """The first witnesses of the comodule ``multiplicative`` and the
+    ``module_law`` sub-checks, one product per pair and per triple."""
+    h = ps.pha.hopf
+    d, dual, amb = h.dim, h.dual(), ps.ambient
+    field, mul = amb.field, amb._mul_sparse
+    su = [_sparse(u) for u in ps.sub.basis]
+    uv = [[mul(u, v) for v in su] for u in su]
+    corner = range(len(su))
+
+    def vec(a):
+        return amb.format_vec(ps.sub.basis[a])
+
+    t = tensor_algebra(amb, h.algebra)
+    co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
+    pair = next(((a, b) for a in corner for b in corner
+                 if _on_leg(field, h.coproduct, d * d, uv[a][b])
+                 != t._mul_sparse(co[a], co[b])), None)
+    hits = h.left_hits
+    acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in range(d)]
+    triple = next(((m, a, b) for m in range(d) for a in corner for b in corner
+                   if _on_leg(field, hits[m], d, uv[a][b]) != _lincomb(
+                       field, ((w, mul(acted[k][a], acted[l][b]))
+                               for k, l, w in dual.comul[m]))), None)
+    p = dual.algebra.labels
+    mult = None if pair is None else \
+        f"multiplicative fails at ({vec(pair[0])}, {vec(pair[1])})"
+    law = None if triple is None else \
+        f"module_law fails at ({p[triple[0]]}, {vec(triple[1])}, {vec(triple[2])})"
+    return mult, law
+
+
+def _witness(checks, name, sub):
+    """The witness of sub-check ``sub`` of check ``name``, or None."""
+    check = next(c for c in checks if c.name == name)
+    found = [w for w in check.witnesses if w.startswith(f"{sub} fails")]
+    assert check.measured[sub] == (not found)
+    return found[0] if found else None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_partial_smash_checks_match_per_tuple_oracle(field):
+    # the twisted product of A⊗H with one cell bumped, and with every cell
+    # of ``_positions`` bumped at once (on S₃ the first failing corner
+    # vector then fails against two others): ρ(uv) and ρ(u)ρ(v), p ⇀ (uv)
+    # and Σ (p1 ⇀ u)(p2 ⇀ v) all read the changed table
+    failing = [0, 0]
+    for _, pha in _actions(field):
+        ps = build_partial_smash(pha)
+        amb = all_bumped = ps.ambient
+        tables = [_bumped(amb, i, j, k) for i, j, k in _positions(amb)]
+        for i, j, k in _positions(amb):
+            all_bumped = StructureAlgebra(field, _bumped(all_bumped, i, j, k), None)
+        tables.append(all_bumped.products)
+        instances = [ps] + [
+            PartialSmash(pha, StructureAlgebra(field, rows, None, labels=amb.labels),
+                         ps.sub, ps.unit_vec) for rows in tables]
+        for inst in instances:
+            checks = partial_smash_report(inst)
+            mult, law = _psmash_oracle(inst)
+            assert _witness(checks, "psmash.comodule_algebra", "multiplicative") == mult
+            assert _witness(checks, "psmash.dual_module_algebra", "module_law") == law
+            failing[0] += mult is not None
+            failing[1] += law is not None
+        assert _psmash_oracle(ps) == (None, None)
+    assert min(failing) >= 10
+
+
+def _per_tuple_axiom_failure(h, algebra, mats):
+    """The message ``make_partial_hopf_action`` raises for these matrices,
+    from the per-tuple loops of the three axioms in order, or None."""
+    pha = PartialHopfAction(h, algebra, mats)
+    acts, field, mul = pha.acts, algebra.field, algebra._mul_sparse
+    d, da = h.dim, algebra.dim
+    hl, al = h.algebra.labels, algebra.labels
+    for i in range(d):
+        for x in range(da):
+            for y in range(da):
+                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in algebra.products[x][y]))
+                if lhs != _lincomb(field, ((v, mul(acts[k][x], acts[l][y]))
+                                           for k, l, v in h.comul[i])):
+                    return str(Axiom1Fails(hl[i], al[x], al[y]))
+    x = hopf._unit_act_failure(pha)
+    if x is not None:
+        return str(Axiom2Fails(f"on basis {al[x]}"))
+    unit = _sparse(algebra.unit)
+    unit_acts = [_lincomb(field, ((c, acts[k][y]) for y, c in unit.items())) for k in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for x in range(da):
+                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in acts[j][x].items()))
+                rhs = _lincomb(field, ((v, mul(unit_acts[k], _lincomb(
+                    field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))))
+                    for k, l, v in h.comul[i]))
+                if lhs != rhs:
+                    return str(Axiom3Fails(hl[i], hl[j], al[x]))
+    return None
+
+
+def _perturbed_actions(mats, field):
+    """The action matrices with one entry of the last raised by one, with
+    the last replaced by the first or by the identity, and with the second
+    and third swapped."""
+    n = len(mats)
+    bump = [list(row) for row in mats[-1].entries]
+    bump[0][0] = field.reduce(bump[0][0] + 1)
+    out = [mats[:-1] + [Mat(field, bump)], mats[:-1] + [mats[0]],
+           mats[:-1] + [Mat.identity(field, mats[0].rows)]]
+    if n > 2:
+        out.append([mats[0]] + [mats[2], mats[1]] + mats[3:])
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_partial_action_axioms_match_per_tuple_oracle(field):
+    kinds = set()
+    for _, h, alg, mats in _lifts(field):
+        assert _per_tuple_axiom_failure(h, alg, mats) is None
+        for bad in _perturbed_actions(mats, field):
+            want = _per_tuple_axiom_failure(h, alg, bad)
+            try:
+                make_partial_hopf_action(h, alg, bad)
+            except ValidationError as exc:
+                assert str(exc) == want
+                kinds.add(type(exc))
+            else:
+                assert want is None
+    assert {Axiom1Fails, Axiom3Fails} <= kinds
