@@ -1,9 +1,10 @@
 """Partial actions of a finite group on a structure algebra.
 
 A partial action assigns to each group element g a central idempotent 1_g
-(cutting out the ideal D_g = A·1_g) and a total endomorphism of A that kills
-A·(1 - 1_{g^{-1}}) and restricts to an algebra isomorphism D_{g^{-1}} -> D_g.
-``make_partial_action`` checks, exhaustively over the group and the basis:
+(cutting out the ideal D_g = A·1_g) and a total endomorphism α_g of A that
+kills A·(1 - 1_{g^{-1}}) and restricts to an algebra isomorphism
+D_{g^{-1}} -> D_g.  ``make_partial_action`` checks, exhaustively over the
+group and the basis:
 
   * every 1_g is a central idempotent, 1_e = 1 and the e-map is the identity;
   * each map vanishes off its source ideal and is a multiplicative bijection
@@ -11,7 +12,16 @@ A·(1 - 1_{g^{-1}}) and restricts to an algebra isomorphism D_{g^{-1}} -> D_g.
   * the image of D_{g^{-1}} ∩ D_h is exactly D_g ∩ D_{gh} (as subspaces);
   * composing the g- and h-maps agrees with the gh-map on the overlap ideal.
 
-The induced bilinear evaluation g·a is available as :meth:`PartialAction.dot`.
+The maps enter as dense ``Mat``s, kept in ``maps`` for the matrix readers
+(``lemma1.kernel_ideal``, the Hopf lift); everything else reads the sparse
+columns ``columns[g][j] = {row: scalar}`` = α_g(b_j).  Axioms II and III
+read one table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered
+pair (a canonical echelon basis is symmetric).  Multiplicativity on the
+source ideal and the Lemma 1 identities sum lhs − rhs in one accumulator per
+outer index, keyed inner·d + t: per source basis vector u, per (g, i)
+(``multiplicative``, ``pull_through``), per (g, h) (``composition``), per g
+(``round_trip``).  Each is reduced once; its failing inner indices, in order,
+are the failing tuples of a per-tuple loop, so the witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -20,30 +30,58 @@ from .algebras import (direct_product, ideal_basis, is_central_idempotent,
                        subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
-from .linalg import Mat, Subspace, kernel_basis, vsub
+from .linalg import Mat, Subspace, _sparse, kernel_basis, vsub
 from .report import check
+
+
+def _columns(m):
+    """The sparse columns ``{row: scalar}`` of a dense matrix."""
+    return [_sparse(col) for col in zip(*m.entries)]
+
+
+def _merge(acc, base, c, terms):
+    """acc[base + t] += c·y for every (t, y) in terms."""
+    get = acc.get
+    for t, y in terms:
+        key = base + t
+        acc[key] = get(key, 0) + c * y
+
+
+def _image(cols, terms, acc=None, base=0, c=1):
+    """Add c·α(Σ x·b_k) at keys base + t, unreduced, into acc (or a new
+    dict); α is the map with sparse columns cols.  Returns acc."""
+    acc = {} if acc is None else acc
+    for k, x in terms:
+        _merge(acc, base, c * x, cols[k].items())
+    return acc
 
 
 class PartialAction:
     """Validated partial action; construct through make_partial_action."""
 
-    __slots__ = ("group", "algebra", "idempotents", "maps", "ideals")
+    __slots__ = ("group", "algebra", "idempotents", "maps", "ideals", "columns")
 
-    def __init__(self, group, algebra, idempotents, maps, ideals):
+    def __init__(self, group, algebra, idempotents, maps, ideals, columns=None):
         self.group = group
         self.algebra = algebra
         self.idempotents = tuple(idempotents)   # coefficient tuples, one per g
         self.maps = tuple(maps)                 # matrices acting on coefficients
         self.ideals = tuple(ideals)             # D_g as canonical subspaces
+        self.columns = tuple(map(_columns, self.maps) if columns is None else columns)
 
     def dot(self, g, a):
-        """The evaluation g·a (image of a under the g-map)."""
-        if isinstance(a, tuple):
-            return self.maps[g].apply(a)
-        return self.algebra.element(self.maps[g].apply(a.coeffs))
+        """The evaluation g·a of an algebra element a (image under the g-map)."""
+        return self.algebra.element(self.dot_vec(g, a.coeffs))
 
     def dot_vec(self, g, coeffs):
-        return self.maps[g].apply(coeffs)
+        """g·a on the coefficient tuple of a, which has the algebra's length."""
+        out = [0] * self.algebra.dim
+        cols = self.columns[g]
+        for k, x in enumerate(coeffs):
+            if x:
+                for t, y in cols[k].items():
+                    out[t] += x * y
+        return self.algebra.field.vector(out)
 
     def is_global(self):
         return all(e == self.algebra.unit for e in self.idempotents)
@@ -59,17 +97,18 @@ class PartialAction:
 
 def make_partial_action(group, algebra, idempotents, maps):
     """Validate the data of a partial action; raises named axiom failures."""
-    n = group.order
-    idempotents = [tuple(e) for e in idempotents]
+    n, d, field = group.order, algebra.dim, algebra.field
+    idempotents = [field.scalars(e) for e in idempotents]
     maps = list(maps)
     if len(idempotents) != n or len(maps) != n:
         raise ValidationError("need one idempotent and one map per group element")
     for e in idempotents:
-        if len(e) != algebra.dim:
+        if len(e) != d:
             raise ValidationError("idempotent coefficient vector has wrong length")
     for m in maps:
-        if not isinstance(m, Mat) or m.rows != algebra.dim or m.cols != algebra.dim:
+        if not isinstance(m, Mat) or m.rows != d or m.cols != d:
             raise ValidationError("action matrices must be square of the algebra dimension")
+    columns = [_columns(m) for m in maps]
 
     for g in range(n):
         if not is_central_idempotent(algebra.element(idempotents[g])):
@@ -79,21 +118,22 @@ def make_partial_action(group, algebra, idempotents, maps):
     e = group.identity
     if idempotents[e] != algebra.unit:
         raise AxiomIFails("idempotent at the identity is not the unit")
-    if maps[e] != Mat.identity(algebra.field, algebra.dim):
+    if columns[e] != [{j: field.one} for j in range(d)]:
         raise AxiomIFails("map at the identity is not the identity map")
 
     ideals = [ideal_basis(algebra, algebra.element(idempotents[g])) for g in range(n)]
 
     for g in range(n):
-        _check_iso_on_ideal(group, algebra, idempotents, maps, ideals, g)
+        _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g)
+
+    meet = {(a, b): ideals[a].intersect(ideals[b]) for a in range(n) for b in range(a, n)}
+    meet.update({(b, a): s for (a, b), s in meet.items()})
 
     for g in range(n):
         for h in range(n):
-            source = ideals[group.inv(g)].intersect(ideals[h])
-            image = Subspace.from_vectors(
-                algebra.field, algebra.dim,
-                [maps[g].apply(v) for v in source.basis])
-            target = ideals[g].intersect(ideals[group.mul(g, h)])
+            image = Subspace.from_sparse(field, d, [
+                _image(columns[g], v.items()) for v in meet[group.inv(g), h]._rows.values()])
+            target = meet[g, group.mul(g, h)]
             if image != target:
                 raise AxiomIIFails(
                     group.label(g), group.label(h),
@@ -102,38 +142,41 @@ def make_partial_action(group, algebra, idempotents, maps):
     for g in range(n):
         for h in range(n):
             gh = group.mul(g, h)
-            domain = ideals[group.inv(h)].intersect(ideals[group.inv(gh)])
-            for idx, v in enumerate(domain.basis):
-                if maps[g].apply(maps[h].apply(v)) != maps[gh].apply(v):
+            for idx, v in enumerate(meet[group.inv(h), group.inv(gh)]._rows.values()):
+                acc = _image(columns[g], _image(columns[h], v.items()).items())
+                if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
-    return PartialAction(group, algebra, idempotents, maps, ideals)
+    return PartialAction(group, algebra, idempotents, maps, ideals, columns)
 
 
-def _check_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
+def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
+    field, d, cols = algebra.field, algebra.dim, columns[g]
+    sparse, mul = field.sparse, algebra._mul_acc
     ginv = group.inv(g)
     source, target = ideals[ginv], ideals[g]
-    comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
-    for i in range(algebra.dim):
-        off = algebra._vec_times_basis(comp, i)
-        if any(maps[g].apply(off)):
+    comp = _sparse(vsub(field, algebra.unit, idempotents[ginv]))
+    for i in range(d):
+        if sparse(_image(cols, mul(comp, {i: 1}).items())):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    images = [maps[g].apply(v) for v in source.basis]
-    image_span = Subspace.from_vectors(algebra.field, algebra.dim, images)
+    basis = list(source._rows.values())
+    images = [sparse(_image(cols, u.items())) for u in basis]
+    image_span = Subspace.from_sparse(field, d, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(
             group.label(g),
             f"image of source ideal has dim {image_span.dim}, "
             f"target ideal has dim {target.dim} (source dim {source.dim})")
-    for u in source.basis:
-        gu = maps[g].apply(u)
-        for v in source.basis:
-            lhs = maps[g].apply(algebra.mul_vec(u, v))
-            if lhs != algebra.mul_vec(gu, maps[g].apply(v)):
-                raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
+    for u, gu in zip(basis, images):
+        acc = {}
+        for j, (v, gv) in enumerate(zip(basis, images)):
+            _image(cols, mul(u, v).items(), acc, j * d)
+            _merge(acc, j * d, -1, mul(gu, gv).items())
+        if sparse(acc):
+            raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
 
 # -- verification suite on the dot calculus -----------------------------
@@ -148,45 +191,49 @@ def dot_identities_report(pa):
     """
     alg, grp = pa.algebra, pa.group
     d, n = alg.dim, grp.order
+    sparse, mul = alg.field.sparse, alg._mul_acc
+    by_row, labels, cols = alg.nonempty_cells[0], alg.labels, pa.columns
+    right = [[mul({r: 1}, _sparse(e)) for r in range(d)] for e in pa.idempotents]  # b_r·1_g
     results = []
 
     bad = []
-    for g in range(n):
+    for g, cg in enumerate(cols):
+        nonzero = [(j * d, col) for j, col in enumerate(cg) if col]
         for i in range(d):
-            gi = pa.dot_vec(g, alg.basis_element(i).coeffs)
-            for j in range(d):
-                lhs = pa.dot_vec(g, alg.basis_product(i, j))
-                rhs = alg.mul_vec(gi, pa.dot_vec(g, alg.basis_element(j).coeffs))
-                if lhs != rhs:
-                    bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
+            acc = {}
+            for j, cell in by_row[i]:                    # α_g(b_i b_j)
+                _image(cg, cell, acc, j * d)
+            for base, col in nonzero:                    # − α_g(b_i)α_g(b_j)
+                _merge(acc, base, -1, mul(cg[i], col).items())
+            bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
+                    for j in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.multiplicative", not bad, {"pairs": n * d * d},
                          bad[:3]))
 
     bad = []
     for g in range(n):
         for h in range(n):
-            gh = grp.mul(g, h)
+            gh, acc = grp.mul(g, h), {}
             for i in range(d):
-                a = alg.basis_element(i).coeffs
-                lhs = pa.dot_vec(g, pa.dot_vec(h, a))
-                rhs = alg.mul_vec(pa.dot_vec(gh, a), pa.idempotents[g])
-                if lhs != rhs:
-                    bad.append(f"g={grp.label(g)} h={grp.label(h)} a={alg.labels[i]}")
+                _image(cols[g], cols[h][i].items(), acc, i * d)    # α_g(α_h(b_i))
+                _image(right[g], cols[gh][i].items(), acc, i * d, -1)  # − α_gh(b_i)·1_g
+            bad += [f"g={grp.label(g)} h={grp.label(h)} a={labels[i]}"
+                    for i in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.composition", not bad, {"triples": n * n * d},
                          bad[:3]))
 
     bad = []
     for g in range(n):
-        ginv = grp.inv(g)
+        cg, cinv = cols[g], cols[grp.inv(g)]
         for i in range(d):
-            ga = pa.dot_vec(g, alg.basis_element(i).coeffs)
-            for j in range(d):
-                b = alg.basis_element(j).coeffs
-                lhs = alg.mul_vec(ga, b)
-                rhs = pa.dot_vec(g, alg.mul_vec(
-                    alg.basis_element(i).coeffs, pa.dot_vec(ginv, b)))
-                if lhs != rhs:
-                    bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
+            acc = {}
+            for r, x in cg[i].items():                   # α_g(b_i)·b_j
+                for j, cell in by_row[r]:
+                    _merge(acc, j * d, x, cell)
+            for j, col in enumerate(cinv):               # − α_g(b_i·α_{g⁻¹}(b_j))
+                _image(cg, mul({i: 1}, col).items(), acc, j * d, -1)
+            bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
+                    for j in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.pull_through", not bad, {"pairs": n * d * d},
                          bad[:3]))
 
@@ -196,13 +243,12 @@ def dot_identities_report(pa):
 
     bad = []
     for g in range(n):
-        ginv = grp.inv(g)
-        for i in range(d):
-            a = alg.basis_element(i).coeffs
-            lhs = pa.dot_vec(g, pa.dot_vec(ginv, a))
-            rhs = alg.mul_vec(a, pa.idempotents[g])
-            if lhs != rhs:
-                bad.append(f"g={grp.label(g)} a={alg.labels[i]}")
+        cg, acc = cols[g], {}
+        for i, col in enumerate(cols[grp.inv(g)]):
+            _image(cg, col.items(), acc, i * d)           # α_g(α_{g⁻¹}(b_i))
+            _merge(acc, i * d, -1, right[g][i].items())  # − b_i·1_g
+        bad += [f"g={grp.label(g)} a={labels[i]}"
+                for i in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.round_trip", not bad, {"pairs": n * d}, bad[:3]))
 
     # kernel of the g-map: the evaluation kills exactly A(1-1_{g^{-1}}),

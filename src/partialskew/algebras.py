@@ -101,13 +101,6 @@ class StructureAlgebra:
 
     # -- multiplication on coefficient tuples -----------------------------
 
-    def basis_product(self, i, j):
-        """Coefficient vector of b_i·b_j."""
-        out = list(vzero(self.field, self.dim))
-        for k, v in self.products[i][j]:
-            out[k] = v
-        return tuple(out)
-
     def mul_vec(self, x, y):
         out = [0] * self.dim
         products = self.products

@@ -1,3 +1,6 @@
+from fractions import Fraction
+import re
+
 import pytest
 
 from partialskew.actions import (dot_identities_report, global_action,
@@ -5,7 +8,7 @@ from partialskew.actions import (dot_identities_report, global_action,
                                  trivial_from_split)
 from partialskew.algebras import product_of_fields
 from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal
-from partialskew.fields import QQ
+from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
 from partialskew.linalg import Mat
 
@@ -121,3 +124,35 @@ def test_spec_named_rejections():
             cyclic(2), algebra,
             [qvec([1, 1]), qvec([2, 0])],
             [Mat.identity(QQ, 2), qmat([[1, 0], [0, 0]])])
+
+
+# -- idempotents from the Python API go through the field's scalars --------
+
+def _split_plane_c2(field, unit, marker):
+    """C₂ on k×k with the projection onto the first factor off the identity."""
+    algebra = product_of_fields(field, 2)
+    return make_partial_action(
+        cyclic(2), algebra, [unit, marker],
+        [Mat.identity(field, 2), Mat(field, [[1, 0], [0, 0]])])
+
+
+def test_unit_given_by_other_representatives_is_the_unit():
+    pa = _split_plane_c2(GF(5), (6, -4), (1, 0))
+    assert pa.idempotents[0] == pa.algebra.unit == (1, 1)
+
+
+def test_marker_given_by_other_representatives_is_stored_canonically():
+    pa = _split_plane_c2(GF(5), (1, 1), (6, 0))
+    assert pa.idempotents[1] == (1, 0)
+    results = {c.name: c for c in dot_identities_report(pa)}
+    assert results["lemma1.unit_image"].status == "pass"
+    assert all(c.status == "pass" for c in results.values())
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 1), 1.0])
+def test_non_int_idempotent_over_fp_is_refused(bad):
+    named = re.escape(f"scalar {bad!r} is not an int representative")
+    with pytest.raises(ValueError, match=named):
+        _split_plane_c2(GF(5), (1, 1), (bad, 0))
+    with pytest.raises(ValueError, match=named):
+        _split_plane_c2(GF(5), (bad, 1), (1, 0))

@@ -317,8 +317,8 @@ def test_selftest(capsys):
 
 def test_bundled_corpus_contents():
     names = bundled_fixtures()
-    assert names == ["global_z2_swap.json", "s1.json", "split_field2_z3.json",
-                     "split_m2_z2.json", "z3_restrict.json"]
+    assert names == ["global_z2_swap.json", "s1.json", "s3_regular_restrict.json",
+                     "split_field2_z3.json", "split_m2_z2.json", "z3_restrict.json"]
     with pytest.raises(ParseError):
         fixture_path("missing.json")
 

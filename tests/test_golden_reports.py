@@ -1,7 +1,8 @@
 """Structured reports are pinned byte for byte.
 
 ``golden_reports.json`` holds the SHA-256 of ``emit_report(..., "structured")``
-for every bundled fixture over each field, and for the inline documents of
+for every bundled fixture over each field (q, fp:5, fp:2 and fp:2⁶¹−1, whose
+residue products pass 2⁶⁴), and for the inline documents of
 ``INLINE`` over the fields they list there.  A change to the exact core that
 alters any printed dimension, status or witness fails here.  Re-record the
 digests only when a report is meant to change, and say why in the change.
@@ -17,11 +18,12 @@ from partialskew.report import emit_report
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
-FIELDS = ("q", "fp:5", "fp:2")
+FIELDS = ("q", "fp:5", "fp:2", "fp:2305843009213693951")
 
-# The bundled corpus is all cyclic; index conventions only differ over a
-# non-abelian group, so the S₃ trivial split (smash 42, matrix 72, the Hopf
-# lift at dim 6) is pinned too.  Same documents as perfbench/scenarios/s3_split.json
+# Index conventions only differ over a non-abelian group.  The one
+# non-abelian fixture, s3_regular_restrict.json, is genuinely partial; the
+# S₃ trivial split (smash 42, matrix 72, the Hopf lift at dim 6) is pinned
+# too.  Same documents as perfbench/scenarios/s3_split.json
 # and perfbench/scenarios/s3_separability.json (separability at smash 42).
 INLINE = {
     "s3_separability": {

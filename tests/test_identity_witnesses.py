@@ -21,6 +21,13 @@
   b_i.  Each retired per-tuple loop is kept here as an oracle, and planted
   failures on the lifts of the fixtures and of S₃, and on the rescaled
   k[G], must be named by the same first tuple and message.
+* The partial-action layer: ``make_partial_action`` reads the sparse columns
+  of each α_g and one table of ideal meets, and its multiplicativity check
+  on the source ideal keeps one accumulator per source basis vector; the
+  Lemma 1 identities of ``dot_identities_report`` keep one accumulator per
+  (g, i), (g, h) or g.  The retired loops on the dense maps are oracles
+  here, and actions built directly from a tampered α_g column must give
+  the same exception message and the same ``CheckResult``s.
 """
 
 from types import SimpleNamespace
@@ -28,21 +35,27 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from partialskew import algebras, hopf
+from partialskew import actions, algebras, hopf
+from partialskew.actions import (PartialAction, dot_identities_report,
+                                 make_partial_action)
 from partialskew.algebras import (AlgebraMap, StructureAlgebra, TensorAlgebra,
                                   _associativity_witness, _lincomb,
-                                  field_algebra, group_algebra, make_algebra,
+                                  field_algebra, group_algebra, ideal_basis,
+                                  is_central_idempotent, make_algebra,
                                   matrix_algebra, product_of_fields,
                                   tensor_algebra)
 from partialskew.errors import (Axiom1Fails, Axiom2Fails, Axiom3Fails,
-                                InternalCheckFailed, NotAssociative, ValidationError)
+                                AxiomIFails, AxiomIIFails, AxiomIIIFails,
+                                InternalCheckFailed, NotAssociative,
+                                NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations, group_hopf,
                               make_hopf, make_partial_hopf_action, partial_smash_report)
-from partialskew.linalg import Mat, _sparse
+from partialskew.linalg import Mat, Subspace, _dense, _sparse, vsub
+from partialskew.report import check
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path, load_scenario,
                                    run_scenario)
@@ -133,7 +146,8 @@ def test_every_associativity_check_matches_pairwise_oracle(monkeypatch, field):
     for source in sources:
         assert run_scenario(source, field_override=field).passed()
     monkeypatch.undo()
-    assert max(alg.dim for alg, _ in tables.values()) == 72
+    # the largest is the matrix algebra of s3_regular_restrict.json
+    assert max(alg.dim for alg, _ in tables.values()) == 108
     failing = 0
     for alg, got in tables.values():
         assert got is None and _pairwise_associativity_witness(alg) is None
@@ -235,7 +249,8 @@ def test_every_witness_call_matches_pairwise_oracle(monkeypatch, field):
         assert run_scenario(source, field_override=field).passed()
     assert any(anti for _, anti, _ in calls)
     assert any(isinstance(phi.codomain, TensorAlgebra) for phi, _, _ in calls)
-    assert max(phi.domain.dim for phi, _, _ in calls) == 72
+    # the largest is the matrix algebra of s3_regular_restrict.json
+    assert max(phi.domain.dim for phi, _, _ in calls) == 108
     for phi, anti, got in calls:
         assert got == _pairwise_witness(phi, anti)
 
@@ -510,16 +525,22 @@ def _scale(field):
     return (lambda g: 2 * (g % 2) + 1) if field.characteristic == 2 else (lambda g: g % 4 + 1)
 
 
+def _partial_actions(field):
+    """(name, partial action) for the bundled fixtures and the S₃ split."""
+    docs = [load_scenario(fixture_path(name)) for name in bundled_fixtures()]
+    docs.append(INLINE["s3_split"])
+    out = []
+    for doc in docs:
+        algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
+        out.append((doc["name"], build_action(field, build_group(doc["group"]),
+                                              algebra, doc["action"])))
+    return out
+
+
 def _lifts(field):
     """(name, H, A, action matrices) for every instance, group Hopf algebras
     first, then the rescaled ones."""
-    docs = [load_scenario(fixture_path(name)) for name in bundled_fixtures()]
-    docs.append(INLINE["s3_split"])
-    actions = []
-    for doc in docs:
-        algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
-        actions.append((doc["name"], build_action(field, build_group(doc["group"]),
-                                                   algebra, doc["action"])))
+    actions = _partial_actions(field)
     out = [(name, group_hopf(field, pa.group), pa.algebra, list(pa.maps))
            for name, pa in actions]
     c = _scale(field)
@@ -793,3 +814,224 @@ def test_partial_action_axioms_match_per_tuple_oracle(field):
             else:
                 assert want is None
     assert {Axiom1Fails, Axiom3Fails} <= kinds
+
+
+# -- the partial-action layer ---------------------------------------------
+#
+# The oracles are the per-tuple loops the accumulators replaced, on the
+# dense maps through ``Mat.apply`` and with ``basis_element`` vectors.
+
+def _per_tuple_partial_action(group, algebra, idempotents, maps):
+    """``make_partial_action`` as it was: every Zassenhaus meet formed where
+    it is read, each map applied as a dense matrix, one pair at a time."""
+    idempotents = [algebra.field.scalars(e) for e in idempotents]
+    n, d = group.order, algebra.dim
+    for g in range(n):
+        if not is_central_idempotent(algebra.element(idempotents[g])):
+            raise NotCentralIdempotent(
+                f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}")
+    e = group.identity
+    if idempotents[e] != algebra.unit:
+        raise AxiomIFails("idempotent at the identity is not the unit")
+    if maps[e] != Mat.identity(algebra.field, d):
+        raise AxiomIFails("map at the identity is not the identity map")
+    ideals = [ideal_basis(algebra, algebra.element(idempotents[g])) for g in range(n)]
+    for g in range(n):
+        _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g)
+    for g in range(n):
+        for h in range(n):
+            source = ideals[group.inv(g)].intersect(ideals[h])
+            image = Subspace.from_vectors(algebra.field, d,
+                                          [maps[g].apply(v) for v in source.basis])
+            target = ideals[g].intersect(ideals[group.mul(g, h)])
+            if image != target:
+                raise AxiomIIFails(group.label(g), group.label(h),
+                                   f"image dim {image.dim}, target dim {target.dim}")
+    for g in range(n):
+        for h in range(n):
+            gh = group.mul(g, h)
+            domain = ideals[group.inv(h)].intersect(ideals[group.inv(gh)])
+            for idx, v in enumerate(domain.basis):
+                if maps[g].apply(maps[h].apply(v)) != maps[gh].apply(v):
+                    raise AxiomIIIFails(group.label(g), group.label(h), idx)
+
+
+def _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
+    ginv = group.inv(g)
+    source, target = ideals[ginv], ideals[g]
+    comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
+    for i in range(algebra.dim):
+        if any(maps[g].apply(algebra._vec_times_basis(comp, i))):
+            raise NotIsoOnIdeal(
+                group.label(g),
+                f"does not vanish on the complement of its source ideal "
+                f"(basis {algebra.labels[i]})")
+    images = [maps[g].apply(v) for v in source.basis]
+    image_span = Subspace.from_vectors(algebra.field, algebra.dim, images)
+    if image_span != target or image_span.dim != source.dim:
+        raise NotIsoOnIdeal(
+            group.label(g),
+            f"image of source ideal has dim {image_span.dim}, "
+            f"target ideal has dim {target.dim} (source dim {source.dim})")
+    for u in source.basis:
+        gu = maps[g].apply(u)
+        for v in source.basis:
+            lhs = maps[g].apply(algebra.mul_vec(u, v))
+            if lhs != algebra.mul_vec(gu, maps[g].apply(v)):
+                raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
+
+
+def _per_tuple_dot_identities(pa):
+    """The five Lemma 1 identities of ``dot_identities_report``, one tuple
+    at a time on the dense maps."""
+    alg, grp = pa.algebra, pa.group
+    d, n = alg.dim, grp.order
+
+    def dot(g, v):
+        return pa.maps[g].apply(v)
+
+    def basis(i):
+        return alg.basis_element(i).coeffs
+
+    def product(i, j):
+        return alg.mul_vec(basis(i), basis(j))
+
+    results = []
+    bad = []
+    for g in range(n):
+        for i in range(d):
+            gi = dot(g, basis(i))
+            for j in range(d):
+                if dot(g, product(i, j)) != alg.mul_vec(gi, dot(g, basis(j))):
+                    bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
+    results.append(check("lemma1.multiplicative", not bad, {"pairs": n * d * d}, bad[:3]))
+    bad = []
+    for g in range(n):
+        for h in range(n):
+            gh = grp.mul(g, h)
+            for i in range(d):
+                a = basis(i)
+                if dot(g, dot(h, a)) != alg.mul_vec(dot(gh, a), pa.idempotents[g]):
+                    bad.append(f"g={grp.label(g)} h={grp.label(h)} a={alg.labels[i]}")
+    results.append(check("lemma1.composition", not bad, {"triples": n * n * d}, bad[:3]))
+    bad = []
+    for g in range(n):
+        ginv = grp.inv(g)
+        for i in range(d):
+            ga = dot(g, basis(i))
+            for j in range(d):
+                b = basis(j)
+                if alg.mul_vec(ga, b) != dot(g, alg.mul_vec(basis(i), dot(ginv, b))):
+                    bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
+    results.append(check("lemma1.pull_through", not bad, {"pairs": n * d * d}, bad[:3]))
+    bad = [grp.label(g) for g in range(n) if dot(g, alg.unit) != pa.idempotents[g]]
+    results.append(check("lemma1.unit_image", not bad, {"elements": n}, bad))
+    bad = []
+    for g in range(n):
+        for i in range(d):
+            a = basis(i)
+            if dot(g, dot(grp.inv(g), a)) != alg.mul_vec(a, pa.idempotents[g]):
+                bad.append(f"g={grp.label(g)} a={alg.labels[i]}")
+    results.append(check("lemma1.round_trip", not bad, {"pairs": n * d}, bad[:3]))
+    return results
+
+
+def _message(fn, *args):
+    """The message of the ValidationError ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _tampered_columns(pa):
+    """(g, columns of α_g) for each non-identity g: each column raised by
+    b_0 in turn, each column zeroed in turn, α_g followed by the swap of
+    two coordinates b_s, b_t, and α_g replaced by α_{g⁻¹} and by α_{g²}
+    where they differ from α_g."""
+    field, grp, d = pa.algebra.field, pa.group, pa.algebra.dim
+    for g in range(grp.order):
+        if g == grp.identity:
+            continue
+        cols = pa.columns[g]
+        for j, col in enumerate(cols):
+            raised = dict(col)
+            raised[0] = raised.get(0, 0) + 1
+            yield g, cols[:j] + [field.sparse(raised)] + cols[j + 1:]
+            yield g, cols[:j] + [{}] + cols[j + 1:]
+        for s in range(d):
+            for t in range(s + 1, d):
+                swap = {s: t, t: s}
+                yield g, [{swap.get(r, r): x for r, x in sorted(col.items())}
+                          for col in cols]
+        for h in {grp.inv(g), grp.mul(g, g)}:
+            if pa.columns[h] != cols:
+                yield g, pa.columns[h]
+
+
+def _planted(pa, g, cols):
+    """The action with α_g given by the sparse columns cols, built directly
+    so that no axiom check sees it."""
+    alg = pa.algebra
+    dense = Mat.from_columns(alg.field, [_dense(c, alg.field, alg.dim) for c in cols],
+                             rows=alg.dim)
+    maps = list(pa.maps)
+    maps[g] = dense
+    columns = list(pa.columns)
+    columns[g] = cols
+    return PartialAction(pa.group, alg, pa.idempotents, maps, pa.ideals, columns)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_partial_action_layer_matches_per_tuple_oracles(field):
+    kinds, failing = set(), set()
+    for _, pa in _partial_actions(field):
+        args = (pa.group, pa.algebra, pa.idempotents)
+        assert _message(_per_tuple_partial_action, *args, list(pa.maps)) is None
+        assert dot_identities_report(pa)[:5] == _per_tuple_dot_identities(pa)
+        for g, cols in _tampered_columns(pa):
+            bad = _planted(pa, g, cols)
+            want = _message(_per_tuple_partial_action, *args, list(bad.maps))
+            assert _message(make_partial_action, *args, list(bad.maps)) == want
+            kinds.add(want and want.split(":")[0])
+            got = dot_identities_report(bad)[:5]
+            assert got == _per_tuple_dot_identities(bad)
+            failing.update(c.name for c in got if c.status == "fail")
+    assert {"NotIsoOnIdeal", "AxiomIIFails", "AxiomIIIFails"} <= kinds
+    assert failing == {"lemma1.multiplicative", "lemma1.composition",
+                       "lemma1.pull_through", "lemma1.unit_image",
+                       "lemma1.round_trip"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_iso_on_ideal_matches_per_tuple_oracle_on_planted_maps(field):
+    # a map that is bijective between the ideals but not multiplicative
+    # reaches the accumulator of the multiplicativity check
+    messages = set()
+    for _, pa in _partial_actions(field):
+        group, alg = pa.group, pa.algebra
+        for g, cols in _tampered_columns(pa):
+            bad = _planted(pa, g, cols)
+            want = _message(_per_tuple_iso_on_ideal, group, alg, pa.idempotents,
+                            bad.maps, pa.ideals, g)
+            assert _message(actions._check_iso_on_ideal, group, alg, pa.idempotents,
+                            bad.columns, pa.ideals, g) == want
+            messages.add(want and want.split(": ")[-1])
+    assert "not multiplicative on its source ideal" in messages
+
+
+def test_ideal_meets_are_computed_once_per_unordered_pair(monkeypatch):
+    calls = []
+    intersect = Subspace.intersect
+
+    def spy(self, other):
+        calls.append((self, other))
+        return intersect(self, other)
+
+    doc = INLINE["s3_split"]
+    group = build_group(doc["group"])
+    monkeypatch.setattr(Subspace, "intersect", spy)
+    build_action(QQ, group, None, doc["action"])
+    n = group.order
+    assert 0 < len(calls) <= n * (n + 1) // 2 == 21
