@@ -14,37 +14,25 @@ group and the basis:
 
 The maps enter as dense ``Mat``s, kept in ``maps`` for the matrix readers
 (``lemma1.kernel_ideal``, the Hopf lift); everything else reads the sparse
-columns ``columns[g][j] = {row: scalar}`` = α_g(b_j).  Axioms II and III
-read one table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered
-pair (a canonical echelon basis is symmetric).  Multiplicativity on the
-source ideal and the Lemma 1 identities sum lhs − rhs in one accumulator per
-outer index, keyed inner·d + t: per source basis vector u, per (g, i)
-(``multiplicative``, ``pull_through``), per (g, h) (``composition``), per g
-(``round_trip``).  Each is reduced once; its failing inner indices, in order,
-are the failing tuples of a per-tuple loop, so the witnesses are unchanged.
+columns ``columns[g][j] = {row: scalar}`` = α_g(b_j), which the constructor
+derives from ``maps``.  Axioms II and III read one table of meets D_a ∩ D_b,
+one Zassenhaus elimination per unordered pair (a canonical echelon basis is
+symmetric).  Multiplicativity on the source ideal and the Lemma 1
+identities sum lhs − rhs in one accumulator per outer index, keyed
+inner·d + t: per source basis vector u, per (g, i) (``multiplicative``,
+``pull_through``), per (g, h) (``composition``), per g (``round_trip``).
+Each is reduced once; its failing inner indices, in order, are the failing
+tuples of a per-tuple loop, so the witnesses are unchanged.
 """
 
 from __future__ import annotations
 
-from .algebras import (direct_product, ideal_basis, is_central_idempotent,
+from .algebras import (_add, direct_product, ideal_basis, is_central_idempotent,
                        subalgebra)
-from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
+from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails, FieldMismatch,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from .linalg import Mat, Subspace, _sparse, kernel_basis, vsub
 from .report import check
-
-
-def _columns(m):
-    """The sparse columns ``{row: scalar}`` of a dense matrix."""
-    return [_sparse(col) for col in zip(*m.entries)]
-
-
-def _merge(acc, base, c, terms):
-    """acc[base + t] += c·y for every (t, y) in terms."""
-    get = acc.get
-    for t, y in terms:
-        key = base + t
-        acc[key] = get(key, 0) + c * y
 
 
 def _image(cols, terms, acc=None, base=0, c=1):
@@ -52,7 +40,7 @@ def _image(cols, terms, acc=None, base=0, c=1):
     dict); α is the map with sparse columns cols.  Returns acc."""
     acc = {} if acc is None else acc
     for k, x in terms:
-        _merge(acc, base, c * x, cols[k].items())
+        _add(acc, base, c * x, cols[k].items())
     return acc
 
 
@@ -61,20 +49,22 @@ class PartialAction:
 
     __slots__ = ("group", "algebra", "idempotents", "maps", "ideals", "columns")
 
-    def __init__(self, group, algebra, idempotents, maps, ideals, columns=None):
+    def __init__(self, group, algebra, idempotents, maps, ideals):
         self.group = group
         self.algebra = algebra
         self.idempotents = tuple(idempotents)   # coefficient tuples, one per g
         self.maps = tuple(maps)                 # matrices acting on coefficients
         self.ideals = tuple(ideals)             # D_g as canonical subspaces
-        self.columns = tuple(map(_columns, self.maps) if columns is None else columns)
+        self.columns = tuple(m.sparse_columns() for m in self.maps)  # α_g(b_j)
 
     def dot(self, g, a):
         """The evaluation g·a of an algebra element a (image under the g-map)."""
         return self.algebra.element(self.dot_vec(g, a.coeffs))
 
     def dot_vec(self, g, coeffs):
-        """g·a on the coefficient tuple of a, which has the algebra's length."""
+        """g·a on the coefficient tuple of a."""
+        if len(coeffs) != self.algebra.dim:
+            raise ValueError(f"vector of length {len(coeffs)} in dimension {self.algebra.dim}")
         out = [0] * self.algebra.dim
         cols = self.columns[g]
         for k, x in enumerate(coeffs):
@@ -108,7 +98,8 @@ def make_partial_action(group, algebra, idempotents, maps):
     for m in maps:
         if not isinstance(m, Mat) or m.rows != d or m.cols != d:
             raise ValidationError("action matrices must be square of the algebra dimension")
-    columns = [_columns(m) for m in maps]
+        if m.field != field:
+            raise FieldMismatch(m.field, field)
 
     for g in range(n):
         if not is_central_idempotent(algebra.element(idempotents[g])):
@@ -118,10 +109,12 @@ def make_partial_action(group, algebra, idempotents, maps):
     e = group.identity
     if idempotents[e] != algebra.unit:
         raise AxiomIFails("idempotent at the identity is not the unit")
-    if columns[e] != [{j: field.one} for j in range(d)]:
+    if maps[e] != Mat.identity(field, d):
         raise AxiomIFails("map at the identity is not the identity map")
 
     ideals = [ideal_basis(algebra, algebra.element(idempotents[g])) for g in range(n)]
+    pa = PartialAction(group, algebra, idempotents, maps, ideals)
+    columns = pa.columns
 
     for g in range(n):
         _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g)
@@ -147,7 +140,7 @@ def make_partial_action(group, algebra, idempotents, maps):
                 if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
-    return PartialAction(group, algebra, idempotents, maps, ideals, columns)
+    return pa
 
 
 def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
@@ -174,7 +167,7 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
         acc = {}
         for j, (v, gv) in enumerate(zip(basis, images)):
             _image(cols, mul(u, v).items(), acc, j * d)
-            _merge(acc, j * d, -1, mul(gu, gv).items())
+            _add(acc, j * d, -1, mul(gu, gv).items())
         if sparse(acc):
             raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
@@ -204,7 +197,7 @@ def dot_identities_report(pa):
             for j, cell in by_row[i]:                    # α_g(b_i b_j)
                 _image(cg, cell, acc, j * d)
             for base, col in nonzero:                    # − α_g(b_i)α_g(b_j)
-                _merge(acc, base, -1, mul(cg[i], col).items())
+                _add(acc, base, -1, mul(cg[i], col).items())
             bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
                     for j in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.multiplicative", not bad, {"pairs": n * d * d},
@@ -229,7 +222,7 @@ def dot_identities_report(pa):
             acc = {}
             for r, x in cg[i].items():                   # α_g(b_i)·b_j
                 for j, cell in by_row[r]:
-                    _merge(acc, j * d, x, cell)
+                    _add(acc, j * d, x, cell)
             for j, col in enumerate(cinv):               # − α_g(b_i·α_{g⁻¹}(b_j))
                 _image(cg, mul({i: 1}, col).items(), acc, j * d, -1)
             bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
@@ -246,7 +239,7 @@ def dot_identities_report(pa):
         cg, acc = cols[g], {}
         for i, col in enumerate(cols[grp.inv(g)]):
             _image(cg, col.items(), acc, i * d)           # α_g(α_{g⁻¹}(b_i))
-            _merge(acc, i * d, -1, right[g][i].items())  # − b_i·1_g
+            _add(acc, i * d, -1, right[g][i].items())    # − b_i·1_g
         bad += [f"g={grp.label(g)} a={labels[i]}"
                 for i in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.round_trip", not bad, {"pairs": n * d}, bad[:3]))

@@ -191,6 +191,15 @@ def _lincomb(field, terms):
     return field.sparse(acc)
 
 
+def _add(acc, base, c, terms):
+    """acc[base + t] += c·v for every (t, v) in ``terms`` (the items of a
+    sparse vector or a product cell), unreduced."""
+    get = acc.get
+    for t, v in terms:
+        key = base + t
+        acc[key] = get(key, 0) + c * v
+
+
 class AlgebraElement:
     __slots__ = ("algebra", "coeffs")
 
@@ -791,8 +800,7 @@ class AlgebraMap:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        self.columns = ([_sparse(col) for col in matrix.columns()]
-                        if columns is None else columns)
+        self.columns = matrix.sparse_columns() if columns is None else columns
 
     @classmethod
     def from_columns(cls, domain, codomain, columns):

@@ -29,9 +29,9 @@ corner maps into A⊗End(H) with their corner idempotent.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _lincomb, _outer, field_algebra, group_algebra,
-                       make_algebra, matrix_algebra, smash_algebra,
-                       tensor_algebra)
+from .algebras import (AlgebraMap, _add, _lincomb, _outer, field_algebra,
+                       group_algebra, make_algebra, matrix_algebra,
+                       smash_algebra, tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
                      ValidationError)
@@ -168,20 +168,13 @@ def group_hopf(field, group):
 
 # -- sparse helpers --------------------------------------------------------
 
-def _add(acc, base, c, vec):
-    """acc[base + t] += c·v for every entry (t, v) of the sparse vector ``vec``."""
-    get = acc.get
-    for t, v in vec.items():
-        acc[base + t] = get(base + t, 0) + c * v
-
-
 def _add_on_leg(acc, base, table, width, vec):
     """Add to ``acc``, at base + x·width + t, the image of b_i ↦ ``table[i]``
     on the last leg of a sparse vector with index x·d + i, d = len(table)."""
     d = len(table)
     for idx, c in vec.items():
         x, i = divmod(idx, d)
-        _add(acc, base + x * width, c, table[i])
+        _add(acc, base + x * width, c, table[i].items())
 
 
 def _on_leg(field, table, width, vec):
@@ -305,7 +298,7 @@ def _verify_exchange_identity(h, ops=None):
                 for x, col in rho_cols[c]:
                     base = (c * d + x) * d
                     for s, y in col:
-                        _add(acc, base, y, lam[a][b][s])
+                        _add(acc, base, y, lam[a][b][s].items())
                 for u, w, m in dual.comul[c]:
                     for t, xt in twisted[u]:
                         for x, col in lam_cols[b][t]:
@@ -363,9 +356,9 @@ def make_partial_hopf_action(h, algebra, mats):
             for y in range(da):
                 base = (x * da + y) * da
                 for t, c in algebra.products[x][y]:
-                    _add(acc, base, c, acts[i][t])
+                    _add(acc, base, c, acts[i][t].items())
                 for k, l, v in h.comul[i]:
-                    _add(acc, base, -v, mul(acts[k][x], acts[l][y]))
+                    _add(acc, base, -v, mul(acts[k][x], acts[l][y]).items())
         bad = field.sparse(acc)
         if bad:
             x, y = divmod(min(bad) // da, da)
@@ -387,9 +380,9 @@ def make_partial_hopf_action(h, algebra, mats):
             for x in range(da):
                 base = (j * da + x) * da
                 for t, c in acts[j][x].items():
-                    _add(acc, base, c, acts[i][t])
+                    _add(acc, base, c, acts[i][t].items())
                 for k, l, v in h.comul[i]:
-                    _add(acc, base, -v, mul(unit_acts[k], lj_acts[l][j][x]))
+                    _add(acc, base, -v, mul(unit_acts[k], lj_acts[l][j][x]).items())
         bad = field.sparse(acc)
         if bad:
             j, x = divmod(min(bad) // da, da)
@@ -530,9 +523,9 @@ def build_corner_maps(pha, reps=None):
         for i in range(d):
             for j in range(d):
                 base = (i * d + j) * dim
-                _add(acc, base, 1, mul(unit, mul(psi[i * d + j], phi_cols[a])))
+                _add(acc, base, 1, mul(unit, mul(psi[i * d + j], phi_cols[a])).items())
                 for k, l, v in h.comul[i]:
-                    _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]))
+                    _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]).items())
         bad = field.sparse(acc)
         if bad:
             i, j = divmod(min(bad) // dim, d)
@@ -604,7 +597,7 @@ def partial_smash_report(ps):
             acc = {}
             for b in corner:
                 _add_on_leg(acc, b * dim, h.coproduct, d * d, uv[a][b])
-                _add(acc, b * dim, -1, t._mul_acc(co[a], co[b]))
+                _add(acc, b * dim, -1, t._mul_acc(co[a], co[b]).items())
             bad = field.sparse(acc)
             if bad:
                 return f"{vec(a)}, {vec(min(bad) // dim)}"

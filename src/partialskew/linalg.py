@@ -175,6 +175,10 @@ class Mat:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
+    def sparse_columns(self):
+        """The columns as ``{row: scalar}`` dicts of their nonzero entries."""
+        return [_sparse(col) for col in zip(*self.entries)]
+
     def apply(self, vec):
         """Matrix times coordinate column."""
         if len(vec) != self.cols:

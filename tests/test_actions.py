@@ -7,7 +7,7 @@ from partialskew.actions import (dot_identities_report, global_action,
                                  make_partial_action, restrict_global,
                                  trivial_from_split)
 from partialskew.algebras import product_of_fields
-from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal
+from partialskew.errors import FieldMismatch, NotCentralIdempotent, NotIsoOnIdeal
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
 from partialskew.linalg import Mat
@@ -156,3 +156,22 @@ def test_non_int_idempotent_over_fp_is_refused(bad):
         _split_plane_c2(GF(5), (1, 1), (bad, 0))
     with pytest.raises(ValueError, match=named):
         _split_plane_c2(GF(5), (bad, 1), (1, 0))
+
+
+# -- the action matrices and dot_vec's input are checked at the boundary ---
+
+@pytest.mark.parametrize("over_q", [0, 1])
+def test_action_matrix_over_another_field_is_refused(over_q):
+    # a Q identity at e is refused too, so later Q maps never reach GF(5)
+    algebra = product_of_fields(GF(5), 2)
+    maps = [Mat.identity(GF(5), 2), Mat(GF(5), [[1, 0], [0, 0]])]
+    maps[over_q] = Mat(QQ, maps[over_q].entries)
+    with pytest.raises(FieldMismatch):
+        make_partial_action(cyclic(2), algebra, [(1, 1), (1, 0)], maps)
+
+
+@pytest.mark.parametrize("vec", [(1,), (1, 0, 0)])
+def test_dot_vec_refuses_a_vector_of_the_wrong_length(vec):
+    pa = _split_plane_c2(GF(5), (1, 1), (1, 0))
+    with pytest.raises(ValueError, match=f"length {len(vec)} in dimension 2"):
+        pa.dot_vec(1, vec)

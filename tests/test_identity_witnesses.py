@@ -978,9 +978,7 @@ def _planted(pa, g, cols):
                              rows=alg.dim)
     maps = list(pa.maps)
     maps[g] = dense
-    columns = list(pa.columns)
-    columns[g] = cols
-    return PartialAction(pa.group, alg, pa.idempotents, maps, pa.ideals, columns)
+    return PartialAction(pa.group, alg, pa.idempotents, maps, pa.ideals)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
