@@ -12,26 +12,29 @@ group and the basis:
   * the image of D_{g^{-1}} ∩ D_h is exactly D_g ∩ D_{gh} (as subspaces);
   * composing the g- and h-maps agrees with the gh-map on the overlap ideal.
 
-The maps enter as dense ``Mat``s, kept in ``maps`` for the matrix readers
-(``lemma1.kernel_ideal``, the Hopf lift); everything else reads the sparse
-columns ``columns[g][j] = {row: scalar}`` = α_g(b_j), which the constructor
-derives from ``maps``.  Axioms II and III read one table of meets D_a ∩ D_b,
-one Zassenhaus elimination per unordered pair (a canonical echelon basis is
-symmetric).  Multiplicativity on the source ideal and the Lemma 1
-identities sum lhs − rhs in one accumulator per outer index, keyed
-inner·d + t: per source basis vector u, per (g, i) (``multiplicative``,
-``pull_through``), per (g, h) (``composition``), per g (``round_trip``).
-Each is reduced once; its failing inner indices, in order, are the failing
-tuples of a per-tuple loop, so the witnesses are unchanged.
+The maps enter as dense ``Mat``s, checked for shape and field, and are
+kept in ``maps`` as the validated input that the Hopf lift hands on.
+Everything here reads the sparse columns ``columns[g][j] = {row: scalar}``
+= α_g(b_j), which the constructor derives from ``maps``: g·a, the axioms
+and the Lemma 1 identities, the kernel of α_g included.  Each 1_g is proved
+central once, by ``ideal_basis`` building D_g.  Axioms II and III read one
+table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered pair (a
+canonical echelon basis is symmetric).  Multiplicativity on the source
+ideal and the Lemma 1 identities sum lhs − rhs in one accumulator per outer
+index, keyed inner·d + t: per source basis vector u, per (g, i)
+(``multiplicative``, ``pull_through``), per (g, h) (``composition``), per g
+(``round_trip``).  Each is reduced once; its failing inner indices, in
+order, are the failing tuples of a per-tuple loop, so the witnesses are
+unchanged.
 """
 
 from __future__ import annotations
 
-from .algebras import (_add, direct_product, ideal_basis, is_central_idempotent,
-                       subalgebra)
+from .algebras import (AlgebraMap, _add, _apply_columns, direct_product,
+                       ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails, FieldMismatch,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
-from .linalg import Mat, Subspace, _sparse, kernel_basis, vsub
+from .linalg import Mat, Subspace, _sparse, vsub
 from .report import check
 
 
@@ -63,15 +66,8 @@ class PartialAction:
 
     def dot_vec(self, g, coeffs):
         """g·a on the coefficient tuple of a."""
-        if len(coeffs) != self.algebra.dim:
-            raise ValueError(f"vector of length {len(coeffs)} in dimension {self.algebra.dim}")
-        out = [0] * self.algebra.dim
-        cols = self.columns[g]
-        for k, x in enumerate(coeffs):
-            if x:
-                for t, y in cols[k].items():
-                    out[t] += x * y
-        return self.algebra.field.vector(out)
+        alg = self.algebra
+        return _apply_columns(alg.field, self.columns[g], coeffs, alg.dim)
 
     def is_global(self):
         return all(e == self.algebra.unit for e in self.idempotents)
@@ -101,10 +97,13 @@ def make_partial_action(group, algebra, idempotents, maps):
         if m.field != field:
             raise FieldMismatch(m.field, field)
 
+    ideals = []
     for g in range(n):
-        if not is_central_idempotent(algebra.element(idempotents[g])):
+        try:
+            ideals.append(ideal_basis(algebra, algebra.element(idempotents[g])))
+        except NotCentralIdempotent:
             raise NotCentralIdempotent(
-                f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}")
+                f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}") from None
 
     e = group.identity
     if idempotents[e] != algebra.unit:
@@ -112,7 +111,6 @@ def make_partial_action(group, algebra, idempotents, maps):
     if maps[e] != Mat.identity(field, d):
         raise AxiomIFails("map at the identity is not the identity map")
 
-    ideals = [ideal_basis(algebra, algebra.element(idempotents[g])) for g in range(n)]
     pa = PartialAction(group, algebra, idempotents, maps, ideals)
     columns = pa.columns
 
@@ -251,13 +249,14 @@ def dot_identities_report(pa):
     bad = []
     dims = []
     target_variant = True
+    comps = [pa.complement_ideal(g) for g in range(n)]
     for g in range(n):
-        ker = kernel_basis(pa.maps[g])
-        comp = pa.complement_ideal(grp.inv(g))
+        ker = AlgebraMap(alg, alg, cols[g]).kernel()
+        comp = comps[grp.inv(g)]
         dims.append(ker.dim)
         if ker != comp:
             bad.append(f"g={grp.label(g)}: kernel dim {ker.dim} vs ideal dim {comp.dim}")
-        if ker != pa.complement_ideal(g):
+        if ker != comps[g]:
             target_variant = False
     results.append(check("lemma1.kernel_ideal", not bad,
                          {"kernel_dims": dims,
@@ -305,9 +304,7 @@ def restrict_global(pa, e):
     if not pa.is_global():
         raise ValidationError("restriction expects a global action")
     parent = pa.algebra
-    if not is_central_idempotent(e):
-        raise NotCentralIdempotent(parent.format_vec(e.coeffs))
-    span = ideal_basis(parent, e)
+    span = ideal_basis(parent, e)     # raises NotCentralIdempotent
     sub, include = subalgebra(parent, span, e.coeffs)
 
     idempotents, maps = [], []

@@ -41,7 +41,7 @@ from functools import cached_property
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
-from .linalg import Mat, Subspace, _sparse, vadd, vscale, vsub, vzero
+from .linalg import Subspace, _sparse, vadd, vscale, vsub, vzero
 
 
 class StructureAlgebra:
@@ -198,6 +198,19 @@ def _add(acc, base, c, terms):
     for t, v in terms:
         key = base + t
         acc[key] = get(key, 0) + c * v
+
+
+def _apply_columns(field, columns, coeffs, dim):
+    """The dense vector Σ x·columns[k], of length ``dim``, over the nonzero
+    coefficients x of ``coeffs``; ValueError unless there is one per column."""
+    if len(coeffs) != len(columns):
+        raise ValueError(f"vector of length {len(coeffs)} in dimension {len(columns)}")
+    out = [0] * dim
+    for k, x in enumerate(coeffs):
+        if x:
+            for t, y in columns[k].items():
+                out[t] += x * y
+    return field.vector(out)
 
 
 class AlgebraElement:
@@ -515,9 +528,7 @@ class ProductAlgebra(StructureAlgebra):
         if left.field != right.field:
             raise FieldMismatch(left.field, right.field)
         field = left.field
-        zero = field.zero
         dl, dr = left.dim, right.dim
-        d = dl + dr
         products = [list(row) + [()] * dr for row in left.products]
         products += [[()] * dl + [tuple((dl + k, v) for k, v in cell) for cell in row]
                      for row in right.products]
@@ -525,12 +536,9 @@ class ProductAlgebra(StructureAlgebra):
         labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
         super().__init__(field, products, unit, labels)
         self.factors = (left, right)
-        self.left_embed = AlgebraMap(left, self, Mat(
-            field, [[field.one if (i < dl and i == j) else zero for j in range(dl)]
-                    for i in range(d)]))
-        self.right_embed = AlgebraMap(right, self, Mat(
-            field, [[field.one if (i >= dl and i - dl == j) else zero for j in range(dr)]
-                    for i in range(d)]))
+        one = field.one
+        self.left_embed = AlgebraMap(left, self, [{j: one} for j in range(dl)])
+        self.right_embed = AlgebraMap(right, self, [{dl + j: one} for j in range(dr)])
 
 
 def direct_product(left, right):
@@ -784,54 +792,43 @@ def smash_algebra(a, b, comul, acted, unit):
 
 
 class AlgebraMap:
-    """A linear map between algebras; columns are images of basis vectors.
+    """A linear map between algebras, stored only as its columns: column j is
+    the image of basis vector j as a canonical ``{index: scalar}`` dict.
 
     Multiplicativity and unitality are checkable predicates, not assumptions:
-    several maps in this package are homomorphisms only by theorem.  The
-    columns are kept twice: dense in ``matrix`` and sparse, as canonical
-    ``{index: scalar}`` dicts, in ``columns``.
+    several maps in this package are homomorphisms only by theorem.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "columns")
+    __slots__ = ("domain", "codomain", "columns")
 
-    def __init__(self, domain, codomain, matrix, columns=None):
-        if matrix.rows != codomain.dim or matrix.cols != domain.dim:
-            raise ValueError("map matrix has wrong shape")
+    def __init__(self, domain, codomain, columns):
+        sparse = domain.field.sparse
+        columns = [sparse(col) for col in columns]
+        if len(columns) != domain.dim:
+            raise ValueError(f"map has {len(columns)} columns, domain dimension is "
+                             f"{domain.dim}")
+        rows = range(codomain.dim)
+        if not all(t in rows for col in columns for t in col):
+            raise ValueError(f"map column has an index outside 0..{codomain.dim - 1}")
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
-        self.columns = matrix.sparse_columns() if columns is None else columns
-
-    @classmethod
-    def from_columns(cls, domain, codomain, columns):
-        return cls(domain, codomain,
-                   Mat.from_columns(domain.field, columns, rows=codomain.dim))
-
-    @classmethod
-    def from_sparse(cls, domain, codomain, columns):
-        """The map whose column j is the ``{index: scalar}`` dict columns[j];
-        the columns are kept, in canonical form, as ``columns``."""
-        field = domain.field
-        zero = field.zero
-        columns = [field.sparse(col) for col in columns]
-        return cls(domain, codomain, Mat(field, [
-            [col.get(r, zero) for col in columns] for r in range(codomain.dim)]),
-                   columns)
+        self.columns = columns
 
     def apply_vec(self, coeffs):
-        return self.matrix.apply(coeffs)
+        return _apply_columns(self.codomain.field, self.columns, coeffs,
+                              self.codomain.dim)
 
     def apply(self, element):
         if element.algebra is not self.domain:
             raise AlgebraMismatch()
-        return self.codomain.element(self.matrix.apply(element.coeffs))
+        return self.codomain.element(self.apply_vec(element.coeffs))
 
     def compose(self, inner):
         """self after inner, column by column from the sparse columns."""
         if inner.codomain is not self.domain:
             raise AlgebraMismatch()
         field, cols = self.codomain.field, self.columns
-        return AlgebraMap.from_sparse(inner.domain, self.codomain, [
+        return AlgebraMap(inner.domain, self.codomain, [
             _lincomb(field, ((c, cols[k]) for k, c in col.items()))
             for col in inner.columns])
 
@@ -916,5 +913,5 @@ def subalgebra(parent, span, unit_vec, labels=None):
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
     alg = make_algebra(parent.field, products, unit_coords, labels=labels)
-    include = AlgebraMap.from_columns(alg, parent, list(span.basis))
+    include = AlgebraMap(alg, parent, span._rows.values())
     return alg, include

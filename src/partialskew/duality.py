@@ -142,7 +142,7 @@ def build_duality(smash):
             c = pa.dot_vec(grp.inv(h), ginv_a)
             gh = grp.mul(g, h)
             cols.append({mat.slot(gh, h, t): x for t, x in enumerate(c) if x})
-    phi = AlgebraMap.from_sparse(smash.algebra, mat, cols)
+    phi = AlgebraMap(smash.algebra, mat, cols)
 
     _verify_twisted_entry_identity(pa)
     if not phi.is_multiplicative():

@@ -25,6 +25,10 @@ validated through ``make_algebra``:
 
 Around them sit the partial coaction induced by a partial action and the
 corner maps into A⊗End(H) with their corner idempotent.
+
+A partial Hopf action enters as one dense matrix per basis vector of H,
+checked for shape and field, and is kept only as the sparse columns
+``acts[i][x]`` = b_i ▷ a_x.  The antipode and its inverse stay dense.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .algebras import (AlgebraMap, _add, _lincomb, _outer, field_algebra,
                        group_algebra, make_algebra, matrix_algebra,
                        smash_algebra, tensor_algebra)
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
-                     Axiom3Fails, HopfAxiomFails, InternalCheckFailed,
-                     ValidationError)
+                     Axiom3Fails, FieldMismatch, HopfAxiomFails,
+                     InternalCheckFailed, ValidationError)
 from .linalg import Mat, Subspace, _sparse
 from .report import check
 
@@ -126,7 +130,7 @@ def make_hopf(algebra, comul, counit, antipode):
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
     # summed over Δ(b_i) equal ε(b_i)·1
     mul = algebra._mul_sparse
-    s_cols = [_sparse(col) for col in antipode.columns()]
+    s_cols = antipode.sparse_columns()
     for i in range(d):
         want = _lincomb(field, [(counit[i], unit)])
         if (_lincomb(field, ((v, mul(s_cols[k], {l: 1})) for k, l, v in comul[i])) != want
@@ -228,11 +232,11 @@ def build_representations(h):
                        _outer(field, dual.algebra.unit, h.algebra.unit))
 
     lam_ops, rho_ops = ops = _basis_operators(h)
-    lam = AlgebraMap.from_sparse(ls, end, [_end_vec(op) for row in lam_ops for op in row])
+    lam = AlgebraMap(ls, end, [_end_vec(op) for row in lam_ops for op in row])
     if not (lam.is_multiplicative() and lam.is_unital()):
         raise InternalCheckFailed("left operator representation is not an algebra map")
 
-    rho = AlgebraMap.from_sparse(rs, end, [_end_vec(op) for row in rho_ops for op in row])
+    rho = AlgebraMap(rs, end, [_end_vec(op) for row in rho_ops for op in row])
     if not rho.is_unital():
         raise InternalCheckFailed("right operator representation is not unital")
     if rho._multiplicativity_witness(anti=True) is not None:
@@ -286,7 +290,7 @@ def _verify_exchange_identity(h, ops=None):
     # the nonempty columns of λ(b_t#p_b), at [b][t]
     lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
                  for t in range(d)] for b in range(d)]
-    s_g = [_sparse(dual.antipode.column(u)) for u in range(d)]
+    s_g = dual.antipode.sparse_columns()
     for a in range(d):
         # b_a ↼ S(p_u)
         twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items())).items()
@@ -316,18 +320,13 @@ def _verify_exchange_identity(h, ops=None):
 # -- partial Hopf actions -------------------------------------------------
 
 class PartialHopfAction:
-    __slots__ = ("hopf", "algebra", "mats", "source", "acts")
+    __slots__ = ("hopf", "algebra", "source", "acts")
 
-    def __init__(self, hopf, algebra, mats, source=None):
+    def __init__(self, hopf, algebra, acts, source=None):
         self.hopf = hopf
         self.algebra = algebra
-        self.mats = tuple(mats)
         self.source = source
-        # acts[i][x]: b_i ▷ a_x as {index: scalar}
-        self.acts = [[_sparse(col) for col in m.columns()] for m in self.mats]
-
-    def act(self, i, avec):
-        return self.mats[i].apply(avec)
+        self.acts = acts    # acts[i][x]: b_i ▷ a_x as {index: scalar}
 
 
 def make_partial_hopf_action(h, algebra, mats):
@@ -338,14 +337,17 @@ def make_partial_hopf_action(h, algebra, mats):
     the right for every tuple at once, keyed (x·dA + y)·dA + t at (b_i, a_x,
     a_y) and (j·dA + x)·dA + t at (b_i, b_j, a_x), t the coefficient of a_t.
     """
-    if len(mats) != h.dim:
-        raise ValidationError("need one action matrix per Hopf basis element")
-    if any(m.rows != algebra.dim or m.cols != algebra.dim for m in mats):
-        raise ValidationError("action matrices must be square of the algebra dimension")
-    pha = PartialHopfAction(h, algebra, mats)
     d, da = h.dim, algebra.dim
     field = algebra.field
-    acts = pha.acts
+    if len(mats) != d:
+        raise ValidationError("need one action matrix per Hopf basis element")
+    for m in mats:
+        if not isinstance(m, Mat) or m.rows != da or m.cols != da:
+            raise ValidationError("action matrices must be square of the algebra dimension")
+        if m.field != field:
+            raise FieldMismatch(m.field, field)
+    acts = [m.sparse_columns() for m in mats]
+    pha = PartialHopfAction(h, algebra, acts)
     mul = algebra._mul_acc
     ha, aa = h.algebra.labels, algebra.labels
 
@@ -423,8 +425,7 @@ def coaction_report(pha):
     # δ(a_x) in A ⊗ H*, index a·d + i
     cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
             for x in range(da)]
-    pair = AlgebraMap.from_sparse(
-        alg, tensor_algebra(alg, dual.algebra), cols)._multiplicativity_witness()
+    pair = AlgebraMap(alg, tensor_algebra(alg, dual.algebra), cols)._multiplicativity_witness()
     counit_failure = _unit_act_failure(pha)
 
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j
@@ -490,7 +491,7 @@ def build_corner_maps(pha, reps=None):
     acts = pha.acts
 
     # ρ(S^{-1}(p_i)#1): x ↦ x ↼ S^{-1}(p_i), as a sparse vector of End(H)
-    s_inv = [_sparse(dual.antipode_inv.column(i)) for i in range(d)]
+    s_inv = dual.antipode_inv.sparse_columns()
     rho_sinv = [_end_vec([_lincomb(field, ((c, h.right_hits[m][x]) for m, c in s.items()))
                           for x in range(d)]) for s in s_inv]
 
@@ -498,7 +499,7 @@ def build_corner_maps(pha, reps=None):
     phi_cols = [_lincomb(field, ((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
                                  for i in range(d) for a, c in acts[i][x].items()))
                 for x in range(da)]
-    phi = AlgebraMap.from_sparse(alg, target, phi_cols)
+    phi = AlgebraMap(alg, target, phi_cols)
     if not phi.is_multiplicative():
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")
 
@@ -770,7 +771,7 @@ def operator_duality_report(pha, ps, maps=None):
     # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
     mul = target._mul_sparse
     cols = [mul(phi_x, psi) for phi_x in maps.phi.columns for psi in maps.psi_columns]
-    pair = AlgebraMap.from_sparse(triple, target, cols)._multiplicativity_witness()
+    pair = AlgebraMap(triple, target, cols)._multiplicativity_witness()
 
     bold = _lincomb(field, ((c, cols[t]) for t, c in
                             enumerate(_outer(field, ps.unit_vec, dual.algebra.unit)) if c))
@@ -852,7 +853,7 @@ def hopf_lift_suite(pa, skew_ring):
                          {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
 
     grp = pa.group
-    differs = next((g for g in range(grp.order) if pha.mats[g] != pa.maps[g]), None)
+    differs = next((g for g in range(grp.order) if pha.acts[g] != pa.columns[g]), None)
     results.append(check("hopf.lift_matches_group_dot", differs is None, {},
                          [] if differs is None else
                          [f"lifted action differs at {grp.label(differs)}"]))

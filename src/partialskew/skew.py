@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraMap, make_algebra
 from .errors import InternalCheckFailed
-from .linalg import Subspace, vzero
+from .linalg import Subspace, _sparse, vzero
 from .report import check
 
 
@@ -111,11 +111,9 @@ def build_skew(pa):
             vectors.append(tuple(v))
         components.append(Subspace.from_vectors(field, total, vectors))
 
-    embed_cols = []
-    for i in range(alg.dim):
-        embed_cols.append(tuple(coords_at(grp.identity,
-                                          alg.basis_element(i).coeffs)))
-    embed = AlgebraMap.from_columns(alg, skew_alg, embed_cols)
+    embed = AlgebraMap(alg, skew_alg, [
+        _sparse(coords_at(grp.identity, alg.basis_element(i).coeffs))
+        for i in range(alg.dim)])
     if not (embed.is_multiplicative() and embed.is_unital() and embed.is_injective()):
         raise InternalCheckFailed("base algebra does not embed as the identity component")
 

@@ -91,7 +91,7 @@ def build_smash(skew):
     if alg.products != closed:
         raise InternalCheckFailed("generic and closed smash products disagree")
 
-    embed = AlgebraMap.from_sparse(skew.algebra, alg, [
+    embed = AlgebraMap(skew.algebra, alg, [
         {j * n + h: one for h in range(n)} for j in range(ds)])
     if not (embed.is_multiplicative() and embed.is_unital() and embed.is_injective()):
         raise InternalCheckFailed("twisted group ring does not embed in its smash product")

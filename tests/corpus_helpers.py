@@ -21,6 +21,14 @@ def qvec(entries):
     return tuple(Fraction(x) for x in entries)
 
 
+def map_matrix(m):
+    """The dense matrix of an ``AlgebraMap``, built from its sparse columns:
+    the oracle that the dense tests compare against."""
+    zero = m.codomain.field.zero
+    return Mat(m.codomain.field, [[col.get(r, zero) for col in m.columns]
+                                  for r in range(m.codomain.dim)])
+
+
 def split_action():
     """The two-field split action of the order-2 group (scenario s1)."""
     k = product_of_fields(QQ, 1)

@@ -11,7 +11,7 @@ import sympy
 from partialskew.report import emit_report
 from partialskew.scenarios import fixture_path, run_scenario
 
-from corpus_helpers import corrupted_action_variants
+from corpus_helpers import corrupted_action_variants, map_matrix
 
 import pytest
 
@@ -75,7 +75,7 @@ def test_criterion_05_kernel_formula(corpus_reports, s1_duality):
         _assert_all_pass(report, "duality.kernel_formula")
     s1 = corpus_reports["s1.json"].named("duality.kernel_formula")
     assert s1.measured == {"kernel_dim": 1, "formula_dim": 1}
-    m = s1_duality.phi.matrix
+    m = map_matrix(s1_duality.phi)
     assert (m.rows, m.cols) == (8, 6)
     oracle_rank = sympy.Matrix(
         [[sympy.Rational(x) for x in row] for row in m.entries]).rank()

@@ -6,7 +6,7 @@ import pytest
 from partialskew.actions import (dot_identities_report, global_action,
                                  make_partial_action, restrict_global,
                                  trivial_from_split)
-from partialskew.algebras import product_of_fields
+from partialskew.algebras import field_algebra, matrix_algebra, product_of_fields
 from partialskew.errors import FieldMismatch, NotCentralIdempotent, NotIsoOnIdeal
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
@@ -124,6 +124,30 @@ def test_spec_named_rejections():
             cyclic(2), algebra,
             [qvec([1, 1]), qvec([2, 0])],
             [Mat.identity(QQ, 2), qmat([[1, 0], [0, 0]])])
+
+
+@pytest.mark.parametrize("markers, message", [
+    # E00 + E01 squares to itself but does not commute with E00; it is
+    # named at its group element, before the unit check at e
+    ((1, (1, 1, 0, 0)), "g=g: (1)*E[0,0]*1 + (1)*E[0,1]*1"),
+    (((1, 1, 0, 0), 1), "g=e: (1)*E[0,0]*1 + (1)*E[0,1]*1"),
+    ((1, (0, 0, 0, 0), (1, 0, 1, 0)), "g=g2: (1)*E[0,0]*1 + (1)*E[1,0]*1"),
+])
+def test_non_central_marker_is_named_at_its_element(markers, message):
+    m2 = matrix_algebra(field_algebra(QQ), 2)
+    markers = [m2.unit if e == 1 else qvec(e) for e in markers]
+    with pytest.raises(NotCentralIdempotent) as err:
+        make_partial_action(cyclic(len(markers)), m2, markers,
+                            [Mat.identity(QQ, 4)] * len(markers))
+    assert str(err.value) == f"not a central idempotent: {message}"
+
+
+def test_restriction_to_a_non_central_idempotent_is_refused():
+    m2 = matrix_algebra(field_algebra(QQ), 2)
+    parent = make_partial_action(cyclic(1), m2, [m2.unit], [Mat.identity(QQ, 4)])
+    with pytest.raises(NotCentralIdempotent) as err:
+        restrict_global(parent, m2.element(qvec([1, 1, 0, 0])))
+    assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1 + (1)*E[0,1]*1"
 
 
 # -- idempotents from the Python API go through the field's scalars --------

@@ -16,7 +16,7 @@ from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Mat, Subspace
 
-from corpus_helpers import qmat, qvec
+from corpus_helpers import map_matrix, qmat, qvec
 from fp_oracle import unwrap, wrap
 
 
@@ -370,12 +370,42 @@ def test_make_algebra_refuses_non_residues(cell, unit):
 
 def test_multiplicativity_witness_names_first_pair():
     kk = product_of_fields(QQ, 2)
-    double = AlgebraMap(kk, kk, qmat([[2, 0], [0, 2]]))
+    double = AlgebraMap(kk, kk, qmat([[2, 0], [0, 2]]).sparse_columns())
     assert not double.is_multiplicative()
     i, j = double._multiplicativity_witness()
     assert (kk.labels[i], kk.labels[j]) == ("e0", "e0")
-    ident = AlgebraMap(kk, kk, Mat.identity(QQ, 2))
+    ident = AlgebraMap(kk, kk, Mat.identity(QQ, 2).sparse_columns())
     assert ident._multiplicativity_witness() is None
+
+
+def test_map_columns_are_checked_against_both_dimensions():
+    # a row key outside the codomain would be skipped by some readers of the
+    # columns and index out of range in others
+    kk = product_of_fields(QQ, 2)
+    with pytest.raises(ValueError, match="index outside 0..1"):
+        AlgebraMap(kk, kk, [{0: 1}, {5: 1}])
+    with pytest.raises(ValueError, match="index outside 0..1"):
+        AlgebraMap(kk, kk, [{0: 1}, {-1: 1}])
+    with pytest.raises(ValueError, match="3 columns, domain dimension is 2"):
+        AlgebraMap(kk, kk, [{0: 1}, {1: 1}, {}])
+    with pytest.raises(ValueError, match="1 columns, domain dimension is 2"):
+        AlgebraMap(kk, kk, [{0: 1}])
+
+
+def test_map_applies_its_sparse_columns():
+    # the sparse route against the dense matrix of the same map, over F_5
+    # with unreduced representatives in the columns
+    field = GF(5)
+    kk = product_of_fields(field, 3)
+    columns = [{0: 7, 2: 5}, {}, {1: -1, 2: 3}]
+    phi = AlgebraMap(kk, kk, columns)
+    assert phi.columns == [{0: 2}, {}, {1: 4, 2: 3}]
+    dense = map_matrix(phi)
+    for vec in [(1, 2, 3), (0, 4, 0), (0, 0, 0), (4, 4, 4)]:
+        assert phi.apply_vec(vec) == dense.apply(vec)
+        assert phi.apply(kk.element(vec)).coeffs == dense.apply(vec)
+    with pytest.raises(ValueError, match="vector of length 2 in dimension 3"):
+        phi.apply_vec((1, 2))
 
 
 # -- sparse builders against an independent dense route --------------------

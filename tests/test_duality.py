@@ -18,7 +18,7 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
 from partialskew.skew import build_skew
 from partialskew.smash import SmashAlgebra, build_smash
 
-from corpus_helpers import qvec, z3_restricted_action
+from corpus_helpers import map_matrix, qvec, z3_restricted_action
 from fp_oracle import unwrap, wrap
 
 
@@ -52,7 +52,7 @@ def test_s1_corner_idempotent(s1_duality):
 
 def test_s1_rank_against_sympy(s1_duality):
     # independent oracle: exact rank of the assembled 8x6 matrix
-    m = s1_duality.phi.matrix
+    m = map_matrix(s1_duality.phi)
     assert (m.rows, m.cols) == (8, 6)
     sm = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.entries])
     assert sm.rank() == 5
@@ -117,7 +117,7 @@ def test_trivial_group_degeneration():
                             cyclic(1))
     d = build_duality(build_smash(build_skew(pa)))
     assert d.smash.dim == 2 and d.mat.dim == 2
-    assert d.phi.matrix == Mat.identity(QQ, 2)
+    assert map_matrix(d.phi) == Mat.identity(QQ, 2)
     assert d.kernel.is_zero() and d.image.is_full()
     for c in separability_report(d.smash):
         assert c.status == "pass"
@@ -204,7 +204,7 @@ def s3_smash_fp5():
 @pytest.fixture(scope="module")
 def s3_oracle_fp5(s3_smash_fp5):
     smash = s3_smash_fp5
-    return TensorOverSubring(smash.algebra, smash.embed_skew().matrix.columns())
+    return TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew()).columns())
 
 
 def _tensor_image_kernel(smash):
@@ -235,7 +235,7 @@ def test_balancing_relations_are_the_kernel_of_the_tensor_image(name, field):
     # the balancing relations of B⊗B over the twisted ring are exactly the
     # kernel of Φ: B⊗B → B^{|G|}, so deciding in B^{|G|} loses nothing
     smash = _fixture_smash(load_scenario(fixture_path(name)), parse_field(field))
-    oracle = TensorOverSubring(smash.algebra, smash.embed_skew().matrix.columns())
+    oracle = TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew()).columns())
     _assert_relations_are_kernel(smash, oracle)
 
 
@@ -248,7 +248,7 @@ def test_s3_balancing_relations_are_the_kernel_of_the_tensor_image(
 
 def test_tensor_image_machinery(s1_smash):
     b = s1_smash.algebra
-    sub = s1_smash.embed_skew().matrix.columns()
+    sub = map_matrix(s1_smash.embed_skew()).columns()
     one = b.field.one
     x, y = {0: one}, {2: one}
     # x·b ⊗ y and x ⊗ b·y have the same image, by construction
@@ -277,7 +277,7 @@ def _shifted(smash, s):
 
 
 def _both_routes(smash, oracle, element):
-    sub = smash.embed_skew().matrix.columns()
+    sub = map_matrix(smash.embed_skew()).columns()
     return (_centrality_witness(smash, element) is None,
             oracle.centralizes(element, sub))
 
@@ -285,7 +285,7 @@ def _both_routes(smash, oracle, element):
 def test_non_central_element_rejected_by_both_routes(s1_smash, s3_smash_fp5,
                                                      s3_oracle_fp5):
     s1_oracle = TensorOverSubring(s1_smash.algebra,
-                                  s1_smash.embed_skew().matrix.columns())
+                                  map_matrix(s1_smash.embed_skew()).columns())
     for smash, oracle in ((s1_smash, s1_oracle), (s3_smash_fp5, s3_oracle_fp5)):
         e = smash.group.identity
         units = smash.dual_units()
@@ -346,9 +346,9 @@ def test_separability_refuses_a_smash_that_is_not_free(s1_smash):
     # an embedding scaled by 2 breaks ι(b_j)·(1#p_h) = b_j#p_h at the first
     # pair, so the report must refuse before checking anything
     skew = s1_smash.skew
-    doubled = AlgebraMap.from_columns(
+    doubled = AlgebraMap(
         skew.algebra, s1_smash.algebra,
-        [tuple(2 * c for c in col) for col in s1_smash.embed_skew().matrix.columns()])
+        [{t: 2 * c for t, c in col.items()} for col in s1_smash.embed_skew().columns])
     broken = SmashAlgebra(s1_smash.algebra, skew, doubled)
     with pytest.raises(InternalCheckFailed) as err:
         separability_report(broken)

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import pytest
 
 from partialskew import hopf
-from partialskew.algebras import StructureAlgebra, field_algebra, group_algebra
-from partialskew.errors import (Axiom2Fails, HopfAxiomFails,
+from partialskew.actions import PartialAction
+from partialskew.algebras import (StructureAlgebra, field_algebra, group_algebra,
+                                  product_of_fields)
+from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
@@ -20,7 +22,8 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg
 from partialskew.linalg import Mat, Subspace, _sparse
 from partialskew.skew import build_skew
 
-from corpus_helpers import global_swap_action, qmat, qvec, z3_restricted_action
+from corpus_helpers import (global_swap_action, map_matrix, qmat, qvec,
+                            z3_restricted_action)
 from fp_oracle import unwrap, wrap
 
 
@@ -308,7 +311,7 @@ def test_partial_hopf_action_lift(s1_action):
     for g in range(2):
         for i in range(2):
             basis = s1_action.algebra.basis_element(i).coeffs
-            assert pha.act(g, basis) == s1_action.dot_vec(g, basis)
+            assert pha.acts[g][i] == _sparse(s1_action.dot_vec(g, basis))
 
 
 def test_global_lift_accepted():
@@ -321,6 +324,22 @@ def test_unit_action_violation_rejected(s1_action):
     h = group_hopf(QQ, cyclic(2))
     with pytest.raises(Axiom2Fails):
         make_partial_hopf_action(h, s1_action.algebra, [proj, proj])
+
+
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2)])
+def test_action_matrix_over_another_field_is_refused(entry):
+    # Q matrices over GF(5) are refused by field, before any axiom: an
+    # integral one would pass them and a 1/2 entry would fail axiom 1
+    field = GF(5)
+    algebra = product_of_fields(field, 2)
+    h = group_hopf(field, cyclic(2))
+    mats = [Mat.identity(QQ, 2), Mat(QQ, [[entry, 0], [0, 0]])]
+    with pytest.raises(FieldMismatch):
+        make_partial_hopf_action(h, algebra, mats)
+    with pytest.raises(FieldMismatch):
+        make_partial_hopf_action(h, algebra, [Mat.identity(field, 2), mats[1]])
+    assert make_partial_hopf_action(
+        h, algebra, [Mat.identity(field, 2), Mat(field, [[1, 0], [0, 0]])]).acts
 
 
 def test_coaction_s1(s1_action):
@@ -359,11 +378,17 @@ def test_partial_smash_s1(s1_action, s1_skew):
         assert c.status == "pass", (c.name, c.measured)
 
 
+def _unchecked(s1_action, *mats):
+    """An action of the order-2 group Hopf algebra on the algebra of s1 with
+    these matrices, built directly so that no axiom is checked."""
+    return PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
+                             [m.sparse_columns() for m in mats])
+
+
 def test_nonassociative_partial_smash_names_witness(s1_action):
     # 2·I is not an algebra map, so the twisted product on A⊗H is not
     # associative; the action is built directly to skip its validation
-    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
-                            [Mat.identity(QQ, 2), qmat([[2, 0], [0, 2]])])
+    pha = _unchecked(s1_action, Mat.identity(QQ, 2), qmat([[2, 0], [0, 2]]))
     with pytest.raises(InternalCheckFailed) as info:
         build_partial_smash(pha)
     assert "not associative" in str(info.value)
@@ -404,7 +429,7 @@ def test_trivial_group_hopf_degeneration():
     checks = hopf_lift_suite(pa, build_skew(pa))
     assert all(c.status == "pass" for c in checks)
     maps = build_corner_maps(lift_group_action(pa))
-    assert maps.phi.matrix == Mat.identity(QQ, 2)
+    assert map_matrix(maps.phi) == Mat.identity(QQ, 2)
     assert maps.target.dim == 2
 
 
@@ -548,7 +573,7 @@ def test_comodule_algebra_names_failing_property(s1_action, comul_g, counit,
                    h.antipode_inv)
     bad._dual = h.dual()
     check = _partial_smash_checks(
-        PartialHopfAction(bad, pha.algebra, pha.mats), ps.ambient, ps.sub,
+        PartialHopfAction(bad, pha.algebra, pha.acts), ps.ambient, ps.sub,
         ps.unit_vec)["psmash.comodule_algebra"]
     assert check.status == "fail"
     assert check.measured == measured
@@ -558,8 +583,7 @@ def test_comodule_algebra_names_failing_property(s1_action, comul_g, counit,
 def test_coaction_names_multiplicativity_witness(s1_action):
     # g doubles r_e0 only, so δ(r_e0) = r_e0⊗p_e + 2·r_e0⊗p_g squares to
     # r_e0⊗p_e + 4·r_e0⊗p_g; the unit e still acts as the identity
-    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
-                            [Mat.identity(QQ, 2), qmat([[1, 0], [0, 2]])])
+    pha = _unchecked(s1_action, Mat.identity(QQ, 2), qmat([[1, 0], [0, 2]]))
     results = {c.name: c for c in coaction_report(pha)}
     mult = results["coaction.multiplicative"]
     assert mult.status == "fail"
@@ -570,8 +594,7 @@ def test_coaction_names_multiplicativity_witness(s1_action):
 def test_coaction_names_counit_witness(s1_action):
     # the unit e acts as the projection onto l_e0, so 1 ▷ r_e0 = 0; δ stays
     # multiplicative because both action matrices are algebra maps
-    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
-                            [qmat([[1, 0], [0, 0]]), Mat.identity(QQ, 2)])
+    pha = _unchecked(s1_action, qmat([[1, 0], [0, 0]]), Mat.identity(QQ, 2))
     results = {c.name: c for c in coaction_report(pha)}
     counit = results["coaction.counit"]
     assert counit.status == "fail"
@@ -583,8 +606,7 @@ def test_coaction_names_weak_coassociativity_witness(s1_action):
     # g sends l_e0 to r_e0 and kills r_e0, an algebra map that is not
     # unital, so δ stays multiplicative; the weak law holds on l_e0 but
     # fails on r_e0, while the strict law already fails on l_e0
-    pha = PartialHopfAction(group_hopf(QQ, cyclic(2)), s1_action.algebra,
-                            [Mat.identity(QQ, 2), qmat([[0, 0], [1, 0]])])
+    pha = _unchecked(s1_action, Mat.identity(QQ, 2), qmat([[0, 0], [1, 0]]))
     results = {c.name: c for c in coaction_report(pha)}
     weak = results["coaction.weak_coassociativity"]
     assert weak.status == "fail"
@@ -667,19 +689,15 @@ def test_matches_skew_ring_names_its_failure(s1_action, s1_skew, corner, unit, r
     assert result.witnesses == [witness]
 
 
-def test_lift_matches_group_dot_names_the_element(monkeypatch, s1_action):
-    # the lifted matrix of g is doubled after the lift; the action the rest
-    # of the suite reads (its sparse columns) is left as it was
-    lift = lift_group_action
-
-    def tampered_lift(pa):
-        pha = lift(pa)
-        pha.mats = (pha.mats[0], Mat(QQ, [[2 * x for x in row]
-                                          for row in pha.mats[1].entries]))
-        return pha
-
-    monkeypatch.setattr(hopf, "lift_group_action", tampered_lift)
-    results = hopf_lift_suite(s1_action, build_skew(s1_action))
+def test_lift_matches_group_dot_names_the_element(s1_action):
+    # the group dot of g (the action's sparse columns) is doubled after
+    # validation; the lift is made from the validated maps and the rest of
+    # the suite reads the lift, so only the comparison sees the change
+    pa = s1_action
+    tampered = PartialAction(pa.group, pa.algebra, pa.idempotents, pa.maps, pa.ideals)
+    tampered.columns = (pa.columns[0],
+                        [{t: 2 * x for t, x in col.items()} for col in pa.columns[1]])
+    results = hopf_lift_suite(tampered, build_skew(pa))
     failed = [(c.name, c.witnesses) for c in results if c.status == "fail"]
     assert failed == [("hopf.lift_matches_group_dot", ["lifted action differs at g"])]
 

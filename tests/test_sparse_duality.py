@@ -37,6 +37,7 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
 
+from corpus_helpers import map_matrix
 from test_golden_reports import INLINE
 
 FIELDS = ("q", "fp:5", "fp:2")
@@ -173,7 +174,7 @@ def _dense_pierce(d):
 
 def _dense_composite(d):
     """φ∘ι by the dense matrix product."""
-    return d.phi.matrix @ d.smash.embed_skew().matrix
+    return map_matrix(d.phi) @ map_matrix(d.smash.embed_skew())
 
 
 # -- agreement on the corpus and S₃ ----------------------------------------
@@ -266,7 +267,7 @@ def test_entry_identity_and_corner_match_dense_routes(name, field):
     assert pierce.measured["pierce_dim"] == _dense_pierce(d).dim
     assert _dense_pierce(d) == d.image
     composite = d.phi.compose(d.smash.embed_skew())
-    assert composite.matrix == _dense_composite(d)
+    assert map_matrix(composite) == _dense_composite(d)
     assert composite.kernel() == kernel_basis(_dense_composite(d))
     injective = skew_injectivity_report(d)[0]
     assert injective.measured["kernel_dim"] == kernel_basis(_dense_composite(d)).dim
