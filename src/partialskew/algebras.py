@@ -1,11 +1,13 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
 An algebra of dimension d over an exact field is stored as sparse product
-rows: ``products[i][j]`` lists the pairs (k, v) with v != 0 such that
-b_i·b_j = Σ v·b_k, sorted by k.  No dense d×d×d table exists; every builder
-emits these rows directly, and dense constants (a scenario's ``constants``)
-are converted once where they enter.  ``make_algebra`` checks the shape of
-the rows and puts each cell in index order, then re-proves associativity and
+rows: ``products[i]`` is a dict ``{j: cell}`` holding only the nonempty
+cells, in ascending j, and the cell of b_i·b_j lists the pairs (k, v) with
+v != 0 such that b_i·b_j = Σ v·b_k, sorted by k.  No empty cell is stored:
+a point lookup is ``products[i].get(j, ())``.  Every builder emits these
+rows directly, and dense constants (a scenario's ``constants``) are
+converted once where they enter.  ``make_algebra`` checks the shape of the
+rows and puts each cell in index order, then re-proves associativity and
 the unit law on every basis triple before handing the algebra out; derived
 constructions (matrix algebras, direct products) are built from validated
 parts and verified through their own characteristic identities.  A tensor
@@ -23,8 +25,8 @@ the smallest nonzero key is the first failure of a tuple-by-tuple loop.
 Associativity keeps one accumulator per middle index j, covering every
 (i, k), and walks the nonempty cells of the product table by row and by
 column (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that
-index in its shape pass, so the check reads no empty cell and allocates
-nothing per pair, and ``center_basis`` and ``smash_algebra`` reuse it.
+index in its shape pass, so the check allocates nothing per pair, and
+``center_basis`` and ``smash_algebra`` reuse it.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
 ``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
@@ -36,6 +38,7 @@ they are reduced and anything but an ``int`` is refused.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
@@ -47,18 +50,20 @@ from .linalg import Subspace, _sparse, vadd, vscale, vsub, vzero
 class StructureAlgebra:
     """Unital (or, when unit is None, non-unital) structure-constant algebra.
 
-    ``products[i][j]`` is the product b_i·b_j as a tuple of (k, v) pairs,
-    one per nonzero coefficient v of b_k, sorted by k.  These sparse rows are
-    the only copy of the structure constants.  The cells arrive in that
-    form and are stored as they are: ``make_algebra`` sorts the cells of
-    the tables it is given, and the matrix, product and tensor builders
-    emit sorted cells from sorted factors.
+    ``products[i]`` is the row of b_i: a dict ``{j: cell}`` over the j with
+    b_i·b_j != 0, in ascending j, each cell a tuple of (k, v) pairs, one per
+    nonzero coefficient v of b_k, sorted by k.  No empty cell is stored, so
+    b_i·b_j is ``products[i].get(j, ())``.  These sparse rows are the only
+    copy of the structure constants.  The rows arrive in that form and are
+    stored as they are: ``make_algebra`` canonicalises the tables it is
+    given, and the matrix, product and tensor builders emit sorted rows of
+    sorted cells from sorted factors.
     """
 
     def __init__(self, field, products, unit, labels=None):
         self.field = field
         self.dim = len(products)
-        self.products = tuple(tuple(row) for row in products)
+        self.products = tuple(products)
         self.unit = None if unit is None else tuple(unit)
         if labels is None:
             labels = [f"b{i}" for i in range(self.dim)]
@@ -70,8 +75,7 @@ class StructureAlgebra:
         by_row[i] lists the pairs (j, b_i·b_j), by_col[j] the pairs
         (i, b_i·b_j), in index order.  ``make_algebra`` sets it from its
         shape pass; any other algebra derives it on first read."""
-        by_row = [[(j, cell) for j, cell in enumerate(row) if cell]
-                  for row in self.products]
+        by_row = [row.items() for row in self.products]
         by_col = [[] for _ in range(self.dim)]
         for i, row in enumerate(by_row):
             for j, cell in row:
@@ -108,11 +112,13 @@ class StructureAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = products[i]
+            get = products[i].get
             for j, yj in ys:
-                c = xi * yj
-                for k, v in row[j]:
-                    out[k] += c * v
+                cell = get(j)
+                if cell:
+                    c = xi * yj
+                    for k, v in cell:
+                        out[k] += c * v
         return self.field.vector(out)
 
     def _mul_sparse(self, x, y):
@@ -126,31 +132,31 @@ class StructureAlgebra:
         get = acc.get
         products = self.products
         for i, xi in x.items():
-            row = products[i]
+            cell_at = products[i].get
             for j, yj in y.items():
-                c = xi * yj
-                for k, v in row[j]:
-                    acc[k] = get(k, 0) + c * v
+                cell = cell_at(j)
+                if cell:
+                    c = xi * yj
+                    for k, v in cell:
+                        acc[k] = get(k, 0) + c * v
         return acc
 
     def _basis_times_vec(self, i, y):
         out = [0] * self.dim
-        row = self.products[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            for k, v in row[j]:
-                out[k] += yj * v
+        for j, cell in self.products[i].items():
+            yj = y[j]
+            if yj:
+                for k, v in cell:
+                    out[k] += yj * v
         return self.field.vector(out)
 
     def _vec_times_basis(self, x, j):
         out = [0] * self.dim
         products = self.products
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for k, v in products[i][j]:
-                out[k] += xi * v
+            if xi:
+                for k, v in products[i].get(j, ()):
+                    out[k] += xi * v
         return self.field.vector(out)
 
     def format_vec(self, coeffs):
@@ -312,22 +318,33 @@ def _associativity_witness(alg):
 
 
 def _canonical_cells(field, products, unit, d):
-    """The shape pass of ``make_algebra``: the rows with every cell a tuple
-    sorted by index, and the (by_row, by_col) index of their nonempty cells
-    in the form of ``StructureAlgebra.nonempty_cells``; ValueError for a
-    malformed table."""
+    """The shape pass of ``make_algebra``, one walk over the given cells:
+    the rows in the form of ``StructureAlgebra.products``, and the
+    (by_row, by_col) index of ``StructureAlgebra.nonempty_cells``;
+    ValueError for a malformed table.
+
+    A row is a dict ``{j: cell}`` or a sequence of d cells.  Every j must be
+    an ``int`` in range; every cell has indices in range, no zero and no
+    repeated index, and over F_p residues in [0, p).  An empty cell is
+    dropped, each cell is sorted by index and each row by j."""
+    p = field.characteristic
+    bad = None   # the first scalar that is not a residue, raised last
     rows = []
-    by_row = []
     by_col = [[] for _ in range(d)]
     for i, row in enumerate(products):
-        if len(row) != d:
+        if isinstance(row, Mapping):
+            row = row.items()
+        elif len(row) == d:
+            row = enumerate(row)
+        else:
             raise ValueError("structure constants are not d x d cells")
-        cells = []
-        nonempty = []
-        for j, cell in enumerate(row):
+        cells = {}
+        ascending, last = True, -1
+        for j, cell in row:
+            if not (isinstance(j, int) and 0 <= j < d):
+                raise ValueError("structure constants are not d x d cells")
             size = len(cell)
             if not size:
-                cells.append(())
                 continue
             for k, v in cell:
                 if not (isinstance(k, int) and 0 <= k < d):
@@ -338,33 +355,40 @@ def _canonical_cells(field, products, unit, d):
                 cell = sorted(cell, key=_index)
                 if len({k for k, _ in cell}) != size:
                     raise ValueError("structure constant cell repeats an index")
-            cell = tuple(cell)
-            nonempty.append((j, cell))
+            if p and bad is None:
+                for _, v in cell:
+                    if type(v) is not int or not 0 <= v < p:
+                        bad = v
+                        break
+            cells[j] = tuple(cell)
+            if j < last:
+                ascending = False
+            last = j
+        if not ascending:
+            cells = dict(sorted(cells.items()))
+        for j, cell in cells.items():
             by_col[j].append((i, cell))
-            cells.append(cell)
         rows.append(cells)
-        by_row.append(nonempty)
     if unit is not None and len(unit) != d:
         raise ValueError("unit vector has wrong length")
-    p = field.characteristic
-    if p:
-        scalars = [v for row in rows for cell in row for _, v in cell]
-        bad = next((x for x in scalars + list(unit or ())
-                    if type(x) is not int or not 0 <= x < p), None)
-        if bad is not None:
-            raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
-    return rows, (by_row, by_col)
+    if p and bad is None:
+        bad = next((x for x in unit or () if type(x) is not int or not 0 <= x < p), None)
+    if bad is not None:
+        raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
+    return rows, ([row.items() for row in rows], by_col)
 
 
 def make_algebra(field, products, unit, labels=None):
     """Validate sparse structure constants exhaustively and return the algebra.
 
-    ``products[i][j]`` lists the (k, v) pairs, v nonzero, of b_i·b_j.  Their
-    shape is checked first: d×d cells, indices in range, no zero and no
-    repeated index, and over F_p every scalar a residue in [0, p) (see
-    :mod:`fields`); each cell is put in index order in the same pass.
-    Associativity is then checked on all d^3 basis triples and the unit law
-    on every basis element; the first failure names its witness.
+    ``products[i]`` is row i, a dict ``{j: cell}`` or a sequence of d cells,
+    where the cell of b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j.
+    Their shape is checked first, by the walk that also stores them in the
+    form of ``StructureAlgebra.products`` (``_canonical_cells``): every j and
+    index in range, no zero and no repeated index, and over F_p every scalar
+    a residue in [0, p) (see :mod:`fields`).  Associativity is then checked
+    on all d^3 basis triples and the unit law on every basis element; the
+    first failure names its witness.
     """
     d = len(products)
     rows, index = _canonical_cells(field, products, unit, d)
@@ -487,7 +511,7 @@ def center_basis(alg, generators=None):
 def _idempotent_products(field, m):
     """Sparse rows of m orthogonal idempotents: e_i e_j = [i = j] e_i."""
     one = field.one
-    return [[((i, one),) if i == j else () for j in range(m)] for i in range(m)]
+    return [{i: ((i, one),)} for i in range(m)]
 
 
 def field_algebra(field):
@@ -508,7 +532,7 @@ def group_algebra(field, group):
     """Algebra with the group elements as basis and the Cayley table as product."""
     zero, one = field.zero, field.one
     d = group.order
-    products = [[((group.mul(i, j), one),) for j in range(d)] for i in range(d)]
+    products = [{j: ((group.mul(i, j), one),) for j in range(d)} for i in range(d)]
     unit = [one if i == group.identity else zero for i in range(d)]
     return make_algebra(field, products, unit, labels=group.labels)
 
@@ -529,8 +553,8 @@ class ProductAlgebra(StructureAlgebra):
             raise FieldMismatch(left.field, right.field)
         field = left.field
         dl, dr = left.dim, right.dim
-        products = [list(row) + [()] * dr for row in left.products]
-        products += [[()] * dl + [tuple((dl + k, v) for k, v in cell) for cell in row]
+        products = list(left.products)
+        products += [{dl + j: tuple((dl + k, v) for k, v in cell) for j, cell in row.items()}
                      for row in right.products]
         unit = list(left.unit) + list(right.unit)
         labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
@@ -564,18 +588,17 @@ class MatrixAlgebra(StructureAlgebra):
         def idx(r, s, i):
             return (r * n + s) * d + i
 
-        # (E_{gh} x)(E_{hs} y) = E_{gs} xy; every other product of units is 0
+        # (E_{gh} a_i)(E_{hs} a_j) = E_{gs} a_i a_j; every other product of
+        # units is 0.  The cell depends on (g, s, i, j), not on h: row
+        # (g, h, i) is the row of (g, i) shifted by h·n·d, sharing its cells
         products = []
         for g in range(n):
+            shifted = [[(s * d + j, tuple((idx(g, s, k), v) for k, v in cell))
+                        for s in range(n) for j, cell in base_row.items()]
+                       for base_row in base.products]
             for h in range(n):
-                for i in range(d):
-                    base_row = base.products[i]
-                    row = [()] * dim
-                    for s in range(n):
-                        for j in range(d):
-                            row[idx(h, s, j)] = tuple((idx(g, s, k), v)
-                                                      for k, v in base_row[j])
-                    products.append(row)
+                offset = h * n * d
+                products += ({offset + y: cell for y, cell in row} for row in shifted)
         unit = [zero] * dim
         for g in range(n):
             for i, v in enumerate(base.unit):
@@ -630,9 +653,7 @@ class MatrixAlgebra(StructureAlgebra):
                 acc = {}
                 get = acc.get
                 for x, cx in eu[g][h].items():
-                    for y, cell in enumerate(self.products[x]):
-                        if not cell:
-                            continue
+                    for y, cell in self.products[x].items():
                         rs, i = divmod(y, d)
                         cy = base_unit.get(i)
                         if cy is None:
@@ -689,16 +710,15 @@ class TensorAlgebra(StructureAlgebra):
     @cached_property
     def products(self):
         # a product of nonzero constants is nonzero, and a product of
-        # sorted cells is sorted by a·dim(right) + b; a cell with an empty
-        # factor cell is empty
+        # sorted cells (or rows) is sorted by a·dim(right) + b; a cell with
+        # an empty factor cell is empty
         left, right = self.tensor_factors
         dr = right.dim
         sparse = self.field.sparse
         return tuple(
-            tuple(tuple(sparse({a * dr + b: va * vb for a, va in lcell
-                                for b, vb in rcell}).items())
-                  if lcell and rcell else ()
-                  for lcell in lrow for rcell in rrow)
+            {lj * dr + rj: tuple(sparse({a * dr + b: va * vb for a, va in lcell
+                                         for b, vb in rcell}).items())
+             for lj, lcell in lrow.items() for rj, rcell in rrow.items()}
             for lrow in left.products for rrow in right.products)
 
     def _mul_acc(self, x, y):
@@ -713,9 +733,9 @@ class TensorAlgebra(StructureAlgebra):
         acc = {}
         get = acc.get
         for i, xi in _legs(x, dr).items():
-            row = rows[i]
+            cell_at = rows[i].get
             for k, yk in ys:
-                cell = row[k]
+                cell = cell_at(k)
                 if not cell:
                     continue
                 legs = right._mul_acc(xi, yk).items()
@@ -745,9 +765,9 @@ def smash_algebra(a, b, comul, acted, unit):
     the product has no global unit.  Each x·(b_k▷y) is formed once per
     (x, k, y), a term whose x·(b_k▷y) is zero is skipped, and each term
     walks only the nonempty cells of its row of B (one per row for k^G);
-    a cell no term reaches is emitted as ``()``.  The sparse
-    rows are validated by ``make_algebra``; since every caller builds it from
-    validated data, a failure is internal.
+    a cell no term reaches, or whose terms cancel, is not emitted.  The
+    sparse rows are validated by ``make_algebra``; since every caller builds
+    it from validated data, a failure is internal.
     """
     field = a.field
     sparse = field.sparse
@@ -762,7 +782,7 @@ def smash_algebra(a, b, comul, acted, unit):
         xky = [[a._mul_sparse(ex, acted[k][y]).items() for y in range(da)]
                for k in range(db)]
         for i in range(db):
-            row = []
+            row = {}
             for y in range(da):
                 # the cells of (x#b_i)(y#b_j) for every j at once, over the
                 # nonempty cells b_l·b_j of the rows the terms of Δ(b_i) reach
@@ -781,8 +801,11 @@ def smash_algebra(a, b, comul, acted, unit):
                             for s, w in xs:
                                 key = s * db + t
                                 cell[key] = get(key, 0) + vu * w
-                row.extend(tuple(sparse(cells[j]).items()) if j in cells else ()
-                           for j in range(db))
+                base = y * db
+                for j in sorted(cells):
+                    cell = sparse(cells[j])
+                    if cell:
+                        row[base + j] = tuple(cell.items())
             products.append(row)
     labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
     try:
@@ -792,8 +815,9 @@ def smash_algebra(a, b, comul, acted, unit):
 
 
 class AlgebraMap:
-    """A linear map between algebras, stored only as its columns: column j is
-    the image of basis vector j as a canonical ``{index: scalar}`` dict.
+    """A linear map between algebras over one field (FieldMismatch
+    otherwise), stored only as its columns: column j is the image of basis
+    vector j as a canonical ``{index: scalar}`` dict.
 
     Multiplicativity and unitality are checkable predicates, not assumptions:
     several maps in this package are homomorphisms only by theorem.
@@ -802,6 +826,8 @@ class AlgebraMap:
     __slots__ = ("domain", "codomain", "columns")
 
     def __init__(self, domain, codomain, columns):
+        if domain.field != codomain.field:
+            raise FieldMismatch(domain.field, codomain.field)
         sparse = domain.field.sparse
         columns = [sparse(col) for col in columns]
         if len(columns) != domain.dim:
@@ -852,16 +878,17 @@ class AlgebraMap:
         for i, row in enumerate(self.domain.products):
             acc = {}
             get = acc.get
-            for j, cell in enumerate(row):
+            for j, cell in row.items():
                 base = j * dc
                 for k, v in cell:
                     for t, x in cols[k]:
                         key = base + t
                         acc[key] = get(key, 0) + v * x
             for r, x in cols[i]:
+                row_r = rows[r]
                 for base, col in nonzero:
                     for s, y in col:
-                        cell = rows[s][r] if anti else rows[r][s]
+                        cell = rows[s].get(r) if anti else row_r.get(s)
                         if cell:
                             c = x * y
                             for t, v in cell:
@@ -902,12 +929,14 @@ def subalgebra(parent, span, unit_vec, labels=None):
     """
     products = []
     for u in span.basis:
-        row = []
-        for v in span.basis:
+        row = {}
+        for j, v in enumerate(span.basis):
             coords = span.coordinates_of(parent.mul_vec(u, v))
             if coords is None:
                 raise ValueError("subspace is not closed under multiplication")
-            row.append(tuple(_sparse(coords).items()))
+            cell = tuple(_sparse(coords).items())
+            if cell:
+                row[j] = cell
         products.append(row)
     unit_coords = span.coordinates_of(unit_vec)
     if unit_coords is None:

@@ -112,7 +112,9 @@ def make_hopf(algebra, comul, counit, antipode):
     reduce, labels = field.reduce, algebra.labels
     hh = tensor_algebra(algebra, algebra)
     for i in range(d):
-        for j, prod in enumerate(algebra.products[i]):
+        row = algebra.products[i]
+        for j in range(d):
+            prod = row.get(j, ())
             if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh._mul_sparse(cop[i], cop[j]):
                 axiom = "coproduct multiplicative"
             elif reduce(sum(c * counit[t] for t, c in prod) - counit[i] * counit[j]):
@@ -147,15 +149,15 @@ def _build_dual(h):
     field = h.algebra.field
     d = h.dim
     # the product of the dual is the transposed comultiplication, and back
-    products = [[[] for _ in range(d)] for _ in range(d)]
+    products = [{} for _ in range(d)]
     for i in range(d):
         for k, l, v in h.comul[i]:
-            products[k][l].append((i, v))
+            products[k].setdefault(l, []).append((i, v))
     dual_alg = make_algebra(field, products, list(h.counit),
                             labels=[f"p_{lab}" for lab in h.algebra.labels])
     dual_comul = [[] for _ in range(d)]
     for k, row in enumerate(h.algebra.products):
-        for l, cell in enumerate(row):
+        for l, cell in row.items():
             for i, v in cell:
                 dual_comul[i].append((k, l, v))
     return make_hopf(dual_alg, dual_comul, list(h.algebra.unit), h.antipode.transpose())
@@ -331,7 +333,8 @@ class PartialHopfAction:
 
 def make_partial_hopf_action(h, algebra, mats):
     """Validate the three weakened action axioms on all basis tuples, on
-    sparse vectors; each b_i ▷ a_x is formed once.
+    sparse vectors; each b_i ▷ a_x is formed once.  The Hopf algebra, the
+    algebra and every action matrix must share one field (FieldMismatch).
 
     Axioms 1 and 3 keep one accumulator per b_i, holding the left side minus
     the right for every tuple at once, keyed (x·dA + y)·dA + t at (b_i, a_x,
@@ -339,6 +342,8 @@ def make_partial_hopf_action(h, algebra, mats):
     """
     d, da = h.dim, algebra.dim
     field = algebra.field
+    if h.algebra.field != field:
+        raise FieldMismatch(h.algebra.field, field)
     if len(mats) != d:
         raise ValidationError("need one action matrix per Hopf basis element")
     for m in mats:
@@ -355,9 +360,10 @@ def make_partial_hopf_action(h, algebra, mats):
     for i in range(d):
         acc = {}
         for x in range(da):
+            row = algebra.products[x]
             for y in range(da):
                 base = (x * da + y) * da
-                for t, c in algebra.products[x][y]:
+                for t, c in row.get(y, ()):
                     _add(acc, base, c, acts[i][t].items())
                 for k, l, v in h.comul[i]:
                     _add(acc, base, -v, mul(acts[k][x], acts[l][y]).items())
@@ -374,7 +380,8 @@ def make_partial_hopf_action(h, algebra, mats):
     unit = _sparse(algebra.unit)
     unit_acts = [_lincomb(field, ((c, acts[k][y]) for y, c in unit.items()))
                  for k in range(d)]
-    lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))
+    hrows = h.algebra.products
+    lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in hrows[l].get(j, ())))
                  for x in range(da)] for j in range(d)] for l in range(d)]
     for i in range(d):
         acc = {}
@@ -673,12 +680,12 @@ def _dual_module_check(ps, su, uv):
             for k, l, w in dual.comul[m]:
                 for a in corner:
                     for r, x in acted[k][a].items():
-                        row = rows[r]
+                        cell_at = rows[r].get
                         for b in corner:
                             base = (a * n + b) * dim
                             for s, y in acted[l][b].items():
                                 c = w * x * y
-                                for t, v in row[s]:
+                                for t, v in cell_at(s, ()):
                                     acc[base + t] = get(base + t, 0) - c * v
             bad = field.sparse(acc)
             if bad:

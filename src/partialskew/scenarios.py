@@ -63,8 +63,9 @@ def _parse_vector(field, data, length=None):
 
 
 def _parse_cube(field, data, name, d=None):
-    """Sparse rows from a dense d×d×d array: row (i, j) lists the (k, v)
-    with ``data[i][j][k]`` = v nonzero.  d defaults to ``len(data)``."""
+    """Sparse rows from a dense d×d×d array: row i is ``{j: cell}`` over the
+    nonempty cells, and cell (i, j) lists the (k, v) with ``data[i][j][k]`` =
+    v nonzero.  d defaults to ``len(data)``."""
     if not isinstance(data, list):
         raise ParseError(f"{name} must be a d x d x d array")
     if d is None:
@@ -75,12 +76,14 @@ def _parse_cube(field, data, name, d=None):
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != d:
             raise ParseError(f"{name}[{i}] must be a list of {d} cells")
-        cells = []
+        cells = {}
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != d:
                 raise ParseError(f"{name}[{i}][{j}] must be a list of {d} entries")
             entries = [(k, _parse_scalar(field, x)) for k, x in enumerate(cell)]
-            cells.append([(k, v) for k, v in entries if v])
+            nonzero = [(k, v) for k, v in entries if v]
+            if nonzero:
+                cells[j] = nonzero
         rows.append(cells)
     return rows
 
@@ -275,7 +278,7 @@ def _explicit_hopf_checks(field, spec):
                                         if key in spec})
         d = algebra.dim
         comul = _parse_cube(field, spec["comultiplication"], "comultiplication", d)
-        triples = [[(k, l, v) for k, cell in enumerate(row) for l, v in cell]
+        triples = [[(k, l, v) for k, cell in row.items() for l, v in cell]
                    for row in comul]
         counit = _parse_vector(field, spec["counit"], d)
         antipode = _parse_matrix(field, spec["antipode"], d)

@@ -92,11 +92,13 @@ def build_skew(pa):
     products = []
     for g, i in tags:
         u = component_bases[g][i]
-        row = []
-        for h, j in tags:
+        row = {}
+        for y, (h, j) in enumerate(tags):
             v = component_bases[h][j]
             w = alg.mul_vec(u, pa.dot_vec(g, v))
-            row.append([(k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w)) if c])
+            cell = [(k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w)) if c]
+            if cell:
+                row[y] = cell
         products.append(row)
 
     unit = coords_at(grp.identity, alg.unit)

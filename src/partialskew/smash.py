@@ -68,9 +68,9 @@ def build_smash(skew):
     # p_h ▷ (y₁y₂) = Σ_{uv=h} (p_u ▷ y₁)(p_v ▷ y₂) is y₁y₂ when
     # h = grade(y₁)·grade(y₂) and 0 otherwise, for every h
     for j1 in range(ds):
-        for j2 in range(ds):
+        for j2, cell in products[j1].items():
             g = grp.mul(grades[j1], grades[j2])
-            if any(grades[k] != g for k, _ in products[j1][j2]):
+            if any(grades[k] != g for k, _ in cell):
                 raise InternalCheckFailed(
                     "projection action is not a module-algebra action")
 
@@ -84,9 +84,9 @@ def build_smash(skew):
 
     # closed rule: (x#p_h)(y#p_l) = xy#p_l when h = grade(y)·l, else 0
     closed = tuple(
-        tuple(tuple((k * n + l, c) for k, c in products[j1][j2])
-              if grp.mul(grades[j2], l) == h else ()
-              for j2 in range(ds) for l in range(n))
+        {j2 * n + l: tuple((k * n + l, c) for k, c in cell)
+         for j2, cell in products[j1].items() for l in range(n)
+         if grp.mul(grades[j2], l) == h}
         for j1 in range(ds) for h in range(n))
     if alg.products != closed:
         raise InternalCheckFailed("generic and closed smash products disagree")

@@ -29,6 +29,20 @@ def map_matrix(m):
                                   for r in range(m.codomain.dim)])
 
 
+def dense_rows(products):
+    """The product rows of ``StructureAlgebra.products`` as d-long lists of
+    cells, ``()`` for an empty cell: the dense form the oracles read."""
+    d = len(products)
+    return [[row.get(j, ()) for j in range(d)] for row in products]
+
+
+def mapping_rows(rows):
+    """Dense rows of cells (d-long lists) in the form of
+    ``StructureAlgebra.products``: ``{j: cell}`` over the nonempty cells,
+    each cell a tuple."""
+    return tuple({j: tuple(cell) for j, cell in enumerate(row) if cell} for row in rows)
+
+
 def split_action():
     """The two-field split action of the order-2 group (scenario s1)."""
     k = product_of_fields(QQ, 1)

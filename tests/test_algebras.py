@@ -16,7 +16,7 @@ from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Mat, Subspace
 
-from corpus_helpers import map_matrix, qmat, qvec
+from corpus_helpers import dense_rows, map_matrix, mapping_rows, qmat, qvec
 from fp_oracle import unwrap, wrap
 
 
@@ -202,7 +202,7 @@ def _densify(alg):
     d = alg.dim
     table = [[[alg.field.zero] * d for _ in range(d)] for _ in range(d)]
     for i, row in enumerate(alg.products):
-        for j, cell in enumerate(row):
+        for j, cell in row.items():
             for k, v in cell:
                 table[i][j][k] = v
     return table
@@ -313,13 +313,13 @@ def test_associativity_witness_on_sparse_tables(name, field):
     # first failing triple for the table and for perturbations
     alg = _SPARSE_TABLES[name](field)
     d = alg.dim
-    assert any(not cell for row in alg.products for cell in row)
+    assert any(not cell for row in dense_rows(alg.products) for cell in row)
     assert _associativity_witness(alg) is None
     for i, j, k in [(0, 0, 0), (1, 2, 3), (d - 1, 1, d // 2), (d - 1, d - 1, d - 1)]:
         table = _perturbed(alg, i, j, k)
         expected = _first_nonassociative_triple(field, table)
         assert expected is not None
-        bad = StructureAlgebra(field, _sparsify(table), None)
+        bad = StructureAlgebra(field, mapping_rows(_sparsify(table)), None)
         assert _associativity_witness(bad) == expected
 
 
@@ -329,7 +329,8 @@ def test_associativity_witness_takes_smallest_k(field):
     # the witness is the smallest of them
     alg = tensor_algebra(product_of_fields(field, 3), group_algebra(field, cyclic(3)))
     table = _perturbed(alg, 0, 0, 0)
-    witness = _associativity_witness(StructureAlgebra(field, _sparsify(table), None))
+    witness = _associativity_witness(
+        StructureAlgebra(field, mapping_rows(_sparsify(table)), None))
     i, j, k = _first_nonassociative_triple(field, table)
     ks = _failing_ks(field, table, i, j)
     assert len(ks) >= 2 and k == ks[0]
@@ -349,6 +350,38 @@ def test_make_algebra_checks_sparse_shape():
         make_algebra(QQ, [[[(0, one)], []]], [one])
 
 
+@pytest.mark.parametrize("field, rows, message", [
+    (QQ, [{1: [(0, 1)]}], "structure constants are not d x d cells"),
+    (QQ, [{-1: [(0, 1)]}], "structure constants are not d x d cells"),
+    (QQ, [{"0": [(0, 1)]}], "structure constants are not d x d cells"),
+    (QQ, [{0.0: [(0, 1)]}], "structure constants are not d x d cells"),
+    (QQ, [{0: [(1, 1)]}], "structure constant index 1 out of range"),
+    (QQ, [{0: [(0, 1), (0, 0)]}], "structure constant cell lists a zero"),
+    (QQ, [{0: [(0, 1), (0, 1)]}], "structure constant cell repeats an index"),
+    (GF(5), [{0: [(0, 6)]}], "scalar 6 is not a residue mod 5"),
+    (GF(5), [{0: [(0, -4)]}], "scalar -4 is not a residue mod 5"),
+], ids=["key-past-d", "negative-key", "str-key", "float-key", "index", "zero",
+        "repeat", "residue-6", "residue-minus-4"])
+def test_make_algebra_checks_mapping_rows(field, rows, message):
+    # a row given as {j: cell} is validated by the same walk as a d-long
+    # row, with the same messages; a key outside range(d) makes the table
+    # not d x d
+    with pytest.raises(ValueError) as info:
+        make_algebra(field, rows, [1])
+    assert str(info.value) == message
+
+
+def test_make_algebra_drops_empty_cells_in_either_form():
+    one = QQ.one
+    want = ({0: ((0, one),)}, {1: ((1, one),)})
+    dense = make_algebra(QQ, [[[(0, one)], []], [(), [(1, one)]]], qvec([1, 1]))
+    mapping = make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: (), 1: [(1, one)]}],
+                           qvec([1, 1]))
+    assert dense.products == mapping.products == want
+    assert dense.nonempty_cells[1] == mapping.nonempty_cells[1] == [
+        [(0, ((0, one),))], [(1, ((1, one),))]]
+
+
 def test_make_algebra_sorts_cells_it_is_given():
     # ℚ[x]/(x² - x - 1) on the basis (1, x), with x·x = x + 1 listed
     # highest index first; builders emit sorted cells, outside input may not
@@ -357,6 +390,11 @@ def test_make_algebra_sorts_cells_it_is_given():
                             [[(1, one)], [(1, one), (0, one)]]], [one, 0])
     assert alg.products[1][1] == ((0, one), (1, one))
     assert type(alg.products[0][0]) is tuple
+    # a mapping row given out of order is stored in ascending j
+    alg = make_algebra(QQ, [{1: [(1, one)], 0: [(0, one)]},
+                            {1: [(1, one), (0, one)], 0: [(1, one)]}], [one, 0])
+    assert [list(row) for row in alg.products] == [[0, 1], [0, 1]]
+    assert alg.products[1][1] == ((0, one), (1, one))
 
 
 @pytest.mark.parametrize("cell, unit", [(6, 1), (-4, 1), (1, 6), (1, -1)])
@@ -390,6 +428,18 @@ def test_map_columns_are_checked_against_both_dimensions():
         AlgebraMap(kk, kk, [{0: 1}, {1: 1}, {}])
     with pytest.raises(ValueError, match="1 columns, domain dimension is 2"):
         AlgebraMap(kk, kk, [{0: 1}])
+
+
+def test_map_between_algebras_over_different_fields_is_refused():
+    # the columns would be read over the domain's field and multiplied in
+    # the codomain's: refused by field, before the columns are looked at
+    kq, k5 = product_of_fields(QQ, 2), product_of_fields(GF(5), 2)
+    with pytest.raises(FieldMismatch) as info:
+        AlgebraMap(kq, k5, [{0: 1}, {1: 1}])
+    assert str(info.value) == f"field mismatch: {QQ} vs {GF(5)}"
+    with pytest.raises(FieldMismatch):
+        AlgebraMap(k5, kq, [{0: 1}])
+    assert AlgebraMap(k5, k5, [{0: 1}, {1: 1}]).is_multiplicative()
 
 
 def test_map_applies_its_sparse_columns():

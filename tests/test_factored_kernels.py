@@ -8,9 +8,11 @@
   route, which forms x·(b_k▷y) afresh for every term of every Δ(b_i), with
   a dense product, for the group smash and the four smash products of the
   Hopf lift.
-* ``make_algebra`` sorts the cells it is given and the builders emit sorted
-  cells, so ``StructureAlgebra`` stores them as they come: every cell of
-  every algebra a scenario builds is strictly sorted by index.
+* ``make_algebra`` sorts the cells it is given and drops the empty ones, and
+  the builders emit sorted rows of nonempty sorted cells, so
+  ``StructureAlgebra`` stores them as they come: every row of every algebra
+  a scenario builds holds its cells in ascending j, and every cell is
+  nonempty and strictly sorted by index.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ import pytest
 from partialskew import hopf, smash
 from partialskew.actions import trivial_from_split
 from partialskew.algebras import StructureAlgebra, TensorAlgebra, product_of_fields
+from partialskew.duality import build_duality
 from partialskew.fields import GF, QQ
 from partialskew.groups import symmetric
 from partialskew.linalg import _sparse
@@ -26,7 +29,7 @@ from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
 
-from corpus_helpers import z3_restricted_action
+from corpus_helpers import mapping_rows, z3_restricted_action
 from test_golden_reports import INLINE
 
 FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
@@ -57,7 +60,7 @@ def _algebra(draw, field):
     table = [[tuple(sorted(draw(st.dictionaries(
         st.integers(0, d - 1), value, max_size=2)).items()))
         for _ in range(d)] for _ in range(d)]
-    return StructureAlgebra(field, table, None)
+    return StructureAlgebra(field, mapping_rows(table), None)
 
 
 @st.composite
@@ -77,7 +80,7 @@ def _table_product(alg, x, y):
     acc = {}
     for i, xi in x.items():
         for j, yj in y.items():
-            for k, v in alg.products[i][j]:
+            for k, v in alg.products[i].get(j, ()):
                 acc[k] = acc.get(k, 0) + xi * yj * v
     p = alg.field.characteristic
     if p:
@@ -119,7 +122,7 @@ def _per_term_products(a, b, comul, acted):
                     cell = {}
                     for k, l, v in comul[i]:
                         xy = _sparse(a.mul_vec(basis(x).coeffs, act(k, y)))
-                        for t, u in b.products[l][j]:
+                        for t, u in b.products[l].get(j, ()):
                             for s, w in xy.items():
                                 key = s * db + t
                                 cell[key] = cell.get(key, 0) + v * u * w
@@ -162,7 +165,41 @@ def test_smash_cells_match_per_term_route(monkeypatch, action):
     assert [alg.dim for alg, _ in built] == [
         skew.dim * d, d * d, d * d, a_dim * d, a_dim * d * d]
     for alg, args in built:
-        assert alg.products == _per_term_products(*args)
+        assert alg.products == mapping_rows(_per_term_products(*args))
+
+
+def _assert_stores_nonempty_cells(alg):
+    """Every row of alg holds its cells in ascending j, none of them empty."""
+    for row in alg.products:
+        assert list(row) == sorted(row), alg
+        assert all(type(cell) is tuple and cell for cell in row.values()), alg
+
+
+def test_s3_split_tables_store_only_nonempty_cells(monkeypatch):
+    # the s3_split document over q: M₆(k×k) stores n³ times the nonempty
+    # cells of k×k, 6³·2 of its 72² cells; the 42-dim smash, H#H*, the
+    # 72-dim triple table (A⊗H)#H* and a tensor product store no empty cell
+    built = []
+    builder = hopf.smash_algebra
+
+    def spy(a, b, comul, acted, unit):
+        alg = builder(a, b, comul, acted, unit)
+        built.append(alg)
+        return alg
+
+    monkeypatch.setattr(hopf, "smash_algebra", spy)
+    monkeypatch.setattr(smash, "smash_algebra", spy)
+    pa = _s3_split(QQ)
+    skew = build_skew(pa)
+    mat = build_duality(build_smash(skew)).mat
+    assert all(c.status == "pass" for c in hopf.hopf_lift_suite(pa, skew))
+    assert mat.dim == 72
+    assert sum(len(row) for row in mat.products) == 432
+    group_smash, h_smash_dual, _, _, triple = built
+    assert (group_smash.dim, h_smash_dual.dim, triple.dim) == (42, 36, 72)
+    tensor = TensorAlgebra(product_of_fields(QQ, 2), pa.algebra)
+    for alg in (mat, group_smash, h_smash_dual, triple, tensor):
+        _assert_stores_nonempty_cells(alg)
 
 
 def _record_algebras(monkeypatch):
@@ -186,7 +223,7 @@ def test_every_built_cell_is_strictly_sorted(monkeypatch, field):
         assert run_scenario(source, field_override=field).passed()
     assert any(isinstance(alg, TensorAlgebra) for alg in built)
     for alg in built:
+        _assert_stores_nonempty_cells(alg)
         for row in alg.products:
-            for cell in row:
-                assert type(cell) is tuple
+            for cell in row.values():
                 assert all(a[0] < b[0] for a, b in zip(cell, cell[1:])), (alg, cell)

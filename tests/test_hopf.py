@@ -342,6 +342,20 @@ def test_action_matrix_over_another_field_is_refused(entry):
         h, algebra, [Mat.identity(field, 2), Mat(field, [[1, 0], [0, 0]])]).acts
 
 
+def test_hopf_algebra_over_another_field_is_refused():
+    # a Q Hopf algebra acting on an F_5 algebra through F_5 matrices is
+    # refused by field, before the matrices are looked at
+    field = GF(5)
+    algebra = product_of_fields(field, 2)
+    mats = [Mat.identity(field, 2), Mat(field, [[1, 0], [0, 0]])]
+    with pytest.raises(FieldMismatch) as info:
+        make_partial_hopf_action(group_hopf(QQ, cyclic(2)), algebra, mats)
+    assert str(info.value) == f"field mismatch: {QQ} vs {field}"
+    with pytest.raises(FieldMismatch):
+        make_partial_hopf_action(group_hopf(QQ, cyclic(2)), algebra, mats[:1])
+    assert make_partial_hopf_action(group_hopf(field, cyclic(2)), algebra, mats).acts
+
+
 def test_coaction_s1(s1_action):
     results = {c.name: c for c in coaction_report(lift_group_action(s1_action))}
     assert results["coaction.multiplicative"].status == "pass"
@@ -523,8 +537,8 @@ def test_dual_module_algebra_names_module_law_triple(s1_action):
     ps = build_partial_smash(pha)
     amb = ps.ambient
     d, grp = pha.hopf.dim, s1_action.group
-    shifted = [[tuple((k - k % d + grp.mul(k % d, 1), v) for k, v in cell)
-                for cell in row] for row in amb.products]
+    shifted = [{j: tuple((k - k % d + grp.mul(k % d, 1), v) for k, v in cell)
+                for j, cell in row.items()} for row in amb.products]
     bad = StructureAlgebra(QQ, shifted, None, amb.labels)
     check = _partial_smash_checks(pha, bad, ps.sub, ps.unit_vec)[
         "psmash.dual_module_algebra"]
@@ -657,7 +671,8 @@ def test_operator_duality_names_corner_membership_witness(s1_action):
 def _doubled_ring(skew):
     """The twisted ring with every structure constant doubled (not validated)."""
     alg = skew.algebra
-    doubled = StructureAlgebra(QQ, [[tuple((k, 2 * v) for k, v in cell) for cell in row]
+    doubled = StructureAlgebra(QQ, [{j: tuple((k, 2 * v) for k, v in cell)
+                                     for j, cell in row.items()}
                                     for row in alg.products], alg.unit)
     return SimpleNamespace(algebra=doubled, dim=skew.dim, offsets=skew.offsets)
 

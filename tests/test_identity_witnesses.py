@@ -60,7 +60,7 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path, load_scenario,
                                    run_scenario)
 
-from corpus_helpers import map_matrix
+from corpus_helpers import dense_rows, map_matrix, mapping_rows
 from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
                            _sparsify)
 from test_golden_reports import INLINE
@@ -78,7 +78,7 @@ def _pairwise_associativity_witness(alg):
     and the nonempty cells of row j; the first failing pair decides."""
     sparse = alg.field.sparse
     d = alg.dim
-    nz = alg.products
+    nz = dense_rows(alg.products)
     cells = [[(k * d, cell) for k, cell in enumerate(row) if cell] for row in nz]
     for i in range(d):
         nzi = nz[i]
@@ -99,10 +99,15 @@ def _pairwise_associativity_witness(alg):
     return None
 
 
+def _table_key(products):
+    """A hashable copy of product rows, to collect each table once."""
+    return tuple(tuple(row.items()) for row in products)
+
+
 def _bumped(alg, i, j, k):
     """alg's product rows with the coefficient of b_k in b_i·b_j raised by
     one (over F_2 a coefficient 1 drops out)."""
-    rows = [list(row) for row in alg.products]
+    rows = dense_rows(alg.products)
     cell = dict(rows[i][j])
     cell[k] = cell.get(k, 0) + 1
     rows[i][j] = tuple(sorted(alg.field.sparse(cell).items()))
@@ -113,7 +118,7 @@ def _positions(alg):
     """Cells to perturb: the corners, an interior cell, the first entry of
     the first nonempty cell of the middle row, and its first empty cell."""
     d = alg.dim
-    mid = alg.products[d // 2]
+    mid = dense_rows(alg.products)[d // 2]
     out = [(0, 0, 0), (d - 1, d - 1, d - 1), (d // 2, d // 3, (d - 1) // 2)]
     out += [(d // 2, j, cell[0][0]) for j, cell in enumerate(mid) if cell][:1]
     out += [(d // 2, j, d - 1) for j, cell in enumerate(mid) if not cell][:1]
@@ -139,7 +144,7 @@ def test_every_associativity_check_matches_pairwise_oracle(monkeypatch, field):
 
     def spy(alg):
         got = witness(alg)
-        tables.setdefault(alg.products, (alg, got))
+        tables.setdefault(_table_key(alg.products), (alg, got))
         return got
 
     monkeypatch.setattr(algebras, "_associativity_witness", spy)
@@ -155,8 +160,8 @@ def test_every_associativity_check_matches_pairwise_oracle(monkeypatch, field):
         for i, j, k in _positions(alg):
             rows = _bumped(alg, i, j, k)
             expected = _pairwise_associativity_witness(
-                StructureAlgebra(alg.field, rows, None))
-            assert witness(StructureAlgebra(alg.field, rows, None)) == expected
+                StructureAlgebra(alg.field, mapping_rows(rows), None))
+            assert witness(StructureAlgebra(alg.field, mapping_rows(rows), None)) == expected
             assert _make_algebra_witness(alg.field, rows) == expected
             failing += expected is not None
     assert failing > len(tables)
@@ -169,7 +174,7 @@ def test_first_failure_at_a_later_middle_index_is_named(field):
     one = field.one
     rows = [[((i, one),) if i == j else () for j in range(3)] for i in range(3)]
     rows[2][0] = ((1, one),)
-    alg = StructureAlgebra(field, rows, None)
+    alg = StructureAlgebra(field, mapping_rows(rows), None)
     mul, basis = _dense_mul(field, _densify(alg))
     failures = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
                 if mul(mul(basis[i], basis[j]), basis[k])
@@ -213,7 +218,7 @@ def _perturbed_tables(draw):
 @given(_perturbed_tables())
 def test_witness_matches_dense_oracle_on_perturbed_tables(inst):
     field, table = inst
-    alg = StructureAlgebra(field, _sparsify(table), None)
+    alg = StructureAlgebra(field, mapping_rows(_sparsify(table)), None)
     expected = _first_nonassociative_triple(field, table)
     assert _associativity_witness(alg) == expected
     assert _pairwise_associativity_witness(alg) == expected
@@ -225,7 +230,7 @@ def _pairwise_witness(phi, anti=False):
     field = phi.codomain.field
     cols = [_sparse(col) for col in map_matrix(phi).columns()]
     mul = phi.codomain._mul_sparse
-    for i, row in enumerate(phi.domain.products):
+    for i, row in enumerate(dense_rows(phi.domain.products)):
         ci = cols[i]
         for j, cell in enumerate(row):
             rhs = mul(cols[j], ci) if anti else mul(ci, cols[j])
@@ -372,9 +377,9 @@ def _first_unit_relation_failure(m):
 
 def _tamper(m, cells):
     """Replace the cells ``{(x, y): cell}`` of m's table."""
-    m.products = tuple(
-        tuple(cells.get((i, j), c) for j, c in enumerate(row))
-        for i, row in enumerate(m.products))
+    m.products = mapping_rows(
+        [cells.get((i, j), c) for j, c in enumerate(row)]
+        for i, row in enumerate(dense_rows(m.products)))
 
 
 def _assert_verify_names(m):
@@ -605,7 +610,7 @@ def _tampered_operators(ops, t, b, x, field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_exchange_identity_matches_composed_oracle(field):
     failing = 0
-    hopfs = {(h.comul, h.algebra.products): h for _, h, _, _ in _lifts(field)}
+    hopfs = {(h.comul, _table_key(h.algebra.products)): h for _, h, _, _ in _lifts(field)}
     assert max(h.dim for h in hopfs.values()) == 6
     for h in hopfs.values():
         d = h.dim
@@ -733,9 +738,10 @@ def test_partial_smash_checks_match_per_tuple_oracle(field):
     for _, pha in _actions(field):
         ps = build_partial_smash(pha)
         amb = all_bumped = ps.ambient
-        tables = [_bumped(amb, i, j, k) for i, j, k in _positions(amb)]
+        tables = [mapping_rows(_bumped(amb, i, j, k)) for i, j, k in _positions(amb)]
         for i, j, k in _positions(amb):
-            all_bumped = StructureAlgebra(field, _bumped(all_bumped, i, j, k), None)
+            all_bumped = StructureAlgebra(field, mapping_rows(_bumped(all_bumped, i, j, k)),
+                                          None)
         tables.append(all_bumped.products)
         instances = [ps] + [
             PartialSmash(pha, StructureAlgebra(field, rows, None, labels=amb.labels),
@@ -761,7 +767,8 @@ def _per_tuple_axiom_failure(h, algebra, mats):
     for i in range(d):
         for x in range(da):
             for y in range(da):
-                lhs = _lincomb(field, ((c, acts[i][t]) for t, c in algebra.products[x][y]))
+                lhs = _lincomb(field, ((c, acts[i][t])
+                                       for t, c in algebra.products[x].get(y, ())))
                 if lhs != _lincomb(field, ((v, mul(acts[k][x], acts[l][y]))
                                            for k, l, v in h.comul[i])):
                     return str(Axiom1Fails(hl[i], al[x], al[y]))
@@ -775,7 +782,7 @@ def _per_tuple_axiom_failure(h, algebra, mats):
             for x in range(da):
                 lhs = _lincomb(field, ((c, acts[i][t]) for t, c in acts[j][x].items()))
                 rhs = _lincomb(field, ((v, mul(unit_acts[k], _lincomb(
-                    field, ((c, acts[t][x]) for t, c in h.algebra.products[l][j]))))
+                    field, ((c, acts[t][x]) for t, c in h.algebra.products[l].get(j, ())))))
                     for k, l, v in h.comul[i]))
                 if lhs != rhs:
                     return str(Axiom3Fails(hl[i], hl[j], al[x]))

@@ -18,6 +18,7 @@ from partialskew.algebras import StructureAlgebra, _lincomb, product_of_fields
 from partialskew.fields import GF, QQ
 from partialskew.linalg import Mat, Subspace, kernel_basis, rref, vadd, vscale, vsub
 
+from corpus_helpers import mapping_rows
 from fp_oracle import unwrap, wrap
 
 PRIMES = (2, 5, 7, 2**61 - 1)
@@ -71,7 +72,7 @@ def _sparse(vec):
 def test_product_kernels_match_wrapper_route(inst):
     field, table, x, y, _, _ = inst
     p, d = field.p, len(table)
-    alg = StructureAlgebra(field, table, None)
+    alg = StructureAlgebra(field, mapping_rows(table), None)
     want = _oracle_mul(field, table, x, y)
 
     got = alg.mul_vec(x, y)

@@ -96,7 +96,7 @@ def test_rational_scalars_are_int_or_fraction(name):
     algebras = [action.algebra, skew.algebra, d.smash.algebra, d.mat]
     subspaces = [*action.ideals, *skew.components, d.kernel, d.image, d.ideal,
                  *(center_basis(a) for a in algebras)]
-    scalars = [v for a in algebras for row in a.products for cell in row
+    scalars = [v for a in algebras for row in a.products for cell in row.values()
                for _, v in cell]
     scalars += [x for a in algebras for x in a.unit]
     scalars += [x for sp in subspaces for v in sp.basis for x in v]

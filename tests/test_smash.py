@@ -83,7 +83,7 @@ def test_perturbed_generic_cell_fails_the_closed_rule(monkeypatch, s1_skew):
 
     def perturbed(a, b, comul, acted, unit):
         alg = builder(a, b, comul, acted, unit)
-        rows = [list(row) for row in alg.products]
+        rows = [dict(row) for row in alg.products]
         rows[0][0] = tuple((k, 2 * v) for k, v in rows[0][0])
         return StructureAlgebra(alg.field, rows, alg.unit, alg.labels)
 

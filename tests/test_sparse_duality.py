@@ -63,10 +63,10 @@ def _full_center_basis(alg):
     rows = [{} for _ in range(d * d)]
     for i in range(d):
         for j in range(d):
-            for k, v in alg.products[i][j]:
+            for k, v in alg.products[i].get(j, ()):
                 row = rows[j * d + k]
                 row[i] = row.get(i, 0) + v
-            for k, v in alg.products[j][i]:
+            for k, v in alg.products[j].get(i, ()):
                 row = rows[j * d + k]
                 row[i] = row.get(i, 0) - v
     centre = Subspace.kernel_from_sparse(alg.field, d, rows)
@@ -93,10 +93,10 @@ def _own_products_two_sided(algebra, subspace):
     for b in range(algebra.dim):
         for r in rows:
             if subspace._residual(_scaled_cells(
-                    sparse, ((x, prods[b][j]) for j, x in r))):
+                    sparse, ((x, prods[b].get(j, ())) for j, x in r))):
                 return False, f"left multiple of {algebra.labels[b]} escapes"
             if subspace._residual(_scaled_cells(
-                    sparse, ((x, prods[i][b]) for i, x in r))):
+                    sparse, ((x, prods[i].get(b, ())) for i, x in r))):
                 return False, f"right multiple of {algebra.labels[b]} escapes"
     return True, ""
 
