@@ -615,13 +615,6 @@ class MatrixAlgebra(StructureAlgebra):
     def slot(self, r, s, i):
         return (r * self.size + s) * self.base.dim + i
 
-    def place(self, r, s, avec):
-        """Coefficient vector with the base element avec in entry (r, s)."""
-        out = list(vzero(self.field, self.dim))
-        for i, v in enumerate(avec):
-            out[self.slot(r, s, i)] = v
-        return tuple(out)
-
     def generators(self):
         """E_{0s}⊗1 and E_{s0}⊗1 for every s, and E_{00}⊗a_i for every basis
         vector a_i of the base, sparse: they generate, since
@@ -632,11 +625,6 @@ class MatrixAlgebra(StructureAlgebra):
         units += [(s, 0) for s in range(1, self.size)]
         return ([{self.slot(r, s, i): v for i, v in unit.items()} for r, s in units]
                 + [{self.slot(0, 0, i): one} for i in range(self.base.dim)])
-
-    def entry(self, coeffs, r, s):
-        """Base-algebra coefficient vector sitting in entry (r, s)."""
-        start = (r * self.size + s) * self.base.dim
-        return tuple(coeffs[start:start + self.base.dim])
 
     def _verify(self):
         """E_gh·E_rs = δ_hr·E_gs (E_gh = E_{g,h}⊗1) on every quadruple,
@@ -763,24 +751,31 @@ def smash_algebra(a, b, comul, acted, unit):
     where ``comul`` holds the comultiplication triples of B and
     ``acted[k][y]`` is b_k▷a_y as ``{index: scalar}``.  ``unit`` is None when
     the product has no global unit.  Each x·(b_k▷y) is formed once per
-    (x, k, y), a term whose x·(b_k▷y) is zero is skipped, and each term
-    walks only the nonempty cells of its row of B (one per row for k^G);
-    a cell no term reaches, or whose terms cancel, is not emitted.  The
-    sparse rows are validated by ``make_algebra``; since every caller builds
-    it from validated data, a failure is internal.
+    (x, k, y), from row x of A, a term whose x·(b_k▷y) is zero is skipped,
+    and each term walks only the nonempty cells of its row of B (one per
+    row for k^G); a cell no term reaches, or whose terms cancel, is not
+    emitted.  The sparse rows are validated by ``make_algebra``; since
+    every caller builds it from validated data, a failure is internal.
     """
     field = a.field
     sparse = field.sparse
     da, db = a.dim, b.dim
-    one = field.one
     brows = b.nonempty_cells[0]
     products = []
-    for x in range(da):
-        ex = {x: one}
-        # x·(b_k▷y), shared by every term of every Δ(b_i) that has b_k as
-        # its first leg
-        xky = [[a._mul_sparse(ex, acted[k][y]).items() for y in range(da)]
-               for k in range(db)]
+    for arow in a.products:
+        # x·(b_k▷y) from row x of A, shared by every term of every Δ(b_i)
+        # that has b_k as its first leg
+        xky = []
+        for by_y in acted:
+            per_y = []
+            for ay in by_y:
+                acc = {}
+                for j, c in ay.items():
+                    cell = arow.get(j)
+                    if cell:
+                        _add(acc, 0, c, cell)
+                per_y.append(sparse(acc).items())
+            xky.append(per_y)
         for i in range(db):
             row = {}
             for y in range(da):
@@ -849,14 +844,17 @@ class AlgebraMap:
             raise AlgebraMismatch()
         return self.codomain.element(self.apply_vec(element.coeffs))
 
+    def apply_sparse(self, x):
+        """The image of a sparse vector ``{index: scalar}``, sparse."""
+        cols = self.columns
+        return _lincomb(self.codomain.field, ((c, cols[k]) for k, c in x.items()))
+
     def compose(self, inner):
         """self after inner, column by column from the sparse columns."""
         if inner.codomain is not self.domain:
             raise AlgebraMismatch()
-        field, cols = self.codomain.field, self.columns
-        return AlgebraMap(inner.domain, self.codomain, [
-            _lincomb(field, ((c, cols[k]) for k, c in col.items()))
-            for col in inner.columns])
+        return AlgebraMap(inner.domain, self.codomain,
+                          [self.apply_sparse(col) for col in inner.columns])
 
     def _multiplicativity_witness(self, anti=False):
         """First basis pair (i, j), in lexicographic order, where

@@ -16,19 +16,25 @@ promises about this map is re-proved here per instance, by linear algebra:
     group ring R centralizes it and multiplies to the unit, compared in
     B⊗_R B ≅ B^{|G|}, since B is (verifiably) free over R on {1#p_h}.
 
-The checks work on sparse vectors and cost their nonzero product terms.
+The checks work on sparse vectors and cost their nonzero product terms;
+no product makes a vector as long as the smash or matrix algebra.
 ``decomposition_report`` forms one left-product table of the complementary
 ideal, b·r for every basis element b and echelon row r (``_left_products``);
 the ideal's two-sided test and the Kronecker tally of its left products
-both read it.  The Pierce corner e·E_b·e, the map φ and its composite with
-the embedding of the twisted ring are formed from sparse columns.
+both read it, the tally from the ideal's sparse echelon rows.  The entry
+identity keeps one accumulator per group triple, and the cross products of
+ideal and kernel one per ideal row and side.  The block subspaces, the
+entrywise image, the Pierce corner e·E_b·e, the corner idempotent, the map
+φ and its composite with the embedding of the twisted ring are formed from
+sparse products and columns, coordinates in D_g read off its pivots.
 """
 
 from __future__ import annotations
 
-from .algebras import AlgebraMap, _lincomb, matrix_algebra
+from .actions import _image
+from .algebras import AlgebraMap, _add, _lincomb, matrix_algebra
 from .errors import InternalCheckFailed
-from .linalg import Subspace, _sparse, vadd, vsub, vzero
+from .linalg import Subspace, _dense, _sparse
 from .report import check
 
 
@@ -46,82 +52,88 @@ class DualityData:
         self.ideal = ideal
 
 
-def _block_subspace(smash, multiplier):
-    """Span of {x·multiplier(g,h) placed at grade g with dual index h}."""
+def _idempotents(pa):
+    """The idempotents 1_g and their complements 1 - 1_g, sparse."""
+    es = [_sparse(e) for e in pa.idempotents]
+    unit, field = _sparse(pa.algebra.unit), pa.algebra.field
+    return es, [_lincomb(field, ((1, unit), (-1, e))) for e in es]
+
+
+def _block_subspace(smash, complement):
+    """Span of {b_i·x_{gh}·1_g placed at grade g with dual index h}, x the
+    complement 1 - 1_{gh} or the idempotent 1_{gh}; the coordinates of each
+    nonzero generator are read off the pivots of D_g."""
     skew = smash.skew
     pa = skew.action
-    alg = pa.algebra
-    field = alg.field
-    n = pa.group.order
+    alg, grp = pa.algebra, pa.group
+    es, comps = _idempotents(pa)
     vectors = []
-    for g in range(n):
-        for h in range(n):
-            m = multiplier(g, h)
+    for g in range(grp.order):
+        for h in range(grp.order):
+            m = alg._mul_sparse((comps if complement else es)[grp.mul(g, h)], es[g])
             for i in range(alg.dim):
-                v = alg._basis_times_vec(i, m)
-                if not any(v):
+                v = alg._mul_sparse({i: 1}, m)
+                if not v:
                     continue
-                coords = pa.ideals[g].coordinates_of(v)
+                coords = pa.ideals[g].sparse_coordinates(v)
                 if coords is None:
                     raise InternalCheckFailed("block generator left its ideal")
                 vectors.append({smash.index(skew.offsets[g] + t, h): c
-                                for t, c in enumerate(coords) if c})
-    return Subspace.from_sparse(field, smash.dim, vectors)
+                                for t, c in coords.items()})
+    return Subspace.from_sparse(alg.field, smash.dim, vectors)
 
 
 def kernel_formula_subspace(smash):
     """Blockwise kernel formula: A(1-1_{gh})1_g in grade g, dual index h."""
-    pa = smash.skew.action
-    alg = pa.algebra
-    grp = pa.group
-
-    def multiplier(g, h):
-        comp = vsub(alg.field, alg.unit, pa.idempotents[grp.mul(g, h)])
-        return alg.mul_vec(comp, pa.idempotents[g])
-
-    return _block_subspace(smash, multiplier)
+    return _block_subspace(smash, complement=True)
 
 
 def complement_ideal_subspace(smash):
     """Blockwise complement: A·1_{gh}·1_g in grade g, dual index h."""
-    pa = smash.skew.action
-    grp = pa.group
-
-    def multiplier(g, h):
-        return pa.algebra.mul_vec(pa.idempotents[grp.mul(g, h)], pa.idempotents[g])
-
-    return _block_subspace(smash, multiplier)
+    return _block_subspace(smash, complement=False)
 
 
 def _verify_twisted_entry_identity(pa):
     """The entry identity behind multiplicativity, checked exhaustively:
     k^{-1}·((gh)^{-1}·(a(g·b))) = ((hk)^{-1}·(g^{-1}·a)) (k^{-1}·(h^{-1}·b))
     for all group triples and all basis pairs a of D_g, b of D_h.
-    (gh)^{-1}·(a(g·b)) is formed once per (g, h, a, b), and the two factors
-    of the right side once per (g, h, k) and basis vector, so each
-    (g, h, k, a, b) costs one image and one product; the triples are
-    visited in the same order, so the first failing one is named."""
+
+    The images are sparse, from the columns of the α_g: (gh)^{-1}·(a(g·b))
+    once per (g, h, a, b), and both right factors from m^{-1}·(g^{-1}·a),
+    once per (g, m, a).  For each (g, h, k) one accumulator, keyed
+    (a·dim D_h + b)·d + t, sums lhs − rhs over every basis pair; the
+    triples are visited in order, so the first failing one is named."""
     alg, grp = pa.algebra, pa.group
-    dot, inv, mul = pa.dot_vec, grp.inv, alg.mul_vec
-    n = grp.order
-    bases = [pa.ideals[g].basis for g in range(n)]
-    # g^{-1}·a for every basis vector a of D_g
+    cols, inv = pa.columns, grp.inv
+    sparse, mul = alg.field.sparse, alg._mul_acc
+    n, d = grp.order, alg.dim
+    bases = [list(pa.ideals[g]._rows.values()) for g in range(n)]
+
+    def dot(g, v):
+        return sparse(_image(cols[g], v.items()))
+
     pulled = [[dot(inv(g), a) for a in bases[g]] for g in range(n)]
+    # twice[g][m]: m^{-1}·(g^{-1}·a) for every basis vector a of D_g
+    twice = [[[dot(inv(m), x) for x in pulled[g]] for m in range(n)]
+             for g in range(n)]
     for g in range(n):
         for h in range(n):
-            ghinv = inv(grp.mul(g, h))
+            ghinv, dh = inv(grp.mul(g, h)), len(bases[h])
             moved = [dot(g, b) for b in bases[h]]
-            mids = [[dot(ghinv, mul(a, gb)) for gb in moved] for a in bases[g]]
+            mids = [[dot(ghinv, sparse(mul(a, gb))) for gb in moved]
+                    for a in bases[g]]
             for k in range(n):
-                kinv, hkinv = inv(k), inv(grp.mul(h, k))
-                lefts = [dot(hkinv, x) for x in pulled[g]]
-                rights = [dot(kinv, y) for y in pulled[h]]
-                for row, left in zip(mids, lefts):
-                    for mid, right in zip(row, rights):
-                        if dot(kinv, mid) != mul(left, right):
-                            raise InternalCheckFailed(
-                                f"entry identity fails at ({grp.label(g)},"
-                                f"{grp.label(h)},{grp.label(k)})")
+                kcols, rights = cols[inv(k)], twice[h][k]
+                acc = {}
+                for x, (row, left) in enumerate(zip(mids, twice[g][grp.mul(h, k)])):
+                    for y, (mid, right) in enumerate(zip(row, rights)):
+                        base = (x * dh + y) * d
+                        _image(kcols, mid.items(), acc, base)
+                        _add(acc, base, -1, mul(left, right).items())
+                if sparse(acc):
+                    raise InternalCheckFailed(
+                        f"entry identity fails at ({grp.label(g)},"
+                        f"{grp.label(h)},{grp.label(k)})")
 
 
 def build_duality(smash):
@@ -133,31 +145,28 @@ def build_duality(smash):
     n = grp.order
     mat = matrix_algebra(alg, grp)
 
+    # column of a#p_h: h^{-1}·(g^{-1}·a) in entry (gh, h), a of grade g
     cols = []
-    for j in range(skew.dim):
-        g, i = skew.grade_of(j)
-        a = skew.component_bases[g][i]
-        ginv_a = pa.dot_vec(grp.inv(g), a)
-        for h in range(n):
-            c = pa.dot_vec(grp.inv(h), ginv_a)
-            gh = grp.mul(g, h)
-            cols.append({mat.slot(gh, h, t): x for t, x in enumerate(c) if x})
+    for g in range(n):
+        for a in skew.component_bases[g]:
+            ginv_a = alg.field.sparse(_image(pa.columns[grp.inv(g)], a.items()))
+            cols += [_image(pa.columns[grp.inv(h)], ginv_a.items(),
+                            base=mat.slot(grp.mul(g, h), h, 0)) for h in range(n)]
     phi = AlgebraMap(smash.algebra, mat, cols)
 
     _verify_twisted_entry_identity(pa)
     if not phi.is_multiplicative():
         raise InternalCheckFailed("matrix map is not multiplicative")
 
-    bold_e = vzero(alg.field, mat.dim)
-    for g in range(n):
-        bold_e = vadd(alg.field, bold_e, mat.place(g, g, pa.idempotents[grp.inv(g)]))
-    if phi.apply_vec(smash.algebra.unit) != bold_e:
+    es, _ = _idempotents(pa)
+    bold_e = {mat.slot(g, g, t): x for g in range(n) for t, x in es[grp.inv(g)].items()}
+    if phi.apply_sparse(_sparse(smash.algebra.unit)) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
-    if mat.mul_vec(bold_e, bold_e) != bold_e:
+    if mat._mul_sparse(bold_e, bold_e) != bold_e:
         raise InternalCheckFailed("corner element is not idempotent")
 
-    return DualityData(smash, mat, phi, bold_e, phi.kernel(), phi.image(),
-                       complement_ideal_subspace(smash))
+    return DualityData(smash, mat, phi, _dense(bold_e, alg.field, mat.dim),
+                       phi.kernel(), phi.image(), complement_ideal_subspace(smash))
 
 
 # -- report-producing checks ---------------------------------------------
@@ -174,36 +183,36 @@ def kernel_report(d):
 def corner_report(d):
     pa = d.smash.skew.action
     alg, grp, mat = pa.algebra, pa.group, d.mat
+    field = alg.field
     n = grp.order
+    es, _ = _idempotents(pa)
+    one = field.one
 
-    vectors = []
+    vectors = []   # b_i·1_{r⁻¹}1_{s⁻¹} in entry (r, s), reduced by from_sparse
     for r in range(n):
         for s in range(n):
-            m = alg.mul_vec(pa.idempotents[grp.inv(r)], pa.idempotents[grp.inv(s)])
-            for i in range(alg.dim):
-                v = alg._basis_times_vec(i, m)
-                vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
-    entrywise = Subspace.from_sparse(alg.field, mat.dim, vectors)
+            m = alg._mul_sparse(es[grp.inv(r)], es[grp.inv(s)])
+            base = mat.slot(r, s, 0)
+            vectors += [{base + t: x for t, x in alg._mul_acc({i: one}, m).items()}
+                        for i in range(alg.dim)]
+    entrywise = Subspace.from_sparse(field, mat.dim, vectors)
 
     # the Pierce corner e·E_b·e, one sparse product pair per basis element
     mul = mat._mul_sparse
     e = _sparse(d.corner_idempotent)
-    one = alg.field.one
     pierce = Subspace.from_sparse(
-        alg.field, mat.dim, [mul(e, mul({b: one}, e)) for b in range(mat.dim)])
+        field, mat.dim, [mul(e, mul({b: one}, e)) for b in range(mat.dim)])
 
-    results = [
+    return [
         check("duality.image_entrywise", d.image == entrywise,
               {"image_dim": d.image.dim, "entrywise_dim": entrywise.dim}),
         check("duality.image_pierce", d.image == pierce,
               {"image_dim": d.image.dim, "pierce_dim": pierce.dim}),
         check("duality.corner_idempotent",
-              d.phi.apply_vec(d.smash.algebra.unit) == d.corner_idempotent
-              and mat.mul_vec(d.corner_idempotent, d.corner_idempotent)
-              == d.corner_idempotent,
+              d.phi.apply_sparse(_sparse(d.smash.algebra.unit)) == e
+              and mul(e, e) == e,
               {"matrix_dim": mat.dim}),
     ]
-    return results
 
 
 def _products_by_basis(sparse, cells, r):
@@ -266,39 +275,42 @@ def _is_two_sided_ideal(algebra, subspace, left=None):
 
 def _cross_product_witness(algebra, ideal, kernel):
     """First (ideal basis index, kernel basis index, side) whose product
-    is nonzero, ideal·kernel before kernel·ideal, or None."""
-    mul = algebra._mul_sparse
-    ks = [_sparse(w) for w in kernel.basis]
-    for i, v in enumerate(ideal.basis):
-        sv = _sparse(v)
-        for j, w in enumerate(ks):
-            if mul(sv, w):
-                return f"ideal[{i}]*kernel[{j}] is nonzero"
-            if mul(w, sv):
-                return f"kernel[{j}]*ideal[{i}] is nonzero"
+    is nonzero, ideal·kernel before kernel·ideal, or None.
+
+    For each ideal row v one accumulator per side, keyed j·D + t (D the
+    dimension), collects v·w_j, or w_j·v, for every kernel row w_j at once,
+    over the nonempty cells of the rows, or columns, of the product table
+    that v reaches.  Its smallest nonzero j is v's first failure on that
+    side (D when there is none); at equal j the left side comes first."""
+    sparse, dim = algebra.field.sparse, algebra.dim
+    at = [[] for _ in range(dim)]   # at[b]: (j·D, w_j[b]) for w_j[b] != 0
+    for j, w in enumerate(kernel._rows.values()):
+        for b, y in w.items():
+            at[b].append((j * dim, y))
+    for i, v in enumerate(ideal._rows.values()):
+        first = []
+        for cells in algebra.nonempty_cells:
+            acc = {}
+            for a, x in v.items():
+                for b, cell in cells[a]:
+                    for base, y in at[b]:
+                        _add(acc, base, x * y, cell)
+            bad = sparse(acc)
+            first.append(min(bad) // dim if bad else dim)
+        left, right = first
+        if left <= right and left < dim:
+            return f"ideal[{i}]*kernel[{left}] is nonzero"
+        if right < left:
+            return f"kernel[{right}]*ideal[{i}] is nonzero"
     return None
-
-
-def _block_of(smash, vec):
-    """(grade, dual index) of a vector supported in a single block."""
-    found = None
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
-        j, h = smash.parts(idx)
-        g, _ = smash.skew.grade_of(j)
-        if found is None:
-            found = (g, h)
-        elif found != (g, h):
-            return None
-    return found
 
 
 def _delta_convention_tally(d, left):
     """Which printed Kronecker condition reproduces the true left product of
     the complementary ideal by basis elements: l = gh (the product rule),
     k = gh, or h = kl.  The true products b·v are read from ``left``, the
-    ``_left_products`` table of the ideal.
+    ``_left_products`` table of the ideal, whose sparse echelon rows v give
+    their block (g, h) and A-coordinates directly.
 
     For each (v, j) only l = gh, l = k⁻¹h and the l with a nonzero product
     are compared: at every other l the true product and the l = gh and
@@ -307,35 +319,36 @@ def _delta_convention_tally(d, left):
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
+    sparse, mul = alg.field.sparse, alg._mul_acc
     n = grp.order
+    offsets, bases = skew.offsets, skew.component_bases
+    grades = [skew.grade_of(j)[0] for j in range(skew.dim)]
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
     none = {}
-    for v, products in zip(d.ideal.basis, left):
-        blk = _block_of(smash, v)
-        if blk is None:
+    for v, products in zip(d.ideal._rows.values(), left):
+        blocks = {(grades[j], h) for j, h in map(smash.parts, v)}
+        if len(blocks) != 1:
             continue
-        g, h = blk
+        (g, h), = blocks
         reached = {}   # j: the dual indices l with b_j#p_l · v nonzero
         for b in products:
             j, l = smash.parts(b)
             reached.setdefault(j, set()).add(l)
         gh = grp.mul(g, h)
-        a_part = skew.project(
-            tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
-        moved = [pa.dot_vec(k, a_part) for k in range(n)]   # k ▷ a, per k
+        # the A-coordinates a of v, then k ▷ a for every k
+        a_part = _image(bases[g], ((idx // n - offsets[g], c) for idx, c in v.items()))
+        moved = [sparse(_image(pa.columns[k], a_part.items())) for k in range(n)]
         # the payload y·(k ▷ a) depends on the skew index j alone, so it is
         # formed once per j and compared at the dual indices l that can
         # differ; h = kl holds exactly at l = k^{-1}h
         for j in range(skew.dim):
-            k, pos = skew.grade_of(j)
-            y = skew.component_bases[k][pos]
-            w = alg.mul_vec(y, moved[k])
+            k = grades[j]
             kg = grp.mul(k, g)
-            coords = pa.ideals[kg].coordinates_of(w)
+            coords = pa.ideals[kg].sparse_coordinates(
+                sparse(mul(bases[k][j - offsets[k]], moved[k])))
             if coords is None:
                 raise InternalCheckFailed("ideal product left its graded block")
-            payload = {smash.index(skew.offsets[kg] + t, h): c
-                       for t, c in enumerate(coords) if c}
+            payload = {smash.index(offsets[kg] + t, h): c for t, c in coords.items()}
             at_k = payload if k == gh else none
             kinv_h = grp.mul(grp.inv(k), h)
             base = smash.index(j, 0)
@@ -376,10 +389,8 @@ def decomposition_report(d):
 
     # φ on the ideal's echelon rows, from the sparse columns of φ; the
     # rank of the restriction is the dimension of their span
-    cols = d.phi.columns
     image = Subspace.from_sparse(B.field, d.mat.dim, [
-        _lincomb(B.field, ((c, cols[k]) for k, c in r.items()))
-        for r in d.ideal._rows.values()])
+        d.phi.apply_sparse(r) for r in d.ideal._rows.values()])
     results.append(check("duality.restricted_bijection",
                          image == d.image and image.dim == d.ideal.dim,
                          {"restricted_rank": image.dim,
@@ -404,15 +415,10 @@ def skew_injectivity_report(d):
     composite = d.phi.compose(smash.embed_skew())
     ker = composite.kernel()
 
-    argument_ok = True
-    for g in range(pa.group.order):
-        comp = vsub(alg.field, alg.unit, pa.idempotents[g])
-        m = alg.mul_vec(comp, pa.idempotents[g])
-        span = Subspace.from_vectors(
-            alg.field, alg.dim,
-            [alg._basis_times_vec(i, m) for i in range(alg.dim)])
-        if not span.is_zero():
-            argument_ok = False
+    # b_i·(1-1_g)1_g, one sparse product per (g, i)
+    argument_ok = not any(alg._mul_sparse({i: 1}, alg._mul_sparse(comp, e))
+                          for e, comp in zip(*_idempotents(pa))
+                          for i in range(alg.dim))
     return [
         check("duality.skew_embedding_injective", ker.is_zero(),
               {"kernel_dim": ker.dim, "skew_dim": smash.skew.dim}),

@@ -382,6 +382,14 @@ class Subspace:
             return None
         return tuple(vec[p] for p in self._rows)
 
+    def sparse_coordinates(self, row):
+        """``coordinates_of`` for a ``{column: scalar}`` dict of nonzero
+        canonical scalars, as ``{position: scalar}`` without zeros, in
+        position order: a vector of the span has them at the pivots."""
+        if self._residual(row):
+            return None
+        return {i: row[p] for i, p in enumerate(self._rows) if p in row}
+
     def linear_combination(self, coords):
         acc = {}
         get = acc.get

@@ -6,13 +6,21 @@ homogeneous elements is (a at g)·(b at h) = a(g·b) placed at gh, extended
 bilinearly.  The whole thing is materialized as a StructureAlgebra (with the
 full associativity/unit validation) so centers, matrix algebras and the
 smash construction apply to it unchanged.
+
+The build is sparse: the component bases are the echelon rows of the D_g,
+g·v is read from the columns of α_g once per (g, v), and the cell of each
+product u(g·v) is read off the pivots of D_gh, so no product makes a vector
+as long as the ring.  Products of components are cells of the table.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
+from .actions import _image
 from .algebras import AlgebraMap, make_algebra
 from .errors import InternalCheckFailed
-from .linalg import Subspace, _sparse, vzero
+from .linalg import Subspace, _dense, _sparse
 from .report import check
 
 
@@ -25,7 +33,7 @@ class SkewGroupRing:
         self.algebra = algebra
         self.action = action
         self.group = action.group
-        self.component_bases = component_bases  # per g: tuple of A-coordinate vectors
+        self.component_bases = component_bases  # per g: echelon rows of D_g, sparse
         self.offsets = offsets
         self.components = components            # per g: Subspace in skew coordinates
         self.embed_base = embed_base            # A -> skew, a |-> a at the identity
@@ -46,76 +54,55 @@ class SkewGroupRing:
         coords = self.action.ideals[g].coordinates_of(avec)
         if coords is None:
             raise ValueError("element does not lie in the ideal of that grade")
-        out = list(vzero(self.algebra.field, self.dim))
-        for i, c in enumerate(coords):
-            out[self.offsets[g] + i] = c
-        return tuple(out)
-
-    def project(self, coeffs, g):
-        """A-coordinates of the g-component of a skew coefficient vector."""
-        base = self.component_bases[g]
-        out = [0] * self.action.algebra.dim
-        for i, v in enumerate(base):
-            c = coeffs[self.offsets[g] + i]
-            if c:
-                for t, x in enumerate(v):
-                    out[t] += c * x
-        return self.algebra.field.vector(out)
+        return _dense({self.offsets[g] + i: c for i, c in enumerate(coords)},
+                      self.algebra.field, self.dim)
 
 
 def build_skew(pa):
     """Assemble and fully validate the twisted group ring of a partial action."""
     alg, grp = pa.algebra, pa.group
     field = alg.field
+    sparse, mul = field.sparse, alg._mul_acc
     n = grp.order
 
-    component_bases = [tuple(pa.ideals[g].basis) for g in range(n)]
-    offsets, total = [], 0
-    for g in range(n):
-        offsets.append(total)
-        total += len(component_bases[g])
+    component_bases = [tuple(pa.ideals[g]._rows.values()) for g in range(n)]
+    *offsets, total = accumulate(map(len, component_bases), initial=0)
 
     tags = [(g, i) for g in range(n) for i in range(len(component_bases[g]))]
-    labels = [f"{alg.format_vec(component_bases[g][i])} at {grp.label(g)}"
+    labels = [f"{alg.format_vec(pa.ideals[g].basis[i])} at {grp.label(g)}"
               for g, i in tags]
 
-    def coords_at(g, avec):
-        coords = pa.ideals[g].coordinates_of(avec)
+    def cell_at(g, avec):   # the skew coordinates of avec at g, a sorted cell
+        coords = pa.ideals[g].sparse_coordinates(avec)
         if coords is None:
             raise InternalCheckFailed(
                 "twisted product left its target graded component")
-        out = [field.zero] * total
-        for i, c in enumerate(coords):
-            out[offsets[g] + i] = c
-        return out
+        return [(offsets[g] + t, c) for t, c in coords.items()]
 
+    # g·v for every g and every basis vector v of every component, once
+    basis = [component_bases[h][i] for h, i in tags]
+    moved = [[sparse(_image(pa.columns[g], v.items())) for v in basis]
+             for g in range(n)]
     products = []
-    for g, i in tags:
-        u = component_bases[g][i]
+    for (g, _), u in zip(tags, basis):
         row = {}
-        for y, (h, j) in enumerate(tags):
-            v = component_bases[h][j]
-            w = alg.mul_vec(u, pa.dot_vec(g, v))
-            cell = [(k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w)) if c]
+        for y, (h, _) in enumerate(tags):
+            cell = cell_at(grp.mul(g, h), sparse(mul(u, moved[g][y])))
             if cell:
                 row[y] = cell
         products.append(row)
 
-    unit = coords_at(grp.identity, alg.unit)
+    e = grp.identity
+    unit = _dense(dict(cell_at(e, _sparse(alg.unit))), field, total)
     skew_alg = make_algebra(field, products, unit, labels=labels)
 
-    components = []
-    for g in range(n):
-        vectors = []
-        for i in range(len(component_bases[g])):
-            v = [field.zero] * total
-            v[offsets[g] + i] = field.one
-            vectors.append(tuple(v))
-        components.append(Subspace.from_vectors(field, total, vectors))
+    one = field.one
+    components = [Subspace.from_sparse(field, total, [
+        {offsets[g] + i: one} for i in range(len(component_bases[g]))])
+        for g in range(n)]
 
-    embed = AlgebraMap(alg, skew_alg, [
-        _sparse(coords_at(grp.identity, alg.basis_element(i).coeffs))
-        for i in range(alg.dim)])
+    embed = AlgebraMap(alg, skew_alg, [dict(cell_at(e, {i: one}))
+                                       for i in range(alg.dim)])
     if not (embed.is_multiplicative() and embed.is_unital() and embed.is_injective()):
         raise InternalCheckFailed("base algebra does not embed as the identity component")
 
@@ -123,13 +110,13 @@ def build_skew(pa):
 
 
 def component_product_span(skew, g, h):
-    """Span of all products of g-component and h-component basis vectors."""
-    alg = skew.algebra
-    prods = []
-    for u in skew.components[g].basis:
-        for v in skew.components[h].basis:
-            prods.append(alg.mul_vec(u, v))
-    return Subspace.from_vectors(alg.field, skew.dim, prods)
+    """Span of all products of g-component and h-component basis vectors:
+    each component is spanned by the unit vectors at its pivots, so the
+    products are cells of the product table."""
+    products = skew.algebra.products
+    return Subspace.from_sparse(skew.algebra.field, skew.dim, [
+        dict(products[x].get(y, ())) for x in skew.components[g].pivots
+        for y in skew.components[h].pivots])
 
 
 def grading_report(skew):

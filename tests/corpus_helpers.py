@@ -21,6 +21,15 @@ def qvec(entries):
     return tuple(Fraction(x) for x in entries)
 
 
+def place(mat, r, s, avec):
+    """Coefficient vector of a matrix algebra with the base element avec in
+    entry (r, s)."""
+    out = [mat.field.zero] * mat.dim
+    for i, v in enumerate(avec):
+        out[mat.slot(r, s, i)] = v
+    return tuple(out)
+
+
 def map_matrix(m):
     """The dense matrix of an ``AlgebraMap``, built from its sparse columns:
     the oracle that the dense tests compare against."""

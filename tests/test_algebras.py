@@ -16,7 +16,8 @@ from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Mat, Subspace
 
-from corpus_helpers import dense_rows, map_matrix, mapping_rows, qmat, qvec
+from corpus_helpers import (dense_rows, map_matrix, mapping_rows, place, qmat,
+                            qvec)
 from fp_oracle import unwrap, wrap
 
 
@@ -40,7 +41,7 @@ def test_matrix_units():
     assert m2.dim == 4
 
     def unit(r, s):
-        return m2.element(m2.place(r, s, (QQ.one,)))
+        return m2.element(place(m2, r, s, (QQ.one,)))
 
     assert unit(0, 0) * unit(0, 1) == unit(0, 1)
     assert unit(0, 1) * unit(0, 0) == m2.zero_element()
@@ -60,7 +61,7 @@ def test_central_idempotents():
     assert is_central_idempotent(kk.basis_element(0))
     assert not is_central_idempotent(kk.element(qvec([1, 2])))
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    e00 = m2.element(m2.place(0, 0, (QQ.one,)))
+    e00 = m2.element(place(m2, 0, 0, (QQ.one,)))
     assert not is_central_idempotent(e00)  # idempotent but witness E01 moves
 
 
@@ -105,7 +106,7 @@ def test_matrix_algebra_over_group_index():
     m = matrix_algebra(kk, cyclic(2))
     assert m.dim == 2 * 2 * 2  # n^2 * dim(A)
     assert m.unit == tuple(
-        a + b for a, b in zip(m.place(0, 0, kk.unit), m.place(1, 1, kk.unit)))
+        a + b for a, b in zip(place(m, 0, 0, kk.unit), place(m, 1, 1, kk.unit)))
     k_only = matrix_algebra(field_algebra(QQ), cyclic(1))
     assert k_only.dim == 1
 

@@ -18,7 +18,7 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
 from partialskew.skew import build_skew
 from partialskew.smash import SmashAlgebra, build_smash
 
-from corpus_helpers import map_matrix, qvec, z3_restricted_action
+from corpus_helpers import map_matrix, place, qvec, z3_restricted_action
 from fp_oracle import unwrap, wrap
 
 
@@ -38,14 +38,14 @@ def test_s1_map_images(s1_duality, s1_smash, s1_skew):
 
     # (1,0) at g # p_e lands on (1,0) in row g, column e
     img = d.phi.apply_vec(_smash_vec(s1_smash, g_gen, 0))
-    assert img == mat.place(1, 0, qvec([1, 0]))
+    assert img == place(mat, 1, 0, qvec([1, 0]))
     # (0,1) at e # p_g dies
     assert not any(d.phi.apply_vec(_smash_vec(s1_smash, e_bad, 1)))
 
 
 def test_s1_corner_idempotent(s1_duality):
     mat = s1_duality.mat
-    want = vadd(QQ, mat.place(0, 0, qvec([1, 1])), mat.place(1, 1, qvec([1, 0])))
+    want = vadd(QQ, place(mat, 0, 0, qvec([1, 1])), place(mat, 1, 1, qvec([1, 0])))
     assert s1_duality.corner_idempotent == tuple(want)
     assert s1_duality.phi.apply_vec(s1_duality.smash.algebra.unit) == tuple(want)
 
@@ -384,12 +384,12 @@ def test_two_sided_ideal_check_on_a_left_ideal(field):
     # one: E11·E12 = E12 escapes, first at b = E12 on the right
     m2 = matrix_algebra(field_algebra(field), 2)
     one = (field.one,)
-    column = Subspace.from_vectors(field, 4, [m2.place(0, 0, one),
-                                              m2.place(1, 0, one)])
+    column = Subspace.from_vectors(field, 4, [place(m2, 0, 0, one),
+                                              place(m2, 1, 0, one)])
     assert _is_two_sided_ideal(m2, column) == (
         False, "right multiple of E[0,1]*1 escapes")
-    row = Subspace.from_vectors(field, 4, [m2.place(0, 0, one),
-                                           m2.place(0, 1, one)])
+    row = Subspace.from_vectors(field, 4, [place(m2, 0, 0, one),
+                                           place(m2, 0, 1, one)])
     assert _is_two_sided_ideal(m2, row) == (
         False, "left multiple of E[1,0]*1 escapes")
     full = Subspace.from_vectors(field, 4, [m2.basis_element(i).coeffs

@@ -146,6 +146,31 @@ def test_sum_intersection_dimension_formula(a, b):
     assert u.contains(inter) and v.contains(inter)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])
+@settings(max_examples=80, deadline=None)
+@given(entries=integer_matrices(), data=st.data())
+def test_sparse_coordinates_agree_with_coordinates_of(field, entries, data):
+    # half the vectors are combinations of the spanning rows, so inside the
+    # subspace; the rest are drawn freely and may lie either side
+    n = len(entries[0])
+    span = Subspace.from_vectors(field, n, [[field.from_int(x) for x in row]
+                                            for row in entries])
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(small_entries, min_size=len(entries),
+                                    max_size=len(entries)))
+        vec = [sum(c * row[t] for c, row in zip(coeffs, entries)) for t in range(n)]
+    else:
+        vec = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+    vec = tuple(field.from_int(x) for x in vec)
+    dense = span.coordinates_of(vec)
+    got = span.sparse_coordinates({t: x for t, x in enumerate(vec) if x})
+    assert (got is None) == (dense is None) == (not span.contains_vector(vec))
+    if dense is not None:
+        assert got == {i: c for i, c in enumerate(dense) if c}
+        assert list(got) == sorted(got)
+        assert span.linear_combination(dense) == vec
+
+
 def test_prime_field_reduction():
     f = GF(5)
     m = Mat(f, [[f.from_int(2), f.from_int(1)], [f.from_int(4), f.from_int(2)]])

@@ -1,14 +1,29 @@
-"""The sparse duality and centre passes against the routes they replaced.
+"""The sparse duality, twisted-ring and centre passes against the routes
+they replaced.
 
 * ``algebras.center_basis`` with a generating set builds one commutator row
   per (generator, output coordinate); ``_full_center_basis`` builds all d²
   rows [x, b_j] = 0 and checks commutation with dense products.
 * ``duality._left_products`` forms b·r once for the two-sided test and the
   Kronecker tally; ``_own_products_two_sided`` forms each product on its
-  own, b-major, and ``_per_product_tally`` multiplies per (v, j, l).
-* ``duality._verify_twisted_entry_identity`` forms each image once per
-  (g, h, a, b) or per (g, h, k); ``_per_k_entry_identity`` redoes all five
-  images and both products for every k.
+  own, b-major.  The tally reads the ideal's sparse echelon rows;
+  ``_per_product_tally`` finds each row's block with ``_block_of`` and its
+  A-coordinates with ``_project`` on the dense basis, and multiplies per
+  (v, j, l).
+* ``duality._verify_twisted_entry_identity`` keeps one accumulator per
+  (g, h, k) over sparse images; ``_per_k_entry_identity`` redoes all five
+  dense images and both products for every k and basis pair.
+* ``skew.build_skew`` reads each product cell off the pivots of D_gh and
+  ``component_product_span`` reads cells of the table; ``_dense_skew``
+  forms a ring-long coordinate list per product (``coords_at``) and
+  ``_dense_component_span`` multiplies dense unit vectors.
+* The block subspaces of ``duality`` (kernel formula, complementary ideal),
+  the entrywise image of ``corner_report``, the corner idempotent, the
+  argument of ``skew_injectivity_report`` and ``_cross_product_witness``
+  are formed from sparse products; ``_dense_block_subspace``,
+  ``_dense_entrywise``, ``_dense_corner_idempotent``,
+  ``_dense_injectivity_argument`` and ``_pairwise_cross_witness`` (one
+  sparse product per ideal × kernel pair) are the routes they replaced.
 * ``corner_report`` forms the Pierce corner e·E_b·e sparse, and φ∘ι is
   composed from sparse columns; ``_dense_pierce`` and ``_dense_composite``
   use dense ``mul_vec`` and ``Mat @``.
@@ -21,23 +36,28 @@ from functools import lru_cache
 
 import pytest
 
+import partialskew.skew as skew_module
 from partialskew.actions import PartialAction
 from partialskew.algebras import (center_basis, field_algebra, matrix_algebra,
                                   product_of_fields)
-from partialskew.duality import (_block_of, _delta_convention_tally,
-                                 _is_two_sided_ideal, _left_products,
+from partialskew.duality import (DualityData, _cross_product_witness,
+                                 _delta_convention_tally, _is_two_sided_ideal,
+                                 _left_products,
                                  _verify_twisted_entry_identity, build_duality,
-                                 corner_report, skew_injectivity_report)
+                                 complement_ideal_subspace, corner_report,
+                                 kernel_formula_subspace,
+                                 skew_injectivity_report)
 from partialskew.errors import InternalCheckFailed
 from partialskew.fields import parse_field
-from partialskew.linalg import Mat, Subspace, _sparse, kernel_basis
+from partialskew.linalg import (Mat, Subspace, _sparse, kernel_basis, vadd,
+                                vsub, vzero)
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
                                    load_scenario)
-from partialskew.skew import build_skew
+from partialskew.skew import build_skew, component_product_span
 from partialskew.smash import build_smash
 
-from corpus_helpers import map_matrix
+from corpus_helpers import map_matrix, place
 from test_golden_reports import INLINE
 
 FIELDS = ("q", "fp:5", "fp:2")
@@ -101,6 +121,32 @@ def _own_products_two_sided(algebra, subspace):
     return True, ""
 
 
+def _block_of(smash, vec):
+    """(grade, dual index) of a vector supported in a single block."""
+    found = None
+    for idx, c in enumerate(vec):
+        if not c:
+            continue
+        j, h = smash.parts(idx)
+        g, _ = smash.skew.grade_of(j)
+        if found is None:
+            found = (g, h)
+        elif found != (g, h):
+            return None
+    return found
+
+
+def _project(skew, coeffs, g):
+    """A-coordinates of the g-component of a skew coefficient vector."""
+    out = [0] * skew.action.algebra.dim
+    for i, v in enumerate(skew.action.ideals[g].basis):
+        c = coeffs[skew.offsets[g] + i]
+        if c:
+            for t, x in enumerate(v):
+                out[t] += c * x
+    return skew.algebra.field.vector(out)
+
+
 def _per_product_tally(d, left=None):
     """The Kronecker tally with one sparse product per (v, j, l), or, given
     a left-product table, one lookup in it per (v, j, l)."""
@@ -115,11 +161,11 @@ def _per_product_tally(d, left=None):
         if blk is None:
             continue
         g, h = blk
-        a_part = skew.project(
-            tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
+        a_part = _project(
+            skew, tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
         for j in range(skew.dim):
             k, pos = skew.grade_of(j)
-            w = alg.mul_vec(skew.component_bases[k][pos], pa.dot_vec(k, a_part))
+            w = alg.mul_vec(pa.ideals[k].basis[pos], pa.dot_vec(k, a_part))
             kg = grp.mul(k, g)
             coords = pa.ideals[kg].coordinates_of(w)
             payload = {smash.index(skew.offsets[kg] + t, h): c
@@ -162,6 +208,159 @@ def _entry_identity_message(pa):
         _verify_twisted_entry_identity(pa)
     except InternalCheckFailed as exc:
         return str(exc)
+    return None
+
+
+class _Tabled(Exception):
+    """Raised in place of ``make_algebra`` to hand back the table it got."""
+
+
+def _skew_table(pa, monkeypatch):
+    """The product rows and unit that ``build_skew`` hands to
+    ``make_algebra``, or the text of the InternalCheckFailed it raises
+    before."""
+    def record(field, products, unit, labels=None):
+        raise _Tabled([{y: tuple(c) for y, c in row.items()} for row in products],
+                      tuple(unit))
+
+    with monkeypatch.context() as m:
+        m.setattr(skew_module, "make_algebra", record)
+        try:
+            build_skew(pa)
+        except _Tabled as table:
+            return table.args
+        except InternalCheckFailed as exc:
+            return str(exc)
+    raise AssertionError("build_skew returned without a table")
+
+
+def _dense_skew(pa):
+    """Product rows, unit and embedding columns of the twisted ring, one
+    ring-long coordinate list per product (``coords_at``); the text of the
+    first InternalCheckFailed instead when a product leaves its component."""
+    alg, grp = pa.algebra, pa.group
+    field, n = alg.field, grp.order
+    bases = [pa.ideals[g].basis for g in range(n)]
+    offsets = [sum(len(b) for b in bases[:g]) for g in range(n)]
+    total = sum(len(b) for b in bases)
+    tags = [(g, i) for g in range(n) for i in range(len(bases[g]))]
+
+    def coords_at(g, avec):
+        coords = pa.ideals[g].coordinates_of(avec)
+        if coords is None:
+            raise InternalCheckFailed(
+                "twisted product left its target graded component")
+        out = [field.zero] * total
+        for i, c in enumerate(coords):
+            out[offsets[g] + i] = c
+        return out
+
+    try:
+        products = []
+        for g, i in tags:
+            row = {}
+            for y, (h, j) in enumerate(tags):
+                w = alg.mul_vec(bases[g][i], pa.dot_vec(g, bases[h][j]))
+                cell = tuple((k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w))
+                             if c)
+                if cell:
+                    row[y] = cell
+            products.append(row)
+        unit = tuple(coords_at(grp.identity, alg.unit))
+        embed = [_sparse(coords_at(grp.identity, alg.basis_element(i).coeffs))
+                 for i in range(alg.dim)]
+    except InternalCheckFailed as exc:
+        return str(exc)
+    return products, unit, embed
+
+
+def _dense_component_span(skew, g, h):
+    alg = skew.algebra
+    return Subspace.from_vectors(alg.field, skew.dim, [
+        alg.mul_vec(u, v) for u in skew.components[g].basis
+        for v in skew.components[h].basis])
+
+
+def _dense_block_subspace(smash, multiplier):
+    """Span of {b_i·multiplier(g,h) placed at grade g with dual index h},
+    from dense products and ``coordinates_of``."""
+    skew = smash.skew
+    pa = skew.action
+    alg = pa.algebra
+    n = pa.group.order
+    vectors = []
+    for g in range(n):
+        for h in range(n):
+            m = multiplier(g, h)
+            for i in range(alg.dim):
+                v = alg._basis_times_vec(i, m)
+                if not any(v):
+                    continue
+                coords = pa.ideals[g].coordinates_of(v)
+                if coords is None:
+                    raise InternalCheckFailed("block generator left its ideal")
+                vectors.append({smash.index(skew.offsets[g] + t, h): c
+                                for t, c in enumerate(coords) if c})
+    return Subspace.from_sparse(alg.field, smash.dim, vectors)
+
+
+def _dense_kernel_formula(smash):
+    pa = smash.skew.action
+    alg, grp = pa.algebra, pa.group
+    return _dense_block_subspace(smash, lambda g, h: alg.mul_vec(
+        vsub(alg.field, alg.unit, pa.idempotents[grp.mul(g, h)]), pa.idempotents[g]))
+
+
+def _dense_complement(smash):
+    pa = smash.skew.action
+    alg, grp = pa.algebra, pa.group
+    return _dense_block_subspace(smash, lambda g, h: alg.mul_vec(
+        pa.idempotents[grp.mul(g, h)], pa.idempotents[g]))
+
+
+def _dense_entrywise(d):
+    pa = d.smash.skew.action
+    alg, grp, mat = pa.algebra, pa.group, d.mat
+    vectors = []
+    for r in range(grp.order):
+        for s in range(grp.order):
+            m = alg.mul_vec(pa.idempotents[grp.inv(r)], pa.idempotents[grp.inv(s)])
+            for i in range(alg.dim):
+                v = alg._basis_times_vec(i, m)
+                vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
+    return Subspace.from_sparse(alg.field, mat.dim, vectors)
+
+
+def _dense_corner_idempotent(d):
+    pa = d.smash.skew.action
+    mat, grp, field = d.mat, pa.group, pa.algebra.field
+    bold_e = vzero(field, mat.dim)
+    for g in range(grp.order):
+        bold_e = vadd(field, bold_e, place(mat, g, g, pa.idempotents[grp.inv(g)]))
+    return bold_e
+
+
+def _dense_injectivity_argument(pa):
+    alg = pa.algebra
+    for e in pa.idempotents:
+        m = alg.mul_vec(vsub(alg.field, alg.unit, e), e)
+        if not Subspace.from_vectors(alg.field, alg.dim, [
+                alg._basis_times_vec(i, m) for i in range(alg.dim)]).is_zero():
+            return False
+    return True
+
+
+def _pairwise_cross_witness(algebra, ideal, kernel):
+    """One sparse product per (ideal row, kernel row) pair and side."""
+    mul = algebra._mul_sparse
+    ks = [_sparse(w) for w in kernel.basis]
+    for i, v in enumerate(ideal.basis):
+        sv = _sparse(v)
+        for j, w in enumerate(ks):
+            if mul(sv, w):
+                return f"ideal[{i}]*kernel[{j}] is nonzero"
+            if mul(w, sv):
+                return f"kernel[{j}]*ideal[{i}] is nonzero"
     return None
 
 
@@ -258,6 +457,40 @@ def test_tally_of_reshaped_tables_matches_every_index(name):
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", SOURCES)
+def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field):
+    # the echelon rows of the ideal are unit vectors on every instance here,
+    # so the tally also gets a basis in which each row adds 3 times the next
+    # row of its block (a unitriangular change of basis), and one in which
+    # a row also mixes two blocks once; it must read the blocks and the
+    # A-coordinates of such rows as the dense route does
+    d = _duality(name, field)
+    smash, B = d.smash, d.smash.algebra
+    basis = d.ideal.basis
+    blocks = [_block_of(smash, v) for v in basis]
+    three = B.field.reduce(3)
+    for mix_blocks in (False, True):
+        rows, mixed = [], False
+        for t, v in enumerate(basis):
+            later = [u for u in range(t + 1, len(basis))
+                     if blocks[u] == blocks[t] or (mix_blocks and not mixed)]
+            if later:
+                mixed |= blocks[later[0]] != blocks[t]
+                v = vadd(B.field, v, tuple(three * x for x in basis[later[0]]))
+            rows.append(_sparse(v))
+        assert Subspace.from_sparse(B.field, B.dim, rows) == d.ideal
+        assert mixed == mix_blocks
+        assert any(len(r) > 1 for r in rows)
+        ideal = Subspace(B.field, B.dim, dict(enumerate(rows)))
+        bent = DualityData(smash, d.mat, d.phi, d.corner_idempotent, d.kernel,
+                           d.image, ideal)
+        tally = _delta_convention_tally(bent, _left_products(B, ideal))
+        assert tally == _per_product_tally(bent)
+        if not mixed:
+            assert tally == _delta_convention_tally(d, _left_products(B, d.ideal))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", SOURCES)
 def test_entry_identity_and_corner_match_dense_routes(name, field):
     d = _duality(name, field)
     pa = d.smash.skew.action
@@ -271,6 +504,38 @@ def test_entry_identity_and_corner_match_dense_routes(name, field):
     assert composite.kernel() == kernel_basis(_dense_composite(d))
     injective = skew_injectivity_report(d)[0]
     assert injective.measured["kernel_dim"] == kernel_basis(_dense_composite(d)).dim
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", SOURCES)
+def test_twisted_ring_matches_dense_route(name, field):
+    skew = _duality(name, field).smash.skew
+    products, unit, embed = _dense_skew(skew.action)
+    assert skew.algebra.products == tuple(products)
+    assert skew.algebra.unit == unit
+    assert skew.embed_base.columns == embed
+    n = skew.group.order
+    for g in range(n):
+        for h in range(n):
+            assert component_product_span(skew, g, h) == _dense_component_span(skew, g, h)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", SOURCES)
+def test_block_subspaces_and_cross_products_match_dense_routes(name, field):
+    d = _duality(name, field)
+    smash, pa = d.smash, d.smash.skew.action
+    assert kernel_formula_subspace(smash) == _dense_kernel_formula(smash)
+    assert complement_ideal_subspace(smash) == _dense_complement(smash) == d.ideal
+    entrywise = next(c for c in corner_report(d) if c.name == "duality.image_entrywise")
+    assert entrywise.measured["entrywise_dim"] == _dense_entrywise(d).dim
+    assert (entrywise.status == "pass") == (_dense_entrywise(d) == d.image)
+    assert d.corner_idempotent == _dense_corner_idempotent(d)
+    argument = skew_injectivity_report(d)[1]
+    assert (argument.status == "pass") == _dense_injectivity_argument(pa)
+    B = smash.algebra
+    assert _cross_product_witness(B, d.ideal, d.kernel) is None
+    assert _pairwise_cross_witness(B, d.ideal, d.kernel) is None
 
 
 # -- tampered inputs -------------------------------------------------------
@@ -315,12 +580,41 @@ def _perturbed_actions(pa):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", ["global_z2_swap.json", "z3_restrict.json",
                                   "s3_split"])
-def test_perturbed_map_names_the_oracles_triple(name, field):
+def test_perturbed_map_names_the_oracles_triple(name, field, monkeypatch):
+    # one changed entry of an α_g column: the entry identity names the same
+    # first triple as the dense route, and the twisted ring fails with the
+    # same text, or hands the same table to make_algebra
     pa = _duality(name, field).smash.skew.action
-    messages = [(_entry_identity_message(bad), _per_k_entry_identity(bad))
-                for bad in _perturbed_actions(pa)]
+    messages, tables = [], []
+    for bad in _perturbed_actions(pa):
+        messages.append((_entry_identity_message(bad), _per_k_entry_identity(bad)))
+        dense = _dense_skew(bad)
+        tables.append((_skew_table(bad, monkeypatch),
+                       dense if isinstance(dense, str) else dense[:2]))
     assert all(new == old for new, old in messages)
     assert sum(new is not None for new, _ in messages) >= 1
+    assert all(new == old for new, old in tables)
+    if name == "z3_restrict.json":   # some products leave their component
+        assert any(isinstance(new, str) for new, _ in tables)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", ["s1.json", "split_m2_z2.json",
+                                  "s3_regular_restrict.json", "s3_split"])
+def test_nonzero_cross_products_name_the_oracles_pair(name, field):
+    # pairs whose products do not all vanish: the complementary ideal
+    # against itself and against spans of single basis vectors, both ways
+    d = _duality(name, field)
+    B = d.smash.algebra
+    singles = [Subspace.from_sparse(B.field, B.dim, [{b: B.field.one}])
+               for b in range(0, B.dim, 1 + B.dim // 16)]
+    pairs = [(d.ideal, d.ideal), (d.ideal, d.kernel), (d.kernel, d.ideal)]
+    pairs += [(u, d.ideal) for u in singles] + [(d.ideal, u) for u in singles]
+    witnesses = [_cross_product_witness(B, ideal, kernel) for ideal, kernel in pairs]
+    assert witnesses == [_pairwise_cross_witness(B, ideal, kernel)
+                         for ideal, kernel in pairs]
+    assert any(w and w.startswith("ideal[") for w in witnesses)
+    assert any(w and w.startswith("kernel[") for w in witnesses)
 
 
 @pytest.mark.parametrize("field", FIELDS)
