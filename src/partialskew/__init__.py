@@ -20,9 +20,6 @@ from .duality import (DualityData, build_duality, corner_report,
                       skew_injectivity_report)
 from .fields import GF, QQ, parse_field
 from .groups import FiniteGroup, cyclic, make_group, symmetric
-from .hopf import (HopfData, PartialHopfAction, build_corner_maps,
-                   build_partial_smash, build_representations, group_hopf,
-                   lift_group_action, make_hopf, make_partial_hopf_action)
 from .linalg import Mat, Subspace, image_basis, kernel_basis, solve
 from .report import CheckResult, Report, emit_report, parse_structured
 from .scenarios import run_scenario
@@ -30,3 +27,21 @@ from .skew import SkewGroupRing, build_skew, grading_report, strong_grading_test
 from .smash import SmashAlgebra, build_smash
 
 __version__ = "0.1.0"
+
+# The Hopf layer is the largest module and only the ``hopf`` suite uses it:
+# its public names are resolved on first access (PEP 562), so a run that
+# never reads them never imports it.
+_HOPF_NAMES = ("HopfData", "PartialHopfAction", "build_corner_maps",
+               "build_partial_smash", "build_representations", "group_hopf",
+               "lift_group_action", "make_hopf", "make_partial_hopf_action")
+
+
+def __getattr__(name):
+    if name in _HOPF_NAMES:
+        from . import hopf
+        return getattr(hopf, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOPF_NAMES))

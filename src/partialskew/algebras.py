@@ -409,16 +409,32 @@ def make_algebra(field, products, unit, labels=None):
 
 def _unit_law_failure(alg):
     """First (basis index, "left" or "right") where 1·b = b = b·1 fails,
-    or None."""
+    or None.
+
+    One accumulator per side, keyed i·d + k, holds 1·b_i − b_i (left) or
+    b_i·1 − b_i (right) for every i at once: the left one from the rows of
+    the unit's support, the right one from the cells in the unit's columns,
+    met in one walk over the rows: a column index built here would stay
+    cached on a matrix algebra for the rest of the run."""
+    d = alg.dim
     unit = _sparse(alg.unit)
-    one = alg.field.one
-    for i in range(alg.dim):
-        b = {i: one}
-        if alg._mul_sparse(unit, b) != b:
-            return i, "left"
-        if alg._mul_sparse(b, unit) != b:
-            return i, "right"
-    return None
+    products = alg.products
+    left = {i * d + i: -1 for i in range(d)}
+    for u, c in unit.items():
+        for i, cell in products[u].items():
+            _add(left, i * d, c, cell)
+    right = {i * d + i: -1 for i in range(d)}
+    for i, row in enumerate(products):
+        for u, cell in row.items():
+            c = unit.get(u)
+            if c is not None:
+                _add(right, i * d, c, cell)
+    sparse = alg.field.sparse
+    failures = [(min(bad) // d, side)
+                for side, acc in (("left", left), ("right", right))
+                if (bad := sparse(acc))]
+    # the smaller index first; at one index "left" sorts before "right"
+    return min(failures, default=None)
 
 
 def is_central_idempotent(a):

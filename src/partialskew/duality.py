@@ -181,28 +181,10 @@ def kernel_report(d):
 
 
 def corner_report(d):
-    pa = d.smash.skew.action
-    alg, grp, mat = pa.algebra, pa.group, d.mat
-    field = alg.field
-    n = grp.order
-    es, _ = _idempotents(pa)
-    one = field.one
-
-    vectors = []   # b_i·1_{r⁻¹}1_{s⁻¹} in entry (r, s), reduced by from_sparse
-    for r in range(n):
-        for s in range(n):
-            m = alg._mul_sparse(es[grp.inv(r)], es[grp.inv(s)])
-            base = mat.slot(r, s, 0)
-            vectors += [{base + t: x for t, x in alg._mul_acc({i: one}, m).items()}
-                        for i in range(alg.dim)]
-    entrywise = Subspace.from_sparse(field, mat.dim, vectors)
-
-    # the Pierce corner e·E_b·e, one sparse product pair per basis element
-    mul = mat._mul_sparse
+    pa, mat = d.smash.skew.action, d.mat
+    entrywise = _entrywise_image(pa, mat)
     e = _sparse(d.corner_idempotent)
-    pierce = Subspace.from_sparse(
-        field, mat.dim, [mul(e, mul({b: one}, e)) for b in range(mat.dim)])
-
+    pierce = _pierce_corner(mat, e)
     return [
         check("duality.image_entrywise", d.image == entrywise,
               {"image_dim": d.image.dim, "entrywise_dim": entrywise.dim}),
@@ -210,9 +192,48 @@ def corner_report(d):
               {"image_dim": d.image.dim, "pierce_dim": pierce.dim}),
         check("duality.corner_idempotent",
               d.phi.apply_sparse(_sparse(d.smash.algebra.unit)) == e
-              and mul(e, e) == e,
+              and mat._mul_sparse(e, e) == e,
               {"matrix_dim": mat.dim}),
     ]
+
+
+def _entrywise_image(pa, mat):
+    """The span of b_i·1_{r⁻¹}1_{s⁻¹} placed in entry (r, s), over every
+    (r, s, i).  The products b_i·m are formed once per distinct
+    m = 1_{r⁻¹}1_{s⁻¹}, in one walk over the columns m reaches."""
+    alg, grp = pa.algebra, pa.group
+    field = alg.field
+    by_col = alg.nonempty_cells[1]
+    es, _ = _idempotents(pa)
+    left = {}   # m, as its sorted items -> {i: b_i·m}
+    vectors = []
+    for r in range(grp.order):
+        for s in range(grp.order):
+            m = alg._mul_sparse(es[grp.inv(r)], es[grp.inv(s)])
+            key = tuple(sorted(m.items()))
+            products = left.get(key)
+            if products is None:
+                products = left[key] = _products_by_basis(field.sparse, by_col, m)
+            base = mat.slot(r, s, 0)
+            vectors += [{base + t: x for t, x in v.items()} for v in products.values()]
+    return Subspace.from_sparse(field, mat.dim, vectors)
+
+
+def _pierce_corner(mat, e):
+    """The span of the Pierce corner e·E_b·e over the basis E_b:
+    e·E_b·e = Σ_k (E_b·e)_k·(e·E_k), with e·E_k read from the rows of e's
+    support for every k at once, and E_b·e as one unreduced product.  Like
+    the unit law, it builds no column index of the matrix algebra, which
+    would stay cached for the rest of the run."""
+    field = mat.field
+    by_row = [row.items() for row in mat.products]
+    e_times = _products_by_basis(field.sparse, by_row, e)
+    corner = []
+    for b in range(mat.dim):
+        times_e = mat._mul_acc({b: field.one}, e)
+        corner.append(_lincomb(field, ((c, e_times[k]) for k, c in times_e.items()
+                                       if k in e_times)))
+    return Subspace.from_sparse(field, mat.dim, corner)
 
 
 def _products_by_basis(sparse, cells, r):

@@ -859,8 +859,12 @@ def hopf_lift_suite(pa, skew_ring):
     results.append(check("hopf.partial_action_axioms", True,
                          {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
 
-    grp = pa.group
-    differs = next((g for g in range(grp.order) if pha.acts[g] != pa.columns[g]), None)
+    # the lift's columns against α_g(b_x) formed by each map's own rows
+    grp, alg = pa.group, pa.algebra
+    basis = [alg.basis_element(x).coeffs for x in range(alg.dim)]
+    differs = next((g for g in range(grp.order)
+                    if any(col != _sparse(pa.maps[g].apply(b))
+                           for col, b in zip(pha.acts[g], basis))), None)
     results.append(check("hopf.lift_matches_group_dot", differs is None, {},
                          [] if differs is None else
                          [f"lifted action differs at {grp.label(differs)}"]))

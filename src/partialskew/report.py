@@ -9,7 +9,6 @@ Report value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -18,13 +17,35 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    measured: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    seconds: float | None = field(default=None, compare=False)
+    """One named check: its status, measured values and failure witnesses.
+
+    ``seconds`` is a text-only timing: equality ignores it, so two runs of
+    one scenario give equal results.  Mutable, hence unhashable."""
+
+    __slots__ = ("name", "status", "measured", "witnesses", "seconds")
+
+    def __init__(self, name, status, measured=None, witnesses=None, seconds=None):
+        self.name = name
+        self.status = status
+        self.measured = {} if measured is None else measured
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seconds = seconds
+
+    def _key(self):
+        return self.name, self.status, self.measured, self.witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, status={self.status!r}, "
+                f"measured={self.measured!r}, witnesses={self.witnesses!r}, "
+                f"seconds={self.seconds!r})")
 
     def ok(self):
         return self.status != FAIL
@@ -35,10 +56,24 @@ def check(name, passed, measured=None, witnesses=None, seconds=None):
                        measured or {}, witnesses or [], seconds)
 
 
-@dataclass
 class Report:
-    scenario: str
-    checks: list
+    """The checks of one scenario run.  Mutable, hence unhashable."""
+
+    __slots__ = ("scenario", "checks")
+
+    def __init__(self, scenario, checks):
+        self.scenario = scenario
+        self.checks = checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scenario, self.checks) == (other.scenario, other.checks)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Report(scenario={self.scenario!r}, checks={self.checks!r})"
 
     def passed(self):
         return all(c.ok() for c in self.checks)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from importlib import resources
 from pathlib import Path
 
-from . import hopf as hopf_mod
 from .actions import (dot_identities_report, global_action,
                       make_partial_action, restrict_global, trivial_from_split)
 from .algebras import (center_basis, direct_product, field_algebra,
@@ -272,6 +270,7 @@ _HOPF_KEYS = ("constants", "unit", "comultiplication", "counit", "antipode")
 
 def _explicit_hopf_checks(field, spec):
     """Validate user-supplied Hopf structure constants and the operator layer."""
+    from . import hopf as hopf_mod
     try:
         algebra = build_algebra(field, {key: spec[key] for key in
                                         ("constants", "unit", "labels")
@@ -387,6 +386,7 @@ def run_scenario(source, suites=None, field_override=None):
         timed(lambda: separability_report(run.smash))
 
     if "hopf" in selected:
+        from . import hopf as hopf_mod
         timed(lambda: hopf_mod.hopf_lift_suite(action, run.skew))
 
     if "hopf" in doc:
@@ -432,15 +432,18 @@ def run_scenario(source, suites=None, field_override=None):
     return report
 
 
+# Found next to this module rather than through ``importlib.resources``,
+# which from Python 3.12 on imports ``inspect`` when it loads.
+FIXTURES = Path(__file__).with_name("fixtures")
+
+
 def bundled_fixtures():
     """Names of the scenario files shipped with the package."""
-    base = resources.files("partialskew").joinpath("fixtures")
-    return sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name for p in FIXTURES.iterdir() if p.name.endswith(".json"))
 
 
 def fixture_path(name):
-    base = resources.files("partialskew").joinpath("fixtures")
-    target = base.joinpath(name)
+    target = FIXTURES / name
     if not target.is_file():
         raise ParseError(f"no bundled scenario named {name!r}")
     return target

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partialskew.algebras import (AlgebraMap, StructureAlgebra,
-                                  _associativity_witness, center_basis,
+                                  _associativity_witness, _unit_law_failure,
+                                  center_basis,
                                   direct_product,
                                   dual_group_algebra, field_algebra,
                                   group_algebra, ideal_basis,
@@ -251,6 +252,66 @@ def test_unit_fails_witness():
     kk = product_of_fields(QQ, 2)
     with pytest.raises(UnitFails):
         make_algebra(QQ, kk.products, qvec([1, 0]))
+
+
+def _per_basis_unit_failure(alg):
+    """Oracle: the first (i, side) where 1·b_i = b_i = b_i·1 fails, from two
+    sparse products per basis element, left before right."""
+    unit = {k: v for k, v in enumerate(alg.unit) if v}
+    one = alg.field.one
+    for i in range(alg.dim):
+        b = {i: one}
+        if alg._mul_sparse(unit, b) != b:
+            return i, "left"
+        if alg._mul_sparse(b, unit) != b:
+            return i, "right"
+    return None
+
+
+def _unit_law_algebras(field):
+    kk = product_of_fields(field, 2)
+    return [kk, group_algebra(field, symmetric(3)),
+            matrix_algebra(field_algebra(field), 2),
+            matrix_algebra(kk, cyclic(2)), direct_product(kk, field_algebra(field)),
+            tensor_algebra(kk, dual_group_algebra(field, cyclic(3)))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_unit_law_failure_matches_per_basis_oracle(field):
+    for alg in _unit_law_algebras(field):
+        assert _unit_law_failure(alg) is None
+        assert _per_basis_unit_failure(alg) is None
+
+
+@pytest.mark.parametrize("unit, expected", [
+    # E_11·E_00 = 0: the left law fails first, at E_00
+    ([0, 0, 0, 1], (0, "left")),
+    # E_00·E_01 = E_01 but E_01·E_00 = 0: the right law fails first, at E_01
+    ([1, 0, 0, 0], (1, "right")),
+    # 2·1: both sides fail at E_00, and the left is named
+    ([2, 0, 0, 2], (0, "left")),
+])
+def test_unit_law_failure_planted(unit, expected):
+    m2 = matrix_algebra(field_algebra(QQ), 2)
+    alg = StructureAlgebra(QQ, m2.products, qvec(unit))
+    assert _per_basis_unit_failure(alg) == expected
+    assert _unit_law_failure(alg) == expected
+    with pytest.raises(UnitFails, match=rf"b{expected[0]} \({expected[1]} side\)"):
+        make_algebra(QQ, m2.products, qvec(unit))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.integers(0, 5),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(-2, 2)), max_size=3))
+def test_unit_law_failure_perturbed_units(field, which, changes):
+    # the true unit with a few coefficients moved: the first failure falls
+    # on either side and at any index
+    alg = _unit_law_algebras(field)[which]
+    unit = list(alg.unit)
+    for j, delta in changes:
+        unit[j % alg.dim] += delta
+    declared = StructureAlgebra(field, alg.products, field.scalars(unit))
+    assert _unit_law_failure(declared) == _per_basis_unit_failure(declared)
 
 
 @settings(max_examples=40, deadline=None)

@@ -704,17 +704,40 @@ def test_matches_skew_ring_names_its_failure(s1_action, s1_skew, corner, unit, r
     assert result.witnesses == [witness]
 
 
-def test_lift_matches_group_dot_names_the_element(s1_action):
-    # the group dot of g (the action's sparse columns) is doubled after
-    # validation; the lift is made from the validated maps and the rest of
-    # the suite reads the lift, so only the comparison sees the change
+def test_lift_matches_group_dot_names_the_element(monkeypatch, s1_action):
+    # one lifted column of g doubled after the lift is validated: the check
+    # forms α_g(b_x) from the map's rows, so it sees the change and names g
+    lift = hopf.lift_group_action
+
+    def bent_lift(pa):
+        pha = lift(pa)
+        cols = list(pha.acts[1])
+        x = next(x for x, col in enumerate(cols) if col)
+        cols[x] = {t: 2 * v for t, v in cols[x].items()}
+        pha.acts = [pha.acts[0], cols]
+        return pha
+
+    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
+    assert results["hopf.lift_matches_group_dot"].status == "pass"
+    monkeypatch.setattr(hopf, "lift_group_action", bent_lift)
+    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
+    bent = results["hopf.lift_matches_group_dot"]
+    assert bent.status == "fail"
+    assert bent.witnesses == ["lifted action differs at g"]
+
+
+def test_lift_matches_group_dot_reads_the_maps_not_their_columns(s1_action):
+    # the group dot's sparse columns doubled after validation: the check
+    # reads the maps themselves, so the lift still matches; the lift is made
+    # from the validated maps and the rest of the suite reads the lift, so
+    # no other check fails either
     pa = s1_action
     tampered = PartialAction(pa.group, pa.algebra, pa.idempotents, pa.maps, pa.ideals)
     tampered.columns = (pa.columns[0],
                         [{t: 2 * x for t, x in col.items()} for col in pa.columns[1]])
     results = hopf_lift_suite(tampered, build_skew(pa))
-    failed = [(c.name, c.witnesses) for c in results if c.status == "fail"]
-    assert failed == [("hopf.lift_matches_group_dot", ["lifted action differs at g"])]
+    assert "hopf.lift_matches_group_dot" in [c.name for c in results]
+    assert [c.name for c in results if c.status == "fail"] == []
 
 
 def test_corner_maps_fails_on_a_non_idempotent_corner_unit(monkeypatch, s1_action):

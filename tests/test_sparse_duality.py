@@ -18,15 +18,17 @@ they replaced.
   forms a ring-long coordinate list per product (``coords_at``) and
   ``_dense_component_span`` multiplies dense unit vectors.
 * The block subspaces of ``duality`` (kernel formula, complementary ideal),
-  the entrywise image of ``corner_report``, the corner idempotent, the
-  argument of ``skew_injectivity_report`` and ``_cross_product_witness``
-  are formed from sparse products; ``_dense_block_subspace``,
-  ``_dense_entrywise``, ``_dense_corner_idempotent``,
+  the corner idempotent, the argument of ``skew_injectivity_report`` and
+  ``_cross_product_witness`` are formed from sparse products;
+  ``_dense_block_subspace``, ``_dense_corner_idempotent``,
   ``_dense_injectivity_argument`` and ``_pairwise_cross_witness`` (one
   sparse product per ideal × kernel pair) are the routes they replaced.
-* ``corner_report`` forms the Pierce corner e·E_b·e sparse, and φ∘ι is
-  composed from sparse columns; ``_dense_pierce`` and ``_dense_composite``
-  use dense ``mul_vec`` and ``Mat @``.
+* ``corner_report`` forms b_i·m once per distinct m = 1_{r⁻¹}1_{s⁻¹} for
+  the entrywise image, and the Pierce corner e·E_b·e from the rows of
+  e's support and the cells in e's columns; φ∘ι is composed from sparse
+  columns.  ``_dense_entrywise``, ``_dense_pierce`` (two dense
+  ``mul_vec`` per basis element) and ``_dense_composite`` (``Mat @``) are
+  the dense routes.
 
 Each pair is compared on the bundled corpus and both S₃ documents over
 q, fp:5 and fp:2, and on tampered inputs that must fail the same way.
@@ -41,8 +43,9 @@ from partialskew.actions import PartialAction
 from partialskew.algebras import (center_basis, field_algebra, matrix_algebra,
                                   product_of_fields)
 from partialskew.duality import (DualityData, _cross_product_witness,
-                                 _delta_convention_tally, _is_two_sided_ideal,
-                                 _left_products,
+                                 _delta_convention_tally, _entrywise_image,
+                                 _is_two_sided_ideal, _left_products,
+                                 _pierce_corner,
                                  _verify_twisted_entry_identity, build_duality,
                                  complement_ideal_subspace, corner_report,
                                  kernel_formula_subspace,
@@ -318,9 +321,8 @@ def _dense_complement(smash):
         pa.idempotents[grp.mul(g, h)], pa.idempotents[g]))
 
 
-def _dense_entrywise(d):
-    pa = d.smash.skew.action
-    alg, grp, mat = pa.algebra, pa.group, d.mat
+def _dense_entrywise(pa, mat):
+    alg, grp = pa.algebra, pa.group
     vectors = []
     for r in range(grp.order):
         for s in range(grp.order):
@@ -364,8 +366,8 @@ def _pairwise_cross_witness(algebra, ideal, kernel):
     return None
 
 
-def _dense_pierce(d):
-    mat, e = d.mat, d.corner_idempotent
+def _dense_pierce(mat, e):
+    """e·E_b·e for every basis element E_b, by two dense products each."""
     return Subspace.from_vectors(mat.field, mat.dim, [
         mat.mul_vec(e, mat.mul_vec(mat.basis_element(b).coeffs, e))
         for b in range(mat.dim)])
@@ -497,8 +499,9 @@ def test_entry_identity_and_corner_match_dense_routes(name, field):
     assert _entry_identity_message(pa) is None
     assert _per_k_entry_identity(pa) is None
     pierce = next(c for c in corner_report(d) if c.name == "duality.image_pierce")
-    assert pierce.measured["pierce_dim"] == _dense_pierce(d).dim
-    assert _dense_pierce(d) == d.image
+    dense_pierce = _dense_pierce(d.mat, d.corner_idempotent)
+    assert pierce.measured["pierce_dim"] == dense_pierce.dim
+    assert dense_pierce == d.image
     composite = d.phi.compose(d.smash.embed_skew())
     assert map_matrix(composite) == _dense_composite(d)
     assert composite.kernel() == kernel_basis(_dense_composite(d))
@@ -528,14 +531,36 @@ def test_block_subspaces_and_cross_products_match_dense_routes(name, field):
     assert kernel_formula_subspace(smash) == _dense_kernel_formula(smash)
     assert complement_ideal_subspace(smash) == _dense_complement(smash) == d.ideal
     entrywise = next(c for c in corner_report(d) if c.name == "duality.image_entrywise")
-    assert entrywise.measured["entrywise_dim"] == _dense_entrywise(d).dim
-    assert (entrywise.status == "pass") == (_dense_entrywise(d) == d.image)
+    dense_entrywise = _dense_entrywise(pa, d.mat)
+    assert entrywise.measured["entrywise_dim"] == dense_entrywise.dim
+    assert (entrywise.status == "pass") == (dense_entrywise == d.image)
     assert d.corner_idempotent == _dense_corner_idempotent(d)
     argument = skew_injectivity_report(d)[1]
     assert (argument.status == "pass") == _dense_injectivity_argument(pa)
     B = smash.algebra
     assert _cross_product_witness(B, d.ideal, d.kernel) is None
     assert _pairwise_cross_witness(B, d.ideal, d.kernel) is None
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", SOURCES)
+def test_corner_spans_match_dense_routes(name, field):
+    d = _duality(name, field)
+    pa, mat = d.smash.skew.action, d.mat
+    alg, F = pa.algebra, pa.algebra.field
+    assert _entrywise_image(pa, mat) == _dense_entrywise(pa, mat) == d.image
+    assert _pierce_corner(mat, _sparse(d.corner_idempotent)) == d.image
+    # each 1_g moved by a basis element, and the corner idempotent moved by
+    # an E_b outside the corner: both routes still agree, and the moved
+    # corner spans more than the image
+    moved = [vadd(F, e, alg.basis_element(g % alg.dim).coeffs)
+             for g, e in enumerate(pa.idempotents)]
+    tampered = PartialAction(pa.group, alg, moved, pa.maps, pa.ideals)
+    assert _entrywise_image(tampered, mat) == _dense_entrywise(tampered, mat)
+    if not d.image.is_full():
+        b = next(b for b in range(mat.dim) if not d.image.contains_sparse({b: F.one}))
+        bent = vadd(F, d.corner_idempotent, mat.basis_element(b).coeffs)
+        assert _pierce_corner(mat, _sparse(bent)) == _dense_pierce(mat, bent) != d.image
 
 
 # -- tampered inputs -------------------------------------------------------
