@@ -766,53 +766,69 @@ def smash_algebra(a, b, comul, acted, unit):
     (x#b_i)(y#b_j) = Σ over (k, l, v) in Δ(b_i) of v·x(b_k▷y) # b_l·b_j,
     where ``comul`` holds the comultiplication triples of B and
     ``acted[k][y]`` is b_k▷a_y as ``{index: scalar}``.  ``unit`` is None when
-    the product has no global unit.  Each x·(b_k▷y) is formed once per
-    (x, k, y), from row x of A, a term whose x·(b_k▷y) is zero is skipped,
-    and each term walks only the nonempty cells of its row of B (one per
-    row for k^G); a cell no term reaches, or whose terms cancel, is not
-    emitted.  The sparse rows are validated by ``make_algebra``; since
-    every caller builds it from validated data, a failure is internal.
+    the product has no global unit.  The action table is indexed by y,
+    keeping only the nonzero b_k▷a_y (an empty entry is never read), and
+    each Δ(b_i) by its first leg k.  Each x·(b_k▷y) is formed once per
+    (x, k, y), from row x of A, and only for a nonzero b_k▷y; each (x, y)
+    then visits only the terms of Δ(b_i) whose first leg gives a nonzero
+    x·(b_k▷y) (one of the n terms of Δ(p_h) for k^G, where p_h▷y is nonzero
+    for one h), and each term walks only the nonempty cells of its row of B
+    (one per row for k^G); a cell no term reaches, or whose terms cancel, is
+    not emitted.  The sparse
+    rows are validated by ``make_algebra``; since every caller builds it
+    from validated data, a failure is internal.
     """
     field = a.field
     sparse = field.sparse
-    da, db = a.dim, b.dim
+    db = b.dim
     brows = b.nonempty_cells[0]
+    acting = [[] for _ in range(a.dim)]   # y -> [(k, b_k▷a_y)], nonzero only
+    for k, by_y in enumerate(acted):
+        for y, ay in enumerate(by_y):
+            if ay:
+                acting[y].append((k, ay.items()))
+    by_first_leg = []                     # i -> {k: [(l, v)] over Δ(b_i)}
+    for terms in comul:
+        by_k = {}
+        for k, l, v in terms:
+            by_k.setdefault(k, []).append((l, v))
+        by_first_leg.append(by_k)
     products = []
     for arow in a.products:
-        # x·(b_k▷y) from row x of A, shared by every term of every Δ(b_i)
-        # that has b_k as its first leg
+        # the nonzero x·(b_k▷y) from row x of A, shared by every term of
+        # every Δ(b_i) that has b_k as its first leg
         xky = []
-        for by_y in acted:
-            per_y = []
-            for ay in by_y:
+        for y, ks in enumerate(acting):
+            nonzero = []
+            for k, ay in ks:
                 acc = {}
-                for j, c in ay.items():
+                for j, c in ay:
                     cell = arow.get(j)
                     if cell:
                         _add(acc, 0, c, cell)
-                per_y.append(sparse(acc).items())
-            xky.append(per_y)
-        for i in range(db):
+                xs = sparse(acc)
+                if xs:
+                    nonzero.append((k, xs.items()))
+            if nonzero:
+                xky.append((y * db, nonzero))
+        for by_k in by_first_leg:
             row = {}
-            for y in range(da):
+            for base, nonzero in xky:
                 # the cells of (x#b_i)(y#b_j) for every j at once, over the
                 # nonempty cells b_l·b_j of the rows the terms of Δ(b_i) reach
                 cells = {}
-                for k, l, v in comul[i]:
-                    xs = xky[k][y]
-                    if not xs:
-                        continue
-                    for j, bcell in brows[l]:
-                        cell = cells.get(j)
-                        if cell is None:
-                            cell = cells[j] = {}
-                        get = cell.get
-                        for t, u in bcell:
-                            vu = v * u
-                            for s, w in xs:
-                                key = s * db + t
-                                cell[key] = get(key, 0) + vu * w
-                base = y * db
+                for k, xs in nonzero:
+                    for l, v in by_k.get(k, ()):
+                        for j, bcell in brows[l]:
+                            cell = cells.get(j)
+                            if cell is None:
+                                cell = cells[j] = {}
+                            get = cell.get
+                            for t, u in bcell:
+                                vu = v * u
+                                for s, w in xs:
+                                    key = s * db + t
+                                    cell[key] = get(key, 0) + vu * w
                 for j in sorted(cells):
                     cell = sparse(cells[j])
                     if cell:

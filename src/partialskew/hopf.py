@@ -36,6 +36,7 @@ from __future__ import annotations
 from .algebras import (AlgebraMap, _add, _lincomb, _outer, field_algebra,
                        group_algebra, make_algebra, matrix_algebra,
                        smash_algebra, tensor_algebra)
+from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
                      InternalCheckFailed, ValidationError)
@@ -485,7 +486,9 @@ def build_corner_maps(pha, reps=None):
 
     The exchange lemma keeps one accumulator per basis a_a, keyed
     (i·d + j)·D + t (D = dim of the target), holding the left side minus
-    the right at (a_a, b_i, p_j) for every (i, j) at once.
+    the right at (a_a, b_i, p_j) for every (i, j) at once.  Its left side
+    is (φ(1)ψ(b_i#p_j))·φ(a), the target being associative, with
+    φ(1)ψ(b_i#p_j) formed once per (i, j).
     """
     h, alg = pha.hopf, pha.algebra
     dual = h.dual()
@@ -522,6 +525,7 @@ def build_corner_maps(pha, reps=None):
     # exchange lemma
     mul = target._mul_acc
     unit = _sparse(corner_unit)
+    unit_psi = [field.sparse(mul(unit, p)) for p in psi]
     dim = target.dim
     for a in range(da):
         # φ(b_k·a) for every basis b_k of H
@@ -531,7 +535,7 @@ def build_corner_maps(pha, reps=None):
         for i in range(d):
             for j in range(d):
                 base = (i * d + j) * dim
-                _add(acc, base, 1, mul(unit, mul(psi[i * d + j], phi_cols[a])).items())
+                _add(acc, base, 1, mul(unit_psi[i * d + j], phi_cols[a]).items())
                 for k, l, v in h.comul[i]:
                     _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]).items())
         bad = field.sparse(acc)
@@ -787,9 +791,7 @@ def operator_duality_report(pha, ps, maps=None):
                     "the image of the unit is not idempotent"
                     if mul(bold, bold) != bold else None)
 
-    corner = Subspace.from_sparse(
-        field, target.dim,
-        [mul(bold, mul({b: one}, bold)) for b in range(target.dim)])
+    corner = _pierce_corner(target, bold)
     # the first restricted generator s#p_j whose image leaves the corner
     subs = [_sparse(s) for s in ps.sub.basis]
     outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)

@@ -3,7 +3,9 @@
 The structured form is canonical: keys sorted, checks sorted by name,
 timings stripped.  Two runs on the same scenario therefore serialize to
 byte-identical output, and parsing the structured form back yields an equal
-Report value.
+Report value.  It is written in one pass by ``_write_json``, whose output is
+byte for byte that of ``json.dumps(payload, sort_keys=True, indent=2)``;
+the keys of a report's dicts must be ``str``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,52 @@ class Report:
         return Report(self.scenario, self.sorted_checks())
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(out, value, indent):
+    """Append the pieces of ``json.dumps(value, sort_keys=True, indent=2)``
+    to the list ``out``, ``indent`` being the current line's indentation.
+
+    Strings go through the encoder ``json.dumps`` uses, an ``int`` through
+    ``int.__repr__``; any other leaf (a float, a subclass of str or int) is
+    handed to ``json.dumps``.  Dict keys must be ``str``."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_LITERALS[value])
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(out, item, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(out, item, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        out.append(json.dumps(value))
+
+
 def _measured_str(measured):
     return " ".join(f"{k}={measured[k]}" for k in sorted(measured))
 
@@ -113,7 +161,10 @@ def emit_report(report, fmt="text"):
                 for c in report.sorted_checks()
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(out, payload, "")
+        out.append("\n")
+        return "".join(out)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 

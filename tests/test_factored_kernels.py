@@ -3,11 +3,14 @@
 * ``TensorAlgebra._mul_sparse`` multiplies through its factors; it must
   equal the plain sparse product over the tensor's own table, which is
   built from the factors' rows on its first read.
-* ``algebras.smash_algebra`` forms each x·(b_k▷y) once per (x, k, y) and
-  skips the terms where it is zero; its cells must equal the per-term
-  route, which forms x·(b_k▷y) afresh for every term of every Δ(b_i), with
-  a dense product, for the group smash and the four smash products of the
-  Hopf lift.
+* ``algebras.smash_algebra`` indexes its action table by y, keeping only
+  the nonzero b_k▷a_y, and each Δ(b_i) by its first leg k, so it forms
+  x·(b_k▷y) only for a nonzero b_k▷y and visits only the terms whose first
+  leg acts on y nontrivially.  Its cells must equal those of the retired
+  loop over every (x, k, y) and every term of every Δ(b_i), kept here as
+  ``_retired_smash_rows``, and the per-term route, which forms x·(b_k▷y)
+  afresh for every term with a dense product, for the group smash and the
+  four smash products of the Hopf lift; no empty action entry is read.
 * ``make_algebra`` sorts the cells it is given and drops the empty ones, and
   the builders emit sorted rows of nonempty sorted cells, so
   ``StructureAlgebra`` stores them as they come: every row of every algebra
@@ -19,12 +22,13 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from partialskew import hopf, smash
-from partialskew.actions import trivial_from_split
-from partialskew.algebras import StructureAlgebra, TensorAlgebra, product_of_fields
+from partialskew.actions import global_action, restrict_global, trivial_from_split
+from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _add,
+                                  product_of_fields)
 from partialskew.duality import build_duality
 from partialskew.fields import GF, QQ
-from partialskew.groups import symmetric
-from partialskew.linalg import _sparse
+from partialskew.groups import cyclic, symmetric
+from partialskew.linalg import Mat, _sparse
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
@@ -136,36 +140,135 @@ def _s3_split(field):
     return trivial_from_split(k, k, symmetric(3))
 
 
-@pytest.mark.parametrize("action", [
-    z3_restricted_action,
-    lambda: _s3_split(QQ),
-    lambda: _s3_split(GF(5)),
-], ids=["z3_q", "s3_q", "s3_fp5"])
-def test_smash_cells_match_per_term_route(monkeypatch, action):
-    # the group smash R#k^G, then the four smash products of the Hopf lift:
-    # H#H*, H*#H, A⊗H twisted by the partial action, and (A⊗H)#H*
+def _retired_smash_rows(a, b, comul, acted):
+    """The rows of A # B by the loop ``smash_algebra`` ran before it indexed
+    its tables: x·(b_k▷y) for every (x, k, y), empty or not, and every term
+    of every Δ(b_i) for every y, its zero x·(b_k▷y) skipped one at a time.
+    Each cell is sorted by index, as ``make_algebra`` stores it."""
+    sparse = a.field.sparse
+    da, db = a.dim, b.dim
+    brows = b.nonempty_cells[0]
+    rows = []
+    for arow in a.products:
+        xky = []
+        for by_y in acted:
+            per_y = []
+            for ay in by_y:
+                acc = {}
+                for j, c in ay.items():
+                    cell = arow.get(j)
+                    if cell:
+                        _add(acc, 0, c, cell)
+                per_y.append(sparse(acc).items())
+            xky.append(per_y)
+        for i in range(db):
+            row = {}
+            for y in range(da):
+                cells = {}
+                for k, l, v in comul[i]:
+                    xs = xky[k][y]
+                    if not xs:
+                        continue
+                    for j, bcell in brows[l]:
+                        cell = cells.setdefault(j, {})
+                        for t, u in bcell:
+                            for s, w in xs:
+                                key = s * db + t
+                                cell[key] = cell.get(key, 0) + v * u * w
+                for j in sorted(cells):
+                    cell = sparse(cells[j])
+                    if cell:
+                        row[y * db + j] = tuple(sorted(cell.items()))
+            rows.append(row)
+    return tuple(rows)
+
+
+def _smash_tables(pa, wrap=None):
+    """Run the group smash R#k^G and the Hopf lift of ``pa``, and return
+    (table, (a, b, comul, acted)) for the five smash products built: R#k^G,
+    H#H*, H*#H, A⊗H twisted by the partial action, and (A⊗H)#H*.  ``wrap``,
+    if given, maps the arguments before ``smash_algebra`` sees them."""
     built = []
     builder = hopf.smash_algebra
     assert smash.smash_algebra is builder
 
     def spy(a, b, comul, acted, unit):
+        args = (a, b, comul, acted)
+        if wrap is not None:
+            acted = wrap(acted)
         alg = builder(a, b, comul, acted, unit)
-        built.append((alg, (a, b, comul, acted)))
+        built.append((alg, args))
         return alg
 
-    monkeypatch.setattr(hopf, "smash_algebra", spy)
-    monkeypatch.setattr(smash, "smash_algebra", spy)
-    pa = action()
-    skew = build_skew(pa)
-    build_smash(skew)
-    results = hopf.hopf_lift_suite(pa, skew)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopf, "smash_algebra", spy)
+        mp.setattr(smash, "smash_algebra", spy)
+        skew = build_skew(pa)
+        build_smash(skew)
+        results = hopf.hopf_lift_suite(pa, skew)
     assert all(c.status == "pass" for c in results)
     a_dim = pa.algebra.dim
     d = pa.group.order
     assert [alg.dim for alg, _ in built] == [
         skew.dim * d, d * d, d * d, a_dim * d, a_dim * d * d]
-    for alg, args in built:
+    return built
+
+
+ACTIONS = {
+    "z3_q": z3_restricted_action,
+    "s3_q": lambda: _s3_split(QQ),
+    "s3_fp5": lambda: _s3_split(GF(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_smash_cells_match_per_term_route(name):
+    for alg, args in _smash_tables(ACTIONS[name]()):
         assert alg.products == mapping_rows(_per_term_products(*args))
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_smash_cells_match_retired_loop(name):
+    for alg, args in _smash_tables(ACTIONS[name]()):
+        assert alg.products == _retired_smash_rows(*args)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.permutations(range(4)).filter(lambda p: all(p[p[p[i]]] == i for i in range(4))),
+       st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
+       st.sampled_from([QQ, GF(5)]))
+def test_random_partial_action_smash_matches_retired_loop(perm, bits, field):
+    # a permutation of order dividing 3 generates a Z₃ action on k⁴;
+    # restricted to a random nonzero 0/1 idempotent it is partial
+    algebra = product_of_fields(field, 4)
+    p = Mat(field, [[field.one if i == perm[j] else field.zero for j in range(4)]
+                    for i in range(4)])
+    parent = global_action(cyclic(3), algebra, [Mat.identity(field, 4), p, p @ p])
+    e = algebra.element(tuple(field.one if b else field.zero for b in bits))
+    for alg, args in _smash_tables(restrict_global(parent, e)):
+        assert alg.products == _retired_smash_rows(*args)
+
+
+class _Unread(dict):
+    """An empty action entry that must not be read."""
+
+    def items(self):
+        raise AssertionError("smash_algebra read an empty action entry")
+
+
+def test_smash_reads_no_empty_action_entry():
+    empty = []
+
+    def wrap(acted):
+        marked = [[ay if ay else _Unread() for ay in by_y] for by_y in acted]
+        empty.append(sum(not ay for by_y in acted for ay in by_y))
+        return marked
+
+    for alg, args in _smash_tables(_s3_split(QQ), wrap):
+        assert alg.products == _retired_smash_rows(*args)
+    # the group smash and the triple table have empty entries to skip
+    # (on H*#H, k[G] permutes the p_h, so it has none)
+    assert len(empty) == 5 and empty[0] and empty[4], empty
 
 
 def _assert_stores_nonempty_cells(alg):

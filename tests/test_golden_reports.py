@@ -6,15 +6,18 @@ residue products pass 2⁶⁴), and for the inline documents of
 ``INLINE`` over the fields they list there.  A change to the exact core that
 alters any printed dimension, status or witness fails here.  Re-record the
 digests only when a report is meant to change, and say why in the change.
+The one-pass writer behind the structured form must give byte for byte what
+``json.dumps(value, sort_keys=True, indent=2)`` gives, on any nested value.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from partialskew.report import emit_report
+from partialskew.report import _write_json, emit_report
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
@@ -71,3 +74,27 @@ def test_structured_report_digest(name, field):
                                          for field in sorted(GOLDEN[name])])
 def test_inline_report_digest(name, field):
     assert _digest(INLINE[name], field) == GOLDEN[name][field]
+
+
+_LEAVES = st.one_of(
+    st.text(),   # any code point: non-ASCII, quotes, control characters
+    st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "😀"]),
+    st.integers(), st.integers(-2**200, 2**200),
+    st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_structured_writer_matches_json_dumps(value):
+    out = []
+    _write_json(out, value, "")
+    assert "".join(out) == json.dumps(value, sort_keys=True, indent=2)
