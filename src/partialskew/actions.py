@@ -75,10 +75,9 @@ class PartialAction:
     def complement_ideal(self, g):
         """The ideal A·(1 - 1_g)."""
         alg = self.algebra
-        comp = vsub(alg.field, alg.unit, self.idempotents[g])
-        return Subspace.from_vectors(
-            alg.field, alg.dim,
-            [alg._vec_times_basis(comp, i) for i in range(alg.dim)])
+        comp = _sparse(vsub(alg.field, alg.unit, self.idempotents[g]))
+        return Subspace.from_sparse(
+            alg.field, alg.dim, [alg._mul_acc(comp, {i: 1}) for i in range(alg.dim)])
 
 
 def make_partial_action(group, algebra, idempotents, maps):

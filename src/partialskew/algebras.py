@@ -29,11 +29,12 @@ index in its shape pass, so the check allocates nothing per pair, and
 ``center_basis`` and ``smash_algebra`` reuse it.
 
 Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
-``_mul_sparse``, ``_basis_times_vec``, ``_vec_times_basis``, ``_lincomb``)
-accept any ``int`` representative over F_p and return canonical scalars,
-reducing once per output coefficient.  An element's coefficients and the
-scalar factor of an element go through the field's ``scalars``, so over F_p
-they are reduced and anything but an ``int`` is refused.
+``_mul_sparse``, ``_lincomb``) accept any ``int`` representative over F_p
+and return canonical scalars, reducing once per output coefficient; a
+product by a basis vector b_i is ``_mul_sparse`` with the factor ``{i: 1}``.
+An element's coefficients and the scalar factor of an element go through
+the field's ``scalars``, so over F_p they are reduced and anything but an
+``int`` is refused.
 """
 
 from __future__ import annotations
@@ -140,24 +141,6 @@ class StructureAlgebra:
                     for k, v in cell:
                         acc[k] = get(k, 0) + c * v
         return acc
-
-    def _basis_times_vec(self, i, y):
-        out = [0] * self.dim
-        for j, cell in self.products[i].items():
-            yj = y[j]
-            if yj:
-                for k, v in cell:
-                    out[k] += yj * v
-        return self.field.vector(out)
-
-    def _vec_times_basis(self, x, j):
-        out = [0] * self.dim
-        products = self.products
-        for i, xi in enumerate(x):
-            if xi:
-                for k, v in products[i].get(j, ()):
-                    out[k] += xi * v
-        return self.field.vector(out)
 
     def format_vec(self, coeffs):
         parts = [f"({c})*{self.labels[i]}" for i, c in enumerate(coeffs) if c]
@@ -442,10 +425,9 @@ def is_central_idempotent(a):
     alg = a.algebra
     if alg.mul_vec(a.coeffs, a.coeffs) != a.coeffs:
         return False
-    for i in range(alg.dim):
-        if alg._basis_times_vec(i, a.coeffs) != alg._vec_times_basis(a.coeffs, i):
-            return False
-    return True
+    x = _sparse(a.coeffs)
+    return all(alg._mul_sparse({i: 1}, x) == alg._mul_sparse(x, {i: 1})
+               for i in range(alg.dim))
 
 
 def ideal_basis(alg, e):
@@ -454,14 +436,15 @@ def ideal_basis(alg, e):
         raise AlgebraMismatch()
     if not is_central_idempotent(e):
         raise NotCentralIdempotent(alg.format_vec(e.coeffs))
-    span = Subspace.from_vectors(
-        alg.field, alg.dim,
-        [alg._basis_times_vec(i, e.coeffs) for i in range(alg.dim)])
-    for v in span.basis:
+    mul = alg._mul_acc
+    x = _sparse(e.coeffs)
+    span = Subspace.from_sparse(alg.field, alg.dim,
+                                [mul({i: 1}, x) for i in range(alg.dim)])
+    for v in span._rows.values():
         for i in range(alg.dim):
-            if not span.contains_vector(alg._basis_times_vec(i, v)):
+            if not span.contains_sparse(mul({i: 1}, v)):
                 raise InternalCheckFailed("idempotent ideal not closed on the left")
-            if not span.contains_vector(alg._vec_times_basis(v, i)):
+            if not span.contains_sparse(mul(v, {i: 1})):
                 raise InternalCheckFailed("idempotent ideal not closed on the right")
     return span
 

@@ -563,8 +563,9 @@ def build_partial_smash(pha):
     h, alg = pha.hopf, pha.algebra
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     u0 = _outer(alg.field, alg.unit, h.algebra.unit)
-    sub = Subspace.from_vectors(alg.field, ambient.dim, [
-        ambient._basis_times_vec(p, u0) for p in range(ambient.dim)])
+    unit = _sparse(u0)
+    sub = Subspace.from_sparse(alg.field, ambient.dim, [
+        ambient._mul_acc({p: 1}, unit) for p in range(ambient.dim)])
     return PartialSmash(pha, ambient, sub, u0)
 
 
@@ -733,8 +734,9 @@ def smash_matches_skew_report(ps, skew_ring):
     field, ring = alg.field, skew_ring.algebra
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
-    cols = [{skew_ring.offsets[g] + t: c for t, c in enumerate(pa.ideals[g].coordinates_of(
-        alg._basis_times_vec(x, pa.idempotents[g]))) if c}
+    es = [_sparse(e) for e in pa.idempotents]
+    cols = [{skew_ring.offsets[g] + t: c for t, c in pa.ideals[g].sparse_coordinates(
+        alg._mul_sparse({x: 1}, es[g])).items()}
         for x in range(alg.dim) for g in range(d)]
 
     def t_map(vec):

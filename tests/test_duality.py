@@ -145,11 +145,12 @@ class TensorOverSubring:
         dim = algebra.dim
         self.ambient = dim * dim
         gens = []
+        units = [algebra.basis_element(y).coeffs for y in range(dim)]
         for b in subring_vectors:
-            by = [[(m, c) for m, c in enumerate(algebra._vec_times_basis(b, y)) if c]
-                  for y in range(dim)]
+            by = [[(m, c) for m, c in enumerate(algebra.mul_vec(b, u)) if c]
+                  for u in units]
             for x in range(dim):
-                xb = [(m, c) for m, c in enumerate(algebra._basis_times_vec(x, b)) if c]
+                xb = [(m, c) for m, c in enumerate(algebra.mul_vec(units[x], b)) if c]
                 for y in range(dim):
                     gen = {m * dim + y: c for m, c in xb}
                     for m, c in by[y]:
@@ -204,7 +205,7 @@ def s3_smash_fp5():
 @pytest.fixture(scope="module")
 def s3_oracle_fp5(s3_smash_fp5):
     smash = s3_smash_fp5
-    return TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew()).columns())
+    return TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew_map).columns())
 
 
 def _tensor_image_kernel(smash):
@@ -235,7 +236,7 @@ def test_balancing_relations_are_the_kernel_of_the_tensor_image(name, field):
     # the balancing relations of B⊗B over the twisted ring are exactly the
     # kernel of Φ: B⊗B → B^{|G|}, so deciding in B^{|G|} loses nothing
     smash = _fixture_smash(load_scenario(fixture_path(name)), parse_field(field))
-    oracle = TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew()).columns())
+    oracle = TensorOverSubring(smash.algebra, map_matrix(smash.embed_skew_map).columns())
     _assert_relations_are_kernel(smash, oracle)
 
 
@@ -248,7 +249,7 @@ def test_s3_balancing_relations_are_the_kernel_of_the_tensor_image(
 
 def test_tensor_image_machinery(s1_smash):
     b = s1_smash.algebra
-    sub = map_matrix(s1_smash.embed_skew()).columns()
+    sub = map_matrix(s1_smash.embed_skew_map).columns()
     one = b.field.one
     x, y = {0: one}, {2: one}
     # x·b ⊗ y and x ⊗ b·y have the same image, by construction
@@ -277,7 +278,7 @@ def _shifted(smash, s):
 
 
 def _both_routes(smash, oracle, element):
-    sub = map_matrix(smash.embed_skew()).columns()
+    sub = map_matrix(smash.embed_skew_map).columns()
     return (_centrality_witness(smash, element) is None,
             oracle.centralizes(element, sub))
 
@@ -285,7 +286,7 @@ def _both_routes(smash, oracle, element):
 def test_non_central_element_rejected_by_both_routes(s1_smash, s3_smash_fp5,
                                                      s3_oracle_fp5):
     s1_oracle = TensorOverSubring(s1_smash.algebra,
-                                  map_matrix(s1_smash.embed_skew()).columns())
+                                  map_matrix(s1_smash.embed_skew_map).columns())
     for smash, oracle in ((s1_smash, s1_oracle), (s3_smash_fp5, s3_oracle_fp5)):
         e = smash.group.identity
         units = smash.dual_units()
@@ -348,7 +349,7 @@ def test_separability_refuses_a_smash_that_is_not_free(s1_smash):
     skew = s1_smash.skew
     doubled = AlgebraMap(
         skew.algebra, s1_smash.algebra,
-        [{t: 2 * c for t, c in col.items()} for col in s1_smash.embed_skew().columns])
+        [{t: 2 * c for t, c in col.items()} for col in s1_smash.embed_skew_map.columns])
     broken = SmashAlgebra(s1_smash.algebra, skew, doubled)
     with pytest.raises(InternalCheckFailed) as err:
         separability_report(broken)

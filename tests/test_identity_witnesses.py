@@ -865,7 +865,7 @@ def _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
     source, target = ideals[ginv], ideals[g]
     comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
     for i in range(algebra.dim):
-        if any(maps[g].apply(algebra._vec_times_basis(comp, i))):
+        if any(maps[g].apply(algebra.mul_vec(comp, algebra.basis_element(i).coeffs))):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "

@@ -14,7 +14,7 @@ from corpus_helpers import qvec
 
 def _dual_unit(smash, skew_vec):
     """Embed a skew coefficient vector as (vector # p_h) for each h summed."""
-    return smash.embed_skew().apply_vec(skew_vec)
+    return smash.embed_skew_map.apply_vec(skew_vec)
 
 
 def test_s1_dimension(s1_smash):
@@ -64,7 +64,7 @@ def test_unit_is_sum_over_dual_generators(s1_smash):
 
 
 def test_embedding(s1_smash, s1_skew):
-    emb = s1_smash.embed_skew()
+    emb = s1_smash.embed_skew_map
     # (1,0) at g goes to the sum over both dual generators
     g_gen = s1_skew.inject(1, qvec([1, 0]))
     img = emb.apply_vec(g_gen)

@@ -93,9 +93,10 @@ def _full_center_basis(alg):
                 row = rows[j * d + k]
                 row[i] = row.get(i, 0) - v
     centre = Subspace.kernel_from_sparse(alg.field, d, rows)
+    units = [alg.basis_element(j).coeffs for j in range(d)]
     for v in centre.basis:
-        for j in range(d):
-            if alg._vec_times_basis(v, j) != alg._basis_times_vec(j, v):
+        for u in units:
+            if alg.mul_vec(v, u) != alg.mul_vec(u, v):
                 raise InternalCheckFailed("central element does not commute")
     return centre
 
@@ -296,7 +297,7 @@ def _dense_block_subspace(smash, multiplier):
         for h in range(n):
             m = multiplier(g, h)
             for i in range(alg.dim):
-                v = alg._basis_times_vec(i, m)
+                v = alg.mul_vec(alg.basis_element(i).coeffs, m)
                 if not any(v):
                     continue
                 coords = pa.ideals[g].coordinates_of(v)
@@ -328,7 +329,7 @@ def _dense_entrywise(pa, mat):
         for s in range(grp.order):
             m = alg.mul_vec(pa.idempotents[grp.inv(r)], pa.idempotents[grp.inv(s)])
             for i in range(alg.dim):
-                v = alg._basis_times_vec(i, m)
+                v = alg.mul_vec(alg.basis_element(i).coeffs, m)
                 vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
     return Subspace.from_sparse(alg.field, mat.dim, vectors)
 
@@ -347,7 +348,8 @@ def _dense_injectivity_argument(pa):
     for e in pa.idempotents:
         m = alg.mul_vec(vsub(alg.field, alg.unit, e), e)
         if not Subspace.from_vectors(alg.field, alg.dim, [
-                alg._basis_times_vec(i, m) for i in range(alg.dim)]).is_zero():
+                alg.mul_vec(alg.basis_element(i).coeffs, m)
+                for i in range(alg.dim)]).is_zero():
             return False
     return True
 
@@ -375,7 +377,7 @@ def _dense_pierce(mat, e):
 
 def _dense_composite(d):
     """φ∘ι by the dense matrix product."""
-    return map_matrix(d.phi) @ map_matrix(d.smash.embed_skew())
+    return map_matrix(d.phi) @ map_matrix(d.smash.embed_skew_map)
 
 
 # -- agreement on the corpus and S₃ ----------------------------------------
@@ -502,7 +504,7 @@ def test_entry_identity_and_corner_match_dense_routes(name, field):
     dense_pierce = _dense_pierce(d.mat, d.corner_idempotent)
     assert pierce.measured["pierce_dim"] == dense_pierce.dim
     assert dense_pierce == d.image
-    composite = d.phi.compose(d.smash.embed_skew())
+    composite = d.phi.compose(d.smash.embed_skew_map)
     assert map_matrix(composite) == _dense_composite(d)
     assert composite.kernel() == kernel_basis(_dense_composite(d))
     injective = skew_injectivity_report(d)[0]
@@ -578,7 +580,7 @@ def test_unit_alone_does_not_generate_m2(field):
 def test_embedded_ring_alone_does_not_generate_a_partial_smash(name, field):
     smash = _duality(name, field).smash
     assert not smash.skew.action.is_global()
-    iota = list(smash.embed_skew().columns)
+    iota = list(smash.embed_skew_map.columns)
     with pytest.raises(InternalCheckFailed, match="does not commute"):
         center_basis(smash.algebra, iota)
 

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is read in that module, and
-every module-level private helper is read somewhere in the package.
+every private helper, module-level or a method of a class, is read
+somewhere in the package.
 
 No linter is part of the toolchain, so these ``ast`` passes stand in for the
 unused-import and dead-code rules.  ``__init__`` is exempt from the first:
@@ -45,10 +46,15 @@ def test_no_unused_imports(path):
 
 
 def dead_helpers(sources):
-    """The module-level ``_private`` functions and classes defined in
-    ``sources`` that no source reads, by name or as an attribute."""
+    """The ``_private`` functions and classes defined at module level in
+    ``sources``, and the ``_private`` methods of their classes, that no
+    source reads, by name or as an attribute.  A method read only by the
+    tests is dead too: the tests are not among the sources."""
     trees = [ast.parse(source) for source in sources]
-    defined = {node.name for tree in trees for node in tree.body
+    modules = [tree.body for tree in trees]
+    classes = [node.body for body in modules for node in body
+               if isinstance(node, ast.ClassDef)]
+    defined = {node.name for body in modules + classes for node in body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
     read = set()
@@ -67,9 +73,15 @@ def test_detects_dead_helpers():
              "class _Dead:\n    pass\n\n"
              "def _by_attribute():\n    pass\n\n"
              "def public():\n    return _used\n\n"
-             "def __getattr__(name):\n    pass\n")
-    second = "from . import first\nfirst._by_attribute()\n"
-    assert dead_helpers([first, second]) == ["_Dead", "_dead"]
+             "def __getattr__(name):\n    pass\n\n"
+             "class Public:\n"
+             "    def __init__(self):\n        self._method()\n\n"
+             "    def _method(self):\n        pass\n\n"
+             "    def _dead_method(self):\n        pass\n\n"
+             "    def _read_elsewhere(self):\n        pass\n")
+    second = ("from . import first\nfirst._by_attribute()\n"
+              "first.Public()._read_elsewhere()\n")
+    assert dead_helpers([first, second]) == ["_Dead", "_dead", "_dead_method"]
 
 
 def test_no_dead_helpers():
