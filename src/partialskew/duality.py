@@ -12,10 +12,11 @@ promises about this map is re-proved here per instance, by linear algebra:
   * its image equals both the entrywise-constrained subspace and the Pierce
     corner cut out by the corner idempotent (three independent routes);
   * the smash product splits as (kernel) × (complementary ideal), with the
-    map restricting to a bijection from the ideal onto the corner;
-  * the canonical separating element of B⊗B over the embedded twisted
-    group ring R centralizes it and multiplies to the unit, compared in
-    B⊗_R B ≅ B^{|G|}, since B is (verifiably) free over R on {1#p_h}.
+    map restricting to a bijection from the ideal onto the corner.
+
+Separability of the smash over the twisted ring reads neither the map nor
+the matrix algebra, and is checked in :mod:`smash`.  Only the ``duality``
+suite (and the Hopf layer, for ``_pierce_corner``) loads this module.
 
 The checks work on sparse vectors and cost their nonzero product terms;
 no product makes a vector as long as the smash or matrix algebra.
@@ -444,76 +445,3 @@ def skew_injectivity_report(d):
               {"kernel_dim": ker.dim, "skew_dim": smash.skew.dim}),
         check("duality.skew_embedding_argument", argument_ok, {}),
     ]
-
-
-def _verify_free_over_twisted_ring(smash):
-    """ι(b_j)·(1#p_h) = b_j#p_h for every j and h: B is a free left R-module
-    on {1#p_h}, so B⊗_R B ≅ B^{|G|}."""
-    B = smash.algebra
-    units = smash.dual_units()
-    for j, a in enumerate(smash.embed_skew_map.columns):
-        for h, u in enumerate(units):
-            if B._mul_sparse(a, u) != {smash.index(j, h): B.field.one}:
-                raise InternalCheckFailed(
-                    f"smash is not free over the twisted ring at "
-                    f"({smash.skew.algebra.labels[j]}, p_{smash.group.label(h)})")
-
-
-def _tensor_image(smash, element):
-    """Φ(Σ x⊗y) = (Σ x·ι(y_h))_h in B^{|G|}, for the element given as (x, y)
-    pairs of sparse vectors of B, where y = Σ_h ι(y_h)·(1#p_h)."""
-    B = smash.algebra
-    n = smash.group.order
-    iota = smash.embed_skew_map.columns
-    slots = [[] for _ in range(n)]
-    for x, y in element:
-        blocks = [[] for _ in range(n)]
-        for idx, c in y.items():
-            j, h = smash.parts(idx)
-            blocks[h].append((c, iota[j]))
-        for h, terms in enumerate(blocks):
-            if terms:
-                slots[h].append((B.field.one, B._mul_sparse(x, _lincomb(B.field, terms))))
-    return [_lincomb(B.field, terms) for terms in slots]
-
-
-def _centrality_witness(smash, element):
-    """First (label of a basis vector a of R, dual index label), a-major,
-    where Φ(f·ι(a)) and Φ(ι(a)·f) differ for the tensor element f; None
-    when f centralizes the embedded twisted ring."""
-    mul = smash.algebra._mul_sparse
-    for j, a in enumerate(smash.embed_skew_map.columns):
-        fa = _tensor_image(smash, [(x, mul(y, a)) for x, y in element])
-        af = _tensor_image(smash, [(mul(a, x), y) for x, y in element])
-        for h in range(smash.group.order):
-            if fa[h] != af[h]:
-                return smash.skew.algebra.labels[j], smash.group.label(h)
-    return None
-
-
-def _separability_checks(smash, element):
-    """Separability checks of a tensor element, naming first witnesses."""
-    B = smash.algebra
-    field = B.field
-    central = _centrality_witness(smash, element)
-    mu = _lincomb(field, ((field.one, B._mul_sparse(x, y)) for x, y in element))
-    split = next((B.labels[k] for k, c in enumerate(B.unit)
-                  if mu.get(k, field.zero) != c), None)
-    return [
-        check("separability.centralizes", central is None,
-              {"ambient_dim": B.dim * B.dim,
-               "relation_dim": B.dim * B.dim - smash.group.order * B.dim},
-              [] if central is None else
-              [f"f*a != a*f for a = {central[0]} in component p_{central[1]}"]),
-        check("separability.splits_multiplication", split is None, {},
-              [] if split is None else [f"mu(f) differs from the unit at {split}"]),
-        check("separability.element_nonzero",
-              any(_tensor_image(smash, element)), {"tensor_terms": len(element)}),
-    ]
-
-
-def separability_report(smash):
-    """Σ_h (1#p_h)⊗(1#p_h) ∈ B⊗_R B centralizes R and multiplies to 1; the
-    balancing relations of B⊗B, reported by dimension, are ker Φ."""
-    _verify_free_over_twisted_ring(smash)
-    return _separability_checks(smash, [(u, u) for u in smash.dual_units()])

@@ -8,7 +8,9 @@ units, idempotents) multiply as machine integers.  Sums and products of the
 two kinds stay exact (a ``Fraction`` result may then be integral; it
 compares and hashes equal to the ``int``).  The one division of rational
 scalars, the pivot normalisation in ``linalg._echelon``, goes through
-``Fraction``, so no ``float`` can arise.
+``Fraction``, so no ``float`` can arise.  ``fractions`` (and with it
+``decimal``) is imported only where a rational is first made, in ``parse``
+and in that division, so a run over F_p never loads it.
 
 An F_p scalar is its canonical residue: an ``int`` in ``[0, p)``.  Every F_p
 scalar that is stored in a table or vector, compared, hashed, zero-tested or
@@ -42,7 +44,6 @@ Residues carry no modulus, so mixing fields is caught by the structures
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
 from .errors import ParseError
@@ -51,8 +52,10 @@ _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
 
 
 def _canonical(x):
-    """A rational scalar as an ``int`` when it is integral."""
-    if type(x) is Fraction and x.denominator == 1:
+    """A rational scalar as an ``int`` when it is integral.  A ``Fraction``
+    is told apart by its type not being ``int``, so that this module need
+    not import ``fractions``."""
+    if type(x) is not int and x.denominator == 1:
         return x.numerator
     return x
 
@@ -77,6 +80,7 @@ class RationalField:
         return index(n)
 
     def parse(self, text):
+        from fractions import Fraction
         text = str(text).strip().translate(_MINUS_VARIANTS)
         try:
             return _canonical(Fraction(text))

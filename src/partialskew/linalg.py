@@ -18,18 +18,17 @@ representative is reduced there and any other scalar refused.
 
 All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
 ``{column: scalar}`` dicts of nonzero canonical scalars; over the rationals
-the pivot normalisation divides through ``Fraction``, so a division of two
-``int`` never yields a ``float``.  Dense vectors are only made sparse on the
+the pivot normalisation divides through ``Fraction`` (imported by the call,
+so an F_p run never loads ``fractions``), and a division of two ``int``
+never yields a ``float``.  Dense vectors are only made sparse on the
 way in and dense on the way out, so a large, sparse system such as the
 commutator equations of ``algebras.center_basis`` costs time and memory in
 proportion to its nonzero entries.  (Separability needs none: the smash is
-free over the twisted ring, see :mod:`duality`.)  ``Mat`` stays dense;
+free over the twisted ring, see :mod:`smash`.)  ``Mat`` stays dense;
 ``rref`` keeps its dense interface on top of the kernel.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import FieldMismatch
 from .fields import _canonical
@@ -86,6 +85,8 @@ def _echelon(rows, p):
     (Gauss-Jordan), so reducing the next row is one pass over its pivot
     columns, and subtracting a pivot row never creates a pivot entry.
     """
+    if not p:
+        from fractions import Fraction
     pivots = {}
     for src in rows:
         row = dict(src)

@@ -17,9 +17,6 @@ from .actions import (dot_identities_report, global_action,
                       make_partial_action, restrict_global, trivial_from_split)
 from .algebras import (center_basis, direct_product, field_algebra,
                        make_algebra, matrix_algebra, product_of_fields)
-from .duality import (build_duality, corner_report, decomposition_report,
-                      kernel_report, separability_report,
-                      skew_injectivity_report)
 from .errors import ParseError, ValidationError
 from .fields import parse_field
 from .groups import (check_labels, cyclic, direct_product as group_product,
@@ -27,7 +24,7 @@ from .groups import (check_labels, cyclic, direct_product as group_product,
 from .linalg import Mat
 from .report import SKIPPED, CheckResult, Report, check
 from .skew import build_skew, grading_report, strong_grading_test
-from .smash import build_smash, smash_report
+from .smash import build_smash, separability_report, smash_report
 
 SUITES = ("lemma1", "grading", "duality", "separability", "hopf", "centers")
 
@@ -228,7 +225,8 @@ def load_scenario(path):
 
 
 class _ScenarioRun:
-    """Lazily builds the derived structures a suite needs."""
+    """Lazily builds the derived structures a suite needs; the duality layer
+    is imported by the first build that needs it."""
 
     def __init__(self, action):
         self.action = action
@@ -252,6 +250,7 @@ class _ScenarioRun:
     @property
     def duality(self):
         if self._duality is None:
+            from .duality import build_duality
             self._duality = build_duality(self.smash)
         return self._duality
 
@@ -372,6 +371,8 @@ def run_scenario(source, suites=None, field_override=None):
         measured["smash_dimension"] = run.smash.dim
 
     if "duality" in selected:
+        from .duality import (corner_report, decomposition_report,
+                              kernel_report, skew_injectivity_report)
         timed(lambda: smash_report(run.smash))
         d = run.duality
         measured["kernel_dimension"] = d.kernel.dim

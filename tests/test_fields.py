@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from partialskew.algebras import direct_product, product_of_fields, tensor_algebra
 from partialskew.errors import FieldMismatch, ParseError
-from partialskew.fields import GF, QQ, _is_prime, parse_field
+from partialskew.fields import GF, QQ, _canonical, _is_prime, parse_field
 from partialskew.linalg import Mat
 
 from fp_oracle import unwrap, wrap
@@ -94,6 +94,22 @@ def test_integral_rationals_are_ints():
     xs = [1, Fraction(1, 2), 0]
     assert QQ.vector(xs) == tuple(xs)
     assert QQ.sparse(dict(enumerate(xs))) == {0: 1, 1: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("x, expected, kind", [
+    (0, 0, int), (7, 7, int), (-12, -12, int), (2 ** 70, 2 ** 70, int),
+    (Fraction(0), 0, int), (Fraction(6, 3), 2, int), (Fraction(-5), -5, int),
+    (Fraction(2 ** 70, 1), 2 ** 70, int),
+    (Fraction(1, 2), Fraction(1, 2), Fraction),
+    (Fraction(-7, 3), Fraction(-7, 3), Fraction),
+])
+def test_canonical_keeps_ints_and_non_integral_fractions(x, expected, kind):
+    # an int is returned as itself, an integral Fraction as its numerator,
+    # and any other Fraction unchanged, without naming Fraction in fields
+    got = _canonical(x)
+    assert type(got) is kind and got == expected
+    if kind is Fraction or type(x) is int:
+        assert got is x
 
 
 def test_field_mix_caught_by_structural_guards():

@@ -1,9 +1,10 @@
 """What a process loads: the package root and the suite dispatcher import
-neither the Hopf layer nor ``dataclasses``/``inspect``; the Hopf layer
-loads on first use.  Each import check runs in a fresh ``python -S``
-interpreter with ``src`` on ``sys.path``, so no module the test runner has
-already imported can hide an import.  The check records keep the value
-semantics they had as dataclasses."""
+neither the Hopf nor the duality layer, nor ``dataclasses``/``inspect``,
+nor ``fractions``/``decimal``; each layer loads on first use, and
+``fractions`` only where a rational is first made.  Each import check runs
+in a fresh ``python -S`` interpreter with ``src`` on ``sys.path``, so no
+module the test runner has already imported can hide an import.  The check
+records keep the value semantics they had as dataclasses."""
 
 import json
 import subprocess
@@ -15,16 +16,24 @@ import pytest
 from partialskew.report import CheckResult, Report, check
 from partialskew.scenarios import fixture_path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+S3_SEPARABILITY = ROOT / "perfbench" / "scenarios" / "s3_separability.json"
 
 HOPF_NAMES = ("HopfData", "PartialHopfAction", "build_corner_maps",
               "build_partial_smash", "build_representations", "group_hopf",
               "lift_group_action", "make_hopf", "make_partial_hopf_action")
 
+DUALITY_NAMES = ("DualityData", "build_duality", "corner_report",
+                 "decomposition_report", "kernel_report",
+                 "skew_injectivity_report")
+
 # ``importlib.resources`` is listed because from Python 3.12 on it imports
 # ``inspect`` when it loads; on 3.11 it does not, so only its own name shows
 # that import there.
 HEAVY = ("partialskew.hopf", "dataclasses", "inspect", "importlib.resources")
+# loaded by the runs that use them: the duality suite, and rationals
+ON_USE = ("partialskew.duality", "fractions", "decimal")
 
 
 def _fresh(code):
@@ -36,17 +45,28 @@ def _fresh(code):
     return json.loads(out)
 
 
-def _loaded_after(code):
-    """Which of HEAVY are in ``sys.modules`` after ``code``."""
-    return _fresh(f"{code}\nprint(json.dumps([m for m in {HEAVY!r} "
+def _loaded_after(code, modules=HEAVY):
+    """Which of ``modules`` are in ``sys.modules`` after ``code``."""
+    return _fresh(f"{code}\nprint(json.dumps([m for m in {modules!r} "
                   "if m in sys.modules]))")
 
 
 @pytest.mark.parametrize("statement", ["import partialskew",
                                        "import partialskew.scenarios",
                                        "import partialskew.cli"])
-def test_import_loads_no_hopf_layer_and_no_dataclasses(statement):
-    assert _loaded_after(statement) == []
+def test_import_loads_no_lazy_layer_and_no_heavy_module(statement):
+    assert _loaded_after(statement, HEAVY + ON_USE) == []
+
+
+def test_a_separability_run_over_fp_loads_no_duality_hopf_or_fractions():
+    assert _loaded_after(
+        "from partialskew.report import emit_report, parse_structured\n"
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({str(S3_SEPARABILITY)!r}, suites=['separability'],\n"
+        "                 field_override='fp:5')\n"
+        "assert parse_structured(emit_report(r, 'structured')) == r.canonical()\n"
+        "assert r.passed() and r.named('separability.centralizes')",
+        HEAVY + ON_USE) == []
 
 
 def test_a_run_without_the_hopf_suite_loads_no_hopf_layer():
@@ -68,26 +88,62 @@ def test_the_hopf_suite_loads_the_hopf_layer():
     ) == ["partialskew.hopf"]
 
 
-def test_reading_a_hopf_name_loads_the_hopf_layer():
+def test_the_duality_suite_loads_the_duality_layer():
+    path = str(fixture_path("s1.json"))
+    assert _loaded_after(
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({path!r}, suites=['duality'], field_override='fp:5')\n"
+        "assert r.named('duality.kernel_formula').status == 'pass'",
+        ("partialskew.duality", "partialskew.hopf")) == ["partialskew.duality"]
+
+
+@pytest.mark.parametrize("layer, name, names", [
+    ("hopf", "HopfData", HOPF_NAMES), ("duality", "build_duality", DUALITY_NAMES)],
+    ids=["hopf", "duality"])
+def test_reading_a_layer_name_loads_the_layer(layer, name, names):
     assert _fresh(
         "import partialskew\n"
-        "before = 'partialskew.hopf' in sys.modules\n"
-        "names = dir(partialskew)\n"
-        "cls = partialskew.HopfData\n"
-        "import partialskew.hopf as h\n"
-        "print(json.dumps([before, 'partialskew.hopf' in sys.modules,\n"
-        f"                  cls is h.HopfData, [n for n in {HOPF_NAMES!r} if n in names]]))"
-    ) == [False, True, True, list(HOPF_NAMES)]
+        f"before = 'partialskew.{layer}' in sys.modules\n"
+        "listed = dir(partialskew)\n"
+        f"value = partialskew.{name}\n"
+        f"import partialskew.{layer} as layer\n"
+        f"print(json.dumps([before, 'partialskew.{layer}' in sys.modules,\n"
+        f"                  value is layer.{name}, [n for n in {names!r} if n in listed]]))"
+    ) == [False, True, True, list(names)]
 
 
-def test_hopf_names_resolve_to_the_hopf_layer():
+def test_lazy_names_resolve_to_their_layers():
     import partialskew
-    from partialskew import HopfData, hopf
-    assert HopfData is hopf.HopfData
-    assert all(getattr(partialskew, n) is getattr(hopf, n) for n in HOPF_NAMES)
-    assert set(HOPF_NAMES) <= set(dir(partialskew))
+    from partialskew import DualityData, HopfData, duality, hopf, smash
+    assert HopfData is hopf.HopfData and DualityData is duality.DualityData
+    for layer, names in ((hopf, HOPF_NAMES), (duality, DUALITY_NAMES)):
+        assert all(getattr(partialskew, n) is getattr(layer, n) for n in names)
+        assert set(names) <= set(dir(partialskew))
+    # the separability checks live beside the smash, with no alias in duality
+    assert partialskew.separability_report is smash.separability_report
+    assert not hasattr(duality, "separability_report")
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         partialskew.not_a_name
+
+
+def test_rationals_work_before_fractions_is_imported():
+    assert _fresh(
+        "from partialskew.fields import QQ\n"
+        "import partialskew.linalg\n"
+        "before = 'fractions' in sys.modules\n"
+        "x = QQ.parse('-3/2')\n"
+        "print(json.dumps([before, str(x), type(x).__name__]))"
+    ) == [False, "-3/2", "Fraction"]
+    # an elimination over Q as the first rational made: the pivot row of
+    # [2, 1] is divided by 2
+    assert _fresh(
+        "from partialskew.fields import QQ\n"
+        "from partialskew.linalg import rref\n"
+        "before = 'fractions' in sys.modules\n"
+        "rows, pivots = rref([[2, 1]], QQ)\n"
+        "print(json.dumps([before, pivots,\n"
+        "                  [[type(v).__name__, str(v)] for v in rows[0]]]))"
+    ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
 
 
 # -- check records ---------------------------------------------------------
