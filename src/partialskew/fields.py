@@ -33,10 +33,11 @@ skips the normalisers over the rationals.
 
 Scalars that enter from the Python API (the entries of a ``Mat``, a spanning
 set, an ``rref`` input, an algebra element or its scalar factor) go through
-a fourth normaliser, ``scalars(xs)``, which returns a tuple: over the
-rationals it is ``tuple`` itself; over F_p it reduces each ``int``
-representative and refuses any other scalar (a ``Fraction``, a ``float``, a
-``bool``) with a ``ValueError`` naming it.
+a fourth normaliser, ``scalars(xs)``, which returns a tuple and refuses any
+scalar that is not exact in the field with a ``ValueError`` naming it: over
+the rationals anything but an ``int`` or a ``Fraction`` (a ``float``, a
+``bool``), kept as it is; over F_p anything but an ``int`` representative
+(a ``Fraction`` too), reduced.
 
 Residues carry no modulus, so mixing fields is caught by the structures
 (``Mat``, tensor and direct products compare their fields), not by scalars.
@@ -44,6 +45,7 @@ Residues carry no modulus, so mixing fields is caught by the structures
 
 from __future__ import annotations
 
+import sys
 from operator import index
 
 from .errors import ParseError
@@ -68,8 +70,17 @@ class RationalField:
     zero = 0
     one = 1
     vector = staticmethod(tuple)
-    scalars = staticmethod(tuple)
     reduce = staticmethod(_canonical)
+
+    def scalars(self, xs):
+        xs = tuple(xs)
+        # a Fraction can exist only once ``fractions`` is loaded
+        exact = {int, getattr(sys.modules.get("fractions"), "Fraction", int)}
+        if not set(map(type, xs)) <= exact:
+            bad = next(x for x in xs if type(x) not in exact)
+            raise ValueError(f"scalar {bad!r} is not an exact rational "
+                             f"(an int or a Fraction)")
+        return xs
 
     def sparse(self, acc):
         if 0 in acc.values():

@@ -284,7 +284,7 @@ def _explicit_hopf_checks(field, spec):
     except ValidationError as exc:
         return [check("hopf.explicit_axioms", False, {}, [str(exc)])]
     results = []
-    for c in hopf_mod.hopf_data_checks(data):
+    for c in hopf_mod.hopf_data_checks(data)[0]:
         results.append(check("hopf.explicit_" + c.name.split(".", 1)[1],
                              c.status == "pass", c.measured, c.witnesses))
     return results

@@ -5,21 +5,30 @@ object, and the reports restate it.
 component, ``build_smash`` that the twisted ring embeds in its smash
 product, and ``build_duality`` that φ(1) is the corner idempotent e and
 e·e = e.  ``grading_report``, ``smash_report`` and ``corner_report`` record
-those facts as passed checks.  Here the reports are shown to run none of
-the map proofs, and each builder to refuse an object that fails its proof,
-with its own message.
+those facts as passed checks.  In the Hopf layer ``make_partial_hopf_action``
+proves axiom 2 (1_H ▷ a = a, the counit law of the coaction),
+``build_corner_maps`` that φ is multiplicative (so φ(1) is idempotent) and
+``build_representations`` that λ is an algebra map (so the operator duality
+map sends 1 to φ(1)); ``coaction.counit``, ``hopf.corner_maps`` and
+``opduality.idempotent`` record them.  Here the reports are shown to run
+none of those proofs, and each builder to refuse an object that fails its
+proof, with its own message.
 """
 
 import pytest
 
-from partialskew import duality
+from partialskew import duality, hopf
 from partialskew.actions import trivial_from_split
-from partialskew.algebras import AlgebraMap, MatrixAlgebra, product_of_fields
+from partialskew.algebras import (AlgebraMap, MatrixAlgebra, TensorAlgebra,
+                                  product_of_fields)
 from partialskew.duality import build_duality, corner_report
 from partialskew.errors import InternalCheckFailed
 from partialskew.fields import QQ
 from partialskew.groups import symmetric
-from partialskew.linalg import Subspace
+from partialskew.hopf import (PartialHopfAction, build_corner_maps,
+                              build_representations, coaction_report, group_hopf,
+                              hopf_lift_suite, lift_group_action)
+from partialskew.linalg import Subspace, _sparse
 from partialskew.skew import build_skew, grading_report
 from partialskew.smash import build_smash, smash_report
 
@@ -34,10 +43,14 @@ FAILING_PROOFS = {
 
 
 @pytest.fixture(scope="module")
-def s3_duality():
+def s3_action():
     k = product_of_fields(QQ, 1)
-    pa = trivial_from_split(k, k, symmetric(3))
-    return build_duality(build_smash(build_skew(pa)))
+    return trivial_from_split(k, k, symmetric(3))
+
+
+@pytest.fixture(scope="module")
+def s3_duality(s3_action):
+    return build_duality(build_smash(build_skew(s3_action)))
 
 
 def _reports(d):
@@ -94,3 +107,87 @@ def test_build_duality_refuses_a_corner_element_that_is_not_idempotent(
     with pytest.raises(InternalCheckFailed) as err:
         build_duality(s1_smash)
     assert str(err.value) == "corner element is not idempotent"
+
+
+# -- the Hopf layer --------------------------------------------------------
+
+RESTATED = ("coaction.counit", "hopf.corner_maps", "opduality.idempotent")
+
+
+def _unit_acting_twice(pha):
+    """``pha`` with 1_H acting as twice the identity: axiom 2 fails, which
+    only ``make_partial_hopf_action`` would refuse."""
+    unit = _sparse(pha.hopf.algebra.unit)
+    return PartialHopfAction(pha.hopf, pha.algebra, [
+        [{t: 2 * v for t, v in col.items()} for col in cols] if i in unit else cols
+        for i, cols in enumerate(pha.acts)])
+
+
+@pytest.mark.parametrize("name", ["s1_action", "s3_action"])
+def test_hopf_reports_run_no_re_proof(name, request, monkeypatch):
+    pa = request.getfixturevalue(name)
+    skew = build_skew(pa)
+    expected = {c.name: c for c in hopf_lift_suite(pa, skew) if c.name in RESTATED}
+    assert sorted(expected) == sorted(RESTATED)
+    assert all(c.status == "pass" and not c.witnesses for c in expected.values())
+    # φ(1)·φ(1) and Φ(1)·Φ(1) would each square an idempotent of A⊗End(H)
+    square = TensorAlgebra._mul_sparse
+
+    def refuse_squaring_an_idempotent(self, x, y):
+        if (isinstance(self.tensor_factors[1], MatrixAlgebra) and x == y
+                and square(self, x, x) == x):
+            raise AssertionError("a report squared an idempotent of A⊗End(H)")
+        return square(self, x, y)
+
+    monkeypatch.setattr(TensorAlgebra, "_mul_sparse", refuse_squaring_an_idempotent)
+    got = {c.name: c for c in hopf_lift_suite(pa, skew) if c.name in RESTATED}
+    assert got == expected
+    counit = {c.name: c for c in coaction_report(_unit_acting_twice(lift_group_action(pa)))}
+    assert counit["coaction.counit"] == expected["coaction.counit"]
+
+
+def _operators_with_rho(change):
+    """``hopf._basis_operators`` with every operator ρ(p_j#b_i) passed
+    through ``change(j, i, op)``."""
+    basis_operators = hopf._basis_operators
+
+    def changed(h):
+        lam, rho = basis_operators(h)
+        return lam, [[change(j, i, op) for i, op in enumerate(row)]
+                     for j, row in enumerate(rho)]
+    return changed
+
+
+@pytest.mark.parametrize("patch, message", [
+    # λ read as not multiplicative, or as not unital
+    (lambda mp: mp.setattr(AlgebraMap, "is_multiplicative", lambda self: False),
+     "left operator representation is not an algebra map"),
+    (lambda mp: mp.setattr(AlgebraMap, "is_unital", lambda self: False),
+     "left operator representation is not an algebra map"),
+    # every ρ(p_j#b_i) zero, so ρ(1) = 0 is not the identity
+    (lambda mp: mp.setattr(hopf, "_basis_operators", _operators_with_rho(
+        lambda j, i, op: [{} for _ in op])),
+     "right operator representation is not unital"),
+    # ρ(p_j#b_i) doubled for i != e: ρ(1) = Σ ρ(p_j#e) is untouched, but
+    # where b_i·b_l = e the image of (p_j#b_i)(p_k#b_l) is not doubled while
+    # the product of the two images is quadrupled
+    (lambda mp: mp.setattr(hopf, "_basis_operators", _operators_with_rho(
+        lambda j, i, op: [{r: 2 * c for r, c in col.items()} for col in op] if i else op)),
+     "right operator representation is not an anti-map"),
+])
+def test_build_representations_refuses_with_its_message(patch, message, monkeypatch):
+    h = group_hopf(QQ, symmetric(3))
+    patch(monkeypatch)
+    with pytest.raises(InternalCheckFailed) as err:
+        build_representations(h)
+    assert str(err.value) == message
+
+
+def test_build_corner_maps_refuses_a_map_that_is_not_multiplicative(
+        monkeypatch, s1_action):
+    pha = lift_group_action(s1_action)
+    lam = build_representations(pha.hopf)
+    monkeypatch.setattr(AlgebraMap, "is_multiplicative", lambda self: False)
+    with pytest.raises(InternalCheckFailed) as err:
+        build_corner_maps(pha, lam)
+    assert str(err.value) == "corner map on the algebra is not multiplicative"

@@ -114,8 +114,8 @@ def test_linear_kernels_match_wrapper_route(inst):
 
 # -- scalars from the Python API -------------------------------------------
 # ``Mat``, ``Subspace.from_vectors``, ``rref`` and algebra elements take any
-# int representative over F_p and reduce it on the way in; anything else is
-# refused, naming the scalar.
+# int representative over F_p and reduce it on the way in, and an int or a
+# Fraction over Q; anything else is refused, naming the scalar.
 
 def test_kernel_of_a_non_canonical_matrix():
     # 5 is 0 in F_5, so the one equation is x_1 = 0
@@ -140,14 +140,26 @@ def test_element_scalar_products_are_residues():
     assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("build", [
+API_BUILDS = [
     lambda f, x: Mat(f, [[1, x]]),
     lambda f, x: Subspace.from_vectors(f, 2, [(1, x)]),
     lambda f, x: rref([[1, x]], f),
     lambda f, x: product_of_fields(f, 2).element([1, x]),
     lambda f, x: x * product_of_fields(f, 2).one(),
-])
+]
+
+
+@pytest.mark.parametrize("build", API_BUILDS)
 @pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2), 1.0, True])
 def test_non_int_scalars_refused_over_fp(build, scalar):
     with pytest.raises(ValueError, match=re.escape(f"scalar {scalar!r} is not an int")):
         build(GF(5), scalar)
+
+
+@pytest.mark.parametrize("build", API_BUILDS)
+@pytest.mark.parametrize("scalar", [1.0, 0.5, True, False, "1"])
+def test_inexact_scalars_refused_over_q(build, scalar):
+    with pytest.raises(ValueError, match=re.escape(
+            f"scalar {scalar!r} is not an exact rational (an int or a Fraction)")):
+        build(QQ, scalar)
+

@@ -144,6 +144,14 @@ def test_rationals_work_before_fractions_is_imported():
         "print(json.dumps([before, pivots,\n"
         "                  [[type(v).__name__, str(v)] for v in rows[0]]]))"
     ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
+    # an inexact scalar over Q is refused without loading ``fractions``
+    assert _fresh(
+        "from partialskew.fields import QQ\n"
+        "try:\n"
+        "    QQ.scalars([1, 0.5])\n"
+        "except ValueError as exc:\n"
+        "    print(json.dumps([str(exc), 'fractions' in sys.modules]))"
+    ) == ["scalar 0.5 is not an exact rational (an int or a Fraction)", False]
 
 
 # -- check records ---------------------------------------------------------
