@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+from .fields import parse_field
 from .report import emit_report
 from .scenarios import (SUITE_DESCRIPTIONS, SUITES, bundled_fixtures,
                         fixture_path, run_scenario)
@@ -73,6 +74,12 @@ def main(argv=None):
         return 0 if report.passed() else 1
 
     if args.command == "selftest":
+        if args.field:
+            try:
+                parse_field(args.field)
+            except ParseError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         failures = 0
         for name in bundled_fixtures():
             try:

@@ -324,8 +324,9 @@ def run_scenario(source, suites=None, field_override=None):
         raise ParseError("scenario is missing its 'action' entry")
     action = build_action(field, group, algebra, doc["action"])
 
-    selected = list(suites) if suites else list(doc.get("suites", SUITES))
-    if doc.get("hopf_lift") and "hopf" not in selected:
+    selected = list(suites or doc.get("suites", SUITES))
+    # hopf_lift extends the document's suites; --suite overrides both
+    if not suites and doc.get("hopf_lift") and "hopf" not in selected:
         selected.append("hopf")
     for s in selected:
         if s not in SUITES:

@@ -10,25 +10,39 @@ proves axiom 2 (1_H ▷ a = a, the counit law of the coaction),
 ``build_corner_maps`` that φ is multiplicative (so φ(1) is idempotent) and
 ``build_representations`` that λ is an algebra map (so the operator duality
 map sends 1 to φ(1)); ``coaction.counit``, ``hopf.corner_maps`` and
-``opduality.idempotent`` record them.  Here the reports are shown to run
-none of those proofs, and each builder to refuse an object that fails its
-proof, with its own message.
+``opduality.idempotent`` record them.
+
+Eight more checks restate a proof: ``grading.components_multiply``
+(``build_skew`` reads each product cell of D_g·D_h off the pivots of D_gh),
+``duality.kernel_two_sided`` (``build_duality`` proves φ multiplicative),
+``duality.skew_embedding_argument`` (``make_partial_action`` proves each
+1_g idempotent), ``hopf.axioms``'s ``antipode_rank`` (``make_hopf`` inverts
+S), ``coaction.multiplicative`` (axiom 1 of ``make_partial_hopf_action``)
+and the ``counit``, ``coassociative`` and ``unit_acts`` sub-checks of the
+partial smash (the right counit law and coassociativity in ``make_hopf``).
+
+Here the reports are shown to run none of those proofs, and each builder
+to refuse an object that fails its proof, with its own message.
 """
 
 import pytest
 
-from partialskew import duality, hopf
-from partialskew.actions import trivial_from_split
-from partialskew.algebras import (AlgebraMap, MatrixAlgebra, TensorAlgebra,
-                                  product_of_fields)
-from partialskew.duality import build_duality, corner_report
-from partialskew.errors import InternalCheckFailed
+from partialskew import duality, hopf, skew
+from partialskew.actions import make_partial_action, trivial_from_split
+from partialskew.algebras import (AlgebraMap, MatrixAlgebra, StructureAlgebra,
+                                  TensorAlgebra, product_of_fields)
+from partialskew.duality import (build_duality, corner_report,
+                                 decomposition_report, skew_injectivity_report)
+from partialskew.errors import (AntipodeNotInvertible, HopfAxiomFails,
+                                InternalCheckFailed, NotCentralIdempotent)
 from partialskew.fields import QQ
-from partialskew.groups import symmetric
-from partialskew.hopf import (PartialHopfAction, build_corner_maps,
+from partialskew.groups import cyclic, symmetric
+from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
+                              build_corner_maps, build_partial_smash,
                               build_representations, coaction_report, group_hopf,
-                              hopf_lift_suite, lift_group_action)
-from partialskew.linalg import Subspace, _sparse
+                              hopf_data_checks, hopf_lift_suite, lift_group_action,
+                              make_hopf, partial_smash_report)
+from partialskew.linalg import Mat, Subspace, _sparse
 from partialskew.skew import build_skew, grading_report
 from partialskew.smash import build_smash, smash_report
 
@@ -191,3 +205,120 @@ def test_build_corner_maps_refuses_a_map_that_is_not_multiplicative(
     with pytest.raises(InternalCheckFailed) as err:
         build_corner_maps(pha, lam)
     assert str(err.value) == "corner map on the algebra is not multiplicative"
+
+
+# -- the eight checks restated since -----------------------------------------
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a report ran {what}")
+    return refuse
+
+
+@pytest.mark.parametrize("name", ["s1_duality", "s3_duality"])
+def test_grading_and_duality_reports_run_no_re_proof(name, request, monkeypatch):
+    d = request.getfixturevalue(name)
+
+    def reports():
+        return (grading_report(d.smash.skew), decomposition_report(d),
+                skew_injectivity_report(d))
+
+    expected = reports()
+    names = {c.name: c for checks in expected for c in checks}
+    for restated in ("grading.components_multiply", "duality.kernel_two_sided",
+                     "duality.skew_embedding_argument"):
+        assert names[restated].status == "pass" and not names[restated].witnesses
+    two_sided = duality._is_two_sided_ideal
+
+    def ideal_only(algebra, subspace, *left):
+        if subspace is d.kernel:
+            raise AssertionError("a report re-proved that the kernel is an ideal")
+        return two_sided(algebra, subspace, *left)
+
+    monkeypatch.setattr(skew, "component_product_span", _refuse("component_product_span"))
+    monkeypatch.setattr(duality, "_is_two_sided_ideal", ideal_only)
+    # b_i·(1 - 1_g)·1_g would be formed from the idempotents and their complements
+    monkeypatch.setattr(duality, "_idempotents", _refuse("_idempotents"))
+    assert reports() == expected
+
+
+def _counit_doubled(pha):
+    """``pha`` over H with ε doubled, and over a dual whose unit (which is
+    ε) is doubled: the right counit law fails on both sides, which only
+    ``make_hopf`` and the builders of its dual would refuse."""
+    h = pha.hopf
+    dual = h.dual()
+    bad = HopfData(h.algebra, h.comul, [2 * e for e in h.counit], h.antipode,
+                   h.antipode_inv)
+    unit = [2 * x for x in dual.algebra.unit]
+    bad._dual = HopfData(StructureAlgebra(QQ, dual.algebra.products, unit,
+                                          dual.algebra.labels),
+                         dual.comul, dual.counit, dual.antipode, dual.antipode_inv)
+    return PartialHopfAction(bad, pha.algebra, pha.acts)
+
+
+@pytest.mark.parametrize("name", ["s1_action", "s3_action"])
+def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
+        name, request, monkeypatch):
+    pha = lift_group_action(request.getfixturevalue(name))
+    h, ps = pha.hopf, build_partial_smash(pha)
+
+    def reports():
+        return {c.name: c for c in (hopf_data_checks(h)[0] + coaction_report(pha)
+                                    + partial_smash_report(ps))}
+
+    expected = reports()
+    assert all(c.status == "pass" for c in expected.values())
+    assert expected["hopf.axioms"].measured == {"dim": h.dim, "antipode_rank": h.dim}
+    dual_algebra = h.dual().algebra
+    witness = AlgebraMap._multiplicativity_witness
+
+    def no_coaction_witness(self, anti=False):
+        # δ maps A into A⊗H*, the only map into that tensor algebra
+        factors = getattr(self.codomain, "tensor_factors", ())
+        if len(factors) == 2 and factors[1] is dual_algebra:
+            raise AssertionError("a report re-proved that δ is multiplicative")
+        return witness(self, anti)
+
+    monkeypatch.setattr(Mat, "rank", _refuse("Mat.rank"))
+    monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", no_coaction_witness)
+    monkeypatch.setattr(hopf, "_coassociativity_witness",
+                        _refuse("_coassociativity_witness"), raising=False)
+    assert reports() == expected
+    # the counit and unit_acts sub-checks state make_hopf's counit law
+    psmash = {c.name: c for c in partial_smash_report(
+        PartialSmash(_counit_doubled(pha), ps.ambient, ps.sub, ps.unit_vec))}
+    assert psmash == {k: c for k, c in expected.items() if k.startswith("psmash.")}
+
+
+def test_make_partial_action_refuses_an_idempotent_that_is_not_one():
+    # 2·e0 is central, but (2·e0)² = 4·e0, so A(1 - 1_g)1_g would not vanish
+    k2 = product_of_fields(QQ, 2)
+    with pytest.raises(NotCentralIdempotent) as err:
+        make_partial_action(cyclic(2), k2, [k2.unit, (2, 0)],
+                            [Mat.identity(QQ, 2), Mat(QQ, [[1, 0], [0, 0]])])
+    assert str(err.value) == "not a central idempotent: g=g: (2)*e0"
+
+
+def test_build_duality_refuses_a_map_that_is_not_multiplicative(
+        monkeypatch, s1_smash):
+    monkeypatch.setattr(AlgebraMap, "is_multiplicative", lambda self: False)
+    with pytest.raises(InternalCheckFailed) as err:
+        build_duality(s1_smash)
+    assert str(err.value) == "matrix map is not multiplicative"
+
+
+def test_make_hopf_refuses_a_broken_counit_law():
+    # ε(g) = 2: Δ(g) = g⊗g gives (ε⊗1)Δ(g) = 2g != g
+    h = group_hopf(QQ, cyclic(2))
+    with pytest.raises(HopfAxiomFails) as err:
+        make_hopf(h.algebra, h.comul, [1, 2], h.antipode)
+    assert str(err.value) == "Hopf axiom 'counit' fails: basis g"
+
+
+def test_make_hopf_refuses_a_singular_antipode(monkeypatch):
+    h = group_hopf(QQ, cyclic(2))
+    monkeypatch.setattr(Mat, "inverse", lambda self: None)
+    with pytest.raises(AntipodeNotInvertible) as err:
+        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
+    assert str(err.value) == "antipode matrix is singular"

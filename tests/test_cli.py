@@ -130,6 +130,22 @@ def test_hopf_lift_flag(tmp_path, capsys):
     assert "opduality.corner_membership" in out
 
 
+def test_suite_overrides_hopf_lift(tmp_path, capsys):
+    # --suite grading runs the same checks with or without hopf_lift
+    doc = dict(S1_DOC)
+    doc.pop("expect")
+    names = []
+    for lift in (False, True):
+        doc["hopf_lift"] = lift
+        assert main(["verify", _write(tmp_path, doc), "--suite", "grading",
+                     "--format", "structured"]) == 0
+        names.append([c.name for c in parse_structured(capsys.readouterr().out).checks])
+    assert names[0] == names[1]
+    assert "grading.direct_sum" in names[1]
+    assert not any(n.startswith(("hopf.", "coaction.", "psmash.", "opduality."))
+                   for n in names[1])
+
+
 def test_exact_rational_strings(tmp_path):
     doc = {
         "name": "halves",
@@ -316,6 +332,16 @@ def test_selftest(capsys):
     assert "selftest: PASS" in out
     for name in bundled_fixtures():
         assert name in out
+
+
+@pytest.mark.parametrize("token", ["fp:4", "fp:x", "r"])
+def test_selftest_bad_field_exits_two(capsys, token):
+    # the override is parsed once, before any scenario runs
+    assert main(["selftest", "--field", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_bundled_corpus_contents():
