@@ -74,7 +74,7 @@ def main(argv=None):
         return 0 if report.passed() else 1
 
     if args.command == "selftest":
-        if args.field:
+        if args.field is not None:
             try:
                 parse_field(args.field)
             except ParseError as exc:

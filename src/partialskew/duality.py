@@ -8,7 +8,12 @@ promises about this map is re-proved here per instance, by linear algebra:
   * the map is multiplicative and sends the unit to the corner idempotent
     (the diagonal matrix of the idempotents of the inverses), proved by
     ``build_duality`` and restated by ``corner_report``; its kernel is then
-    a two-sided ideal, which ``decomposition_report`` states;
+    a two-sided ideal, which ``decomposition_report`` states.  On the basis
+    pair (a#p_{hk}, b#p_k), a of grade g and b of grade h, multiplicativity
+    is the entry identity at (ghk, k):
+    k^{-1}·((gh)^{-1}·(a(g·b))) = ((hk)^{-1}·(g^{-1}·a))(k^{-1}·(h^{-1}·b)),
+    every other pair and entry reading 0 = 0; so the exhaustive check of φ
+    on every basis pair proves the identity on every group triple;
   * its kernel equals the explicit block formula (two independent routes);
   * its image equals both the entrywise-constrained subspace and the Pierce
     corner cut out by the corner idempotent (three independent routes);
@@ -26,9 +31,8 @@ no product makes a vector as long as the smash or matrix algebra.
 ``decomposition_report`` forms one left-product table of the complementary
 ideal, b·r for every basis element b and echelon row r (``_left_products``);
 the ideal's two-sided test and the Kronecker tally of its left products
-both read it, the tally from the ideal's sparse echelon rows.  The entry
-identity keeps one accumulator per group triple, and the cross products of
-ideal and kernel one per ideal row and side.  The block subspaces, the
+both read it, the tally from the ideal's sparse echelon rows.  The cross
+products of ideal and kernel keep one accumulator per ideal row and side.  The block subspaces, the
 entrywise image, the Pierce corner e·E_b·e, the corner idempotent, the map
 φ and its composite with the embedding of the twisted ring are formed from
 sparse products and columns, coordinates in D_g read off its pivots.
@@ -98,52 +102,11 @@ def complement_ideal_subspace(smash):
     return _block_subspace(smash, complement=False)
 
 
-def _verify_twisted_entry_identity(pa):
-    """The entry identity behind multiplicativity, checked exhaustively:
-    k^{-1}·((gh)^{-1}·(a(g·b))) = ((hk)^{-1}·(g^{-1}·a)) (k^{-1}·(h^{-1}·b))
-    for all group triples and all basis pairs a of D_g, b of D_h.
-
-    The images are sparse, from the columns of the α_g: (gh)^{-1}·(a(g·b))
-    once per (g, h, a, b), and both right factors from m^{-1}·(g^{-1}·a),
-    once per (g, m, a).  For each (g, h, k) one accumulator, keyed
-    (a·dim D_h + b)·d + t, sums lhs − rhs over every basis pair; the
-    triples are visited in order, so the first failing one is named."""
-    alg, grp = pa.algebra, pa.group
-    cols, inv = pa.columns, grp.inv
-    sparse, mul = alg.field.sparse, alg._mul_acc
-    n, d = grp.order, alg.dim
-    bases = [list(pa.ideals[g]._rows.values()) for g in range(n)]
-
-    def dot(g, v):
-        return sparse(_image(cols[g], v.items()))
-
-    pulled = [[dot(inv(g), a) for a in bases[g]] for g in range(n)]
-    # twice[g][m]: m^{-1}·(g^{-1}·a) for every basis vector a of D_g
-    twice = [[[dot(inv(m), x) for x in pulled[g]] for m in range(n)]
-             for g in range(n)]
-    for g in range(n):
-        for h in range(n):
-            ghinv, dh = inv(grp.mul(g, h)), len(bases[h])
-            moved = [dot(g, b) for b in bases[h]]
-            mids = [[dot(ghinv, sparse(mul(a, gb))) for gb in moved]
-                    for a in bases[g]]
-            for k in range(n):
-                kcols, rights = cols[inv(k)], twice[h][k]
-                acc = {}
-                for x, (row, left) in enumerate(zip(mids, twice[g][grp.mul(h, k)])):
-                    for y, (mid, right) in enumerate(zip(row, rights)):
-                        base = (x * dh + y) * d
-                        _image(kcols, mid.items(), acc, base)
-                        _add(acc, base, -1, mul(left, right).items())
-                if sparse(acc):
-                    raise InternalCheckFailed(
-                        f"entry identity fails at ({grp.label(g)},"
-                        f"{grp.label(h)},{grp.label(k)})")
-
-
 def build_duality(smash):
-    """Assemble the matrix map, verify it is a homomorphism, and compute the
-    kernel, image and complementary ideal."""
+    """Assemble the matrix map, verify it is a homomorphism sending 1 to the
+    corner idempotent e (so e·e = e), and compute the kernel, image and
+    complementary ideal.  A map that is not multiplicative is refused at the
+    first basis pair, named by its smash labels."""
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
@@ -159,16 +122,17 @@ def build_duality(smash):
                             base=mat.slot(grp.mul(g, h), h, 0)) for h in range(n)]
     phi = AlgebraMap(smash.algebra, mat, cols)
 
-    _verify_twisted_entry_identity(pa)
-    if not phi.is_multiplicative():
-        raise InternalCheckFailed("matrix map is not multiplicative")
+    pair = phi._multiplicativity_witness()
+    if pair is not None:
+        labels = smash.algebra.labels
+        raise InternalCheckFailed(f"matrix map is not multiplicative at "
+                                  f"({labels[pair[0]]}, {labels[pair[1]]})")
 
+    # φ(1) = e with φ multiplicative gives e·e = φ(1·1) = e
     es, _ = _idempotents(pa)
     bold_e = {mat.slot(g, g, t): x for g in range(n) for t, x in es[grp.inv(g)].items()}
     if phi.apply_sparse(_sparse(smash.algebra.unit)) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
-    if mat._mul_sparse(bold_e, bold_e) != bold_e:
-        raise InternalCheckFailed("corner element is not idempotent")
 
     return DualityData(smash, mat, phi, _dense(bold_e, alg.field, mat.dim),
                        phi.kernel(), phi.image(), complement_ideal_subspace(smash))
@@ -187,7 +151,8 @@ def kernel_report(d):
 
 def corner_report(d):
     """The image against the entrywise and Pierce corner routes, and the
-    corner idempotent φ(1) = e = e·e that ``build_duality`` proved."""
+    corner idempotent e: ``build_duality`` proved φ multiplicative and
+    φ(1) = e, so e·e = φ(1·1) = e."""
     pa, mat = d.smash.skew.action, d.mat
     entrywise = _entrywise_image(pa, mat)
     pierce = _pierce_corner(mat, _sparse(d.corner_idempotent))

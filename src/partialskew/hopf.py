@@ -261,7 +261,7 @@ def _basis_operators(h):
     return lam, rho
 
 
-def _verify_exchange_identity(h, ops=None):
+def _verify_exchange_identity(h, ops):
     """λ(h#f)ρ(g#1) = Σ ρ(g2#1)λ((h↼S(g1))#f) on every basis triple (a, b, c).
 
     Runs on sparse operators (``ops`` = ``_basis_operators(h)``) and composes
@@ -274,7 +274,7 @@ def _verify_exchange_identity(h, ops=None):
     dual = h.dual()
     d = h.dim
     field = h.algebra.field
-    lam, rho = ops or _basis_operators(h)
+    lam, rho = ops
     unit = _sparse(h.algebra.unit)
     # ρ(g_c#1) by column, as (row, scalar) pairs, and its nonempty columns
     rho_g = [[tuple(_lincomb(field, ((u, rho[c][i][x]) for i, u in unit.items())).items())
@@ -448,7 +448,7 @@ def coaction_report(pha):
     ]
 
 
-def build_corner_maps(pha, lam=None):
+def build_corner_maps(pha, lam):
     """phi(a) = sum of (b_i·a) ⊗ ρ(S^{-1}(p_i)#1) and psi(h#f) = 1⊗λ(h#f),
     with phi verified multiplicative and the exchange lemma
     phi(1)psi(h#f)phi(a) = sum of phi(h1·a)psi(h2#f) verified exhaustively,
@@ -463,8 +463,6 @@ def build_corner_maps(pha, lam=None):
     """
     h, alg = pha.hopf, pha.algebra
     dual = h.dual()
-    if lam is None:
-        lam = build_representations(h)
     d, da = h.dim, alg.dim
     dd = d * d
     field = alg.field
@@ -730,7 +728,7 @@ def smash_matches_skew_report(ps, skew_ring):
                    "unital": unital}, [failure] if failure else [])]
 
 
-def operator_duality_report(pha, ps, maps=None):
+def operator_duality_report(pha, ps, maps):
     """The operator duality map Φ(x#f) = φ(x)ψ(f) on A⊗H#H^*:
     multiplicativity, the corner idempotent, and corner membership of the
     restricted domain.  The report expects ``maps`` = (φ, ψ columns) made by
@@ -741,7 +739,7 @@ def operator_duality_report(pha, ps, maps=None):
     h, alg, field = pha.hopf, pha.algebra, pha.algebra.field
     dual = h.dual()
     d = h.dim
-    phi, psi_columns = build_corner_maps(pha) if maps is None else maps
+    phi, psi_columns = maps
     target = phi.codomain
 
     acted = [[_on_leg(field, h.left_hits[m], d, {y: field.one})
@@ -849,8 +847,7 @@ def hopf_lift_suite(pa, skew_ring):
         results.append(check("psmash.associative", False, {}, [str(exc)]))
         return results
     results.extend(partial_smash_report(ps))
-    if skew_ring is not None:
-        results.extend(smash_matches_skew_report(ps, skew_ring))
+    results.extend(smash_matches_skew_report(ps, skew_ring))
     try:
         results.extend(operator_duality_report(pha, ps, maps))
     except InternalCheckFailed as exc:

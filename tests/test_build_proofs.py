@@ -3,8 +3,8 @@ object, and the reports restate it.
 
 ``build_skew`` proves that the base algebra embeds as the identity
 component, ``build_smash`` that the twisted ring embeds in its smash
-product, and ``build_duality`` that φ(1) is the corner idempotent e and
-e·e = e.  ``grading_report``, ``smash_report`` and ``corner_report`` record
+product, and ``build_duality`` that φ is multiplicative and φ(1) is the
+corner idempotent e, so e·e = φ(1·1) = e.  ``grading_report``, ``smash_report`` and ``corner_report`` record
 those facts as passed checks.  In the Hopf layer ``make_partial_hopf_action``
 proves axiom 2 (1_H ▷ a = a, the counit law of the coaction),
 ``build_corner_maps`` that φ is multiplicative (so φ(1) is idempotent) and
@@ -23,6 +23,14 @@ partial smash (the right counit law and coassociativity in ``make_hopf``).
 
 Here the reports are shown to run none of those proofs, and each builder
 to refuse an object that fails its proof, with its own message.
+
+The builders, in turn, skip what a check that stays in them implies:
+``build_duality`` does not square e, and ``ideal_basis`` does not test Ae
+for closure, since ``is_central_idempotent`` proved e central, so
+b·(ae) = (ba)e and (ae)·b = (ab)e.  Likewise ``build_duality`` runs no
+entry identity beside φ's check on every basis pair, which is that
+identity, and ``build_smash`` no grading loop; ``test_sparse_duality`` and
+``test_smash`` pin the refusals that cover those faults.
 """
 
 import pytest
@@ -30,7 +38,8 @@ import pytest
 from partialskew import duality, hopf, skew
 from partialskew.actions import make_partial_action, trivial_from_split
 from partialskew.algebras import (AlgebraMap, MatrixAlgebra, StructureAlgebra,
-                                  TensorAlgebra, product_of_fields)
+                                  TensorAlgebra, field_algebra, ideal_basis,
+                                  matrix_algebra, product_of_fields)
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, skew_injectivity_report)
 from partialskew.errors import (AntipodeNotInvertible, HopfAxiomFails,
@@ -114,13 +123,27 @@ def test_build_duality_refuses_a_unit_off_the_corner_idempotent(monkeypatch, s1_
     assert str(err.value) == "unit does not map to the corner idempotent"
 
 
-def test_build_duality_refuses_a_corner_element_that_is_not_idempotent(
-        monkeypatch, s1_smash):
-    # every product in the matrix algebra read as zero, so e·e = 0 != e
+def test_build_duality_does_not_square_the_corner_element(monkeypatch, s1_smash):
+    # every sparse product in the matrix algebra read as zero: e·e = 0 would
+    # differ from e, but e·e = e follows from φ multiplicative and φ(1) = e,
+    # so the build forms no such product
+    expected = build_duality(s1_smash).corner_idempotent
     monkeypatch.setattr(MatrixAlgebra, "_mul_sparse", lambda self, x, y: {})
-    with pytest.raises(InternalCheckFailed) as err:
-        build_duality(s1_smash)
-    assert str(err.value) == "corner element is not idempotent"
+    assert build_duality(s1_smash).corner_idempotent == expected
+
+
+def test_ideal_basis_refuses_a_marker_whose_span_is_one_sided():
+    # E00 in M_2(k) is idempotent and A·E00 is a left ideal, not closed on
+    # the right (E00·E01 = E01 lies outside it): is_central_idempotent
+    # refuses the marker before any span is formed
+    m2 = matrix_algebra(field_algebra(QQ), 2)
+    e00 = m2.basis_element(m2.slot(0, 0, 0))
+    span = Subspace.from_sparse(QQ, m2.dim, [m2._mul_sparse({i: 1}, {m2.slot(0, 0, 0): 1})
+                                            for i in range(m2.dim)])
+    assert not duality._is_two_sided_ideal(m2, span, duality._left_products(m2, span))[0]
+    with pytest.raises(NotCentralIdempotent) as err:
+        ideal_basis(m2, e00)
+    assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1"
 
 
 # -- the Hopf layer --------------------------------------------------------
@@ -302,10 +325,13 @@ def test_make_partial_action_refuses_an_idempotent_that_is_not_one():
 
 def test_build_duality_refuses_a_map_that_is_not_multiplicative(
         monkeypatch, s1_smash):
-    monkeypatch.setattr(AlgebraMap, "is_multiplicative", lambda self: False)
+    # the refusal names the pair, by its smash labels
+    monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness",
+                        lambda self, anti=False: (0, 1))
     with pytest.raises(InternalCheckFailed) as err:
         build_duality(s1_smash)
-    assert str(err.value) == "matrix map is not multiplicative"
+    assert str(err.value) == ("matrix map is not multiplicative at "
+                              "((1)*l_e0 at e#p_e, (1)*l_e0 at e#p_g)")
 
 
 def test_make_hopf_refuses_a_broken_counit_law():

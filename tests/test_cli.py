@@ -334,14 +334,25 @@ def test_selftest(capsys):
         assert name in out
 
 
-@pytest.mark.parametrize("token", ["fp:4", "fp:x", "r"])
+@pytest.mark.parametrize("token", ["fp:4", "fp:x", "r", ""])
 def test_selftest_bad_field_exits_two(capsys, token):
-    # the override is parsed once, before any scenario runs
+    # the override is parsed once, before any scenario runs; an empty
+    # override is a bad token, not an absent one
     assert main(["selftest", "--field", token]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("token", ["fp:4", ""])
+def test_verify_bad_field_exits_two(capsys, token):
+    # an empty override does not fall back to the file's field
+    assert main(["verify", str(fixture_path("s1.json")), "--field", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and repr(token) in captured.err
 
 
 def test_bundled_corpus_contents():

@@ -215,7 +215,7 @@ def test_exchange_identity_witness_matches_dense_oracle(field, group, first):
     h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
     assert _first_exchange_failure(h) == first
     with pytest.raises(InternalCheckFailed) as info:
-        _verify_exchange_identity(h)
+        _verify_exchange_identity(h, hopf._basis_operators(h))
     a, b, c = first
     assert str(info.value) == f"exchange identity fails at basis ({a},{b},{c})"
 
@@ -375,9 +375,14 @@ def test_coaction_global_is_strict():
     assert weak.measured["strict_coassociativity"] is True
 
 
+def _corner_maps(pha):
+    """φ and the ψ columns, from λ of ``build_representations``."""
+    return build_corner_maps(pha, build_representations(pha.hopf))
+
+
 def test_corner_maps_s1(s1_action):
     pha = lift_group_action(s1_action)
-    phi, _ = build_corner_maps(pha)               # raises on any failure
+    phi, _ = _corner_maps(pha)                    # raises on any failure
     e = phi.apply_vec(s1_action.algebra.unit)
     assert tuple(phi.codomain.mul_vec(e, e)) == tuple(e)
     assert phi.codomain.dim == 8                  # dim A * dim End(H) = 2*4
@@ -419,7 +424,7 @@ def test_partial_smash_global_fills_ambient():
 def test_operator_duality_s1(s1_action):
     pha = lift_group_action(s1_action)
     ps = build_partial_smash(pha)
-    results = {c.name: c for c in operator_duality_report(pha, ps)}
+    results = {c.name: c for c in operator_duality_report(pha, ps, _corner_maps(pha))}
     assert results["opduality.multiplicative"].status == "pass"
     assert results["opduality.idempotent"].status == "pass"
     member = results["opduality.corner_membership"]
@@ -443,7 +448,7 @@ def test_trivial_group_hopf_degeneration():
                             cyclic(1))
     checks = hopf_lift_suite(pa, build_skew(pa))
     assert all(c.status == "pass" for c in checks)
-    phi, _ = build_corner_maps(lift_group_action(pa))
+    phi, _ = _corner_maps(lift_group_action(pa))
     assert map_matrix(phi) == Mat.identity(QQ, 2)
     assert phi.codomain.dim == 2
 
@@ -481,8 +486,8 @@ def test_dual_action_direction_on_non_cocommutative_hopf():
     k = field_algebra(QQ)
     pha = make_partial_hopf_action(h, k, [Mat(QQ, [[c]]) for c in h.counit])
     ps = build_partial_smash(pha)
-    results = {c.name: c for c in
-               partial_smash_report(ps) + operator_duality_report(pha, ps)}
+    results = {c.name: c for c in partial_smash_report(ps)
+               + operator_duality_report(pha, ps, _corner_maps(pha))}
     assert sorted(results) == [
         "opduality.corner_membership", "opduality.idempotent",
         "opduality.multiplicative", "psmash.closed", "psmash.comodule_algebra",
@@ -500,7 +505,7 @@ def test_operator_duality_names_multiplicativity_witness(s1_action):
     # by 2 and φ(b_p)φ(b_q) by 4, so the first nonzero product is the witness
     pha = lift_group_action(s1_action)
     ps = build_partial_smash(pha)
-    phi, psi = build_corner_maps(pha)
+    phi, psi = _corner_maps(pha)
     doubled = [{k: 2 * x for k, x in col.items()} for col in psi]
     results = {c.name: c for c in operator_duality_report(pha, ps, (phi, doubled))}
     mult = results["opduality.multiplicative"]
@@ -627,7 +632,7 @@ def test_operator_duality_names_corner_membership_witness(s1_action):
     ps = build_partial_smash(pha)
     amb = ps.ambient
     whole = PartialSmash(pha, amb, Subspace.full(QQ, amb.dim), ps.unit_vec)
-    results = {c.name: c for c in operator_duality_report(pha, whole)}
+    results = {c.name: c for c in operator_duality_report(pha, whole, _corner_maps(pha))}
     member = results["opduality.corner_membership"]
     assert member.status == "fail"
     assert member.measured["restricted_basis"] == 8

@@ -471,7 +471,7 @@ def test_exchange_identity_on_a_rescaled_basis(field):
     assert any(v != field.one for row in h.comul for _, _, v in row)
     assert any(v != field.one for row in h.dual().comul for _, _, v in row)
     assert _first_exchange_failure(h) is None
-    _verify_exchange_identity(h)
+    _verify_exchange_identity(h, hopf._basis_operators(h))
     # with an identity antipode on the dual the identity fails; the sparse
     # check names the dense oracle's first triple
     dual = h.dual()
@@ -480,7 +480,7 @@ def test_exchange_identity_on_a_rescaled_basis(field):
     first = _first_exchange_failure(h)
     assert first is not None
     with pytest.raises(InternalCheckFailed) as info:
-        _verify_exchange_identity(h)
+        _verify_exchange_identity(h, hopf._basis_operators(h))
     assert str(info.value) == "exchange identity fails at basis ({},{},{})".format(*first)
 
 

@@ -14,7 +14,8 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from partialskew.algebras import StructureAlgebra, _lincomb, product_of_fields
+from partialskew.algebras import (AlgebraMap, StructureAlgebra, _lincomb,
+                                  product_of_fields)
 from partialskew.fields import GF, QQ
 from partialskew.linalg import Mat, Subspace, kernel_basis, rref, vadd, vscale, vsub
 
@@ -146,6 +147,8 @@ API_BUILDS = [
     lambda f, x: rref([[1, x]], f),
     lambda f, x: product_of_fields(f, 2).element([1, x]),
     lambda f, x: x * product_of_fields(f, 2).one(),
+    lambda f, x: AlgebraMap(product_of_fields(f, 2), product_of_fields(f, 2),
+                            [{0: 1}, {1: x}]),
 ]
 
 
@@ -163,3 +166,16 @@ def test_inexact_scalars_refused_over_q(build, scalar):
             f"scalar {scalar!r} is not an exact rational (an int or a Fraction)")):
         build(QQ, scalar)
 
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])
+def test_algebra_map_columns_are_canonical_with_int_rows(field):
+    kk = product_of_fields(field, 2)
+    phi = AlgebraMap(kk, kk, [{0: 6, 1: 0}, {1: -1}])
+    assert phi.columns == ([{0: 1}, {1: 4}] if field.characteristic else
+                           [{0: 6}, {1: -1}])
+    assert AlgebraMap(kk, kk, [{0: 5}, {}]).columns == ([{}, {}] if field.characteristic
+                                                         else [{0: 5}, {}])
+    for row in (0.0, True, -1, 2):
+        with pytest.raises(ValueError, match=r"index outside 0\.\.1"):
+            AlgebraMap(kk, kk, [{row: 1}, {1: 1}])

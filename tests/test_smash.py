@@ -100,14 +100,18 @@ def test_perturbed_generic_cell_fails_the_closed_rule(monkeypatch, s1_skew):
         build_smash(s1_skew)
 
 
-def test_wrong_grade_fails_the_module_algebra_check(monkeypatch, s1_skew):
-    # l_e0 at e graded as g: it is idempotent, and g·g = e is not g
+def test_wrong_grade_fails_the_associativity_check(monkeypatch, s1_skew):
+    # l_e0 at e graded as g: it is idempotent, and g·g = e is not g, so the
+    # projection action is not a module-algebra action and the generic
+    # smash product is not associative; make_algebra names the first triple
     grade_of = SkewGroupRing.grade_of
     monkeypatch.setattr(SkewGroupRing, "grade_of",
                         lambda self, j: (1, 0) if j == 0 else grade_of(self, j))
-    with pytest.raises(InternalCheckFailed,
-                       match="projection action is not a module-algebra action"):
+    with pytest.raises(InternalCheckFailed) as err:
         build_smash(s1_skew)
+    assert str(err.value) == (
+        "smash product: algebra is not associative at triple "
+        "((1)*l_e0 at e#p_e, (1)*l_e0 at e#p_e, (1)*l_e0 at e#p_g)")
 
 
 # -- separability over the twisted ring ----------------------------------

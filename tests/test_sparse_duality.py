@@ -10,9 +10,10 @@ they replaced.
   ``_per_product_tally`` finds each row's block with ``_block_of`` and its
   A-coordinates with ``_project`` on the dense basis, and multiplies per
   (v, j, l).
-* ``duality._verify_twisted_entry_identity`` keeps one accumulator per
-  (g, h, k) over sparse images; ``_per_k_entry_identity`` redoes all five
-  dense images and both products for every k and basis pair.
+* ``build_duality`` checks φ multiplicative on every basis pair, which is
+  the entry identity on every group triple (g, h, k);
+  ``_per_k_entry_identity`` redoes all five dense images and both products
+  of that identity for every k and basis pair.
 * ``skew.build_skew`` reads each product cell off the pivots of D_gh and
   ``component_product_span`` reads cells of the table; ``_dense_skew``
   forms a ring-long coordinate list per product (``coords_at``) and
@@ -40,17 +41,16 @@ import pytest
 
 import partialskew.skew as skew_module
 from partialskew.actions import PartialAction
-from partialskew.algebras import (center_basis, field_algebra, matrix_algebra,
-                                  product_of_fields)
+from partialskew.algebras import (AlgebraMap, center_basis, field_algebra,
+                                  matrix_algebra, product_of_fields)
 from partialskew.duality import (DualityData, _cross_product_witness,
                                  _delta_convention_tally, _entrywise_image,
                                  _is_two_sided_ideal, _left_products,
-                                 _pierce_corner,
-                                 _verify_twisted_entry_identity, build_duality,
+                                 _pierce_corner, build_duality,
                                  complement_ideal_subspace, corner_report,
                                  kernel_formula_subspace,
                                  skew_injectivity_report)
-from partialskew.errors import InternalCheckFailed
+from partialskew.errors import InternalCheckFailed, ValidationError
 from partialskew.fields import parse_field
 from partialskew.linalg import (Mat, Subspace, _sparse, kernel_basis, vadd,
                                 vsub, vzero)
@@ -204,14 +204,6 @@ def _per_k_entry_identity(pa):
                         if lhs != rhs:
                             return (f"entry identity fails at ({grp.label(g)},"
                                     f"{grp.label(h)},{grp.label(k)})")
-    return None
-
-
-def _entry_identity_message(pa):
-    try:
-        _verify_twisted_entry_identity(pa)
-    except InternalCheckFailed as exc:
-        return str(exc)
     return None
 
 
@@ -499,7 +491,6 @@ def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field
 def test_entry_identity_and_corner_match_dense_routes(name, field):
     d = _duality(name, field)
     pa = d.smash.skew.action
-    assert _entry_identity_message(pa) is None
     assert _per_k_entry_identity(pa) is None
     pierce = next(c for c in corner_report(d) if c.name == "duality.image_pierce")
     dense_pierce = _dense_pierce(d.mat, d.corner_idempotent)
@@ -605,22 +596,64 @@ def _perturbed_actions(pa):
                                     maps, pa.ideals)
 
 
+def _duality_refusal(pa):
+    """None when the twisted ring or the smash of ``pa`` is refused;
+    otherwise the text of the InternalCheckFailed of ``build_duality`` (the
+    empty string when it returns), and the pair φ's multiplicativity check
+    named, if any."""
+    try:
+        smash = build_smash(build_skew(pa))
+    except (InternalCheckFailed, ValidationError):
+        return None
+    pairs = []
+    witness = AlgebraMap._multiplicativity_witness
+
+    def spy(self, anti=False):
+        got = witness(self, anti)
+        pairs.append((self.domain.labels, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(AlgebraMap, "_multiplicativity_witness", spy)
+        try:
+            build_duality(smash)
+        except InternalCheckFailed as exc:
+            return str(exc), pairs[-1]
+    return "", pairs[-1]
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", ["global_z2_swap.json", "z3_restrict.json",
                                   "s3_split"])
-def test_perturbed_map_names_the_oracles_triple(name, field, monkeypatch):
-    # one changed entry of an α_g column: the entry identity names the same
-    # first triple as the dense route, and the twisted ring fails with the
-    # same text, or hands the same table to make_algebra
+def test_perturbed_map_fails_multiplicativity_exactly_at_the_oracles_triples(
+        name, field, monkeypatch):
+    # one changed entry of an α_g column: φ multiplicative on every basis
+    # pair is the entry identity on every group triple, so build_duality
+    # refuses φ, naming the pair, exactly when the dense route names a
+    # triple; every other perturbation that reaches it is refused at φ(1).
+    # The twisted ring fails with the same text as the dense route, or
+    # hands the same table to make_algebra
     pa = _duality(name, field).smash.skew.action
-    messages, tables = [], []
+    outcomes, tables = [], []
     for bad in _perturbed_actions(pa):
-        messages.append((_entry_identity_message(bad), _per_k_entry_identity(bad)))
+        refusal = _duality_refusal(bad)
+        if refusal is not None:
+            outcomes.append((refusal, _per_k_entry_identity(bad)))
         dense = _dense_skew(bad)
         tables.append((_skew_table(bad, monkeypatch),
                        dense if isinstance(dense, str) else dense[:2]))
-    assert all(new == old for new, old in messages)
-    assert sum(new is not None for new, _ in messages) >= 1
+    for (message, (labels, pair)), triple in outcomes:
+        if triple is None:
+            assert pair is None
+            assert message == "unit does not map to the corner idempotent"
+        else:
+            assert message == ("matrix map is not multiplicative at "
+                               f"({labels[pair[0]]}, {labels[pair[1]]})")
+    # on global_z2_swap every perturbation is refused before build_duality;
+    # on s3_split some pass φ's check and fail at φ(1) alone
+    reasons = {"global_z2_swap.json": set(), "z3_restrict.json": {"triple"},
+               "s3_split": {"triple", "unit"}}[name]
+    assert {"unit" if triple is None else "triple" for _, triple in outcomes} == reasons
     assert all(new == old for new, old in tables)
     if name == "z3_restrict.json":   # some products leave their component
         assert any(isinstance(new, str) for new, _ in tables)
