@@ -12,14 +12,13 @@ group and the basis:
   * the image of D_{g^{-1}} ∩ D_h is exactly D_g ∩ D_{gh} (as subspaces);
   * composing the g- and h-maps agrees with the gh-map on the overlap ideal.
 
-The maps enter as dense ``Mat``s, checked for shape and field, and are
-kept in ``maps`` as the validated input that the Hopf lift hands on.
-Everything here reads the sparse columns ``columns[g][j] = {row: scalar}``
-= α_g(b_j), which the constructor derives from ``maps``: g·a, the axioms
-and the Lemma 1 identities, the kernel of α_g included.  Each 1_g is proved
-central once, by ``ideal_basis`` building D_g.  Axioms II and III read one
-table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered pair (a
-canonical echelon basis is symmetric).  Multiplicativity on the source
+An action is stored once, as the sparse columns ``columns[g][j] =
+{row: scalar}`` = α_g(b_j): g·a, the axioms, the Lemma 1 identities, the
+kernel of α_g and the Hopf lift read them.  Dense ``Mat``s enter only
+through ``make_partial_action``; the builders below make columns.  Each 1_g
+is proved central once, by ``ideal_basis`` building D_g.  Axioms II and III
+read one table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered
+pair (a canonical echelon basis is symmetric).  Multiplicativity on the source
 ideal and the Lemma 1 identities sum lhs − rhs in one accumulator per outer
 index, keyed inner·d + t: per source basis vector u, per (g, i)
 (``multiplicative``, ``pull_through``), per (g, h) (``composition``), per g
@@ -34,7 +33,7 @@ from .algebras import (AlgebraMap, _add, _apply_columns, direct_product,
                        ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails, FieldMismatch,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
-from .linalg import Mat, Subspace, _sparse, vsub
+from .linalg import Mat, Subspace, _dense, _sparse, vsub
 from .report import check
 
 
@@ -50,15 +49,14 @@ def _image(cols, terms, acc=None, base=0, c=1):
 class PartialAction:
     """Validated partial action; construct through make_partial_action."""
 
-    __slots__ = ("group", "algebra", "idempotents", "maps", "ideals", "columns")
+    __slots__ = ("group", "algebra", "idempotents", "columns", "ideals")
 
-    def __init__(self, group, algebra, idempotents, maps, ideals):
+    def __init__(self, group, algebra, idempotents, columns, ideals):
         self.group = group
         self.algebra = algebra
         self.idempotents = tuple(idempotents)   # coefficient tuples, one per g
-        self.maps = tuple(maps)                 # matrices acting on coefficients
+        self.columns = tuple(columns)           # α_g(b_j) as {row: scalar}
         self.ideals = tuple(ideals)             # D_g as canonical subspaces
-        self.columns = tuple(m.sparse_columns() for m in self.maps)  # α_g(b_j)
 
     def dot(self, g, a):
         """The evaluation g·a of an algebra element a (image under the g-map)."""
@@ -80,6 +78,17 @@ class PartialAction:
             alg.field, alg.dim, [alg._mul_acc(comp, {i: 1}) for i in range(alg.dim)])
 
 
+def _matrix_columns(field, d, mats):
+    """The sparse columns of each action matrix: ValidationError unless it
+    is a d×d ``Mat``, FieldMismatch unless it is over ``field``."""
+    for m in mats:
+        if not isinstance(m, Mat) or m.rows != d or m.cols != d:
+            raise ValidationError("action matrices must be square of the algebra dimension")
+        if m.field != field:
+            raise FieldMismatch(m.field, field)
+    return [m.sparse_columns() for m in mats]
+
+
 def make_partial_action(group, algebra, idempotents, maps):
     """Validate the data of a partial action; raises named axiom failures."""
     n, d, field = group.order, algebra.dim, algebra.field
@@ -90,12 +99,13 @@ def make_partial_action(group, algebra, idempotents, maps):
     for e in idempotents:
         if len(e) != d:
             raise ValidationError("idempotent coefficient vector has wrong length")
-    for m in maps:
-        if not isinstance(m, Mat) or m.rows != d or m.cols != d:
-            raise ValidationError("action matrices must be square of the algebra dimension")
-        if m.field != field:
-            raise FieldMismatch(m.field, field)
+    return _checked_action(group, algebra, idempotents, _matrix_columns(field, d, maps))
 
+
+def _checked_action(group, algebra, idempotents, columns):
+    """The partial action with canonical idempotents and sparse columns
+    ``columns[g][j]`` = α_g(b_j), once every axiom holds."""
+    n, d, field = group.order, algebra.dim, algebra.field
     ideals = []
     for g in range(n):
         try:
@@ -107,11 +117,8 @@ def make_partial_action(group, algebra, idempotents, maps):
     e = group.identity
     if idempotents[e] != algebra.unit:
         raise AxiomIFails("idempotent at the identity is not the unit")
-    if maps[e] != Mat.identity(field, d):
+    if columns[e] != [{i: 1} for i in range(d)]:
         raise AxiomIFails("map at the identity is not the identity map")
-
-    pa = PartialAction(group, algebra, idempotents, maps, ideals)
-    columns = pa.columns
 
     for g in range(n):
         _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g)
@@ -137,7 +144,7 @@ def make_partial_action(group, algebra, idempotents, maps):
                 if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
-    return pa
+    return PartialAction(group, algebra, idempotents, columns, ideals)
 
 
 def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
@@ -275,22 +282,14 @@ def trivial_from_split(left, right, group):
     """The split partial action on left×right: off the identity, every ideal
     is the left factor and every map is the projection onto it."""
     prod = direct_product(left, right)
-    field = prod.field
-    dl = left.dim
-    proj = Mat(field, [[field.one if (i == j and i < dl) else field.zero
-                        for j in range(prod.dim)] for i in range(prod.dim)])
-    ident = Mat.identity(field, prod.dim)
-    left_unit = list(left.unit) + [field.zero] * right.dim
-
-    idempotents, maps = [], []
-    for g in range(group.order):
-        if g == group.identity:
-            idempotents.append(prod.unit)
-            maps.append(ident)
-        else:
-            idempotents.append(tuple(left_unit))
-            maps.append(proj)
-    return make_partial_action(group, prod, idempotents, maps)
+    one = prod.field.one
+    ident = [{j: one} for j in range(prod.dim)]
+    proj = ident[:left.dim] + [{} for _ in range(right.dim)]
+    left_unit = left.unit + (prod.field.zero,) * right.dim
+    e = group.identity
+    return _checked_action(
+        group, prod, [prod.unit if g == e else left_unit for g in range(group.order)],
+        [ident if g == e else proj for g in range(group.order)])
 
 
 def restrict_global(pa, e):
@@ -304,22 +303,21 @@ def restrict_global(pa, e):
         raise ValidationError("restriction expects a global action")
     parent = pa.algebra
     span = ideal_basis(parent, e)     # raises NotCentralIdempotent
-    sub, include = subalgebra(parent, span, e.coeffs)
+    sub, _ = subalgebra(parent, span, e.coeffs)
+    field, x = parent.field, _sparse(e.coeffs)
 
-    idempotents, maps = [], []
-    for g in range(pa.group.order):
-        sig_e = pa.dot_vec(g, e.coeffs)
-        one_g = parent.mul_vec(e.coeffs, sig_e)
-        coords = span.coordinates_of(one_g)
-        if coords is None:
+    def restricted(cols, v):
+        # the coordinates of e·σ_g(v) on the ideal's basis, or None outside it
+        return span.sparse_coordinates(field.sparse(parent._mul_acc(x, _image(cols, v.items()))))
+
+    idempotents, columns = [], []
+    for cols in pa.columns:
+        one_g = restricted(cols, x)
+        if one_g is None:
             raise ValidationError("restricted idempotent left the ideal")
-        idempotents.append(coords)
-        cols = []
-        for v in span.basis:
-            w = parent.mul_vec(e.coeffs, pa.dot_vec(g, v))
-            wc = span.coordinates_of(w)
-            if wc is None:
-                raise ValidationError("restricted map left the ideal")
-            cols.append(wc)
-        maps.append(Mat.from_columns(sub.field, cols, rows=sub.dim))
-    return make_partial_action(pa.group, sub, idempotents, maps)
+        idempotents.append(_dense(one_g, field, sub.dim))
+        images = [restricted(cols, v) for v in span._rows.values()]
+        if None in images:
+            raise ValidationError("restricted map left the ideal")
+        columns.append(images)
+    return _checked_action(pa.group, sub, idempotents, columns)

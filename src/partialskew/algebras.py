@@ -28,10 +28,11 @@ column (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that
 index in its shape pass, so the check allocates nothing per pair, and
 ``center_basis`` and ``smash_algebra`` reuse it.
 
-Scalars follow :mod:`fields`: the products kernels (``mul_vec``,
-``_mul_sparse``, ``_lincomb``) accept any ``int`` representative over F_p
-and return canonical scalars, reducing once per output coefficient; a
-product by a basis vector b_i is ``_mul_sparse`` with the factor ``{i: 1}``.
+Scalars follow :mod:`fields`: the products kernels (``_mul_sparse``,
+``_lincomb``) accept any ``int`` representative over F_p and return
+canonical scalars, reducing once per output coefficient; a product by a
+basis vector b_i is ``_mul_sparse`` with the factor ``{i: 1}``.  The dense
+``mul_vec`` and ``AlgebraMap.apply_vec`` are adapters over these kernels.
 An element's coefficients, the scalar factor of an element and the
 columns of an ``AlgebraMap`` go through the field's ``scalars``, so over
 F_p they are reduced and anything but an ``int`` is refused.
@@ -45,7 +46,8 @@ from functools import cached_property
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
-from .linalg import Subspace, _sparse, vadd, vscale, vsub, vzero
+from .fields import _rational_types
+from .linalg import Subspace, _dense, _sparse, vadd, vscale, vsub, vzero
 
 
 class StructureAlgebra:
@@ -107,20 +109,7 @@ class StructureAlgebra:
     # -- multiplication on coefficient tuples -----------------------------
 
     def mul_vec(self, x, y):
-        out = [0] * self.dim
-        products = self.products
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            get = products[i].get
-            for j, yj in ys:
-                cell = get(j)
-                if cell:
-                    c = xi * yj
-                    for k, v in cell:
-                        out[k] += c * v
-        return self.field.vector(out)
+        return _dense(self._mul_acc(_sparse(x), _sparse(y)), self.field, self.dim)
 
     def _mul_sparse(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
@@ -194,12 +183,8 @@ def _apply_columns(field, columns, coeffs, dim):
     coefficients x of ``coeffs``; ValueError unless there is one per column."""
     if len(coeffs) != len(columns):
         raise ValueError(f"vector of length {len(coeffs)} in dimension {len(columns)}")
-    out = [0] * dim
-    for k, x in enumerate(coeffs):
-        if x:
-            for t, y in columns[k].items():
-                out[t] += x * y
-    return field.vector(out)
+    return _dense(_lincomb(field, ((x, col) for x, col in zip(coeffs, columns) if x)),
+                  field, dim)
 
 
 class AlgebraElement:
@@ -308,10 +293,12 @@ def _canonical_cells(field, products, unit, d):
 
     A row is a dict ``{j: cell}`` or a sequence of d cells.  Every j must be
     an ``int`` in range; every cell has indices in range, no zero and no
-    repeated index, and over F_p residues in [0, p).  An empty cell is
-    dropped, each cell is sorted by index and each row by j."""
+    repeated index, and its scalars are exact: over F_p residues in [0, p),
+    over ℚ an ``int`` or a ``Fraction``.  An empty cell is dropped, each
+    cell is sorted by index and each row by j."""
     p = field.characteristic
-    bad = None   # the first scalar that is not a residue, raised last
+    exact = {int} if p else _rational_types()
+    bad = None   # the first scalar that is not exact, raised last
     rows = []
     by_col = [[] for _ in range(d)]
     for i, row in enumerate(products):
@@ -338,9 +325,9 @@ def _canonical_cells(field, products, unit, d):
                 cell = sorted(cell, key=_index)
                 if len({k for k, _ in cell}) != size:
                     raise ValueError("structure constant cell repeats an index")
-            if p and bad is None:
+            if bad is None:
                 for _, v in cell:
-                    if type(v) is not int or not 0 <= v < p:
+                    if type(v) not in exact or p and not 0 <= v < p:
                         bad = v
                         break
             cells[j] = tuple(cell)
@@ -354,9 +341,12 @@ def _canonical_cells(field, products, unit, d):
         rows.append(cells)
     if unit is not None and len(unit) != d:
         raise ValueError("unit vector has wrong length")
-    if p and bad is None:
-        bad = next((x for x in unit or () if type(x) is not int or not 0 <= x < p), None)
+    if bad is None:
+        bad = next((x for x in unit or () if type(x) not in exact or p and not 0 <= x < p),
+                   None)
     if bad is not None:
+        if not p:
+            field.scalars((bad,))   # raises the field's ValueError
         raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
     return rows, ([row.items() for row in rows], by_col)
 
@@ -368,10 +358,10 @@ def make_algebra(field, products, unit, labels=None):
     where the cell of b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j.
     Their shape is checked first, by the walk that also stores them in the
     form of ``StructureAlgebra.products`` (``_canonical_cells``): every j and
-    index in range, no zero and no repeated index, and over F_p every scalar
-    a residue in [0, p) (see :mod:`fields`).  Associativity is then checked
-    on all d^3 basis triples and the unit law on every basis element; the
-    first failure names its witness.
+    index in range, no zero and no repeated index, and every scalar exact
+    (see :mod:`fields`).  Associativity is then checked on all d^3 basis
+    triples and the unit law on every basis element; the first failure
+    names its witness.
     """
     d = len(products)
     rows, index = _canonical_cells(field, products, unit, d)
@@ -423,9 +413,9 @@ def _unit_law_failure(alg):
 def is_central_idempotent(a):
     """True iff a*a = a and a commutes with every basis element."""
     alg = a.algebra
-    if alg.mul_vec(a.coeffs, a.coeffs) != a.coeffs:
-        return False
     x = _sparse(a.coeffs)
+    if alg._mul_sparse(x, x) != x:
+        return False
     return all(alg._mul_sparse({i: 1}, x) == alg._mul_sparse(x, {i: 1})
                for i in range(alg.dim))
 
@@ -937,16 +927,16 @@ def subalgebra(parent, span, unit_vec, labels=None):
     which becomes the unit of the subalgebra.  Returns the subalgebra and
     its inclusion map.
     """
+    basis = list(span._rows.values())
     products = []
-    for u in span.basis:
+    for u in basis:
         row = {}
-        for j, v in enumerate(span.basis):
-            coords = span.coordinates_of(parent.mul_vec(u, v))
+        for j, v in enumerate(basis):
+            coords = span.sparse_coordinates(parent._mul_sparse(u, v))
             if coords is None:
                 raise ValueError("subspace is not closed under multiplication")
-            cell = tuple(_sparse(coords).items())
-            if cell:
-                row[j] = cell
+            if coords:
+                row[j] = tuple(coords.items())
         products.append(row)
     unit_coords = span.coordinates_of(unit_vec)
     if unit_coords is None:

@@ -62,6 +62,12 @@ def _canonical(x):
     return x
 
 
+def _rational_types():
+    """The types of an exact rational: ``int``, and ``Fraction`` once
+    ``fractions`` is loaded (a Fraction can exist only then)."""
+    return {int, getattr(sys.modules.get("fractions"), "Fraction", int)}
+
+
 class RationalField:
     """The field of rationals; elements are ``int`` or ``Fraction``."""
 
@@ -74,8 +80,7 @@ class RationalField:
 
     def scalars(self, xs):
         xs = tuple(xs)
-        # a Fraction can exist only once ``fractions`` is loaded
-        exact = {int, getattr(sys.modules.get("fractions"), "Fraction", int)}
+        exact = _rational_types()
         if not set(map(type, xs)) <= exact:
             bad = next(x for x in xs if type(x) not in exact)
             raise ValueError(f"scalar {bad!r} is not an exact rational "

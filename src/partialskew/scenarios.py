@@ -304,10 +304,7 @@ def run_scenario(source, suites=None, field_override=None):
     if not isinstance(doc.get("suites", []), list):
         raise ParseError("suites must be a list of suite names")
 
-    field_token = doc.get("field", "q") if field_override is None else field_override
-    if isinstance(field_token, dict):
-        field_token = f"fp:{field_token.get('prime')}"
-    field = parse_field(field_token)
+    field = parse_field(doc.get("field", "q") if field_override is None else field_override)
 
     expect = doc.get("expect", {})
     if not isinstance(expect, dict):

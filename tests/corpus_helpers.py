@@ -4,13 +4,13 @@ from fractions import Fraction
 
 from partialskew.actions import (global_action, make_partial_action,
                                  restrict_global, trivial_from_split)
-from partialskew.algebras import (field_algebra, matrix_algebra,
+from partialskew.algebras import (field_algebra, ideal_basis, matrix_algebra,
                                   product_of_fields)
 from partialskew.errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                                 NotCentralIdempotent, NotIsoOnIdeal)
 from partialskew.fields import QQ
 from partialskew.groups import cyclic
-from partialskew.linalg import Mat
+from partialskew.linalg import Mat, _sparse
 
 
 def qmat(rows):
@@ -36,6 +36,38 @@ def map_matrix(m):
     zero = m.codomain.field.zero
     return Mat(m.codomain.field, [[col.get(r, zero) for col in m.columns]
                                   for r in range(m.codomain.dim)])
+
+
+def action_matrices(pa):
+    """The dense matrix of each α_g of a partial action, built from its
+    sparse columns like ``map_matrix``: the dense view the tests read."""
+    field, d = pa.algebra.field, pa.algebra.dim
+    return [Mat(field, [[col.get(r, field.zero) for col in cols] for r in range(d)])
+            for cols in pa.columns]
+
+
+def dense_restriction(pa, e):
+    """The restriction of the global action ``pa`` to B·e by the dense route
+    that ``restrict_global`` took before it read sparse columns: σ_g(v) as
+    the matrix of σ_g times v, e·σ_g(v) as a dense product over the
+    structure constants, read off the echelon basis of B·e by
+    ``coordinates_of``.  Returns the idempotents as dense tuples and the
+    columns as sparse dicts, as ``restrict_global`` stores them."""
+    alg, field = pa.algebra, pa.algebra.field
+    rows = dense_rows(alg.products)
+    span = ideal_basis(alg, e)
+
+    def times_e(v):
+        out = [0] * alg.dim
+        for i, x in enumerate(e.coeffs):
+            for j, y in enumerate(v):
+                for k, c in rows[i][j] if x and y else ():
+                    out[k] += x * y * c
+        return span.coordinates_of(field.vector(out))
+
+    maps = action_matrices(pa)
+    return ([times_e(m.apply(e.coeffs)) for m in maps],
+            [[_sparse(times_e(m.apply(v))) for v in span.basis] for m in maps])
 
 
 def dense_rows(products):

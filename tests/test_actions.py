@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import partial
+from itertools import permutations
 import re
 
 import pytest
@@ -9,11 +11,13 @@ from partialskew.actions import (dot_identities_report, global_action,
 from partialskew.algebras import field_algebra, matrix_algebra, product_of_fields
 from partialskew.errors import FieldMismatch, NotCentralIdempotent, NotIsoOnIdeal
 from partialskew.fields import GF, QQ
-from partialskew.groups import cyclic
+from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Mat
+from partialskew.scenarios import (_parse_matrix, _parse_vector, build_algebra,
+                                   build_group, fixture_path, load_scenario)
 
-from corpus_helpers import (corrupted_action_variants, qmat, qvec,
-                            split_action)
+from corpus_helpers import (corrupted_action_variants, dense_restriction, qmat,
+                            qvec, split_action)
 
 
 def test_split_action_accepted(s1_action):
@@ -148,6 +152,62 @@ def test_restriction_to_a_non_central_idempotent_is_refused():
     with pytest.raises(NotCentralIdempotent) as err:
         restrict_global(parent, m2.element(qvec([1, 1, 0, 0])))
     assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1 + (1)*E[0,1]*1"
+
+
+# -- library-built actions: sparse columns, no Mat ------------------------
+
+def _fixture_parent(name, field):
+    """The global action and the idempotent of a ``restrict_global`` fixture."""
+    doc = load_scenario(fixture_path(name))
+    spec = doc["action"]["restrict_global"]
+    algebra = build_algebra(field, doc["algebra"])
+    mats = [_parse_matrix(field, m, algebra.dim) for m in spec["automorphisms"]]
+    return (global_action(build_group(doc["group"]), algebra, mats),
+            algebra.element(_parse_vector(field, spec["idempotent"], algebra.dim)))
+
+
+def _s4_pairs_parent(field):
+    """S₄ permuting the 12 ordered pairs (a, b), a ≠ b, of {0..3}, and the
+    idempotent of the pairs with a in {0, 1}: the ``S₄ pairs`` document."""
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    position = {pair: j for j, pair in enumerate(pairs)}
+    mats = [Mat(field, [[int(position[s[a], s[b]] == i) for a, b in pairs]
+                        for i in range(len(pairs))])
+            for s in sorted(permutations(range(4)))]     # the symmetric(4) order
+    algebra = product_of_fields(field, len(pairs))
+    return (global_action(symmetric(4), algebra, mats),
+            algebra.element([int(a < 2) for a, _ in pairs]))
+
+
+PARENTS = {"z3_restrict": partial(_fixture_parent, "z3_restrict.json"),
+           "s3_regular_restrict": partial(_fixture_parent, "s3_regular_restrict.json"),
+           "s4_pairs": _s4_pairs_parent}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp:5", "fp:2"])
+@pytest.mark.parametrize("name", PARENTS)
+def test_restriction_matches_the_dense_route(name, field):
+    parent, e = PARENTS[name](field)
+    pa = restrict_global(parent, e)
+    assert (list(pa.idempotents), list(pa.columns)) == dense_restriction(parent, e)
+
+
+def test_library_built_actions_build_no_matrix(monkeypatch):
+    # the split action and a restriction of an already built global action
+    # go from sparse columns to the axiom checks with no Mat in between
+    parent, e = _s4_pairs_parent(QQ)
+    want = restrict_global(parent, e)
+
+    def refuse(*args):
+        raise AssertionError("a Mat was built or converted")
+
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    monkeypatch.setattr(Mat, "sparse_columns", refuse)
+    split = trivial_from_split(product_of_fields(QQ, 2), product_of_fields(QQ, 1),
+                               symmetric(3))
+    assert [s.dim for s in split.ideals] == [3] + [2] * 5
+    got = restrict_global(parent, e)
+    assert (got.idempotents, got.columns) == (want.idempotents, want.columns)
 
 
 # -- idempotents from the Python API go through the field's scalars --------

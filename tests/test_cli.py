@@ -309,6 +309,17 @@ def test_non_string_name_exits_two(tmp_path, capsys, name):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field", [{"prime": 5}, 5, ["q"], None])
+def test_non_string_field_exits_two(tmp_path, capsys, field):
+    # a field is a token, "q" or "fp:<p>"; an object naming a prime is not
+    # read as one
+    assert main(["verify", _write(tmp_path, dict(S1_DOC, field=field))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: unknown field token ")
+
+
 def test_empty_report_renders_header_only():
     from partialskew.report import Report
     text = emit_report(Report("empty", []), "text")

@@ -1,10 +1,10 @@
 from fractions import Fraction
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from partialskew import hopf
-from partialskew.actions import PartialAction
 from partialskew.algebras import (StructureAlgebra, field_algebra, group_algebra,
                                   product_of_fields)
 from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
@@ -22,8 +22,8 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg
 from partialskew.linalg import Mat, Subspace, _sparse
 from partialskew.skew import build_skew
 
-from corpus_helpers import (global_swap_action, map_matrix, qmat, qvec,
-                            z3_restricted_action)
+from corpus_helpers import (action_matrices, global_swap_action, map_matrix, qmat,
+                            qvec, split_action, z3_restricted_action)
 from fp_oracle import unwrap, wrap
 
 
@@ -255,6 +255,32 @@ def test_make_hopf_refuses_a_repeated_pair():
                   [QQ.one, QQ.one], Mat.identity(QQ, 2))
 
 
+@pytest.mark.parametrize("triple", [(-1, 2, 1), (0, 2, 1), (0.0, 0, 1), (0, True, 1)])
+def test_make_hopf_refuses_a_triple_index_that_is_not_an_int_in_range(triple):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"comultiplication triple {triple!r} needs int indices in 0..1")):
+        make_hopf(group_algebra(QQ, cyclic(2)), [[triple], [(1, 1, 1)]], [1, 1],
+                  Mat.identity(QQ, 2))
+
+
+@pytest.mark.parametrize("comul, counit, bad", [
+    ([[(0, 0, 1.0)], [(1, 1, 1)]], [1, 1], 1.0),
+    ([[(0, 0, True)], [(1, 1, 1)]], [1, 1], True),
+    ([[(0, 0, 1)], [(1, 1, 1)]], [1, 1.0], 1.0)], ids=["float", "bool", "counit"])
+def test_make_hopf_refuses_inexact_values_over_q(comul, counit, bad):
+    with pytest.raises(ValueError, match=re.escape(f"scalar {bad!r} is not an exact rational")):
+        make_hopf(group_algebra(QQ, cyclic(2)), comul, counit, Mat.identity(QQ, 2))
+
+
+def test_make_hopf_reduces_values_over_fp():
+    # 6 and -4 are 1 in F_5 and a coefficient 5 is 0, so this is k[Z2]
+    field = GF(5)
+    h = make_hopf(group_algebra(field, cyclic(2)), [[(0, 0, 6)], [(1, 1, -4), (0, 1, 5)]],
+                  [6, 11], Mat.identity(field, 2))
+    assert h.comul == (((0, 0, 1),), ((1, 1, 1),)) and h.counit == (1, 1)
+    assert h.dual().counit == (1, 0)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
 @pytest.mark.parametrize("take_dual", [False, True], ids=["kS3", "k^S3"])
 def test_tables_match_dense_oracle(field, take_dual):
@@ -321,7 +347,7 @@ def test_global_lift_accepted():
 
 
 def test_unit_action_violation_rejected(s1_action):
-    proj = s1_action.maps[1]
+    proj = action_matrices(s1_action)[1]
     h = group_hopf(QQ, cyclic(2))
     with pytest.raises(Axiom2Fails):
         make_partial_hopf_action(h, s1_action.algebra, [proj, proj])
@@ -678,37 +704,16 @@ def test_matches_skew_ring_names_its_failure(s1_action, s1_skew, corner, unit, r
     assert result.witnesses == [witness]
 
 
-def test_lift_matches_group_dot_names_the_element(monkeypatch, s1_action):
-    # one lifted column of g doubled after the lift is validated: the check
-    # forms α_g(b_x) from the map's rows, so it sees the change and names g
-    lift = hopf.lift_group_action
-
-    def bent_lift(pa):
-        pha = lift(pa)
-        cols = list(pha.acts[1])
-        x = next(x for x, col in enumerate(cols) if col)
-        cols[x] = {t: 2 * v for t, v in cols[x].items()}
-        pha.acts = [pha.acts[0], cols]
-        return pha
-
-    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
-    assert results["hopf.lift_matches_group_dot"].status == "pass"
-    monkeypatch.setattr(hopf, "lift_group_action", bent_lift)
-    results = {c.name: c for c in hopf_lift_suite(s1_action, build_skew(s1_action))}
-    bent = results["hopf.lift_matches_group_dot"]
-    assert bent.status == "fail"
-    assert bent.witnesses == ["lifted action differs at g"]
-
-
-def test_lift_matches_group_dot_reads_the_maps_not_their_columns(s1_action):
-    # the group dot's sparse columns doubled after validation: the check
-    # reads the maps themselves, so the lift still matches; the lift is made
-    # from the validated maps and the rest of the suite reads the lift, so
-    # no other check fails either
-    pa = s1_action
-    tampered = PartialAction(pa.group, pa.algebra, pa.idempotents, pa.maps, pa.ideals)
-    tampered.columns = (pa.columns[0],
-                        [{t: 2 * x for t, x in col.items()} for col in pa.columns[1]])
-    results = hopf_lift_suite(tampered, build_skew(pa))
-    assert "hopf.lift_matches_group_dot" in [c.name for c in results]
-    assert [c.name for c in results if c.status == "fail"] == []
+@pytest.mark.parametrize("action", [split_action, global_swap_action,
+                                    z3_restricted_action],
+                         ids=["s1", "global_swap", "z3_restrict"])
+def test_lift_acts_by_the_actions_own_columns(action):
+    # the lift hands α's own column lists to the axiom check, with no dense
+    # copy in between, so hopf.lift_matches_group_dot states what it is made
+    # of: a pass with nothing measured and no witness
+    pa = action()
+    pha = lift_group_action(pa)
+    assert all(pha.acts[g] is pa.columns[g] for g in range(pa.group.order))
+    results = {c.name: c for c in hopf_lift_suite(pa, build_skew(pa))}
+    lifted = results["hopf.lift_matches_group_dot"]
+    assert (lifted.status, lifted.measured, lifted.witnesses) == ("pass", {}, [])

@@ -52,13 +52,13 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations, group_hopf,
                               make_hopf, make_partial_hopf_action, partial_smash_report)
-from partialskew.linalg import Mat, Subspace, _dense, _sparse, vsub
+from partialskew.linalg import Mat, Subspace, _sparse, vsub
 from partialskew.report import check
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path, load_scenario,
                                    run_scenario)
 
-from corpus_helpers import dense_rows, map_matrix, mapping_rows
+from corpus_helpers import action_matrices, dense_rows, map_matrix, mapping_rows
 from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
                            _sparsify)
 from test_golden_reports import INLINE
@@ -541,13 +541,13 @@ def _lifts(field):
     """(name, H, A, action matrices) for every instance, group Hopf algebras
     first, then the rescaled ones."""
     actions = _partial_actions(field)
-    out = [(name, group_hopf(field, pa.group), pa.algebra, list(pa.maps))
+    out = [(name, group_hopf(field, pa.group), pa.algebra, action_matrices(pa))
            for name, pa in actions]
     c = _scale(field)
     for name, pa in actions:
         h = _rescaled_group_hopf(field, pa.group, c)
         mats = [Mat(field, [list(field.vector(c(g) * x for x in row)) for row in m.entries])
-                for g, m in enumerate(pa.maps)]
+                for g, m in enumerate(action_matrices(pa))]
         out.append((f"{name}/rescaled", h, pa.algebra, mats))
     return out
 
@@ -892,8 +892,10 @@ def _per_tuple_dot_identities(pa):
     alg, grp = pa.algebra, pa.group
     d, n = alg.dim, grp.order
 
+    maps = action_matrices(pa)
+
     def dot(g, v):
-        return pa.maps[g].apply(v)
+        return maps[g].apply(v)
 
     def basis(i):
         return alg.basis_element(i).coeffs
@@ -978,12 +980,9 @@ def _tampered_columns(pa):
 def _planted(pa, g, cols):
     """The action with α_g given by the sparse columns cols, built directly
     so that no axiom check sees it."""
-    alg = pa.algebra
-    dense = Mat.from_columns(alg.field, [_dense(c, alg.field, alg.dim) for c in cols],
-                             rows=alg.dim)
-    maps = list(pa.maps)
-    maps[g] = dense
-    return PartialAction(pa.group, alg, pa.idempotents, maps, pa.ideals)
+    columns = list(pa.columns)
+    columns[g] = cols
+    return PartialAction(pa.group, pa.algebra, pa.idempotents, columns, pa.ideals)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -991,12 +990,13 @@ def test_partial_action_layer_matches_per_tuple_oracles(field):
     kinds, failing = set(), set()
     for _, pa in _partial_actions(field):
         args = (pa.group, pa.algebra, pa.idempotents)
-        assert _message(_per_tuple_partial_action, *args, list(pa.maps)) is None
+        assert _message(_per_tuple_partial_action, *args, action_matrices(pa)) is None
         assert dot_identities_report(pa)[:5] == _per_tuple_dot_identities(pa)
         for g, cols in _tampered_columns(pa):
             bad = _planted(pa, g, cols)
-            want = _message(_per_tuple_partial_action, *args, list(bad.maps))
-            assert _message(make_partial_action, *args, list(bad.maps)) == want
+            maps = action_matrices(bad)
+            want = _message(_per_tuple_partial_action, *args, maps)
+            assert _message(make_partial_action, *args, maps) == want
             kinds.add(want and want.split(":")[0])
             got = dot_identities_report(bad)[:5]
             assert got == _per_tuple_dot_identities(bad)
@@ -1017,7 +1017,7 @@ def test_iso_on_ideal_matches_per_tuple_oracle_on_planted_maps(field):
         for g, cols in _tampered_columns(pa):
             bad = _planted(pa, g, cols)
             want = _message(_per_tuple_iso_on_ideal, group, alg, pa.idempotents,
-                            bad.maps, pa.ideals, g)
+                            action_matrices(bad), pa.ideals, g)
             assert _message(actions._check_iso_on_ideal, group, alg, pa.idempotents,
                             bad.columns, pa.ideals, g) == want
             messages.add(want and want.split(": ")[-1])

@@ -18,6 +18,8 @@ from partialskew.linalg import Mat
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 
+from corpus_helpers import dense_restriction
+
 
 def _perm_order(perm):
     seen = [False] * len(perm)
@@ -55,6 +57,7 @@ def test_random_restriction_duality(perm, bits, field):
     parent = global_action(cyclic(order), algebra, mats)
     e = algebra.element(tuple(field.one if b else field.zero for b in bits))
     pa = restrict_global(parent, e)
+    assert (list(pa.idempotents), list(pa.columns)) == dense_restriction(parent, e)
 
     assert all(c.status == "pass" for c in dot_identities_report(pa))
     skew = build_skew(pa)

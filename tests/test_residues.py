@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from partialskew.algebras import (AlgebraMap, StructureAlgebra, _lincomb,
-                                  product_of_fields)
+                                  make_algebra, product_of_fields)
 from partialskew.fields import GF, QQ
 from partialskew.linalg import Mat, Subspace, kernel_basis, rref, vadd, vscale, vsub
 
@@ -166,6 +166,19 @@ def test_inexact_scalars_refused_over_q(build, scalar):
             f"scalar {scalar!r} is not an exact rational (an int or a Fraction)")):
         build(QQ, scalar)
 
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: make_algebra(QQ, [{0: ((0, x),)}], [1]),
+    lambda x: make_algebra(QQ, [[((0, x),)]], [1]),
+    lambda x: make_algebra(QQ, [{0: ((0, 1),)}], [x])], ids=["row", "cells", "unit"])
+@pytest.mark.parametrize("scalar", [1.0, 0.5, True, "1"])
+def test_make_algebra_refuses_inexact_constants_over_q(build, scalar):
+    # the shape pass refuses them as the F_p one refuses a non-residue
+    with pytest.raises(ValueError, match=re.escape(
+            f"scalar {scalar!r} is not an exact rational (an int or a Fraction)")):
+        build(scalar)
+    assert build(Fraction(1)).unit == (1,)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])

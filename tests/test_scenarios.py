@@ -65,18 +65,6 @@ def test_scenario_missing_group():
             "right": {"product_of_fields": 1}}}})
 
 
-def test_scenario_field_object_form():
-    report = run_scenario({
-        "name": "overfp",
-        "field": {"prime": 3},
-        "group": {"cyclic": 2},
-        "action": {"trivial_split": {"left": {"product_of_fields": 1},
-                                     "right": {"product_of_fields": 1}}},
-        "suites": ["lemma1"],
-    })
-    assert report.passed()
-
-
 S3_SPLIT = {"name": "s3_split", "group": {"symmetric": 3},
             "action": {"trivial_split": {"left": {"product_of_fields": 1},
                                          "right": {"product_of_fields": 1}}}}

@@ -60,7 +60,7 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
 from partialskew.skew import build_skew, component_product_span
 from partialskew.smash import build_smash
 
-from corpus_helpers import map_matrix, place
+from corpus_helpers import action_matrices, map_matrix, place
 from test_golden_reports import INLINE
 
 FIELDS = ("q", "fp:5", "fp:2")
@@ -549,7 +549,7 @@ def test_corner_spans_match_dense_routes(name, field):
     # corner spans more than the image
     moved = [vadd(F, e, alg.basis_element(g % alg.dim).coeffs)
              for g, e in enumerate(pa.idempotents)]
-    tampered = PartialAction(pa.group, alg, moved, pa.maps, pa.ideals)
+    tampered = PartialAction(pa.group, alg, moved, pa.columns, pa.ideals)
     assert _entrywise_image(tampered, mat) == _dense_entrywise(tampered, mat)
     if not d.image.is_full():
         b = next(b for b in range(mat.dim) if not d.image.contains_sparse({b: F.one}))
@@ -585,15 +585,15 @@ def _perturbed_actions(pa):
     for g in range(pa.group.order):
         if g == pa.group.identity:
             continue
-        m = pa.maps[g]
+        m = action_matrices(pa)[g]
         for r in range(m.rows):
             for c in range(m.cols):
                 entries = [list(row) for row in m.entries]
                 entries[r][c] = field.reduce(entries[r][c] + one)
-                maps = list(pa.maps)
-                maps[g] = Mat(field, entries)
+                columns = list(pa.columns)
+                columns[g] = Mat(field, entries).sparse_columns()
                 yield PartialAction(pa.group, pa.algebra, pa.idempotents,
-                                    maps, pa.ideals)
+                                    columns, pa.ideals)
 
 
 def _duality_refusal(pa):
