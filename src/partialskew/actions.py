@@ -307,17 +307,10 @@ def restrict_global(pa, e):
     field, x = parent.field, _sparse(e.coeffs)
 
     def restricted(cols, v):
-        # the coordinates of e·σ_g(v) on the ideal's basis, or None outside it
+        # the coordinates of e·σ_g(v) on the ideal's basis: e is central, so
+        # e·y lies in B·e for every y
         return span.sparse_coordinates(field.sparse(parent._mul_acc(x, _image(cols, v.items()))))
 
-    idempotents, columns = [], []
-    for cols in pa.columns:
-        one_g = restricted(cols, x)
-        if one_g is None:
-            raise ValidationError("restricted idempotent left the ideal")
-        idempotents.append(_dense(one_g, field, sub.dim))
-        images = [restricted(cols, v) for v in span._rows.values()]
-        if None in images:
-            raise ValidationError("restricted map left the ideal")
-        columns.append(images)
+    idempotents = [_dense(restricted(cols, x), field, sub.dim) for cols in pa.columns]
+    columns = [[restricted(cols, v) for v in span._rows.values()] for cols in pa.columns]
     return _checked_action(pa.group, sub, idempotents, columns)

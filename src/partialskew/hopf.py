@@ -1,42 +1,39 @@
 """Structure-constant Hopf algebras, partial Hopf actions, and their
 operator picture.
 
-A Hopf algebra is stored as a validated structure algebra plus sparse
+A Hopf algebra is a validated structure algebra with sparse
 comultiplication triples (k, l, v), a counit vector and an antipode matrix;
-the constructor re-proves coassociativity, the counit laws, compatibility of
-coproduct/counit with the product, and the antipode identity, exhaustively
-on the basis.  The dual Hopf algebra swaps the two sets of constants.
-``HopfData`` reads its sparse tables off the triples once: Δ(b_i) as a
-vector of H⊗H and the hit actions p_m ⇀ b_i and b_i ↼ p_m of the dual
-basis; every later use of Δ or of a hit action reads them.  The identity
-checks of this layer keep one accumulator per outer index, holding the left
-side minus the right for every inner tuple at once, reduced once.
+``make_hopf`` proves coassociativity, the counit laws, that coproduct and
+counit are algebra maps, and the antipode identity, on every basis element,
+and inverts S.  The dual swaps the two sets of constants.  ``HopfData``
+reads Δ(b_i) as a vector of H⊗H and the hit actions p_m ⇀ b_i and
+b_i ↼ p_m off the triples once; every later use reads them.  A map on the
+last tensor leg is ``_on_leg``/``_add_on_leg``.  Each identity that
+compares a left side with a sum over Δ (action axioms 1 and 3, the λ/ρ
+exchange identity, the corner exchange lemma, and the comodule and module
+laws of the partial smash) runs on one skeleton, ``_first_residue``: one
+accumulator per outer index holds the left side minus the right for every
+inner tuple at once, is reduced once, and its smallest key names the first
+failing tuple.
 
-Every algebra this layer builds is a smash product A # B, where a
-bialgebra B acts on an algebra A and (x#b)(y#c) = Σ x(b₁▷y) # b₂c, made by
-``algebras.smash_algebra`` from a table of the action on basis vectors and
-validated through ``make_algebra``:
+Every algebra this layer builds is a smash product A # B, (x#b)(y#c) =
+Σ x(b₁▷y) # b₂c, made by ``algebras.smash_algebra`` and validated through
+``make_algebra``: H # H^* and H^* # H acting on H through the hit actions,
+whose operator representations satisfy the exchange identity; A⊗H twisted
+by a partial action of H on A (so the unit of A need not absorb h·1), whose
+unital corner is the partial smash product; and (A⊗H) # H^*, the domain of
+the operator duality map into A⊗End(H).  Around them sit the coaction
+induced by a partial action and the corner maps into A⊗End(H).
 
-  * H # H^* and H^* # H, acting on H through the hit actions; their
-    operator representations satisfy the λ/ρ exchange identity;
-  * A⊗H twisted by a partial action of H on A (weakened so the unit of A
-    need not absorb h·1), whose unital corner is the partial smash product;
-  * (A⊗H) # H^*, the domain of the operator duality map into A⊗End(H).
-
-Around them sit the partial coaction induced by a partial action and the
-corner maps into A⊗End(H) with their corner idempotent.  Each invariant is
-proved once, by the builder that returns the object; a report on that object
-states it.  ``make_hopf`` inverts S and proves coassociativity and the
-counit laws (``antipode_rank`` of ``hopf.axioms``, and the ``counit``,
-``coassociative`` and ``unit_acts`` sub-checks of the partial smash);
-``make_partial_hopf_action`` proves axioms 1 and 2 (``coaction.multiplicative``
-and ``coaction.counit``); ``build_corner_maps`` and ``build_representations``
-prove φ multiplicative and λ unital (``hopf.corner_maps``,
-``opduality.idempotent``).
-
-A partial Hopf action is kept only as the sparse columns ``acts[i][x]`` =
-b_i ▷ a_x, and the lift of a group action acts by α's own columns.  The
-antipode and its inverse stay dense.
+Each invariant is proved once, by the builder that returns the object, and
+a report on that object states it: ``make_hopf`` for ``antipode_rank`` of
+``hopf.axioms`` and the ``counit``, ``coassociative`` and ``unit_acts``
+sub-checks of the partial smash; ``make_partial_hopf_action`` (axioms 1 and
+2) for ``coaction.multiplicative`` and ``coaction.counit``;
+``build_corner_maps`` and ``build_representations`` (φ multiplicative, λ
+unital) for ``hopf.corner_maps`` and ``opduality.idempotent``.  A partial
+Hopf action is kept only as the sparse columns ``acts[i][x]`` = b_i ▷ a_x,
+and the lift of a group action acts by α's own columns.
 """
 
 from __future__ import annotations
@@ -91,7 +88,7 @@ def make_hopf(algebra, comul, counit, antipode):
 
     ``comul[i]`` lists triples (k, l, v) with Δ(b_i) = Σ v·b_k⊗b_l, each k
     and l an ``int`` in range.  The values and the counit go through the
-    field's ``scalars``.
+    field's ``scalars``; the antipode is a d×d ``Mat`` over the same field.
     """
     field = algebra.field
     d = algebra.dim
@@ -106,8 +103,12 @@ def make_hopf(algebra, comul, counit, antipode):
                                key=lambda t: t[:2])) for row in comul)
     if any(len({t[:2] for t in row}) != len(row) for row in comul):
         raise ValidationError("comultiplication repeats a pair (k, l) in one row")
+    if not isinstance(antipode, Mat):
+        raise ValidationError(f"antipode must be a Mat, not {type(antipode).__name__}")
     if antipode.rows != d or antipode.cols != d:
         raise ValidationError("antipode matrix has wrong shape")
+    if antipode.field != field:
+        raise FieldMismatch(antipode.field, field)
 
     # the inverse antipode is set once the antipode has passed its check
     h = HopfData(algebra, comul, counit, antipode, None)
@@ -143,8 +144,7 @@ def make_hopf(algebra, comul, counit, antipode):
                 continue
             raise HopfAxiomFails(axiom, f"pair ({labels[i]}, {labels[j]})")
     unit = _sparse(algebra.unit)
-    if _lincomb(field, ((c, cop[t]) for t, c in unit.items())) != \
-            _sparse(_outer(field, algebra.unit, algebra.unit)):
+    if _on_leg(field, cop, d * d, unit) != _on_leg(field, [unit], d, unit):
         raise HopfAxiomFails("coproduct unital", "unit element")
     if reduce(sum(c * counit[t] for t, c in unit.items())) != field.one:
         raise HopfAxiomFails("counit unital", "unit element")
@@ -208,6 +208,30 @@ def _on_leg(field, table, width, vec):
     out = {}
     _add_on_leg(out, 0, table, width, vec)
     return field.sparse(out)
+
+
+def _hit_by(h, mat):
+    """``[x][u]`` = b_x ↼ M(p_u), M the matrix ``mat`` on the dual basis."""
+    cols = mat.sparse_columns()
+    return [[_lincomb(h.algebra.field, ((c, h.right_hits[m][x]) for m, c in s.items()))
+             for s in cols] for x in range(h.dim)]
+
+
+def _first_residue(field, outer, fill, width, split=None):
+    """The first failure of an identity checked with one accumulator per
+    outer index: ``fill(acc, o)`` adds into a fresh ``acc`` the left side
+    minus the right for every inner tuple, at key inner·width + t.  Returns
+    (o, inner) for the first o of ``outer`` whose accumulator does not
+    reduce to zero, inner read off its smallest key (and split into
+    divmod(inner, split) when ``split`` is given); None when all do."""
+    for o in outer:
+        acc = {}
+        fill(acc, o)
+        bad = field.sparse(acc)
+        if bad:
+            inner = min(bad) // width
+            return (o, inner) if split is None else (o, *divmod(inner, split))
+    return None
 
 
 # -- operator representations --------------------------------------------
@@ -278,9 +302,7 @@ def _verify_exchange_identity(h, ops):
     λ(b_a#p_b); the right side, linear in b_a↼S(g_u) = Σ x·b_t, runs the
     terms (u, w, m) of Δ(g_c), the nonempty columns of λ(b_t#p_b), then ρ(g_w#1).
     """
-    dual = h.dual()
-    d = h.dim
-    field = h.algebra.field
+    dual, d, field = h.dual(), h.dim, h.algebra.field
     lam, rho = ops
     unit = _sparse(h.algebra.unit)
     # ρ(g_c#1) by column, as (row, scalar) pairs, and its nonempty columns
@@ -290,31 +312,31 @@ def _verify_exchange_identity(h, ops):
     # the nonempty columns of λ(b_t#p_b), at [b][t]
     lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
                  for t in range(d)] for b in range(d)]
-    s_g = dual.antipode.sparse_columns()
-    for a in range(d):
-        # b_a ↼ S(p_u)
-        twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items())).items()
-                   for s in s_g]
-        for b in range(d):
-            acc = {}
-            get = acc.get
-            for c in range(d):
-                for x, col in rho_cols[c]:
-                    base = (c * d + x) * d
-                    for s, y in col:
-                        _add(acc, base, y, lam[a][b][s].items())
-                for u, w, m in dual.comul[c]:
-                    for t, xt in twisted[u]:
-                        for x, col in lam_cols[b][t]:
-                            base = (c * d + x) * d
-                            for s, y in col:
-                                my = m * xt * y
-                                for r, v in rho_g[w][s]:
-                                    acc[base + r] = get(base + r, 0) - my * v
-            bad = field.sparse(acc)
-            if bad:
-                raise InternalCheckFailed(
-                    f"exchange identity fails at basis ({a},{b},{min(bad) // (d * d)})")
+    # b_a ↼ S(p_u), at [a][u]
+    twisted = [[v.items() for v in row] for row in _hit_by(h, dual.antipode)]
+
+    def fill(acc, ab):
+        a, b = ab
+        get = acc.get
+        op, tw, cols = lam[a][b], twisted[a], lam_cols[b]
+        for c in range(d):
+            for x, col in rho_cols[c]:
+                base = (c * d + x) * d
+                for s, y in col:
+                    _add(acc, base, y, op[s].items())
+            for u, w, m in dual.comul[c]:
+                for t, xt in tw[u]:
+                    for x, col in cols[t]:
+                        base = (c * d + x) * d
+                        for s, y in col:
+                            my = m * xt * y
+                            for r, v in rho_g[w][s]:
+                                acc[base + r] = get(base + r, 0) - my * v
+
+    fail = _first_residue(field, [(a, b) for a in range(d) for b in range(d)], fill, d * d)
+    if fail:
+        raise InternalCheckFailed("exchange identity fails at basis ({},{},{})".format(
+            *fail[0], fail[1]))
 
 
 # -- partial Hopf actions -------------------------------------------------
@@ -343,30 +365,33 @@ def _checked_hopf_action(h, algebra, acts):
     """The partial Hopf action with sparse columns ``acts[i][x]`` = b_i ▷ a_x,
     once the three weakened action axioms hold on all basis tuples.
 
-    Axioms 1 and 3 keep one accumulator per b_i, holding the left side minus
-    the right for every tuple at once, keyed (x·dA + y)·dA + t at (b_i, a_x,
-    a_y) and (j·dA + x)·dA + t at (b_i, b_j, a_x), t the coefficient of a_t.
+    Axioms 1 and 3 share one walk: per b_i one accumulator, keyed
+    (p·dA + q)·dA + t, holds b_i ▷ Σ c·a_t over the terms of ``left[p][q]``
+    minus Σ v·``first[k][p]``·``second[l][p][q]`` over the terms (k, l, v)
+    of Δ(b_i), for every (p, q) at once: (a_x, a_y) for axiom 1 and
+    (b_j, a_x) for axiom 3.
     """
     d, da = h.dim, algebra.dim
     field = algebra.field
     mul = algebra._mul_acc
     ha, aa = h.algebra.labels, algebra.labels
 
+    def residue(left, first, second):
+        def fill(acc, i):
+            for p, row in enumerate(left):
+                for q, terms in enumerate(row):
+                    base = (p * da + q) * da
+                    for t, c in terms:
+                        _add(acc, base, c, acts[i][t].items())
+                    for k, l, v in h.comul[i]:
+                        _add(acc, base, -v, mul(first[k][p], second[l][p][q]).items())
+        return _first_residue(field, range(d), fill, da, da)
+
     # h ▷ (xy) = Σ (h1 ▷ x)(h2 ▷ y)
-    for i in range(d):
-        acc = {}
-        for x in range(da):
-            row = algebra.products[x]
-            for y in range(da):
-                base = (x * da + y) * da
-                for t, c in row.get(y, ()):
-                    _add(acc, base, c, acts[i][t].items())
-                for k, l, v in h.comul[i]:
-                    _add(acc, base, -v, mul(acts[k][x], acts[l][y]).items())
-        bad = field.sparse(acc)
-        if bad:
-            x, y = divmod(min(bad) // da, da)
-            raise Axiom1Fails(ha[i], aa[x], aa[y])
+    fail = residue([[row.get(y, ()) for y in range(da)] for row in algebra.products],
+                   acts, [[col] * da for col in acts])
+    if fail:
+        raise Axiom1Fails(ha[fail[0]], aa[fail[1]], aa[fail[2]])
 
     # 1_H ▷ a_x = a_x
     h_unit = _sparse(h.algebra.unit).items()
@@ -377,24 +402,14 @@ def _checked_hopf_action(h, algebra, acts):
 
     # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x), with (b_l b_j) ▷ a_x formed once
     unit = _sparse(algebra.unit)
-    unit_acts = [_lincomb(field, ((c, acts[k][y]) for y, c in unit.items()))
-                 for k in range(d)]
+    unit_acts = [_on_leg(field, acts[k], da, unit) for k in range(d)]
     hrows = h.algebra.products
     lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in hrows[l].get(j, ())))
                  for x in range(da)] for j in range(d)] for l in range(d)]
-    for i in range(d):
-        acc = {}
-        for j in range(d):
-            for x in range(da):
-                base = (j * da + x) * da
-                for t, c in acts[j][x].items():
-                    _add(acc, base, c, acts[i][t].items())
-                for k, l, v in h.comul[i]:
-                    _add(acc, base, -v, mul(unit_acts[k], lj_acts[l][j][x]).items())
-        bad = field.sparse(acc)
-        if bad:
-            j, x = divmod(min(bad) // da, da)
-            raise Axiom3Fails(ha[i], ha[j], aa[x])
+    fail = residue([[col.items() for col in row] for row in acts],
+                   [[u] * d for u in unit_acts], lj_acts)
+    if fail:
+        raise Axiom3Fails(ha[fail[0]], ha[fail[1]], aa[fail[2]])
     return PartialHopfAction(h, algebra, acts)
 
 
@@ -405,14 +420,14 @@ def lift_group_action(pa):
 
 
 def coaction_report(pha):
-    """The induced map a ↦ sum of (b_i·a)⊗p_i and its three properties.
+    """The induced map δ(a) = Σ (b_i·a)⊗p_i and its three properties.
 
     A failing weak coassociativity names its first basis element, and also
-    the first basis where the strict law, which is only measured, fails.  The report expects ``pha`` made by
-    ``make_partial_hopf_action``, and states two of its proofs.  Axiom 1,
-    b_i ▷ (xy) = Σ (b_k ▷ x)(b_l ▷ y) over Δ(b_i), is δ(xy) = δ(x)δ(y), since
-    p_k·p_l = Σ_i v·p_i over the terms (k, l, v) of Δ(b_i) (the product of
-    the dual is the transposed Δ): ``coaction.multiplicative`` states it.
+    the first basis where the strict law, which is only measured, fails.
+    The report expects ``pha`` made by ``make_partial_hopf_action`` and
+    states two of its proofs.  Axiom 1, b_i ▷ (xy) = Σ (b_k ▷ x)(b_l ▷ y)
+    over Δ(b_i), is δ(xy) = δ(x)δ(y), since p_k·p_l = Σ_i v·p_i over the
+    terms (k, l, v) of Δ(b_i): ``coaction.multiplicative`` states it.
     Axiom 2, 1_H ▷ a = a, is the counit law (1⊗ε)δ(a) = a:
     ``coaction.counit`` states it.
     """
@@ -422,26 +437,18 @@ def coaction_report(pha):
     field = alg.field
     acts = pha.acts
 
-    # δ(a_x) in A ⊗ H*, index a·d + i
+    # δ(a_x) in A ⊗ H*, index a·d + i, and the table of δ ⊗ 1 on a⊗p_j
     cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
             for x in range(da)]
+    wide = [{k * d + j: c for k, c in col.items()} for col in cols for j in range(d)]
 
-    # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j
+    # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j:
+    # (δ⊗1)δ = (δ(1)⊗1)·(1⊗Δ)δ
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
-
-    def expand_left(vec):
-        # (δ ⊗ 1): a⊗p_i ↦ δ(a)⊗p_i
-        return _lincomb(field, ((c, {k * d + idx % d: c2
-                                     for k, c2 in cols[idx // d].items()})
-                                for idx, c in vec.items()))
-
-    # δ(1) ⊗ 1
-    delta_unit = _lincomb(field, ((c, cols[t]) for t, c in enumerate(alg.unit) if c))
-    left_factor = field.sparse({idx * d + j: c * u for idx, c in delta_unit.items()
-                                for j, u in _sparse(dual.algebra.unit).items()})
-
-    lhs = [expand_left(col) for col in cols]
-    spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]   # (1 ⊗ Δ)
+    delta_unit = _on_leg(field, cols, da * d, _sparse(alg.unit))
+    left_factor = _on_leg(field, [_sparse(dual.algebra.unit)], d, delta_unit)
+    lhs = [_on_leg(field, wide, da * d * d, col) for col in cols]
+    spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]
     weak = next((x for x in range(da) if lhs[x] != t3._mul_sparse(left_factor, spread[x])), None)
     strict = next((x for x in range(da) if lhs[x] != spread[x]), None)
     coassoc_witnesses = [f"{kind} coassociativity fails on basis {alg.labels[x]}"
@@ -456,34 +463,24 @@ def coaction_report(pha):
 
 
 def build_corner_maps(pha, lam):
-    """phi(a) = sum of (b_i·a) ⊗ ρ(S^{-1}(p_i)#1) and psi(h#f) = 1⊗λ(h#f),
-    with phi verified multiplicative and the exchange lemma
-    phi(1)psi(h#f)phi(a) = sum of phi(h1·a)psi(h2#f) verified exhaustively,
-    on sparse vectors of the target A⊗End(H).  Returns phi, an
-    ``AlgebraMap``, and the images psi(b_i#p_j) at i·d + j; ``lam`` is λ.
-
-    The exchange lemma keeps one accumulator per basis a_a, keyed
-    (i·d + j)·D + t (D = dim of the target), holding the left side minus
-    the right at (a_a, b_i, p_j) for every (i, j) at once.  Its left side
-    is (φ(1)ψ(b_i#p_j))·φ(a), the target being associative, with
-    φ(1)ψ(b_i#p_j) formed once per (i, j).
+    """φ(a) = Σ (b_i·a) ⊗ ρ(S^{-1}(p_i)#1) and ψ(h#f) = 1⊗λ(h#f), ``lam``
+    being λ, on sparse vectors of A⊗End(H).  Returns φ, an ``AlgebraMap``
+    proved multiplicative, and the images ψ(b_i#p_j) at i·d + j, once the
+    exchange lemma φ(1)ψ(h#f)φ(a) = Σ φ(h1·a)ψ(h2#f) holds on every basis
+    triple: per a_a, for every (b_i, p_j) at once, with the left side formed
+    as (φ(1)ψ(b_i#p_j))·φ(a), the target being associative.
     """
-    h, alg = pha.hopf, pha.algebra
-    dual = h.dual()
-    d, da = h.dim, alg.dim
-    dd = d * d
+    h, alg, acts = pha.hopf, pha.algebra, pha.acts
+    d, da, dd = h.dim, alg.dim, h.dim * h.dim
     field = alg.field
     target = tensor_algebra(alg, lam.codomain)
-    acts = pha.acts
 
     # ρ(S^{-1}(p_i)#1): x ↦ x ↼ S^{-1}(p_i), as a sparse vector of End(H)
-    s_inv = dual.antipode_inv.sparse_columns()
-    rho_sinv = [_end_vec([_lincomb(field, ((c, h.right_hits[m][x]) for m, c in s.items()))
-                          for x in range(d)]) for s in s_inv]
+    rho_sinv = [_end_vec(op) for op in zip(*_hit_by(h, h.dual().antipode_inv))]
 
-    # φ(a_x) = Σ_i (b_i ▷ a_x) ⊗ ρ(S^{-1}(p_i)#1), index a·d² + e
-    phi_cols = [_lincomb(field, ((c, {a * dd + e: r for e, r in rho_sinv[i].items()})
-                                 for i in range(d) for a, c in acts[i][x].items()))
+    # φ(a_x), index a·d² + e: p_i ↦ ρ(S^{-1}(p_i)#1) on δ(a_x)
+    phi_cols = [_on_leg(field, rho_sinv, dd, {a * d + i: c for i in range(d)
+                                              for a, c in acts[i][x].items()})
                 for x in range(da)]
     phi = AlgebraMap(alg, target, phi_cols)
     if not phi.is_multiplicative():
@@ -491,31 +488,27 @@ def build_corner_maps(pha, lam):
 
     # ψ(b_i#p_j) = 1⊗λ(b_i#p_j), from the sparse columns of λ
     one_a = _sparse(alg.unit)
-    psi = [field.sparse({a * dd + e: u * c for a, u in one_a.items()
-                         for e, c in col.items()})
-           for col in lam.columns]
+    psi = [_on_leg(field, [col], dd, one_a) for col in lam.columns]
 
     # exchange lemma
-    mul = target._mul_acc
+    mul, dim = target._mul_acc, target.dim
     unit = phi.apply_sparse(one_a)
     unit_psi = [field.sparse(mul(unit, p)) for p in psi]
-    dim = target.dim
-    for a in range(da):
+
+    def lemma(acc, a):
         # φ(b_k·a) for every basis b_k of H
-        phi_ka = [_lincomb(field, ((c, phi_cols[t]) for t, c in acts[k][a].items()))
-                  for k in range(d)]
-        acc = {}
+        phi_ka = [phi.apply_sparse(acts[k][a]) for k in range(d)]
         for i in range(d):
             for j in range(d):
                 base = (i * d + j) * dim
                 _add(acc, base, 1, mul(unit_psi[i * d + j], phi_cols[a]).items())
                 for k, l, v in h.comul[i]:
                     _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]).items())
-        bad = field.sparse(acc)
-        if bad:
-            i, j = divmod(min(bad) // dim, d)
-            raise InternalCheckFailed(
-                f"corner exchange lemma fails at (a={a}, h={i}, f={j})")
+
+    fail = _first_residue(field, range(da), lemma, dim, d)
+    if fail:
+        raise InternalCheckFailed("corner exchange lemma fails at (a={}, h={}, f={})"
+                                  .format(*fail))
     return phi, psi
 
 
@@ -543,75 +536,97 @@ def build_partial_smash(pha):
 
 
 def partial_smash_report(ps):
-    """Closure, unitality, the comodule-algebra structure over H and the
-    module-algebra structure over the dual, on the unital corner.
+    """Closure, unitality, the comodule-algebra structure over H (via
+    ρ = 1 ⊗ Δ) and the module-algebra structure over the dual (via
+    1 ⊗ (p_m ⇀ ·)) of the unital corner, on sparse vectors.
 
-    Works on sparse vectors: the products of corner basis vectors and their
-    images under every p_m ⇀ are formed once and shared by the checks.  A
-    failing closure or comodule-algebra check names its first corner basis
-    pair or vector, by its expansion; a failing ``psmash.unital`` names the
-    first way the unit fails (see ``_unit_failure``).  The comodule
-    ``multiplicative`` sub-check keeps one accumulator per corner vector u_a,
-    keyed b·D + t (D = dim of A⊗H⊗H), holding ρ(u_a u_b) − ρ(u_a)ρ(u_b) for
-    every b at once.  Its ``counit`` and ``coassociative`` sub-checks are
-    the right counit law (1⊗ε)Δ = 1 and coassociativity of Δ on the last
-    leg, which ``make_hopf`` proved for H; they are stated.
+    The corner basis vectors u_a, their products and their images p_m ⇀ u_a
+    are formed once.  A failing check names its first witness: a corner
+    basis vector by its expansion, p_m by its dual label, x#b_i by its
+    ambient label, and for ``psmash.unital`` the first way the unit fails.
+    ``multiplicative`` holds ρ(u_a u_b) − ρ(u_a)ρ(u_b) for every b per u_a;
+    ``module_law`` holds p_m ⇀ (u_a u_b) − Σ w·(p_k ⇀ u_a)(p_l ⇀ u_b) over
+    Δ(p_m) for every (a, b) per p_m.  ``counit`` and ``unit_acts`` are the
+    counit law (1⊗ε)Δ = 1, and ``coassociative`` is coassociativity of Δ on
+    the last leg, which ``make_hopf`` proved: all three are stated.
     """
-    h = ps.pha.hopf
-    d = h.dim
-    amb, sub, u0 = ps.ambient, ps.sub, ps.unit_vec
+    h, alg = ps.pha.hopf, ps.pha.algebra
+    d, dual = h.dim, h.dual()
+    amb, sub = ps.ambient, ps.sub
     field = amb.field
     mul = amb._mul_sparse
     su = list(sub._rows.values())
+    n = len(su)
     uv = [[mul(u, v) for v in su] for u in su]
-    corner = range(len(su))
+    corner, ms = range(n), range(d)
+    p = dual.algebra.labels
 
     def vec(a):
         return amb.format_vec(sub.basis[a])
 
     leaves = next(((a, b) for a in corner for b in corner
                    if not sub.contains_sparse(uv[a][b])), None)
-    failure = _unit_failure(sub, mul, su, u0, vec)
+    unit = _sparse(ps.unit_vec)
+    if not sub.contains_vector(ps.unit_vec):
+        unital = "the unit lies outside the corner"
+    elif mul(unit, unit) != unit:
+        unital = "the unit is not idempotent"
+    else:
+        unital = next((f"{side} unit law fails at ({vec(a)})" for a, u in enumerate(su)
+                       for side, prod in (("left", mul(unit, u)), ("right", mul(u, unit)))
+                       if prod != u), None)
 
     # right comodule algebra via ρ = 1 ⊗ coproduct
     t = tensor_algebra(amb, h.algebra)
     co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
 
-    def multiplicative():
-        dim = t.dim
-        for a in corner:
-            acc = {}
-            for b in corner:
-                _add_on_leg(acc, b * dim, h.coproduct, d * d, uv[a][b])
-                _add(acc, b * dim, -1, t._mul_acc(co[a], co[b]).items())
-            bad = field.sparse(acc)
-            if bad:
-                return f"{vec(a)}, {vec(min(bad) // dim)}"
-        return None
+    def multiplicative(acc, a):
+        for b in corner:
+            _add_on_leg(acc, b * t.dim, h.coproduct, d * d, uv[a][b])
+            _add(acc, b * t.dim, -1, t._mul_acc(co[a], co[b]).items())
 
-    failures = {"multiplicative": multiplicative(), "counit": None,
-                "coassociative": None}
+    # left module algebra over the dual via 1 ⊗ (p_m ⇀ ·)
+    hits, rows = h.left_hits, amb.products
+    acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in ms]
+
+    def module_law(acc, m):
+        # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
+        get, dim = acc.get, amb.dim
+        for a in corner:
+            for b in corner:
+                _add_on_leg(acc, (a * n + b) * dim, hits[m], d, uv[a][b])
+        for k, l, w in dual.comul[m]:
+            for a in corner:
+                for r, x in acted[k][a].items():
+                    cell_at = rows[r].get
+                    for b in corner:
+                        base = (a * n + b) * dim
+                        for s, y in acted[l][b].items():
+                            c = w * x * y
+                            for i, v in cell_at(s, ()):
+                                acc[base + i] = get(base + i, 0) - c * v
+
+    pair = _first_residue(field, corner, multiplicative, t.dim)
+    law = _first_residue(field, ms, module_law, amb.dim, n)
     return [
         check("psmash.closed", leaves is None, {"sub_dim": sub.dim}, [] if leaves is None else
               [f"product leaves the corner at ({vec(leaves[0])}, {vec(leaves[1])})"]),
-        check("psmash.unital", failure is None, {}, [] if failure is None else [failure]),
-        _named_failures_check("psmash.comodule_algebra", failures),
-        _dual_module_check(ps, su, uv),
+        check("psmash.unital", unital is None, {}, [] if unital is None else [unital]),
+        _named_failures_check("psmash.comodule_algebra", {
+            "multiplicative": pair and f"{vec(pair[0])}, {vec(pair[1])}",
+            "counit": None, "coassociative": None}),
+        _named_failures_check("psmash.dual_module_algebra", {
+            "stable": next((f"{p[m]}, {vec(a)}" for m in ms for a in corner
+                            if not sub.contains_sparse(acted[m][a])), None),
+            "unit_acts": None,
+            "module_law": law and f"{p[law[0]]}, {vec(law[1])}, {vec(law[2])}",
+            # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
+            "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
+                                 for x in range(alg.dim) for i in ms for m in ms
+                                 if _on_leg(field, hits[m], d, mul({x * d + i: 1}, unit))
+                                 != mul({x * d + b: v for b, v in hits[m][i].items()}, unit)),
+                                None)}),
     ]
-
-
-def _unit_failure(sub, mul, su, u0, vec):
-    """Why u0 is not a two-sided unit of the corner: it lies outside it,
-    u0·u0 != u0, or the first corner basis vector u (named by ``vec``) with
-    u0·u != u or u·u0 != u; None when it is."""
-    unit = _sparse(u0)
-    if not sub.contains_vector(u0):
-        return "the unit lies outside the corner"
-    if mul(unit, unit) != unit:
-        return "the unit is not idempotent"
-    return next((f"{side} unit law fails at ({vec(a)})" for a, u in enumerate(su)
-                 for side, prod in (("left", mul(unit, u)), ("right", mul(u, unit)))
-                 if prod != u), None)
 
 
 def _named_failures_check(name, failures):
@@ -621,77 +636,6 @@ def _named_failures_check(name, failures):
                  for sub, where in failures.items() if where is not None]
     return check(name, not witnesses,
                  {sub: where is None for sub, where in failures.items()}, witnesses)
-
-
-def _dual_module_check(ps, su, uv):
-    """psmash.dual_module_algebra: the corner is a left module algebra over
-    the dual via 1 ⊗ (f ⇀ ·).  ``su`` are the corner basis vectors as sparse
-    dicts and ``uv[a][b]`` their products.  Each failing sub-check names its
-    first witness.  ``unit_acts`` is stated: the unit of the dual is ε, and
-    Σ_m ε(b_m)(p_m ⇀ b_i) = (1⊗ε)Δ(b_i) = b_i is the right counit law that
-    ``make_hopf`` proved.  ``module_law`` keeps one accumulator per p_m, keyed
-    (a·n + b)·D + t (n corner vectors, D = dim of A⊗H), holding
-    p_m ⇀ (u_a u_b) minus Σ w·(p_k ⇀ u_a)(p_l ⇀ u_b) for every (a, b) at
-    once, over the terms (k, l, w) of Δ(p_m) and the product rows of A⊗H."""
-    h, alg = ps.pha.hopf, ps.pha.algebra
-    d, n = h.dim, len(su)
-    amb = ps.ambient
-    mul = amb._mul_sparse
-    dual = h.dual()
-    field = alg.field
-    hits = h.left_hits
-    # p_m ⇀ u for every m and every corner basis vector u, formed once
-    acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in range(d)]
-
-    def module_law():
-        # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
-        dim = amb.dim
-        rows = amb.products
-        for m in ms:
-            acc = {}
-            get = acc.get
-            for a in corner:
-                for b in corner:
-                    _add_on_leg(acc, (a * n + b) * dim, hits[m], d, uv[a][b])
-            for k, l, w in dual.comul[m]:
-                for a in corner:
-                    for r, x in acted[k][a].items():
-                        cell_at = rows[r].get
-                        for b in corner:
-                            base = (a * n + b) * dim
-                            for s, y in acted[l][b].items():
-                                c = w * x * y
-                                for t, v in cell_at(s, ()):
-                                    acc[base + t] = get(base + t, 0) - c * v
-            bad = field.sparse(acc)
-            if bad:
-                a, b = divmod(min(bad) // dim, n)
-                return f"{p[m]}, {vec(a)}, {vec(b)}"
-        return None
-
-    unit, one = _sparse(ps.unit_vec), field.one
-
-    # a witness names p_m by its dual label, a corner basis vector by its
-    # expansion and a generator x#b_i by its ambient label
-    p = dual.algebra.labels
-
-    def vec(a):
-        return amb.format_vec(ps.sub.basis[a])
-
-    ms, corner = range(d), range(n)
-    failures = {
-        "stable": next((f"{p[m]}, {vec(a)}" for m in ms for a in corner
-                        if not ps.sub.contains_sparse(acted[m][a])), None),
-        "unit_acts": None,
-        "module_law": module_law(),
-        # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
-        "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
-                             for x in range(alg.dim) for i in range(d) for m in ms
-                             if _on_leg(field, hits[m], d, mul({x * d + i: one}, unit))
-                             != mul({x * d + b: v for b, v in hits[m][i].items()}, unit)),
-                            None),
-    }
-    return _named_failures_check("psmash.dual_module_algebra", failures)
 
 
 def smash_matches_skew_report(ps, skew_ring):
@@ -704,13 +648,10 @@ def smash_matches_skew_report(ps, skew_ring):
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
     es = [_sparse(e) for e in pa.idempotents]
-    cols = [{skew_ring.offsets[g] + t: c for t, c in pa.ideals[g].sparse_coordinates(
-        alg._mul_sparse({x: 1}, es[g])).items()}
-        for x in range(alg.dim) for g in range(d)]
-
-    def t_map(vec):
-        return _lincomb(field, ((c, cols[idx]) for idx, c in vec.items()))
-
+    t_map = AlgebraMap(ps.ambient, ring, [
+        {skew_ring.offsets[g] + t: c for t, c in pa.ideals[g].sparse_coordinates(
+            alg._mul_sparse({x: 1}, es[g])).items()}
+        for x in range(alg.dim) for g in range(d)]).apply_sparse
     su = list(ps.sub._rows.values())
     images = [t_map(u) for u in su]
     span = Subspace.from_sparse(field, skew_ring.dim, images)
@@ -825,13 +766,10 @@ def hopf_lift_suite(pa, skew_ring):
     results, lam = hopf_data_checks(h)
     results.append(check("hopf.partial_action_axioms", True,
                          {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
-
     results.append(check("hopf.lift_matches_group_dot", True, {}))
-
     results.extend(coaction_report(pha))
     if lam is None:
         return results
-
     try:
         maps = build_corner_maps(pha, lam)
     except InternalCheckFailed as exc:

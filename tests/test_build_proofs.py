@@ -303,10 +303,22 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
             raise AssertionError("a report re-proved that δ is multiplicative")
         return witness(self, anti)
 
+    # make_hopf proves coassociativity by running Δ(b_i) through the (Δ⊗1)
+    # table b_k⊗b_l ↦ Δ(b_k)⊗b_l; no report may read that table again
+    d, on_leg = h.dim, hopf._on_leg
+    delta_left = [{kl * d + l: v for kl, v in h.coproduct[k].items()}
+                  for k in range(d) for l in range(d)]
+
+    def no_coassociativity(field, table, width, vec):
+        if table == delta_left:
+            raise AssertionError("a report re-proved coassociativity")
+        return on_leg(field, table, width, vec)
+
     monkeypatch.setattr(Mat, "rank", _refuse("Mat.rank"))
     monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", no_coaction_witness)
-    monkeypatch.setattr(hopf, "_coassociativity_witness",
-                        _refuse("_coassociativity_witness"), raising=False)
+    monkeypatch.setattr(hopf, "_on_leg", no_coassociativity)
+    with pytest.raises(AssertionError, match="re-proved coassociativity"):
+        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
     assert reports() == expected
     # the counit and unit_acts sub-checks state make_hopf's counit law
     psmash = {c.name: c for c in partial_smash_report(

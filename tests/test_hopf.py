@@ -272,6 +272,17 @@ def test_make_hopf_refuses_inexact_values_over_q(comul, counit, bad):
         make_hopf(group_algebra(QQ, cyclic(2)), comul, counit, Mat.identity(QQ, 2))
 
 
+@pytest.mark.parametrize("field, other", [(QQ, GF(5)), (GF(5), QQ)], ids=["q", "fp5"])
+def test_make_hopf_refuses_an_antipode_that_is_not_a_mat_over_its_field(field, other):
+    alg = group_algebra(field, cyclic(2))
+    comul, counit = [[(0, 0, 1)], [(1, 1, 1)]], [1, 1]
+    with pytest.raises(ValidationError, match="^antipode must be a Mat, not list$"):
+        make_hopf(alg, comul, counit, [[1, 0], [0, 1]])
+    with pytest.raises(FieldMismatch) as info:
+        make_hopf(alg, comul, counit, Mat.identity(other, 2))
+    assert str(info.value) == f"field mismatch: {other} vs {field}"
+
+
 def test_make_hopf_reduces_values_over_fp():
     # 6 and -4 are 1 in F_5 and a coefficient 5 is 0, so this is k[Z2]
     field = GF(5)

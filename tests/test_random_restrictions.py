@@ -1,20 +1,21 @@
 """Randomized instances: any permutation of split coordinates restricted to
 any nonzero 0/1 idempotent is a valid partial action, and the whole duality
-layer must come out green on it."""
+layer must come out green on it.  ``restrict_global`` reads e·σ(v) on the
+basis of B·e without a refusal, for any columns σ."""
 
 from math import lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
-from partialskew.actions import (dot_identities_report, global_action,
+from partialskew.actions import (_image, dot_identities_report, global_action,
                                  restrict_global)
-from partialskew.algebras import product_of_fields
+from partialskew.algebras import ideal_basis, product_of_fields
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, kernel_report,
                                  skew_injectivity_report)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
-from partialskew.linalg import Mat
+from partialskew.linalg import Mat, _sparse
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 
@@ -69,3 +70,20 @@ def test_random_restriction_duality(perm, bits, field):
                 decomposition_report(duality), skew_injectivity_report(duality)):
         for c in rep:
             assert c.status == "pass", (c.name, c.witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(5)]))
+def test_restricted_image_never_leaves_the_ideal(data, field):
+    # e is central, so e·y lies in B·e = span(b_i·e) for every y: the
+    # coordinates restrict_global reads exist for any columns σ, valid or not
+    m = data.draw(st.integers(1, 5), label="m")
+    parent = product_of_fields(field, m)
+    bits = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="e")
+    e = parent.element(tuple(field.one if b else field.zero for b in bits))
+    vectors = st.lists(st.integers(0, 4), min_size=m, max_size=m).map(
+        lambda xs: {i: x for i, x in enumerate(xs) if x})
+    cols = data.draw(st.lists(vectors, min_size=m, max_size=m), label="columns")
+    v = data.draw(vectors, label="v")
+    image = field.sparse(parent._mul_acc(_sparse(e.coeffs), _image(cols, v.items())))
+    assert ideal_basis(parent, e).sparse_coordinates(image) is not None
