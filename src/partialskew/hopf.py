@@ -46,7 +46,7 @@ from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
                      InternalCheckFailed, ValidationError)
-from .linalg import Mat, Subspace, _sparse
+from .linalg import Mat, Subspace, _inverse, _sparse
 from .report import check
 
 
@@ -159,7 +159,7 @@ def make_hopf(algebra, comul, counit, antipode):
                 or _lincomb(field, ((v, mul({k: 1}, s_cols[l])) for k, l, v in comul[i])) != want):
             raise HopfAxiomFails("antipode", f"basis {labels[i]}")
 
-    h.antipode_inv = antipode.inverse()
+    h.antipode_inv = _inverse(field, s_cols)
     if h.antipode_inv is None:
         raise AntipodeNotInvertible()
     return h
@@ -210,9 +210,9 @@ def _on_leg(field, table, width, vec):
     return field.sparse(out)
 
 
-def _hit_by(h, mat):
-    """``[x][u]`` = b_x ↼ M(p_u), M the matrix ``mat`` on the dual basis."""
-    cols = mat.sparse_columns()
+def _hit_by(h, cols):
+    """``[x][u]`` = b_x ↼ M(p_u), M the map on the dual basis with sparse
+    columns ``cols``."""
     return [[_lincomb(h.algebra.field, ((c, h.right_hits[m][x]) for m, c in s.items()))
              for s in cols] for x in range(h.dim)]
 
@@ -313,7 +313,7 @@ def _verify_exchange_identity(h, ops):
     lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
                  for t in range(d)] for b in range(d)]
     # b_a ↼ S(p_u), at [a][u]
-    twisted = [[v.items() for v in row] for row in _hit_by(h, dual.antipode)]
+    twisted = [[v.items() for v in row] for row in _hit_by(h, dual.antipode.sparse_columns())]
 
     def fill(acc, ab):
         a, b = ab

@@ -110,6 +110,24 @@ def _echelon(rows, p):
     return dict(sorted(pivots.items()))
 
 
+def _inverse(field, columns):
+    """The inverse of the square matrix with sparse ``columns``, as sparse
+    columns, or None when it is singular.  Row r of [S | I] is row r of S
+    beside e_r, so one ``_echelon`` leaves S^{-1} beside the pivots 0..n-1
+    exactly when S is invertible."""
+    n = len(columns)
+    rows = [{n + r: 1} for r in range(n)]
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][j] = x
+    reduced = _echelon(rows, field.characteristic)
+    if list(reduced) != list(range(n)):
+        return None
+    reduce = field.reduce
+    return [{r: reduce(row[n + j]) for r, row in enumerate(reduced.values()) if n + j in row}
+            for j in range(n)]
+
+
 def _sparse(vec):
     """Nonzero entries of a canonical dense vector as ``{column: scalar}``."""
     return {c: x for c, x in enumerate(vec) if x}

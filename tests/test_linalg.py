@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from partialskew.fields import GF, QQ
-from partialskew.linalg import (Mat, Subspace, image_basis, kernel_basis, rref,
-                                solve)
+from partialskew.linalg import (Mat, Subspace, _inverse, image_basis, kernel_basis,
+                                rref, solve)
 
 from corpus_helpers import qmat, qvec
 
@@ -97,6 +97,36 @@ def integer_matrices(draw):
 def small_matrices():
     return integer_matrices().map(
         lambda entries: Mat(QQ, [[Fraction(x) for x in row] for row in entries]))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices up to 6 x 6, half of them singular (a product
+    through an inner dimension smaller than the side)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()) and n > 1:
+        inner = draw(st.integers(1, n - 1))
+        left = [[draw(small_entries) for _ in range(inner)] for _ in range(n)]
+        right = [[draw(small_entries) for _ in range(n)] for _ in range(inner)]
+        return [[sum(left[r][t] * right[t][c] for t in range(inner))
+                 for c in range(n)] for r in range(n)]
+    return [[draw(small_entries) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])
+@settings(max_examples=80, deadline=None)
+@given(entries=square_matrices())
+def test_sparse_inverse_matches_the_dense_inverse(field, entries):
+    m = Mat(field, entries)
+    got = _inverse(field, m.sparse_columns())
+    expected = m.inverse()
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got == expected.sparse_columns()
+        # nonzero canonical scalars: a reduced residue, or an int unless a
+        # denominator is needed
+        assert all(x and field.reduce(x) == x and type(field.reduce(x)) is type(x)
+                   for col in got for x in col.values())
 
 
 @settings(max_examples=80, deadline=None)
