@@ -17,7 +17,7 @@ from .algebras import (AlgebraElement, AlgebraMap, StructureAlgebra,
                        product_of_fields, tensor_algebra)
 from .fields import GF, QQ, parse_field
 from .groups import FiniteGroup, cyclic, make_group, symmetric
-from .linalg import Mat, Subspace, image_basis, kernel_basis, solve
+from .linalg import Mat, Subspace
 from .report import CheckResult, Report, emit_report, parse_structured
 from .scenarios import run_scenario
 from .skew import SkewGroupRing, build_skew, grading_report, strong_grading_test

@@ -47,7 +47,7 @@ from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
 from .fields import _rational_types
-from .linalg import Subspace, _dense, _sparse, vadd, vscale, vsub, vzero
+from .linalg import Subspace, _dense, _sparse, _transpose, vadd, vscale, vsub
 
 
 class StructureAlgebra:
@@ -97,9 +97,6 @@ class StructureAlgebra:
         z = self.field.zero
         return AlgebraElement(self, tuple(self.field.one if j == i else z
                                           for j in range(self.dim)))
-
-    def zero_element(self):
-        return AlgebraElement(self, vzero(self.field, self.dim))
 
     def one(self):
         if self.unit is None:
@@ -719,10 +716,6 @@ class TensorAlgebra(StructureAlgebra):
                         acc[key] = get(key, 0) + va * w
         return acc
 
-    def tensor_vec(self, xa, xb):
-        """Flattened outer product of coefficient vectors of the two factors."""
-        return _outer(self.field, xa, xb)
-
 
 def tensor_algebra(left, right):
     return TensorAlgebra(left, right)
@@ -906,18 +899,12 @@ class AlgebraMap:
         return self.apply_vec(self.domain.unit) == self.codomain.unit
 
     def kernel(self):
-        rows = [{} for _ in range(self.codomain.dim)]
-        for j, col in enumerate(self.columns):
-            for t, x in col.items():
-                rows[t][j] = x
+        rows = _transpose(self.columns, self.codomain.dim)
         return Subspace.kernel_from_sparse(self.domain.field, self.domain.dim, rows)
 
     def image(self):
         return Subspace.from_sparse(self.domain.field, self.codomain.dim,
                                     self.columns)
-
-    def is_injective(self):
-        return self.kernel().is_zero()
 
 
 def subalgebra(parent, span, unit_vec, labels=None):

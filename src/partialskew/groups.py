@@ -25,15 +25,8 @@ class FiniteGroup:
     def inv(self, g):
         return self.inverse_table[g]
 
-    def elements(self):
-        return range(self.order)
-
     def label(self, g):
         return self.labels[g]
-
-    def is_abelian(self):
-        return all(self.table[g][h] == self.table[h][g]
-                   for g in self.elements() for h in self.elements())
 
     def __len__(self):
         return self.order

@@ -2,10 +2,11 @@
 operator picture.
 
 A Hopf algebra is a validated structure algebra with sparse
-comultiplication triples (k, l, v), a counit vector and an antipode matrix;
-``make_hopf`` proves coassociativity, the counit laws, that coproduct and
-counit are algebra maps, and the antipode identity, on every basis element,
-and inverts S.  The dual swaps the two sets of constants.  ``HopfData``
+comultiplication triples (k, l, v), a counit vector and the antipode as
+sparse columns S(b_j) = ``{row: scalar}``; ``make_hopf`` proves
+coassociativity, the counit laws, that coproduct and counit are algebra
+maps, and the antipode identity, on every basis element, and inverts S.
+The dual swaps the two sets of constants and transposes S.  ``HopfData``
 reads Δ(b_i) as a vector of H⊗H and the hit actions p_m ⇀ b_i and
 b_i ↼ p_m off the triples once; every later use reads them.  A map on the
 last tensor leg is ``_on_leg``/``_add_on_leg``.  Each identity that
@@ -46,7 +47,7 @@ from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
                      InternalCheckFailed, ValidationError)
-from .linalg import Mat, Subspace, _inverse, _sparse
+from .linalg import Mat, Subspace, _inverse, _sparse, _transpose
 from .report import check
 
 
@@ -60,7 +61,7 @@ class HopfData:
         self.algebra = algebra
         self.comul = comul            # per basis i: tuple of (k, l, coeff)
         self.counit = tuple(counit)
-        self.antipode = antipode
+        self.antipode = antipode            # S(b_j) and S^{-1}(b_j) as {row: scalar}
         self.antipode_inv = antipode_inv
         self._dual = None
         # Δ(b_i) as {k·d + l: v}, p_m ⇀ b_i and b_i ↼ p_m as {index: scalar};
@@ -88,10 +89,10 @@ def make_hopf(algebra, comul, counit, antipode):
 
     ``comul[i]`` lists triples (k, l, v) with Δ(b_i) = Σ v·b_k⊗b_l, each k
     and l an ``int`` in range.  The values and the counit go through the
-    field's ``scalars``; the antipode is a d×d ``Mat`` over the same field.
+    field's ``scalars``; the antipode, kept as its sparse columns, is a d×d
+    ``Mat`` over the same field.
     """
-    field = algebra.field
-    d = algebra.dim
+    field, d = algebra.field, algebra.dim
     comul, counit = [tuple(row) for row in comul], field.scalars(counit)
     if len(comul) != d or len(counit) != d:
         raise ValidationError("comultiplication/counit have wrong dimension")
@@ -109,7 +110,14 @@ def make_hopf(algebra, comul, counit, antipode):
         raise ValidationError("antipode matrix has wrong shape")
     if antipode.field != field:
         raise FieldMismatch(antipode.field, field)
+    return _checked_hopf(algebra, comul, counit, antipode.sparse_columns())
 
+
+def _checked_hopf(algebra, comul, counit, antipode):
+    """The Hopf algebra on canonical comultiplication rows (sorted by (k, l),
+    no pair twice) and counit, with the antipode columns S(b_j), once every
+    axiom holds and S is invertible."""
+    field, d = algebra.field, algebra.dim
     # the inverse antipode is set once the antipode has passed its check
     h = HopfData(algebra, comul, counit, antipode, None)
     cop = h.coproduct
@@ -152,22 +160,20 @@ def make_hopf(algebra, comul, counit, antipode):
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
     # summed over Δ(b_i) equal ε(b_i)·1
     mul = algebra._mul_sparse
-    s_cols = antipode.sparse_columns()
     for i in range(d):
         want = _lincomb(field, [(counit[i], unit)])
-        if (_lincomb(field, ((v, mul(s_cols[k], {l: 1})) for k, l, v in comul[i])) != want
-                or _lincomb(field, ((v, mul({k: 1}, s_cols[l])) for k, l, v in comul[i])) != want):
+        if (_lincomb(field, ((v, mul(antipode[k], {l: 1})) for k, l, v in comul[i])) != want
+                or _lincomb(field, ((v, mul({k: 1}, antipode[l])) for k, l, v in comul[i])) != want):
             raise HopfAxiomFails("antipode", f"basis {labels[i]}")
 
-    h.antipode_inv = _inverse(field, s_cols)
+    h.antipode_inv = _inverse(field, antipode)
     if h.antipode_inv is None:
         raise AntipodeNotInvertible()
     return h
 
 
 def _build_dual(h):
-    field = h.algebra.field
-    d = h.dim
+    field, d = h.algebra.field, h.dim
     # the product of the dual is the transposed comultiplication, and back
     products = [{} for _ in range(d)]
     for i in range(d):
@@ -180,16 +186,16 @@ def _build_dual(h):
         for l, cell in row.items():
             for i, v in cell:
                 dual_comul[i].append((k, l, v))
-    return make_hopf(dual_alg, dual_comul, list(h.algebra.unit), h.antipode.transpose())
+    return _checked_hopf(dual_alg, tuple(map(tuple, dual_comul)), h.algebra.unit,
+                         _transpose(h.antipode, d))
 
 
 def group_hopf(field, group):
     """The group algebra with its grouplike coproduct and inversion antipode."""
     alg = group_algebra(field, group)
     n, one = group.order, field.one
-    antipode = Mat(field, [[one if i == group.inv(j) else field.zero for j in range(n)]
-                           for i in range(n)])
-    return make_hopf(alg, [[(g, g, one)] for g in range(n)], [one] * n, antipode)
+    return _checked_hopf(alg, tuple(((g, g, one),) for g in range(n)), (one,) * n,
+                         [{group.inv(g): one} for g in range(n)])
 
 
 # -- sparse helpers --------------------------------------------------------
@@ -313,7 +319,7 @@ def _verify_exchange_identity(h, ops):
     lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
                  for t in range(d)] for b in range(d)]
     # b_a ↼ S(p_u), at [a][u]
-    twisted = [[v.items() for v in row] for row in _hit_by(h, dual.antipode.sparse_columns())]
+    twisted = [[v.items() for v in row] for row in _hit_by(h, dual.antipode)]
 
     def fill(acc, ab):
         a, b = ab

@@ -1,4 +1,4 @@
-"""Exact linear algebra: matrices, solving, kernels, images, subspaces.
+"""Exact linear algebra: one sparse elimination kernel, and subspaces.
 
 Everything is computed over one of the exact fields from :mod:`fields`, so
 rank, kernel and subspace equality are exact decisions, never numerical
@@ -8,13 +8,12 @@ stored bases are identical.
 
 Scalars are the plain numbers of :mod:`fields`: over F_p canonical ``int``
 residues in ``[0, p)``, over the rationals an ``int`` or a ``Fraction``.
-Every vector and matrix a function here returns holds canonical scalars; the
-arithmetic kernels (``vadd``, ``vsub``, ``vscale``, ``Mat.apply``,
-``Mat @``, ``Subspace.linear_combination``) accept any ``int``
+Every vector a function here returns holds canonical scalars; the
+arithmetic kernels (``vadd``, ``vsub``, ``vscale``) accept any ``int``
 representative and reduce each output coefficient once.  The entries of a
-``Mat``, the vectors of ``Subspace.from_vectors`` and the rows of ``rref``
-go through the field's ``scalars`` on the way in, so over F_p any ``int``
-representative is reduced there and any other scalar refused.
+``Mat`` and the vectors of ``Subspace.from_vectors`` go through the field's
+``scalars`` on the way in, so over F_p any ``int`` representative is
+reduced there and any other scalar refused.
 
 All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
 ``{column: scalar}`` dicts of nonzero canonical scalars; over the rationals
@@ -24,19 +23,16 @@ never yields a ``float``.  Dense vectors are only made sparse on the
 way in and dense on the way out, so a large, sparse system such as the
 commutator equations of ``algebras.center_basis`` costs time and memory in
 proportion to its nonzero entries.  (Separability needs none: the smash is
-free over the twisted ring, see :mod:`smash`.)  ``Mat`` stays dense;
-``rref`` keeps its dense interface on top of the kernel.
+free over the twisted ring, see :mod:`smash`.)  Every linear map of the
+library is kept as sparse columns ``{row: scalar}``; a ``Mat`` is only the
+dense form in which a caller hands one in, read once by ``sparse_columns``.
+The one inverse, S^{-1} of an antipode, is ``_inverse``: one ``_echelon``
+of the rows [S | I].
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatch
 from .fields import _canonical
-
-
-def vzero(field, n):
-    z = field.zero
-    return tuple(z for _ in range(n))
 
 
 def vadd(field, u, v):
@@ -111,21 +107,24 @@ def _echelon(rows, p):
 
 
 def _inverse(field, columns):
-    """The inverse of the square matrix with sparse ``columns``, as sparse
-    columns, or None when it is singular.  Row r of [S | I] is row r of S
-    beside e_r, so one ``_echelon`` leaves S^{-1} beside the pivots 0..n-1
-    exactly when S is invertible."""
+    """S^{-1} as sparse columns, S the square matrix with sparse ``columns``,
+    or None when S is singular: one ``_echelon`` of the rows [S | I]."""
     n = len(columns)
-    rows = [{n + r: 1} for r in range(n)]
-    for j, col in enumerate(columns):
-        for r, x in col.items():
-            rows[r][j] = x
+    rows = [{**row, n + r: 1} for r, row in enumerate(_transpose(columns, n))]
     reduced = _echelon(rows, field.characteristic)
     if list(reduced) != list(range(n)):
         return None
-    reduce = field.reduce
-    return [{r: reduce(row[n + j]) for r, row in enumerate(reduced.values()) if n + j in row}
-            for j in range(n)]
+    return [{r: field.reduce(row[n + j]) for r, row in enumerate(reduced.values())
+             if n + j in row} for j in range(n)]
+
+
+def _transpose(columns, n):
+    """The n rows ``{column: scalar}`` of the matrix with sparse ``columns``."""
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][j] = x
+    return rows
 
 
 def _sparse(vec):
@@ -142,22 +141,9 @@ def _dense(row, field, n):
     return tuple(out)
 
 
-def rref(rows, field):
-    """Reduced row echelon form of a list of row vectors.
-
-    Returns ``(reduced_rows, pivot_columns)`` with zero rows dropped and the
-    remaining rows sorted by pivot column.  The input is not modified.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    scalars = field.scalars
-    reduced = _echelon([_sparse(scalars(r)) for r in rows], field.characteristic)
-    return [_dense(r, field, ncols) for r in reduced.values()], list(reduced)
-
-
 class Mat:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field: the form in which a
+    caller hands in an action or an antipode, read once as sparse columns."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -176,85 +162,9 @@ class Mat:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_columns(cls, field, columns, rows=None):
-        if not columns:
-            return cls.zeros(field, rows or 0, 0)
-        n = len(columns[0])
-        return cls(field, [[col[i] for col in columns] for i in range(n)])
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def sparse_columns(self):
         """The columns as ``{row: scalar}`` dicts of their nonzero entries."""
         return [_sparse(col) for col in zip(*self.entries)]
-
-    def apply(self, vec):
-        """Matrix times coordinate column."""
-        if len(vec) != self.cols:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} on vector of length {len(vec)}")
-        nz = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
-        for row in self.entries:
-            acc = 0
-            for j, x in nz:
-                a = row[j]
-                if a:
-                    acc += a * x
-            out.append(acc)
-        return self.field.vector(out)
-
-    def __matmul__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if self.field != other.field:
-            raise FieldMismatch(self.field, other.field)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        vector = self.field.vector
-        bt = other.transpose().entries
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc += a * b
-                out_row.append(acc)
-            out.append(vector(out_row))
-        return Mat(self.field, out)
-
-    def transpose(self):
-        return Mat(self.field, [[self.entries[i][j] for i in range(self.rows)]
-                                for j in range(self.cols)])
-
-    def rank(self):
-        return len(rref(self.entries, self.field)[0])
-
-    def is_zero(self):
-        return all(not x for row in self.entries for x in row)
-
-    def inverse(self):
-        """Inverse of a square matrix, or None if singular."""
-        if self.rows != self.cols:
-            return None
-        n = self.rows
-        aug = [list(row) + list(ident_row)
-               for row, ident_row in zip(self.entries, Mat.identity(self.field, n).entries)]
-        reduced, pivots = rref(aug, self.field)
-        if pivots != list(range(n)):
-            return None
-        return Mat(self.field, [row[n:] for row in reduced])
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -316,10 +226,6 @@ class Subspace:
     def zero(cls, field, ambient):
         return cls(field, ambient, {})
 
-    @classmethod
-    def full(cls, field, ambient):
-        return cls.from_vectors(field, ambient, Mat.identity(field, ambient).entries)
-
     @property
     def basis(self):
         if self._basis is None:
@@ -337,9 +243,6 @@ class Subspace:
 
     def is_zero(self):
         return not self._rows
-
-    def is_full(self):
-        return self.dim == self.ambient
 
     def _check_compatible(self, other):
         if self.ambient != other.ambient or self.field != other.field:
@@ -390,11 +293,6 @@ class Subspace:
         """Membership of a vector given as a ``{column: scalar}`` dict."""
         return not self._residual(self.field.sparse(row))
 
-    def contains(self, other):
-        """True when every vector of `other` lies in this subspace."""
-        self._check_compatible(other)
-        return all(not self._residual(r) for r in other._rows.values())
-
     def coordinates_of(self, vec):
         """Coefficients of vec on the echelon basis, or None if outside."""
         if self._residual(_sparse(vec)):
@@ -409,22 +307,8 @@ class Subspace:
             return None
         return {i: row[p] for i, p in enumerate(self._rows) if p in row}
 
-    def linear_combination(self, coords):
-        acc = {}
-        get = acc.get
-        for c, row in zip(coords, self._rows.values()):
-            if c:
-                for k, x in row.items():
-                    acc[k] = get(k, 0) + c * x
-        return _dense(self.field.sparse(acc), self.field, self.ambient)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def kernel_basis(m):
-    """Canonical basis of the solution space of m·x = 0."""
-    return _kernel(m.field, m.cols, [_sparse(r) for r in m.entries])
 
 
 def _kernel(field, n, rows):
@@ -443,22 +327,3 @@ def _kernel(field, n, rows):
                 v[q] = -x % p if p else -x
         vectors.append(v)
     return Subspace._span(field, n, vectors)
-
-
-def image_basis(m):
-    """Canonical basis of the column space of m."""
-    return Subspace.from_vectors(m.field, m.rows, m.columns())
-
-
-def solve(m, b):
-    """Some solution x of m·x = b, or None when the system is inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = [list(row) + [bv] for row, bv in zip(m.entries, b)]
-    reduced, pivots = rref(aug, m.field)
-    if m.cols in pivots:
-        return None
-    x = list(vzero(m.field, m.cols))
-    for row, p in zip(reduced, pivots):
-        x[p] = row[m.cols]
-    return tuple(x)

@@ -309,6 +309,9 @@ def run_scenario(source, suites=None, field_override=None):
     expect = doc.get("expect", {})
     if not isinstance(expect, dict):
         raise ParseError("expect must be an object of measured values")
+    lift = doc.get("hopf_lift", False)
+    if not isinstance(lift, bool):
+        raise ParseError(f"hopf_lift must be true or false, got {lift!r}")
     if "hopf" in doc:
         for key in _HOPF_KEYS:
             _entry(doc["hopf"], key, "hopf")
@@ -323,7 +326,7 @@ def run_scenario(source, suites=None, field_override=None):
 
     selected = list(suites or doc.get("suites", SUITES))
     # hopf_lift extends the document's suites; --suite overrides both
-    if not suites and doc.get("hopf_lift") and "hopf" not in selected:
+    if not suites and lift and "hopf" not in selected:
         selected.append("hopf")
     for s in selected:
         if s not in SUITES:

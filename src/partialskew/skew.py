@@ -58,14 +58,6 @@ class SkewGroupRing:
                 return g, index - self.offsets[g]
         raise IndexError(index)
 
-    def inject(self, g, avec):
-        """Skew coefficients of the element avec (in A coordinates) placed at g."""
-        coords = self.action.ideals[g].coordinates_of(avec)
-        if coords is None:
-            raise ValueError("element does not lie in the ideal of that grade")
-        return _dense({self.offsets[g] + i: c for i, c in enumerate(coords)},
-                      self.algebra.field, self.dim)
-
 
 def build_skew(pa):
     """Assemble and fully validate the twisted group ring of a partial action."""

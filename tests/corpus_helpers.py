@@ -10,7 +10,9 @@ from partialskew.errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                                 NotCentralIdempotent, NotIsoOnIdeal)
 from partialskew.fields import QQ
 from partialskew.groups import cyclic
-from partialskew.linalg import Mat, _sparse
+from partialskew.linalg import Mat, _dense, _sparse
+
+from dense_oracle import apply
 
 
 def qmat(rows):
@@ -30,20 +32,35 @@ def place(mat, r, s, avec):
     return tuple(out)
 
 
+def inject(skew, g, avec):
+    """Skew coefficients of the element avec (in A coordinates) placed at g."""
+    coords = skew.action.ideals[g].coordinates_of(avec)
+    assert coords is not None, "element does not lie in the ideal of that grade"
+    return _dense({skew.offsets[g] + i: c for i, c in enumerate(coords)},
+                  skew.algebra.field, skew.dim)
+
+
+def column_matrix(field, columns, rows):
+    """The dense ``Mat`` with the sparse ``columns`` ``{row: scalar}``."""
+    return Mat(field, [[col.get(r, field.zero) for col in columns] for r in range(rows)])
+
+
 def map_matrix(m):
     """The dense matrix of an ``AlgebraMap``, built from its sparse columns:
     the oracle that the dense tests compare against."""
-    zero = m.codomain.field.zero
-    return Mat(m.codomain.field, [[col.get(r, zero) for col in m.columns]
-                                  for r in range(m.codomain.dim)])
+    return column_matrix(m.codomain.field, m.columns, m.codomain.dim)
+
+
+def map_columns(m):
+    """The columns of an ``AlgebraMap`` as dense tuples."""
+    return list(zip(*map_matrix(m).entries))
 
 
 def action_matrices(pa):
     """The dense matrix of each α_g of a partial action, built from its
     sparse columns like ``map_matrix``: the dense view the tests read."""
     field, d = pa.algebra.field, pa.algebra.dim
-    return [Mat(field, [[col.get(r, field.zero) for col in cols] for r in range(d)])
-            for cols in pa.columns]
+    return [column_matrix(field, cols, d) for cols in pa.columns]
 
 
 def dense_restriction(pa, e):
@@ -66,8 +83,8 @@ def dense_restriction(pa, e):
         return span.coordinates_of(field.vector(out))
 
     maps = action_matrices(pa)
-    return ([times_e(m.apply(e.coeffs)) for m in maps],
-            [[_sparse(times_e(m.apply(v))) for v in span.basis] for m in maps])
+    return ([times_e(apply(m, e.coeffs)) for m in maps],
+            [[_sparse(times_e(apply(m, v))) for v in span.basis] for m in maps])
 
 
 def dense_rows(products):
@@ -101,8 +118,8 @@ def z3_restricted_action():
     """Order-3 rotation of three split coordinates, cut down to two of them."""
     algebra = product_of_fields(QQ, 3)
     shift = qmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    parent = global_action(cyclic(3), algebra,
-                           [Mat.identity(QQ, 3), shift, shift @ shift])
+    shift2 = qmat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    parent = global_action(cyclic(3), algebra, [Mat.identity(QQ, 3), shift, shift2])
     return restrict_global(parent, algebra.element(qvec([1, 1, 0])))
 
 

@@ -109,7 +109,7 @@ def test_criterion_08_global_degeneration(corpus_reports, global_swap_duality):
     d = global_swap_duality
     assert d.kernel.is_zero()
     assert d.corner_idempotent == d.mat.unit
-    assert d.smash.dim == 8 and d.mat.dim == 8 and d.image.is_full()
+    assert d.smash.dim == 8 and d.mat.dim == 8 and d.image.dim == d.image.ambient
     _line(8, "global swap: kernel 0, corner element is the unit, bijection 8=8")
 
 

@@ -55,6 +55,8 @@ from partialskew.linalg import Mat, Subspace, _sparse
 from partialskew.skew import build_skew, grading_report
 from partialskew.smash import build_smash, smash_report
 
+from corpus_helpers import column_matrix
+
 # the proofs an embedding or the corner idempotent would take, as
 # (AlgebraMap method, a stand-in that makes that proof fail)
 FAILING_PROOFS = {
@@ -314,11 +316,12 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
             raise AssertionError("a report re-proved coassociativity")
         return on_leg(field, table, width, vec)
 
-    monkeypatch.setattr(Mat, "rank", _refuse("Mat.rank"))
+    # make_hopf inverted S, so no report inverts (or ranks) it again
+    monkeypatch.setattr(hopf, "_inverse", _refuse("_inverse"))
     monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", no_coaction_witness)
     monkeypatch.setattr(hopf, "_on_leg", no_coassociativity)
     with pytest.raises(AssertionError, match="re-proved coassociativity"):
-        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
+        make_hopf(h.algebra, h.comul, h.counit, column_matrix(QQ, h.antipode, h.dim))
     assert reports() == expected
     # the counit and unit_acts sub-checks state make_hopf's counit law
     psmash = {c.name: c for c in partial_smash_report(
@@ -350,7 +353,7 @@ def test_make_hopf_refuses_a_broken_counit_law():
     # ε(g) = 2: Δ(g) = g⊗g gives (ε⊗1)Δ(g) = 2g != g
     h = group_hopf(QQ, cyclic(2))
     with pytest.raises(HopfAxiomFails) as err:
-        make_hopf(h.algebra, h.comul, [1, 2], h.antipode)
+        make_hopf(h.algebra, h.comul, [1, 2], column_matrix(QQ, h.antipode, 2))
     assert str(err.value) == "Hopf axiom 'counit' fails: basis g"
 
 
@@ -358,5 +361,5 @@ def test_make_hopf_refuses_a_singular_antipode(monkeypatch):
     h = group_hopf(QQ, cyclic(2))
     monkeypatch.setattr(hopf, "_inverse", lambda field, columns: None)
     with pytest.raises(AntipodeNotInvertible) as err:
-        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
+        make_hopf(h.algebra, h.comul, h.counit, column_matrix(QQ, h.antipode, 2))
     assert str(err.value) == "antipode matrix is singular"

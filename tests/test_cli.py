@@ -146,6 +146,22 @@ def test_suite_overrides_hopf_lift(tmp_path, capsys):
                    for n in names[1])
 
 
+@pytest.mark.parametrize("lift", ["false", "no", 1, 0, None, {"a": 1}, []])
+def test_non_boolean_hopf_lift_exits_two(tmp_path, capsys, lift):
+    # only a JSON boolean adds the hopf suite; anything else, truthy or
+    # not, is refused with its value, whatever --suite says
+    doc = dict(S1_DOC)
+    doc.pop("expect")
+    doc["suites"] = ["lemma1"]
+    doc["hopf_lift"] = lift
+    path = _write(tmp_path, doc)
+    for extra in ([], ["--suite", "grading"]):
+        assert main(["verify", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: hopf_lift must be true or false, got {lift!r}\n"
+
+
 def test_exact_rational_strings(tmp_path):
     doc = {
         "name": "halves",

@@ -34,6 +34,7 @@ from partialskew.skew import build_skew
 from partialskew.smash import build_smash
 
 from corpus_helpers import mapping_rows, z3_restricted_action
+from dense_oracle import matmul
 from test_golden_reports import INLINE
 
 FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
@@ -243,7 +244,7 @@ def test_random_partial_action_smash_matches_retired_loop(perm, bits, field):
     algebra = product_of_fields(field, 4)
     p = Mat(field, [[field.one if i == perm[j] else field.zero for j in range(4)]
                     for i in range(4)])
-    parent = global_action(cyclic(3), algebra, [Mat.identity(field, 4), p, p @ p])
+    parent = global_action(cyclic(3), algebra, [Mat.identity(field, 4), p, matmul(p, p)])
     e = algebra.element(tuple(field.one if b else field.zero for b in bits))
     for alg, args in _smash_tables(restrict_global(parent, e)):
         assert alg.products == _retired_smash_rows(*args)

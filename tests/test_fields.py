@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from partialskew.algebras import direct_product, product_of_fields, tensor_algebra
 from partialskew.errors import FieldMismatch, ParseError
 from partialskew.fields import GF, QQ, _canonical, _is_prime, parse_field
-from partialskew.linalg import Mat
 
 from fp_oracle import unwrap, wrap
 
@@ -119,12 +118,6 @@ def test_field_mix_caught_by_structural_guards():
     # fields
     assert GF(5).one == GF(7).one == QQ.one
     assert GF(5).reduce(3 * GF(5).from_int(2)) == GF(5).from_int(1)
-    q2 = Mat(QQ, [[1, 2], [3, 4]])
-    f2 = Mat(GF(5), [[GF(5).from_int(x) for x in row] for row in [[1, 2], [3, 4]]])
-    with pytest.raises(FieldMismatch):
-        q2 @ f2
-    with pytest.raises(FieldMismatch):
-        f2 @ q2
     kq, kf = product_of_fields(QQ, 1), product_of_fields(GF(5), 1)
     for build in (tensor_algebra, direct_product):
         with pytest.raises(FieldMismatch):

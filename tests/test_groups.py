@@ -26,39 +26,42 @@ def test_symmetric_3_against_brute_force():
     assert s3.labels[s3.identity] == "012"
 
 
+def _abelian(g):
+    return all(g.mul(a, b) == g.mul(b, a) for a in range(g.order) for b in range(g.order))
+
+
 def test_symmetric_3_nonabelian_witness():
     s3 = symmetric(3)
-    witness = [(a, b) for a in s3.elements() for b in s3.elements()
+    witness = [(a, b) for a in range(s3.order) for b in range(s3.order)
                if s3.mul(a, b) != s3.mul(b, a)]
     assert witness, "expected a non-commuting pair"
-    assert not s3.is_abelian()
 
 
 def test_cyclic_inverses():
     c3 = cyclic(3)
     assert cyclic(1).order == 1
     # brute-force inverse scan: non-identity elements pair up
-    for g in c3.elements():
+    for g in range(c3.order):
         if g != c3.identity:
             assert c3.inv(g) != g
-    assert c3.is_abelian()
+    assert _abelian(c3)
 
 
 def test_group_axioms_exhaustive():
     for g in (cyclic(4), symmetric(3), direct_product(cyclic(2), cyclic(3))):
         e = g.identity
-        for a in g.elements():
+        for a in range(g.order):
             assert g.mul(a, e) == a and g.mul(e, a) == a
             assert g.mul(a, g.inv(a)) == e
             assert g.inv(g.inv(a)) == a
-            for b in g.elements():
-                for c in g.elements():
+            for b in range(g.order):
+                for c in range(g.order):
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
 
 def test_direct_product_order():
     g = direct_product(cyclic(2), symmetric(3))
-    assert g.order == 12 and not g.is_abelian()
+    assert g.order == 12 and not _abelian(g)
 
 
 def test_validation_errors():

@@ -19,11 +19,12 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg
                               make_hopf, make_partial_hopf_action,
                               operator_duality_report, partial_smash_report,
                               smash_matches_skew_report)
-from partialskew.linalg import Mat, Subspace, _sparse
+from partialskew.linalg import Mat, Subspace, _dense, _sparse
 from partialskew.skew import build_skew
 
-from corpus_helpers import (action_matrices, global_swap_action, map_matrix, qmat,
-                            qvec, split_action, z3_restricted_action)
+from corpus_helpers import (action_matrices, column_matrix, global_swap_action,
+                            map_matrix, qmat, qvec, split_action, z3_restricted_action)
+from dense_oracle import apply, inverse, matmul
 from fp_oracle import unwrap, wrap
 
 
@@ -67,7 +68,7 @@ def lambda_matrix(h, hvec, fvec):
     for x in range(h.dim):
         fx = hit_left(h, fvec, h.algebra.basis_element(x).coeffs)
         cols.append(h.algebra.mul_vec(hvec, fx))
-    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
+    return Mat(h.algebra.field, list(zip(*cols)))
 
 
 def rho_matrix(h, fvec, hvec):
@@ -76,14 +77,24 @@ def rho_matrix(h, fvec, hvec):
     for x in range(h.dim):
         xf = hit_right(h, h.algebra.basis_element(x).coeffs, fvec)
         cols.append(h.algebra.mul_vec(xf, hvec))
-    return Mat.from_columns(h.algebra.field, cols, rows=h.dim)
+    return Mat(h.algebra.field, list(zip(*cols)))
 
 
 def test_group_hopf_z2():
     h = group_hopf(QQ, cyclic(2))
     assert h.dim == 2
     assert h.comul == (((0, 0, QQ.one),), ((1, 1, QQ.one),))
-    assert h.antipode == Mat.identity(QQ, 2)
+    assert h.antipode == h.antipode_inv == [{0: 1}, {1: 1}]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_antipode_inverse_of_s3_matches_the_dense_oracle(field):
+    # S of k[S₃] sends each g to g⁻¹, and S of its dual is the transpose
+    h = group_hopf(field, symmetric(3))
+    for x in (h, h.dual(), h.dual().dual()):
+        s = column_matrix(field, x.antipode, x.dim)
+        assert x.antipode_inv == inverse(s).sparse_columns()
+    assert h.dual().dual().antipode == h.antipode
 
 
 def test_perturbed_antipode_rejected():
@@ -162,14 +173,14 @@ def test_exchange_identity_example():
     p_x = dual.algebra.basis_element(1).coeffs
     lam = lambda_matrix(h, x, p_e)
     rho = rho_matrix(h, p_x, h.algebra.unit)
-    lhs = lam @ rho
-    assert lhs.is_zero()
-    acc = Mat.zeros(QQ, 2, 2)
+    lhs = matmul(lam, rho)
+    acc = Mat(QQ, [[0, 0], [0, 0]])
+    assert lhs == acc
     rows = [[QQ.zero] * 2 for _ in range(2)]
     for u, w, m in dual.comul[1]:                 # coproduct of p_x
-        s_gu = dual.antipode.column(u)
-        term = (rho_matrix(h, dual.algebra.basis_element(w).coeffs, h.algebra.unit)
-                @ lambda_matrix(h, hit_right(h, x, s_gu), p_e))
+        s_gu = _dense(dual.antipode[u], QQ, 2)
+        term = matmul(rho_matrix(h, dual.algebra.basis_element(w).coeffs, h.algebra.unit),
+                      lambda_matrix(h, hit_right(h, x, s_gu), p_e))
         for r in range(2):
             for s in range(2):
                 rows[r][s] = rows[r][s] + m * term.entries[r][s]
@@ -187,13 +198,13 @@ def _first_exchange_failure(h):
     for a in range(d):
         for b in range(d):
             for c in range(d):
-                lhs = (lambda_matrix(h, basis[a], dual_basis[b])
-                       @ rho_matrix(h, dual_basis[c], unit))
+                lhs = matmul(lambda_matrix(h, basis[a], dual_basis[b]),
+                             rho_matrix(h, dual_basis[c], unit))
                 rhs = [[wrap(field, field.zero)] * d for _ in range(d)]
                 for u, w, m in dual.comul[c]:
-                    twisted = hit_right(h, basis[a], dual.antipode.column(u))
-                    term = (rho_matrix(h, dual_basis[w], unit)
-                            @ lambda_matrix(h, twisted, dual_basis[b]))
+                    twisted = hit_right(h, basis[a], _dense(dual.antipode[u], field, d))
+                    term = matmul(rho_matrix(h, dual_basis[w], unit),
+                                  lambda_matrix(h, twisted, dual_basis[b]))
                     rhs = [[x + wrap(field, m) * y for x, y in zip(row, trow)]
                            for row, trow in zip(rhs, term.entries)]
                 if lhs != Mat(field, [[unwrap(x) for x in row] for row in rhs]):
@@ -211,7 +222,7 @@ def test_exchange_identity_witness_matches_dense_oracle(field, group, first):
     # dense operator products
     h = group_hopf(field, group)
     dual = h.dual()
-    ident = Mat.identity(field, h.dim)
+    ident = [{i: field.one} for i in range(h.dim)]
     h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
     assert _first_exchange_failure(h) == first
     with pytest.raises(InternalCheckFailed) as info:
@@ -323,7 +334,7 @@ def test_on_leg_matches_dense_reference():
                         for y in range(2) for i in range(d)]
                        for x in range(2) for t in range(width)])
     vec = (1, 2, 0, 4, 3, 0, 1, 1)
-    assert _on_leg(field, table, width, _sparse(vec)) == _sparse(kron.apply(vec))
+    assert _on_leg(field, table, width, _sparse(vec)) == _sparse(apply(kron, vec))
 
 
 @pytest.mark.parametrize("counit, witness", [
@@ -333,7 +344,7 @@ def test_on_leg_matches_dense_reference():
 ])
 def test_dual_axioms_names_the_differing_part(counit, witness):
     h = group_hopf(QQ, cyclic(2))
-    swap = qmat([[0, 1], [1, 0]])
+    swap = [{1: 1}, {0: 1}]
     h.dual()._dual = HopfData(h.algebra, h.comul, counit, swap, swap)
     checks, _ = hopf_data_checks(h)
     results = {c.name: c for c in checks}
@@ -668,7 +679,8 @@ def test_operator_duality_names_corner_membership_witness(s1_action):
     pha = lift_group_action(s1_action)
     ps = build_partial_smash(pha)
     amb = ps.ambient
-    whole = PartialSmash(pha, amb, Subspace.full(QQ, amb.dim), ps.unit_vec)
+    everything = Subspace.from_sparse(QQ, amb.dim, [{i: 1} for i in range(amb.dim)])
+    whole = PartialSmash(pha, amb, everything, ps.unit_vec)
     results = {c.name: c for c in operator_duality_report(pha, whole, _corner_maps(pha))}
     member = results["opduality.corner_membership"]
     assert member.status == "fail"

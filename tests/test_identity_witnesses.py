@@ -58,7 +58,8 @@ from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path, load_scenario,
                                    run_scenario)
 
-from corpus_helpers import action_matrices, dense_rows, map_matrix, mapping_rows
+from corpus_helpers import action_matrices, dense_rows, map_columns, mapping_rows
+from dense_oracle import apply
 from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
                            _sparsify)
 from test_golden_reports import INLINE
@@ -226,7 +227,7 @@ def _pairwise_witness(phi, anti=False):
     """First (i, j) where φ(b_i b_j) and φ(b_i)φ(b_j) (φ(b_j)φ(b_i) when
     ``anti``) differ, one sparse product per pair, or None."""
     field = phi.codomain.field
-    cols = [_sparse(col) for col in map_matrix(phi).columns()]
+    cols = [_sparse(col) for col in map_columns(phi)]
     mul = phi.codomain._mul_sparse
     for i, row in enumerate(dense_rows(phi.domain.products)):
         ci = cols[i]
@@ -475,7 +476,7 @@ def test_exchange_identity_on_a_rescaled_basis(field):
     # with an identity antipode on the dual the identity fails; the sparse
     # check names the dense oracle's first triple
     dual = h.dual()
-    ident = Mat.identity(field, h.dim)
+    ident = [{i: field.one} for i in range(h.dim)]
     h._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
     first = _first_exchange_failure(h)
     assert first is not None
@@ -573,7 +574,7 @@ def _composed_exchange_failure(h, ops):
 
     unit = _sparse(h.algebra.unit)
     rho_g = [op_sum([(u, rho[c][i]) for i, u in unit.items()]) for c in range(d)]
-    s_g = [_sparse(dual.antipode.column(u)) for u in range(d)]
+    s_g = dual.antipode
     for a in range(d):
         twisted = [_lincomb(field, ((c, h.right_hits[m][a]) for m, c in s.items()))
                    for s in s_g]
@@ -624,7 +625,7 @@ def test_exchange_identity_matches_composed_oracle(field):
             failing += first is not None
         # an identity antipode on the dual, as in the rescaled-basis test
         dual = h.dual()
-        ident = Mat.identity(field, d)
+        ident = [{i: field.one} for i in range(d)]
         tampered = HopfData(h.algebra, h.comul, h.counit, h.antipode, h.antipode_inv)
         tampered._dual = HopfData(dual.algebra, dual.comul, dual.counit, ident, ident)
         first = _composed_exchange_failure(tampered, ops)
@@ -824,7 +825,7 @@ def test_partial_action_axioms_match_per_tuple_oracle(field):
 # -- the partial-action layer ---------------------------------------------
 #
 # The oracles are the per-tuple loops the accumulators replaced, on the
-# dense maps through ``Mat.apply`` and with ``basis_element`` vectors.
+# dense maps through ``dense_oracle.apply`` and with ``basis_element`` vectors.
 
 def _per_tuple_partial_action(group, algebra, idempotents, maps):
     """``make_partial_action`` as it was: every Zassenhaus meet formed where
@@ -847,7 +848,7 @@ def _per_tuple_partial_action(group, algebra, idempotents, maps):
         for h in range(n):
             source = ideals[group.inv(g)].intersect(ideals[h])
             image = Subspace.from_vectors(algebra.field, d,
-                                          [maps[g].apply(v) for v in source.basis])
+                                          [apply(maps[g], v) for v in source.basis])
             target = ideals[g].intersect(ideals[group.mul(g, h)])
             if image != target:
                 raise AxiomIIFails(group.label(g), group.label(h),
@@ -857,7 +858,7 @@ def _per_tuple_partial_action(group, algebra, idempotents, maps):
             gh = group.mul(g, h)
             domain = ideals[group.inv(h)].intersect(ideals[group.inv(gh)])
             for idx, v in enumerate(domain.basis):
-                if maps[g].apply(maps[h].apply(v)) != maps[gh].apply(v):
+                if apply(maps[g], apply(maps[h], v)) != apply(maps[gh], v):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
 
@@ -866,12 +867,12 @@ def _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
     source, target = ideals[ginv], ideals[g]
     comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
     for i in range(algebra.dim):
-        if any(maps[g].apply(algebra.mul_vec(comp, algebra.basis_element(i).coeffs))):
+        if any(apply(maps[g], algebra.mul_vec(comp, algebra.basis_element(i).coeffs))):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    images = [maps[g].apply(v) for v in source.basis]
+    images = [apply(maps[g], v) for v in source.basis]
     image_span = Subspace.from_vectors(algebra.field, algebra.dim, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(
@@ -879,10 +880,10 @@ def _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
             f"image of source ideal has dim {image_span.dim}, "
             f"target ideal has dim {target.dim} (source dim {source.dim})")
     for u in source.basis:
-        gu = maps[g].apply(u)
+        gu = apply(maps[g], u)
         for v in source.basis:
-            lhs = maps[g].apply(algebra.mul_vec(u, v))
-            if lhs != algebra.mul_vec(gu, maps[g].apply(v)):
+            lhs = apply(maps[g], algebra.mul_vec(u, v))
+            if lhs != algebra.mul_vec(gu, apply(maps[g], v)):
                 raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
 
@@ -895,7 +896,7 @@ def _per_tuple_dot_identities(pa):
     maps = action_matrices(pa)
 
     def dot(g, v):
-        return maps[g].apply(v)
+        return apply(maps[g], v)
 
     def basis(i):
         return alg.basis_element(i).coeffs

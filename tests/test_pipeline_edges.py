@@ -17,6 +17,8 @@ from partialskew.linalg import Mat
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 
+from dense_oracle import matmul
+
 
 @pytest.fixture(scope="module")
 def z4_degenerate_action():
@@ -25,7 +27,8 @@ def z4_degenerate_action():
     algebra = product_of_fields(QQ, 4)
     shift = Mat(QQ, [[QQ.one if i == ((j + 1) % 4) else QQ.zero
                       for j in range(4)] for i in range(4)])
-    mats = [Mat.identity(QQ, 4), shift, shift @ shift, shift @ shift @ shift]
+    square = matmul(shift, shift)
+    mats = [Mat.identity(QQ, 4), shift, square, matmul(shift, square)]
     parent = global_action(cyclic(4), algebra, mats)
     e = algebra.element((QQ.one, QQ.one, QQ.zero, QQ.zero))
     return restrict_global(parent, e)

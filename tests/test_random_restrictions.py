@@ -20,6 +20,7 @@ from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 
 from corpus_helpers import dense_restriction
+from dense_oracle import matmul
 
 
 def _perm_order(perm):
@@ -54,7 +55,7 @@ def test_random_restriction_duality(perm, bits, field):
     p = _perm_matrix(field, perm)
     mats = [Mat.identity(field, 4)]
     for _ in range(order - 1):
-        mats.append(p @ mats[-1])
+        mats.append(matmul(p, mats[-1]))
     parent = global_action(cyclic(order), algebra, mats)
     e = algebra.element(tuple(field.one if b else field.zero for b in bits))
     pa = restrict_global(parent, e)

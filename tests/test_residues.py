@@ -17,7 +17,7 @@ import pytest
 from partialskew.algebras import (AlgebraMap, StructureAlgebra, _lincomb,
                                   make_algebra, product_of_fields)
 from partialskew.fields import GF, QQ
-from partialskew.linalg import Mat, Subspace, kernel_basis, rref, vadd, vscale, vsub
+from partialskew.linalg import Mat, Subspace, vadd, vscale, vsub
 
 from corpus_helpers import mapping_rows
 from fp_oracle import unwrap, wrap
@@ -33,9 +33,9 @@ def representatives(p):
 
 @st.composite
 def instances(draw):
-    """(field, table, x, y, c, mat): a random sparse table of nonzero
-    residues on d basis vectors, two coefficient vectors and a scalar of
-    arbitrary representatives, and a d×d matrix of them."""
+    """(field, table, x, y, c): a random sparse table of nonzero residues
+    on d basis vectors, and two coefficient vectors and a scalar of
+    arbitrary representatives."""
     p = draw(st.sampled_from(PRIMES))
     d = draw(st.integers(1, 4))
     residue = st.integers(1, p - 1)
@@ -45,8 +45,7 @@ def instances(draw):
 
     table = [[tuple(sorted(cell().items())) for _ in range(d)] for _ in range(d)]
     vec = st.lists(representatives(p), min_size=d, max_size=d)
-    mat = draw(st.lists(vec, min_size=d, max_size=d))
-    return GF(p), table, draw(vec), draw(vec), draw(representatives(p)), mat
+    return GF(p), table, draw(vec), draw(vec), draw(representatives(p))
 
 
 def _residues(xs, p):
@@ -71,7 +70,7 @@ def _sparse(vec):
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_product_kernels_match_wrapper_route(inst):
-    field, table, x, y, _, _ = inst
+    field, table, x, y, _ = inst
     p = field.p
     alg = StructureAlgebra(field, mapping_rows(table), None)
     want = _oracle_mul(field, table, x, y)
@@ -85,7 +84,7 @@ def test_product_kernels_match_wrapper_route(inst):
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_linear_kernels_match_wrapper_route(inst):
-    field, _, x, y, c, m = inst
+    field, _, x, y, c = inst
     p = field.p
     wx, wy, wc = ([wrap(field, v) for v in x], [wrap(field, v) for v in y],
                   wrap(field, c))
@@ -100,34 +99,22 @@ def test_linear_kernels_match_wrapper_route(inst):
     assert comb == _sparse(unwrap(v) for v in want)
     assert _residues(comb.values(), p)
 
-    mat = Mat(field, m)
-    wm = [[wrap(field, v) for v in row] for row in m]
-    got = mat.apply(x)
-    want = [sum((a * b for a, b in zip(row, wx)), wrap(field, 0)) for row in wm]
-    assert got == tuple(unwrap(v) for v in want) and _residues(got, p)
-
-    prod = mat @ Mat(field, [y] * len(m))
-    want = [[sum((row[k] * wy[j] for k in range(len(m))), wrap(field, 0))
-             for j in range(len(y))] for row in wm]
-    assert prod.entries == tuple(tuple(unwrap(v) for v in row) for row in want)
-    assert all(_residues(row, p) for row in prod.entries)
-
 
 # -- scalars from the Python API -------------------------------------------
-# ``Mat``, ``Subspace.from_vectors``, ``rref`` and algebra elements take any
+# ``Mat``, ``Subspace.from_vectors`` and algebra elements take any
 # int representative over F_p and reduce it on the way in, and an int or a
 # Fraction over Q; anything else is refused, naming the scalar.
 
 def test_kernel_of_a_non_canonical_matrix():
     # 5 is 0 in F_5, so the one equation is x_1 = 0
-    assert kernel_basis(Mat(GF(5), [[5, 1]])).basis == ((1, 0),)
+    assert Subspace.kernel_from_sparse(GF(5), 2, [{0: 5, 1: 1}]).basis == ((1, 0),)
 
 
 def test_matrices_compare_as_residues():
     assert Mat(GF(5), [[7]]) == Mat(GF(5), [[2]])
     assert Mat(GF(5), [[-3, 10]]).entries == ((2, 0),)
     assert Subspace.from_vectors(GF(5), 2, [(5, 6)]).basis == ((0, 1),)
-    assert rref([[10, 3], [-1, 0]], GF(5)) == ([(1, 0), (0, 1)], [0, 1])
+    assert Subspace.from_vectors(GF(5), 2, [(10, 3), (-1, 0)]).basis == ((1, 0), (0, 1))
 
 
 def test_element_scalar_products_are_residues():
@@ -144,7 +131,6 @@ def test_element_scalar_products_are_residues():
 API_BUILDS = [
     lambda f, x: Mat(f, [[1, x]]),
     lambda f, x: Subspace.from_vectors(f, 2, [(1, x)]),
-    lambda f, x: rref([[1, x]], f),
     lambda f, x: product_of_fields(f, 2).element([1, x]),
     lambda f, x: x * product_of_fields(f, 2).one(),
     lambda f, x: AlgebraMap(product_of_fields(f, 2), product_of_fields(f, 2),

@@ -19,6 +19,7 @@ from partialskew.scenarios import fixture_path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 S3_SEPARABILITY = ROOT / "perfbench" / "scenarios" / "s3_separability.json"
+S3_SPLIT = ROOT / "perfbench" / "scenarios" / "s3_split.json"
 
 HOPF_NAMES = ("HopfData", "PartialHopfAction", "build_corner_maps",
               "build_partial_smash", "build_representations", "group_hopf",
@@ -67,6 +68,16 @@ def test_a_separability_run_over_fp_loads_no_duality_hopf_or_fractions():
         "assert parse_structured(emit_report(r, 'structured')) == r.canonical()\n"
         "assert r.passed() and r.named('separability.centralizes')",
         HEAVY + ON_USE) == []
+
+
+def test_a_hopf_run_over_fp_loads_no_fractions_or_decimal():
+    # make_hopf inverts the antipode of k[S₃] and of its dual by residue
+    # arithmetic alone: no division goes through ``Fraction``
+    assert _loaded_after(
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({str(S3_SPLIT)!r}, suites=['hopf'], field_override='fp:5')\n"
+        "assert r.passed() and r.named('hopf.axioms').measured['antipode_rank'] == 6",
+        ("fractions", "decimal")) == []
 
 
 def test_a_run_without_the_hopf_suite_loads_no_hopf_layer():
@@ -135,14 +146,14 @@ def test_rationals_work_before_fractions_is_imported():
         "print(json.dumps([before, str(x), type(x).__name__]))"
     ) == [False, "-3/2", "Fraction"]
     # an elimination over Q as the first rational made: the pivot row of
-    # [2, 1] is divided by 2
+    # the span of (2, 1) is divided by 2
     assert _fresh(
         "from partialskew.fields import QQ\n"
-        "from partialskew.linalg import rref\n"
+        "from partialskew.linalg import Subspace\n"
         "before = 'fractions' in sys.modules\n"
-        "rows, pivots = rref([[2, 1]], QQ)\n"
-        "print(json.dumps([before, pivots,\n"
-        "                  [[type(v).__name__, str(v)] for v in rows[0]]]))"
+        "span = Subspace.from_vectors(QQ, 2, [(2, 1)])\n"
+        "print(json.dumps([before, span.pivots,\n"
+        "                  [[type(v).__name__, str(v)] for v in span.basis[0]]]))"
     ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
     # an inexact scalar over Q is refused without loading ``fractions``
     assert _fresh(

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is read in that module, and
-every private helper, module-level or a method of a class, is read
-somewhere in the package.
+"""Every name a module of the package imports is read in that module, every
+private helper, module-level or a method of a class, is read somewhere in
+the package, and so is every public function or method outside one pinned
+list of kept API.
 
 No linter is part of the toolchain, so these ``ast`` passes stand in for the
 unused-import and dead-code rules.  ``__init__`` is exempt from the first:
@@ -45,18 +46,20 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_helpers(sources):
-    """The ``_private`` functions and classes defined at module level in
-    ``sources``, and the ``_private`` methods of their classes, that no
-    source reads, by name or as an attribute.  A method read only by the
-    tests is dead too: the tests are not among the sources."""
+def _defined_and_read(sources):
+    """What ``sources`` define and read: the functions and classes defined
+    at module level and the methods of those classes, as {qualified name:
+    name} with ``Class.name`` for a method, each with whether it is a
+    function; and the names the sources read, by name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
-    modules = [tree.body for tree in trees]
-    classes = [node.body for body in modules for node in body
-               if isinstance(node, ast.ClassDef)]
-    defined = {node.name for body in modules + classes for node in body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")}
+    defined = {}
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = (node.name, isinstance(node, ast.FunctionDef))
+        if isinstance(node, ast.ClassDef):
+            defined.update({f"{node.name}.{m.name}": (m.name, isinstance(m, ast.FunctionDef))
+                            for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.ClassDef))})
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -64,7 +67,28 @@ def dead_helpers(sources):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(defined - read)
+    return defined, read
+
+
+def dead_helpers(sources):
+    """The ``_private`` functions and classes defined at module level in
+    ``sources``, and the ``_private`` methods of their classes, that no
+    source reads, by name or as an attribute.  A method read only by the
+    tests is dead too: the tests are not among the sources."""
+    defined, read = _defined_and_read(sources)
+    return sorted({name for name, _ in defined.values()
+                   if name.startswith("_") and not name.startswith("__")} - read)
+
+
+def dead_public_members(sources):
+    """The public functions defined at module level in ``sources``, and the
+    public methods of their classes, that no source reads, by name or as an
+    attribute, as ``name`` or ``Class.name``.  The check goes by name, so a
+    member whose name the sources read elsewhere (``Mat.identity`` beside
+    ``FiniteGroup.identity``) is never reported."""
+    defined, read = _defined_and_read(sources)
+    return sorted(qualified for qualified, (name, function) in defined.items()
+                  if function and not name.startswith("_") and name not in read)
 
 
 def test_detects_dead_helpers():
@@ -84,6 +108,42 @@ def test_detects_dead_helpers():
     assert dead_helpers([first, second]) == ["_Dead", "_dead", "_dead_method"]
 
 
-def test_no_dead_helpers():
+def _package_sources():
     paths = Path(partialskew.__file__).parent.glob("*.py")
-    assert dead_helpers([p.read_text(encoding="utf-8") for p in sorted(paths)]) == []
+    return [p.read_text(encoding="utf-8") for p in sorted(paths)]
+
+
+def test_no_dead_helpers():
+    assert dead_helpers(_package_sources()) == []
+
+
+def test_detects_dead_public_members():
+    first = ("def used():\n    pass\n\n"
+             "def dead():\n    pass\n\n"
+             "def _private():\n    return used\n\n"
+             "class Public:\n"
+             "    def __init__(self):\n        self.method()\n\n"
+             "    def method(self):\n        pass\n\n"
+             "    def dead_method(self):\n        pass\n\n"
+             "    def read_elsewhere(self):\n        pass\n")
+    second = "from . import first\nfirst.Public().read_elsewhere()\n"
+    assert dead_public_members([first, second]) == ["Public.dead_method", "dead"]
+
+
+# The public members that no module of the package reads, kept as its API
+# for callers and the tests.  A helper that loses its last reader in the
+# package fails the test below until it is deleted or listed here.
+KEPT_API = [
+    "AlgebraMap.apply",
+    "PartialAction.dot",
+    "Report.canonical",
+    "Report.named",
+    "StructureAlgebra.basis_element",
+    "Subspace.from_vectors",
+    "make_partial_hopf_action",
+    "parse_structured",
+]
+
+
+def test_no_dead_public_members():
+    assert dead_public_members(_package_sources()) == KEPT_API
