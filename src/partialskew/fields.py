@@ -32,7 +32,7 @@ of elimination.  A kernel that branches on ``characteristic`` (0 or p)
 skips the normalisers over the rationals.
 
 Scalars that enter from the Python API (the entries of a ``Mat``, a spanning
-set, an ``rref`` input, an algebra element or its scalar factor) go through
+set, an algebra element or its scalar factor) go through
 a fourth normaliser, ``scalars(xs)``, which returns a tuple and refuses any
 scalar that is not exact in the field with a ``ValueError`` naming it: over
 the rationals anything but an ``int`` or a ``Fraction`` (a ``float``, a
@@ -40,7 +40,8 @@ the rationals anything but an ``int`` or a ``Fraction`` (a ``float``, a
 (a ``Fraction`` too), reduced.
 
 Residues carry no modulus, so mixing fields is caught by the structures
-(``Mat``, tensor and direct products compare their fields), not by scalars.
+(an action or antipode ``Mat`` must be over its algebra's field, and tensor
+and direct products compare their fields), not by scalars.
 """
 
 from __future__ import annotations
