@@ -314,6 +314,33 @@ def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _matrix_doc(kind, matrix):
+    """The trivial group on field^2 with one action matrix, handed in as an
+    ``explicit.beta`` or a ``restrict_global.automorphisms`` entry."""
+    if kind == "explicit":
+        action = {"explicit": {"idempotents": [[1, 1]], "beta": [matrix]}}
+    else:
+        action = {"restrict_global": {"automorphisms": [matrix], "idempotent": [1, 1]}}
+    return {"name": "bad-matrix", "group": {"cyclic": 1},
+            "algebra": {"product_of_fields": 2}, "action": action, "suites": ["lemma1"]}
+
+
+@pytest.mark.parametrize("kind", ["explicit", "restrict_global"])
+@pytest.mark.parametrize("matrix, message", [
+    ([], "expected a non-empty matrix"),
+    (5, "expected a non-empty matrix"),
+    ([[1, 0], [0]], "matrix rows have unequal lengths"),
+    ([[1]], "matrix is 1x1, expected 2x2"),
+    ([[1, 0, 0], [0, 1, 0]], "matrix is 2x3, expected 2x2"),
+    ([[1, 0], 7], "expected a vector, got int"),
+])
+def test_malformed_action_matrix_exits_two(tmp_path, capsys, kind, matrix, message):
+    assert main(["verify", _write(tmp_path, _matrix_doc(kind, matrix))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name", [["x"], 7, None, {"a": 1}])
 def test_non_string_name_exits_two(tmp_path, capsys, name):
     # the name heads every report, so it is refused before any suite runs
