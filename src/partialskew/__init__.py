@@ -10,14 +10,14 @@ the partial-Hopf analogue.
 
 from .actions import (PartialAction, dot_identities_report, global_action,
                       make_partial_action, restrict_global, trivial_from_split)
-from .algebras import (AlgebraElement, AlgebraMap, StructureAlgebra,
+from .algebras import (AlgebraMap, StructureAlgebra,
                        center_basis, direct_product, dual_group_algebra,
                        field_algebra, group_algebra, ideal_basis,
                        is_central_idempotent, make_algebra, matrix_algebra,
                        product_of_fields, tensor_algebra)
 from .fields import GF, QQ, parse_field
 from .groups import FiniteGroup, cyclic, make_group, symmetric
-from .linalg import Mat, Subspace
+from .linalg import Subspace
 from .report import CheckResult, Report, emit_report, parse_structured
 from .scenarios import run_scenario
 from .skew import SkewGroupRing, build_skew, grading_report, strong_grading_test

@@ -14,26 +14,27 @@ group and the basis:
 
 An action is stored once, as the sparse columns ``columns[g][j] =
 {row: scalar}`` = α_g(b_j): g·a, the axioms, the Lemma 1 identities, the
-kernel of α_g and the Hopf lift read them.  Dense ``Mat``s enter only
-through ``make_partial_action``; the builders below make columns.  Each 1_g
-is proved central once, by ``ideal_basis`` building D_g.  Axioms II and III
-read one table of meets D_a ∩ D_b, one Zassenhaus elimination per unordered
-pair (a canonical echelon basis is symmetric).  Multiplicativity on the source
-ideal and the Lemma 1 identities sum lhs − rhs in one accumulator per outer
-index, keyed inner·d + t: per source basis vector u, per (g, i)
-(``multiplicative``, ``pull_through``), per (g, h) (``composition``), per g
-(``round_trip``).  Each is reduced once; its failing inner indices, in
-order, are the failing tuples of a per-tuple loop, so the witnesses are
-unchanged.
+kernel of α_g and the Hopf lift read them, and each idempotent 1_g is a
+sparse vector ``{index: scalar}``.  ``make_partial_action`` reads both
+through the column check of :mod:`algebras`; the builders below make them
+in that form.  Each 1_g is proved central once, by ``ideal_basis``
+building D_g.  Axioms II and III read one table of meets D_a ∩ D_b, one
+Zassenhaus elimination per unordered pair (a canonical echelon basis is
+symmetric).  Multiplicativity on the source ideal and the Lemma 1
+identities sum lhs − rhs in one accumulator per outer index, keyed
+inner·d + t: per source basis vector u, per (g, i) (``multiplicative``,
+``pull_through``), per (g, h) (``composition``), per g (``round_trip``).
+Each is reduced once; its failing inner indices, in order, are the failing
+tuples of a per-tuple loop, so the witnesses are unchanged.
 """
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _add, _apply_columns, direct_product,
-                       ideal_basis, subalgebra)
-from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails, FieldMismatch,
+from .algebras import (AlgebraMap, _add, _lincomb, _sparse_columns,
+                       _sparse_vector, direct_product, ideal_basis, subalgebra)
+from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
-from .linalg import Mat, Subspace, _dense, _sparse, vsub
+from .linalg import Subspace
 from .report import check
 
 
@@ -54,18 +55,9 @@ class PartialAction:
     def __init__(self, group, algebra, idempotents, columns, ideals):
         self.group = group
         self.algebra = algebra
-        self.idempotents = tuple(idempotents)   # coefficient tuples, one per g
+        self.idempotents = tuple(idempotents)   # 1_g as {index: scalar}, one per g
         self.columns = tuple(columns)           # α_g(b_j) as {row: scalar}
         self.ideals = tuple(ideals)             # D_g as canonical subspaces
-
-    def dot(self, g, a):
-        """The evaluation g·a of an algebra element a (image under the g-map)."""
-        return self.algebra.element(self.dot_vec(g, a.coeffs))
-
-    def dot_vec(self, g, coeffs):
-        """g·a on the coefficient tuple of a."""
-        alg = self.algebra
-        return _apply_columns(alg.field, self.columns[g], coeffs, alg.dim)
 
     def is_global(self):
         return all(e == self.algebra.unit for e in self.idempotents)
@@ -73,43 +65,40 @@ class PartialAction:
     def complement_ideal(self, g):
         """The ideal A·(1 - 1_g)."""
         alg = self.algebra
-        comp = _sparse(vsub(alg.field, alg.unit, self.idempotents[g]))
+        comp = _complement(alg, self.idempotents[g])
         return Subspace.from_sparse(
             alg.field, alg.dim, [alg._mul_acc(comp, {i: 1}) for i in range(alg.dim)])
 
 
-def _matrix_columns(field, d, mats):
-    """The sparse columns of each action matrix: ValidationError unless it
-    is a d×d ``Mat``, FieldMismatch unless it is over ``field``."""
-    for m in mats:
-        if not isinstance(m, Mat) or m.rows != d or m.cols != d:
-            raise ValidationError("action matrices must be square of the algebra dimension")
-        if m.field != field:
-            raise FieldMismatch(m.field, field)
-    return [m.sparse_columns() for m in mats]
+def _complement(algebra, e):
+    """1 - e, sparse."""
+    return _lincomb(algebra.field, ((1, algebra.unit), (-1, e)))
 
 
 def make_partial_action(group, algebra, idempotents, maps):
-    """Validate the data of a partial action; raises named axiom failures."""
+    """Validate the data of a partial action; raises named axiom failures.
+
+    ``idempotents[g]`` is 1_g as a sparse vector ``{index: scalar}`` and
+    ``maps[g]`` is α_g as its sparse columns, ``maps[g][j]`` = α_g(b_j) as
+    ``{row: scalar}``; both are read in the algebra's field (ValueError for
+    a malformed one, see ``algebras._sparse_columns``)."""
     n, d, field = group.order, algebra.dim, algebra.field
-    idempotents = [field.scalars(e) for e in idempotents]
-    maps = list(maps)
+    idempotents, maps = list(idempotents), list(maps)
     if len(idempotents) != n or len(maps) != n:
         raise ValidationError("need one idempotent and one map per group element")
-    for e in idempotents:
-        if len(e) != d:
-            raise ValidationError("idempotent coefficient vector has wrong length")
-    return _checked_action(group, algebra, idempotents, _matrix_columns(field, d, maps))
+    return _checked_action(group, algebra,
+                           [_sparse_vector(algebra, e, "idempotent") for e in idempotents],
+                           [_sparse_columns(field, cols, d, d) for cols in maps])
 
 
 def _checked_action(group, algebra, idempotents, columns):
-    """The partial action with canonical idempotents and sparse columns
+    """The partial action with canonical sparse idempotents and columns
     ``columns[g][j]`` = α_g(b_j), once every axiom holds."""
     n, d, field = group.order, algebra.dim, algebra.field
     ideals = []
     for g in range(n):
         try:
-            ideals.append(ideal_basis(algebra, algebra.element(idempotents[g])))
+            ideals.append(ideal_basis(algebra, idempotents[g]))
         except NotCentralIdempotent:
             raise NotCentralIdempotent(
                 f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}") from None
@@ -152,7 +141,7 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
     sparse, mul = field.sparse, algebra._mul_acc
     ginv = group.inv(g)
     source, target = ideals[ginv], ideals[g]
-    comp = _sparse(vsub(field, algebra.unit, idempotents[ginv]))
+    comp = _complement(algebra, idempotents[ginv])
     for i in range(d):
         if sparse(_image(cols, mul(comp, {i: 1}).items())):
             raise NotIsoOnIdeal(
@@ -190,7 +179,7 @@ def dot_identities_report(pa):
     d, n = alg.dim, grp.order
     sparse, mul = alg.field.sparse, alg._mul_acc
     by_row, labels, cols = alg.nonempty_cells[0], alg.labels, pa.columns
-    right = [[mul({r: 1}, _sparse(e)) for r in range(d)] for e in pa.idempotents]  # b_r·1_g
+    right = [[mul({r: 1}, e) for r in range(d)] for e in pa.idempotents]  # b_r·1_g
     results = []
 
     bad = []
@@ -235,7 +224,7 @@ def dot_identities_report(pa):
                          bad[:3]))
 
     bad = [grp.label(g) for g in range(n)
-           if pa.dot_vec(g, alg.unit) != pa.idempotents[g]]
+           if sparse(_image(cols[g], alg.unit.items())) != pa.idempotents[g]]
     results.append(check("lemma1.unit_image", not bad, {"elements": n}, bad))
 
     bad = []
@@ -272,10 +261,11 @@ def dot_identities_report(pa):
 
 # -- builders ------------------------------------------------------------
 
-def global_action(group, algebra, automorphism_mats):
-    """A global action: every idempotent is the unit, every map an automorphism."""
+def global_action(group, algebra, automorphisms):
+    """A global action: every idempotent is the unit, every map an
+    automorphism, given by its sparse columns."""
     idempotents = [algebra.unit] * group.order
-    return make_partial_action(group, algebra, idempotents, list(automorphism_mats))
+    return make_partial_action(group, algebra, idempotents, automorphisms)
 
 
 def trivial_from_split(left, right, group):
@@ -285,7 +275,7 @@ def trivial_from_split(left, right, group):
     one = prod.field.one
     ident = [{j: one} for j in range(prod.dim)]
     proj = ident[:left.dim] + [{} for _ in range(right.dim)]
-    left_unit = left.unit + (prod.field.zero,) * right.dim
+    left_unit = left.unit     # the left factor comes first in the product
     e = group.identity
     return _checked_action(
         group, prod, [prod.unit if g == e else left_unit for g in range(group.order)],
@@ -295,22 +285,23 @@ def trivial_from_split(left, right, group):
 def restrict_global(pa, e):
     """Restrict a global action on B to the unital ideal A = B·e.
 
-    e must be a central idempotent of the acted-on algebra; the restricted
-    idempotents are e·σ_g(e) and the restricted maps are
-    (multiply by e) ∘ σ_g, re-expressed on the ideal's own basis.
+    e, a sparse vector, must be a central idempotent of the acted-on
+    algebra; the restricted idempotents are e·σ_g(e) and the restricted
+    maps are (multiply by e) ∘ σ_g, re-expressed on the ideal's own basis.
     """
     if not pa.is_global():
         raise ValidationError("restriction expects a global action")
     parent = pa.algebra
-    span = ideal_basis(parent, e)     # raises NotCentralIdempotent
-    sub, _ = subalgebra(parent, span, e.coeffs)
-    field, x = parent.field, _sparse(e.coeffs)
+    x = _sparse_vector(parent, e, "idempotent")
+    span = ideal_basis(parent, x)     # raises NotCentralIdempotent
+    sub, _ = subalgebra(parent, span, x)
+    field = parent.field
 
     def restricted(cols, v):
         # the coordinates of e·σ_g(v) on the ideal's basis: e is central, so
         # e·y lies in B·e for every y
         return span.sparse_coordinates(field.sparse(parent._mul_acc(x, _image(cols, v.items()))))
 
-    idempotents = [_dense(restricted(cols, x), field, sub.dim) for cols in pa.columns]
+    idempotents = [restricted(cols, x) for cols in pa.columns]
     columns = [[restricted(cols, v) for v in span._rows.values()] for cols in pa.columns]
     return _checked_action(pa.group, sub, idempotents, columns)

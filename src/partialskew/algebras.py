@@ -28,14 +28,16 @@ column (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that
 index in its shape pass, so the check allocates nothing per pair, and
 ``center_basis`` and ``smash_algebra`` reuse it.
 
-Scalars follow :mod:`fields`: the products kernels (``_mul_sparse``,
-``_lincomb``) accept any ``int`` representative over F_p and return
-canonical scalars, reducing once per output coefficient; a product by a
-basis vector b_i is ``_mul_sparse`` with the factor ``{i: 1}``.  The dense
-``mul_vec`` and ``AlgebraMap.apply_vec`` are adapters over these kernels.
-An element's coefficients, the scalar factor of an element and the
-columns of an ``AlgebraMap`` go through the field's ``scalars``, so over
-F_p they are reduced and anything but an ``int`` is refused.
+An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
+the unit is one, in index order.  Scalars follow :mod:`fields`: the
+products kernels (``_mul_sparse``, ``_lincomb``) accept any ``int``
+representative over F_p and return canonical scalars, reducing once per
+output coefficient; a product by a basis vector b_i is ``_mul_sparse`` with
+the factor ``{i: 1}``.  A vector or a list of columns handed in through the
+API (an ``AlgebraMap``, an idempotent, an action, an antipode) is read by
+one check, ``_sparse_columns``: one column per basis vector, each row an
+``int`` in range and each scalar through the field's ``scalars``, so over
+F_p it is reduced and anything but an ``int`` is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
                      NotAssociative, NotCentralIdempotent, UnitFails,
                      ValidationError)
 from .fields import _rational_types
-from .linalg import Subspace, _dense, _sparse, _transpose, vadd, vscale, vsub
+from .linalg import Subspace, _transpose
 
 
 class StructureAlgebra:
@@ -67,7 +69,7 @@ class StructureAlgebra:
         self.field = field
         self.dim = len(products)
         self.products = tuple(products)
-        self.unit = None if unit is None else tuple(unit)
+        self.unit = unit   # {index: scalar} in index order, or None
         if labels is None:
             labels = [f"b{i}" for i in range(self.dim)]
         self.labels = tuple(labels)
@@ -84,29 +86,6 @@ class StructureAlgebra:
             for j, cell in row:
                 by_col[j].append((i, cell))
         return by_row, by_col
-
-    # -- elements -------------------------------------------------------
-
-    def element(self, coeffs):
-        coeffs = self.field.scalars(coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        return AlgebraElement(self, coeffs)
-
-    def basis_element(self, i):
-        z = self.field.zero
-        return AlgebraElement(self, tuple(self.field.one if j == i else z
-                                          for j in range(self.dim)))
-
-    def one(self):
-        if self.unit is None:
-            raise ValueError("algebra has no unit")
-        return AlgebraElement(self, self.unit)
-
-    # -- multiplication on coefficient tuples -----------------------------
-
-    def mul_vec(self, x, y):
-        return _dense(self._mul_acc(_sparse(x), _sparse(y)), self.field, self.dim)
 
     def _mul_sparse(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
@@ -128,8 +107,9 @@ class StructureAlgebra:
                         acc[k] = get(k, 0) + c * v
         return acc
 
-    def format_vec(self, coeffs):
-        parts = [f"({c})*{self.labels[i]}" for i, c in enumerate(coeffs) if c]
+    def format_vec(self, x):
+        """A sparse vector as text, its terms in index order."""
+        parts = [f"({c})*{self.labels[i]}" for i, c in sorted(x.items()) if c]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -150,9 +130,9 @@ def _legs(x, dr):
     return legs
 
 
-def _outer(field, u, v):
-    """Flattened outer product u⊗v, with index i·len(v) + j."""
-    return field.vector(a * b for a in u for b in v)
+def _pure_tensor(field, u, v, dr):
+    """The sparse vector u⊗v of a tensor product, index i·dr + j."""
+    return field.sparse({i * dr + j: a * b for i, a in u.items() for j, b in v.items()})
 
 
 def _lincomb(field, terms):
@@ -175,64 +155,31 @@ def _add(acc, base, c, terms):
         acc[key] = get(key, 0) + c * v
 
 
-def _apply_columns(field, columns, coeffs, dim):
-    """The dense vector Σ x·columns[k], of length ``dim``, over the nonzero
-    coefficients x of ``coeffs``; ValueError unless there is one per column."""
-    if len(coeffs) != len(columns):
-        raise ValueError(f"vector of length {len(coeffs)} in dimension {len(columns)}")
-    return _dense(_lincomb(field, ((x, col) for x, col in zip(coeffs, columns) if x)),
-                  field, dim)
+def _sparse_columns(field, columns, count, rows, what="map column"):
+    """``columns`` read in ``field`` as canonical ``{row: scalar}`` dicts
+    without zeros; ValueError unless there are ``count`` of them, each a
+    mapping, each row an ``int`` in 0..rows-1 and each scalar exact (see
+    ``fields.scalars``)."""
+    scalars = field.scalars
+    columns = [{t: x for t, x in zip(_mapping(col, what), scalars(col.values())) if x}
+               for col in columns]
+    if len(columns) != count:
+        raise ValueError(f"map has {len(columns)} columns, domain dimension is {count}")
+    if not all(type(t) is int and 0 <= t < rows for col in columns for t in col):
+        raise ValueError(f"{what} has an index outside 0..{rows - 1}")
+    return columns
 
 
-class AlgebraElement:
-    __slots__ = ("algebra", "coeffs")
+def _mapping(x, what):
+    """x, once it is a mapping ``{index: scalar}``; ValueError otherwise."""
+    if not isinstance(x, Mapping):
+        raise ValueError(f"{what} must be a dict {{index: scalar}}, not {type(x).__name__}")
+    return x
 
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = tuple(coeffs)
 
-    def _same(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
-            raise AlgebraMismatch()
-
-    def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, vadd(self.algebra.field, self.coeffs,
-                                                 other.coeffs))
-
-    def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, vsub(self.algebra.field, self.coeffs,
-                                                 other.coeffs))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, vscale(self.algebra.field, -1, self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._same(other)
-            return AlgebraElement(self.algebra,
-                                  self.algebra.mul_vec(self.coeffs, other.coeffs))
-        return self.__rmul__(other)
-
-    def __rmul__(self, other):
-        field = self.algebra.field
-        (c,) = field.scalars((other,))
-        return AlgebraElement(self.algebra, vscale(field, c, self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return self.algebra.format_vec(self.coeffs)
+def _sparse_vector(algebra, x, what):
+    """A sparse vector of ``algebra`` read by ``_sparse_columns``."""
+    return _sparse_columns(algebra.field, [x], 1, algebra.dim, what)[0]
 
 
 def _associativity_witness(alg):
@@ -284,15 +231,16 @@ def _associativity_witness(alg):
 
 def _canonical_cells(field, products, unit, d):
     """The shape pass of ``make_algebra``, one walk over the given cells:
-    the rows in the form of ``StructureAlgebra.products``, and the
-    (by_row, by_col) index of ``StructureAlgebra.nonempty_cells``;
-    ValueError for a malformed table.
+    the rows in the form of ``StructureAlgebra.products``, the
+    (by_row, by_col) index of ``StructureAlgebra.nonempty_cells`` and the
+    unit in index order without zeros; ValueError for a malformed table.
 
     A row is a dict ``{j: cell}`` or a sequence of d cells.  Every j must be
     an ``int`` in range; every cell has indices in range, no zero and no
     repeated index, and its scalars are exact: over F_p residues in [0, p),
     over ℚ an ``int`` or a ``Fraction``.  An empty cell is dropped, each
-    cell is sorted by index and each row by j."""
+    cell is sorted by index and each row by j.  The unit, a sparse vector
+    or None, has its indices in range and exact scalars too."""
     p = field.characteristic
     exact = {int} if p else _rational_types()
     bad = None   # the first scalar that is not exact, raised last
@@ -336,24 +284,27 @@ def _canonical_cells(field, products, unit, d):
         for j, cell in cells.items():
             by_col[j].append((i, cell))
         rows.append(cells)
-    if unit is not None and len(unit) != d:
-        raise ValueError("unit vector has wrong length")
-    if bad is None:
-        bad = next((x for x in unit or () if type(x) not in exact or p and not 0 <= x < p),
-                   None)
+    if unit is not None:
+        if not all(type(k) is int and 0 <= k < d for k in _mapping(unit, "unit")):
+            raise ValueError(f"unit has an index outside 0..{d - 1}")
+        if bad is None:
+            bad = next((x for x in unit.values()
+                        if type(x) not in exact or p and not 0 <= x < p), None)
+        unit = dict(sorted((k, x) for k, x in unit.items() if x))
     if bad is not None:
         if not p:
             field.scalars((bad,))   # raises the field's ValueError
         raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
-    return rows, ([row.items() for row in rows], by_col)
+    return rows, ([row.items() for row in rows], by_col), unit
 
 
 def make_algebra(field, products, unit, labels=None):
     """Validate sparse structure constants exhaustively and return the algebra.
 
     ``products[i]`` is row i, a dict ``{j: cell}`` or a sequence of d cells,
-    where the cell of b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j.
-    Their shape is checked first, by the walk that also stores them in the
+    where the cell of b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j;
+    ``unit`` is a sparse vector ``{index: scalar}``, or None.  Their shape
+    is checked first, by the walk that also stores them in the
     form of ``StructureAlgebra.products`` (``_canonical_cells``): every j and
     index in range, no zero and no repeated index, and every scalar exact
     (see :mod:`fields`).  Associativity is then checked on all d^3 basis
@@ -361,7 +312,7 @@ def make_algebra(field, products, unit, labels=None):
     names its witness.
     """
     d = len(products)
-    rows, index = _canonical_cells(field, products, unit, d)
+    rows, index, unit = _canonical_cells(field, products, unit, d)
     alg = StructureAlgebra(field, rows, unit, labels)
     alg.nonempty_cells = index   # seeds the cached index from the same walk
 
@@ -387,7 +338,7 @@ def _unit_law_failure(alg):
     met in one walk over the rows: a column index built here would stay
     cached on a matrix algebra for the rest of the run."""
     d = alg.dim
-    unit = _sparse(alg.unit)
+    unit = alg.unit
     products = alg.products
     left = {i * d + i: -1 for i in range(d)}
     for u, c in unit.items():
@@ -407,10 +358,10 @@ def _unit_law_failure(alg):
     return min(failures, default=None)
 
 
-def is_central_idempotent(a):
-    """True iff a*a = a and a commutes with every basis element."""
-    alg = a.algebra
-    x = _sparse(a.coeffs)
+def is_central_idempotent(alg, x):
+    """True iff the sparse vector x of ``alg`` has x·x = x and commutes with
+    every basis element."""
+    x = _sparse_vector(alg, x, "idempotent")
     if alg._mul_sparse(x, x) != x:
         return False
     return all(alg._mul_sparse({i: 1}, x) == alg._mul_sparse(x, {i: 1})
@@ -418,18 +369,17 @@ def is_central_idempotent(a):
 
 
 def ideal_basis(alg, e):
-    """Canonical basis of the two-sided ideal generated by a central idempotent.
+    """Canonical basis of the two-sided ideal generated by a central
+    idempotent, given as a sparse vector of ``alg``.
 
     The span of the b_i·e is Ae, a two-sided ideal because e is central:
     b·(ae) = (ba)e and (ae)·b = (ab)e."""
-    if e.algebra is not alg:
-        raise AlgebraMismatch()
-    if not is_central_idempotent(e):
-        raise NotCentralIdempotent(alg.format_vec(e.coeffs))
+    e = _sparse_vector(alg, e, "idempotent")
+    if not is_central_idempotent(alg, e):
+        raise NotCentralIdempotent(alg.format_vec(e))
     mul = alg._mul_acc
-    x = _sparse(e.coeffs)
     return Subspace.from_sparse(alg.field, alg.dim,
-                                [mul({i: 1}, x) for i in range(alg.dim)])
+                                [mul({i: 1}, e) for i in range(alg.dim)])
 
 
 def center_basis(alg, generators=None):
@@ -498,7 +448,7 @@ def _idempotent_products(field, m):
 
 def field_algebra(field):
     """The base field as a one-dimensional algebra."""
-    return make_algebra(field, _idempotent_products(field, 1), [field.one],
+    return make_algebra(field, _idempotent_products(field, 1), {0: field.one},
                         labels=["1"])
 
 
@@ -506,25 +456,25 @@ def product_of_fields(field, m):
     """The split algebra field^m: orthogonal idempotents e_0..e_{m-1}."""
     if m < 1:
         raise ValueError("need at least one factor")
-    return make_algebra(field, _idempotent_products(field, m), [field.one] * m,
+    return make_algebra(field, _idempotent_products(field, m),
+                        dict.fromkeys(range(m), field.one),
                         labels=[f"e{i}" for i in range(m)])
 
 
 def group_algebra(field, group):
     """Algebra with the group elements as basis and the Cayley table as product."""
-    zero, one = field.zero, field.one
+    one = field.one
     d = group.order
     products = [{j: ((group.mul(i, j), one),) for j in range(d)} for i in range(d)]
-    unit = [one if i == group.identity else zero for i in range(d)]
-    return make_algebra(field, products, unit, labels=group.labels)
+    return make_algebra(field, products, {group.identity: one}, labels=group.labels)
 
 
 def dual_group_algebra(field, group):
     """Pointwise-function algebra on the group: orthogonal idempotents p_g."""
     d = group.order
     labels = [f"p_{lab}" for lab in group.labels]
-    return make_algebra(field, _idempotent_products(field, d), [field.one] * d,
-                        labels=labels)
+    return make_algebra(field, _idempotent_products(field, d),
+                        dict.fromkeys(range(d), field.one), labels=labels)
 
 
 class ProductAlgebra(StructureAlgebra):
@@ -538,7 +488,7 @@ class ProductAlgebra(StructureAlgebra):
         products = list(left.products)
         products += [{dl + j: tuple((dl + k, v) for k, v in cell) for j, cell in row.items()}
                      for row in right.products]
-        unit = list(left.unit) + list(right.unit)
+        unit = {**left.unit, **{dl + k: v for k, v in right.unit.items()}}
         labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
         super().__init__(field, products, unit, labels)
         self.factors = (left, right)
@@ -560,9 +510,7 @@ class MatrixAlgebra(StructureAlgebra):
 
     def __init__(self, base, size, group=None):
         field = base.field
-        zero = field.zero
         n, d = size, base.dim
-        dim = n * n * d
         self.base = base
         self.size = n
         self.group = group
@@ -581,10 +529,7 @@ class MatrixAlgebra(StructureAlgebra):
             for h in range(n):
                 offset = h * n * d
                 products += ({offset + y: cell for y, cell in row} for row in shifted)
-        unit = [zero] * dim
-        for g in range(n):
-            for i, v in enumerate(base.unit):
-                unit[idx(g, g, i)] = v
+        unit = {idx(g, g, i): v for g in range(n) for i, v in base.unit.items()}
         if group is not None:
             labels = [f"E[{group.label(r)},{group.label(s)}]*{base.labels[i]}"
                       for r in range(n) for s in range(n) for i in range(d)]
@@ -601,7 +546,7 @@ class MatrixAlgebra(StructureAlgebra):
         """E_{0s}⊗1 and E_{s0}⊗1 for every s, and E_{00}⊗a_i for every basis
         vector a_i of the base, sparse: they generate, since
         E_{rs}⊗a = (E_{r0}⊗1)(E_{00}⊗a)(E_{0s}⊗1)."""
-        unit = _sparse(self.base.unit)
+        unit = self.base.unit
         one = self.field.one
         units = [(0, s) for s in range(self.size)]
         units += [(s, 0) for s in range(1, self.size)]
@@ -615,7 +560,7 @@ class MatrixAlgebra(StructureAlgebra):
         over the nonempty cells of the rows E_gh reaches."""
         n, d, dim = self.size, self.base.dim, self.dim
         sparse = self.field.sparse
-        base_unit = _sparse(self.base.unit)
+        base_unit = self.base.unit
         eu = [[{self.slot(g, h, i): v for i, v in base_unit.items()}
                for h in range(n)] for g in range(n)]
         for g in range(n):
@@ -672,7 +617,7 @@ class TensorAlgebra(StructureAlgebra):
         self.dim = left.dim * right.dim
         self.tensor_factors = (left, right)
         if left.unit is not None and right.unit is not None:
-            self.unit = _outer(self.field, left.unit, right.unit)
+            self.unit = _pure_tensor(self.field, left.unit, right.unit, right.dim)
         else:
             self.unit = None
         self.labels = tuple(f"{la}(x){lb}" for la in left.labels for lb in right.labels)
@@ -817,27 +762,10 @@ class AlgebraMap:
     def __init__(self, domain, codomain, columns):
         if domain.field != codomain.field:
             raise FieldMismatch(domain.field, codomain.field)
-        scalars = domain.field.scalars
-        columns = [{t: x for t, x in zip(col, scalars(col.values())) if x}
-                   for col in columns]
-        if len(columns) != domain.dim:
-            raise ValueError(f"map has {len(columns)} columns, domain dimension is "
-                             f"{domain.dim}")
-        dc = codomain.dim
-        if not all(type(t) is int and 0 <= t < dc for col in columns for t in col):
-            raise ValueError(f"map column has an index outside 0..{dc - 1}")
+        columns = _sparse_columns(domain.field, columns, domain.dim, codomain.dim)
         self.domain = domain
         self.codomain = codomain
         self.columns = columns
-
-    def apply_vec(self, coeffs):
-        return _apply_columns(self.codomain.field, self.columns, coeffs,
-                              self.codomain.dim)
-
-    def apply(self, element):
-        if element.algebra is not self.domain:
-            raise AlgebraMismatch()
-        return self.codomain.element(self.apply_vec(element.coeffs))
 
     def apply_sparse(self, x):
         """The image of a sparse vector ``{index: scalar}``, sparse."""
@@ -896,7 +824,7 @@ class AlgebraMap:
         return self._multiplicativity_witness() is None
 
     def is_unital(self):
-        return self.apply_vec(self.domain.unit) == self.codomain.unit
+        return self.apply_sparse(self.domain.unit) == self.codomain.unit
 
     def kernel(self):
         rows = _transpose(self.columns, self.codomain.dim)
@@ -910,8 +838,8 @@ class AlgebraMap:
 def subalgebra(parent, span, unit_vec, labels=None):
     """Structure algebra on a multiplicatively closed subspace of `parent`.
 
-    `span` must be closed under the parent product and contain `unit_vec`,
-    which becomes the unit of the subalgebra.  Returns the subalgebra and
+    `span` must be closed under the parent product and contain the sparse
+    vector `unit_vec`, which becomes the unit of the subalgebra.  Returns the subalgebra and
     its inclusion map.
     """
     basis = list(span._rows.values())
@@ -925,7 +853,7 @@ def subalgebra(parent, span, unit_vec, labels=None):
             if coords:
                 row[j] = tuple(coords.items())
         products.append(row)
-    unit_coords = span.coordinates_of(unit_vec)
+    unit_coords = span.sparse_coordinates(unit_vec)
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
     alg = make_algebra(parent.field, products, unit_coords, labels=labels)

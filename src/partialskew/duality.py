@@ -40,10 +40,10 @@ sparse products and columns, coordinates in D_g read off its pivots.
 
 from __future__ import annotations
 
-from .actions import _image
+from .actions import _complement, _image
 from .algebras import AlgebraMap, _add, _lincomb, matrix_algebra
 from .errors import InternalCheckFailed
-from .linalg import Subspace, _dense, _sparse
+from .linalg import Subspace
 from .report import check
 
 
@@ -63,9 +63,7 @@ class DualityData:
 
 def _idempotents(pa):
     """The idempotents 1_g and their complements 1 - 1_g, sparse."""
-    es = [_sparse(e) for e in pa.idempotents]
-    unit, field = _sparse(pa.algebra.unit), pa.algebra.field
-    return es, [_lincomb(field, ((1, unit), (-1, e))) for e in es]
+    return pa.idempotents, [_complement(pa.algebra, e) for e in pa.idempotents]
 
 
 def _block_subspace(smash, complement):
@@ -131,10 +129,10 @@ def build_duality(smash):
     # φ(1) = e with φ multiplicative gives e·e = φ(1·1) = e
     es, _ = _idempotents(pa)
     bold_e = {mat.slot(g, g, t): x for g in range(n) for t, x in es[grp.inv(g)].items()}
-    if phi.apply_sparse(_sparse(smash.algebra.unit)) != bold_e:
+    if phi.apply_sparse(smash.algebra.unit) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
 
-    return DualityData(smash, mat, phi, _dense(bold_e, alg.field, mat.dim),
+    return DualityData(smash, mat, phi, bold_e,
                        phi.kernel(), phi.image(), complement_ideal_subspace(smash))
 
 
@@ -155,7 +153,7 @@ def corner_report(d):
     φ(1) = e, so e·e = φ(1·1) = e."""
     pa, mat = d.smash.skew.action, d.mat
     entrywise = _entrywise_image(pa, mat)
-    pierce = _pierce_corner(mat, _sparse(d.corner_idempotent))
+    pierce = _pierce_corner(mat, d.corner_idempotent)
     return [
         check("duality.image_entrywise", d.image == entrywise,
               {"image_dim": d.image.dim, "entrywise_dim": entrywise.dim}),

@@ -51,7 +51,7 @@ class UnitFails(ValidationError):
 
 class AlgebraMismatch(ValidationError):
     def __init__(self):
-        super().__init__("elements belong to different algebras")
+        super().__init__("maps do not compose: the inner codomain is not the outer domain")
 
 
 class FieldMismatch(ValidationError):

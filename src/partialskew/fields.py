@@ -20,28 +20,30 @@ input (a negative int, a multiple of p) and reduces once per output
 coefficient, through the normalisers below, which it binds once per call:
 
   * ``reduce(x)``: one scalar;
-  * ``vector(xs)``: a dense coefficient tuple;
   * ``sparse(acc)``: an ``{index: scalar}`` accumulator, zeros dropped.
     It may return ``acc`` itself (over the rationals, when ``acc`` holds no
     zero), so a caller passes a dict it owns and does not reuse.
 
-Over the rationals ``vector`` is ``tuple`` itself and ``sparse`` only drops
-zeros, so a kernel's integral ``Fraction`` results stay as they are;
-``reduce`` gives the ``int`` form, which ``linalg`` applies on the way out
-of elimination.  A kernel that branches on ``characteristic`` (0 or p)
-skips the normalisers over the rationals.
+Over the rationals ``sparse`` only drops zeros, so a kernel's integral
+``Fraction`` results stay as they are; ``reduce`` gives the ``int`` form,
+which ``linalg._echelon`` applies to the rows it returns.  A kernel that
+branches on ``characteristic`` (0 or p) skips the normalisers over the
+rationals.
 
-Scalars that enter from the Python API (the entries of a ``Mat``, a spanning
-set, an algebra element or its scalar factor) go through
-a fourth normaliser, ``scalars(xs)``, which returns a tuple and refuses any
-scalar that is not exact in the field with a ``ValueError`` naming it: over
-the rationals anything but an ``int`` or a ``Fraction`` (a ``float``, a
-``bool``), kept as it is; over F_p anything but an ``int`` representative
-(a ``Fraction`` too), reduced.
+Every vector and every column of a linear map is an ``{index: scalar}``
+dict.  Scalars that enter from the Python API (the columns of an action,
+an antipode or an ``AlgebraMap``, an idempotent, a counit) go through a
+third normaliser, ``scalars(xs)``, which returns a tuple and refuses any
+scalar that is not exact in the field with a ``ValueError`` naming it:
+over the rationals anything but an ``int`` or a ``Fraction`` (a ``float``,
+a ``bool``), kept as it is; over F_p anything but an ``int``
+representative (a ``Fraction`` too), reduced.
 
-Residues carry no modulus, so mixing fields is caught by the structures
-(an action or antipode ``Mat`` must be over its algebra's field, and tensor
-and direct products compare their fields), not by scalars.
+Residues carry no modulus, so sparse columns carry no field either: their
+scalars are read in the field of the algebra they are handed to.  Mixing
+fields is caught by the structures (a map's domain and codomain, a Hopf
+algebra and the algebra it acts on, and tensor and direct products compare
+their fields), not by scalars.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class RationalField:
     characteristic = 0
     zero = 0
     one = 1
-    vector = staticmethod(tuple)
     reduce = staticmethod(_canonical)
 
     def scalars(self, xs):
@@ -167,10 +168,6 @@ class PrimeField:
 
     def reduce(self, x):
         return x % self.p
-
-    def vector(self, xs):
-        p = self.p
-        return tuple(x % p for x in xs)
 
     def sparse(self, acc):
         p = self.p

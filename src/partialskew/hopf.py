@@ -2,8 +2,9 @@
 operator picture.
 
 A Hopf algebra is a validated structure algebra with sparse
-comultiplication triples (k, l, v), a counit vector and the antipode as
-sparse columns S(b_j) = ``{row: scalar}``; ``make_hopf`` proves
+comultiplication triples (k, l, v), the counit as a sparse vector
+``{index: scalar}`` and the antipode as sparse columns S(b_j) =
+``{row: scalar}``; ``make_hopf`` proves
 coassociativity, the counit laws, that coproduct and counit are algebra
 maps, and the antipode identity, on every basis element, and inverts S.
 The dual swaps the two sets of constants and transposes S.  ``HopfData``
@@ -39,15 +40,15 @@ and the lift of a group action acts by α's own columns.
 
 from __future__ import annotations
 
-from .actions import _matrix_columns
-from .algebras import (AlgebraMap, _add, _lincomb, _outer, field_algebra,
+from .algebras import (AlgebraMap, _add, _lincomb, _pure_tensor,
+                       _sparse_columns, _sparse_vector, field_algebra,
                        group_algebra, make_algebra, matrix_algebra,
                        smash_algebra, tensor_algebra)
 from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
                      InternalCheckFailed, ValidationError)
-from .linalg import Mat, Subspace, _inverse, _sparse, _transpose
+from .linalg import Subspace, _inverse, _transpose
 from .report import check
 
 
@@ -60,7 +61,7 @@ class HopfData:
     def __init__(self, algebra, comul, counit, antipode, antipode_inv):
         self.algebra = algebra
         self.comul = comul            # per basis i: tuple of (k, l, coeff)
-        self.counit = tuple(counit)
+        self.counit = counit          # ε as {index: scalar}
         self.antipode = antipode            # S(b_j) and S^{-1}(b_j) as {row: scalar}
         self.antipode_inv = antipode_inv
         self._dual = None
@@ -88,14 +89,16 @@ def make_hopf(algebra, comul, counit, antipode):
     """Validate Hopf structure constants over an already validated algebra.
 
     ``comul[i]`` lists triples (k, l, v) with Δ(b_i) = Σ v·b_k⊗b_l, each k
-    and l an ``int`` in range.  The values and the counit go through the
-    field's ``scalars``; the antipode, kept as its sparse columns, is a d×d
-    ``Mat`` over the same field.
+    and l an ``int`` in range, and the values go through the field's
+    ``scalars``.  The counit is a sparse vector ``{index: scalar}`` and the
+    antipode its sparse columns S(b_j) = ``{row: scalar}``, both read in the
+    algebra's field (ValueError for a malformed one, see
+    ``algebras._sparse_columns``).
     """
     field, d = algebra.field, algebra.dim
-    comul, counit = [tuple(row) for row in comul], field.scalars(counit)
-    if len(comul) != d or len(counit) != d:
-        raise ValidationError("comultiplication/counit have wrong dimension")
+    comul = [tuple(row) for row in comul]
+    if len(comul) != d:
+        raise ValidationError("comultiplication has wrong dimension")
     for t in (t for row in comul for t in row):
         if not all(type(i) is int and 0 <= i < d for i in t[:2]):
             raise ValidationError(f"comultiplication triple {t!r} needs int indices in 0..{d - 1}")
@@ -104,13 +107,8 @@ def make_hopf(algebra, comul, counit, antipode):
                                key=lambda t: t[:2])) for row in comul)
     if any(len({t[:2] for t in row}) != len(row) for row in comul):
         raise ValidationError("comultiplication repeats a pair (k, l) in one row")
-    if not isinstance(antipode, Mat):
-        raise ValidationError(f"antipode must be a Mat, not {type(antipode).__name__}")
-    if antipode.rows != d or antipode.cols != d:
-        raise ValidationError("antipode matrix has wrong shape")
-    if antipode.field != field:
-        raise FieldMismatch(antipode.field, field)
-    return _checked_hopf(algebra, comul, counit, antipode.sparse_columns())
+    return _checked_hopf(algebra, comul, _sparse_vector(algebra, counit, "counit"),
+                         _sparse_columns(field, antipode, d, d, "antipode column"))
 
 
 def _checked_hopf(algebra, comul, counit, antipode):
@@ -131,9 +129,10 @@ def _checked_hopf(algebra, comul, counit, antipode):
         raise HopfAxiomFails("coassociativity", f"basis {algebra.labels[i]}")
 
     # counit laws: (ε⊗1)Δ(b_i) = b_i = (1⊗ε)Δ(b_i)
+    eps = counit.get
     for i in range(d):
-        left = _lincomb(field, ((v * counit[k], {l: 1}) for k, l, v in comul[i]))
-        right = _lincomb(field, ((v * counit[l], {k: 1}) for k, l, v in comul[i]))
+        left = _lincomb(field, ((v * eps(k, 0), {l: 1}) for k, l, v in comul[i]))
+        right = _lincomb(field, ((v * eps(l, 0), {k: 1}) for k, l, v in comul[i]))
         if left != {i: field.one} or right != {i: field.one}:
             raise HopfAxiomFails("counit", f"basis {algebra.labels[i]}")
 
@@ -146,22 +145,22 @@ def _checked_hopf(algebra, comul, counit, antipode):
             prod = row.get(j, ())
             if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh._mul_sparse(cop[i], cop[j]):
                 axiom = "coproduct multiplicative"
-            elif reduce(sum(c * counit[t] for t, c in prod) - counit[i] * counit[j]):
+            elif reduce(sum(c * eps(t, 0) for t, c in prod) - eps(i, 0) * eps(j, 0)):
                 axiom = "counit multiplicative"
             else:
                 continue
             raise HopfAxiomFails(axiom, f"pair ({labels[i]}, {labels[j]})")
-    unit = _sparse(algebra.unit)
+    unit = algebra.unit
     if _on_leg(field, cop, d * d, unit) != _on_leg(field, [unit], d, unit):
         raise HopfAxiomFails("coproduct unital", "unit element")
-    if reduce(sum(c * counit[t] for t, c in unit.items())) != field.one:
+    if reduce(sum(c * eps(t, 0) for t, c in unit.items())) != field.one:
         raise HopfAxiomFails("counit unital", "unit element")
 
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
     # summed over Δ(b_i) equal ε(b_i)·1
     mul = algebra._mul_sparse
     for i in range(d):
-        want = _lincomb(field, [(counit[i], unit)])
+        want = _lincomb(field, [(eps(i, 0), unit)])
         if (_lincomb(field, ((v, mul(antipode[k], {l: 1})) for k, l, v in comul[i])) != want
                 or _lincomb(field, ((v, mul({k: 1}, antipode[l])) for k, l, v in comul[i])) != want):
             raise HopfAxiomFails("antipode", f"basis {labels[i]}")
@@ -179,7 +178,7 @@ def _build_dual(h):
     for i in range(d):
         for k, l, v in h.comul[i]:
             products[k].setdefault(l, []).append((i, v))
-    dual_alg = make_algebra(field, products, list(h.counit),
+    dual_alg = make_algebra(field, products, h.counit,
                             labels=[f"p_{lab}" for lab in h.algebra.labels])
     dual_comul = [[] for _ in range(d)]
     for k, row in enumerate(h.algebra.products):
@@ -194,7 +193,8 @@ def group_hopf(field, group):
     """The group algebra with its grouplike coproduct and inversion antipode."""
     alg = group_algebra(field, group)
     n, one = group.order, field.one
-    return _checked_hopf(alg, tuple(((g, g, one),) for g in range(n)), (one,) * n,
+    return _checked_hopf(alg, tuple(((g, g, one),) for g in range(n)),
+                         dict.fromkeys(range(n), one),
                          [{group.inv(g): one} for g in range(n)])
 
 
@@ -256,10 +256,10 @@ def build_representations(h):
     dual, d, field = h.dual(), h.dim, h.algebra.field
     end = matrix_algebra(field_algebra(field), d)   # End(H), as matrix units
     ls = smash_algebra(h.algebra, dual.algebra, dual.comul, h.left_hits,
-                       _outer(field, h.algebra.unit, dual.algebra.unit))
+                       _pure_tensor(field, h.algebra.unit, dual.algebra.unit, d))
     # h⇀g is the left hit action of H = (H^*)^* on H^*
     rs = smash_algebra(dual.algebra, h.algebra, h.comul, dual.left_hits,
-                       _outer(field, dual.algebra.unit, h.algebra.unit))
+                       _pure_tensor(field, dual.algebra.unit, h.algebra.unit, d))
 
     lam_ops, rho_ops = ops = _basis_operators(h)
     lam = AlgebraMap(ls, end, [_end_vec(op) for row in lam_ops for op in row])
@@ -310,7 +310,7 @@ def _verify_exchange_identity(h, ops):
     """
     dual, d, field = h.dual(), h.dim, h.algebra.field
     lam, rho = ops
-    unit = _sparse(h.algebra.unit)
+    unit = h.algebra.unit
     # ρ(g_c#1) by column, as (row, scalar) pairs, and its nonempty columns
     rho_g = [[tuple(_lincomb(field, ((u, rho[c][i][x]) for i, u in unit.items())).items())
               for x in range(d)] for c in range(d)]
@@ -356,15 +356,17 @@ class PartialHopfAction:
         self.acts = acts    # acts[i][x]: b_i ▷ a_x as {index: scalar}
 
 
-def make_partial_hopf_action(h, algebra, mats):
-    """Validate one action matrix per basis vector of H; H, the algebra and
-    every matrix must share one field (FieldMismatch)."""
+def make_partial_hopf_action(h, algebra, acts):
+    """Validate one action per basis vector b_i of H, given by its sparse
+    columns ``acts[i][x]`` = b_i ▷ a_x as ``{row: scalar}`` and read in the
+    algebra's field; H and the algebra must share one field (FieldMismatch)."""
     field = algebra.field
     if h.algebra.field != field:
         raise FieldMismatch(h.algebra.field, field)
-    if len(mats) != h.dim:
-        raise ValidationError("need one action matrix per Hopf basis element")
-    return _checked_hopf_action(h, algebra, _matrix_columns(field, algebra.dim, mats))
+    if len(acts) != h.dim:
+        raise ValidationError("need one action per Hopf basis element")
+    return _checked_hopf_action(h, algebra, [_sparse_columns(field, cols, algebra.dim,
+                                                             algebra.dim) for cols in acts])
 
 
 def _checked_hopf_action(h, algebra, acts):
@@ -400,14 +402,14 @@ def _checked_hopf_action(h, algebra, acts):
         raise Axiom1Fails(ha[fail[0]], aa[fail[1]], aa[fail[2]])
 
     # 1_H ▷ a_x = a_x
-    h_unit = _sparse(h.algebra.unit).items()
+    h_unit = h.algebra.unit.items()
     x = next((x for x in range(da) if _lincomb(field, ((c, acts[i][x]) for i, c in h_unit))
               != {x: field.one}), None)
     if x is not None:
         raise Axiom2Fails(f"on basis {aa[x]}")
 
     # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x), with (b_l b_j) ▷ a_x formed once
-    unit = _sparse(algebra.unit)
+    unit = algebra.unit
     unit_acts = [_on_leg(field, acts[k], da, unit) for k in range(d)]
     hrows = h.algebra.products
     lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in hrows[l].get(j, ())))
@@ -451,8 +453,8 @@ def coaction_report(pha):
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j:
     # (δ⊗1)δ = (δ(1)⊗1)·(1⊗Δ)δ
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
-    delta_unit = _on_leg(field, cols, da * d, _sparse(alg.unit))
-    left_factor = _on_leg(field, [_sparse(dual.algebra.unit)], d, delta_unit)
+    delta_unit = _on_leg(field, cols, da * d, alg.unit)
+    left_factor = _on_leg(field, [dual.algebra.unit], d, delta_unit)
     lhs = [_on_leg(field, wide, da * d * d, col) for col in cols]
     spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]
     weak = next((x for x in range(da) if lhs[x] != t3._mul_sparse(left_factor, spread[x])), None)
@@ -493,7 +495,7 @@ def build_corner_maps(pha, lam):
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")
 
     # ψ(b_i#p_j) = 1⊗λ(b_i#p_j), from the sparse columns of λ
-    one_a = _sparse(alg.unit)
+    one_a = alg.unit
     psi = [_on_leg(field, [col], dd, one_a) for col in lam.columns]
 
     # exchange lemma
@@ -527,18 +529,17 @@ class PartialSmash:
         self.pha = pha
         self.ambient = ambient   # A⊗H with the twisted product (no global unit)
         self.sub = sub           # the unital corner (A⊗H)·1
-        self.unit_vec = unit_vec
+        self.unit_vec = unit_vec   # 1_A ⊗ 1_H, sparse
 
 
 def build_partial_smash(pha):
     """The twisted product on A⊗H and its unital corner."""
     h, alg = pha.hopf, pha.algebra
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
-    u0 = _outer(alg.field, alg.unit, h.algebra.unit)
-    unit = _sparse(u0)
+    unit = _pure_tensor(alg.field, alg.unit, h.algebra.unit, h.dim)
     sub = Subspace.from_sparse(alg.field, ambient.dim, [
         ambient._mul_acc({p: 1}, unit) for p in range(ambient.dim)])
-    return PartialSmash(pha, ambient, sub, u0)
+    return PartialSmash(pha, ambient, sub, unit)
 
 
 def partial_smash_report(ps):
@@ -568,12 +569,12 @@ def partial_smash_report(ps):
     p = dual.algebra.labels
 
     def vec(a):
-        return amb.format_vec(sub.basis[a])
+        return amb.format_vec(su[a])
 
     leaves = next(((a, b) for a in corner for b in corner
                    if not sub.contains_sparse(uv[a][b])), None)
-    unit = _sparse(ps.unit_vec)
-    if not sub.contains_vector(ps.unit_vec):
+    unit = ps.unit_vec
+    if not sub.contains_sparse(unit):
         unital = "the unit lies outside the corner"
     elif mul(unit, unit) != unit:
         unital = "the unit is not idempotent"
@@ -653,7 +654,7 @@ def smash_matches_skew_report(ps, skew_ring):
     field, ring = alg.field, skew_ring.algebra
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
-    es = [_sparse(e) for e in pa.idempotents]
+    es = pa.idempotents
     t_map = AlgebraMap(ps.ambient, ring, [
         {skew_ring.offsets[g] + t: c for t, c in pa.ideals[g].sparse_coordinates(
             alg._mul_sparse({x: 1}, es[g])).items()}
@@ -665,15 +666,14 @@ def smash_matches_skew_report(ps, skew_ring):
     mul = ps.ambient._mul_sparse
     pair = next(((a, b) for a, u in enumerate(su) for b, v in enumerate(su)
                  if t_map(mul(u, v)) != ring._mul_sparse(images[a], images[b])), None)
-    unital = t_map(_sparse(ps.unit_vec)) == _sparse(ring.unit)
+    unital = t_map(ps.unit_vec) == ring.unit
 
     vec = ps.ambient.format_vec
     if not bijective:
         failure = (f"not bijective: corner dim {ps.sub.dim}, image dim {span.dim}, "
                    f"twisted ring dim {skew_ring.dim}")
     elif pair is not None:
-        failure = (f"multiplicativity fails at ({vec(ps.sub.basis[pair[0]])}, "
-                   f"{vec(ps.sub.basis[pair[1]])})")
+        failure = (f"multiplicativity fails at ({vec(su[pair[0]])}, {vec(su[pair[1]])})")
     else:
         failure = None if unital else "the unit does not map to the unit"
     return [check("psmash.matches_skew_ring", failure is None,
@@ -705,7 +705,7 @@ def operator_duality_report(pha, ps, maps):
     cols = [mul(phi_x, psi) for phi_x in phi.columns for psi in psi_columns]
     pair = AlgebraMap(triple, target, cols)._multiplicativity_witness()
 
-    corner = _pierce_corner(target, phi.apply_sparse(_sparse(alg.unit)))
+    corner = _pierce_corner(target, phi.apply_sparse(alg.unit))
     # the first restricted generator s#p_j whose image leaves the corner
     subs = list(ps.sub._rows.values())
     outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)
@@ -713,7 +713,7 @@ def operator_duality_report(pha, ps, maps):
                         _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items())))),
                    None)
     member_witnesses = [] if outside is None else [
-        f"corner membership fails at ({ps.ambient.format_vec(ps.sub.basis[outside[0]])}, "
+        f"corner membership fails at ({ps.ambient.format_vec(subs[outside[0]])}, "
         f"{dual.algebra.labels[outside[1]]})"]
 
     return [

@@ -8,43 +8,26 @@ stored bases are identical.
 
 Scalars are the plain numbers of :mod:`fields`: over F_p canonical ``int``
 residues in ``[0, p)``, over the rationals an ``int`` or a ``Fraction``.
-Every vector a function here returns holds canonical scalars; the
-arithmetic kernels (``vadd``, ``vsub``, ``vscale``) accept any ``int``
-representative and reduce each output coefficient once.  The entries of a
-``Mat`` and the vectors of ``Subspace.from_vectors`` go through the field's
-``scalars`` on the way in, so over F_p any ``int`` representative is
-reduced there and any other scalar refused.
+There is one vector form, the ``{column: scalar}`` dict of nonzero
+scalars, and every linear map of the library is a list of such columns
+``{row: scalar}``.  Every vector a function here returns holds canonical
+scalars: ``_echelon`` stores an integral rational as an ``int`` in one pass
+over the rows it returns, so its kernel, inverse, sums and intersections
+need no further reduction.
 
-All elimination goes through one sparse kernel, ``_echelon``.  Its rows are
-``{column: scalar}`` dicts of nonzero canonical scalars; over the rationals
-the pivot normalisation divides through ``Fraction`` (imported by the call,
-so an F_p run never loads ``fractions``), and a division of two ``int``
-never yields a ``float``.  Dense vectors are only made sparse on the
-way in and dense on the way out, so a large, sparse system such as the
-commutator equations of ``algebras.center_basis`` costs time and memory in
-proportion to its nonzero entries.  (Separability needs none: the smash is
-free over the twisted ring, see :mod:`smash`.)  Every linear map of the
-library is kept as sparse columns ``{row: scalar}``; a ``Mat`` is only the
-dense form in which a caller hands one in, read once by ``sparse_columns``.
-The one inverse, S^{-1} of an antipode, is ``_inverse``: one ``_echelon``
-of the rows [S | I].
+All elimination goes through ``_echelon``.  Over the rationals the pivot
+normalisation divides through ``Fraction`` (imported by the call, so an
+F_p run never loads ``fractions``), and a division of two ``int`` never
+yields a ``float``.  A large, sparse system such as the commutator
+equations of ``algebras.center_basis`` costs time and memory in proportion
+to its nonzero entries.  (Separability needs none: the smash is free over
+the twisted ring, see :mod:`smash`.)  The one inverse, S^{-1} of an
+antipode, is ``_inverse``: one ``_echelon`` of the rows [S | I].
 """
 
 from __future__ import annotations
 
 from .fields import _canonical
-
-
-def vadd(field, u, v):
-    return field.vector(a + b for a, b in zip(u, v))
-
-
-def vsub(field, u, v):
-    return field.vector(a - b for a, b in zip(u, v))
-
-
-def vscale(field, c, u):
-    return field.vector(c * a for a in u)
 
 
 def _axpy(row, f, src, p):
@@ -72,8 +55,8 @@ def _echelon(rows, p):
     Each row is a ``{column: scalar}`` dict of nonzero canonical scalars:
     int residues mod ``p``, or ``int``/``Fraction`` rationals when ``p`` is 0.
     Over the rationals a pivot row is divided by its lead through
-    ``Fraction`` and its integral entries are stored as ``int``.  The input
-    rows are not modified.  Returns ``{pivot: row}`` in pivot order; each
+    ``Fraction``, and every integral entry of the rows returned is an
+    ``int``.  The input rows are not modified.  Returns ``{pivot: row}`` in pivot order; each
     row has a 1 at its pivot, which is its smallest column, and 0 at every
     other pivot.
 
@@ -103,6 +86,12 @@ def _echelon(rows, p):
             if f is not None:
                 _axpy(prow, f, row, p)
         pivots[c] = row
+    if not p:
+        # an update may leave an integral Fraction, stored as its int
+        for row in pivots.values():
+            for k, v in row.items():
+                if type(v) is not int and v.denominator == 1:
+                    row[k] = v.numerator
     return dict(sorted(pivots.items()))
 
 
@@ -114,8 +103,8 @@ def _inverse(field, columns):
     reduced = _echelon(rows, field.characteristic)
     if list(reduced) != list(range(n)):
         return None
-    return [{r: field.reduce(row[n + j]) for r, row in enumerate(reduced.values())
-             if n + j in row} for j in range(n)]
+    return [{r: row[n + j] for r, row in enumerate(reduced.values()) if n + j in row}
+            for j in range(n)]
 
 
 def _transpose(columns, n):
@@ -127,86 +116,21 @@ def _transpose(columns, n):
     return rows
 
 
-def _sparse(vec):
-    """Nonzero entries of a canonical dense vector as ``{column: scalar}``."""
-    return {c: x for c, x in enumerate(vec) if x}
-
-
-def _dense(row, field, n):
-    """Dense tuple of canonical scalars from ``{column: scalar}``."""
-    out = [field.zero] * n
-    reduce = field.reduce
-    for c, x in row.items():
-        out[c] = reduce(x)
-    return tuple(out)
-
-
-class Mat:
-    """Immutable dense matrix over an exact field: the form in which a
-    caller hands in an action or an antipode, read once as sparse columns."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field, entries):
-        entries = tuple(map(field.scalars, entries))
-        self.field = field
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        for r in entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged matrix")
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def sparse_columns(self):
-        """The columns as ``{row: scalar}`` dicts of their nonzero entries."""
-        return [_sparse(col) for col in zip(*self.entries)]
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.field == other.field
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Mat[{self.rows}x{self.cols}]({body})"
-
-
 class Subspace:
-    """Subspace of coordinate space, stored as its canonical echelon basis.
+    """Subspace of coordinate space, stored as its canonical echelon basis:
+    the sparse rows ``{pivot: {column: scalar}}`` of ``_echelon``."""
 
-    The basis rows are kept sparse, as ``{pivot: {column: scalar}}``
-    (see ``_echelon``); the dense ``basis`` tuples are built on first use.
-    """
-
-    __slots__ = ("field", "ambient", "_rows", "_basis")
+    __slots__ = ("field", "ambient", "_rows")
 
     def __init__(self, field, ambient, rows):
         self.field = field
         self.ambient = ambient
         self._rows = rows
-        self._basis = None
 
     @classmethod
     def _span(cls, field, ambient, rows):
         """Span of sparse rows of nonzero canonical scalars."""
         return cls(field, ambient, _echelon(rows, field.characteristic))
-
-    @classmethod
-    def from_vectors(cls, field, ambient, vectors):
-        scalars = field.scalars
-        rows = []
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
-            rows.append(_sparse(scalars(v)))
-        return cls._span(field, ambient, rows)
 
     @classmethod
     def from_sparse(cls, field, ambient, rows):
@@ -225,13 +149,6 @@ class Subspace:
     @classmethod
     def zero(cls, field, ambient):
         return cls(field, ambient, {})
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = tuple(_dense(r, self.field, self.ambient)
-                                for r in self._rows.values())
-        return self._basis
 
     @property
     def pivots(self):
@@ -286,23 +203,15 @@ class Subspace:
                 _axpy(out, x, prow, p)
         return out
 
-    def contains_vector(self, vec):
-        return not self._residual(_sparse(vec))
-
     def contains_sparse(self, row):
         """Membership of a vector given as a ``{column: scalar}`` dict."""
         return not self._residual(self.field.sparse(row))
 
-    def coordinates_of(self, vec):
-        """Coefficients of vec on the echelon basis, or None if outside."""
-        if self._residual(_sparse(vec)):
-            return None
-        return tuple(vec[p] for p in self._rows)
-
     def sparse_coordinates(self, row):
-        """``coordinates_of`` for a ``{column: scalar}`` dict of nonzero
-        canonical scalars, as ``{position: scalar}`` without zeros, in
-        position order: a vector of the span has them at the pivots."""
+        """The coefficients on the echelon basis of a ``{column: scalar}``
+        dict of nonzero canonical scalars, as ``{position: scalar}`` without
+        zeros, in position order (a vector of the span has them at the
+        pivots); None when the vector lies outside."""
         if self._residual(row):
             return None
         return {i: row[p] for i, p in enumerate(self._rows) if p in row}

@@ -4,7 +4,10 @@ A scenario is one JSON document naming a field, a group, an algebra and a
 partial action, plus the verification suites to run and optional expected
 values.  Matrices and vectors are written as row-major arrays whose entries
 are exact rational strings ("-3/2") or integers; matrix entry [r][c] is the
-coefficient of basis r in the image of basis c.
+coefficient of basis r in the image of basis c.  The parser is the one
+reader of these dense arrays: a vector becomes a sparse vector
+``{index: scalar}`` and a matrix its sparse columns ``{row: scalar}``, the
+forms the library takes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import ParseError, ValidationError
 from .fields import parse_field
 from .groups import (check_labels, cyclic, direct_product as group_product,
                      make_group, symmetric)
-from .linalg import Mat
 from .report import SKIPPED, CheckResult, Report, check
 from .skew import build_skew, grading_report, strong_grading_test
 from .smash import build_smash, separability_report, smash_report
@@ -48,13 +50,19 @@ def _parse_scalar(field, x):
     raise ParseError(f"scalar entries must be integers or exact strings, got {x!r}")
 
 
-def _parse_vector(field, data, length=None):
+def _parse_entries(field, data):
+    """The scalars of a JSON array, in order."""
     if not isinstance(data, list):
         raise ParseError(f"expected a vector, got {type(data).__name__}")
-    vec = tuple(_parse_scalar(field, x) for x in data)
-    if length is not None and len(vec) != length:
-        raise ParseError(f"vector has length {len(vec)}, expected {length}")
-    return vec
+    return [_parse_scalar(field, x) for x in data]
+
+
+def _parse_vector(field, data, length):
+    """A JSON array of ``length`` scalars as a sparse vector ``{index: scalar}``."""
+    entries = _parse_entries(field, data)
+    if len(entries) != length:
+        raise ParseError(f"vector has length {len(entries)}, expected {length}")
+    return {i: x for i, x in enumerate(entries) if x}
 
 
 def _parse_cube(field, data, name, d=None):
@@ -83,15 +91,21 @@ def _parse_cube(field, data, name, d=None):
     return rows
 
 
-def _parse_matrix(field, data, size=None):
+def _parse_matrix(field, data, size):
+    """A row-major size×size JSON array as its sparse columns ``{row: scalar}``."""
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty matrix")
-    rows = [_parse_vector(field, row) for row in data]
+    rows = [_parse_entries(field, row) for row in data]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("matrix rows have unequal lengths")
-    if size is not None and (len(rows) != size or len(rows[0]) != size):
+    if len(rows) != size or len(rows[0]) != size:
         raise ParseError(f"matrix is {len(rows)}x{len(rows[0])}, expected {size}x{size}")
-    return Mat(field, rows)
+    columns = [{} for _ in range(size)]
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                columns[c][r] = x
+    return columns
 
 
 def _entry(spec, key, where):
@@ -192,8 +206,7 @@ def build_action(field, group, algebra, spec):
         mats = _list_entry(data, "automorphisms", "restrict_global", group.order)
         parsed = [_parse_matrix(field, m, algebra.dim) for m in mats]
         parent = global_action(group, algebra, parsed)
-        e = algebra.element(_parse_vector(
-            field, _entry(data, "idempotent", "restrict_global"), algebra.dim))
+        e = _parse_vector(field, _entry(data, "idempotent", "restrict_global"), algebra.dim)
         return restrict_global(parent, e)
     if "explicit" in spec:
         data = spec["explicit"]

@@ -25,7 +25,7 @@ from itertools import accumulate
 from .actions import _image
 from .algebras import AlgebraMap, make_algebra
 from .errors import InternalCheckFailed
-from .linalg import Subspace, _dense, _sparse
+from .linalg import Subspace
 from .report import check
 
 
@@ -70,7 +70,7 @@ def build_skew(pa):
     *offsets, total = accumulate(map(len, component_bases), initial=0)
 
     tags = [(g, i) for g in range(n) for i in range(len(component_bases[g]))]
-    labels = [f"{alg.format_vec(pa.ideals[g].basis[i])} at {grp.label(g)}"
+    labels = [f"{alg.format_vec(component_bases[g][i])} at {grp.label(g)}"
               for g, i in tags]
 
     def cell_at(g, avec):   # the skew coordinates of avec at g, a sorted cell
@@ -94,7 +94,7 @@ def build_skew(pa):
         products.append(row)
 
     e = grp.identity
-    unit = _dense(dict(cell_at(e, _sparse(alg.unit))), field, total)
+    unit = dict(cell_at(e, alg.unit))
     skew_alg = make_algebra(field, products, unit, labels=labels)
 
     one = field.one

@@ -27,10 +27,9 @@ too, since it reads only B, R and ι:
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _lincomb, _outer, dual_group_algebra,
+from .algebras import (AlgebraMap, _lincomb, _pure_tensor, dual_group_algebra,
                        smash_algebra)
 from .errors import InternalCheckFailed
-from .linalg import _sparse
 from .report import check
 
 
@@ -59,7 +58,7 @@ class SmashAlgebra:
 
     def dual_units(self):
         """1#p_h for every h, sparse."""
-        unit = _sparse(self.skew.algebra.unit)
+        unit = self.skew.algebra.unit
         return [{self.index(j, h): c for j, c in unit.items()}
                 for h in range(self.group.order)]
 
@@ -85,7 +84,7 @@ def build_smash(skew):
     acted = [[{y: one} if grades[y] == h else {} for y in range(ds)]
              for h in range(n)]
     alg = smash_algebra(skew.algebra, dual, comul, acted,
-                        _outer(field, skew.algebra.unit, dual.unit))
+                        _pure_tensor(field, skew.algebra.unit, dual.unit, n))
 
     # closed rule: (x#p_h)(y#p_l) = xy#p_l when h = grade(y)·l, else 0
     closed = tuple(
@@ -171,8 +170,9 @@ def _separability_checks(smash, element):
     field = B.field
     central = _centrality_witness(smash, element)
     mu = _lincomb(field, ((field.one, B._mul_sparse(x, y)) for x, y in element))
-    split = next((B.labels[k] for k, c in enumerate(B.unit)
-                  if mu.get(k, field.zero) != c), None)
+    # the smallest index at which μ(f) and the unit differ
+    split = min((k for k in mu.keys() | B.unit.keys()
+                 if mu.get(k, field.zero) != B.unit.get(k, field.zero)), default=None)
     return [
         check("separability.centralizes", central is None,
               {"ambient_dim": B.dim * B.dim,
@@ -180,7 +180,7 @@ def _separability_checks(smash, element):
               [] if central is None else
               [f"f*a != a*f for a = {central[0]} in component p_{central[1]}"]),
         check("separability.splits_multiplication", split is None, {},
-              [] if split is None else [f"mu(f) differs from the unit at {split}"]),
+              [] if split is None else [f"mu(f) differs from the unit at {B.labels[split]}"]),
         check("separability.element_nonzero",
               any(_tensor_image(smash, element)), {"tensor_terms": len(element)}),
     ]

@@ -1,7 +1,5 @@
 """Builders for the standing examples and their deliberately broken variants."""
 
-from fractions import Fraction
-
 from partialskew.actions import (global_action, make_partial_action,
                                  restrict_global, trivial_from_split)
 from partialskew.algebras import (field_algebra, ideal_basis, matrix_algebra,
@@ -10,81 +8,65 @@ from partialskew.errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                                 NotCentralIdempotent, NotIsoOnIdeal)
 from partialskew.fields import QQ
 from partialskew.groups import cyclic
-from partialskew.linalg import Mat, _dense, _sparse
 
-from dense_oracle import apply
-
-
-def qmat(rows):
-    return Mat(QQ, [[Fraction(x) for x in row] for row in rows])
-
-
-def qvec(entries):
-    return tuple(Fraction(x) for x in entries)
+from dense_oracle import apply, dense, identity, sparse, to_columns, to_rows
 
 
 def place(mat, r, s, avec):
-    """Coefficient vector of a matrix algebra with the base element avec in
-    entry (r, s)."""
-    out = [mat.field.zero] * mat.dim
-    for i, v in enumerate(avec):
-        out[mat.slot(r, s, i)] = v
-    return tuple(out)
+    """The sparse vector of a matrix algebra with the sparse base element
+    avec in entry (r, s)."""
+    return {mat.slot(r, s, i): v for i, v in avec.items()}
 
 
 def inject(skew, g, avec):
-    """Skew coefficients of the element avec (in A coordinates) placed at g."""
-    coords = skew.action.ideals[g].coordinates_of(avec)
+    """The sparse skew vector of the sparse element avec (in A coordinates)
+    placed at g."""
+    coords = skew.action.ideals[g].sparse_coordinates(avec)
     assert coords is not None, "element does not lie in the ideal of that grade"
-    return _dense({skew.offsets[g] + i: c for i, c in enumerate(coords)},
-                  skew.algebra.field, skew.dim)
-
-
-def column_matrix(field, columns, rows):
-    """The dense ``Mat`` with the sparse ``columns`` ``{row: scalar}``."""
-    return Mat(field, [[col.get(r, field.zero) for col in columns] for r in range(rows)])
+    return {skew.offsets[g] + i: c for i, c in coords.items()}
 
 
 def map_matrix(m):
-    """The dense matrix of an ``AlgebraMap``, built from its sparse columns:
+    """The dense rows of an ``AlgebraMap``, built from its sparse columns:
     the oracle that the dense tests compare against."""
-    return column_matrix(m.codomain.field, m.columns, m.codomain.dim)
+    return to_rows(m.columns, m.codomain.dim)
 
 
 def map_columns(m):
     """The columns of an ``AlgebraMap`` as dense tuples."""
-    return list(zip(*map_matrix(m).entries))
+    return [dense(col, m.codomain.dim) for col in m.columns]
 
 
 def action_matrices(pa):
-    """The dense matrix of each α_g of a partial action, built from its
+    """The dense rows of each α_g of a partial action, built from its
     sparse columns like ``map_matrix``: the dense view the tests read."""
-    field, d = pa.algebra.field, pa.algebra.dim
-    return [column_matrix(field, cols, d) for cols in pa.columns]
+    return [to_rows(cols, pa.algebra.dim) for cols in pa.columns]
 
 
 def dense_restriction(pa, e):
-    """The restriction of the global action ``pa`` to B·e by the dense route
-    that ``restrict_global`` took before it read sparse columns: σ_g(v) as
-    the matrix of σ_g times v, e·σ_g(v) as a dense product over the
-    structure constants, read off the echelon basis of B·e by
-    ``coordinates_of``.  Returns the idempotents as dense tuples and the
-    columns as sparse dicts, as ``restrict_global`` stores them."""
+    """The restriction of the global action ``pa`` to B·e, for the sparse
+    idempotent e, by a dense route: σ_g(v) as the matrix of σ_g times v,
+    e·σ_g(v) as a dense product over the structure constants, read off the
+    echelon basis of B·e.  Returns the idempotents and the columns as sparse
+    dicts, as ``restrict_global`` stores them."""
     alg, field = pa.algebra, pa.algebra.field
+    d = alg.dim
     rows = dense_rows(alg.products)
     span = ideal_basis(alg, e)
+    ev = dense(e, d)
 
     def times_e(v):
-        out = [0] * alg.dim
-        for i, x in enumerate(e.coeffs):
+        out = [0] * d
+        for i, x in enumerate(ev):
             for j, y in enumerate(v):
                 for k, c in rows[i][j] if x and y else ():
                     out[k] += x * y * c
-        return span.coordinates_of(field.vector(out))
+        return span.sparse_coordinates(sparse(map(field.reduce, out)))
 
     maps = action_matrices(pa)
-    return ([times_e(apply(m, e.coeffs)) for m in maps],
-            [[_sparse(times_e(apply(m, v))) for v in span.basis] for m in maps])
+    return ([times_e(apply(field, m, ev)) for m in maps],
+            [[times_e(apply(field, m, dense(v, d))) for v in span._rows.values()]
+             for m in maps])
 
 
 def dense_rows(products):
@@ -110,17 +92,17 @@ def split_action():
 def global_swap_action():
     """The coordinate swap of the order-2 group on the split plane."""
     algebra = product_of_fields(QQ, 2)
-    swap = qmat([[0, 1], [1, 0]])
-    return global_action(cyclic(2), algebra, [Mat.identity(QQ, 2), swap])
+    swap = to_columns([[0, 1], [1, 0]])
+    return global_action(cyclic(2), algebra, [identity(2), swap])
 
 
 def z3_restricted_action():
     """Order-3 rotation of three split coordinates, cut down to two of them."""
     algebra = product_of_fields(QQ, 3)
-    shift = qmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    shift2 = qmat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    parent = global_action(cyclic(3), algebra, [Mat.identity(QQ, 3), shift, shift2])
-    return restrict_global(parent, algebra.element(qvec([1, 1, 0])))
+    shift = to_columns([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    shift2 = to_columns([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    parent = global_action(cyclic(3), algebra, [identity(3), shift, shift2])
+    return restrict_global(parent, {0: 1, 1: 1})
 
 
 def split_field2_z3_action():
@@ -139,19 +121,19 @@ def corrupted_action_variants():
 
     def non_idempotent():
         algebra = product_of_fields(QQ, 2)
-        proj = qmat([[1, 0], [0, 0]])
+        proj = to_columns([[1, 0], [0, 0]])
         return make_partial_action(
             cyclic(2), algebra,
-            [qvec([1, 1]), qvec([1, -1])],
-            [Mat.identity(QQ, 2), proj])
+            [sparse([1, 1]), sparse([1, -1])],
+            [identity(2), proj])
     variants.append(("non-idempotent marker", non_idempotent,
                      NotCentralIdempotent))
 
     def non_central():
         m2 = matrix_algebra(field_algebra(QQ), 2)
         # E00 + E01 squares to itself but does not commute with E00
-        e = qvec([1, 1, 0, 0])
-        keep = Mat.identity(QQ, 4)
+        e = sparse([1, 1, 0, 0])
+        keep = identity(4)
         return make_partial_action(cyclic(2), m2, [m2.unit, e],
                                    [keep, keep])
     variants.append(("non-central idempotent", non_central,
@@ -159,21 +141,21 @@ def corrupted_action_variants():
 
     def identity_map_wrong():
         algebra = product_of_fields(QQ, 2)
-        swap = qmat([[0, 1], [1, 0]])
+        swap = to_columns([[0, 1], [1, 0]])
         return make_partial_action(
             cyclic(2), algebra,
-            [qvec([1, 1]), qvec([1, 1])],
+            [sparse([1, 1]), sparse([1, 1])],
             [swap, swap])
     variants.append(("identity component broken", identity_map_wrong,
                      AxiomIFails))
 
     def full_marker_with_projection():
         algebra = product_of_fields(QQ, 2)
-        proj = qmat([[1, 0], [0, 0]])
+        proj = to_columns([[1, 0], [0, 0]])
         return make_partial_action(
             cyclic(2), algebra,
-            [qvec([1, 1]), qvec([1, 1])],
-            [Mat.identity(QQ, 2), proj])
+            [sparse([1, 1]), sparse([1, 1])],
+            [identity(2), proj])
     variants.append(("projection claimed bijective", full_marker_with_projection,
                      NotIsoOnIdeal))
 
@@ -181,12 +163,12 @@ def corrupted_action_variants():
         # markers (1,1,0) and (0,1,1) with maps that are fine ideal-wise but
         # send the overlap of the source ideals to the wrong intersection
         algebra = product_of_fields(QQ, 3)
-        beta_g = qmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        beta_g2 = qmat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        beta_g = to_columns([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        beta_g2 = to_columns([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         return make_partial_action(
             cyclic(3), algebra,
-            [qvec([1, 1, 1]), qvec([1, 1, 0]), qvec([0, 1, 1])],
-            [Mat.identity(QQ, 3), beta_g, beta_g2])
+            [sparse([1, 1, 1]), sparse([1, 1, 0]), sparse([0, 1, 1])],
+            [identity(3), beta_g, beta_g2])
     variants.append(("overlap image mismatch", intersection_mismatch,
                      AxiomIIFails))
 
@@ -194,12 +176,12 @@ def corrupted_action_variants():
         # both non-identity maps rotate the first three split coordinates,
         # so the double map disagrees with the direct one
         algebra = product_of_fields(QQ, 4)
-        cycle = qmat([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
-        marker = qvec([1, 1, 1, 0])
+        cycle = to_columns([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+        marker = sparse([1, 1, 1, 0])
         return make_partial_action(
             cyclic(3), algebra,
-            [qvec([1, 1, 1, 1]), marker, marker],
-            [Mat.identity(QQ, 4), cycle, cycle])
+            [sparse([1, 1, 1, 1]), marker, marker],
+            [identity(4), cycle, cycle])
     variants.append(("double map disagrees", composition_mismatch,
                      AxiomIIIFails))
 

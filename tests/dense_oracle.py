@@ -1,31 +1,76 @@
 """Dense matrix arithmetic, kept as the reference the tests compare against.
 
-The library keeps every linear map as sparse columns ``{row: scalar}``; a
-``Mat`` only carries the dense entries a caller hands in.  These plain
-functions compute on those entries row by row, so a sparse result compared
-with them comes by an independent route: the product of two matrices, a
-matrix times a vector, and the inverse and the kernel by dense Gauss–Jordan
-elimination.  Each output coefficient is reduced through the field.
+The library keeps every vector as a sparse ``{index: scalar}`` dict and
+every linear map as its sparse columns ``{row: scalar}``.  These plain
+functions compute on dense rows (lists of scalars) instead, so a sparse
+result compared with them comes by an independent route: the product of
+two matrices, a matrix times a vector, and the inverse and the kernel by
+dense Gauss–Jordan elimination.  Each output coefficient is reduced through the
+field.  ``to_columns``/``to_rows`` and ``sparse``/``dense`` convert between
+the two forms, and ``unit_vector``, ``multiply``, ``basis_of`` and
+``span_of`` give the dense routes their vectors, products and subspaces.
 """
 
 from fractions import Fraction
 
-from partialskew.linalg import Mat, Subspace
+from partialskew.linalg import Subspace
 
 
-def matmul(a, b):
-    """The product a·b of two ``Mat`` over one field."""
-    assert a.field == b.field and a.cols == b.rows
-    columns = list(zip(*b.entries))
-    vector = a.field.vector
-    return Mat(a.field, [vector(sum(x * y for x, y in zip(row, col)) for col in columns)
-                         for row in a.entries])
+def sparse(vec):
+    """The nonzero entries of a dense vector as ``{index: scalar}``."""
+    return {i: x for i, x in enumerate(vec) if x}
 
 
-def apply(m, vec):
-    """The matrix m times the coordinate column ``vec``."""
-    assert len(vec) == m.cols
-    return m.field.vector(sum(x * y for x, y in zip(row, vec)) for row in m.entries)
+def dense(x, n):
+    """The sparse vector ``x`` as a dense tuple of length n."""
+    return tuple(x.get(i, 0) for i in range(n))
+
+
+def to_columns(rows):
+    """The sparse columns ``{row: scalar}`` of a row-major matrix."""
+    return [sparse(col) for col in zip(*rows)]
+
+
+def to_rows(columns, n):
+    """The n dense rows of the matrix with sparse ``columns``."""
+    return [[col.get(r, 0) for col in columns] for r in range(n)]
+
+
+def unit_vector(d, i):
+    """The i-th basis vector of k^d as a dense tuple."""
+    return tuple(int(j == i) for j in range(d))
+
+
+def multiply(alg, x, y):
+    """The product of two dense vectors of the algebra alg, dense."""
+    return dense(alg._mul_sparse(sparse(x), sparse(y)), alg.dim)
+
+
+def basis_of(space):
+    """The echelon basis of a subspace as dense tuples."""
+    return [dense(r, space.ambient) for r in space._rows.values()]
+
+
+def span_of(field, d, vectors):
+    """The subspace of k^d spanned by dense vectors."""
+    return Subspace.from_sparse(field, d, [sparse(v) for v in vectors])
+
+
+def identity(n):
+    """The sparse columns of the n×n identity."""
+    return [{j: 1} for j in range(n)]
+
+
+def matmul(field, a, b):
+    """The product a·b of two matrices given by dense rows."""
+    reduce = field.reduce
+    return [[reduce(sum(x * y for x, y in zip(row, col))) for col in zip(*b)] for row in a]
+
+
+def apply(field, m, vec):
+    """The matrix m, by dense rows, times the coordinate column ``vec``."""
+    assert all(len(row) == len(vec) for row in m)
+    return tuple(field.reduce(sum(x * y for x, y in zip(row, vec))) for row in m)
 
 
 def _gauss_jordan(field, rows):
@@ -49,27 +94,27 @@ def _gauss_jordan(field, rows):
     return pivots
 
 
-def inverse(m):
-    """The inverse of a square ``Mat`` from the dense rows [m | I], or None
-    when m is singular."""
-    field, n = m.field, m.rows
-    rows = [list(row) + [field.one if j == i else field.zero for j in range(n)]
-            for i, row in enumerate(m.entries)]
+def inverse(field, m):
+    """The inverse of a square matrix by dense rows, from the dense rows
+    [m | I], or None when m is singular."""
+    n = len(m)
+    rows = [[field.reduce(x) for x in row] + [int(j == i) for j in range(n)]
+            for i, row in enumerate(m)]
     if _gauss_jordan(field, rows) != list(range(n)):
         return None
-    return Mat(field, [row[n:] for row in rows])
+    return [row[n:] for row in rows]
 
 
-def kernel(m):
-    """The solution space of m·x = 0, spanned by one vector per free column
-    of the dense reduced rows."""
-    field, rows = m.field, [list(row) for row in m.entries]
+
+def kernel(field, m):
+    """The solution space of m·x = 0, m by dense rows, spanned by one
+    vector per free column of the dense reduced rows."""
+    rows = [[field.reduce(x) for x in row] for row in m]
     pivots = _gauss_jordan(field, rows)
     vectors = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [field.zero] * m.cols
-        v[f] = field.one
+    for f in (c for c in range(len(m[0])) if c not in pivots):
+        v = {f: field.one}
         for k, c in enumerate(pivots):
             v[c] = field.reduce(-rows[k][f])
         vectors.append(v)
-    return Subspace.from_vectors(field, m.cols, vectors)
+    return Subspace.from_sparse(field, len(m[0]), vectors)

@@ -76,9 +76,8 @@ def test_criterion_05_kernel_formula(corpus_reports, s1_duality):
     s1 = corpus_reports["s1.json"].named("duality.kernel_formula")
     assert s1.measured == {"kernel_dim": 1, "formula_dim": 1}
     m = map_matrix(s1_duality.phi)
-    assert (m.rows, m.cols) == (8, 6)
-    oracle_rank = sympy.Matrix(
-        [[sympy.Rational(x) for x in row] for row in m.entries]).rank()
+    assert (len(m), len(m[0])) == (8, 6)
+    oracle_rank = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m]).rank()
     assert oracle_rank == 5 and s1_duality.kernel.dim == 6 - oracle_rank
     _line(5, "kernel equals the block formula; s1 rank 5 of 6 per sympy oracle")
 

@@ -8,21 +8,21 @@ import pytest
 from partialskew.actions import (dot_identities_report, global_action,
                                  make_partial_action, restrict_global,
                                  trivial_from_split)
-from partialskew.algebras import field_algebra, matrix_algebra, product_of_fields
-from partialskew.errors import FieldMismatch, NotCentralIdempotent, NotIsoOnIdeal
+from partialskew.algebras import (AlgebraMap, field_algebra, matrix_algebra,
+                                  product_of_fields)
+from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.linalg import Mat
 from partialskew.scenarios import (_parse_matrix, _parse_vector, build_algebra,
                                    build_group, fixture_path, load_scenario)
 
-from corpus_helpers import (corrupted_action_variants, dense_restriction, qmat,
-                            qvec, split_action)
+from corpus_helpers import corrupted_action_variants, dense_restriction, split_action
+from dense_oracle import identity, to_columns
 
 
 def test_split_action_accepted(s1_action):
     assert [s.dim for s in s1_action.ideals] == [2, 1]
-    assert s1_action.idempotents[1] == qvec([1, 0])
+    assert s1_action.idempotents[1] == {0: 1}
     assert not s1_action.is_global()
 
 
@@ -36,8 +36,8 @@ def test_degenerate_zero_ideal_accepted():
     algebra = product_of_fields(QQ, 2)
     pa = make_partial_action(
         cyclic(2), algebra,
-        [qvec([1, 1]), qvec([0, 0])],
-        [Mat.identity(QQ, 2), qmat([[0, 0], [0, 0]])])
+        [{0: 1, 1: 1}, {}],
+        [identity(2), [{}, {}]])
     assert pa.ideals[1].is_zero()
 
 
@@ -50,11 +50,12 @@ def test_corrupted_variants_rejected():
 def test_dot_evaluation(s1_action):
     pa = s1_action
     alg = pa.algebra
-    a = alg.element(qvec([4, 7]))
-    assert pa.dot(0, a) == a                       # identity acts trivially
-    assert pa.dot(1, alg.one()).coeffs == qvec([1, 0])   # image of the unit
-    assert pa.dot(1, alg.element(qvec([0, 5]))).is_zero()
-    assert pa.dot(1, alg.element(qvec([1, 1]))).coeffs == qvec([1, 0])
+    e, g = (AlgebraMap(alg, alg, cols).apply_sparse for cols in pa.columns)
+    a = {0: 4, 1: 7}
+    assert e(a) == a                               # identity acts trivially
+    assert g(alg.unit) == {0: 1}                   # image of the unit
+    assert g({1: 5}) == {}
+    assert g({0: 1, 1: 1}) == {0: 1}
 
 
 def test_dot_identities_all_pass(s1_action, global_swap_action, z3_action):
@@ -78,18 +79,18 @@ def test_restrict_global_examples(z3_action):
     # restriction of the 3-cycle to two coordinates: one-dimensional ideals
     assert z3_action.algebra.dim == 2
     assert [s.dim for s in z3_action.ideals] == [2, 1, 1]
-    assert z3_action.idempotents[1] == qvec([0, 1])
-    assert z3_action.idempotents[2] == qvec([1, 0])
+    assert z3_action.idempotents[1] == {1: 1}
+    assert z3_action.idempotents[2] == {0: 1}
 
     # restriction along the unit is the action itself
     algebra = product_of_fields(QQ, 2)
-    swap = qmat([[0, 1], [1, 0]])
-    parent = global_action(cyclic(2), algebra, [Mat.identity(QQ, 2), swap])
-    back = restrict_global(parent, algebra.one())
+    swap = to_columns([[0, 1], [1, 0]])
+    parent = global_action(cyclic(2), algebra, [identity(2), swap])
+    back = restrict_global(parent, algebra.unit)
     assert back.algebra.dim == 2 and back.is_global()
 
     # orthogonal idempotent: all non-identity ideals vanish
-    dead = restrict_global(parent, algebra.basis_element(0))
+    dead = restrict_global(parent, {0: 1})
     assert dead.algebra.dim == 1
     assert dead.ideals[1].is_zero()
 
@@ -111,8 +112,8 @@ def test_ideal_product_grading_obstruction(s1_action):
     # some marker is not the unit (feeds the strong-grading test)
     pa = s1_action
     alg = pa.algebra
-    prod = alg.mul_vec(pa.idempotents[1], pa.idempotents[1])
-    assert prod == qvec([1, 0]) != alg.unit
+    prod = alg._mul_sparse(pa.idempotents[1], pa.idempotents[1])
+    assert prod == {0: 1} != alg.unit
 
 
 def test_spec_named_rejections():
@@ -121,13 +122,13 @@ def test_spec_named_rejections():
     with pytest.raises(NotIsoOnIdeal):
         make_partial_action(
             cyclic(2), algebra,
-            [qvec([1, 1]), qvec([1, 1])],
-            [Mat.identity(QQ, 2), qmat([[1, 0], [0, 0]])])
+            [{0: 1, 1: 1}, {0: 1, 1: 1}],
+            [identity(2), [{0: 1}, {}]])
     with pytest.raises(NotCentralIdempotent):
         make_partial_action(
             cyclic(2), algebra,
-            [qvec([1, 1]), qvec([2, 0])],
-            [Mat.identity(QQ, 2), qmat([[1, 0], [0, 0]])])
+            [{0: 1, 1: 1}, {0: 2}],
+            [identity(2), [{0: 1}, {}]])
 
 
 @pytest.mark.parametrize("markers, message", [
@@ -139,22 +140,22 @@ def test_spec_named_rejections():
 ])
 def test_non_central_marker_is_named_at_its_element(markers, message):
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    markers = [m2.unit if e == 1 else qvec(e) for e in markers]
+    markers = [m2.unit if e == 1 else dict(enumerate(e)) for e in markers]
     with pytest.raises(NotCentralIdempotent) as err:
         make_partial_action(cyclic(len(markers)), m2, markers,
-                            [Mat.identity(QQ, 4)] * len(markers))
+                            [identity(4)] * len(markers))
     assert str(err.value) == f"not a central idempotent: {message}"
 
 
 def test_restriction_to_a_non_central_idempotent_is_refused():
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    parent = make_partial_action(cyclic(1), m2, [m2.unit], [Mat.identity(QQ, 4)])
+    parent = make_partial_action(cyclic(1), m2, [m2.unit], [identity(4)])
     with pytest.raises(NotCentralIdempotent) as err:
-        restrict_global(parent, m2.element(qvec([1, 1, 0, 0])))
+        restrict_global(parent, {0: 1, 1: 1})
     assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1 + (1)*E[0,1]*1"
 
 
-# -- library-built actions: sparse columns, no Mat ------------------------
+# -- restrictions against a dense route --------------------------------
 
 def _fixture_parent(name, field):
     """The global action and the idempotent of a ``restrict_global`` fixture."""
@@ -163,7 +164,7 @@ def _fixture_parent(name, field):
     algebra = build_algebra(field, doc["algebra"])
     mats = [_parse_matrix(field, m, algebra.dim) for m in spec["automorphisms"]]
     return (global_action(build_group(doc["group"]), algebra, mats),
-            algebra.element(_parse_vector(field, spec["idempotent"], algebra.dim)))
+            _parse_vector(field, spec["idempotent"], algebra.dim))
 
 
 def _s4_pairs_parent(field):
@@ -171,12 +172,11 @@ def _s4_pairs_parent(field):
     idempotent of the pairs with a in {0, 1}: the ``S₄ pairs`` document."""
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
     position = {pair: j for j, pair in enumerate(pairs)}
-    mats = [Mat(field, [[int(position[s[a], s[b]] == i) for a, b in pairs]
-                        for i in range(len(pairs))])
+    maps = [[{position[s[a], s[b]]: 1} for a, b in pairs]
             for s in sorted(permutations(range(4)))]     # the symmetric(4) order
     algebra = product_of_fields(field, len(pairs))
-    return (global_action(symmetric(4), algebra, mats),
-            algebra.element([int(a < 2) for a, _ in pairs]))
+    return (global_action(symmetric(4), algebra, maps),
+            {j: 1 for j, (a, _) in enumerate(pairs) if a < 2})
 
 
 PARENTS = {"z3_restrict": partial(_fixture_parent, "z3_restrict.json"),
@@ -192,42 +192,23 @@ def test_restriction_matches_the_dense_route(name, field):
     assert (list(pa.idempotents), list(pa.columns)) == dense_restriction(parent, e)
 
 
-def test_library_built_actions_build_no_matrix(monkeypatch):
-    # the split action and a restriction of an already built global action
-    # go from sparse columns to the axiom checks with no Mat in between
-    parent, e = _s4_pairs_parent(QQ)
-    want = restrict_global(parent, e)
-
-    def refuse(*args):
-        raise AssertionError("a Mat was built or converted")
-
-    monkeypatch.setattr(Mat, "__init__", refuse)
-    monkeypatch.setattr(Mat, "sparse_columns", refuse)
-    split = trivial_from_split(product_of_fields(QQ, 2), product_of_fields(QQ, 1),
-                               symmetric(3))
-    assert [s.dim for s in split.ideals] == [3] + [2] * 5
-    got = restrict_global(parent, e)
-    assert (got.idempotents, got.columns) == (want.idempotents, want.columns)
-
-
 # -- idempotents from the Python API go through the field's scalars --------
 
 def _split_plane_c2(field, unit, marker):
     """C₂ on k×k with the projection onto the first factor off the identity."""
     algebra = product_of_fields(field, 2)
-    return make_partial_action(
-        cyclic(2), algebra, [unit, marker],
-        [Mat.identity(field, 2), Mat(field, [[1, 0], [0, 0]])])
+    return make_partial_action(cyclic(2), algebra, [unit, marker],
+                               [identity(2), [{0: 1}, {}]])
 
 
 def test_unit_given_by_other_representatives_is_the_unit():
-    pa = _split_plane_c2(GF(5), (6, -4), (1, 0))
-    assert pa.idempotents[0] == pa.algebra.unit == (1, 1)
+    pa = _split_plane_c2(GF(5), {0: 6, 1: -4}, {0: 1})
+    assert pa.idempotents[0] == pa.algebra.unit == {0: 1, 1: 1}
 
 
 def test_marker_given_by_other_representatives_is_stored_canonically():
-    pa = _split_plane_c2(GF(5), (1, 1), (6, 0))
-    assert pa.idempotents[1] == (1, 0)
+    pa = _split_plane_c2(GF(5), {0: 1, 1: 1}, {0: 6, 1: 5})
+    assert pa.idempotents[1] == {0: 1}
     results = {c.name: c for c in dot_identities_report(pa)}
     assert results["lemma1.unit_image"].status == "pass"
     assert all(c.status == "pass" for c in results.values())
@@ -237,25 +218,6 @@ def test_marker_given_by_other_representatives_is_stored_canonically():
 def test_non_int_idempotent_over_fp_is_refused(bad):
     named = re.escape(f"scalar {bad!r} is not an int representative")
     with pytest.raises(ValueError, match=named):
-        _split_plane_c2(GF(5), (1, 1), (bad, 0))
+        _split_plane_c2(GF(5), {0: 1, 1: 1}, {0: bad})
     with pytest.raises(ValueError, match=named):
-        _split_plane_c2(GF(5), (bad, 1), (1, 0))
-
-
-# -- the action matrices and dot_vec's input are checked at the boundary ---
-
-@pytest.mark.parametrize("over_q", [0, 1])
-def test_action_matrix_over_another_field_is_refused(over_q):
-    # a Q identity at e is refused too, so later Q maps never reach GF(5)
-    algebra = product_of_fields(GF(5), 2)
-    maps = [Mat.identity(GF(5), 2), Mat(GF(5), [[1, 0], [0, 0]])]
-    maps[over_q] = Mat(QQ, maps[over_q].entries)
-    with pytest.raises(FieldMismatch):
-        make_partial_action(cyclic(2), algebra, [(1, 1), (1, 0)], maps)
-
-
-@pytest.mark.parametrize("vec", [(1,), (1, 0, 0)])
-def test_dot_vec_refuses_a_vector_of_the_wrong_length(vec):
-    pa = _split_plane_c2(GF(5), (1, 1), (1, 0))
-    with pytest.raises(ValueError, match=f"length {len(vec)} in dimension 2"):
-        pa.dot_vec(1, vec)
+        _split_plane_c2(GF(5), {0: bad, 1: 1}, {0: 1})

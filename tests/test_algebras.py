@@ -15,66 +15,67 @@ from partialskew.errors import (AlgebraMismatch, FieldMismatch, NotAssociative,
                                 ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.linalg import Mat, Subspace
+from partialskew.linalg import Subspace
 
-from corpus_helpers import (dense_rows, map_matrix, mapping_rows, place, qmat,
-                            qvec)
-from dense_oracle import apply
+from corpus_helpers import dense_rows, map_matrix, mapping_rows, place
+from dense_oracle import apply, dense, identity, to_columns
 from fp_oracle import unwrap, wrap
 
 
 def test_base_field_algebra():
     k = field_algebra(QQ)
-    assert k.dim == 1 and k.one().coeffs == (QQ.one,)
+    assert k.dim == 1 and k.unit == {0: QQ.one}
 
 
 def test_split_algebra():
     kk = product_of_fields(QQ, 2)
-    e0, e1 = kk.basis_element(0), kk.basis_element(1)
-    assert e0 * e0 == e0 and e0 * e1 == kk.element((0, 0))
-    assert kk.one() == e0 + e1
-    a = kk.element(qvec([3, -2]))
-    assert a * kk.one() == a
+    mul = kk._mul_sparse
+    e0, e1 = {0: 1}, {1: 1}
+    assert mul(e0, e0) == e0 and mul(e0, e1) == {}
+    assert kk.unit == {0: 1, 1: 1}
+    a = {0: 3, 1: -2}
+    assert mul(a, kk.unit) == a
 
 
 def test_matrix_units():
     # brute-force matrix-unit products in the 2x2 matrix algebra
     m2 = matrix_algebra(field_algebra(QQ), 2)
     assert m2.dim == 4
+    mul = m2._mul_sparse
 
     def unit(r, s):
-        return m2.element(place(m2, r, s, (QQ.one,)))
+        return place(m2, r, s, {0: QQ.one})
 
-    assert unit(0, 0) * unit(0, 1) == unit(0, 1)
-    assert unit(0, 1) * unit(0, 0) == m2.element((0,) * 4)
+    assert mul(unit(0, 0), unit(0, 1)) == unit(0, 1)
+    assert mul(unit(0, 1), unit(0, 0)) == {}
     # bilinearity: (E00 + E01)·E11 = E01
-    assert (unit(0, 0) + unit(0, 1)) * unit(1, 1) == unit(0, 1)
+    assert mul({**unit(0, 0), **unit(0, 1)}, unit(1, 1)) == unit(0, 1)
     for g in range(2):
         for h in range(2):
             for r in range(2):
                 for s in range(2):
-                    prod = unit(g, h) * unit(r, s)
-                    assert prod == (unit(g, s) if h == r else m2.element((0,) * 4))
+                    prod = mul(unit(g, h), unit(r, s))
+                    assert prod == (unit(g, s) if h == r else {})
 
 
 def test_central_idempotents():
     kk = product_of_fields(QQ, 2)
-    assert is_central_idempotent(kk.one())
-    assert is_central_idempotent(kk.basis_element(0))
-    assert not is_central_idempotent(kk.element(qvec([1, 2])))
+    assert is_central_idempotent(kk, kk.unit)
+    assert is_central_idempotent(kk, {0: 1})
+    assert not is_central_idempotent(kk, {0: 1, 1: 2})
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    e00 = m2.element(place(m2, 0, 0, (QQ.one,)))
-    assert not is_central_idempotent(e00)  # idempotent but witness E01 moves
+    e00 = place(m2, 0, 0, {0: QQ.one})
+    assert not is_central_idempotent(m2, e00)  # idempotent but witness E01 moves
 
 
 def test_ideal_basis():
     kk = product_of_fields(QQ, 2)
-    assert ideal_basis(kk, kk.one()).dim == kk.dim
-    assert ideal_basis(kk, kk.element((0, 0))).is_zero()
-    span = ideal_basis(kk, kk.basis_element(0))
-    assert span.basis == (qvec([1, 0]),)
+    assert ideal_basis(kk, kk.unit).dim == kk.dim
+    assert ideal_basis(kk, {}).is_zero()
+    span = ideal_basis(kk, {0: 1})
+    assert list(span._rows.values()) == [{0: 1}]
     with pytest.raises(NotCentralIdempotent):
-        ideal_basis(kk, kk.element(qvec([1, 2])))
+        ideal_basis(kk, {0: 1, 1: 2})
 
 
 def test_center_examples():
@@ -82,7 +83,7 @@ def test_center_examples():
     assert center_basis(kk).dim == kk.dim
     m2 = matrix_algebra(field_algebra(QQ), 2)
     c = center_basis(m2)
-    assert c.dim == 1 and c.basis == (m2.unit,)
+    assert c.dim == 1 and list(c._rows.values()) == [m2.unit]
     # centers multiply over direct products: M2(Q) x Q^2 has center 1 + 2
     prod = direct_product(m2, product_of_fields(QQ, 2))
     assert prod.dim == 6 and center_basis(prod).dim == 3
@@ -91,12 +92,11 @@ def test_center_examples():
 def test_group_and_dual_algebras():
     z2 = cyclic(2)
     gq = group_algebra(QQ, z2)
-    g = gq.basis_element(1)
-    assert g * g == gq.one()
+    assert gq._mul_sparse({1: 1}, {1: 1}) == gq.unit == {0: 1}
     dual = dual_group_algebra(QQ, z2)
-    pe, pg = dual.basis_element(0), dual.basis_element(1)
-    assert pe * pe == pe and pe * pg == dual.element((0, 0))
-    assert dual.one() == pe + pg
+    pe, pg = {0: 1}, {1: 1}
+    assert dual._mul_sparse(pe, pe) == pe and dual._mul_sparse(pe, pg) == {}
+    assert dual.unit == {**pe, **pg}
 
     # trivial group: both constructions collapse to the base field
     t = cyclic(1)
@@ -107,8 +107,8 @@ def test_matrix_algebra_over_group_index():
     kk = product_of_fields(QQ, 2)
     m = matrix_algebra(kk, cyclic(2))
     assert m.dim == 2 * 2 * 2  # n^2 * dim(A)
-    assert m.unit == tuple(
-        a + b for a, b in zip(place(m, 0, 0, kk.unit), place(m, 1, 1, kk.unit)))
+    assert m.unit == {**place(m, 0, 0, kk.unit), **place(m, 1, 1, kk.unit)}
+    assert list(m.unit) == sorted(m.unit)
     k_only = matrix_algebra(field_algebra(QQ), cyclic(1))
     assert k_only.dim == 1
 
@@ -122,11 +122,11 @@ def test_direct_product_embeddings():
     assert prod.right_embed.is_multiplicative()
     # three orthogonal central idempotents in (k x k) x k
     triple = direct_product(product_of_fields(QQ, 2), kk)
-    idems = [triple.basis_element(i) for i in range(3)]
+    idems = [{i: 1} for i in range(3)]
     for i, e in enumerate(idems):
-        assert is_central_idempotent(e)
+        assert is_central_idempotent(triple, e)
         for j, f in enumerate(idems):
-            assert e * f == (e if i == j else triple.element((0,) * 3))
+            assert triple._mul_sparse(e, f) == (e if i == j else {})
     with pytest.raises(FieldMismatch):
         direct_product(product_of_fields(QQ, 1), product_of_fields(GF(5), 1))
 
@@ -136,26 +136,29 @@ def test_tensor_algebra_componentwise():
     m2 = matrix_algebra(field_algebra(QQ), 2)
     t = tensor_algebra(kk, m2)
     assert t.dim == 8
-    x = qvec([1, 0, 0, 1] + [0] * 4)     # e0 ⊗ 1 and e1 ⊗ 1, index a·4 + m
-    y = qvec([0] * 4 + [1, 0, 0, 1])
-    assert not any(t.mul_vec(x, y))
-    assert t.mul_vec(x, x) == x
+    x = {0: 1, 3: 1}     # e0 ⊗ 1, index a·4 + m
+    y = {4: 1, 7: 1}     # e1 ⊗ 1
+    assert t._mul_sparse(x, y) == {}
+    assert t._mul_sparse(x, x) == x
+    assert t.unit == {**x, **y}
 
 
 def test_algebra_mismatch():
+    # a composite needs the inner map to land in the outer map's domain
     a = product_of_fields(QQ, 2)
     b = product_of_fields(QQ, 2)
-    with pytest.raises(AlgebraMismatch):
-        a.basis_element(0) * b.basis_element(0)
+    with pytest.raises(AlgebraMismatch) as info:
+        AlgebraMap(a, a, identity(2)).compose(AlgebraMap(b, b, identity(2)))
+    assert str(info.value) == "maps do not compose: the inner codomain is not the outer domain"
 
 
 def test_subalgebra_extraction():
     kk = product_of_fields(QQ, 3)
-    span = Subspace.from_vectors(QQ, 3, [qvec([1, 0, 0]), qvec([0, 1, 0])])
-    sub, include = subalgebra(kk, span, qvec([1, 1, 0]))
+    span = Subspace.from_sparse(QQ, 3, [{0: 1}, {1: 1}])
+    sub, include = subalgebra(kk, span, {0: 1, 1: 1})
     assert sub.dim == 2 and include.is_multiplicative() and include.kernel().is_zero()
     # the corner's unit maps to its generating idempotent, not to 1
-    assert include.apply_vec(sub.unit) == qvec([1, 1, 0])
+    assert include.apply_sparse(sub.unit) == {0: 1, 1: 1}
 
 
 # -- validation gate -----------------------------------------------------
@@ -193,10 +196,12 @@ def _first_nonassociative_triple(field, table):
 
 
 def _brute_force_valid(field, table, unit):
-    """Independent axiom oracle: associativity and unit law from scratch."""
+    """Independent axiom oracle: associativity and unit law from scratch,
+    for the sparse unit."""
     if _first_nonassociative_triple(field, table) is not None:
         return False
     mul, basis = _dense_mul(field, table)
+    unit = dense(unit, len(table))
     return all(mul(unit, b) == b and mul(b, unit) == b for b in basis)
 
 
@@ -252,13 +257,13 @@ def test_unit_fails_witness():
     # an associative table with a wrong declared unit hits the unit check
     kk = product_of_fields(QQ, 2)
     with pytest.raises(UnitFails):
-        make_algebra(QQ, kk.products, qvec([1, 0]))
+        make_algebra(QQ, kk.products, {0: 1})
 
 
 def _per_basis_unit_failure(alg):
     """Oracle: the first (i, side) where 1·b_i = b_i = b_i·1 fails, from two
     sparse products per basis element, left before right."""
-    unit = {k: v for k, v in enumerate(alg.unit) if v}
+    unit = alg.unit
     one = alg.field.one
     for i in range(alg.dim):
         b = {i: one}
@@ -294,11 +299,12 @@ def test_unit_law_failure_matches_per_basis_oracle(field):
 ])
 def test_unit_law_failure_planted(unit, expected):
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    alg = StructureAlgebra(QQ, m2.products, qvec(unit))
+    unit = {k: x for k, x in enumerate(unit) if x}
+    alg = StructureAlgebra(QQ, m2.products, unit)
     assert _per_basis_unit_failure(alg) == expected
     assert _unit_law_failure(alg) == expected
     with pytest.raises(UnitFails, match=rf"b{expected[0]} \({expected[1]} side\)"):
-        make_algebra(QQ, m2.products, qvec(unit))
+        make_algebra(QQ, m2.products, unit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,10 +314,10 @@ def test_unit_law_failure_perturbed_units(field, which, changes):
     # the true unit with a few coefficients moved: the first failure falls
     # on either side and at any index
     alg = _unit_law_algebras(field)[which]
-    unit = list(alg.unit)
+    unit = dict(alg.unit)
     for j, delta in changes:
-        unit[j % alg.dim] += delta
-    declared = StructureAlgebra(field, alg.products, field.scalars(unit))
+        unit[j % alg.dim] = unit.get(j % alg.dim, 0) + delta
+    declared = StructureAlgebra(field, alg.products, field.sparse(unit))
     assert _unit_law_failure(declared) == _per_basis_unit_failure(declared)
 
 
@@ -403,14 +409,14 @@ def test_associativity_witness_takes_smallest_k(field):
 def test_make_algebra_checks_sparse_shape():
     one = QQ.one
     with pytest.raises(ValueError, match="out of range"):
-        make_algebra(QQ, [[[(1, one)]]], [one])
+        make_algebra(QQ, [[[(1, one)]]], {0: one})
     with pytest.raises(ValueError, match="zero"):
         make_algebra(QQ, [[[(0, one)], []], [[], [(1, one), (0, QQ.zero)]]],
-                     qvec([1, 1]))
+                     {0: 1, 1: 1})
     with pytest.raises(ValueError, match="repeats"):
-        make_algebra(QQ, [[[(0, one), (0, one)]]], [one])
+        make_algebra(QQ, [[[(0, one), (0, one)]]], {0: one})
     with pytest.raises(ValueError, match="d x d"):
-        make_algebra(QQ, [[[(0, one)], []]], [one])
+        make_algebra(QQ, [[[(0, one)], []]], {0: one})
 
 
 @pytest.mark.parametrize("field, rows, message", [
@@ -430,18 +436,18 @@ def test_make_algebra_checks_mapping_rows(field, rows, message):
     # row, with the same messages; a key outside range(d) makes the table
     # not d x d
     with pytest.raises(ValueError) as info:
-        make_algebra(field, rows, [1])
+        make_algebra(field, rows, {0: 1})
     assert str(info.value) == message
 
 
 def test_make_algebra_drops_empty_cells_in_either_form():
     one = QQ.one
     want = ({0: ((0, one),)}, {1: ((1, one),)})
-    dense = make_algebra(QQ, [[[(0, one)], []], [(), [(1, one)]]], qvec([1, 1]))
+    listed = make_algebra(QQ, [[[(0, one)], []], [(), [(1, one)]]], {0: 1, 1: 1})
     mapping = make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: (), 1: [(1, one)]}],
-                           qvec([1, 1]))
-    assert dense.products == mapping.products == want
-    assert dense.nonempty_cells[1] == mapping.nonempty_cells[1] == [
+                           {0: 1, 1: 1})
+    assert listed.products == mapping.products == want
+    assert listed.nonempty_cells[1] == mapping.nonempty_cells[1] == [
         [(0, ((0, one),))], [(1, ((1, one),))]]
 
 
@@ -450,12 +456,12 @@ def test_make_algebra_sorts_cells_it_is_given():
     # highest index first; builders emit sorted cells, outside input may not
     one = QQ.one
     alg = make_algebra(QQ, [[[(0, one)], [(1, one)]],
-                            [[(1, one)], [(1, one), (0, one)]]], [one, 0])
+                            [[(1, one)], [(1, one), (0, one)]]], {0: one})
     assert alg.products[1][1] == ((0, one), (1, one))
     assert type(alg.products[0][0]) is tuple
     # a mapping row given out of order is stored in ascending j
     alg = make_algebra(QQ, [{1: [(1, one)], 0: [(0, one)]},
-                            {1: [(1, one), (0, one)], 0: [(1, one)]}], [one, 0])
+                            {1: [(1, one), (0, one)], 0: [(1, one)]}], {0: one})
     assert [list(row) for row in alg.products] == [[0, 1], [0, 1]]
     assert alg.products[1][1] == ((0, one), (1, one))
 
@@ -465,17 +471,30 @@ def test_make_algebra_refuses_non_residues(cell, unit):
     # 6 and -4 stand for 1 in F_5, but stored scalars are canonical residues
     # (a kernel reduces what it computes; a table or unit is taken as given)
     with pytest.raises(ValueError, match="not a residue mod 5"):
-        make_algebra(GF(5), [[[(0, cell)]]], [unit])
-    assert make_algebra(GF(5), [[[(0, 1)]]], [GF(5).from_int(6)]).unit == (1,)
+        make_algebra(GF(5), [[[(0, cell)]]], {0: unit})
+    assert make_algebra(GF(5), [[[(0, 1)]]], {0: GF(5).from_int(6)}).unit == {0: 1}
+
+
+@pytest.mark.parametrize("index", [1, -1, True, 0.0, "0"])
+def test_make_algebra_refuses_a_unit_index_outside_the_algebra(index):
+    with pytest.raises(ValueError) as info:
+        make_algebra(QQ, [[[(0, 1)]]], {index: 1})
+    assert str(info.value) == "unit has an index outside 0..0"
+
+
+def test_make_algebra_stores_the_unit_in_index_order_without_zeros():
+    alg = make_algebra(QQ, product_of_fields(QQ, 3).products, {2: 1, 0: 1, 1: 1})
+    assert list(alg.unit) == [0, 1, 2]
+    assert make_algebra(QQ, [[[(0, 1)]]], {0: 1}).unit == {0: 1}
 
 
 def test_multiplicativity_witness_names_first_pair():
     kk = product_of_fields(QQ, 2)
-    double = AlgebraMap(kk, kk, qmat([[2, 0], [0, 2]]).sparse_columns())
+    double = AlgebraMap(kk, kk, to_columns([[2, 0], [0, 2]]))
     assert not double.is_multiplicative()
     i, j = double._multiplicativity_witness()
     assert (kk.labels[i], kk.labels[j]) == ("e0", "e0")
-    ident = AlgebraMap(kk, kk, Mat.identity(QQ, 2).sparse_columns())
+    ident = AlgebraMap(kk, kk, identity(2))
     assert ident._multiplicativity_witness() is None
 
 
@@ -513,20 +532,13 @@ def test_map_applies_its_sparse_columns():
     columns = [{0: 7, 2: 5}, {}, {1: -1, 2: 3}]
     phi = AlgebraMap(kk, kk, columns)
     assert phi.columns == [{0: 2}, {}, {1: 4, 2: 3}]
-    dense = map_matrix(phi)
+    m = map_matrix(phi)
     for vec in [(1, 2, 3), (0, 4, 0), (0, 0, 0), (4, 4, 4)]:
-        assert phi.apply_vec(vec) == apply(dense, vec)
-        assert phi.apply(kk.element(vec)).coeffs == apply(dense, vec)
-    with pytest.raises(ValueError, match="vector of length 2 in dimension 3"):
-        phi.apply_vec((1, 2))
+        got = phi.apply_sparse({i: x for i, x in enumerate(vec) if x})
+        assert dense(got, 3) == apply(field, m, vec)
 
 
 # -- sparse builders against an independent dense route --------------------
-
-def _basis(field, d):
-    return [tuple(field.one if i == j else field.zero for j in range(d))
-            for i in range(d)]
-
 
 def _assert_rows_match(alg, dense_product):
     """Every cell of alg's sparse rows equals dense_product(i, j)."""
@@ -549,12 +561,12 @@ def test_tensor_rows_match_factorwise_products(field, factors):
     # (a⊗b)(c⊗d) = ac⊗bd, from the factors' own multiplication
     left, right = factors(field)
     t = tensor_algebra(left, right)
-    lb, rb = _basis(field, left.dim), _basis(field, right.dim)
     dr = right.dim
 
     def dense_product(p, q):
         (a, b), (c, d) = divmod(p, dr), divmod(q, dr)
-        return _outer(field, left.mul_vec(lb[a], lb[c]), right.mul_vec(rb[b], rb[d]))
+        return _outer(field, dense(left._mul_sparse({a: 1}, {c: 1}), left.dim),
+                      dense(right._mul_sparse({b: 1}, {d: 1}), right.dim))
 
     _assert_rows_match(t, dense_product)
 
@@ -566,14 +578,13 @@ def test_matrix_rows_match_matrix_unit_rule(field):
     grp = symmetric(3)
     m = matrix_algebra(base, grp)
     n, d = grp.order, base.dim
-    bb = _basis(field, d)
 
     def dense_product(p, q):
         (gh, x), (rs, y) = divmod(p, d), divmod(q, d)
         (g, h), (r, s) = divmod(gh, n), divmod(rs, n)
         out = [field.zero] * m.dim
         if h == r:
-            for k, v in enumerate(base.mul_vec(bb[x], bb[y])):
+            for k, v in base._mul_sparse({x: 1}, {y: 1}).items():
                 out[(g * n + s) * d + k] = v
         return out
 

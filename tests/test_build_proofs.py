@@ -51,11 +51,11 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
                               build_representations, coaction_report, group_hopf,
                               hopf_data_checks, hopf_lift_suite, lift_group_action,
                               make_hopf, partial_smash_report)
-from partialskew.linalg import Mat, Subspace, _sparse
+from partialskew.linalg import Subspace
 from partialskew.skew import build_skew, grading_report
 from partialskew.smash import build_smash, smash_report
 
-from corpus_helpers import column_matrix
+from dense_oracle import identity
 
 # the proofs an embedding or the corner idempotent would take, as
 # (AlgebraMap method, a stand-in that makes that proof fail)
@@ -139,7 +139,7 @@ def test_ideal_basis_refuses_a_marker_whose_span_is_one_sided():
     # the right (E00·E01 = E01 lies outside it): is_central_idempotent
     # refuses the marker before any span is formed
     m2 = matrix_algebra(field_algebra(QQ), 2)
-    e00 = m2.basis_element(m2.slot(0, 0, 0))
+    e00 = {m2.slot(0, 0, 0): 1}
     span = Subspace.from_sparse(QQ, m2.dim, [m2._mul_sparse({i: 1}, {m2.slot(0, 0, 0): 1})
                                             for i in range(m2.dim)])
     assert not duality._is_two_sided_ideal(m2, span, duality._left_products(m2, span))[0]
@@ -156,7 +156,7 @@ RESTATED = ("coaction.counit", "hopf.corner_maps", "opduality.idempotent")
 def _unit_acting_twice(pha):
     """``pha`` with 1_H acting as twice the identity: axiom 2 fails, which
     only ``make_partial_hopf_action`` would refuse."""
-    unit = _sparse(pha.hopf.algebra.unit)
+    unit = pha.hopf.algebra.unit
     return PartialHopfAction(pha.hopf, pha.algebra, [
         [{t: 2 * v for t, v in col.items()} for col in cols] if i in unit else cols
         for i, cols in enumerate(pha.acts)])
@@ -273,9 +273,9 @@ def _counit_doubled(pha):
     ``make_hopf`` and the builders of its dual would refuse."""
     h = pha.hopf
     dual = h.dual()
-    bad = HopfData(h.algebra, h.comul, [2 * e for e in h.counit], h.antipode,
-                   h.antipode_inv)
-    unit = [2 * x for x in dual.algebra.unit]
+    bad = HopfData(h.algebra, h.comul, {k: 2 * e for k, e in h.counit.items()},
+                   h.antipode, h.antipode_inv)
+    unit = {k: 2 * x for k, x in dual.algebra.unit.items()}
     bad._dual = HopfData(StructureAlgebra(QQ, dual.algebra.products, unit,
                                           dual.algebra.labels),
                          dual.comul, dual.counit, dual.antipode, dual.antipode_inv)
@@ -321,7 +321,7 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
     monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", no_coaction_witness)
     monkeypatch.setattr(hopf, "_on_leg", no_coassociativity)
     with pytest.raises(AssertionError, match="re-proved coassociativity"):
-        make_hopf(h.algebra, h.comul, h.counit, column_matrix(QQ, h.antipode, h.dim))
+        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
     assert reports() == expected
     # the counit and unit_acts sub-checks state make_hopf's counit law
     psmash = {c.name: c for c in partial_smash_report(
@@ -333,8 +333,8 @@ def test_make_partial_action_refuses_an_idempotent_that_is_not_one():
     # 2·e0 is central, but (2·e0)² = 4·e0, so A(1 - 1_g)1_g would not vanish
     k2 = product_of_fields(QQ, 2)
     with pytest.raises(NotCentralIdempotent) as err:
-        make_partial_action(cyclic(2), k2, [k2.unit, (2, 0)],
-                            [Mat.identity(QQ, 2), Mat(QQ, [[1, 0], [0, 0]])])
+        make_partial_action(cyclic(2), k2, [k2.unit, {0: 2}],
+                            [identity(2), [{0: 1}, {}]])
     assert str(err.value) == "not a central idempotent: g=g: (2)*e0"
 
 
@@ -353,7 +353,7 @@ def test_make_hopf_refuses_a_broken_counit_law():
     # ε(g) = 2: Δ(g) = g⊗g gives (ε⊗1)Δ(g) = 2g != g
     h = group_hopf(QQ, cyclic(2))
     with pytest.raises(HopfAxiomFails) as err:
-        make_hopf(h.algebra, h.comul, [1, 2], column_matrix(QQ, h.antipode, 2))
+        make_hopf(h.algebra, h.comul, {0: 1, 1: 2}, h.antipode)
     assert str(err.value) == "Hopf axiom 'counit' fails: basis g"
 
 
@@ -361,5 +361,5 @@ def test_make_hopf_refuses_a_singular_antipode(monkeypatch):
     h = group_hopf(QQ, cyclic(2))
     monkeypatch.setattr(hopf, "_inverse", lambda field, columns: None)
     with pytest.raises(AntipodeNotInvertible) as err:
-        make_hopf(h.algebra, h.comul, h.counit, column_matrix(QQ, h.antipode, 2))
+        make_hopf(h.algebra, h.comul, h.counit, h.antipode)
     assert str(err.value) == "antipode matrix is singular"

@@ -28,13 +28,12 @@ from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _add,
 from partialskew.duality import build_duality
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.linalg import Mat, _sparse
 from partialskew.scenarios import bundled_fixtures, fixture_path, run_scenario
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
 
 from corpus_helpers import mapping_rows, z3_restricted_action
-from dense_oracle import matmul
+from dense_oracle import dense
 from test_golden_reports import INLINE
 
 FIELDS = (QQ, GF(2), GF(5), GF(2**61 - 1))
@@ -109,14 +108,17 @@ def test_factored_tensor_product_matches_table_route(inst):
 
 def _per_term_products(a, b, comul, acted):
     """The rows of A # B with x·(b_k▷y) formed anew, by a dense product of
-    a_x with the densified ``acted[k][y]``, for every term (k, l, v) of
-    every Δ(b_i)."""
+    a_x with the densified ``acted[k][y]`` over the rows of A, for every
+    term (k, l, v) of every Δ(b_i)."""
     field = a.field
     da, db = a.dim, b.dim
-    basis = a.basis_element
 
-    def act(k, y):
-        return tuple(acted[k][y].get(s, field.zero) for s in range(da))
+    def times(x, k, y):
+        out = [0] * da
+        for s, c in enumerate(dense(acted[k][y], da)):
+            for t, w in a.products[x].get(s, ()) if c else ():
+                out[t] += c * w
+        return field.sparse(dict(enumerate(out)))
 
     rows = []
     for x in range(da):
@@ -126,7 +128,7 @@ def _per_term_products(a, b, comul, acted):
                 for j in range(db):
                     cell = {}
                     for k, l, v in comul[i]:
-                        xy = _sparse(a.mul_vec(basis(x).coeffs, act(k, y)))
+                        xy = times(x, k, y)
                         for t, u in b.products[l].get(j, ()):
                             for s, w in xy.items():
                                 key = s * db + t
@@ -242,10 +244,10 @@ def test_random_partial_action_smash_matches_retired_loop(perm, bits, field):
     # a permutation of order dividing 3 generates a Z₃ action on k⁴;
     # restricted to a random nonzero 0/1 idempotent it is partial
     algebra = product_of_fields(field, 4)
-    p = Mat(field, [[field.one if i == perm[j] else field.zero for j in range(4)]
-                    for i in range(4)])
-    parent = global_action(cyclic(3), algebra, [Mat.identity(field, 4), p, matmul(p, p)])
-    e = algebra.element(tuple(field.one if b else field.zero for b in bits))
+    parent = global_action(cyclic(3), algebra,
+                           [[{x: field.one} for x in power]
+                            for power in (range(4), perm, [perm[x] for x in perm])])
+    e = {i: field.one for i, b in enumerate(bits) if b}
     for alg, args in _smash_tables(restrict_global(parent, e)):
         assert alg.products == _retired_smash_rows(*args)
 

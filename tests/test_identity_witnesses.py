@@ -48,18 +48,19 @@ from partialskew.errors import (Axiom1Fails, Axiom2Fails, Axiom3Fails,
                                 NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
+from partialskew.hopf import (HopfData, PartialSmash, _on_leg,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations, group_hopf,
                               make_hopf, make_partial_hopf_action, partial_smash_report)
-from partialskew.linalg import Mat, Subspace, _sparse, vsub
+from partialskew.linalg import Subspace
 from partialskew.report import check
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path, load_scenario,
                                    run_scenario)
 
-from corpus_helpers import action_matrices, dense_rows, map_columns, mapping_rows
-from dense_oracle import apply
+from corpus_helpers import action_matrices, dense_rows, mapping_rows
+from dense_oracle import (apply, basis_of, dense, identity, multiply, span_of,
+                          to_rows, unit_vector)
 from test_algebras import (_dense_mul, _densify, _first_nonassociative_triple,
                            _sparsify)
 from test_golden_reports import INLINE
@@ -209,7 +210,7 @@ def _perturbed_tables(draw):
         st.tuples(index, index), st.dictionaries(index, st.integers(-2, 2), max_size=2),
         min_size=1, max_size=2))
     for (i, j), vec in cells.items():
-        table[i][j] = list(field.vector([vec.get(k, 0) for k in range(d)]))
+        table[i][j] = [field.reduce(vec.get(k, 0)) for k in range(d)]
     return field, table
 
 
@@ -227,7 +228,7 @@ def _pairwise_witness(phi, anti=False):
     """First (i, j) where φ(b_i b_j) and φ(b_i)φ(b_j) (φ(b_j)φ(b_i) when
     ``anti``) differ, one sparse product per pair, or None."""
     field = phi.codomain.field
-    cols = [_sparse(col) for col in map_columns(phi)]
+    cols = phi.columns
     mul = phi.codomain._mul_sparse
     for i, row in enumerate(dense_rows(phi.domain.products)):
         ci = cols[i]
@@ -361,7 +362,7 @@ def _first_unit_relation_failure(m):
     """First (g, h, r, s) where E_gh·E_rs differs from δ_hr·E_gs, one sparse
     product per quadruple, or None."""
     n = m.size
-    base_unit = _sparse(m.base.unit)
+    base_unit = m.base.unit
     eu = [[{m.slot(g, h, i): v for i, v in base_unit.items()}
            for h in range(n)] for g in range(n)]
     for g in range(n):
@@ -416,7 +417,7 @@ def test_matrix_units_over_a_unit_that_is_not_a_basis_vector(field):
     # k with basis b = 2·1: b·b = 2b and 1 = b/2, so E_gh = E_{g,h}⊗b/2 and
     # every product term carries the unit coefficient twice
     half = field.parse("1/2")
-    base = make_algebra(field, [[((0, field.parse("2")),)]], [half])
+    base = make_algebra(field, [[((0, field.parse("2")),)]], {0: half})
     m = matrix_algebra(base, 3)
     assert m._verify() is None
     _tamper(m, {(m.slot(1, 2, 0), m.slot(2, 0, 0)): ((m.slot(1, 1, 0), field.one),)})
@@ -457,12 +458,10 @@ def _rescaled_group_hopf(field, group, c):
 
     products = [[((group.mul(g, h), q(c(g) * c(h), c(group.mul(g, h)))),)
                  for h in range(n)] for g in range(n)]
-    unit = [q(1, c(e)) if g == e else field.zero for g in range(n)]
-    alg = make_algebra(field, products, unit)
+    alg = make_algebra(field, products, {e: q(1, c(e))})
     comul = [[(g, g, q(1, c(g)))] for g in range(n)]
-    counit = [field.from_int(c(g)) for g in range(n)]
-    antipode = Mat(field, [[q(c(j), c(i)) if i == group.inv(j) else field.zero
-                            for j in range(n)] for i in range(n)])
+    counit = {g: field.from_int(c(g)) for g in range(n)}
+    antipode = [{group.inv(j): q(c(j), c(group.inv(j)))} for j in range(n)]
     return make_hopf(alg, comul, counit, antipode)
 
 
@@ -539,24 +538,24 @@ def _partial_actions(field):
 
 
 def _lifts(field):
-    """(name, H, A, action matrices) for every instance, group Hopf algebras
-    first, then the rescaled ones."""
+    """(name, H, A, sparse action columns) for every instance, group Hopf
+    algebras first, then the rescaled ones."""
     actions = _partial_actions(field)
-    out = [(name, group_hopf(field, pa.group), pa.algebra, action_matrices(pa))
+    out = [(name, group_hopf(field, pa.group), pa.algebra, list(pa.columns))
            for name, pa in actions]
     c = _scale(field)
     for name, pa in actions:
         h = _rescaled_group_hopf(field, pa.group, c)
-        mats = [Mat(field, [list(field.vector(c(g) * x for x in row)) for row in m.entries])
-                for g, m in enumerate(action_matrices(pa))]
-        out.append((f"{name}/rescaled", h, pa.algebra, mats))
+        acts = [[field.sparse({r: c(g) * x for r, x in col.items()}) for col in cols]
+                for g, cols in enumerate(pa.columns)]
+        out.append((f"{name}/rescaled", h, pa.algebra, acts))
     return out
 
 
 def _actions(field):
     """(name, validated partial Hopf action) for every instance."""
-    return [(name, make_partial_hopf_action(h, alg, mats))
-            for name, h, alg, mats in _lifts(field)]
+    return [(name, make_partial_hopf_action(h, alg, acts))
+            for name, h, alg, acts in _lifts(field)]
 
 
 def _composed_exchange_failure(h, ops):
@@ -572,7 +571,7 @@ def _composed_exchange_failure(h, ops):
     def op_sum(terms):
         return [_lincomb(field, ((c, op[x]) for c, op in terms)) for x in range(d)]
 
-    unit = _sparse(h.algebra.unit)
+    unit = h.algebra.unit
     rho_g = [op_sum([(u, rho[c][i]) for i, u in unit.items()]) for c in range(d)]
     s_g = dual.antipode
     for a in range(d):
@@ -643,11 +642,11 @@ def _corner_lemma_failure(pha, phi, lam_columns):
     None."""
     h, alg = pha.hopf, pha.algebra
     d, dd, field = h.dim, h.dim * h.dim, alg.field
-    one_a = _sparse(alg.unit)
+    one_a = alg.unit
     psi = [field.sparse({a * dd + e: u * c for a, u in one_a.items() for e, c in col.items()})
            for col in lam_columns]
     mul = phi.codomain._mul_sparse
-    unit = _sparse(phi.apply_vec(alg.unit))
+    unit = phi.apply_sparse(alg.unit)
     phi_cols = phi.columns
     for a in range(alg.dim):
         phi_ka = [_lincomb(field, ((c, phi_cols[t]) for t, c in pha.acts[k][a].items()))
@@ -693,12 +692,12 @@ def _psmash_oracle(ps):
     h = ps.pha.hopf
     d, dual, amb = h.dim, h.dual(), ps.ambient
     field, mul = amb.field, amb._mul_sparse
-    su = [_sparse(u) for u in ps.sub.basis]
+    su = list(ps.sub._rows.values())
     uv = [[mul(u, v) for v in su] for u in su]
     corner = range(len(su))
 
     def vec(a):
-        return amb.format_vec(ps.sub.basis[a])
+        return amb.format_vec(su[a])
 
     t = tensor_algebra(amb, h.algebra)
     co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
@@ -756,11 +755,11 @@ def test_partial_smash_checks_match_per_tuple_oracle(field):
     assert min(failing) >= 10
 
 
-def _per_tuple_axiom_failure(h, algebra, mats):
-    """The message ``make_partial_hopf_action`` raises for these matrices,
-    from the per-tuple loops of the three axioms in order, or None."""
-    pha = PartialHopfAction(h, algebra, [m.sparse_columns() for m in mats])
-    acts, field, mul = pha.acts, algebra.field, algebra._mul_sparse
+def _per_tuple_axiom_failure(h, algebra, acts):
+    """The message ``make_partial_hopf_action`` raises for these canonical
+    sparse columns, from the per-tuple loops of the three axioms in order,
+    or None."""
+    field, mul = algebra.field, algebra._mul_sparse
     d, da = h.dim, algebra.dim
     hl, al = h.algebra.labels, algebra.labels
     for i in range(d):
@@ -771,13 +770,14 @@ def _per_tuple_axiom_failure(h, algebra, mats):
                 if lhs != _lincomb(field, ((v, mul(acts[k][x], acts[l][y]))
                                            for k, l, v in h.comul[i])):
                     return str(Axiom1Fails(hl[i], al[x], al[y]))
-    # 1_H ▷ a_x = a_x, densely from the matrices themselves
+    # 1_H ▷ a_x = a_x, densely from the matrices of the actions
+    mats = [to_rows(cols, da) for cols in acts]
     for x in range(da):
-        image = [sum(u * m.entries[r][x] for u, m in zip(h.algebra.unit, mats))
+        image = [sum(u * mats[i][r][x] for i, u in h.algebra.unit.items())
                  for r in range(da)]
-        if field.vector(image) != algebra.basis_element(x).coeffs:
+        if [field.reduce(y) for y in image] != [int(r == x) for r in range(da)]:
             return str(Axiom2Fails(f"on basis {al[x]}"))
-    unit = _sparse(algebra.unit)
+    unit = algebra.unit
     unit_acts = [_lincomb(field, ((c, acts[k][y]) for y, c in unit.items())) for k in range(d)]
     for i in range(d):
         for j in range(d):
@@ -791,26 +791,26 @@ def _per_tuple_axiom_failure(h, algebra, mats):
     return None
 
 
-def _perturbed_actions(mats, field):
-    """The action matrices with one entry of the last raised by one, with
-    the last replaced by the first or by the identity, all zero (axiom 1
-    holds, the unit acts as 0), and with the second and third swapped."""
-    n, da = len(mats), mats[0].rows
-    bump = [list(row) for row in mats[-1].entries]
-    bump[0][0] = field.reduce(bump[0][0] + 1)
-    out = [mats[:-1] + [Mat(field, bump)], mats[:-1] + [mats[0]],
-           mats[:-1] + [Mat.identity(field, da)], [Mat(field, [[0] * da] * da)] * n]
+def _perturbed_actions(acts, field):
+    """The actions with the entry (0, 0) of the last raised by one, with the
+    last replaced by the first or by the identity, all zero (axiom 1 holds,
+    the unit acts as 0), and with the second and third swapped."""
+    n, da = len(acts), len(acts[0])
+    bump = [dict(col) for col in acts[-1]]
+    bump[0][0] = bump[0].get(0, 0) + 1
+    out = [acts[:-1] + [[field.sparse(col) for col in bump]], acts[:-1] + [acts[0]],
+           acts[:-1] + [identity(da)], [[{} for _ in range(da)]] * n]
     if n > 2:
-        out.append([mats[0]] + [mats[2], mats[1]] + mats[3:])
+        out.append([acts[0]] + [acts[2], acts[1]] + acts[3:])
     return out
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_partial_action_axioms_match_per_tuple_oracle(field):
     kinds = set()
-    for _, h, alg, mats in _lifts(field):
-        assert _per_tuple_axiom_failure(h, alg, mats) is None
-        for bad in _perturbed_actions(mats, field):
+    for _, h, alg, acts in _lifts(field):
+        assert _per_tuple_axiom_failure(h, alg, acts) is None
+        for bad in _perturbed_actions(acts, field):
             want = _per_tuple_axiom_failure(h, alg, bad)
             try:
                 make_partial_hopf_action(h, alg, bad)
@@ -825,30 +825,30 @@ def test_partial_action_axioms_match_per_tuple_oracle(field):
 # -- the partial-action layer ---------------------------------------------
 #
 # The oracles are the per-tuple loops the accumulators replaced, on the
-# dense maps through ``dense_oracle.apply`` and with ``basis_element`` vectors.
+# dense maps through ``dense_oracle.apply`` and with dense basis vectors.
 
 def _per_tuple_partial_action(group, algebra, idempotents, maps):
     """``make_partial_action`` as it was: every Zassenhaus meet formed where
-    it is read, each map applied as a dense matrix, one pair at a time."""
-    idempotents = [algebra.field.scalars(e) for e in idempotents]
-    n, d = group.order, algebra.dim
+    it is read, each map applied as a dense matrix (``maps`` by dense
+    rows), one pair at a time."""
+    n, d, field = group.order, algebra.dim, algebra.field
     for g in range(n):
-        if not is_central_idempotent(algebra.element(idempotents[g])):
+        if not is_central_idempotent(algebra, idempotents[g]):
             raise NotCentralIdempotent(
                 f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}")
     e = group.identity
     if idempotents[e] != algebra.unit:
         raise AxiomIFails("idempotent at the identity is not the unit")
-    if maps[e] != Mat.identity(algebra.field, d):
+    if maps[e] != to_rows(identity(d), d):
         raise AxiomIFails("map at the identity is not the identity map")
-    ideals = [ideal_basis(algebra, algebra.element(idempotents[g])) for g in range(n)]
+    ideals = [ideal_basis(algebra, idempotents[g]) for g in range(n)]
     for g in range(n):
         _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g)
     for g in range(n):
         for h in range(n):
             source = ideals[group.inv(g)].intersect(ideals[h])
-            image = Subspace.from_vectors(algebra.field, d,
-                                          [apply(maps[g], v) for v in source.basis])
+            image = span_of(field, d, [apply(field, maps[g], v)
+                                           for v in basis_of(source)])
             target = ideals[g].intersect(ideals[group.mul(g, h)])
             if image != target:
                 raise AxiomIIFails(group.label(g), group.label(h),
@@ -857,33 +857,36 @@ def _per_tuple_partial_action(group, algebra, idempotents, maps):
         for h in range(n):
             gh = group.mul(g, h)
             domain = ideals[group.inv(h)].intersect(ideals[group.inv(gh)])
-            for idx, v in enumerate(domain.basis):
-                if apply(maps[g], apply(maps[h], v)) != apply(maps[gh], v):
+            for idx, v in enumerate(basis_of(domain)):
+                if (apply(field, maps[g], apply(field, maps[h], v))
+                        != apply(field, maps[gh], v)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
 
 def _per_tuple_iso_on_ideal(group, algebra, idempotents, maps, ideals, g):
     ginv = group.inv(g)
+    field, d = algebra.field, algebra.dim
     source, target = ideals[ginv], ideals[g]
-    comp = vsub(algebra.field, algebra.unit, idempotents[ginv])
-    for i in range(algebra.dim):
-        if any(apply(maps[g], algebra.mul_vec(comp, algebra.basis_element(i).coeffs))):
+    comp = [field.reduce(a - b) for a, b in zip(dense(algebra.unit, d),
+                                                 dense(idempotents[ginv], d))]
+    for i in range(d):
+        if any(apply(field, maps[g], multiply(algebra, comp, unit_vector(d, i)))):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    images = [apply(maps[g], v) for v in source.basis]
-    image_span = Subspace.from_vectors(algebra.field, algebra.dim, images)
+    images = [apply(field, maps[g], v) for v in basis_of(source)]
+    image_span = span_of(field, d, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(
             group.label(g),
             f"image of source ideal has dim {image_span.dim}, "
             f"target ideal has dim {target.dim} (source dim {source.dim})")
-    for u in source.basis:
-        gu = apply(maps[g], u)
-        for v in source.basis:
-            lhs = apply(maps[g], algebra.mul_vec(u, v))
-            if lhs != algebra.mul_vec(gu, apply(maps[g], v)):
+    for u in basis_of(source):
+        gu = apply(field, maps[g], u)
+        for v in basis_of(source):
+            lhs = apply(field, maps[g], multiply(algebra, u, v))
+            if lhs != multiply(algebra, gu, apply(field, maps[g], v)):
                 raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
 
@@ -894,15 +897,16 @@ def _per_tuple_dot_identities(pa):
     d, n = alg.dim, grp.order
 
     maps = action_matrices(pa)
+    idempotents = [dense(e, d) for e in pa.idempotents]
 
     def dot(g, v):
-        return apply(maps[g], v)
+        return apply(alg.field, maps[g], v)
 
     def basis(i):
-        return alg.basis_element(i).coeffs
+        return unit_vector(d, i)
 
     def product(i, j):
-        return alg.mul_vec(basis(i), basis(j))
+        return multiply(alg, basis(i), basis(j))
 
     results = []
     bad = []
@@ -910,7 +914,7 @@ def _per_tuple_dot_identities(pa):
         for i in range(d):
             gi = dot(g, basis(i))
             for j in range(d):
-                if dot(g, product(i, j)) != alg.mul_vec(gi, dot(g, basis(j))):
+                if dot(g, product(i, j)) != multiply(alg, gi, dot(g, basis(j))):
                     bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
     results.append(check("lemma1.multiplicative", not bad, {"pairs": n * d * d}, bad[:3]))
     bad = []
@@ -919,7 +923,7 @@ def _per_tuple_dot_identities(pa):
             gh = grp.mul(g, h)
             for i in range(d):
                 a = basis(i)
-                if dot(g, dot(h, a)) != alg.mul_vec(dot(gh, a), pa.idempotents[g]):
+                if dot(g, dot(h, a)) != multiply(alg, dot(gh, a), idempotents[g]):
                     bad.append(f"g={grp.label(g)} h={grp.label(h)} a={alg.labels[i]}")
     results.append(check("lemma1.composition", not bad, {"triples": n * n * d}, bad[:3]))
     bad = []
@@ -929,16 +933,16 @@ def _per_tuple_dot_identities(pa):
             ga = dot(g, basis(i))
             for j in range(d):
                 b = basis(j)
-                if alg.mul_vec(ga, b) != dot(g, alg.mul_vec(basis(i), dot(ginv, b))):
+                if multiply(alg, ga, b) != dot(g, multiply(alg, basis(i), dot(ginv, b))):
                     bad.append(f"g={grp.label(g)} on ({alg.labels[i]}, {alg.labels[j]})")
     results.append(check("lemma1.pull_through", not bad, {"pairs": n * d * d}, bad[:3]))
-    bad = [grp.label(g) for g in range(n) if dot(g, alg.unit) != pa.idempotents[g]]
+    bad = [grp.label(g) for g in range(n) if dot(g, dense(alg.unit, d)) != idempotents[g]]
     results.append(check("lemma1.unit_image", not bad, {"elements": n}, bad))
     bad = []
     for g in range(n):
         for i in range(d):
             a = basis(i)
-            if dot(g, dot(grp.inv(g), a)) != alg.mul_vec(a, pa.idempotents[g]):
+            if dot(g, dot(grp.inv(g), a)) != multiply(alg, a, idempotents[g]):
                 bad.append(f"g={grp.label(g)} a={alg.labels[i]}")
     results.append(check("lemma1.round_trip", not bad, {"pairs": n * d}, bad[:3]))
     return results
@@ -995,9 +999,8 @@ def test_partial_action_layer_matches_per_tuple_oracles(field):
         assert dot_identities_report(pa)[:5] == _per_tuple_dot_identities(pa)
         for g, cols in _tampered_columns(pa):
             bad = _planted(pa, g, cols)
-            maps = action_matrices(bad)
-            want = _message(_per_tuple_partial_action, *args, maps)
-            assert _message(make_partial_action, *args, maps) == want
+            want = _message(_per_tuple_partial_action, *args, action_matrices(bad))
+            assert _message(make_partial_action, *args, bad.columns) == want
             kinds.add(want and want.split(":")[0])
             got = dot_identities_report(bad)[:5]
             assert got == _per_tuple_dot_identities(bad)

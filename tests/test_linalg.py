@@ -6,88 +6,93 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from partialskew.fields import GF, QQ
-from partialskew.linalg import Mat, Subspace, _dense, _echelon, _inverse, _sparse
+from partialskew.linalg import Subspace, _echelon, _inverse, _kernel
 
-from corpus_helpers import column_matrix, qmat, qvec
-from dense_oracle import apply, inverse, matmul
-
-
-def _kernel(m):
-    """The solution space of m·x = 0."""
-    return Subspace.kernel_from_sparse(m.field, m.cols, [dict(enumerate(r)) for r in m.entries])
+from dense_oracle import (apply, basis_of, dense, identity, inverse, matmul,
+                          span_of, sparse, to_columns, to_rows)
 
 
-def _image(m):
-    """The column space of m."""
-    return Subspace.from_vectors(m.field, m.rows, list(zip(*m.entries)))
+def _null(field, m):
+    """The solution space of m·x = 0, m by dense rows."""
+    return Subspace.kernel_from_sparse(field, len(m[0]), [sparse(r) for r in m])
+
+
+def _image(field, m):
+    """The column space of m, by dense rows."""
+    return Subspace.from_sparse(field, len(m), to_columns(m))
 
 
 def _reduced(rows, field):
     """The reduced row echelon form of dense rows by ``_echelon``, as
     (dense rows, pivot columns)."""
-    reduced = _echelon([_sparse(field.scalars(r)) for r in rows], field.characteristic)
-    return [_dense(r, field, len(rows[0])) for r in reduced.values()], list(reduced)
+    reduced = _echelon([sparse(field.scalars(r)) for r in rows], field.characteristic)
+    return [dense(r, len(rows[0])) for r in reduced.values()], list(reduced)
 
 
 def _contains(big, small):
-    return all(big.contains_vector(v) for v in small.basis)
+    return all(big.contains_sparse(v) for v in small._rows.values())
 
 
 def _combination(span, coords):
-    """The vector with coordinates ``coords`` on the echelon basis of span."""
-    return span.field.vector(sum(c * b[t] for c, b in zip(coords, span.basis))
-                             for t in range(span.ambient))
+    """The sparse vector with coordinates ``coords`` ``{position: scalar}``
+    on the echelon basis of span."""
+    rows = list(span._rows.values())
+    acc = {}
+    for i, c in coords.items():
+        for t, x in rows[i].items():
+            acc[t] = acc.get(t, 0) + c * x
+    return span.field.sparse(acc)
 
 
 def test_kernel_examples():
     # zero 1x1: everything is in the kernel
-    assert _kernel(qmat([[0]])).basis == (qvec([1]),)
+    assert basis_of(_null(QQ, [[0]])) == [(1,)]
     # identity: nothing is
-    assert _kernel(Mat.identity(QQ, 2)).dim == 0
+    assert _null(QQ, [[1, 0], [0, 1]]).dim == 0
     # hand row reduction: x + y = 0
-    assert _kernel(qmat([[1, 1], [2, 2]])).basis == (qvec([1, -1]),)
+    assert basis_of(_null(QQ, [[1, 1], [2, 2]])) == [(1, -1)]
 
 
 def test_image_examples():
-    assert _image(qmat([[0] * 3] * 3)).dim == 0
-    assert _image(Mat.identity(QQ, 4)).dim == 4
-    assert _image(qmat([[1, 2], [2, 4]])).basis == (qvec([1, 2]),)
+    assert _image(QQ, [[0] * 3] * 3).dim == 0
+    assert _image(QQ, to_rows(identity(4), 4)).dim == 4
+    assert basis_of(_image(QQ, [[1, 2], [2, 4]])) == [(1, 2)]
 
 
 def test_subspace_ops():
-    u = Subspace.from_vectors(QQ, 2, [qvec([1, 0])])
-    v = Subspace.from_vectors(QQ, 2, [qvec([0, 1])])
+    u = span_of(QQ, 2, [[1, 0]])
+    v = span_of(QQ, 2, [[0, 1]])
     assert u.intersect(v).is_zero()
     assert (u + v).dim == 2 and u + v == v + u
 
-    w = Subspace.from_vectors(QQ, 3, [qvec([1, 1, 0])])
-    big = Subspace.from_vectors(QQ, 3, [qvec([1, 1, 0]), qvec([0, 0, 1])])
+    w = span_of(QQ, 3, [[1, 1, 0]])
+    big = span_of(QQ, 3, [[1, 1, 0], [0, 0, 1]])
     assert _contains(big, w) and not _contains(w, big)
     # membership solve
-    assert big.contains_vector(qvec([2, 2, 5]))
-    assert not big.contains_vector(qvec([1, 0, 0]))
+    assert big.contains_sparse({0: 2, 1: 2, 2: 5})
+    assert not big.contains_sparse({0: 1})
 
 
 def test_subspace_canonical_equality():
     # different spanning sets, same canonical basis
-    a = Subspace.from_vectors(QQ, 3, [qvec([1, 1, 0]), qvec([2, 2, 2])])
-    b = Subspace.from_vectors(QQ, 3, [qvec([3, 3, 1]), qvec([0, 0, 7])])
-    assert a == b and a.basis == b.basis
+    a = span_of(QQ, 3, [[1, 1, 0], [2, 2, 2]])
+    b = span_of(QQ, 3, [[3, 3, 1], [0, 0, 7]])
+    assert a == b and a._rows == b._rows
 
 
-def test_coordinates_of_round_trip():
-    s = Subspace.from_vectors(QQ, 3, [qvec([1, 0, 2]), qvec([0, 1, -1])])
-    v = qvec([3, 4, 2])
-    coords = s.coordinates_of(v)
+def test_sparse_coordinates_round_trip():
+    s = span_of(QQ, 3, [[1, 0, 2], [0, 1, -1]])
+    v = {0: 3, 1: 4, 2: 2}
+    coords = s.sparse_coordinates(v)
     assert coords is not None and _combination(s, coords) == v
-    assert s.coordinates_of(qvec([0, 0, 1])) is None
+    assert s.sparse_coordinates({2: 1}) is None
 
 
 def test_inverse():
-    m = qmat([[1, 2], [3, 4]])
-    inv = column_matrix(QQ, _inverse(QQ, m.sparse_columns()), 2)
-    assert matmul(inv, m) == Mat.identity(QQ, 2)
-    assert _inverse(QQ, qmat([[1, 2], [2, 4]]).sparse_columns()) is None
+    m = [[1, 2], [3, 4]]
+    inv = to_rows(_inverse(QQ, to_columns(m)), 2)
+    assert matmul(QQ, inv, m) == [[1, 0], [0, 1]]
+    assert _inverse(QQ, to_columns([[1, 2], [2, 4]])) is None
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -110,7 +115,7 @@ def integer_matrices(draw):
 
 def small_matrices():
     return integer_matrices().map(
-        lambda entries: Mat(QQ, [[Fraction(x) for x in row] for row in entries]))
+        lambda entries: [[Fraction(x) for x in row] for row in entries])
 
 
 @st.composite
@@ -131,12 +136,12 @@ def square_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(entries=square_matrices())
 def test_sparse_inverse_matches_the_dense_inverse(field, entries):
-    m = Mat(field, entries)
-    got = _inverse(field, m.sparse_columns())
-    expected = inverse(m)
+    m = [[field.from_int(x) for x in row] for row in entries]
+    got = _inverse(field, to_columns(m))
+    expected = inverse(field, m)
     assert (got is None) == (expected is None)
     if expected is not None:
-        assert got == expected.sparse_columns()
+        assert got == to_columns(expected)
         # nonzero canonical scalars: a reduced residue, or an int unless a
         # denominator is needed
         assert all(x and field.reduce(x) == x and type(field.reduce(x)) is type(x)
@@ -146,16 +151,16 @@ def test_sparse_inverse_matches_the_dense_inverse(field, entries):
 @settings(max_examples=80, deadline=None)
 @given(small_matrices())
 def test_rank_nullity_against_sympy(m):
-    sm = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.entries])
+    sm = sympy.Matrix([[sympy.Rational(x) for x in row] for row in m])
     rank = sm.rank()
-    assert _image(m).dim == rank
-    assert _kernel(m).dim == m.cols - rank
+    assert _image(QQ, m).dim == rank
+    assert _null(QQ, m).dim == len(m[0]) - rank
     # every reported kernel vector really solves m·x = 0
-    for v in _kernel(m).basis:
-        assert not any(apply(m, v))
+    for v in basis_of(_null(QQ, m)):
+        assert not any(apply(QQ, m, v))
     # the full reduced echelon form, rows and pivots
     expected, pivots = sm.rref()
-    rows, ours = _reduced(m.entries, QQ)
+    rows, ours = _reduced(m, QQ)
     assert ours == list(pivots)
     assert rows == [tuple(Fraction(int(x.p), int(x.q)) for x in expected.row(r))
                     for r in range(rank)]
@@ -180,11 +185,9 @@ def test_rref_against_sympy_over_prime_fields(p, entries):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices(), small_matrices())
 def test_sum_intersection_dimension_formula(a, b):
-    n = max(a.cols, b.cols)
-    u = Subspace.from_vectors(QQ, n, [tuple(r) + (QQ.zero,) * (n - a.cols)
-                                      for r in a.entries])
-    v = Subspace.from_vectors(QQ, n, [tuple(r) + (QQ.zero,) * (n - b.cols)
-                                      for r in b.entries])
+    n = max(len(a[0]), len(b[0]))
+    u = span_of(QQ, n, a)
+    v = span_of(QQ, n, b)
     inter = u.intersect(v)
     assert (u + v).dim + inter.dim == u.dim + v.dim
     assert _contains(u, inter) and _contains(v, inter)
@@ -193,35 +196,36 @@ def test_sum_intersection_dimension_formula(a, b):
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])
 @settings(max_examples=80, deadline=None)
 @given(entries=integer_matrices(), data=st.data())
-def test_sparse_coordinates_agree_with_coordinates_of(field, entries, data):
+def test_sparse_coordinates_against_the_spanning_rows(field, entries, data):
     # half the vectors are combinations of the spanning rows, so inside the
     # subspace; the rest are drawn freely and may lie either side
     n = len(entries[0])
-    span = Subspace.from_vectors(field, n, [[field.from_int(x) for x in row]
-                                            for row in entries])
+    span = span_of(field, n, [[field.from_int(x) for x in row] for row in entries])
+    rank = sympy.Matrix(entries).rank() if not field.characteristic else None
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(small_entries, min_size=len(entries),
                                     max_size=len(entries)))
         vec = [sum(c * row[t] for c, row in zip(coeffs, entries)) for t in range(n)]
     else:
         vec = data.draw(st.lists(small_entries, min_size=n, max_size=n))
-    vec = tuple(field.from_int(x) for x in vec)
-    dense = span.coordinates_of(vec)
-    got = span.sparse_coordinates({t: x for t, x in enumerate(vec) if x})
-    assert (got is None) == (dense is None) == (not span.contains_vector(vec))
-    if dense is not None:
-        assert got == {i: c for i, c in enumerate(dense) if c}
+    vec = sparse(field.from_int(x) for x in vec)
+    got = span.sparse_coordinates(vec)
+    assert (got is None) == (not span.contains_sparse(vec))
+    if rank is not None:
+        inside = sympy.Matrix(entries + [list(dense(vec, n))]).rank() == rank
+        assert (got is not None) == inside
+    if got is not None:
         assert list(got) == sorted(got)
-        assert _combination(span, dense) == vec
+        assert _combination(span, got) == vec
 
 
 def test_prime_field_reduction():
     f = GF(5)
-    m = Mat(f, [[f.from_int(2), f.from_int(1)], [f.from_int(4), f.from_int(2)]])
-    assert _kernel(m).dim == 1
-    assert _image(m).dim == 1
-    v, = _kernel(m).basis
-    assert all(type(x) is int and 0 <= x < 5 for x in v) and not any(apply(m, v))
+    m = [[2, 1], [4, 2]]
+    assert _null(f, m).dim == 1
+    assert _image(f, m).dim == 1
+    v, = basis_of(_null(f, m))
+    assert all(type(x) is int and 0 <= x < 5 for x in v) and not any(apply(f, m, v))
 
 
 def test_subspace_dimension_mismatch_rejected():
@@ -260,7 +264,6 @@ def test_rref_fractional_pivot_row():
 @given(entries=integer_matrices(), data=st.data())
 def test_plain_int_rationals_stay_exact(entries, data):
     # the input entries are plain ints, as QQ.parse and QQ.from_int give them
-    m = Mat(QQ, entries)
     sm = sympy.Matrix(entries)
 
     rows, pivots = _reduced(entries, QQ)
@@ -270,18 +273,57 @@ def test_plain_int_rationals_stay_exact(entries, data):
                     for r in range(len(pivots))]
     assert all(_canonical_rational(x) for row in rows for x in row)
 
-    kernel = _kernel(m)
-    assert kernel == Subspace.from_vectors(
-        QQ, m.cols, [tuple(_from_sympy(x) for x in v) for v in sm.nullspace()])
-    assert all(_canonical_rational(x) for v in kernel.basis for x in v)
+    null = _null(QQ, entries)
+    assert null == span_of(QQ, len(entries[0]),
+                         [[_from_sympy(x) for x in v] for v in sm.nullspace()])
+    assert all(_canonical_rational(x) for v in null._rows.values() for x in v.values())
 
     square = data.draw(_square_matrices())
-    inv = _inverse(QQ, Mat(QQ, square).sparse_columns())
+    inv = _inverse(QQ, to_columns(square))
     ssq = sympy.Matrix(square)
     if ssq.det() == 0:
         assert inv is None
     else:
         n = len(square)
-        assert column_matrix(QQ, inv, n).entries == tuple(
-            tuple(_from_sympy(v) for v in ssq.inv().row(r)) for r in range(n))
+        assert to_rows(inv, n) == [[_from_sympy(v) for v in ssq.inv().row(r)]
+                                   for r in range(n)]
         assert all(_canonical_rational(v) for col in inv for v in col.values())
+
+
+def test_echelon_stores_an_integral_update_as_an_int():
+    # the first row normalises to b0 + b1/2 + b2/2, and clearing its b1 by
+    # the second row leaves 1/2 - 3/2 = -1 at b2, made as a Fraction
+    reduced = _echelon([{0: 2, 1: 1, 2: 1}, {1: 1, 2: 3}], 0)
+    assert reduced == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 3}}
+    assert all(type(x) is int for row in reduced.values() for x in row.values())
+
+
+def _canonical_in(field, x):
+    """x is a canonical nonzero scalar of field: a residue in [0, p), or
+    an int or a non-integral Fraction."""
+    p = field.characteristic
+    return x and (type(x) is int and 0 <= x < p if p else _canonical_rational(x))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp:5"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_elimination_returns_canonical_scalars(field, data):
+    # every kernel of linalg hands out canonical scalars, so no caller
+    # reduces what it reads from an echelon row
+    entry = (st.integers(0, 4) if field.characteristic else
+             st.fractions(-4, 4, max_denominator=3).map(QQ.reduce))
+    n = data.draw(st.integers(1, 6))
+
+    def rows(k):
+        return data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=1, max_size=k))
+    a, b, square = rows(5), rows(5), rows(n)
+    out = list(_echelon([sparse(r) for r in a], field.characteristic).values())
+    out += _kernel(field, n, [sparse(r) for r in a])._rows.values()
+    if len(square) == n:
+        out += _inverse(field, to_columns(square)) or []
+    u, v = span_of(field, n, a), span_of(field, n, b)
+    out += (u + v)._rows.values()
+    out += u.intersect(v)._rows.values()
+    assert all(_canonical_in(field, x) for vec in out for x in vec.values())

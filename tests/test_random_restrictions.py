@@ -15,12 +15,10 @@ from partialskew.duality import (build_duality, corner_report,
                                  skew_injectivity_report)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
-from partialskew.linalg import Mat, _sparse
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 
 from corpus_helpers import dense_restriction
-from dense_oracle import matmul
 
 
 def _perm_order(perm):
@@ -38,12 +36,6 @@ def _perm_order(perm):
     return order
 
 
-def _perm_matrix(field, perm):
-    n = len(perm)
-    return Mat(field, [[field.one if i == perm[j] else field.zero
-                        for j in range(n)] for i in range(n)])
-
-
 @settings(max_examples=12, deadline=None)
 @given(st.permutations(range(4)), st.lists(st.booleans(), min_size=4, max_size=4),
        st.sampled_from([QQ, GF(5)]))
@@ -52,12 +44,12 @@ def test_random_restriction_duality(perm, bits, field):
     assume(order <= 3)          # keeps the smash product small
     assume(any(bits))
     algebra = product_of_fields(field, 4)
-    p = _perm_matrix(field, perm)
-    mats = [Mat.identity(field, 4)]
+    powers = [list(range(4))]      # perm^k, as the image of each coordinate
     for _ in range(order - 1):
-        mats.append(matmul(p, mats[-1]))
-    parent = global_action(cyclic(order), algebra, mats)
-    e = algebra.element(tuple(field.one if b else field.zero for b in bits))
+        powers.append([perm[x] for x in powers[-1]])
+    parent = global_action(cyclic(order), algebra,
+                           [[{x: field.one} for x in power] for power in powers])
+    e = {i: field.one for i, b in enumerate(bits) if b}
     pa = restrict_global(parent, e)
     assert (list(pa.idempotents), list(pa.columns)) == dense_restriction(parent, e)
 
@@ -81,10 +73,10 @@ def test_restricted_image_never_leaves_the_ideal(data, field):
     m = data.draw(st.integers(1, 5), label="m")
     parent = product_of_fields(field, m)
     bits = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="e")
-    e = parent.element(tuple(field.one if b else field.zero for b in bits))
+    e = {i: field.one for i, b in enumerate(bits) if b}
     vectors = st.lists(st.integers(0, 4), min_size=m, max_size=m).map(
         lambda xs: {i: x for i, x in enumerate(xs) if x})
     cols = data.draw(st.lists(vectors, min_size=m, max_size=m), label="columns")
     v = data.draw(vectors, label="v")
-    image = field.sparse(parent._mul_acc(_sparse(e.coeffs), _image(cols, v.items())))
+    image = field.sparse(parent._mul_acc(e, _image(cols, v.items())))
     assert ideal_basis(parent, e).sparse_coordinates(image) is not None

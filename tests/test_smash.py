@@ -6,7 +6,7 @@ from partialskew.algebras import AlgebraMap, StructureAlgebra, product_of_fields
 from partialskew.errors import InternalCheckFailed
 from partialskew.fields import GF, QQ, parse_field
 from partialskew.groups import cyclic
-from partialskew.linalg import Subspace, vadd
+from partialskew.linalg import Subspace
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
                                    load_scenario)
@@ -15,13 +15,8 @@ from partialskew.smash import (SmashAlgebra, _centrality_witness,
                                _separability_checks, _tensor_image, build_smash,
                                separability_report, smash_report)
 
-from corpus_helpers import inject, map_columns, qvec
+from corpus_helpers import inject
 from fp_oracle import unwrap, wrap
-
-
-def _dual_unit(smash, skew_vec):
-    """Embed a skew coefficient vector as (vector # p_h) for each h summed."""
-    return smash.embed_skew_map.apply_vec(skew_vec)
 
 
 def test_s1_dimension(s1_smash):
@@ -36,48 +31,39 @@ def test_trivial_group_smash():
 
 
 def test_s1_products(s1_smash, s1_skew):
-    b = s1_smash.algebra
-    zero = tuple(QQ.zero for _ in range(b.dim))
+    mul = s1_smash.algebra._mul_sparse
 
     def at(skew_vec, h):
-        out = [QQ.zero] * b.dim
-        for j, c in enumerate(skew_vec):
-            if c:
-                out[s1_smash.index(j, h)] = c
-        return tuple(out)
+        return {s1_smash.index(j, h): c for j, c in skew_vec.items()}
 
-    g_gen = inject(s1_skew, 1, qvec([1, 0]))
-    e_gen = inject(s1_skew, 0, qvec([1, 0]))
+    g_gen = inject(s1_skew, 1, {0: 1})
+    e_gen = inject(s1_skew, 0, {0: 1})
 
     # ((1,0) at g # p_g)((1,0) at g # p_e) = (1,0) at e # p_e
-    lhs = b.mul_vec(at(g_gen, 1), at(g_gen, 0))
-    assert lhs == at(e_gen, 0)
+    assert mul(at(g_gen, 1), at(g_gen, 0)) == at(e_gen, 0)
     # ((1,0) at g # p_e)^2 = 0: the dual indices are incompatible
-    assert b.mul_vec(at(g_gen, 0), at(g_gen, 0)) == zero
+    assert mul(at(g_gen, 0), at(g_gen, 0)) == {}
     # ((1,0) at e # p_g)((1,0) at g # p_e) = (1,0) at g # p_e
-    assert b.mul_vec(at(e_gen, 1), at(g_gen, 0)) == at(g_gen, 0)
+    assert mul(at(e_gen, 1), at(g_gen, 0)) == at(g_gen, 0)
     # unit law
-    x = b.mul_vec(b.unit, at(g_gen, 1))
-    assert x == at(g_gen, 1)
+    assert mul(s1_smash.algebra.unit, at(g_gen, 1)) == at(g_gen, 1)
 
 
 def test_unit_is_sum_over_dual_generators(s1_smash):
     n = s1_smash.group.order
     unit = s1_smash.algebra.unit
     skew_unit = s1_smash.skew.algebra.unit
-    for j, c in enumerate(skew_unit):
-        for h in range(n):
-            assert unit[s1_smash.index(j, h)] == c
+    assert unit == {s1_smash.index(j, h): c for j, c in skew_unit.items()
+                    for h in range(n)}
 
 
 def test_embedding(s1_smash, s1_skew):
     emb = s1_smash.embed_skew_map
     # (1,0) at g goes to the sum over both dual generators
-    g_gen = inject(s1_skew, 1, qvec([1, 0]))
-    img = emb.apply_vec(g_gen)
-    j = next(i for i, c in enumerate(g_gen) if c)
-    assert img[s1_smash.index(j, 0)] == QQ.one
-    assert img[s1_smash.index(j, 1)] == QQ.one
+    g_gen = inject(s1_skew, 1, {0: 1})
+    img = emb.apply_sparse(g_gen)
+    (j, _), = g_gen.items()
+    assert img == {s1_smash.index(j, 0): QQ.one, s1_smash.index(j, 1): QQ.one}
     assert emb.is_multiplicative() and emb.is_unital() and emb.kernel().is_zero()
 
 
@@ -138,12 +124,11 @@ class TensorOverSubring:
         dim = algebra.dim
         self.ambient = dim * dim
         gens = []
-        units = [algebra.basis_element(y).coeffs for y in range(dim)]
+        mul = algebra._mul_sparse
         for b in subring_vectors:
-            by = [[(m, c) for m, c in enumerate(algebra.mul_vec(b, u)) if c]
-                  for u in units]
+            by = [mul(b, {y: 1}).items() for y in range(dim)]
             for x in range(dim):
-                xb = [(m, c) for m, c in enumerate(algebra.mul_vec(units[x], b)) if c]
+                xb = mul({x: 1}, b).items()
                 for y in range(dim):
                     gen = {m * dim + y: c for m, c in xb}
                     for m, c in by[y]:
@@ -165,13 +150,13 @@ class TensorOverSubring:
         return tuple(out)
 
     def equal_mod_relations(self, u, v):
-        return self.relations.contains_vector(tuple(unwrap(a - b) for a, b in zip(u, v)))
+        return self.relations.contains_sparse(
+            {k: unwrap(a - b) for k, (a, b) in enumerate(zip(u, v))})
 
     def centralizes(self, element, subring_vectors):
         """Whether f·b = b·f in the quotient for every subring vector b."""
         mul = self.algebra._mul_sparse
         for b in subring_vectors:
-            b = {k: c for k, c in enumerate(b) if c}
             fb = self.tensor((x, mul(y, b)) for x, y in element)
             bf = self.tensor((mul(b, x), y) for x, y in element)
             if not self.equal_mod_relations(fb, bf):
@@ -198,7 +183,7 @@ def s3_smash_fp5():
 @pytest.fixture(scope="module")
 def s3_oracle_fp5(s3_smash_fp5):
     smash = s3_smash_fp5
-    return TensorOverSubring(smash.algebra, map_columns(smash.embed_skew_map))
+    return TensorOverSubring(smash.algebra, smash.embed_skew_map.columns)
 
 
 def _tensor_image_kernel(smash):
@@ -229,7 +214,7 @@ def test_balancing_relations_are_the_kernel_of_the_tensor_image(name, field):
     # the balancing relations of B⊗B over the twisted ring are exactly the
     # kernel of Φ: B⊗B → B^{|G|}, so deciding in B^{|G|} loses nothing
     smash = _fixture_smash(load_scenario(fixture_path(name)), parse_field(field))
-    oracle = TensorOverSubring(smash.algebra, map_columns(smash.embed_skew_map))
+    oracle = TensorOverSubring(smash.algebra, smash.embed_skew_map.columns)
     _assert_relations_are_kernel(smash, oracle)
 
 
@@ -242,12 +227,10 @@ def test_s3_balancing_relations_are_the_kernel_of_the_tensor_image(
 
 def test_tensor_image_machinery(s1_smash):
     b = s1_smash.algebra
-    sub = map_columns(s1_smash.embed_skew_map)
     one = b.field.one
     x, y = {0: one}, {2: one}
     # x·b ⊗ y and x ⊗ b·y have the same image, by construction
-    for bvec in sub:
-        bvec = {k: c for k, c in enumerate(bvec) if c}
+    for bvec in s1_smash.embed_skew_map.columns:
         assert (_tensor_image(s1_smash, [(b._mul_sparse(x, bvec), y)])
                 == _tensor_image(s1_smash, [(x, b._mul_sparse(bvec, y))]))
     # but plain tensors of different basis vectors do not all collapse
@@ -271,15 +254,13 @@ def _shifted(smash, s):
 
 
 def _both_routes(smash, oracle, element):
-    sub = map_columns(smash.embed_skew_map)
     return (_centrality_witness(smash, element) is None,
-            oracle.centralizes(element, sub))
+            oracle.centralizes(element, smash.embed_skew_map.columns))
 
 
 def test_non_central_element_rejected_by_both_routes(s1_smash, s3_smash_fp5,
                                                      s3_oracle_fp5):
-    s1_oracle = TensorOverSubring(s1_smash.algebra,
-                                  map_columns(s1_smash.embed_skew_map))
+    s1_oracle = TensorOverSubring(s1_smash.algebra, s1_smash.embed_skew_map.columns)
     for smash, oracle in ((s1_smash, s1_oracle), (s3_smash_fp5, s3_oracle_fp5)):
         e = smash.group.identity
         units = smash.dual_units()
@@ -323,12 +304,13 @@ def test_splits_multiplication_names_its_witness(s1_smash, s3_smash_fp5):
         n = smash.group.order
         canonical = _canonical(smash)
         for element in (canonical[:-1], _shifted(smash, n - 1)):
-            mu = [B.field.zero] * B.dim
+            mu = [wrap(B.field, B.field.zero)] * B.dim
             for x, y in element:
-                dx = [x.get(k, B.field.zero) for k in range(B.dim)]
-                dy = [y.get(k, B.field.zero) for k in range(B.dim)]
-                mu = vadd(B.field, mu, B.mul_vec(dx, dy))
-            first = next(k for k in range(B.dim) if mu[k] != B.unit[k])
+                for i, a in x.items():
+                    for j, c in y.items():
+                        for k, v in B.products[i].get(j, ()):
+                            mu[k] = mu[k] + wrap(B.field, a) * c * v
+            first = next(k for k in range(B.dim) if unwrap(mu[k]) != B.unit.get(k, 0))
             checks = {c.name: c for c in _separability_checks(smash, element)}
             split = checks["separability.splits_multiplication"]
             assert split.status == "fail"

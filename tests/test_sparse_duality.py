@@ -28,7 +28,7 @@ they replaced.
   the entrywise image, and the Pierce corner e·E_b·e from the rows of
   e's support and the cells in e's columns; φ∘ι is composed from sparse
   columns.  ``_dense_entrywise``, ``_dense_pierce`` (two dense
-  ``mul_vec`` per basis element) and ``_dense_composite``
+  products per basis element) and ``_dense_composite``
   (``dense_oracle.matmul``) are the dense routes.
 
 Each pair is compared on the bundled corpus and both S₃ documents over
@@ -52,7 +52,7 @@ from partialskew.duality import (DualityData, _cross_product_witness,
                                  skew_injectivity_report)
 from partialskew.errors import InternalCheckFailed, ValidationError
 from partialskew.fields import parse_field
-from partialskew.linalg import Mat, Subspace, _sparse, vadd, vsub
+from partialskew.linalg import Subspace
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
                                    load_scenario)
@@ -60,7 +60,8 @@ from partialskew.skew import build_skew, component_product_span
 from partialskew.smash import build_smash
 
 from corpus_helpers import action_matrices, map_matrix, place
-import dense_oracle
+from dense_oracle import (apply, basis_of, dense, kernel, matmul, multiply,
+                          span_of, sparse, unit_vector)
 from test_golden_reports import INLINE
 
 FIELDS = ("q", "fp:5", "fp:2")
@@ -79,6 +80,25 @@ def _duality(name, token):
 
 
 # -- the replaced routes ---------------------------------------------------
+#
+# They read dense vectors: tuples of scalars, converted from the library's
+# sparse vectors where they enter.
+
+def _sub(field, x, y):
+    return tuple(field.reduce(a - b) for a, b in zip(x, y))
+
+
+def _coords(space, vec):
+    """The dense coordinates of a dense vector on the echelon basis of
+    space, or None outside it."""
+    coords = space.sparse_coordinates(sparse(vec))
+    return None if coords is None else dense(coords, space.dim)
+
+
+def _dot(pa, g, vec):
+    """g·vec by the dense matrix of α_g."""
+    return apply(pa.algebra.field, action_matrices(pa)[g], vec)
+
 
 def _full_center_basis(alg):
     """Solution space of [x, b_j] = 0 over all d² rows, checked densely."""
@@ -93,10 +113,10 @@ def _full_center_basis(alg):
                 row = rows[j * d + k]
                 row[i] = row.get(i, 0) - v
     centre = Subspace.kernel_from_sparse(alg.field, d, rows)
-    units = [alg.basis_element(j).coeffs for j in range(d)]
-    for v in centre.basis:
+    units = [unit_vector(d, j) for j in range(d)]
+    for v in basis_of(centre):
         for u in units:
-            if alg.mul_vec(v, u) != alg.mul_vec(u, v):
+            if multiply(alg, v, u) != multiply(alg, u, v):
                 raise InternalCheckFailed("central element does not commute")
     return centre
 
@@ -143,12 +163,12 @@ def _block_of(smash, vec):
 def _project(skew, coeffs, g):
     """A-coordinates of the g-component of a skew coefficient vector."""
     out = [0] * skew.action.algebra.dim
-    for i, v in enumerate(skew.action.ideals[g].basis):
+    for i, v in enumerate(basis_of(skew.action.ideals[g])):
         c = coeffs[skew.offsets[g] + i]
         if c:
             for t, x in enumerate(v):
                 out[t] += c * x
-    return skew.algebra.field.vector(out)
+    return tuple(map(skew.algebra.field.reduce, out))
 
 
 def _per_product_tally(d, left=None):
@@ -160,7 +180,7 @@ def _per_product_tally(d, left=None):
     alg, grp = pa.algebra, pa.group
     B = smash.algebra
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
-    for r, v in enumerate(d.ideal.basis):
+    for r, v in enumerate(basis_of(d.ideal)):
         blk = _block_of(smash, v)
         if blk is None:
             continue
@@ -169,14 +189,14 @@ def _per_product_tally(d, left=None):
             skew, tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
         for j in range(skew.dim):
             k, pos = skew.grade_of(j)
-            w = alg.mul_vec(pa.ideals[k].basis[pos], pa.dot_vec(k, a_part))
+            w = multiply(alg, basis_of(pa.ideals[k])[pos], _dot(pa, k, a_part))
             kg = grp.mul(k, g)
-            coords = pa.ideals[kg].coordinates_of(w)
+            coords = _coords(pa.ideals[kg], w)
             payload = {smash.index(skew.offsets[kg] + t, h): c
                        for t, c in enumerate(coords) if c}
             for l in range(grp.order):
                 b = smash.index(j, l)
-                true = (B._mul_sparse({b: alg.field.one}, _sparse(v))
+                true = (B._mul_sparse({b: alg.field.one}, sparse(v))
                         if left is None else left[r].get(b, {}))
                 for name, cond in (("l=gh", l == grp.mul(g, h)),
                                    ("k=gh", k == grp.mul(g, h)),
@@ -189,18 +209,22 @@ def _per_product_tally(d, left=None):
 def _per_k_entry_identity(pa):
     """Message of the first failing (g, h, k), all images formed per k."""
     alg, grp = pa.algebra, pa.group
-    dot, inv = pa.dot_vec, grp.inv
+    inv = grp.inv
     n = grp.order
+
+    def dot(g, v):
+        return _dot(pa, g, v)
+
     for g in range(n):
         for h in range(n):
             gh = grp.mul(g, h)
             for k in range(n):
                 hk = grp.mul(h, k)
-                for a in pa.ideals[g].basis:
+                for a in basis_of(pa.ideals[g]):
                     ga = dot(inv(hk), dot(inv(g), a))
-                    for b in pa.ideals[h].basis:
-                        lhs = dot(inv(k), dot(inv(gh), alg.mul_vec(a, dot(g, b))))
-                        rhs = alg.mul_vec(ga, dot(inv(k), dot(inv(h), b)))
+                    for b in basis_of(pa.ideals[h]):
+                        lhs = dot(inv(k), dot(inv(gh), multiply(alg, a, dot(g, b))))
+                        rhs = multiply(alg, ga, dot(inv(k), dot(inv(h), b)))
                         if lhs != rhs:
                             return (f"entry identity fails at ({grp.label(g)},"
                                     f"{grp.label(h)},{grp.label(k)})")
@@ -217,7 +241,7 @@ def _skew_table(pa, monkeypatch):
     before."""
     def record(field, products, unit, labels=None):
         raise _Tabled([{y: tuple(c) for y, c in row.items()} for row in products],
-                      tuple(unit))
+                      dict(unit))
 
     with monkeypatch.context() as m:
         m.setattr(skew_module, "make_algebra", record)
@@ -236,13 +260,13 @@ def _dense_skew(pa):
     first InternalCheckFailed instead when a product leaves its component."""
     alg, grp = pa.algebra, pa.group
     field, n = alg.field, grp.order
-    bases = [pa.ideals[g].basis for g in range(n)]
+    bases = [basis_of(pa.ideals[g]) for g in range(n)]
     offsets = [sum(len(b) for b in bases[:g]) for g in range(n)]
     total = sum(len(b) for b in bases)
     tags = [(g, i) for g in range(n) for i in range(len(bases[g]))]
 
     def coords_at(g, avec):
-        coords = pa.ideals[g].coordinates_of(avec)
+        coords = _coords(pa.ideals[g], avec)
         if coords is None:
             raise InternalCheckFailed(
                 "twisted product left its target graded component")
@@ -256,14 +280,14 @@ def _dense_skew(pa):
         for g, i in tags:
             row = {}
             for y, (h, j) in enumerate(tags):
-                w = alg.mul_vec(bases[g][i], pa.dot_vec(g, bases[h][j]))
+                w = multiply(alg, bases[g][i], _dot(pa, g, bases[h][j]))
                 cell = tuple((k, c) for k, c in enumerate(coords_at(grp.mul(g, h), w))
                              if c)
                 if cell:
                     row[y] = cell
             products.append(row)
-        unit = tuple(coords_at(grp.identity, alg.unit))
-        embed = [_sparse(coords_at(grp.identity, alg.basis_element(i).coeffs))
+        unit = sparse(coords_at(grp.identity, dense(alg.unit, alg.dim)))
+        embed = [sparse(coords_at(grp.identity, unit_vector(alg.dim, i)))
                  for i in range(alg.dim)]
     except InternalCheckFailed as exc:
         return str(exc)
@@ -272,14 +296,14 @@ def _dense_skew(pa):
 
 def _dense_component_span(skew, g, h):
     alg = skew.algebra
-    return Subspace.from_vectors(alg.field, skew.dim, [
-        alg.mul_vec(u, v) for u in skew.components[g].basis
-        for v in skew.components[h].basis])
+    return span_of(alg.field, skew.dim, [
+        multiply(alg, u, v) for u in basis_of(skew.components[g])
+        for v in basis_of(skew.components[h])])
 
 
 def _dense_block_subspace(smash, multiplier):
     """Span of {b_i·multiplier(g,h) placed at grade g with dual index h},
-    from dense products and ``coordinates_of``."""
+    from dense products and dense coordinates."""
     skew = smash.skew
     pa = skew.action
     alg = pa.algebra
@@ -289,10 +313,10 @@ def _dense_block_subspace(smash, multiplier):
         for h in range(n):
             m = multiplier(g, h)
             for i in range(alg.dim):
-                v = alg.mul_vec(alg.basis_element(i).coeffs, m)
+                v = multiply(alg, unit_vector(alg.dim, i), m)
                 if not any(v):
                     continue
-                coords = pa.ideals[g].coordinates_of(v)
+                coords = _coords(pa.ideals[g], v)
                 if coords is None:
                     raise InternalCheckFailed("block generator left its ideal")
                 vectors.append({smash.index(skew.offsets[g] + t, h): c
@@ -303,25 +327,27 @@ def _dense_block_subspace(smash, multiplier):
 def _dense_kernel_formula(smash):
     pa = smash.skew.action
     alg, grp = pa.algebra, pa.group
-    return _dense_block_subspace(smash, lambda g, h: alg.mul_vec(
-        vsub(alg.field, alg.unit, pa.idempotents[grp.mul(g, h)]), pa.idempotents[g]))
+    unit, es = dense(alg.unit, alg.dim), [dense(e, alg.dim) for e in pa.idempotents]
+    return _dense_block_subspace(smash, lambda g, h: multiply(
+        alg, _sub(alg.field, unit, es[grp.mul(g, h)]), es[g]))
 
 
 def _dense_complement(smash):
     pa = smash.skew.action
     alg, grp = pa.algebra, pa.group
-    return _dense_block_subspace(smash, lambda g, h: alg.mul_vec(
-        pa.idempotents[grp.mul(g, h)], pa.idempotents[g]))
+    es = [dense(e, alg.dim) for e in pa.idempotents]
+    return _dense_block_subspace(smash, lambda g, h: multiply(alg, es[grp.mul(g, h)], es[g]))
 
 
 def _dense_entrywise(pa, mat):
     alg, grp = pa.algebra, pa.group
+    es = [dense(e, alg.dim) for e in pa.idempotents]
     vectors = []
     for r in range(grp.order):
         for s in range(grp.order):
-            m = alg.mul_vec(pa.idempotents[grp.inv(r)], pa.idempotents[grp.inv(s)])
+            m = multiply(alg, es[grp.inv(r)], es[grp.inv(s)])
             for i in range(alg.dim):
-                v = alg.mul_vec(alg.basis_element(i).coeffs, m)
+                v = multiply(alg, unit_vector(alg.dim, i), m)
                 vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
     return Subspace.from_sparse(alg.field, mat.dim, vectors)
 
@@ -329,18 +355,21 @@ def _dense_entrywise(pa, mat):
 def _dense_corner_idempotent(d):
     pa = d.smash.skew.action
     mat, grp, field = d.mat, pa.group, pa.algebra.field
-    bold_e = (field.zero,) * mat.dim
+    bold_e = [field.zero] * mat.dim
     for g in range(grp.order):
-        bold_e = vadd(field, bold_e, place(mat, g, g, pa.idempotents[grp.inv(g)]))
-    return bold_e
+        for k, x in place(mat, g, g, pa.idempotents[grp.inv(g)]).items():
+            bold_e[k] = field.reduce(bold_e[k] + x)
+    return sparse(bold_e)
 
 
 def _dense_injectivity_argument(pa):
     alg = pa.algebra
+    unit = dense(alg.unit, alg.dim)
     for e in pa.idempotents:
-        m = alg.mul_vec(vsub(alg.field, alg.unit, e), e)
-        if not Subspace.from_vectors(alg.field, alg.dim, [
-                alg.mul_vec(alg.basis_element(i).coeffs, m)
+        e = dense(e, alg.dim)
+        m = multiply(alg, _sub(alg.field, unit, e), e)
+        if not span_of(alg.field, alg.dim, [
+                multiply(alg, unit_vector(alg.dim, i), m)
                 for i in range(alg.dim)]).is_zero():
             return False
     return True
@@ -349,9 +378,8 @@ def _dense_injectivity_argument(pa):
 def _pairwise_cross_witness(algebra, ideal, kernel):
     """One sparse product per (ideal row, kernel row) pair and side."""
     mul = algebra._mul_sparse
-    ks = [_sparse(w) for w in kernel.basis]
-    for i, v in enumerate(ideal.basis):
-        sv = _sparse(v)
+    ks = list(kernel._rows.values())
+    for i, sv in enumerate(ideal._rows.values()):
         for j, w in enumerate(ks):
             if mul(sv, w):
                 return f"ideal[{i}]*kernel[{j}] is nonzero"
@@ -361,15 +389,16 @@ def _pairwise_cross_witness(algebra, ideal, kernel):
 
 
 def _dense_pierce(mat, e):
-    """e·E_b·e for every basis element E_b, by two dense products each."""
-    return Subspace.from_vectors(mat.field, mat.dim, [
-        mat.mul_vec(e, mat.mul_vec(mat.basis_element(b).coeffs, e))
-        for b in range(mat.dim)])
+    """e·E_b·e for every basis element E_b, e sparse, by two dense
+    products each."""
+    e = dense(e, mat.dim)
+    return span_of(mat.field, mat.dim, [
+        multiply(mat, e, multiply(mat, unit_vector(mat.dim, b), e)) for b in range(mat.dim)])
 
 
 def _dense_composite(d):
     """φ∘ι by the dense matrix product."""
-    return dense_oracle.matmul(map_matrix(d.phi), map_matrix(d.smash.embed_skew_map))
+    return matmul(d.mat.field, map_matrix(d.phi), map_matrix(d.smash.embed_skew_map))
 
 
 # -- agreement on the corpus and S₃ ----------------------------------------
@@ -410,7 +439,7 @@ def _reshaped_left(d, left, where):
     empty elsewhere, for v in block (g, h) and b_j of grade k."""
     smash, grp = d.smash, d.smash.group
     out = []
-    for v, row in zip(d.ideal.basis, left):
+    for v, row in zip(basis_of(d.ideal), left):
         g, h = _block_of(smash, v)
         gh = grp.mul(g, h)
         new = {}
@@ -462,7 +491,7 @@ def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field
     # A-coordinates of such rows as the dense route does
     d = _duality(name, field)
     smash, B = d.smash, d.smash.algebra
-    basis = d.ideal.basis
+    basis = basis_of(d.ideal)
     blocks = [_block_of(smash, v) for v in basis]
     three = B.field.reduce(3)
     for mix_blocks in (False, True):
@@ -472,8 +501,8 @@ def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field
                      if blocks[u] == blocks[t] or (mix_blocks and not mixed)]
             if later:
                 mixed |= blocks[later[0]] != blocks[t]
-                v = vadd(B.field, v, tuple(three * x for x in basis[later[0]]))
-            rows.append(_sparse(v))
+                v = [B.field.reduce(x + three * y) for x, y in zip(v, basis[later[0]])]
+            rows.append(sparse(v))
         assert Subspace.from_sparse(B.field, B.dim, rows) == d.ideal
         assert mixed == mix_blocks
         assert any(len(r) > 1 for r in rows)
@@ -498,9 +527,10 @@ def test_entry_identity_and_corner_match_dense_routes(name, field):
     assert dense_pierce == d.image
     composite = d.phi.compose(d.smash.embed_skew_map)
     assert map_matrix(composite) == _dense_composite(d)
-    assert composite.kernel() == dense_oracle.kernel(_dense_composite(d))
+    composite_kernel = kernel(d.mat.field, _dense_composite(d))
+    assert composite.kernel() == composite_kernel
     injective = skew_injectivity_report(d)[0]
-    assert injective.measured["kernel_dim"] == dense_oracle.kernel(_dense_composite(d)).dim
+    assert injective.measured["kernel_dim"] == composite_kernel.dim
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -543,18 +573,18 @@ def test_corner_spans_match_dense_routes(name, field):
     pa, mat = d.smash.skew.action, d.mat
     alg, F = pa.algebra, pa.algebra.field
     assert _entrywise_image(pa, mat) == _dense_entrywise(pa, mat) == d.image
-    assert _pierce_corner(mat, _sparse(d.corner_idempotent)) == d.image
+    assert _pierce_corner(mat, d.corner_idempotent) == d.image
     # each 1_g moved by a basis element, and the corner idempotent moved by
     # an E_b outside the corner: both routes still agree, and the moved
     # corner spans more than the image
-    moved = [vadd(F, e, alg.basis_element(g % alg.dim).coeffs)
+    moved = [F.sparse({**e, g % alg.dim: e.get(g % alg.dim, 0) + 1})
              for g, e in enumerate(pa.idempotents)]
     tampered = PartialAction(pa.group, alg, moved, pa.columns, pa.ideals)
     assert _entrywise_image(tampered, mat) == _dense_entrywise(tampered, mat)
     if d.image.dim != d.image.ambient:
         b = next(b for b in range(mat.dim) if not d.image.contains_sparse({b: F.one}))
-        bent = vadd(F, d.corner_idempotent, mat.basis_element(b).coeffs)
-        assert _pierce_corner(mat, _sparse(bent)) == _dense_pierce(mat, bent) != d.image
+        bent = {**d.corner_idempotent, b: F.one}
+        assert _pierce_corner(mat, bent) == _dense_pierce(mat, bent) != d.image
 
 
 # -- tampered inputs -------------------------------------------------------
@@ -564,7 +594,7 @@ def test_unit_alone_does_not_generate_m2(field):
     m2 = matrix_algebra(field_algebra(parse_field(field)), 2)
     assert center_basis(m2, m2.generators()).dim == 1
     with pytest.raises(InternalCheckFailed, match="does not commute"):
-        center_basis(m2, [_sparse(m2.unit)])
+        center_basis(m2, [m2.unit])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -585,13 +615,13 @@ def _perturbed_actions(pa):
     for g in range(pa.group.order):
         if g == pa.group.identity:
             continue
-        m = action_matrices(pa)[g]
-        for r in range(m.rows):
-            for c in range(m.cols):
-                entries = [list(row) for row in m.entries]
-                entries[r][c] = field.reduce(entries[r][c] + one)
+        d = pa.algebra.dim
+        for r in range(d):
+            for c in range(d):
+                cols = [dict(col) for col in pa.columns[g]]
+                cols[c][r] = cols[c].get(r, 0) + one
                 columns = list(pa.columns)
-                columns[g] = Mat(field, entries).sparse_columns()
+                columns[g] = [field.sparse(col) for col in cols]
                 yield PartialAction(pa.group, pa.algebra, pa.idempotents,
                                     columns, pa.ideals)
 

@@ -151,9 +151,9 @@ def test_rationals_work_before_fractions_is_imported():
         "from partialskew.fields import QQ\n"
         "from partialskew.linalg import Subspace\n"
         "before = 'fractions' in sys.modules\n"
-        "span = Subspace.from_vectors(QQ, 2, [(2, 1)])\n"
+        "span = Subspace.from_sparse(QQ, 2, [{0: 2, 1: 1}])\n"
         "print(json.dumps([before, span.pivots,\n"
-        "                  [[type(v).__name__, str(v)] for v in span.basis[0]]]))"
+        "                  [[type(v).__name__, str(v)] for v in span._rows[0].values()]]))"
     ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
     # an inexact scalar over Q is refused without loading ``fractions``
     assert _fresh(
