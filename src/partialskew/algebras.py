@@ -6,27 +6,30 @@ cells, in ascending j, and the cell of b_i·b_j lists the pairs (k, v) with
 v != 0 such that b_i·b_j = Σ v·b_k, sorted by k.  No empty cell is stored:
 a point lookup is ``products[i].get(j, ())``.  Every builder emits these
 rows directly, and dense constants (a scenario's ``constants``) are
-converted once where they enter.  ``make_algebra`` checks the shape of the
-rows and puts each cell in index order, then re-proves associativity and
-the unit law on every basis triple before handing the algebra out; derived
-constructions (matrix algebras, direct products) are built from validated
-parts and verified through their own characteristic identities.  A tensor
-product multiplies through its factors' rows, (b_i⊗c_j)(b_k⊗c_l) =
-b_i b_k ⊗ c_j c_l; its own table ``products`` is built from the factors'
-rows when first read, by the multiplicativity check of a map into it.
-``smash_algebra`` is the one builder of a smash product A # B, from the
-comultiplication triples of B and a sparse table of b_k▷a_y; the group
-smash of :mod:`smash` and every algebra of :mod:`hopf` are built by it.
+converted once where they enter; ``make_algebra`` refuses any other row
+form.  It checks the shape of the rows and puts each cell in index order,
+then re-proves associativity and the unit law on every basis triple before
+handing the algebra out; derived constructions (matrix algebras, direct
+products) are built from validated parts, and a matrix algebra re-proves
+its matrix-unit relations.  A tensor product multiplies through its
+factors' rows, (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l; its own table
+``products`` is built from the factors' rows when first read, by the
+multiplicativity check of a map into it.  ``smash_algebra`` is the one
+builder of a smash product A # B, from the comultiplication triples of B
+and a sparse table of b_k▷a_y; the group smash of :mod:`smash` and every
+algebra of :mod:`hopf` are built by it.
 
 The exhaustive identity checks (associativity, matrix units, maps being
 multiplicative) sum the difference of both sides over every inner index in
 one accumulator per outer index: they cost the nonzero product terms, and
 the smallest nonzero key is the first failure of a tuple-by-tuple loop.
-Associativity keeps one accumulator per middle index j, covering every
-(i, k), and walks the nonempty cells of the product table by row and by
-column (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that
-index in its shape pass, so the check allocates nothing per pair, and
-``center_basis`` and ``smash_algebra`` reuse it.
+The walks that stop at their first failing outer index, here and in
+:mod:`actions`, :mod:`duality` and :mod:`hopf`, share one skeleton,
+``_first_residue``.  Associativity keeps one accumulator per middle index
+j, covering every (i, k), and walks the nonempty cells of the product table
+by row and by column (``StructureAlgebra.nonempty_cells``); ``make_algebra``
+builds that index in its shape pass, so the check allocates nothing per
+pair, and ``center_basis`` and ``smash_algebra`` reuse it.
 
 An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
 the unit is one, in index order.  Scalars follow :mod:`fields`: the
@@ -155,6 +158,23 @@ def _add(acc, base, c, terms):
         acc[key] = get(key, 0) + c * v
 
 
+def _first_residue(field, outer, fill, width, split=None):
+    """The first failure of an identity checked with one accumulator per
+    outer index: ``fill(acc, o)`` adds into a fresh ``acc`` the left side
+    minus the right for every inner tuple, at key inner·width + t.  Returns
+    (o, inner) for the first o of ``outer`` whose accumulator does not
+    reduce to zero, inner read off its smallest key (and split into
+    divmod(inner, split) when ``split`` is given); None when all do."""
+    for o in outer:
+        acc = {}
+        fill(acc, o)
+        bad = field.sparse(acc)
+        if bad:
+            inner = min(bad) // width
+            return (o, inner) if split is None else (o, *divmod(inner, split))
+    return None
+
+
 def _sparse_columns(field, columns, count, rows, what="map column"):
     """``columns`` read in ``field`` as canonical ``{row: scalar}`` dicts
     without zeros; ValueError unless there are ``count`` of them, each a
@@ -235,11 +255,11 @@ def _canonical_cells(field, products, unit, d):
     (by_row, by_col) index of ``StructureAlgebra.nonempty_cells`` and the
     unit in index order without zeros; ValueError for a malformed table.
 
-    A row is a dict ``{j: cell}`` or a sequence of d cells.  Every j must be
-    an ``int`` in range; every cell has indices in range, no zero and no
-    repeated index, and its scalars are exact: over F_p residues in [0, p),
-    over ℚ an ``int`` or a ``Fraction``.  An empty cell is dropped, each
-    cell is sorted by index and each row by j.  The unit, a sparse vector
+    A row must be a dict ``{j: cell}``, and every j an ``int`` in range;
+    every cell has indices in range, no zero and no repeated index, and its
+    scalars are exact: over F_p residues in [0, p), over ℚ an ``int`` or a
+    ``Fraction``.  An empty cell is dropped, each cell is sorted by index
+    and each row by j.  The unit, a sparse vector
     or None, has its indices in range and exact scalars too."""
     p = field.characteristic
     exact = {int} if p else _rational_types()
@@ -247,15 +267,12 @@ def _canonical_cells(field, products, unit, d):
     rows = []
     by_col = [[] for _ in range(d)]
     for i, row in enumerate(products):
-        if isinstance(row, Mapping):
-            row = row.items()
-        elif len(row) == d:
-            row = enumerate(row)
-        else:
-            raise ValueError("structure constants are not d x d cells")
+        if not isinstance(row, Mapping):
+            raise ValueError(f"product row {i} must be a dict {{j: cell}}, "
+                             f"not {type(row).__name__}")
         cells = {}
         ascending, last = True, -1
-        for j, cell in row:
+        for j, cell in row.items():
             if not (isinstance(j, int) and 0 <= j < d):
                 raise ValueError("structure constants are not d x d cells")
             size = len(cell)
@@ -301,15 +318,15 @@ def _canonical_cells(field, products, unit, d):
 def make_algebra(field, products, unit, labels=None):
     """Validate sparse structure constants exhaustively and return the algebra.
 
-    ``products[i]`` is row i, a dict ``{j: cell}`` or a sequence of d cells,
-    where the cell of b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j;
-    ``unit`` is a sparse vector ``{index: scalar}``, or None.  Their shape
-    is checked first, by the walk that also stores them in the
-    form of ``StructureAlgebra.products`` (``_canonical_cells``): every j and
-    index in range, no zero and no repeated index, and every scalar exact
-    (see :mod:`fields`).  Associativity is then checked on all d^3 basis
-    triples and the unit law on every basis element; the first failure
-    names its witness.
+    ``products[i]`` is row i, a dict ``{j: cell}``, where the cell of
+    b_i·b_j lists the (k, v) pairs, v nonzero, of b_i·b_j; ``unit`` is a
+    sparse vector ``{index: scalar}``, or None.  Their shape is checked
+    first, by the walk that also stores them in the form of
+    ``StructureAlgebra.products`` (``_canonical_cells``): every row a dict,
+    every j and index in range, no zero and no repeated index, and every
+    scalar exact (see :mod:`fields`).  Associativity is then checked on all
+    d^3 basis triples and the unit law on every basis element; the first
+    failure names its witness.
     """
     d = len(products)
     rows, index, unit = _canonical_cells(field, products, unit, d)
@@ -402,7 +419,6 @@ def center_basis(alg, generators=None):
     InternalCheckFailed.
     """
     d = alg.dim
-    sparse = alg.field.sparse
     by_row, by_col = alg.nonempty_cells
     if generators is None:
         one = alg.field.one
@@ -422,9 +438,9 @@ def center_basis(alg, generators=None):
                     row[i] = row.get(i, 0) - c * v
         rows.extend(eqs[k] for k in sorted(eqs))
     centre = Subspace.kernel_from_sparse(alg.field, d, rows)
-    for v in centre._rows.values():
+
+    def commutators(acc, v):
         # key j·d + k: coefficient of b_k in v·b_j − b_j·v
-        acc = {}
         get = acc.get
         for i, x in v.items():
             for j, cell in by_row[i]:
@@ -435,8 +451,9 @@ def center_basis(alg, generators=None):
                 base = j * d
                 for k, w in cell:
                     acc[base + k] = get(base + k, 0) - x * w
-        if sparse(acc):
-            raise InternalCheckFailed("central element does not commute")
+
+    if _first_residue(alg.field, centre._rows.values(), commutators, d) is not None:
+        raise InternalCheckFailed("central element does not commute")
     return centre
 
 
@@ -477,28 +494,19 @@ def dual_group_algebra(field, group):
                         dict.fromkeys(range(d), field.one), labels=labels)
 
 
-class ProductAlgebra(StructureAlgebra):
-    """Direct product of two algebras, with the factor embeddings recorded."""
-
-    def __init__(self, left, right):
-        if left.field != right.field:
-            raise FieldMismatch(left.field, right.field)
-        field = left.field
-        dl, dr = left.dim, right.dim
-        products = list(left.products)
-        products += [{dl + j: tuple((dl + k, v) for k, v in cell) for j, cell in row.items()}
-                     for row in right.products]
-        unit = {**left.unit, **{dl + k: v for k, v in right.unit.items()}}
-        labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
-        super().__init__(field, products, unit, labels)
-        self.factors = (left, right)
-        one = field.one
-        self.left_embed = AlgebraMap(left, self, [{j: one} for j in range(dl)])
-        self.right_embed = AlgebraMap(right, self, [{dl + j: one} for j in range(dr)])
-
-
 def direct_product(left, right):
-    return ProductAlgebra(left, right)
+    """The direct product of two algebras over one field (FieldMismatch
+    otherwise): the left factor's basis, labelled l_*, then the right's,
+    labelled r_*."""
+    if left.field != right.field:
+        raise FieldMismatch(left.field, right.field)
+    dl = left.dim
+    products = list(left.products)
+    products += [{dl + j: tuple((dl + k, v) for k, v in cell) for j, cell in row.items()}
+                 for row in right.products]
+    unit = {**left.unit, **{dl + k: v for k, v in right.unit.items()}}
+    labels = [f"l_{lab}" for lab in left.labels] + [f"r_{lab}" for lab in right.labels]
+    return StructureAlgebra(left.field, products, unit, labels)
 
 
 class MatrixAlgebra(StructureAlgebra):
@@ -559,34 +567,34 @@ class MatrixAlgebra(StructureAlgebra):
         (r·n + s)·dim + t, collects E_gh·E_rs − δ_hr·E_gs for every (r, s),
         over the nonempty cells of the rows E_gh reaches."""
         n, d, dim = self.size, self.base.dim, self.dim
-        sparse = self.field.sparse
         base_unit = self.base.unit
         eu = [[{self.slot(g, h, i): v for i, v in base_unit.items()}
                for h in range(n)] for g in range(n)]
-        for g in range(n):
-            for h in range(n):
-                acc = {}
-                get = acc.get
-                for x, cx in eu[g][h].items():
-                    for y, cell in self.products[x].items():
-                        rs, i = divmod(y, d)
-                        cy = base_unit.get(i)
-                        if cy is None:
-                            continue
-                        c = cx * cy
-                        base = rs * dim
-                        for t, v in cell:
-                            key = base + t
-                            acc[key] = get(key, 0) + c * v
-                for s in range(n):
-                    base = (h * n + s) * dim
-                    for t, v in eu[g][s].items():
-                        acc[base + t] = get(base + t, 0) - v
-                bad = sparse(acc)
-                if bad:
-                    r, s = divmod(min(bad) // dim, n)
-                    raise InternalCheckFailed(
-                        f"matrix-unit relation fails at ({g},{h})x({r},{s})")
+
+        def relations(acc, gh):
+            g, h = gh
+            get = acc.get
+            for x, cx in eu[g][h].items():
+                for y, cell in self.products[x].items():
+                    rs, i = divmod(y, d)
+                    cy = base_unit.get(i)
+                    if cy is None:
+                        continue
+                    c = cx * cy
+                    base = rs * dim
+                    for t, v in cell:
+                        key = base + t
+                        acc[key] = get(key, 0) + c * v
+            for s in range(n):
+                base = (h * n + s) * dim
+                for t, v in eu[g][s].items():
+                    acc[base + t] = get(base + t, 0) - v
+
+        fail = _first_residue(self.field, [(g, h) for g in range(n) for h in range(n)],
+                              relations, dim, n)
+        if fail is not None:
+            (g, h), r, s = fail
+            raise InternalCheckFailed(f"matrix-unit relation fails at ({g},{h})x({r},{s})")
         if _unit_law_failure(self) is not None:
             raise InternalCheckFailed("matrix algebra unit law fails")
 
@@ -791,15 +799,14 @@ class AlgebraMap:
         nonzero columns only.  The cost is the nonzero product terms, not
         d² products; the smallest failing j is the first failing pair of i.
         """
-        sparse = self.codomain.field.sparse
         dc = self.codomain.dim
         rows = self.codomain.products
         cols = [tuple(col.items()) for col in self.columns]
         nonzero = [(j * dc, col) for j, col in enumerate(cols) if col]
-        for i, row in enumerate(self.domain.products):
-            acc = {}
+
+        def fill(acc, i):
             get = acc.get
-            for j, cell in row.items():
+            for j, cell in self.domain.products[i].items():
                 base = j * dc
                 for k, v in cell:
                     for t, x in cols[k]:
@@ -815,10 +822,8 @@ class AlgebraMap:
                             for t, v in cell:
                                 key = base + t
                                 acc[key] = get(key, 0) - c * v
-            bad = sparse(acc)
-            if bad:
-                return i, min(bad) // dc
-        return None
+
+        return _first_residue(self.codomain.field, range(self.domain.dim), fill, dc)
 
     def is_multiplicative(self):
         return self._multiplicativity_witness() is None

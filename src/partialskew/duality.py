@@ -32,16 +32,17 @@ no product makes a vector as long as the smash or matrix algebra.
 ideal, b·r for every basis element b and echelon row r (``_left_products``);
 the ideal's two-sided test and the Kronecker tally of its left products
 both read it, the tally from the ideal's sparse echelon rows.  The cross
-products of ideal and kernel keep one accumulator per ideal row and side.  The block subspaces, the
+products of ideal and kernel keep one accumulator per ideal row.  The block subspaces, the
 entrywise image, the Pierce corner e·E_b·e, the corner idempotent, the map
 φ and its composite with the embedding of the twisted ring are formed from
-sparse products and columns, coordinates in D_g read off its pivots.
+sparse products and columns, an element of D_g placed by ``skew.inject``.
 """
 
 from __future__ import annotations
 
 from .actions import _complement, _image
-from .algebras import AlgebraMap, _add, _lincomb, matrix_algebra
+from .algebras import (AlgebraMap, _add, _first_residue, _lincomb,
+                       matrix_algebra)
 from .errors import InternalCheckFailed
 from .linalg import Subspace
 from .report import check
@@ -68,8 +69,8 @@ def _idempotents(pa):
 
 def _block_subspace(smash, complement):
     """Span of {b_i·x_{gh}·1_g placed at grade g with dual index h}, x the
-    complement 1 - 1_{gh} or the idempotent 1_{gh}; the coordinates of each
-    nonzero generator are read off the pivots of D_g."""
+    complement 1 - 1_{gh} or the idempotent 1_{gh}; each nonzero generator
+    is placed at g by ``SkewGroupRing.inject``."""
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
@@ -82,11 +83,10 @@ def _block_subspace(smash, complement):
                 v = alg._mul_sparse({i: 1}, m)
                 if not v:
                     continue
-                coords = pa.ideals[g].sparse_coordinates(v)
-                if coords is None:
+                placed = skew.inject(g, v)
+                if placed is None:
                     raise InternalCheckFailed("block generator left its ideal")
-                vectors.append({smash.index(skew.offsets[g] + t, h): c
-                                for t, c in coords.items()})
+                vectors.append({smash.index(j, h): c for j, c in placed.items()})
     return Subspace.from_sparse(alg.field, smash.dim, vectors)
 
 
@@ -113,11 +113,10 @@ def build_duality(smash):
 
     # column of a#p_h: h^{-1}·(g^{-1}·a) in entry (gh, h), a of grade g
     cols = []
-    for g in range(n):
-        for a in skew.component_bases[g]:
-            ginv_a = alg.field.sparse(_image(pa.columns[grp.inv(g)], a.items()))
-            cols += [_image(pa.columns[grp.inv(h)], ginv_a.items(),
-                            base=mat.slot(grp.mul(g, h), h, 0)) for h in range(n)]
+    for g, a in zip(skew.grades, skew.vectors):
+        ginv_a = alg.field.sparse(_image(pa.columns[grp.inv(g)], a.items()))
+        cols += [_image(pa.columns[grp.inv(h)], ginv_a.items(),
+                        base=mat.slot(grp.mul(g, h), h, 0)) for h in range(n)]
     phi = AlgebraMap(smash.algebra, mat, cols)
 
     pair = phi._multiplicativity_witness()
@@ -259,35 +258,35 @@ def _is_two_sided_ideal(algebra, subspace, left):
 
 
 def _cross_product_witness(algebra, ideal, kernel):
-    """First (ideal basis index, kernel basis index, side) whose product
-    is nonzero, ideal·kernel before kernel·ideal, or None.
+    """The first nonzero product of an ideal and a kernel basis vector,
+    ideal·kernel before kernel·ideal, as a witness; None when there is none.
 
-    For each ideal row v one accumulator per side, keyed j·D + t (D the
-    dimension), collects v·w_j, or w_j·v, for every kernel row w_j at once,
-    over the nonempty cells of the rows, or columns, of the product table
-    that v reaches.  Its smallest nonzero j is v's first failure on that
-    side (D when there is none); at equal j the left side comes first."""
-    sparse, dim = algebra.field.sparse, algebra.dim
-    at = [[] for _ in range(dim)]   # at[b]: (j·D, w_j[b]) for w_j[b] != 0
+    For each ideal row v one accumulator, keyed (2j + side)·D + t (D the
+    dimension), collects v·w_j (side 0) and w_j·v (side 1) for every kernel
+    row w_j at once, over the nonempty cells of the rows and columns of the
+    product table that v reaches: its smallest key is v's smallest failing
+    j, at equal j the left side first."""
+    dim = algebra.dim
+    at = [[] for _ in range(dim)]   # at[b]: (2j·D, w_j[b]) for w_j[b] != 0
     for j, w in enumerate(kernel._rows.values()):
         for b, y in w.items():
-            at[b].append((j * dim, y))
-    for i, v in enumerate(ideal._rows.values()):
-        first = []
-        for cells in algebra.nonempty_cells:
-            acc = {}
-            for a, x in v.items():
+            at[b].append((2 * j * dim, y))
+    rows = list(ideal._rows.values())
+
+    def fill(acc, i):
+        for side, cells in enumerate(algebra.nonempty_cells):
+            offset = side * dim
+            for a, x in rows[i].items():
                 for b, cell in cells[a]:
                     for base, y in at[b]:
-                        _add(acc, base, x * y, cell)
-            bad = sparse(acc)
-            first.append(min(bad) // dim if bad else dim)
-        left, right = first
-        if left <= right and left < dim:
-            return f"ideal[{i}]*kernel[{left}] is nonzero"
-        if right < left:
-            return f"kernel[{right}]*ideal[{i}] is nonzero"
-    return None
+                        _add(acc, base + offset, x * y, cell)
+
+    fail = _first_residue(algebra.field, range(len(rows)), fill, dim, 2)
+    if fail is None:
+        return None
+    i, j, side = fail
+    return (f"kernel[{j}]*ideal[{i}] is nonzero" if side
+            else f"ideal[{i}]*kernel[{j}] is nonzero")
 
 
 def _delta_convention_tally(d, left):
@@ -306,8 +305,7 @@ def _delta_convention_tally(d, left):
     alg, grp = pa.algebra, pa.group
     sparse, mul = alg.field.sparse, alg._mul_acc
     n = grp.order
-    offsets, bases = skew.offsets, skew.component_bases
-    grades = [skew.grade_of(j)[0] for j in range(skew.dim)]
+    grades, vectors = skew.grades, skew.vectors
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
     none = {}
     for v, products in zip(d.ideal._rows.values(), left):
@@ -321,19 +319,17 @@ def _delta_convention_tally(d, left):
             reached.setdefault(j, set()).add(l)
         gh = grp.mul(g, h)
         # the A-coordinates a of v, then k ▷ a for every k
-        a_part = _image(bases[g], ((idx // n - offsets[g], c) for idx, c in v.items()))
+        a_part = _image(vectors, ((idx // n, c) for idx, c in v.items()))
         moved = [sparse(_image(pa.columns[k], a_part.items())) for k in range(n)]
         # the payload y·(k ▷ a) depends on the skew index j alone, so it is
         # formed once per j and compared at the dual indices l that can
         # differ; h = kl holds exactly at l = k^{-1}h
-        for j in range(skew.dim):
-            k = grades[j]
+        for j, (k, y) in enumerate(zip(grades, vectors)):
             kg = grp.mul(k, g)
-            coords = pa.ideals[kg].sparse_coordinates(
-                sparse(mul(bases[k][j - offsets[k]], moved[k])))
-            if coords is None:
+            placed = skew.inject(kg, sparse(mul(y, moved[k])))
+            if placed is None:
                 raise InternalCheckFailed("ideal product left its graded block")
-            payload = {smash.index(offsets[kg] + t, h): c for t, c in coords.items()}
+            payload = {smash.index(i, h): c for i, c in placed.items()}
             at_k = payload if k == gh else none
             kinv_h = grp.mul(grp.inv(k), h)
             base = smash.index(j, 0)

@@ -13,10 +13,10 @@ b_i ↼ p_m off the triples once; every later use reads them.  A map on the
 last tensor leg is ``_on_leg``/``_add_on_leg``.  Each identity that
 compares a left side with a sum over Δ (action axioms 1 and 3, the λ/ρ
 exchange identity, the corner exchange lemma, and the comodule and module
-laws of the partial smash) runs on one skeleton, ``_first_residue``: one
-accumulator per outer index holds the left side minus the right for every
-inner tuple at once, is reduced once, and its smallest key names the first
-failing tuple.
+laws of the partial smash) runs on the skeleton of :mod:`algebras`,
+``_first_residue``: one accumulator per outer index holds the left side
+minus the right for every inner tuple at once, is reduced once, and its
+smallest key names the first failing tuple.
 
 Every algebra this layer builds is a smash product A # B, (x#b)(y#c) =
 Σ x(b₁▷y) # b₂c, made by ``algebras.smash_algebra`` and validated through
@@ -40,10 +40,10 @@ and the lift of a group action acts by α's own columns.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _add, _lincomb, _pure_tensor,
-                       _sparse_columns, _sparse_vector, field_algebra,
-                       group_algebra, make_algebra, matrix_algebra,
-                       smash_algebra, tensor_algebra)
+from .algebras import (AlgebraMap, _add, _first_residue, _lincomb,
+                       _pure_tensor, _sparse_columns, _sparse_vector,
+                       field_algebra, group_algebra, make_algebra,
+                       matrix_algebra, smash_algebra, tensor_algebra)
 from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
@@ -221,23 +221,6 @@ def _hit_by(h, cols):
     columns ``cols``."""
     return [[_lincomb(h.algebra.field, ((c, h.right_hits[m][x]) for m, c in s.items()))
              for s in cols] for x in range(h.dim)]
-
-
-def _first_residue(field, outer, fill, width, split=None):
-    """The first failure of an identity checked with one accumulator per
-    outer index: ``fill(acc, o)`` adds into a fresh ``acc`` the left side
-    minus the right for every inner tuple, at key inner·width + t.  Returns
-    (o, inner) for the first o of ``outer`` whose accumulator does not
-    reduce to zero, inner read off its smallest key (and split into
-    divmod(inner, split) when ``split`` is given); None when all do."""
-    for o in outer:
-        acc = {}
-        fill(acc, o)
-        bad = field.sparse(acc)
-        if bad:
-            inner = min(bad) // width
-            return (o, inner) if split is None else (o, *divmod(inner, split))
-    return None
 
 
 # -- operator representations --------------------------------------------
@@ -650,14 +633,13 @@ def smash_matches_skew_report(ps, skew_ring):
     T(x#b_g) = x·1_g placed at grade g, on sparse vectors.  A failure names
     the first way T fails: the dimensions when it is not bijective, the first
     corner basis pair it does not multiply (by expansion), or the unit."""
-    pa, alg, d = skew_ring.action, ps.pha.algebra, ps.pha.hopf.dim
+    alg, d = ps.pha.algebra, ps.pha.hopf.dim
     field, ring = alg.field, skew_ring.algebra
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
-    es = pa.idempotents
+    es = skew_ring.action.idempotents
     t_map = AlgebraMap(ps.ambient, ring, [
-        {skew_ring.offsets[g] + t: c for t, c in pa.ideals[g].sparse_coordinates(
-            alg._mul_sparse({x: 1}, es[g])).items()}
+        skew_ring.inject(g, alg._mul_sparse({x: 1}, es[g]))
         for x in range(alg.dim) for g in range(d)]).apply_sparse
     su = list(ps.sub._rows.values())
     images = [t_map(u) for u in su]

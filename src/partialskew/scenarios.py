@@ -12,6 +12,7 @@ forms the library takes.
 
 from __future__ import annotations
 
+from functools import cached_property
 import json
 import time
 from pathlib import Path
@@ -243,37 +244,25 @@ class _ScenarioRun:
 
     def __init__(self, action):
         self.action = action
-        self._skew = None
-        self._smash = None
-        self._duality = None
-        self._matrix = None
 
-    @property
+    @cached_property
     def skew(self):
-        if self._skew is None:
-            self._skew = build_skew(self.action)
-        return self._skew
+        return build_skew(self.action)
 
-    @property
+    @cached_property
     def smash(self):
-        if self._smash is None:
-            self._smash = build_smash(self.skew)
-        return self._smash
+        return build_smash(self.skew)
 
-    @property
+    @cached_property
     def duality(self):
-        if self._duality is None:
-            from .duality import build_duality
-            self._duality = build_duality(self.smash)
-        return self._duality
+        from .duality import build_duality
+        return build_duality(self.smash)
 
-    @property
+    @cached_property
     def matrix(self):
-        if self._duality is not None:
-            return self._duality.mat
-        if self._matrix is None:
-            self._matrix = matrix_algebra(self.action.algebra, self.action.group)
-        return self._matrix
+        if "duality" in self.__dict__:
+            return self.duality.mat
+        return matrix_algebra(self.action.algebra, self.action.group)
 
 
 # the entries an explicit ``hopf`` block must have, checked before any suite runs

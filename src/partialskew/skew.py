@@ -1,16 +1,18 @@
 """The twisted group ring of a partial action, as a graded structure algebra.
 
-The carrier is the direct sum of the ideals D_g; a basis vector is a pair
-(g, i) where i indexes the canonical echelon basis of D_g.  The product of
-homogeneous elements is (a at g)·(b at h) = a(g·b) placed at gh, extended
-bilinearly.  The whole thing is materialized as a StructureAlgebra (with the
-full associativity/unit validation) so centers, matrix algebras and the
-smash construction apply to it unchanged.
+The carrier is the direct sum of the ideals D_g, and ``SkewGroupRing``
+owns its layout: basis index j is the echelon row ``vectors[j]`` of D_g
+placed at g = ``grades[j]``, the rows of D_g from index ``offsets[g]`` on.
+``inject(g, a)`` reads a ∈ D_g off the pivots of D_g into these
+coordinates (None outside D_g); every layer places its elements through
+it.  The product of homogeneous elements is (a at g)·(b at h) = a(g·b)
+placed at gh, extended bilinearly.  The whole thing is materialized as a
+StructureAlgebra (with the full associativity/unit validation) so centers,
+matrix algebras and the smash construction apply to it unchanged.
 
-The build is sparse: the component bases are the echelon rows of the D_g,
-g·v is read from the columns of α_g once per (g, v), and the cell of each
-product u(g·v) is read off the pivots of D_gh, so no product makes a vector
-as long as the ring.  Products of components are cells of the table.
+The build is sparse: g·v is read from the columns of α_g once per (g, v),
+and each product u(g·v) is injected at gh, so no product makes a vector as
+long as the ring.  Products of components are cells of the table.
 
 ``build_skew`` proves that every product of D_g and D_h lands in D_gh (a
 cell that leaves it is refused) and that A embeds as the identity
@@ -30,85 +32,71 @@ from .report import check
 
 
 class SkewGroupRing:
-    """The twisted group ring of a partial action, its graded components and
-    the embedding of the base algebra as the identity component.  Construct
-    it through ``build_skew``: the reports restate the proofs of that build."""
+    """The twisted group ring of a partial action in the layout above,
+    built and fully validated by its constructor; call it through
+    ``build_skew``, whose proofs the reports restate."""
 
-    __slots__ = ("algebra", "action", "group", "component_bases", "offsets",
-                 "components", "embed_base")
+    __slots__ = ("action", "group", "offsets", "grades", "vectors",
+                 "components", "algebra")
 
-    def __init__(self, algebra, action, component_bases, offsets, components,
-                 embed_base):
-        self.algebra = algebra
-        self.action = action
-        self.group = action.group
-        self.component_bases = component_bases  # per g: echelon rows of D_g, sparse
-        self.offsets = offsets
-        self.components = components            # per g: Subspace in skew coordinates
-        self.embed_base = embed_base            # A -> skew, a |-> a at the identity
+    def __init__(self, pa):
+        alg, grp = pa.algebra, pa.group
+        field = alg.field
+        sparse, mul = field.sparse, alg._mul_acc
+        n = grp.order
+        ideals = pa.ideals
+        self.action, self.group = pa, grp
+        *self.offsets, total = accumulate((ideal.dim for ideal in ideals), initial=0)
+        self.grades = grades = tuple(g for g, ideal in enumerate(ideals) for _ in ideal.pivots)
+        self.vectors = vectors = tuple(v for ideal in ideals for v in ideal._rows.values())
+        # per g: D_g in skew coordinates, spanned by the unit vectors of grade g
+        one = field.one
+        self.components = [Subspace.from_sparse(field, total, [
+            {j: one} for j, h in enumerate(grades) if h == g]) for g in range(n)]
+
+        # g·v for every g and every basis vector v of every component, once
+        moved = [[sparse(_image(pa.columns[g], v.items())) for v in vectors]
+                 for g in range(n)]
+        products = []
+        for g, u in zip(grades, vectors):
+            row = {}
+            for y, h in enumerate(grades):
+                cell = self.inject(grp.mul(g, h), sparse(mul(u, moved[g][y])))
+                if cell is None:
+                    raise InternalCheckFailed(
+                        "twisted product left its target graded component")
+                if cell:
+                    row[y] = cell.items()
+            products.append(row)
+
+        # D_e = A, as make_partial_action proved 1_e = 1
+        e = grp.identity
+        labels = [f"{alg.format_vec(v)} at {grp.label(g)}" for g, v in zip(grades, vectors)]
+        self.algebra = make_algebra(field, products, self.inject(e, alg.unit), labels=labels)
+        embed = AlgebraMap(alg, self.algebra,
+                           [self.inject(e, {i: one}) for i in range(alg.dim)])
+        if not (embed.is_multiplicative() and embed.is_unital()
+                and embed.kernel().is_zero()):
+            raise InternalCheckFailed("base algebra does not embed as the identity component")
 
     @property
     def dim(self):
         return self.algebra.dim
 
-    def grade_of(self, index):
-        """(g, position) of a basis index."""
-        for g in range(self.group.order - 1, -1, -1):
-            if index >= self.offsets[g]:
-                return g, index - self.offsets[g]
-        raise IndexError(index)
+    def inject(self, g, a):
+        """a ∈ D_g placed at g: its coefficients on the echelon rows of D_g,
+        read off the pivots of D_g, at the indices from ``offsets[g]`` on;
+        None when a lies outside D_g."""
+        coords = self.action.ideals[g].sparse_coordinates(a)
+        if coords is None:
+            return None
+        base = self.offsets[g]
+        return {base + t: c for t, c in coords.items()}
 
 
 def build_skew(pa):
     """Assemble and fully validate the twisted group ring of a partial action."""
-    alg, grp = pa.algebra, pa.group
-    field = alg.field
-    sparse, mul = field.sparse, alg._mul_acc
-    n = grp.order
-
-    component_bases = [tuple(pa.ideals[g]._rows.values()) for g in range(n)]
-    *offsets, total = accumulate(map(len, component_bases), initial=0)
-
-    tags = [(g, i) for g in range(n) for i in range(len(component_bases[g]))]
-    labels = [f"{alg.format_vec(component_bases[g][i])} at {grp.label(g)}"
-              for g, i in tags]
-
-    def cell_at(g, avec):   # the skew coordinates of avec at g, a sorted cell
-        coords = pa.ideals[g].sparse_coordinates(avec)
-        if coords is None:
-            raise InternalCheckFailed(
-                "twisted product left its target graded component")
-        return [(offsets[g] + t, c) for t, c in coords.items()]
-
-    # g·v for every g and every basis vector v of every component, once
-    basis = [component_bases[h][i] for h, i in tags]
-    moved = [[sparse(_image(pa.columns[g], v.items())) for v in basis]
-             for g in range(n)]
-    products = []
-    for (g, _), u in zip(tags, basis):
-        row = {}
-        for y, (h, _) in enumerate(tags):
-            cell = cell_at(grp.mul(g, h), sparse(mul(u, moved[g][y])))
-            if cell:
-                row[y] = cell
-        products.append(row)
-
-    e = grp.identity
-    unit = dict(cell_at(e, alg.unit))
-    skew_alg = make_algebra(field, products, unit, labels=labels)
-
-    one = field.one
-    components = [Subspace.from_sparse(field, total, [
-        {offsets[g] + i: one} for i in range(len(component_bases[g]))])
-        for g in range(n)]
-
-    embed = AlgebraMap(alg, skew_alg, [dict(cell_at(e, {i: one}))
-                                       for i in range(alg.dim)])
-    if not (embed.is_multiplicative() and embed.is_unital()
-            and embed.kernel().is_zero()):
-        raise InternalCheckFailed("base algebra does not embed as the identity component")
-
-    return SkewGroupRing(skew_alg, pa, component_bases, offsets, components, embed)
+    return SkewGroupRing(pa)
 
 
 def component_product_span(skew, g, h):

@@ -10,12 +10,12 @@ multiplies the skew parts and keeps p_l exactly when the left p-index
 matches grade(y)·l.  Any mismatch would mean a transcription error in one
 of the two routes and aborts the build.  The projection action is a
 module-algebra action because ``build_skew`` placed every cell of D_g·D_h
-in D_gh, reading the grades from the same offsets.  (A grading planted
-against the table, as the tests do, leaves the generic product not
-associative, and ``make_algebra`` refuses it at its first triple.)  The build also proves
-that the twisted ring embeds, ι: x ↦ Σ_h x#p_h multiplicative, unital and
-with zero kernel; ``smash_report`` restates that proof, it does not repeat
-it.
+in D_gh, by the grades this action reads (``SkewGroupRing.grades``).  (A
+grading planted against the table, as the tests do, leaves the generic
+product not associative, and ``make_algebra`` refuses it at its first
+triple.)  The build also proves that the twisted ring embeds, ι: x ↦
+Σ_h x#p_h multiplicative, unital and with zero kernel; ``smash_report``
+restates that proof, it does not repeat it.
 
 Separability of B = R#k[G]* over the embedded twisted ring R is checked here
 too, since it reads only B, R and ι:
@@ -74,7 +74,7 @@ def build_smash(skew):
     n = grp.order
     ds = skew.dim
     one = field.one
-    grades = [skew.grade_of(j)[0] for j in range(ds)]
+    grades = skew.grades
     products = skew.algebra.products
 
     # generic route: Δ(p_h) = Σ_{uv=h} p_u⊗p_v and p_h ▷ y = [grade y = h]·y;

@@ -18,14 +18,6 @@ def place(mat, r, s, avec):
     return {mat.slot(r, s, i): v for i, v in avec.items()}
 
 
-def inject(skew, g, avec):
-    """The sparse skew vector of the sparse element avec (in A coordinates)
-    placed at g."""
-    coords = skew.action.ideals[g].sparse_coordinates(avec)
-    assert coords is not None, "element does not lie in the ideal of that grade"
-    return {skew.offsets[g] + i: c for i, c in coords.items()}
-
-
 def map_matrix(m):
     """The dense rows of an ``AlgebraMap``, built from its sparse columns:
     the oracle that the dense tests compare against."""

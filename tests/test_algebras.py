@@ -118,8 +118,11 @@ def test_direct_product_embeddings():
     kk = product_of_fields(QQ, 1)
     prod = direct_product(m2, kk)
     assert prod.dim == 5 and center_basis(prod).dim == 2
-    assert prod.left_embed.is_multiplicative()
-    assert prod.right_embed.is_multiplicative()
+    # the factors embed multiplicatively: the left one on its own indices,
+    # the right one shifted past them
+    one = QQ.one
+    assert AlgebraMap(m2, prod, [{j: one} for j in range(4)]).is_multiplicative()
+    assert AlgebraMap(kk, prod, [{4: one}]).is_multiplicative()
     # three orthogonal central idempotents in (k x k) x k
     triple = direct_product(product_of_fields(QQ, 2), kk)
     idems = [{i: 1} for i in range(3)]
@@ -217,9 +220,10 @@ def _densify(alg):
 
 
 def _sparsify(table):
-    """Sparse product rows of a dense table, as make_algebra takes them."""
-    return [[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
-            for row in table]
+    """Sparse product rows ``{j: cell}`` of a dense table, in the form of
+    ``StructureAlgebra.products``, as make_algebra takes them."""
+    return mapping_rows([[[(k, v) for k, v in enumerate(cell) if v] for cell in row]
+                         for row in table])
 
 
 def _perturbed(alg, i, j, k):
@@ -388,7 +392,7 @@ def test_associativity_witness_on_sparse_tables(name, field):
         table = _perturbed(alg, i, j, k)
         expected = _first_nonassociative_triple(field, table)
         assert expected is not None
-        bad = StructureAlgebra(field, mapping_rows(_sparsify(table)), None)
+        bad = StructureAlgebra(field, _sparsify(table), None)
         assert _associativity_witness(bad) == expected
 
 
@@ -399,7 +403,7 @@ def test_associativity_witness_takes_smallest_k(field):
     alg = tensor_algebra(product_of_fields(field, 3), group_algebra(field, cyclic(3)))
     table = _perturbed(alg, 0, 0, 0)
     witness = _associativity_witness(
-        StructureAlgebra(field, mapping_rows(_sparsify(table)), None))
+        StructureAlgebra(field, _sparsify(table), None))
     i, j, k = _first_nonassociative_triple(field, table)
     ks = _failing_ks(field, table, i, j)
     assert len(ks) >= 2 and k == ks[0]
@@ -409,14 +413,14 @@ def test_associativity_witness_takes_smallest_k(field):
 def test_make_algebra_checks_sparse_shape():
     one = QQ.one
     with pytest.raises(ValueError, match="out of range"):
-        make_algebra(QQ, [[[(1, one)]]], {0: one})
+        make_algebra(QQ, [{0: [(1, one)]}], {0: one})
     with pytest.raises(ValueError, match="zero"):
-        make_algebra(QQ, [[[(0, one)], []], [[], [(1, one), (0, QQ.zero)]]],
+        make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: [], 1: [(1, one), (0, QQ.zero)]}],
                      {0: 1, 1: 1})
     with pytest.raises(ValueError, match="repeats"):
-        make_algebra(QQ, [[[(0, one), (0, one)]]], {0: one})
+        make_algebra(QQ, [{0: [(0, one), (0, one)]}], {0: one})
     with pytest.raises(ValueError, match="d x d"):
-        make_algebra(QQ, [[[(0, one)], []]], {0: one})
+        make_algebra(QQ, [{0: [(0, one)], 1: []}], {0: one})
 
 
 @pytest.mark.parametrize("field, rows, message", [
@@ -432,31 +436,39 @@ def test_make_algebra_checks_sparse_shape():
 ], ids=["key-past-d", "negative-key", "str-key", "float-key", "index", "zero",
         "repeat", "residue-6", "residue-minus-4"])
 def test_make_algebra_checks_mapping_rows(field, rows, message):
-    # a row given as {j: cell} is validated by the same walk as a d-long
-    # row, with the same messages; a key outside range(d) makes the table
-    # not d x d
+    # a row {j: cell} is validated key by key; a key outside range(d)
+    # makes the table not d x d
     with pytest.raises(ValueError) as info:
         make_algebra(field, rows, {0: 1})
     assert str(info.value) == message
 
 
-def test_make_algebra_drops_empty_cells_in_either_form():
+def test_make_algebra_drops_empty_cells():
     one = QQ.one
-    want = ({0: ((0, one),)}, {1: ((1, one),)})
-    listed = make_algebra(QQ, [[[(0, one)], []], [(), [(1, one)]]], {0: 1, 1: 1})
-    mapping = make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: (), 1: [(1, one)]}],
-                           {0: 1, 1: 1})
-    assert listed.products == mapping.products == want
-    assert listed.nonempty_cells[1] == mapping.nonempty_cells[1] == [
-        [(0, ((0, one),))], [(1, ((1, one),))]]
+    alg = make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: (), 1: [(1, one)]}],
+                       {0: 1, 1: 1})
+    assert alg.products == ({0: ((0, one),)}, {1: ((1, one),)})
+    assert alg.nonempty_cells[1] == [[(0, ((0, one),))], [(1, ((1, one),))]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[[(0, 1)], []], [[], [(1, 1)]]], "product row 0 must be a dict {j: cell}, not list"),
+    ([{0: [(0, 1)]}, ([], [(1, 1)])], "product row 1 must be a dict {j: cell}, not tuple"),
+    ([{0: [(0, 1)]}, None], "product row 1 must be a dict {j: cell}, not NoneType"),
+], ids=["list", "tuple", "none"])
+def test_make_algebra_refuses_a_row_that_is_not_a_dict(rows, message):
+    # a row is a dict {j: cell}; a sequence of d cells is not read
+    with pytest.raises(ValueError) as info:
+        make_algebra(QQ, rows, {0: 1, 1: 1})
+    assert str(info.value) == message
 
 
 def test_make_algebra_sorts_cells_it_is_given():
     # ℚ[x]/(x² - x - 1) on the basis (1, x), with x·x = x + 1 listed
     # highest index first; builders emit sorted cells, outside input may not
     one = QQ.one
-    alg = make_algebra(QQ, [[[(0, one)], [(1, one)]],
-                            [[(1, one)], [(1, one), (0, one)]]], {0: one})
+    alg = make_algebra(QQ, [{0: [(0, one)], 1: [(1, one)]},
+                            {0: [(1, one)], 1: [(1, one), (0, one)]}], {0: one})
     assert alg.products[1][1] == ((0, one), (1, one))
     assert type(alg.products[0][0]) is tuple
     # a mapping row given out of order is stored in ascending j
@@ -471,21 +483,21 @@ def test_make_algebra_refuses_non_residues(cell, unit):
     # 6 and -4 stand for 1 in F_5, but stored scalars are canonical residues
     # (a kernel reduces what it computes; a table or unit is taken as given)
     with pytest.raises(ValueError, match="not a residue mod 5"):
-        make_algebra(GF(5), [[[(0, cell)]]], {0: unit})
-    assert make_algebra(GF(5), [[[(0, 1)]]], {0: GF(5).from_int(6)}).unit == {0: 1}
+        make_algebra(GF(5), [{0: [(0, cell)]}], {0: unit})
+    assert make_algebra(GF(5), [{0: [(0, 1)]}], {0: GF(5).from_int(6)}).unit == {0: 1}
 
 
 @pytest.mark.parametrize("index", [1, -1, True, 0.0, "0"])
 def test_make_algebra_refuses_a_unit_index_outside_the_algebra(index):
     with pytest.raises(ValueError) as info:
-        make_algebra(QQ, [[[(0, 1)]]], {index: 1})
+        make_algebra(QQ, [{0: [(0, 1)]}], {index: 1})
     assert str(info.value) == "unit has an index outside 0..0"
 
 
 def test_make_algebra_stores_the_unit_in_index_order_without_zeros():
     alg = make_algebra(QQ, product_of_fields(QQ, 3).products, {2: 1, 0: 1, 1: 1})
     assert list(alg.unit) == [0, 1, 2]
-    assert make_algebra(QQ, [[[(0, 1)]]], {0: 1}).unit == {0: 1}
+    assert make_algebra(QQ, [{0: [(0, 1)]}], {0: 1}).unit == {0: 1}
 
 
 def test_multiplicativity_witness_names_first_pair():

@@ -12,7 +12,7 @@ from partialskew.linalg import Subspace
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash, separability_report
 
-from corpus_helpers import inject, map_matrix, place, z3_restricted_action
+from corpus_helpers import map_matrix, place, z3_restricted_action
 from dense_oracle import identity, to_rows
 
 
@@ -23,8 +23,8 @@ def _smash_vec(smash, skew_vec, h):
 def test_s1_map_images(s1_duality, s1_smash, s1_skew):
     d = s1_duality
     mat = d.mat
-    g_gen = inject(s1_skew, 1, {0: 1})
-    e_bad = inject(s1_skew, 0, {1: 1})
+    g_gen = s1_skew.inject(1, {0: 1})
+    e_bad = s1_skew.inject(0, {1: 1})
 
     # (1,0) at g # p_e lands on (1,0) in row g, column e
     img = d.phi.apply_sparse(_smash_vec(s1_smash, g_gen, 0))
@@ -51,7 +51,7 @@ def test_s1_rank_against_sympy(s1_duality):
 
 
 def test_s1_kernel_span(s1_duality, s1_smash, s1_skew):
-    e_bad = inject(s1_skew, 0, {1: 1})
+    e_bad = s1_skew.inject(0, {1: 1})
     expected = _smash_vec(s1_smash, e_bad, 1)
     assert list(s1_duality.kernel._rows.values()) == [expected]
     assert kernel_formula_subspace(s1_smash) == s1_duality.kernel

@@ -657,7 +657,7 @@ def _doubled_ring(skew):
                                      for j, cell in row.items()}
                                     for row in alg.products], alg.unit)
     return SimpleNamespace(algebra=doubled, action=skew.action, dim=skew.dim,
-                           offsets=skew.offsets)
+                           inject=skew.inject)
 
 
 @pytest.mark.parametrize("corner, unit, ring, measured, witness", [

@@ -240,7 +240,8 @@ def test_sparse_inputs_are_read_canonically(field, one):
 
 @pytest.mark.parametrize("build", [
     lambda x: make_algebra(QQ, [{0: ((0, x),)}], {0: 1}),
-    lambda x: make_algebra(QQ, [[((0, x),)]], {0: 1}),
+    lambda x: make_algebra(QQ, [{0: ((0, 1),), 1: ((1, 1),)},
+                                {0: ((1, 1),), 1: ((0, x),)}], {0: 1}),
     lambda x: make_algebra(QQ, [{0: ((0, 1),)}], {0: x})], ids=["row", "cells", "unit"])
 @pytest.mark.parametrize("scalar", [1.0, 0.5, True, "1"])
 def test_make_algebra_refuses_inexact_constants_over_q(build, scalar):

@@ -1,10 +1,33 @@
+from functools import lru_cache
+from pathlib import Path
+import random
+
+import pytest
+
 from partialskew.actions import trivial_from_split
 from partialskew.algebras import center_basis, product_of_fields
-from partialskew.fields import QQ
+from partialskew.fields import QQ, parse_field
 from partialskew.groups import cyclic
+from partialskew.scenarios import (build_action, build_algebra, build_group,
+                                   bundled_fixtures, fixture_path,
+                                   load_scenario)
 from partialskew.skew import build_skew, grading_report, strong_grading_test
 
-from corpus_helpers import global_swap_action, inject, z3_restricted_action
+from corpus_helpers import global_swap_action, z3_restricted_action
+
+# every bundled fixture and both benchmark documents
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
+SOURCES = ([fixture_path(name) for name in bundled_fixtures()]
+           + sorted(SCENARIOS.glob("*.json")))
+
+
+@lru_cache(maxsize=None)
+def _skew(source, token):
+    doc = load_scenario(source)
+    field = parse_field(token)
+    group = build_group(doc["group"])
+    algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
+    return build_skew(build_action(field, group, algebra, doc["action"]))
 
 
 def test_s1_dimensions_and_basis(s1_skew):
@@ -17,9 +40,9 @@ def test_s1_dimensions_and_basis(s1_skew):
 def test_s1_products(s1_skew):
     alg = s1_skew.algebra
     mul = alg._mul_sparse
-    g_gen = inject(s1_skew, 1, {0: 1})       # (1,0) in the g component
-    e0 = inject(s1_skew, 0, {0: 1})
-    e1 = inject(s1_skew, 0, {1: 1})
+    g_gen = s1_skew.inject(1, {0: 1})       # (1,0) in the g component
+    e0 = s1_skew.inject(0, {0: 1})
+    e1 = s1_skew.inject(0, {1: 1})
     # ((1,0) at g)^2 = (1,0)(g·(1,0)) at e = (1,0) at e
     assert mul(g_gen, g_gen) == e0
     # annihilations across the split
@@ -69,6 +92,51 @@ def test_skew_is_group_ring_times_factor(s1_skew):
 
 
 def test_grade_round_trip(s1_skew):
-    for idx in range(s1_skew.dim):
-        g, i = s1_skew.grade_of(idx)
-        assert s1_skew.offsets[g] + i == idx
+    for idx, g in enumerate(s1_skew.grades):
+        assert 0 <= idx - s1_skew.offsets[g] < s1_skew.action.ideals[g].dim
+        assert s1_skew.inject(g, s1_skew.vectors[idx]) == {idx: 1}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5"])
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_layout_follows_the_echelon_bases(source, field):
+    # index j is the j-th echelon row of the D_g taken in group order
+    skew = _skew(source, field)
+    bases = [list(ideal._rows.values()) for ideal in skew.action.ideals]
+    assert skew.offsets == [sum(map(len, bases[:g])) for g in range(len(bases))]
+    assert skew.grades == tuple(g for g, basis in enumerate(bases) for _ in basis)
+    assert skew.vectors == tuple(v for basis in bases for v in basis)
+    assert len(skew.grades) == len(skew.vectors) == skew.dim
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5"])
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_inject_reads_each_component_off_its_pivots(source, field):
+    skew = _skew(source, field)
+    F = parse_field(field)
+    alg = skew.action.algebra
+    one = F.one
+    # every echelon row goes to the unit vector of its own basis index
+    for j, (g, v) in enumerate(zip(skew.grades, skew.vectors)):
+        assert skew.inject(g, v) == {j: one}
+    rng = random.Random(f"{source.name} {field}")
+    for g, ideal in enumerate(skew.action.ideals):
+        rows = list(ideal._rows.values())
+        # a random element of D_g, formed densely from chosen coefficients,
+        # goes to those coefficients placed from offsets[g] on
+        for _ in range(3):
+            coeffs = [F.from_int(rng.randrange(-3, 4)) for _ in rows]
+            a = [0] * alg.dim
+            for c, v in zip(coeffs, rows):
+                for t, x in v.items():
+                    a[t] += c * x
+            a = F.sparse(dict(enumerate(a)))
+            assert skew.inject(g, a) == {skew.offsets[g] + i: c
+                                         for i, c in enumerate(coeffs) if c}
+        # a basis vector of A outside D_g, alone or added to a row, is refused
+        outside = [t for t in range(alg.dim) if not ideal.contains_sparse({t: one})]
+        assert bool(outside) == (ideal.dim < alg.dim)
+        for t in outside:
+            assert skew.inject(g, {t: one}) is None
+            if rows:
+                assert skew.inject(g, F.sparse({**rows[0], t: rows[0].get(t, 0) + 1})) is None

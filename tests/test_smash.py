@@ -10,12 +10,11 @@ from partialskew.linalg import Subspace
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
                                    load_scenario)
-from partialskew.skew import SkewGroupRing, build_skew
+from partialskew.skew import build_skew
 from partialskew.smash import (SmashAlgebra, _centrality_witness,
                                _separability_checks, _tensor_image, build_smash,
                                separability_report, smash_report)
 
-from corpus_helpers import inject
 from fp_oracle import unwrap, wrap
 
 
@@ -36,8 +35,8 @@ def test_s1_products(s1_smash, s1_skew):
     def at(skew_vec, h):
         return {s1_smash.index(j, h): c for j, c in skew_vec.items()}
 
-    g_gen = inject(s1_skew, 1, {0: 1})
-    e_gen = inject(s1_skew, 0, {0: 1})
+    g_gen = s1_skew.inject(1, {0: 1})
+    e_gen = s1_skew.inject(0, {0: 1})
 
     # ((1,0) at g # p_g)((1,0) at g # p_e) = (1,0) at e # p_e
     assert mul(at(g_gen, 1), at(g_gen, 0)) == at(e_gen, 0)
@@ -60,7 +59,7 @@ def test_unit_is_sum_over_dual_generators(s1_smash):
 def test_embedding(s1_smash, s1_skew):
     emb = s1_smash.embed_skew_map
     # (1,0) at g goes to the sum over both dual generators
-    g_gen = inject(s1_skew, 1, {0: 1})
+    g_gen = s1_skew.inject(1, {0: 1})
     img = emb.apply_sparse(g_gen)
     (j, _), = g_gen.items()
     assert img == {s1_smash.index(j, 0): QQ.one, s1_smash.index(j, 1): QQ.one}
@@ -90,9 +89,7 @@ def test_wrong_grade_fails_the_associativity_check(monkeypatch, s1_skew):
     # l_e0 at e graded as g: it is idempotent, and g·g = e is not g, so the
     # projection action is not a module-algebra action and the generic
     # smash product is not associative; make_algebra names the first triple
-    grade_of = SkewGroupRing.grade_of
-    monkeypatch.setattr(SkewGroupRing, "grade_of",
-                        lambda self, j: (1, 0) if j == 0 else grade_of(self, j))
+    monkeypatch.setattr(s1_skew, "grades", (1, *s1_skew.grades[1:]))
     with pytest.raises(InternalCheckFailed) as err:
         build_smash(s1_skew)
     assert str(err.value) == (
@@ -282,8 +279,8 @@ def test_centralizes_names_its_witness(s1_smash, s3_smash_fp5):
     for smash in (s1_smash, s3_smash_fp5):
         grp, skew = smash.group, smash.skew
         units = smash.dual_units()
-        first = next(j for j in range(skew.dim) if skew.grade_of(j)[0] != grp.identity)
-        k = skew.grade_of(first)[0]
+        first = next(j for j, k in enumerate(skew.grades) if k != grp.identity)
+        k = skew.grades[first]
         for s in range(grp.order):
             h = min(s, grp.mul(grp.inv(k), s))
             checks = {c.name: c for c in _separability_checks(smash, [(units[s], units[s])])}

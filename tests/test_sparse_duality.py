@@ -145,6 +145,12 @@ def _own_products_two_sided(algebra, subspace):
     return True, ""
 
 
+def _grade_position(skew, j):
+    """(g, position in the echelon basis of D_g) of the skew basis index j."""
+    g = skew.grades[j]
+    return g, j - skew.offsets[g]
+
+
 def _block_of(smash, vec):
     """(grade, dual index) of a vector supported in a single block."""
     found = None
@@ -152,7 +158,7 @@ def _block_of(smash, vec):
         if not c:
             continue
         j, h = smash.parts(idx)
-        g, _ = smash.skew.grade_of(j)
+        g = smash.skew.grades[j]
         if found is None:
             found = (g, h)
         elif found != (g, h):
@@ -188,7 +194,7 @@ def _per_product_tally(d, left=None):
         a_part = _project(
             skew, tuple(v[smash.index(j, h)] for j in range(skew.dim)), g)
         for j in range(skew.dim):
-            k, pos = skew.grade_of(j)
+            k, pos = _grade_position(skew, j)
             w = multiply(alg, basis_of(pa.ideals[k])[pos], _dot(pa, k, a_part))
             kg = grp.mul(k, g)
             coords = _coords(pa.ideals[kg], w)
@@ -446,7 +452,7 @@ def _reshaped_left(d, left, where):
         for j in range(smash.skew.dim):
             payload = row.get(smash.index(j, gh))
             if payload:
-                for l in where(g, h, smash.skew.grade_of(j)[0]):
+                for l in where(g, h, smash.skew.grades[j]):
                     new[smash.index(j, l)] = payload
         out.append(new)
     return out
@@ -540,7 +546,9 @@ def test_twisted_ring_matches_dense_route(name, field):
     products, unit, embed = _dense_skew(skew.action)
     assert skew.algebra.products == tuple(products)
     assert skew.algebra.unit == unit
-    assert skew.embed_base.columns == embed
+    e = skew.group.identity
+    assert [skew.inject(e, {i: skew.algebra.field.one})
+            for i in range(skew.action.algebra.dim)] == embed
     n = skew.group.order
     for g in range(n):
         for h in range(n):
