@@ -25,7 +25,8 @@ identities sum lhs − rhs in one accumulator per outer index, keyed
 inner·d + t: per source basis vector u, per (g, i) (``multiplicative``,
 ``pull_through``), per (g, h) (``composition``), per g (``round_trip``).
 Each is reduced once; its failing inner indices, in order, are the failing
-tuples of a per-tuple loop, so the witnesses are unchanged.
+tuples of a per-tuple loop, so the witnesses are unchanged.  The tables
+A·(1 - 1_g), b_r·1_g and b_i·α_{g⁻¹}(b_j) are ``StructureAlgebra.multiples``.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class PartialAction:
         """The ideal A·(1 - 1_g)."""
         alg = self.algebra
         comp = _complement(alg, self.idempotents[g])
-        return Subspace.from_sparse(
-            alg.field, alg.dim, [alg._mul_acc(comp, {i: 1}) for i in range(alg.dim)])
+        return Subspace.from_sparse(alg.field, alg.dim,
+                                    alg.multiples(comp, left=False).values())
 
 
 def _complement(algebra, e):
@@ -143,8 +144,9 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
     ginv = group.inv(g)
     source, target = ideals[ginv], ideals[g]
     comp = _complement(algebra, idempotents[ginv])
-    for i in range(d):
-        if sparse(_image(cols, mul(comp, {i: 1}).items())):
+    # α_g(0) = 0, so the first failing b_i has a nonzero comp·b_i
+    for i, v in sorted(algebra.multiples(comp, left=False).items()):
+        if sparse(_image(cols, v.items())):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
@@ -182,7 +184,8 @@ def dot_identities_report(pa):
     d, n = alg.dim, grp.order
     sparse, mul = alg.field.sparse, alg._mul_acc
     by_row, labels, cols = alg.nonempty_cells[0], alg.labels, pa.columns
-    right = [[mul({r: 1}, e) for r in range(d)] for e in pa.idempotents]  # b_r·1_g
+    # b_r·1_g for every (g, r), an empty dict where it is zero
+    right = [[m.get(r, {}) for r in range(d)] for m in map(alg.multiples, pa.idempotents)]
     results = []
 
     bad = []
@@ -213,14 +216,15 @@ def dot_identities_report(pa):
 
     bad = []
     for g in range(n):
-        cg, cinv = cols[g], cols[grp.inv(g)]
+        cg = cols[g]
+        times = [alg.multiples(col) for col in cols[grp.inv(g)]]   # [j][i]: b_i·α_{g⁻¹}(b_j)
         for i in range(d):
             acc = {}
             for r, x in cg[i].items():                   # α_g(b_i)·b_j
                 for j, cell in by_row[r]:
                     _add(acc, j * d, x, cell)
-            for j, col in enumerate(cinv):               # − α_g(b_i·α_{g⁻¹}(b_j))
-                _image(cg, mul({i: 1}, col).items(), acc, j * d, -1)
+            for j, t in enumerate(times):                # − α_g(b_i·α_{g⁻¹}(b_j))
+                _image(cg, t.get(i, {}).items(), acc, j * d, -1)
             bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
                     for j in sorted({k // d for k in sparse(acc)})]
     results.append(check("lemma1.pull_through", not bad, {"pairs": n * d * d},

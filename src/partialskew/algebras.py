@@ -35,12 +35,13 @@ An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
 the unit is one, in index order.  Scalars follow :mod:`fields`: the
 products kernels (``_mul_sparse``, ``_lincomb``) accept any ``int``
 representative over F_p and return canonical scalars, reducing once per
-output coefficient; a product by a basis vector b_i is ``_mul_sparse`` with
-the factor ``{i: 1}``.  A vector or a list of columns handed in through the
-API (an ``AlgebraMap``, an idempotent, an action, an antipode) is read by
-one check, ``_sparse_columns``: one column per basis vector, each row an
-``int`` in range and each scalar through the field's ``scalars``, so over
-F_p it is reduced and anything but an ``int`` is refused.
+output coefficient.  The products of x with every basis vector, whose span
+is an ideal A·e, are one table, ``StructureAlgebra.multiples``.  A vector
+or a list of columns handed in through the API (an ``AlgebraMap``, an
+idempotent, an action, an antipode) is read by one check,
+``_sparse_columns``: one column per basis vector, each row an ``int`` in
+range and each scalar through the field's ``scalars``, so over F_p it is
+reduced and anything but an ``int`` is refused.
 """
 
 from __future__ import annotations
@@ -89,6 +90,23 @@ class StructureAlgebra:
             for j, cell in row:
                 by_col[j].append((i, cell))
         return by_row, by_col
+
+    def multiples(self, x, left=True):
+        """``{b: b_b·x}``, or ``{b: x·b_b}`` when not ``left``, over the
+        basis indices b whose product is nonzero, each canonical: the
+        products of x with every basis vector, from one walk over the
+        nonempty cells that x's support reaches.  Left multiples read the
+        column index ``nonempty_cells[1]``; right multiples read
+        ``products`` directly and never build a column index, which on a
+        matrix algebra would stay cached for the rest of the run."""
+        rows = self.products
+        cells = self.nonempty_cells[1] if left else {j: rows[j].items() for j in x}
+        acc = {}
+        for j, c in x.items():
+            for b, cell in cells[j]:
+                _add(acc.setdefault(b, {}), 0, c, cell)
+        sparse = self.field.sparse
+        return {b: v for b, part in acc.items() if (v := sparse(part))}
 
     def _mul_sparse(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
@@ -273,13 +291,13 @@ def _canonical_cells(field, products, unit, d):
         cells = {}
         ascending, last = True, -1
         for j, cell in row.items():
-            if not (isinstance(j, int) and 0 <= j < d):
-                raise ValueError("structure constants are not d x d cells")
+            if not (type(j) is int and 0 <= j < d):
+                raise ValueError(f"product row {i} has a key {j!r} outside 0..{d - 1}")
             size = len(cell)
             if not size:
                 continue
             for k, v in cell:
-                if not (isinstance(k, int) and 0 <= k < d):
+                if not (type(k) is int and 0 <= k < d):
                     raise ValueError(f"structure constant index {k!r} out of range")
                 if not v:
                     raise ValueError("structure constant cell lists a zero")
@@ -352,8 +370,8 @@ def _unit_law_failure(alg):
     One accumulator per side, keyed i·d + k, holds 1·b_i − b_i (left) or
     b_i·1 − b_i (right) for every i at once: the left one from the rows of
     the unit's support, the right one from the cells in the unit's columns,
-    met in one walk over the rows: a column index built here would stay
-    cached on a matrix algebra for the rest of the run."""
+    met in one walk over the rows, so that no column index is built (see
+    ``StructureAlgebra.multiples``)."""
     d = alg.dim
     unit = alg.unit
     products = alg.products
@@ -378,11 +396,16 @@ def _unit_law_failure(alg):
 def is_central_idempotent(alg, x):
     """True iff the sparse vector x of ``alg`` has x·x = x and commutes with
     every basis element."""
-    x = _sparse_vector(alg, x, "idempotent")
+    return _central_multiples(alg, _sparse_vector(alg, x, "idempotent")) is not None
+
+
+def _central_multiples(alg, x):
+    """The left multiples ``{b: b_b·x}`` of a canonical sparse vector x when
+    x·x = x and they equal its right multiples; None otherwise."""
     if alg._mul_sparse(x, x) != x:
-        return False
-    return all(alg._mul_sparse({i: 1}, x) == alg._mul_sparse(x, {i: 1})
-               for i in range(alg.dim))
+        return None
+    left = alg.multiples(x)
+    return left if left == alg.multiples(x, left=False) else None
 
 
 def ideal_basis(alg, e):
@@ -390,13 +413,13 @@ def ideal_basis(alg, e):
     idempotent, given as a sparse vector of ``alg``.
 
     The span of the b_i·e is Ae, a two-sided ideal because e is central:
-    b·(ae) = (ba)e and (ae)·b = (ab)e."""
+    b·(ae) = (ba)e and (ae)·b = (ab)e.  The b_i·e are the products that
+    prove e central."""
     e = _sparse_vector(alg, e, "idempotent")
-    if not is_central_idempotent(alg, e):
+    left = _central_multiples(alg, e)
+    if left is None:
         raise NotCentralIdempotent(alg.format_vec(e))
-    mul = alg._mul_acc
-    return Subspace.from_sparse(alg.field, alg.dim,
-                                [mul({i: 1}, e) for i in range(alg.dim)])
+    return Subspace.from_sparse(alg.field, alg.dim, left.values())
 
 
 def center_basis(alg, generators=None):

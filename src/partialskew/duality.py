@@ -27,15 +27,15 @@ the matrix algebra, and is checked in :mod:`smash`.  Only the ``duality``
 suite (and the Hopf layer, for ``_pierce_corner``) loads this module.
 
 The checks work on sparse vectors and cost their nonzero product terms;
-no product makes a vector as long as the smash or matrix algebra.
-``decomposition_report`` forms one left-product table of the complementary
-ideal, b·r for every basis element b and echelon row r (``_left_products``);
-the ideal's two-sided test and the Kronecker tally of its left products
-both read it, the tally from the ideal's sparse echelon rows.  The cross
-products of ideal and kernel keep one accumulator per ideal row.  The block subspaces, the
-entrywise image, the Pierce corner e·E_b·e, the corner idempotent, the map
-φ and its composite with the embedding of the twisted ring are formed from
-sparse products and columns, an element of D_g placed by ``skew.inject``.
+no product makes a vector as long as the smash or matrix algebra.  The
+block subspaces, the entrywise image, the Pierce corner and the ideal's
+two-sided test read the products of an element with every basis vector
+from ``StructureAlgebra.multiples``; the left multiples of the
+complementary ideal's echelon rows are formed once, for the two-sided test
+and the Kronecker tally.  The cross products of ideal and kernel keep one
+accumulator per ideal row.  The corner idempotent, the map φ and its
+composite with the embedding of the twisted ring are formed from sparse
+products and columns, an element of D_g placed by ``skew.inject``.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ def _block_subspace(smash, complement):
     for g in range(grp.order):
         for h in range(grp.order):
             m = alg._mul_sparse((comps if complement else es)[grp.mul(g, h)], es[g])
-            for i in range(alg.dim):
-                v = alg._mul_sparse({i: 1}, m)
-                if not v:
-                    continue
+            for v in alg.multiples(m).values():
                 placed = skew.inject(g, v)
                 if placed is None:
                     raise InternalCheckFailed("block generator left its ideal")
@@ -167,8 +164,6 @@ def _entrywise_image(pa, mat):
     (r, s, i).  The products b_i·m are formed once per distinct
     m = 1_{r⁻¹}1_{s⁻¹}, in one walk over the columns m reaches."""
     alg, grp = pa.algebra, pa.group
-    field = alg.field
-    by_col = alg.nonempty_cells[1]
     es, _ = _idempotents(pa)
     left = {}   # m, as its sorted items -> {i: b_i·m}
     vectors = []
@@ -178,21 +173,19 @@ def _entrywise_image(pa, mat):
             key = tuple(sorted(m.items()))
             products = left.get(key)
             if products is None:
-                products = left[key] = _products_by_basis(field.sparse, by_col, m)
+                products = left[key] = alg.multiples(m)
             base = mat.slot(r, s, 0)
             vectors += [{base + t: x for t, x in v.items()} for v in products.values()]
-    return Subspace.from_sparse(field, mat.dim, vectors)
+    return Subspace.from_sparse(alg.field, mat.dim, vectors)
 
 
 def _pierce_corner(mat, e):
     """The span of the Pierce corner e·E_b·e over the basis E_b:
-    e·E_b·e = Σ_k (E_b·e)_k·(e·E_k), with e·E_k read from the rows of e's
-    support for every k at once, and E_b·e as one unreduced product.  Like
-    the unit law, it builds no column index of the matrix algebra, which
-    would stay cached for the rest of the run."""
+    e·E_b·e = Σ_k (E_b·e)_k·(e·E_k), with the e·E_k the right multiples of
+    e and E_b·e one unreduced product per b.  It forms no left multiples,
+    so it builds no column index of the matrix algebra."""
     field = mat.field
-    by_row = [row.items() for row in mat.products]
-    e_times = _products_by_basis(field.sparse, by_row, e)
+    e_times = mat.multiples(e, left=False)
     corner = []
     for b in range(mat.dim):
         times_e = mat._mul_acc({b: field.one}, e)
@@ -201,53 +194,19 @@ def _pierce_corner(mat, e):
     return Subspace.from_sparse(field, mat.dim, corner)
 
 
-def _products_by_basis(sparse, cells, r):
-    """``{b: Σ_j x·cell}`` over the entries (j, x) of the sparse row r and
-    the pairs (b, cell) of ``cells[j]``, each sum made canonical by the
-    field normaliser ``sparse``, the zero sums left out."""
-    acc = {}
-    for j, x in r.items():
-        for b, cell in cells[j]:
-            part = acc.get(b)
-            if part is None:
-                part = acc[b] = {}
-            get = part.get
-            for k, v in cell:
-                part[k] = get(k, 0) + x * v
-    out = {}
-    for b, part in acc.items():
-        part = sparse(part)
-        if part:
-            out[b] = part
-    return out
-
-
-def _left_products(algebra, subspace):
-    """The left-product table of a subspace: for each echelon row r, in
-    order, the dict ``{b: b·r}`` over the basis elements b whose product
-    is nonzero.  Each row is formed once, over the nonempty cells of the
-    columns of the product table it reaches."""
-    sparse = algebra.field.sparse
-    by_col = algebra.nonempty_cells[1]
-    return [_products_by_basis(sparse, by_col, r) for r in subspace._rows.values()]
-
-
 def _is_two_sided_ideal(algebra, subspace, left):
     """(True, "") when b·r and r·b lie in the subspace for every basis
     element b and echelon row r; else (False, message) for the first
     failure, b-major and left before right.
 
-    b·r is read from ``left``, the table of ``_left_products``; r·b is
-    formed per row r for every b at once.  Only nonzero products are
-    reduced against the subspace, and none that would come after a failure
-    already found."""
-    sparse = algebra.field.sparse
+    b·r is read from ``left``, the left multiples ``algebra.multiples(r)``
+    of each echelon row r in order; r·b is formed per row r for every b at
+    once.  Only nonzero products are reduced against the subspace, and none
+    that would come after a failure already found."""
     residual = subspace._residual
-    by_row = algebra.nonempty_cells[0]
     first = None   # (b, row index, 0 for left or 1 for right)
     for t, r in enumerate(subspace._rows.values()):
-        for side, products in enumerate(
-                (left[t], _products_by_basis(sparse, by_row, r))):
+        for side, products in enumerate((left[t], algebra.multiples(r, left=False))):
             for b, prod in products.items():
                 if (first is None or (b, t, side) < first) and residual(prod):
                     first = (b, t, side)
@@ -293,8 +252,8 @@ def _delta_convention_tally(d, left):
     """Which printed Kronecker condition reproduces the true left product of
     the complementary ideal by basis elements: l = gh (the product rule),
     k = gh, or h = kl.  The true products b·v are read from ``left``, the
-    ``_left_products`` table of the ideal, whose sparse echelon rows v give
-    their block (g, h) and A-coordinates directly.
+    left multiples of each sparse echelon row v of the ideal; v gives its
+    block (g, h) and A-coordinates directly.
 
     For each (v, j) only l = gh, l = k⁻¹h and the l with a nonzero product
     are compared: at every other l the true product and the l = gh and
@@ -355,7 +314,7 @@ def decomposition_report(d):
     B = d.smash.algebra
     results = []
 
-    left = _left_products(B, d.ideal)
+    left = [B.multiples(r) for r in d.ideal._rows.values()]
     ok, why = _is_two_sided_ideal(B, d.ideal, left)
     results.append(check("duality.ideal_two_sided", ok,
                          {"ideal_dim": d.ideal.dim}, [why] if why else []))

@@ -520,8 +520,7 @@ def build_partial_smash(pha):
     h, alg = pha.hopf, pha.algebra
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     unit = _pure_tensor(alg.field, alg.unit, h.algebra.unit, h.dim)
-    sub = Subspace.from_sparse(alg.field, ambient.dim, [
-        ambient._mul_acc({p: 1}, unit) for p in range(ambient.dim)])
+    sub = Subspace.from_sparse(alg.field, ambient.dim, ambient.multiples(unit).values())
     return PartialSmash(pha, ambient, sub, unit)
 
 
@@ -598,6 +597,7 @@ def partial_smash_report(ps):
 
     pair = _first_residue(field, corner, multiplicative, t.dim)
     law = _first_residue(field, ms, module_law, amb.dim, n)
+    by_unit = amb.multiples(unit)   # {x·d + i: (x#b_i)·1}
     return [
         check("psmash.closed", leaves is None, {"sub_dim": sub.dim}, [] if leaves is None else
               [f"product leaves the corner at ({vec(leaves[0])}, {vec(leaves[1])})"]),
@@ -613,8 +613,9 @@ def partial_smash_report(ps):
             # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
             "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
                                  for x in range(alg.dim) for i in ms for m in ms
-                                 if _on_leg(field, hits[m], d, mul({x * d + i: 1}, unit))
-                                 != mul({x * d + b: v for b, v in hits[m][i].items()}, unit)),
+                                 if _on_leg(field, hits[m], d, by_unit.get(x * d + i, {}))
+                                 != _lincomb(field, ((v, by_unit.get(x * d + b, {}))
+                                                     for b, v in hits[m][i].items()))),
                                 None)}),
     ]
 
@@ -637,9 +638,9 @@ def smash_matches_skew_report(ps, skew_ring):
     field, ring = alg.field, skew_ring.algebra
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
-    es = skew_ring.action.idempotents
+    times = [alg.multiples(e) for e in skew_ring.action.idempotents]   # {x: b_x·1_g}
     t_map = AlgebraMap(ps.ambient, ring, [
-        skew_ring.inject(g, alg._mul_sparse({x: 1}, es[g]))
+        skew_ring.inject(g, times[g].get(x, {}))
         for x in range(alg.dim) for g in range(d)]).apply_sparse
     su = list(ps.sub._rows.values())
     images = [t_map(u) for u in su]

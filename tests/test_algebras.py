@@ -419,25 +419,27 @@ def test_make_algebra_checks_sparse_shape():
                      {0: 1, 1: 1})
     with pytest.raises(ValueError, match="repeats"):
         make_algebra(QQ, [{0: [(0, one), (0, one)]}], {0: one})
-    with pytest.raises(ValueError, match="d x d"):
+    with pytest.raises(ValueError, match="has a key 1 outside"):
         make_algebra(QQ, [{0: [(0, one)], 1: []}], {0: one})
 
 
 @pytest.mark.parametrize("field, rows, message", [
-    (QQ, [{1: [(0, 1)]}], "structure constants are not d x d cells"),
-    (QQ, [{-1: [(0, 1)]}], "structure constants are not d x d cells"),
-    (QQ, [{"0": [(0, 1)]}], "structure constants are not d x d cells"),
-    (QQ, [{0.0: [(0, 1)]}], "structure constants are not d x d cells"),
+    (QQ, [{1: [(0, 1)]}], "product row 0 has a key 1 outside 0..0"),
+    (QQ, [{-1: [(0, 1)]}], "product row 0 has a key -1 outside 0..0"),
+    (QQ, [{"0": [(0, 1)]}], "product row 0 has a key '0' outside 0..0"),
+    (QQ, [{0.0: [(0, 1)]}], "product row 0 has a key 0.0 outside 0..0"),
+    (QQ, [{False: [(0, 1)]}], "product row 0 has a key False outside 0..0"),
     (QQ, [{0: [(1, 1)]}], "structure constant index 1 out of range"),
+    (QQ, [{0: [(True, 1)]}], "structure constant index True out of range"),
     (QQ, [{0: [(0, 1), (0, 0)]}], "structure constant cell lists a zero"),
     (QQ, [{0: [(0, 1), (0, 1)]}], "structure constant cell repeats an index"),
     (GF(5), [{0: [(0, 6)]}], "scalar 6 is not a residue mod 5"),
     (GF(5), [{0: [(0, -4)]}], "scalar -4 is not a residue mod 5"),
-], ids=["key-past-d", "negative-key", "str-key", "float-key", "index", "zero",
-        "repeat", "residue-6", "residue-minus-4"])
+], ids=["key-past-d", "negative-key", "str-key", "float-key", "bool-key", "index",
+        "bool-index", "zero", "repeat", "residue-6", "residue-minus-4"])
 def test_make_algebra_checks_mapping_rows(field, rows, message):
-    # a row {j: cell} is validated key by key; a key outside range(d)
-    # makes the table not d x d
+    # a row {j: cell} is validated key by key: a key or a cell index must
+    # be an int in range(d), and a bool is not one
     with pytest.raises(ValueError) as info:
         make_algebra(field, rows, {0: 1})
     assert str(info.value) == message

@@ -142,7 +142,8 @@ def test_ideal_basis_refuses_a_marker_whose_span_is_one_sided():
     e00 = {m2.slot(0, 0, 0): 1}
     span = Subspace.from_sparse(QQ, m2.dim, [m2._mul_sparse({i: 1}, {m2.slot(0, 0, 0): 1})
                                             for i in range(m2.dim)])
-    assert not duality._is_two_sided_ideal(m2, span, duality._left_products(m2, span))[0]
+    left = [m2.multiples(r) for r in span._rows.values()]
+    assert not duality._is_two_sided_ideal(m2, span, left)[0]
     with pytest.raises(NotCentralIdempotent) as err:
         ideal_basis(m2, e00)
     assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1"

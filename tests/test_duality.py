@@ -4,7 +4,7 @@ import pytest
 
 from partialskew.algebras import field_algebra, matrix_algebra
 from partialskew.duality import (DualityData, _is_two_sided_ideal,
-                                 _left_products, build_duality, corner_report,
+                                 build_duality, corner_report,
                                  decomposition_report, kernel_formula_subspace,
                                  kernel_report, skew_injectivity_report)
 from partialskew.fields import GF, QQ
@@ -135,7 +135,8 @@ def test_cross_products_zero_names_first_pair(s1_duality):
 
 
 def _two_sided(algebra, subspace):
-    return _is_two_sided_ideal(algebra, subspace, _left_products(algebra, subspace))
+    left = [algebra.multiples(r) for r in subspace._rows.values()]
+    return _is_two_sided_ideal(algebra, subspace, left)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])

@@ -52,30 +52,11 @@ def _explicit_hopf_doc(name, block):
 # Index conventions only differ over a non-abelian group.  The one
 # non-abelian fixture, s3_regular_restrict.json, is genuinely partial; the
 # S₃ trivial split (smash 42, matrix 72, the Hopf lift at dim 6) is pinned
-# too.  Same documents as perfbench/scenarios/s3_split.json
-# and perfbench/scenarios/s3_separability.json (separability at smash 42).
-INLINE = {
-    "s3_separability": {
-        "name": "s3_separability",
-        "field": "fp:5",
-        "group": {"symmetric": 3},
-        "action": {"trivial_split": {"left": {"product_of_fields": 1},
-                                     "right": {"product_of_fields": 1}}},
-        "suites": ["separability"],
-        "expect": {"skew_dimension": 7, "smash_dimension": 42},
-    },
-    "s3_split": {
-        "name": "s3_split",
-        "field": "q",
-        "group": {"symmetric": 3},
-        "action": {"trivial_split": {"left": {"product_of_fields": 1},
-                                     "right": {"product_of_fields": 1}}},
-        "suites": ["lemma1", "grading", "duality", "hopf", "centers"],
-        "expect": {"skew_dimension": 7, "smash_dimension": 42,
-                   "matrix_dimension": 72, "kernel_dimension": 5,
-                   "corner_dimension": 37},
-    },
-}
+# too, and its separability at smash 42: the benchmark's own documents,
+# read from perfbench/scenarios so that there is one copy of each.
+SCENARIOS = Path(__file__).parent.parent / "perfbench" / "scenarios"
+INLINE = {name: json.loads((SCENARIOS / f"{name}.json").read_text())
+          for name in ("s3_separability", "s3_split")}
 # The explicit-hopf path, which no bundled fixture has: over k^{S₃} all four
 # checks pass; with S = 1 make_hopf refuses, naming the antipode axiom and
 # its first basis element.  Kept apart from INLINE, whose documents other

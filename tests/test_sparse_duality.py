@@ -4,9 +4,10 @@ they replaced.
 * ``algebras.center_basis`` with a generating set builds one commutator row
   per (generator, output coordinate); ``_full_center_basis`` builds all d²
   rows [x, b_j] = 0 and checks commutation with dense products.
-* ``duality._left_products`` forms b·r once for the two-sided test and the
-  Kronecker tally; ``_own_products_two_sided`` forms each product on its
-  own, b-major.  The tally reads the ideal's sparse echelon rows;
+* ``StructureAlgebra.multiples`` forms b·r once per echelon row r for the
+  two-sided test and the Kronecker tally (``_left``);
+  ``_own_products_two_sided`` forms each product on its own, b-major.  The
+  tally reads the ideal's sparse echelon rows;
   ``_per_product_tally`` finds each row's block with ``_block_of`` and its
   A-coordinates with ``_project`` on the dense basis, and multiplies per
   (v, j, l).
@@ -45,7 +46,7 @@ from partialskew.algebras import (AlgebraMap, center_basis, field_algebra,
                                   matrix_algebra, product_of_fields)
 from partialskew.duality import (DualityData, _cross_product_witness,
                                  _delta_convention_tally, _entrywise_image,
-                                 _is_two_sided_ideal, _left_products,
+                                 _is_two_sided_ideal,
                                  _pierce_corner, build_duality,
                                  complement_ideal_subspace, corner_report,
                                  kernel_formula_subspace,
@@ -66,6 +67,12 @@ from test_golden_reports import INLINE
 
 FIELDS = ("q", "fp:5", "fp:2")
 SOURCES = tuple(bundled_fixtures()) + tuple(sorted(INLINE))
+
+
+def _left(algebra, subspace):
+    """The left multiples of each echelon row of subspace, in order, as
+    ``decomposition_report`` passes them to the two-sided test."""
+    return [algebra.multiples(r) for r in subspace._rows.values()]
 
 
 @lru_cache(maxsize=None)
@@ -429,9 +436,9 @@ def test_centres_by_generators_match_full_system(name, field):
 def test_left_product_table_matches_own_products(name, field):
     d = _duality(name, field)
     B = d.smash.algebra
-    left = _left_products(B, d.ideal)
+    left = _left(B, d.ideal)
     assert _is_two_sided_ideal(B, d.ideal, left) == _own_products_two_sided(B, d.ideal)
-    assert (_is_two_sided_ideal(B, d.kernel, _left_products(B, d.kernel))
+    assert (_is_two_sided_ideal(B, d.kernel, _left(B, d.kernel))
             == _own_products_two_sided(B, d.kernel))
     assert _delta_convention_tally(d, left) == _per_product_tally(d)
     for r, row in zip(d.ideal._rows.values(), left):
@@ -466,7 +473,7 @@ def test_tally_of_reshaped_tables_matches_every_index(name):
     # the l left out decide k = gh
     d = _duality(name, "q")
     grp = d.smash.group
-    left = _left_products(d.smash.algebra, d.ideal)
+    left = _left(d.smash.algebra, d.ideal)
     mul, inv = grp.mul, grp.inv
     shapes = {
         "true": lambda g, h, k: [mul(g, h)],
@@ -515,10 +522,10 @@ def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field
         ideal = Subspace(B.field, B.dim, dict(enumerate(rows)))
         bent = DualityData(smash, d.mat, d.phi, d.corner_idempotent, d.kernel,
                            d.image, ideal)
-        tally = _delta_convention_tally(bent, _left_products(B, ideal))
+        tally = _delta_convention_tally(bent, _left(B, ideal))
         assert tally == _per_product_tally(bent)
         if not mixed:
-            assert tally == _delta_convention_tally(d, _left_products(B, d.ideal))
+            assert tally == _delta_convention_tally(d, _left(B, d.ideal))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -730,7 +737,7 @@ def test_subspace_that_is_not_an_ideal_names_the_oracles_failure(name, field):
     outcomes = []
     for vectors in candidates:
         sub = Subspace.from_sparse(B.field, B.dim, vectors)
-        got = _is_two_sided_ideal(B, sub, _left_products(B, sub))
+        got = _is_two_sided_ideal(B, sub, _left(B, sub))
         assert got == _own_products_two_sided(B, sub)
         outcomes.append(got[0])
     assert not all(outcomes)

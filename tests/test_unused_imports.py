@@ -136,6 +136,7 @@ def test_detects_dead_public_members():
 KEPT_API = [
     "Report.canonical",
     "Report.named",
+    "is_central_idempotent",
     "make_partial_hopf_action",
     "parse_structured",
 ]
