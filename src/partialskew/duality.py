@@ -41,8 +41,8 @@ products and columns, an element of D_g placed by ``skew.inject``.
 from __future__ import annotations
 
 from .actions import _complement, _image
-from .algebras import (AlgebraMap, _add, _first_residue, _lincomb,
-                       matrix_algebra)
+from .algebras import AlgebraMap, _add, _first_residue, _lincomb
+from .constructions import matrix_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
 from .report import check

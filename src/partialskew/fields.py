@@ -7,10 +7,13 @@ denominator is 1, so integral structure constants (Cayley tables, matrix
 units, idempotents) multiply as machine integers.  Sums and products of the
 two kinds stay exact (a ``Fraction`` result may then be integral; it
 compares and hashes equal to the ``int``).  The one division of rational
-scalars, the pivot normalisation in ``linalg._echelon``, goes through
-``Fraction``, so no ``float`` can arise.  ``fractions`` (and with it
+scalars, the pivot normalisation in ``linalg._echelon``, stays in ``int``
+when the pivot divides its row exactly and goes through ``Fraction``
+otherwise, so no ``float`` can arise.  ``fractions`` (and with it
 ``decimal``) is imported only where a rational is first made, in ``parse``
-and in that division, so a run over F_p never loads it.
+and in a division that needs a denominator, so a run over F_p never loads
+it, nor does a run over ℚ on integral data whose pivots all divide
+exactly.
 
 An F_p scalar is its canonical residue: an ``int`` in ``[0, p)``.  Every F_p
 scalar that is stored in a table or vector, compared, hashed, zero-tested or

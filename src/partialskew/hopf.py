@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from .algebras import (AlgebraMap, _add, _first_residue, _lincomb,
                        _pure_tensor, _sparse_columns, _sparse_vector,
-                       field_algebra, group_algebra, make_algebra,
-                       matrix_algebra, smash_algebra, tensor_algebra)
+                       field_algebra, make_algebra, smash_algebra)
+from .constructions import group_algebra, matrix_algebra, tensor_algebra
 from .duality import _pierce_corner
 from .errors import (AntipodeNotInvertible, Axiom1Fails, Axiom2Fails,
                      Axiom3Fails, FieldMismatch, HopfAxiomFails,
@@ -506,22 +506,25 @@ def build_corner_maps(pha, lam):
 # -- partial smash product ------------------------------------------------
 
 class PartialSmash:
-    __slots__ = ("pha", "ambient", "sub", "unit_vec")
+    __slots__ = ("pha", "ambient", "sub", "unit_vec", "unit_multiples")
 
-    def __init__(self, pha, ambient, sub, unit_vec):
+    def __init__(self, pha, ambient, sub, unit_vec, unit_multiples):
         self.pha = pha
         self.ambient = ambient   # A⊗H with the twisted product (no global unit)
         self.sub = sub           # the unital corner (A⊗H)·1
         self.unit_vec = unit_vec   # 1_A ⊗ 1_H, sparse
+        self.unit_multiples = unit_multiples   # {x·d + i: (x#b_i)·1}
 
 
 def build_partial_smash(pha):
-    """The twisted product on A⊗H and its unital corner."""
+    """The twisted product on A⊗H and its unital corner, spanned by the
+    multiples (x#b_i)·1 of the unit, which the report reads again."""
     h, alg = pha.hopf, pha.algebra
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     unit = _pure_tensor(alg.field, alg.unit, h.algebra.unit, h.dim)
-    sub = Subspace.from_sparse(alg.field, ambient.dim, ambient.multiples(unit).values())
-    return PartialSmash(pha, ambient, sub, unit)
+    by_unit = ambient.multiples(unit)
+    sub = Subspace.from_sparse(alg.field, ambient.dim, by_unit.values())
+    return PartialSmash(pha, ambient, sub, unit, by_unit)
 
 
 def partial_smash_report(ps):
@@ -597,7 +600,7 @@ def partial_smash_report(ps):
 
     pair = _first_residue(field, corner, multiplicative, t.dim)
     law = _first_residue(field, ms, module_law, amb.dim, n)
-    by_unit = amb.multiples(unit)   # {x·d + i: (x#b_i)·1}
+    by_unit = ps.unit_multiples
     return [
         check("psmash.closed", leaves is None, {"sub_dim": sub.dim}, [] if leaves is None else
               [f"product leaves the corner at ({vec(leaves[0])}, {vec(leaves[1])})"]),

@@ -16,13 +16,16 @@ over the rows it returns, so its kernel, inverse, sums and intersections
 need no further reduction.
 
 All elimination goes through ``_echelon``.  Over the rationals the pivot
-normalisation divides through ``Fraction`` (imported by the call, so an
-F_p run never loads ``fractions``), and a division of two ``int`` never
-yields a ``float``.  A large, sparse system such as the commutator
-equations of ``algebras.center_basis`` costs time and memory in proportion
-to its nonzero entries.  (Separability needs none: the smash is free over
-the twisted ring, see :mod:`smash`.)  The one inverse, S^{-1} of an
-antipode, is ``_inverse``: one ``_echelon`` of the rows [S | I].
+normalisation stays in ``int`` when the lead divides every entry of its
+row exactly (``v // lead``, the same value ``Fraction(v, lead)`` would
+reduce to); only a quotient that needs a denominator goes through
+``Fraction``, imported in that branch.  So neither an F_p run nor a ℚ run
+whose pivots all divide exactly loads ``fractions``, and a division of two
+``int`` never yields a ``float``.  A large, sparse system such as the
+commutator equations of ``algebras.center_basis`` costs time and memory in
+proportion to its nonzero entries.  (Separability needs none: the smash is
+free over the twisted ring, see :mod:`smash`.)  The one inverse, S^{-1} of
+an antipode, is ``_inverse``: one ``_echelon`` of the rows [S | I].
 """
 
 from __future__ import annotations
@@ -54,18 +57,17 @@ def _echelon(rows, p):
 
     Each row is a ``{column: scalar}`` dict of nonzero canonical scalars:
     int residues mod ``p``, or ``int``/``Fraction`` rationals when ``p`` is 0.
-    Over the rationals a pivot row is divided by its lead through
-    ``Fraction``, and every integral entry of the rows returned is an
-    ``int``.  The input rows are not modified.  Returns ``{pivot: row}`` in pivot order; each
-    row has a 1 at its pivot, which is its smallest column, and 0 at every
-    other pivot.
+    Over the rationals a pivot row of ``int`` entries that its lead divides
+    exactly (a lead of -1 always does) is divided by ``//``; any other is
+    divided through ``Fraction``.  Every integral entry of the rows
+    returned is an ``int``.  The input rows are not modified.  Returns
+    ``{pivot: row}`` in pivot order; each row has a 1 at its pivot, which
+    is its smallest column, and 0 at every other pivot.
 
     The pivot rows are kept fully reduced after every input row
     (Gauss-Jordan), so reducing the next row is one pass over its pivot
     columns, and subtracting a pivot row never creates a pivot entry.
     """
-    if not p:
-        from fractions import Fraction
     pivots = {}
     for src in rows:
         row = dict(src)
@@ -79,7 +81,11 @@ def _echelon(rows, p):
             if p:
                 inv = pow(lead, -1, p)
                 row = {k: v * inv % p for k, v in row.items()}
+            elif type(lead) is int and all(type(v) is int and not v % lead
+                                           for v in row.values()):
+                row = {k: v // lead for k, v in row.items()}
             else:
+                from fractions import Fraction
                 row = {k: _canonical(Fraction(v, lead)) for k, v in row.items()}
         for prow in pivots.values():
             f = prow.get(c)

@@ -17,10 +17,10 @@ import json
 import time
 from pathlib import Path
 
-from .actions import (dot_identities_report, global_action,
-                      make_partial_action, restrict_global, trivial_from_split)
+from .actions import (global_action, make_partial_action, restrict_global,
+                      trivial_from_split)
 from .algebras import (center_basis, direct_product, field_algebra,
-                       make_algebra, matrix_algebra, product_of_fields)
+                       make_algebra, product_of_fields)
 from .errors import ParseError, ValidationError
 from .fields import parse_field
 from .groups import (check_labels, cyclic, direct_product as group_product,
@@ -172,6 +172,7 @@ def build_algebra(field, spec):
         return product_of_fields(field, _positive_int(spec, "product_of_fields",
                                                       "algebra"))
     if "matrix" in spec:
+        from .constructions import matrix_algebra
         size = _positive_int(spec["matrix"], "size", "matrix")
         return matrix_algebra(field_algebra(field), size)
     if "direct_product" in spec:
@@ -240,7 +241,8 @@ def load_scenario(path):
 
 class _ScenarioRun:
     """Lazily builds the derived structures a suite needs; the duality layer
-    is imported by the first build that needs it."""
+    and the matrix algebra's module are imported by the first build that
+    needs them."""
 
     def __init__(self, action):
         self.action = action
@@ -262,6 +264,7 @@ class _ScenarioRun:
     def matrix(self):
         if "duality" in self.__dict__:
             return self.duality.mat
+        from .constructions import matrix_algebra
         return matrix_algebra(self.action.algebra, self.action.group)
 
 
@@ -356,6 +359,7 @@ def run_scenario(source, suites=None, field_override=None):
          "group_order": group.order}))
 
     if "lemma1" in selected:
+        from .lemma1 import dot_identities_report
         timed(lambda: dot_identities_report(action))
 
     if "grading" in selected or "duality" in selected or "centers" in selected \

@@ -2,8 +2,8 @@
 
 from partialskew.actions import (global_action, make_partial_action,
                                  restrict_global, trivial_from_split)
-from partialskew.algebras import (field_algebra, ideal_basis, matrix_algebra,
-                                  product_of_fields)
+from partialskew.algebras import field_algebra, ideal_basis, product_of_fields
+from partialskew.constructions import matrix_algebra
 from partialskew.errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                                 NotCentralIdempotent, NotIsoOnIdeal)
 from partialskew.fields import QQ

@@ -5,14 +5,14 @@ import re
 
 import pytest
 
-from partialskew.actions import (dot_identities_report, global_action,
-                                 make_partial_action, restrict_global,
-                                 trivial_from_split)
-from partialskew.algebras import (AlgebraMap, field_algebra, matrix_algebra,
-                                  product_of_fields)
+from partialskew.actions import (global_action, make_partial_action,
+                                 restrict_global, trivial_from_split)
+from partialskew.algebras import AlgebraMap, field_algebra, product_of_fields
+from partialskew.constructions import matrix_algebra
 from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
+from partialskew.lemma1 import dot_identities_report
 from partialskew.scenarios import (_parse_matrix, _parse_vector, build_algebra,
                                    build_group, fixture_path, load_scenario)
 

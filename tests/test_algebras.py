@@ -6,10 +6,11 @@ from partialskew.algebras import (AlgebraMap, StructureAlgebra,
                                   center_basis,
                                   direct_product,
                                   dual_group_algebra, field_algebra,
-                                  group_algebra, ideal_basis,
+                                  ideal_basis,
                                   is_central_idempotent, make_algebra,
-                                  matrix_algebra, product_of_fields,
-                                  subalgebra, tensor_algebra)
+                                  product_of_fields, subalgebra)
+from partialskew.constructions import (group_algebra, matrix_algebra,
+                                       tensor_algebra)
 from partialskew.errors import (AlgebraMismatch, FieldMismatch, NotAssociative,
                                 NotCentralIdempotent, UnitFails,
                                 ValidationError)

@@ -37,9 +37,10 @@ import pytest
 
 from partialskew import duality, hopf, skew
 from partialskew.actions import make_partial_action, trivial_from_split
-from partialskew.algebras import (AlgebraMap, MatrixAlgebra, StructureAlgebra,
-                                  TensorAlgebra, field_algebra, ideal_basis,
-                                  matrix_algebra, product_of_fields)
+from partialskew.algebras import (AlgebraMap, StructureAlgebra, field_algebra,
+                                  ideal_basis, product_of_fields)
+from partialskew.constructions import (MatrixAlgebra, TensorAlgebra,
+                                       matrix_algebra)
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, skew_injectivity_report)
 from partialskew.errors import (AntipodeNotInvertible, HopfAxiomFails,
@@ -326,8 +327,21 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
     assert reports() == expected
     # the counit and unit_acts sub-checks state make_hopf's counit law
     psmash = {c.name: c for c in partial_smash_report(
-        PartialSmash(_counit_doubled(pha), ps.ambient, ps.sub, ps.unit_vec))}
+        PartialSmash(_counit_doubled(pha), ps.ambient, ps.sub, ps.unit_vec,
+                     ps.unit_multiples))}
     assert psmash == {k: c for k, c in expected.items() if k.startswith("psmash.")}
+
+
+@pytest.mark.parametrize("name", ["s1_action", "s3_action"])
+def test_partial_smash_report_reads_the_unit_multiples_of_its_builder(
+        name, request, monkeypatch):
+    # build_partial_smash spans the corner by the multiples (x#b_i)·1 and
+    # keeps them; the closed_form sub-check reads them there
+    ps = build_partial_smash(lift_group_action(request.getfixturevalue(name)))
+    expected = partial_smash_report(ps)
+    assert all(c.status == "pass" for c in expected)
+    monkeypatch.setattr(StructureAlgebra, "multiples", _refuse("multiples"))
+    assert partial_smash_report(ps) == expected
 
 
 def test_make_partial_action_refuses_an_idempotent_that_is_not_one():

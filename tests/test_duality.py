@@ -2,7 +2,8 @@ import sympy
 
 import pytest
 
-from partialskew.algebras import field_algebra, matrix_algebra
+from partialskew.algebras import field_algebra
+from partialskew.constructions import matrix_algebra
 from partialskew.duality import (DualityData, _is_two_sided_ideal,
                                  build_duality, corner_report,
                                  decomposition_report, kernel_formula_subspace,

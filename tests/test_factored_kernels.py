@@ -23,8 +23,8 @@ import pytest
 
 from partialskew import hopf, smash
 from partialskew.actions import global_action, restrict_global, trivial_from_split
-from partialskew.algebras import (StructureAlgebra, TensorAlgebra, _add,
-                                  product_of_fields)
+from partialskew.algebras import StructureAlgebra, _add, product_of_fields
+from partialskew.constructions import TensorAlgebra
 from partialskew.duality import build_duality
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric

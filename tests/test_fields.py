@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from partialskew.algebras import direct_product, product_of_fields, tensor_algebra
+from partialskew.algebras import direct_product, product_of_fields
+from partialskew.constructions import tensor_algebra
 from partialskew.errors import FieldMismatch, ParseError
 from partialskew.fields import GF, QQ, _canonical, _is_prime, parse_field
 

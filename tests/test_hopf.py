@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from partialskew import hopf
-from partialskew.algebras import (StructureAlgebra, field_algebra, group_algebra,
-                                  product_of_fields)
+from partialskew.algebras import StructureAlgebra, field_algebra, product_of_fields
+from partialskew.constructions import group_algebra
 from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
                                 InternalCheckFailed, ValidationError)
 from partialskew.fields import GF, QQ
@@ -524,7 +524,8 @@ def test_operator_duality_names_multiplicativity_witness(s1_action):
 
 def _partial_smash_checks(pha, ambient, sub, unit_vec):
     return {c.name: c for c in
-            partial_smash_report(PartialSmash(pha, ambient, sub, unit_vec))}
+            partial_smash_report(PartialSmash(pha, ambient, sub, unit_vec,
+                                              ambient.multiples(unit_vec)))}
 
 
 def test_dual_module_algebra_names_unstable_corner(s1_action):
@@ -640,7 +641,7 @@ def test_operator_duality_names_corner_membership_witness(s1_action):
     ps = build_partial_smash(pha)
     amb = ps.ambient
     everything = Subspace.from_sparse(QQ, amb.dim, [{i: 1} for i in range(amb.dim)])
-    whole = PartialSmash(pha, amb, everything, ps.unit_vec)
+    whole = PartialSmash(pha, amb, everything, ps.unit_vec, ps.unit_multiples)
     results = {c.name: c for c in operator_duality_report(pha, whole, _corner_maps(pha))}
     member = results["opduality.corner_membership"]
     assert member.status == "fail"
@@ -680,7 +681,8 @@ def test_matches_skew_ring_names_its_failure(s1_action, s1_skew, corner, unit, r
                                              measured, witness):
     pha = lift_group_action(s1_action)
     ps = build_partial_smash(pha)
-    tampered = PartialSmash(pha, ps.ambient, corner(ps), unit(ps))
+    u = unit(ps)
+    tampered = PartialSmash(pha, ps.ambient, corner(ps), u, ps.ambient.multiples(u))
     (result,) = smash_matches_skew_report(tampered, ring(s1_skew))
     assert result.status == "fail"
     assert result.measured == {"skew_dim": 3, **measured}

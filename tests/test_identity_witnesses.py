@@ -34,14 +34,14 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from partialskew import actions, algebras, hopf
-from partialskew.actions import (PartialAction, dot_identities_report,
-                                 make_partial_action)
-from partialskew.algebras import (AlgebraMap, StructureAlgebra, TensorAlgebra,
+from partialskew.actions import PartialAction, make_partial_action
+from partialskew.algebras import (AlgebraMap, StructureAlgebra,
                                   _associativity_witness, _lincomb,
-                                  field_algebra, group_algebra, ideal_basis,
+                                  field_algebra, ideal_basis,
                                   is_central_idempotent, make_algebra,
-                                  matrix_algebra, product_of_fields,
-                                  tensor_algebra)
+                                  product_of_fields)
+from partialskew.constructions import (TensorAlgebra, group_algebra,
+                                       matrix_algebra, tensor_algebra)
 from partialskew.errors import (Axiom1Fails, Axiom2Fails, Axiom3Fails,
                                 AxiomIFails, AxiomIIFails, AxiomIIIFails,
                                 InternalCheckFailed, NotAssociative,
@@ -52,6 +52,7 @@ from partialskew.hopf import (HopfData, PartialSmash, _on_leg,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations, group_hopf,
                               make_hopf, make_partial_hopf_action, partial_smash_report)
+from partialskew.lemma1 import dot_identities_report
 from partialskew.linalg import Subspace
 from partialskew.report import check
 from partialskew.scenarios import (build_action, build_algebra, build_group,
@@ -741,9 +742,10 @@ def test_partial_smash_checks_match_per_tuple_oracle(field):
             all_bumped = StructureAlgebra(field, mapping_rows(_bumped(all_bumped, i, j, k)),
                                           None)
         tables.append(all_bumped.products)
+        bumped = [StructureAlgebra(field, rows, None, labels=amb.labels) for rows in tables]
         instances = [ps] + [
-            PartialSmash(pha, StructureAlgebra(field, rows, None, labels=amb.labels),
-                         ps.sub, ps.unit_vec) for rows in tables]
+            PartialSmash(pha, b, ps.sub, ps.unit_vec, b.multiples(ps.unit_vec))
+            for b in bumped]
         for inst in instances:
             checks = partial_smash_report(inst)
             mult, law = _psmash_oracle(inst)

@@ -290,6 +290,26 @@ def test_plain_int_rationals_stay_exact(entries, data):
         assert all(_canonical_rational(v) for col in inv for v in col.values())
 
 
+@pytest.mark.parametrize("row", [
+    {0: -1, 1: 3, 3: -4},
+    {1: 2, 2: -6, 3: 8},
+    # a negative lead on negative entries, where ``//`` floors: exact here
+    {0: -3, 1: -21, 2: 9, 3: -6},
+], ids=["lead-1", "lead2", "lead-3"])
+def test_a_pivot_that_divides_its_row_normalises_in_int(row):
+    pivot = min(row)
+    lead = row[pivot]
+    reduced = _echelon([row], 0)
+    assert reduced == {pivot: {k: QQ.reduce(Fraction(v, lead)) for k, v in row.items()}}
+    assert all(type(x) is int for x in reduced[pivot].values())
+
+
+def test_a_pivot_that_does_not_divide_one_entry_makes_a_fraction():
+    reduced = _echelon([{0: -2, 1: 4, 2: 3}], 0)
+    assert reduced == {0: {0: 1, 1: -2, 2: Fraction(-3, 2)}}
+    assert [type(x) for x in reduced[0].values()] == [int, int, Fraction]
+
+
 def test_echelon_stores_an_integral_update_as_an_int():
     # the first row normalises to b0 + b1/2 + b2/2, and clearing its b1 by
     # the second row leaves 1/2 - 3/2 = -1 at b2, made as a Fraction
@@ -320,6 +340,22 @@ def test_elimination_returns_canonical_scalars(field, data):
                                   min_size=1, max_size=k))
     a, b, square = rows(5), rows(5), rows(n)
     out = list(_echelon([sparse(r) for r in a], field.characteristic).values())
+    if not field.characteristic:
+        # integral rows whose leads are ±scale and divide them exactly: the
+        # first pivot at least is normalised by ``//``
+        def exact_row():
+            pos = data.draw(st.integers(0, n - 1))
+            tail = data.draw(st.lists(small_entries, min_size=n - pos - 1,
+                                      max_size=n - pos - 1))
+            return [0] * pos + [data.draw(st.sampled_from([-1, 1]))] + tail
+        scale = data.draw(st.sampled_from([-3, -2, -1, 2, 3]))
+        exact = [{k: scale * x for k, x in sparse(exact_row()).items()}
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        reduced = _echelon(exact, 0)
+        # the same rows as the ``Fraction`` route gives them
+        assert reduced == _echelon([{k: Fraction(x) for k, x in r.items()}
+                                    for r in exact], 0)
+        out += reduced.values()
     out += _kernel(field, n, [sparse(r) for r in a])._rows.values()
     if len(square) == n:
         out += _inverse(field, to_columns(square)) or []

@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from partialskew.algebras import field_algebra, make_algebra, matrix_algebra
+from partialskew.algebras import field_algebra, make_algebra
+from partialskew.constructions import matrix_algebra
 from partialskew.duality import _pierce_corner, build_duality
 from partialskew.fields import QQ, parse_field
 from partialskew.scenarios import (build_action, build_algebra, build_group,

@@ -4,8 +4,7 @@ actually distinguishable) and an action with a vanishing ideal."""
 
 import pytest
 
-from partialskew.actions import (dot_identities_report, global_action,
-                                 restrict_global, trivial_from_split)
+from partialskew.actions import global_action, restrict_global, trivial_from_split
 from partialskew.algebras import product_of_fields
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, kernel_report,
@@ -13,6 +12,7 @@ from partialskew.duality import (build_duality, corner_report,
 from partialskew.fields import QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import hopf_lift_suite
+from partialskew.lemma1 import dot_identities_report
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 

@@ -7,14 +7,14 @@ from math import lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
-from partialskew.actions import (_image, dot_identities_report, global_action,
-                                 restrict_global)
+from partialskew.actions import _image, global_action, restrict_global
 from partialskew.algebras import ideal_basis, product_of_fields
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, kernel_report,
                                  skew_injectivity_report)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic
+from partialskew.lemma1 import dot_identities_report
 from partialskew.skew import build_skew, strong_grading_test
 from partialskew.smash import build_smash
 

@@ -43,7 +43,8 @@ import pytest
 import partialskew.skew as skew_module
 from partialskew.actions import PartialAction
 from partialskew.algebras import (AlgebraMap, center_basis, field_algebra,
-                                  matrix_algebra, product_of_fields)
+                                  product_of_fields)
+from partialskew.constructions import matrix_algebra
 from partialskew.duality import (DualityData, _cross_product_witness,
                                  _delta_convention_tally, _entrywise_image,
                                  _is_two_sided_ideal,

@@ -1,7 +1,9 @@
 """What a process loads: the package root and the suite dispatcher import
-neither the Hopf nor the duality layer, nor ``dataclasses``/``inspect``,
-nor ``fractions``/``decimal``; each layer loads on first use, and
-``fractions`` only where a rational is first made.  Each import check runs
+neither the Hopf nor the duality layer, nor the Lemma 1 report
+(``lemma1``) or the matrix, tensor and group algebras (``constructions``),
+nor ``dataclasses``/``inspect``, nor ``fractions``/``decimal``; each of
+those modules loads on first use, and ``fractions`` only where a rational
+may need a denominator.  Each import check runs
 in a fresh ``python -S`` interpreter with ``src`` on ``sys.path``, so no
 module the test runner has already imported can hide an import.  The check
 records keep the value semantics they had as dataclasses."""
@@ -29,12 +31,18 @@ DUALITY_NAMES = ("DualityData", "build_duality", "corner_report",
                  "decomposition_report", "kernel_report",
                  "skew_injectivity_report")
 
+CONSTRUCTIONS_NAMES = ("group_algebra", "matrix_algebra", "tensor_algebra")
+
+LEMMA1_NAMES = ("dot_identities_report",)
+
 # ``importlib.resources`` is listed because from Python 3.12 on it imports
 # ``inspect`` when it loads; on 3.11 it does not, so only its own name shows
 # that import there.
 HEAVY = ("partialskew.hopf", "dataclasses", "inspect", "importlib.resources")
-# loaded by the runs that use them: the duality suite, and rationals
-ON_USE = ("partialskew.duality", "fractions", "decimal")
+# loaded by the runs that use them: the duality and lemma1 suites, the
+# matrix algebras, and rationals with a denominator
+ON_USE = ("partialskew.duality", "partialskew.lemma1", "partialskew.constructions",
+          "fractions", "decimal")
 
 
 def _fresh(code):
@@ -68,6 +76,21 @@ def test_a_separability_run_over_fp_loads_no_duality_hopf_or_fractions():
         "assert parse_structured(emit_report(r, 'structured')) == r.canonical()\n"
         "assert r.passed() and r.named('separability.centralizes')",
         HEAVY + ON_USE) == []
+
+
+def test_a_rational_run_with_every_suite_of_s3_split_loads_no_fractions():
+    # every pivot of the run divides its row exactly, so each elimination
+    # over Q stays in ``int``
+    assert _loaded_after(
+        "from partialskew.report import emit_report, parse_structured\n"
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({str(S3_SPLIT)!r}, field_override='q')\n"
+        "assert parse_structured(emit_report(r, 'structured')) == r.canonical()\n"
+        "assert r.passed()\n"
+        "for name in ('lemma1.kernel_ideal', 'grading.strong_iff_global',\n"
+        "             'duality.kernel_formula', 'hopf.axioms', 'centers.computed'):\n"
+        "    r.named(name)",
+        ("fractions", "decimal")) == []
 
 
 def test_a_hopf_run_over_fp_loads_no_fractions_or_decimal():
@@ -108,9 +131,33 @@ def test_the_duality_suite_loads_the_duality_layer():
         ("partialskew.duality", "partialskew.hopf")) == ["partialskew.duality"]
 
 
+def test_the_lemma1_suite_loads_the_lemma1_module_only():
+    path = str(fixture_path("s1.json"))
+    assert _loaded_after(
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({path!r}, suites=['lemma1'])\n"
+        "assert r.named('lemma1.pull_through').status == 'pass'",
+        ("partialskew.lemma1", "partialskew.constructions")) == ["partialskew.lemma1"]
+
+
+def test_a_matrix_algebra_document_loads_the_constructions():
+    doc = {"name": "m2", "group": {"cyclic": 1}, "algebra": {"matrix": {"size": 2}},
+           "action": {"explicit": {
+               "idempotents": [[1, 0, 0, 1]],
+               "beta": [[[int(r == c) for c in range(4)] for r in range(4)]]}},
+           "suites": ["grading"]}
+    assert _loaded_after(
+        "from partialskew.scenarios import run_scenario\n"
+        f"r = run_scenario({doc!r})\n"
+        "assert r.passed() and r.named('action.axioms').measured['algebra_dimension'] == 4",
+        ("partialskew.lemma1", "partialskew.constructions")) == ["partialskew.constructions"]
+
+
 @pytest.mark.parametrize("layer, name, names", [
-    ("hopf", "HopfData", HOPF_NAMES), ("duality", "build_duality", DUALITY_NAMES)],
-    ids=["hopf", "duality"])
+    ("hopf", "HopfData", HOPF_NAMES), ("duality", "build_duality", DUALITY_NAMES),
+    ("constructions", "matrix_algebra", CONSTRUCTIONS_NAMES),
+    ("lemma1", "dot_identities_report", LEMMA1_NAMES)],
+    ids=["hopf", "duality", "constructions", "lemma1"])
 def test_reading_a_layer_name_loads_the_layer(layer, name, names):
     assert _fresh(
         "import partialskew\n"
@@ -125,14 +172,20 @@ def test_reading_a_layer_name_loads_the_layer(layer, name, names):
 
 def test_lazy_names_resolve_to_their_layers():
     import partialskew
-    from partialskew import DualityData, HopfData, duality, hopf, smash
+    from partialskew import (DualityData, HopfData, actions, algebras,
+                             constructions, duality, hopf, lemma1, smash)
     assert HopfData is hopf.HopfData and DualityData is duality.DualityData
-    for layer, names in ((hopf, HOPF_NAMES), (duality, DUALITY_NAMES)):
+    for layer, names in ((hopf, HOPF_NAMES), (duality, DUALITY_NAMES),
+                         (constructions, CONSTRUCTIONS_NAMES), (lemma1, LEMMA1_NAMES)):
         assert all(getattr(partialskew, n) is getattr(layer, n) for n in names)
         assert set(names) <= set(dir(partialskew))
     # the separability checks live beside the smash, with no alias in duality
     assert partialskew.separability_report is smash.separability_report
     assert not hasattr(duality, "separability_report")
+    # the moved names leave no alias behind where they were
+    moved = CONSTRUCTIONS_NAMES + ("MatrixAlgebra", "TensorAlgebra")
+    assert [n for n in moved if hasattr(algebras, n)] == []
+    assert not hasattr(actions, "dot_identities_report")
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         partialskew.not_a_name
 
@@ -155,6 +208,14 @@ def test_rationals_work_before_fractions_is_imported():
         "print(json.dumps([before, span.pivots,\n"
         "                  [[type(v).__name__, str(v)] for v in span._rows[0].values()]]))"
     ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
+    # a pivot of -3 that divides its row is normalised in ``int``, and no
+    # ``Fraction`` is made
+    assert _fresh(
+        "from partialskew.fields import QQ\n"
+        "from partialskew.linalg import Subspace\n"
+        "span = Subspace.from_sparse(QQ, 3, [{0: -3, 1: -21, 2: 9}])\n"
+        "print(json.dumps([span._rows[0], 'fractions' in sys.modules]))"
+    ) == [{"0": 1, "1": 7, "2": -3}, False]
     # an inexact scalar over Q is refused without loading ``fractions``
     assert _fresh(
         "from partialskew.fields import QQ\n"
