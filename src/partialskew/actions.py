@@ -17,10 +17,13 @@ An action is stored once, as the sparse columns ``columns[g][j] =
 :mod:`lemma1`, the kernel of α_g and the Hopf lift read them, and each
 idempotent 1_g is a sparse vector ``{index: scalar}``.
 ``make_partial_action`` reads both through the column check of
-:mod:`algebras`; the builders below make them in that form.  Each 1_g is
-proved central once, by ``ideal_basis`` building D_g.  Axioms II and III
-read one table of meets D_a ∩ D_b, one Zassenhaus elimination per
-unordered pair (a canonical echelon basis is symmetric).  Multiplicativity
+:mod:`algebras`; the builders below make them in that form.  Each distinct
+1_g is proved central once, by the test whose multiples span D_g.  Then no
+elimination meets two ideals: for central idempotents D_a ∩ D_b =
+A·1_a1_b, and once α_g is proved a multiplicative bijection D_{g⁻¹} -> D_g
+that kills A·(1 - 1_{g⁻¹}), Axiom II at (g, h) is α_g(1_{g⁻¹}1_h) =
+1_g1_{gh} (Dokuchaev–Exel 2005).  Past Axiom I nothing is checked where g
+or h is e: Axiom I, and the isomorphism at g, imply it.  Multiplicativity
 on the source ideal sums lhs − rhs in one accumulator per source basis
 vector u, keyed inner·d + t, and is reduced once; its smallest failing key
 is the failure of a per-pair loop.  The table A·(1 - 1_g) is
@@ -30,9 +33,9 @@ is the failure of a per-pair loop.  The table A·(1 - 1_g) is
 
 from __future__ import annotations
 
-from .algebras import (_add, _first_residue, _lincomb, _sparse_columns,
-                       _sparse_vector, direct_product, ideal_basis,
-                       subalgebra)
+from .algebras import (_add, _central_multiples, _first_residue, _lincomb,
+                       _sparse_columns, _sparse_vector, direct_product,
+                       ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from .linalg import Subspace
@@ -93,15 +96,25 @@ def make_partial_action(group, algebra, idempotents, maps):
 
 def _checked_action(group, algebra, idempotents, columns):
     """The partial action with canonical sparse idempotents and columns
-    ``columns[g][j]`` = α_g(b_j), once every axiom holds."""
+    ``columns[g][j]`` = α_g(b_j), once every axiom holds.  Axiom II reads
+    α_g(1_{g⁻¹}1_h) only after the isomorphism check at g: α_g then maps the
+    central idempotents of D_{g⁻¹} one to one onto those of D_g, and a
+    central idempotent x is the only one whose ideal is A·x."""
     n, d, field = group.order, algebra.dim, algebra.field
-    ideals = []
-    for g in range(n):
-        try:
-            ideals.append(ideal_basis(algebra, idempotents[g]))
-        except NotCentralIdempotent:
-            raise NotCentralIdempotent(
-                f"g={group.label(g)}: {algebra.format_vec(idempotents[g])}") from None
+    mul = algebra._mul_sparse
+    spans = {}      # A·x for each central idempotent x met, keyed by its items
+
+    def ideal(x, g=None):
+        """A·x; x = 1_g is proved central first, a product 1_a·1_b needs no proof."""
+        key = frozenset(x.items())
+        if key not in spans:
+            left = algebra.multiples(x) if g is None else _central_multiples(algebra, x)
+            if left is None:
+                raise NotCentralIdempotent(f"g={group.label(g)}: {algebra.format_vec(x)}")
+            spans[key] = Subspace.from_sparse(field, d, left.values())
+        return spans[key]
+
+    ideals = [ideal(x, g) for g, x in enumerate(idempotents)]
 
     e = group.identity
     if idempotents[e] != algebra.unit:
@@ -109,26 +122,33 @@ def _checked_action(group, algebra, idempotents, columns):
     if columns[e] != [{i: 1} for i in range(d)]:
         raise AxiomIFails("map at the identity is not the identity map")
 
-    for g in range(n):
+    first, meets = {}, {}   # rep[g]: the first element whose idempotent is 1_g
+    rep = [first.setdefault(frozenset(x.items()), g) for g, x in enumerate(idempotents)]
+
+    def meet(a, b):
+        """(1_a·1_b, D_a ∩ D_b), formed once per pair of distinct idempotents."""
+        key = rep[a], rep[b]
+        if key not in meets:
+            x = mul(idempotents[a], idempotents[b])
+            meets[key] = x, ideal(x)
+        return meets[key]
+
+    others = [g for g in range(n) if g != e]
+    for g in others:
         _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g)
 
-    meet = {(a, b): ideals[a].intersect(ideals[b]) for a in range(n) for b in range(a, n)}
-    meet.update({(b, a): s for (a, b), s in meet.items()})
+    for g in others:
+        for h in others:
+            source, domain = meet(group.inv(g), h)
+            target, span = meet(g, group.mul(g, h))
+            if field.sparse(_image(columns[g], source.items())) != target:
+                raise AxiomIIFails(group.label(g), group.label(h),
+                                   f"image dim {domain.dim}, target dim {span.dim}")
 
-    for g in range(n):
-        for h in range(n):
-            image = Subspace.from_sparse(field, d, [
-                _image(columns[g], v.items()) for v in meet[group.inv(g), h]._rows.values()])
-            target = meet[g, group.mul(g, h)]
-            if image != target:
-                raise AxiomIIFails(
-                    group.label(g), group.label(h),
-                    f"image dim {image.dim}, target dim {target.dim}")
-
-    for g in range(n):
-        for h in range(n):
+    for g in others:
+        for h in others:
             gh = group.mul(g, h)
-            for idx, v in enumerate(meet[group.inv(h), group.inv(gh)]._rows.values()):
+            for idx, v in enumerate(meet(group.inv(h), group.inv(gh))[1]._rows.values()):
                 acc = _image(columns[g], _image(columns[h], v.items()).items())
                 if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)

@@ -106,7 +106,8 @@ def check_labels(labels, n):
 
 
 def cyclic(n):
-    """Cyclic group of order n with additive labels g0..g{n-1}."""
+    """Cyclic group of order n, element i being i mod n, labelled e, g1,
+    ..., g{n-1} (e, g when n = 2)."""
     if n < 1:
         raise ValueError("order must be at least 1")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]

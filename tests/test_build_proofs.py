@@ -43,9 +43,9 @@ from partialskew.constructions import (MatrixAlgebra, TensorAlgebra,
                                        matrix_algebra)
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, skew_injectivity_report)
-from partialskew.errors import (AntipodeNotInvertible, HopfAxiomFails,
+from partialskew.errors import (AntipodeNotInvertible, AxiomIFails, HopfAxiomFails,
                                 InternalCheckFailed, NotCentralIdempotent)
-from partialskew.fields import QQ
+from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
                               build_corner_maps, build_partial_smash,
@@ -351,6 +351,32 @@ def test_make_partial_action_refuses_an_idempotent_that_is_not_one():
         make_partial_action(cyclic(2), k2, [k2.unit, {0: 2}],
                             [identity(2), [{0: 1}, {}]])
     assert str(err.value) == "not a central idempotent: g=g: (2)*e0"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_make_partial_action_refuses_a_map_at_the_identity_that_is_not_the_identity(field):
+    # make_partial_action runs no isomorphism, Axiom II or Axiom III check
+    # where g or h is e: α_e = id and 1_e = 1 imply them there
+    k = product_of_fields(field, 1)
+    pa = trivial_from_split(k, k, cyclic(3))
+    columns = list(pa.columns)
+    columns[0] = [{0: 1, 1: 1}] + columns[0][1:]
+    with pytest.raises(AxiomIFails) as err:
+        make_partial_action(pa.group, pa.algebra, pa.idempotents, columns)
+    assert str(err.value) == ("identity component is wrong: "
+                              "map at the identity is not the identity map")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_make_partial_action_refuses_an_idempotent_at_the_identity_that_is_not_the_unit(
+        field):
+    # 1_g, a central idempotent, in place of 1_e
+    k = product_of_fields(field, 1)
+    pa = trivial_from_split(k, k, cyclic(3))
+    with pytest.raises(AxiomIFails) as err:
+        make_partial_action(pa.group, pa.algebra, [pa.idempotents[1]] * 3, pa.columns)
+    assert str(err.value) == ("identity component is wrong: "
+                              "idempotent at the identity is not the unit")
 
 
 def test_build_duality_refuses_a_map_that_is_not_multiplicative(

@@ -103,6 +103,29 @@ def test_validation_error_exits_two(tmp_path, capsys):
     assert "isomorphism" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["q", "fp:5", "fp:2"])
+def test_axiom_ii_fault_past_the_isomorphism_check_exits_two(tmp_path, capsys, field):
+    # α_g: D_{g²} = <e1, e2> -> D_g = <e0, e1> is an isomorphism, but it
+    # sends D_{g²} ∩ D_g = <e1> to <e0>, not to D_g ∩ D_{g²} = <e1>
+    doc = {
+        "name": "axiom_ii_past_iso",
+        "group": {"cyclic": 3},
+        "algebra": {"product_of_fields": 3},
+        "action": {"explicit": {
+            "idempotents": [[1, 1, 1], [1, 1, 0], [0, 1, 1]],
+            "beta": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                     [[0, 0, 0], [1, 0, 0], [0, 1, 0]]],
+        }},
+        "suites": ["lemma1"],
+    }
+    assert main(["verify", _write(tmp_path, doc), "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: domain-intersection axiom fails at pair "
+                            "(g=g1, h=g1): image dim 1, target dim 1\n")
+
+
 def test_field_override(tmp_path):
     path = _write(tmp_path, S1_DOC)
     assert main(["verify", path, "--field", "fp:5"]) == 0

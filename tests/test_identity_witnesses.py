@@ -22,8 +22,9 @@
   failures on the lifts of the fixtures and of S₃, and on the rescaled
   k[G], must be named by the same first tuple and message.
 * The partial-action layer: ``make_partial_action`` reads the sparse columns
-  of each α_g and one table of ideal meets, and its multiplicativity check
-  on the source ideal keeps one accumulator per source basis vector; the
+  of each α_g, spans each meet D_a ∩ D_b as A·1_a1_b, checks Axiom II as
+  α_g(1_{g⁻¹}1_h) = 1_g1_{gh}, and its multiplicativity check on the
+  source ideal keeps one accumulator per source basis vector; the
   Lemma 1 identities of ``dot_identities_report`` keep one accumulator per
   (g, i), (g, h) or g.  The retired loops on the dense maps are oracles
   here, and actions built directly from a tampered α_g column must give
@@ -1030,17 +1031,27 @@ def test_iso_on_ideal_matches_per_tuple_oracle_on_planted_maps(field):
     assert "not multiplicative on its source ideal" in messages
 
 
-def test_ideal_meets_are_computed_once_per_unordered_pair(monkeypatch):
-    calls = []
-    intersect = Subspace.intersect
-
-    def spy(self, other):
-        calls.append((self, other))
-        return intersect(self, other)
-
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=("q", "fp5"))
+def test_ideal_meets_from_idempotent_products_match_zassenhaus(field, monkeypatch):
+    # the 1_g are central idempotents, so D_a ∩ D_b = A·1_a1_b: the span of
+    # the multiples of 1_a·1_b has the echelon rows of the Zassenhaus meet
+    docs = [load_scenario(fixture_path(name)) for name in bundled_fixtures()]
+    for doc in docs + [INLINE["s3_split"], INLINE["s3_separability"]]:
+        algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
+        pa = build_action(field, build_group(doc["group"]), algebra, doc["action"])
+        alg, n = pa.algebra, pa.group.order
+        for a in range(n):
+            for b in range(n):
+                meet = Subspace.from_sparse(field, alg.dim, alg.multiples(
+                    alg._mul_sparse(pa.idempotents[a], pa.idempotents[b])).values())
+                assert meet._rows == pa.ideals[a].intersect(pa.ideals[b])._rows
+    # the builder forms no Zassenhaus meet, and proves each distinct
+    # idempotent central once: the S₃ split has two, 1 and the left unit
+    meets, proved = [], []
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: meets.append(other))
+    central = actions._central_multiples
+    monkeypatch.setattr(actions, "_central_multiples",
+                        lambda alg, x: proved.append(x) or central(alg, x))
     doc = INLINE["s3_split"]
-    group = build_group(doc["group"])
-    monkeypatch.setattr(Subspace, "intersect", spy)
-    build_action(QQ, group, None, doc["action"])
-    n = group.order
-    assert 0 < len(calls) <= n * (n + 1) // 2 == 21
+    build_action(field, build_group(doc["group"]), None, doc["action"])
+    assert meets == [] and len(proved) == 2
