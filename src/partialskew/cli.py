@@ -13,8 +13,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .fields import parse_field
 from .report import emit_report
-from .scenarios import (SUITE_DESCRIPTIONS, SUITES, bundled_fixtures,
-                        fixture_path, run_scenario)
+from .scenarios import SUITES, bundled_fixtures, fixture_path, run_scenario
 
 
 def _build_parser():
@@ -55,7 +54,7 @@ def main(argv=None):
 
     if args.command == "list-suites":
         for name in SUITES:
-            print(f"{name:13s} {SUITE_DESCRIPTIONS[name]}")
+            print(f"{name:13s} {SUITES[name][0]}")
         return 0
 
     if args.command == "verify":

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from functools import cached_property
 import json
-import time
 from pathlib import Path
+from time import perf_counter
 
 from .actions import (global_action, make_partial_action, restrict_global,
                       trivial_from_split)
@@ -28,18 +28,6 @@ from .groups import (check_labels, cyclic, direct_product as group_product,
 from .report import SKIPPED, CheckResult, Report, check
 from .skew import build_skew, grading_report, strong_grading_test
 from .smash import build_smash, separability_report, smash_report
-
-SUITES = ("lemma1", "grading", "duality", "separability", "hopf", "centers")
-
-SUITE_DESCRIPTIONS = {
-    "lemma1": "evaluation identities of the dot calculus, exhaustively on the basis",
-    "grading": "graded structure of the twisted group ring; strong iff global",
-    "duality": "matrix map: kernel/image formulas, corner splitting, embeddings",
-    "separability": "separating element; the smash is free over the twisted ring: check in |G| copies",
-    "hopf": "group-algebra lift: Hopf axioms, coaction, partial smash, operator duality",
-    "centers": "center dimensions of the algebra, twisted ring, smash and matrix target",
-}
-
 
 def _parse_scalar(field, x):
     if isinstance(x, bool):
@@ -240,25 +228,37 @@ def load_scenario(path):
 
 
 class _ScenarioRun:
-    """Lazily builds the derived structures a suite needs; the duality layer
-    and the matrix algebra's module are imported by the first build that
-    needs them."""
+    """Lazily builds the derived structures a suite needs, and records in
+    ``measured`` the dimensions of what it builds, so a key is measured
+    exactly when its build ran; the duality layer and the matrix algebra's
+    module are imported by the first build that needs them."""
 
     def __init__(self, action):
         self.action = action
+        self.measured = {"algebra_dimension": action.algebra.dim,
+                         "ideal_dimensions": [sp.dim for sp in action.ideals],
+                         "global": action.is_global()}
 
     @cached_property
     def skew(self):
-        return build_skew(self.action)
+        skew = build_skew(self.action)
+        self.measured["skew_dimension"] = skew.dim
+        return skew
 
     @cached_property
     def smash(self):
-        return build_smash(self.skew)
+        smash = build_smash(self.skew)
+        self.measured["smash_dimension"] = smash.dim
+        return smash
 
     @cached_property
     def duality(self):
         from .duality import build_duality
-        return build_duality(self.smash)
+        d = build_duality(self.smash)
+        self.measured.update(kernel_dimension=d.kernel.dim,
+                             corner_dimension=d.image.dim,
+                             matrix_dimension=d.mat.dim)
+        return d
 
     @cached_property
     def matrix(self):
@@ -268,13 +268,90 @@ class _ScenarioRun:
         return matrix_algebra(self.action.algebra, self.action.group)
 
 
+# Each runner yields the check groups of its suite.  It calls the layers
+# through this module's bindings at call time, so a wrapper bound over a
+# layer function here sees the call.
+
+def _lemma1(run):
+    from .lemma1 import dot_identities_report
+    yield dot_identities_report(run.action)
+
+
+def _grading(run):
+    yield grading_report(run.skew)
+    st = strong_grading_test(run.skew)
+    run.measured["strong"] = st["strong"]
+    label = run.action.group.label
+    if st["agree"]:
+        witnesses = []
+    elif st["global"]:
+        g, h = st["pair"]
+        witnesses = [f"global, but R_g·R_h misses R_gh at (g={label(g)}, h={label(h)})"]
+    else:
+        unit = run.action.algebra.unit
+        g = next(g for g, e in enumerate(run.action.idempotents) if e != unit)
+        witnesses = [f"strongly graded, but D_g != A at g={label(g)}"]
+    yield [check("grading.strong_iff_global", st["agree"],
+                 {"strong": st["strong"], "global": st["global"]}, witnesses)]
+
+
+def _duality(run):
+    from .duality import (corner_report, decomposition_report,
+                          kernel_report, skew_injectivity_report)
+    yield smash_report(run.smash)
+    d = run.duality
+    yield kernel_report(d)
+    yield corner_report(d)
+    yield decomposition_report(d)
+    yield skew_injectivity_report(d)
+
+
+def _separability(run):
+    yield separability_report(run.smash)
+
+
+def _hopf(run):
+    from .hopf import hopf_lift_suite
+    yield hopf_lift_suite(run.action, run.skew)
+
+
+def _centers(run):
+    dims = {"algebra_center_dimension": center_basis(run.action.algebra).dim,
+            "skew_center_dimension": center_basis(run.skew.algebra).dim,
+            "smash_center_dimension": center_basis(
+                run.smash.algebra, run.smash.generators()).dim,
+            "matrix_center_dimension": center_basis(
+                run.matrix, run.matrix.generators()).dim}
+    run.measured.update(dims)
+    yield [check("centers.computed", True, dims)]
+
+
+# The one suite table, name -> (description, runner), in run order: the
+# default suite list, the CLI's --suite choices and list-suites read it.
+SUITES = {
+    "lemma1": ("evaluation identities of the dot calculus, exhaustively on the basis",
+               _lemma1),
+    "grading": ("graded structure of the twisted group ring; strong iff global",
+                _grading),
+    "duality": ("matrix map: kernel/image formulas, corner splitting, embeddings",
+                _duality),
+    "separability": ("separating element; the smash is free over the twisted "
+                     "ring: check in |G| copies", _separability),
+    "hopf": ("group-algebra lift: Hopf axioms, coaction, partial smash, "
+             "operator duality", _hopf),
+    "centers": ("center dimensions of the algebra, twisted ring, smash and "
+                "matrix target", _centers),
+}
+
+
 # the entries an explicit ``hopf`` block must have, checked before any suite runs
 _HOPF_KEYS = ("constants", "unit", "comultiplication", "counit", "antipode")
 
 
 def _explicit_hopf_checks(field, spec):
-    """Validate user-supplied Hopf structure constants and the operator layer."""
-    from . import hopf as hopf_mod
+    """Validate user-supplied Hopf structure constants and the operator
+    layer; yields that one group of checks, like a suite runner."""
+    from .hopf import hopf_data_checks, make_hopf
     try:
         algebra = build_algebra(field, {key: spec[key] for key in
                                         ("constants", "unit", "labels")
@@ -285,14 +362,14 @@ def _explicit_hopf_checks(field, spec):
                    for row in comul]
         counit = _parse_vector(field, spec["counit"], d)
         antipode = _parse_matrix(field, spec["antipode"], d)
-        data = hopf_mod.make_hopf(algebra, triples, counit, antipode)
+        data = make_hopf(algebra, triples, counit, antipode)
     except ValidationError as exc:
-        return [check("hopf.explicit_axioms", False, {}, [str(exc)])]
-    results = []
-    for c in hopf_mod.hopf_data_checks(data)[0]:
-        results.append(check("hopf.explicit_" + c.name.split(".", 1)[1],
-                             c.status == "pass", c.measured, c.witnesses))
-    return results
+        yield [check("hopf.explicit_axioms", False, {}, [str(exc)])]
+        return
+    results = hopf_data_checks(data)[0]
+    for c in results:
+        c.name = c.name.replace("hopf.", "hopf.explicit_", 1)
+    yield results
 
 
 def run_scenario(source, suites=None, field_override=None):
@@ -300,7 +377,9 @@ def run_scenario(source, suites=None, field_override=None):
 
     Raises ParseError for malformed input and ValidationError when the
     scenario's action data fails an axiom; expectation mismatches and failed
-    checks are recorded in the report, not raised.
+    checks are recorded in the report, not raised.  The selected suites run
+    once each, in table order; the checks of an explicit ``hopf`` block
+    follow them.
     """
     doc = load_scenario(source) if not isinstance(source, dict) else dict(source)
     name = doc.get("name", "scenario")
@@ -331,112 +410,51 @@ def run_scenario(source, suites=None, field_override=None):
 
     selected = list(suites or doc.get("suites", SUITES))
     # hopf_lift extends the document's suites; --suite overrides both
-    if not suites and lift and "hopf" not in selected:
+    if not suites and lift:
         selected.append("hopf")
     for s in selected:
-        if s not in SUITES:
+        # a list or an object in "suites" is refused here, not by the dict
+        if not isinstance(s, str) or s not in SUITES:
             raise ParseError(f"unknown suite {s!r} (choose from {', '.join(SUITES)})")
 
     run = _ScenarioRun(action)
-    report = Report(name, [])
-    measured = {}
-
-    def timed(producer):
-        """Attach the group's wall time to its first check (text-only field)."""
-        start = time.perf_counter()
-        results = producer()
-        if results:
-            results[0].seconds = time.perf_counter() - start
-        report.extend(results)
-
-    measured["algebra_dimension"] = action.algebra.dim
-    measured["ideal_dimensions"] = [sp.dim for sp in action.ideals]
-    measured["global"] = action.is_global()
-    report.checks.append(check(
+    measured = run.measured
+    report = Report(name, [check(
         "action.axioms", True,
         {"algebra_dimension": measured["algebra_dimension"],
          "ideal_dimensions": str(measured["ideal_dimensions"]),
-         "group_order": group.order}))
-
-    if "lemma1" in selected:
-        from .lemma1 import dot_identities_report
-        timed(lambda: dot_identities_report(action))
-
-    if "grading" in selected or "duality" in selected or "centers" in selected \
-            or "separability" in selected or "hopf" in selected:
-        measured["skew_dimension"] = run.skew.dim
-
-    if "grading" in selected:
-        timed(lambda: grading_report(run.skew))
-        st = strong_grading_test(run.skew)
-        measured["strong"] = st["strong"]
-        report.checks.append(check(
-            "grading.strong_iff_global", st["agree"],
-            {"strong": st["strong"], "global": st["global"]}))
-
-    if "duality" in selected or "separability" in selected or "centers" in selected:
-        measured["smash_dimension"] = run.smash.dim
-
-    if "duality" in selected:
-        from .duality import (corner_report, decomposition_report,
-                              kernel_report, skew_injectivity_report)
-        timed(lambda: smash_report(run.smash))
-        d = run.duality
-        measured["kernel_dimension"] = d.kernel.dim
-        measured["corner_dimension"] = d.image.dim
-        measured["matrix_dimension"] = d.mat.dim
-        timed(lambda: kernel_report(d))
-        timed(lambda: corner_report(d))
-        timed(lambda: decomposition_report(d))
-        timed(lambda: skew_injectivity_report(d))
-
-    if "separability" in selected:
-        timed(lambda: separability_report(run.smash))
-
-    if "hopf" in selected:
-        from . import hopf as hopf_mod
-        timed(lambda: hopf_mod.hopf_lift_suite(action, run.skew))
-
+         "group_order": group.order})])
+    runs = [runner(run) for s, (_, runner) in SUITES.items() if s in selected]
     if "hopf" in doc:
-        timed(lambda: _explicit_hopf_checks(field, doc["hopf"]))
+        runs.append(_explicit_hopf_checks(field, doc["hopf"]))
+    for groups in runs:
+        # each group's wall time, the builds it triggers included, goes on
+        # its first check (a text-only field)
+        start = perf_counter()
+        for results in groups:
+            if results:
+                results[0].seconds = perf_counter() - start
+            report.extend(results)
+            start = perf_counter()
 
-    if "centers" in selected:
-        measured["algebra_center_dimension"] = center_basis(action.algebra).dim
-        measured["skew_center_dimension"] = center_basis(run.skew.algebra).dim
-        measured["smash_center_dimension"] = center_basis(
-            run.smash.algebra, run.smash.generators()).dim
-        measured["matrix_center_dimension"] = center_basis(
-            run.matrix, run.matrix.generators()).dim
-        report.checks.append(check(
-            "centers.computed", True,
-            {k: measured[k] for k in ("algebra_center_dimension",
-                                      "skew_center_dimension",
-                                      "smash_center_dimension",
-                                      "matrix_center_dimension")}))
-
-    suites_overridden = bool(suites)
     for key in sorted(expect):
-        want = expect[key]
-        if key not in measured:
-            if suites_overridden:
-                # the caller deliberately narrowed the run; expectations of
-                # skipped suites are not failures
-                report.checks.append(CheckResult(
-                    f"expect.{key}", SKIPPED, {},
-                    [f"{key} is not measured by the selected suites"]))
-            else:
-                report.checks.append(check(
-                    f"expect.{key}", False, {},
-                    [f"ExpectationMismatch: {key} was never measured "
-                     f"(enable the suite that computes it)"]))
-            continue
-        got = measured[key]
-        ok = got == want
-        witnesses = [] if ok else [
-            f"ExpectationMismatch: expected {want!r}, measured {got!r}"]
-        report.checks.append(check(f"expect.{key}", ok,
-                                   {"expected": str(want), "measured": str(got)},
-                                   witnesses))
+        name, want = f"expect.{key}", expect[key]
+        if key in measured:
+            got = measured[key]
+            result = check(name, got == want,
+                           {"expected": str(want), "measured": str(got)},
+                           [] if got == want else
+                           [f"ExpectationMismatch: expected {want!r}, measured {got!r}"])
+        elif suites:
+            # the caller deliberately narrowed the run; expectations of
+            # skipped suites are not failures
+            result = CheckResult(name, SKIPPED, {},
+                                 [f"{key} is not measured by the selected suites"])
+        else:
+            result = check(name, False, {},
+                           [f"ExpectationMismatch: {key} was never measured "
+                            f"(enable the suite that computes it)"])
+        report.checks.append(result)
     return report
 
 

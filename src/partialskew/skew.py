@@ -137,15 +137,15 @@ def grading_report(skew):
 
 def strong_grading_test(skew):
     """Strong grading (component products exhaust the target component)
-    versus globality of the action; the two must agree."""
+    versus globality of the action; the two must agree.  ``pair`` is the
+    first (g, h) whose product R_g·R_h misses R_gh, or None when the
+    grading is strong."""
     grp = skew.group
-    strong = True
-    for g in range(grp.order):
-        for h in range(grp.order):
-            if component_product_span(skew, g, h) != skew.components[grp.mul(g, h)]:
-                strong = False
-                break
-        if not strong:
-            break
+    n = grp.order
+    pair = next(((g, h) for g in range(n) for h in range(n)
+                 if component_product_span(skew, g, h) != skew.components[grp.mul(g, h)]),
+                None)
+    strong = pair is None
     is_global = skew.action.is_global()
-    return {"strong": strong, "global": is_global, "agree": strong == is_global}
+    return {"strong": strong, "global": is_global, "agree": strong == is_global,
+            "pair": pair}

@@ -42,9 +42,14 @@ def test_verify_structured_deterministic(tmp_path):
 
 
 def test_structured_round_trip(tmp_path):
-    report = run_scenario(_write(tmp_path, S1_DOC))
+    doc = dict(S1_DOC, suites=[*S1_DOC["suites"], "centers"])
+    report = run_scenario(_write(tmp_path, doc))
     text = emit_report(report, "structured")
     parsed = parse_structured(text)
+    # every group is timed, its lazy builds included, the last group of the
+    # grading suite and the one of the centers suite too
+    for name in ("grading.strong_iff_global", "centers.computed"):
+        assert report.named(name).seconds is not None
     # equality ignores the text-only timings, which the structured form drops
     assert any(c.seconds is not None for c in report.checks)
     assert all(c.seconds is None for c in parsed.checks)
@@ -301,6 +306,14 @@ def _on_field(action):
     (_split_doc({"cyclic": 2}, None, FIELD_ONE), "'left'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, None), "'right'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites="duality"), "suites"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=["nope"]),
+     "unknown suite 'nope' (choose from lemma1, grading, duality, separability, "
+     "hopf, centers)"),
+    # a suite that is not a string is refused by name, not as unhashable
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=[["grading"]]),
+     "unknown suite ['grading'] (choose from "),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=[{}]),
+     "unknown suite {} (choose from "),
     *[(_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE,
                   hopf={k: v for k, v in HOPF_Z2.items() if k != key}),
        f"hopf is missing its {key!r} entry") for key in HOPF_Z2],
@@ -399,8 +412,8 @@ def test_empty_report_renders_header_only():
 def test_list_suites(capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out
-    for name in ("lemma1", "grading", "duality", "separability", "hopf", "centers"):
-        assert name in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "lemma1", "grading", "duality", "separability", "hopf", "centers"]
 
 
 def test_selftest(capsys):

@@ -45,7 +45,7 @@ def test_nonabelian_full_duality():
     skew = build_skew(pa)
     assert skew.dim == 7
     assert strong_grading_test(skew) == {"strong": False, "global": False,
-                                         "agree": True}
+                                         "agree": True, "pair": (1, 1)}
     duality = build_duality(build_smash(skew))
     assert duality.smash.dim == 42 and duality.mat.dim == 72
     assert duality.kernel.dim == 5 and duality.image.dim == 37

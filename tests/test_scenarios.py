@@ -6,6 +6,7 @@ from partialskew.algebras import center_basis
 from partialskew.duality import build_duality
 from partialskew.errors import ParseError
 from partialskew.fields import GF, QQ
+from partialskew.report import SKIPPED
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
                                    load_scenario, run_scenario)
@@ -91,3 +92,44 @@ def test_rational_scalars_are_int_or_fraction(name):
     scalars += [x for sp in subspaces for v in sp._rows.values() for x in v.values()]
     assert scalars
     assert {type(x) for x in scalars} <= {int, Fraction}
+
+
+# every key a run can measure, and the keys each suite adds, run alone, to
+# the three every run measures
+MEASURED_KEYS = ("algebra_dimension", "ideal_dimensions", "global",
+                 "skew_dimension", "strong", "smash_dimension",
+                 "kernel_dimension", "corner_dimension", "matrix_dimension",
+                 "algebra_center_dimension", "skew_center_dimension",
+                 "smash_center_dimension", "matrix_center_dimension")
+BASE_KEYS = {"algebra_dimension", "ideal_dimensions", "global"}
+SUITE_KEYS = {
+    "lemma1": set(),
+    "grading": {"skew_dimension", "strong"},
+    "duality": {"skew_dimension", "smash_dimension", "kernel_dimension",
+                "corner_dimension", "matrix_dimension"},
+    "separability": {"skew_dimension", "smash_dimension"},
+    "hopf": {"skew_dimension"},
+    "centers": {"skew_dimension", "smash_dimension", "algebra_center_dimension",
+                "skew_center_dimension", "smash_center_dimension",
+                "matrix_center_dimension"},
+}
+
+
+@pytest.mark.parametrize("name", bundled_fixtures())
+def test_each_suite_measures_its_keys(name):
+    doc = dict(load_scenario(fixture_path(name)),
+               expect={key: None for key in MEASURED_KEYS})
+    for suite, keys in SUITE_KEYS.items():
+        report = run_scenario(doc, suites=[suite])
+        measured = {c.name.removeprefix("expect.") for c in report.checks
+                    if c.name.startswith("expect.") and c.status != SKIPPED}
+        assert measured == BASE_KEYS | keys, suite
+
+
+def test_suites_run_once_each_in_table_order():
+    report = run_scenario(fixture_path("s1.json"),
+                          suites=["centers", "lemma1", "lemma1"])
+    names = [c.name for c in report.checks]
+    lemma1 = [n for n in names if n.startswith("lemma1.")]
+    assert lemma1 and len(lemma1) == len(set(lemma1))
+    assert names.index("centers.computed") > max(map(names.index, lemma1))

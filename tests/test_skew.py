@@ -8,9 +8,11 @@ from partialskew.actions import trivial_from_split
 from partialskew.algebras import center_basis, product_of_fields
 from partialskew.fields import QQ, parse_field
 from partialskew.groups import cyclic
+from partialskew.linalg import Subspace
 from partialskew.scenarios import (build_action, build_algebra, build_group,
                                    bundled_fixtures, fixture_path,
-                                   load_scenario)
+                                   load_scenario, run_scenario)
+from partialskew import skew as skew_module
 from partialskew.skew import build_skew, grading_report, strong_grading_test
 
 from corpus_helpers import global_swap_action, z3_restricted_action
@@ -59,13 +61,14 @@ def test_grading_checks(s1_skew):
 
 def test_strong_grading_partial(s1_skew):
     st = strong_grading_test(s1_skew)
-    assert st == {"strong": False, "global": False, "agree": True}
+    # (g, g): D_g·D_g lies in D_g, a proper ideal of R_e = A
+    assert st == {"strong": False, "global": False, "agree": True, "pair": (1, 1)}
 
 
 def test_strong_grading_global():
     skew = build_skew(global_swap_action())
     st = strong_grading_test(skew)
-    assert st == {"strong": True, "global": True, "agree": True}
+    assert st == {"strong": True, "global": True, "agree": True, "pair": None}
     assert skew.dim == 4
 
 
@@ -75,7 +78,7 @@ def test_strong_grading_trivial_group():
     skew = build_skew(pa)
     assert skew.dim == 2 and skew.components[0].dim == skew.dim
     assert strong_grading_test(skew) == {"strong": True, "global": True,
-                                         "agree": True}
+                                         "agree": True, "pair": None}
 
 
 def test_strong_grading_restriction():
@@ -140,3 +143,43 @@ def test_inject_reads_each_component_off_its_pivots(source, field):
             assert skew.inject(g, {t: one}) is None
             if rows:
                 assert skew.inject(g, F.sparse({**rows[0], t: rows[0].get(t, 0) + 1})) is None
+
+
+def _planted_product_span(monkeypatch, planted):
+    """Route ``strong_grading_test``'s component products through
+    ``planted(skew, g, h, span)``, ``span`` being the true R_g·R_h."""
+    true_span = skew_module.component_product_span
+    monkeypatch.setattr(skew_module, "component_product_span",
+                        lambda skew, g, h: planted(skew, g, h, true_span(skew, g, h)))
+
+
+@pytest.mark.parametrize("pair, labels", [((0, 1), "g=e, h=g"),
+                                          ((1, 0), "g=g, h=e"),
+                                          ((1, 1), "g=g, h=g")])
+def test_strong_iff_global_names_the_short_product(monkeypatch, pair, labels):
+    # on a global action, R_g·R_h = R_gh for every pair; plant one product
+    # that spans nothing, and the check names that pair
+    def planted(skew, g, h, span):
+        if (g, h) != pair:
+            return span
+        return Subspace.from_sparse(skew.algebra.field, skew.dim, [])
+
+    _planted_product_span(monkeypatch, planted)
+    report = run_scenario(fixture_path("global_z2_swap.json"), suites=["grading"])
+    c = report.named("grading.strong_iff_global")
+    assert c.status == "fail"
+    assert c.measured == {"strong": False, "global": True}
+    assert c.witnesses == [f"global, but R_g·R_h misses R_gh at ({labels})"]
+
+
+@pytest.mark.parametrize("name, label", [("s1.json", "g"), ("z3_restrict.json", "g1")])
+def test_strong_iff_global_names_a_proper_ideal(monkeypatch, name, label):
+    # make every product exhaust its target: the grading reads strong, and
+    # the check names the first g whose ideal D_g is not A
+    _planted_product_span(
+        monkeypatch, lambda skew, g, h, span: skew.components[skew.group.mul(g, h)])
+    report = run_scenario(fixture_path(name), suites=["grading"])
+    c = report.named("grading.strong_iff_global")
+    assert c.status == "fail"
+    assert c.measured == {"strong": True, "global": False}
+    assert c.witnesses == [f"strongly graded, but D_g != A at g={label}"]
