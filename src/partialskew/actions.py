@@ -69,8 +69,7 @@ class PartialAction:
         """The ideal A·(1 - 1_g)."""
         alg = self.algebra
         comp = _complement(alg, self.idempotents[g])
-        return Subspace.from_sparse(alg.field, alg.dim,
-                                    alg.multiples(comp, left=False).values())
+        return Subspace.span(alg.field, alg.dim, alg.multiples(comp, left=False).values())
 
 
 def _complement(algebra, e):
@@ -101,7 +100,7 @@ def _checked_action(group, algebra, idempotents, columns):
     central idempotents of D_{g⁻¹} one to one onto those of D_g, and a
     central idempotent x is the only one whose ideal is A·x."""
     n, d, field = group.order, algebra.dim, algebra.field
-    mul = algebra._mul_sparse
+    mul = algebra.mul
     spans = {}      # A·x for each central idempotent x met, keyed by its items
 
     def ideal(x, g=None):
@@ -111,7 +110,7 @@ def _checked_action(group, algebra, idempotents, columns):
             left = algebra.multiples(x) if g is None else _central_multiples(algebra, x)
             if left is None:
                 raise NotCentralIdempotent(f"g={group.label(g)}: {algebra.format_vec(x)}")
-            spans[key] = Subspace.from_sparse(field, d, left.values())
+            spans[key] = Subspace.span(field, d, left.values())
         return spans[key]
 
     ideals = [ideal(x, g) for g, x in enumerate(idempotents)]
@@ -148,7 +147,7 @@ def _checked_action(group, algebra, idempotents, columns):
     for g in others:
         for h in others:
             gh = group.mul(g, h)
-            for idx, v in enumerate(meet(group.inv(h), group.inv(gh))[1]._rows.values()):
+            for idx, v in enumerate(meet(group.inv(h), group.inv(gh))[1].basis):
                 acc = _image(columns[g], _image(columns[h], v.items()).items())
                 if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
@@ -169,9 +168,9 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    basis = list(source._rows.values())
+    basis = source.basis
     images = [sparse(_image(cols, u.items())) for u in basis]
-    image_span = Subspace.from_sparse(field, d, images)
+    image_span = Subspace.span(field, d, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(
             group.label(g),
@@ -214,7 +213,7 @@ def trivial_from_split(left, right, group):
 def restrict_global(pa, e):
     """Restrict a global action on B to the unital ideal A = B·e.
 
-    e, a sparse vector, must be a central idempotent of the acted-on
+    e, a sparse vector, must be a nonzero central idempotent of the acted-on
     algebra; the restricted idempotents are e·σ_g(e) and the restricted
     maps are (multiply by e) ∘ σ_g, re-expressed on the ideal's own basis.
     """
@@ -222,6 +221,9 @@ def restrict_global(pa, e):
         raise ValidationError("restriction expects a global action")
     parent = pa.algebra
     x = _sparse_vector(parent, e, "idempotent")
+    if not x:
+        raise ValidationError("cannot restrict to the zero idempotent: "
+                              "its ideal is the zero algebra")
     span = ideal_basis(parent, x)     # raises NotCentralIdempotent
     sub, _ = subalgebra(parent, span, x)
     field = parent.field
@@ -229,8 +231,8 @@ def restrict_global(pa, e):
     def restricted(cols, v):
         # the coordinates of e·σ_g(v) on the ideal's basis: e is central, so
         # e·y lies in B·e for every y
-        return span.sparse_coordinates(field.sparse(parent._mul_acc(x, _image(cols, v.items()))))
+        return span.coordinates(field.sparse(parent._mul_acc(x, _image(cols, v.items()))))
 
     idempotents = [restricted(cols, x) for cols in pa.columns]
-    columns = [[restricted(cols, v) for v in span._rows.values()] for cols in pa.columns]
+    columns = [[restricted(cols, v) for v in span.basis] for cols in pa.columns]
     return _checked_action(pa.group, sub, idempotents, columns)

@@ -37,7 +37,7 @@ its shape pass, so the check allocates nothing per pair, and
 
 An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
 the unit is one, in index order.  Scalars follow :mod:`fields`: the
-products kernels (``_mul_sparse``, ``_lincomb``) accept any ``int``
+products kernels (``StructureAlgebra.mul``, ``_lincomb``) accept any ``int``
 representative over F_p and return canonical scalars, reducing once per
 output coefficient.  The products of x with every basis vector, whose span
 is an ideal A·e, are one table, ``StructureAlgebra.multiples``.  A vector
@@ -112,7 +112,7 @@ class StructureAlgebra:
         sparse = self.field.sparse
         return {b: v for b, part in acc.items() if (v := sparse(part))}
 
-    def _mul_sparse(self, x, y):
+    def mul(self, x, y):
         """Product of elements given as ``{index: scalar}``, without zeros."""
         return self.field.sparse(self._mul_acc(x, y))
 
@@ -396,7 +396,7 @@ def is_central_idempotent(alg, x):
 def _central_multiples(alg, x):
     """The left multiples ``{b: b_b·x}`` of a canonical sparse vector x when
     x·x = x and they equal its right multiples; None otherwise."""
-    if alg._mul_sparse(x, x) != x:
+    if alg.mul(x, x) != x:
         return None
     left = alg.multiples(x)
     return left if left == alg.multiples(x, left=False) else None
@@ -413,7 +413,7 @@ def ideal_basis(alg, e):
     left = _central_multiples(alg, e)
     if left is None:
         raise NotCentralIdempotent(alg.format_vec(e))
-    return Subspace.from_sparse(alg.field, alg.dim, left.values())
+    return Subspace.span(alg.field, alg.dim, left.values())
 
 
 def center_basis(alg, generators=None):
@@ -455,7 +455,7 @@ def center_basis(alg, generators=None):
                     row = eqs.setdefault(k, {})
                     row[i] = row.get(i, 0) - c * v
         rows.extend(eqs[k] for k in sorted(eqs))
-    centre = Subspace.kernel_from_sparse(alg.field, d, rows)
+    centre = Subspace.kernel(alg.field, d, rows)
 
     def commutators(acc, v):
         # key j·d + k: coefficient of b_k in v·b_j − b_j·v
@@ -470,7 +470,7 @@ def center_basis(alg, generators=None):
                 for k, w in cell:
                     acc[base + k] = get(base + k, 0) - x * w
 
-    if _first_residue(alg.field, centre._rows.values(), commutators, d) is not None:
+    if _first_residue(alg.field, centre.basis, commutators, d) is not None:
         raise InternalCheckFailed("central element does not commute")
     return centre
 
@@ -620,7 +620,7 @@ class AlgebraMap:
         self.codomain = codomain
         self.columns = columns
 
-    def apply_sparse(self, x):
+    def apply(self, x):
         """The image of a sparse vector ``{index: scalar}``, sparse."""
         cols = self.columns
         return _lincomb(self.codomain.field, ((c, cols[k]) for k, c in x.items()))
@@ -630,7 +630,7 @@ class AlgebraMap:
         if inner.codomain is not self.domain:
             raise AlgebraMismatch()
         return AlgebraMap(inner.domain, self.codomain,
-                          [self.apply_sparse(col) for col in inner.columns])
+                          [self.apply(col) for col in inner.columns])
 
     def _multiplicativity_witness(self, anti=False):
         """First basis pair (i, j), in lexicographic order, where
@@ -674,15 +674,14 @@ class AlgebraMap:
         return self._multiplicativity_witness() is None
 
     def is_unital(self):
-        return self.apply_sparse(self.domain.unit) == self.codomain.unit
+        return self.apply(self.domain.unit) == self.codomain.unit
 
     def kernel(self):
         rows = _transpose(self.columns, self.codomain.dim)
-        return Subspace.kernel_from_sparse(self.domain.field, self.domain.dim, rows)
+        return Subspace.kernel(self.domain.field, self.domain.dim, rows)
 
     def image(self):
-        return Subspace.from_sparse(self.domain.field, self.codomain.dim,
-                                    self.columns)
+        return Subspace.span(self.domain.field, self.codomain.dim, self.columns)
 
 
 def subalgebra(parent, span, unit_vec, labels=None):
@@ -692,20 +691,20 @@ def subalgebra(parent, span, unit_vec, labels=None):
     vector `unit_vec`, which becomes the unit of the subalgebra.  Returns the subalgebra and
     its inclusion map.
     """
-    basis = list(span._rows.values())
+    basis = span.basis
     products = []
     for u in basis:
         row = {}
         for j, v in enumerate(basis):
-            coords = span.sparse_coordinates(parent._mul_sparse(u, v))
+            coords = span.coordinates(parent.mul(u, v))
             if coords is None:
                 raise ValueError("subspace is not closed under multiplication")
             if coords:
                 row[j] = tuple(coords.items())
         products.append(row)
-    unit_coords = span.sparse_coordinates(unit_vec)
+    unit_coords = span.coordinates(unit_vec)
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
     alg = make_algebra(parent.field, products, unit_coords, labels=labels)
-    include = AlgebraMap(alg, parent, span._rows.values())
+    include = AlgebraMap(alg, parent, basis)
     return alg, include

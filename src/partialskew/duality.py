@@ -78,13 +78,13 @@ def _block_subspace(smash, complement):
     vectors = []
     for g in range(grp.order):
         for h in range(grp.order):
-            m = alg._mul_sparse((comps if complement else es)[grp.mul(g, h)], es[g])
+            m = alg.mul((comps if complement else es)[grp.mul(g, h)], es[g])
             for v in alg.multiples(m).values():
                 placed = skew.inject(g, v)
                 if placed is None:
                     raise InternalCheckFailed("block generator left its ideal")
                 vectors.append({smash.index(j, h): c for j, c in placed.items()})
-    return Subspace.from_sparse(alg.field, smash.dim, vectors)
+    return Subspace.span(alg.field, smash.dim, vectors)
 
 
 def kernel_formula_subspace(smash):
@@ -125,7 +125,7 @@ def build_duality(smash):
     # φ(1) = e with φ multiplicative gives e·e = φ(1·1) = e
     es, _ = _idempotents(pa)
     bold_e = {mat.slot(g, g, t): x for g in range(n) for t, x in es[grp.inv(g)].items()}
-    if phi.apply_sparse(smash.algebra.unit) != bold_e:
+    if phi.apply(smash.algebra.unit) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
 
     return DualityData(smash, mat, phi, bold_e,
@@ -169,14 +169,14 @@ def _entrywise_image(pa, mat):
     vectors = []
     for r in range(grp.order):
         for s in range(grp.order):
-            m = alg._mul_sparse(es[grp.inv(r)], es[grp.inv(s)])
+            m = alg.mul(es[grp.inv(r)], es[grp.inv(s)])
             key = tuple(sorted(m.items()))
             products = left.get(key)
             if products is None:
                 products = left[key] = alg.multiples(m)
             base = mat.slot(r, s, 0)
             vectors += [{base + t: x for t, x in v.items()} for v in products.values()]
-    return Subspace.from_sparse(alg.field, mat.dim, vectors)
+    return Subspace.span(alg.field, mat.dim, vectors)
 
 
 def _pierce_corner(mat, e):
@@ -191,7 +191,7 @@ def _pierce_corner(mat, e):
         times_e = mat._mul_acc({b: field.one}, e)
         corner.append(_lincomb(field, ((c, e_times[k]) for k, c in times_e.items()
                                        if k in e_times)))
-    return Subspace.from_sparse(field, mat.dim, corner)
+    return Subspace.span(field, mat.dim, corner)
 
 
 def _is_two_sided_ideal(algebra, subspace, left):
@@ -203,12 +203,11 @@ def _is_two_sided_ideal(algebra, subspace, left):
     of each echelon row r in order; r·b is formed per row r for every b at
     once.  Only nonzero products are reduced against the subspace, and none
     that would come after a failure already found."""
-    residual = subspace._residual
     first = None   # (b, row index, 0 for left or 1 for right)
-    for t, r in enumerate(subspace._rows.values()):
+    for t, r in enumerate(subspace.basis):
         for side, products in enumerate((left[t], algebra.multiples(r, left=False))):
             for b, prod in products.items():
-                if (first is None or (b, t, side) < first) and residual(prod):
+                if (first is None or (b, t, side) < first) and prod not in subspace:
                     first = (b, t, side)
     if first is None:
         return True, ""
@@ -227,10 +226,10 @@ def _cross_product_witness(algebra, ideal, kernel):
     j, at equal j the left side first."""
     dim = algebra.dim
     at = [[] for _ in range(dim)]   # at[b]: (2j·D, w_j[b]) for w_j[b] != 0
-    for j, w in enumerate(kernel._rows.values()):
+    for j, w in enumerate(kernel.basis):
         for b, y in w.items():
             at[b].append((2 * j * dim, y))
-    rows = list(ideal._rows.values())
+    rows = ideal.basis
 
     def fill(acc, i):
         for side, cells in enumerate(algebra.nonempty_cells):
@@ -246,6 +245,21 @@ def _cross_product_witness(algebra, ideal, kernel):
     i, j, side = fail
     return (f"kernel[{j}]*ideal[{i}] is nonzero" if side
             else f"ideal[{i}]*kernel[{j}] is nonzero")
+
+
+def _direct_sum_witness(algebra, ideal, kernel, total):
+    """Why I + K = ``total`` is not a direct sum equal to the algebra: the
+    first kernel basis vector lying in I plus the kernel vectors before it,
+    else the first basis label outside I + K."""
+    if ideal.dim + kernel.dim > total.dim:
+        span = ideal
+        for j, w in enumerate(kernel.basis):
+            if w in span:
+                return f"kernel[{j}] lies in ideal + kernel[:{j}]"
+            span += Subspace.span(algebra.field, algebra.dim, [w])
+    one = algebra.field.one
+    b = next(b for b in range(algebra.dim) if {b: one} not in total)
+    return f"{algebra.labels[b]} lies outside ideal + kernel"
 
 
 def _delta_convention_tally(d, left):
@@ -267,7 +281,7 @@ def _delta_convention_tally(d, left):
     grades, vectors = skew.grades, skew.vectors
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
     none = {}
-    for v, products in zip(d.ideal._rows.values(), left):
+    for v, products in zip(d.ideal.basis, left):
         blocks = {(grades[j], h) for j, h in map(smash.parts, v)}
         if len(blocks) != 1:
             continue
@@ -314,24 +328,25 @@ def decomposition_report(d):
     B = d.smash.algebra
     results = []
 
-    left = [B.multiples(r) for r in d.ideal._rows.values()]
+    left = [B.multiples(r) for r in d.ideal.basis]
     ok, why = _is_two_sided_ideal(B, d.ideal, left)
     results.append(check("duality.ideal_two_sided", ok,
                          {"ideal_dim": d.ideal.dim}, [why] if why else []))
     results.append(check("duality.kernel_two_sided", True,
                          {"kernel_dim": d.kernel.dim}))
 
-    inter = d.ideal.intersect(d.kernel)
     total = d.ideal + d.kernel
-    results.append(check("duality.direct_sum",
-                         inter.is_zero() and total.dim == B.dim,
-                         {"intersection_dim": inter.dim, "sum_dim": total.dim,
-                          "dim": B.dim}))
+    # dim(I ∩ K) = dim I + dim K − dim(I + K)
+    meet = d.ideal.dim + d.kernel.dim - total.dim
+    direct = meet == 0 and total.dim == B.dim
+    results.append(check("duality.direct_sum", direct,
+                         {"intersection_dim": meet, "sum_dim": total.dim,
+                          "dim": B.dim},
+                         [] if direct else [_direct_sum_witness(B, d.ideal, d.kernel, total)]))
 
     # φ on the ideal's echelon rows, from the sparse columns of φ; the
     # rank of the restriction is the dimension of their span
-    image = Subspace.from_sparse(B.field, d.mat.dim, [
-        d.phi.apply_sparse(r) for r in d.ideal._rows.values()])
+    image = Subspace.span(B.field, d.mat.dim, [d.phi.apply(r) for r in d.ideal.basis])
     results.append(check("duality.restricted_bijection",
                          image == d.image and image.dim == d.ideal.dim,
                          {"restricted_rank": image.dim,

@@ -28,9 +28,6 @@ class FiniteGroup:
     def label(self, g):
         return self.labels[g]
 
-    def __len__(self):
-        return self.order
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 

@@ -143,7 +143,7 @@ def _checked_hopf(algebra, comul, counit, antipode):
         row = algebra.products[i]
         for j in range(d):
             prod = row.get(j, ())
-            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh._mul_sparse(cop[i], cop[j]):
+            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh.mul(cop[i], cop[j]):
                 axiom = "coproduct multiplicative"
             elif reduce(sum(c * eps(t, 0) for t, c in prod) - eps(i, 0) * eps(j, 0)):
                 axiom = "counit multiplicative"
@@ -158,7 +158,7 @@ def _checked_hopf(algebra, comul, counit, antipode):
 
     # antipode identity on every basis element: S(b_k)b_l and b_kS(b_l)
     # summed over Δ(b_i) equal ε(b_i)·1
-    mul = algebra._mul_sparse
+    mul = algebra.mul
     for i in range(d):
         want = _lincomb(field, [(eps(i, 0), unit)])
         if (_lincomb(field, ((v, mul(antipode[k], {l: 1})) for k, l, v in comul[i])) != want
@@ -272,7 +272,7 @@ def _basis_operators(h):
     """``lam[i][j]`` = λ(b_i#p_j): x ↦ b_i(p_j ⇀ x), and ``rho[j][i]`` =
     ρ(p_j#b_i): x ↦ (x ↼ p_j)b_i, as sparse operators."""
     d, one = h.dim, h.algebra.field.one
-    mul = h.algebra._mul_sparse
+    mul = h.algebra.mul
     left, right = h.left_hits, h.right_hits
     lam = [[[mul({i: one}, left[j][x]) for x in range(d)] for j in range(d)]
            for i in range(d)]
@@ -440,7 +440,7 @@ def coaction_report(pha):
     left_factor = _on_leg(field, [dual.algebra.unit], d, delta_unit)
     lhs = [_on_leg(field, wide, da * d * d, col) for col in cols]
     spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]
-    weak = next((x for x in range(da) if lhs[x] != t3._mul_sparse(left_factor, spread[x])), None)
+    weak = next((x for x in range(da) if lhs[x] != t3.mul(left_factor, spread[x])), None)
     strict = next((x for x in range(da) if lhs[x] != spread[x]), None)
     coassoc_witnesses = [f"{kind} coassociativity fails on basis {alg.labels[x]}"
                          for kind, x in (("weak", weak), ("strict", strict)) if x is not None]
@@ -483,12 +483,12 @@ def build_corner_maps(pha, lam):
 
     # exchange lemma
     mul, dim = target._mul_acc, target.dim
-    unit = phi.apply_sparse(one_a)
+    unit = phi.apply(one_a)
     unit_psi = [field.sparse(mul(unit, p)) for p in psi]
 
     def lemma(acc, a):
         # φ(b_k·a) for every basis b_k of H
-        phi_ka = [phi.apply_sparse(acts[k][a]) for k in range(d)]
+        phi_ka = [phi.apply(acts[k][a]) for k in range(d)]
         for i in range(d):
             for j in range(d):
                 base = (i * d + j) * dim
@@ -523,7 +523,7 @@ def build_partial_smash(pha):
     ambient = smash_algebra(alg, h.algebra, h.comul, pha.acts, None)
     unit = _pure_tensor(alg.field, alg.unit, h.algebra.unit, h.dim)
     by_unit = ambient.multiples(unit)
-    sub = Subspace.from_sparse(alg.field, ambient.dim, by_unit.values())
+    sub = Subspace.span(alg.field, ambient.dim, by_unit.values())
     return PartialSmash(pha, ambient, sub, unit, by_unit)
 
 
@@ -546,8 +546,8 @@ def partial_smash_report(ps):
     d, dual = h.dim, h.dual()
     amb, sub = ps.ambient, ps.sub
     field = amb.field
-    mul = amb._mul_sparse
-    su = list(sub._rows.values())
+    mul = amb.mul
+    su = sub.basis
     n = len(su)
     uv = [[mul(u, v) for v in su] for u in su]
     corner, ms = range(n), range(d)
@@ -556,10 +556,9 @@ def partial_smash_report(ps):
     def vec(a):
         return amb.format_vec(su[a])
 
-    leaves = next(((a, b) for a in corner for b in corner
-                   if not sub.contains_sparse(uv[a][b])), None)
+    leaves = next(((a, b) for a in corner for b in corner if uv[a][b] not in sub), None)
     unit = ps.unit_vec
-    if not sub.contains_sparse(unit):
+    if unit not in sub:
         unital = "the unit lies outside the corner"
     elif mul(unit, unit) != unit:
         unital = "the unit is not idempotent"
@@ -610,7 +609,7 @@ def partial_smash_report(ps):
             "counit": None, "coassociative": None}),
         _named_failures_check("psmash.dual_module_algebra", {
             "stable": next((f"{p[m]}, {vec(a)}" for m in ms for a in corner
-                            if not sub.contains_sparse(acted[m][a])), None),
+                            if acted[m][a] not in sub), None),
             "unit_acts": None,
             "module_law": law and f"{p[law[0]]}, {vec(law[1])}, {vec(law[2])}",
             # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
@@ -644,14 +643,14 @@ def smash_matches_skew_report(ps, skew_ring):
     times = [alg.multiples(e) for e in skew_ring.action.idempotents]   # {x: b_x·1_g}
     t_map = AlgebraMap(ps.ambient, ring, [
         skew_ring.inject(g, times[g].get(x, {}))
-        for x in range(alg.dim) for g in range(d)]).apply_sparse
-    su = list(ps.sub._rows.values())
+        for x in range(alg.dim) for g in range(d)]).apply
+    su = ps.sub.basis
     images = [t_map(u) for u in su]
-    span = Subspace.from_sparse(field, skew_ring.dim, images)
+    span = Subspace.span(field, skew_ring.dim, images)
     bijective = ps.sub.dim == skew_ring.dim == span.dim
-    mul = ps.ambient._mul_sparse
+    mul = ps.ambient.mul
     pair = next(((a, b) for a, u in enumerate(su) for b, v in enumerate(su)
-                 if t_map(mul(u, v)) != ring._mul_sparse(images[a], images[b])), None)
+                 if t_map(mul(u, v)) != ring.mul(images[a], images[b])), None)
     unital = t_map(ps.unit_vec) == ring.unit
 
     vec = ps.ambient.format_vec
@@ -687,17 +686,16 @@ def operator_duality_report(pha, ps, maps):
     triple = smash_algebra(ps.ambient, dual.algebra, dual.comul, acted, None)
 
     # φ(x#b_i#p_j) = φ(x)·ψ(b_i#p_j), index (x·d + i)·d + j
-    mul = target._mul_sparse
+    mul = target.mul
     cols = [mul(phi_x, psi) for phi_x in phi.columns for psi in psi_columns]
     pair = AlgebraMap(triple, target, cols)._multiplicativity_witness()
 
-    corner = _pierce_corner(target, phi.apply_sparse(alg.unit))
+    corner = _pierce_corner(target, phi.apply(alg.unit))
     # the first restricted generator s#p_j whose image leaves the corner
-    subs = list(ps.sub._rows.values())
+    subs = ps.sub.basis
     outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)
-                    if not corner.contains_sparse(
-                        _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items())))),
-                   None)
+                    if _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items()))
+                    not in corner), None)
     member_witnesses = [] if outside is None else [
         f"corner membership fails at ({ps.ambient.format_vec(subs[outside[0]])}, "
         f"{dual.algebra.labels[outside[1]]})"]

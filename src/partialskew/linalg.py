@@ -12,8 +12,8 @@ There is one vector form, the ``{column: scalar}`` dict of nonzero
 scalars, and every linear map of the library is a list of such columns
 ``{row: scalar}``.  Every vector a function here returns holds canonical
 scalars: ``_echelon`` stores an integral rational as an ``int`` in one pass
-over the rows it returns, so its kernel, inverse, sums and intersections
-need no further reduction.
+over the rows it returns, so its kernels, inverse and sums need no
+further reduction.
 
 All elimination goes through ``_echelon``.  Over the rationals the pivot
 normalisation stays in ``int`` when the lead divides every entry of its
@@ -26,6 +26,12 @@ commutator equations of ``algebras.center_basis`` costs time and memory in
 proportion to its nonzero entries.  (Separability needs none: the smash is
 free over the twisted ring, see :mod:`smash`.)  The one inverse, S^{-1} of
 an antipode, is ``_inverse``: one ``_echelon`` of the rows [S | I].
+
+A ``Subspace`` is made by ``Subspace.span`` or ``Subspace.kernel`` and
+read through ``basis``, ``pivots``, membership (``in``) and
+``coordinates``.  A sum is one elimination, and no intersection is formed:
+a direct-sum check reads dim(U ∩ W) = dim U + dim W − dim(U + W) off the
+sum.
 """
 
 from __future__ import annotations
@@ -124,7 +130,9 @@ def _transpose(columns, n):
 
 class Subspace:
     """Subspace of coordinate space, stored as its canonical echelon basis:
-    the sparse rows ``{pivot: {column: scalar}}`` of ``_echelon``."""
+    the sparse rows ``{pivot: {column: scalar}}`` of ``_echelon``.  Only
+    this class reads that form; other modules see ``basis``, ``pivots``,
+    membership (``in``) and ``coordinates``."""
 
     __slots__ = ("field", "ambient", "_rows")
 
@@ -134,27 +142,35 @@ class Subspace:
         self._rows = rows
 
     @classmethod
-    def _span(cls, field, ambient, rows):
-        """Span of sparse rows of nonzero canonical scalars."""
-        return cls(field, ambient, _echelon(rows, field.characteristic))
-
-    @classmethod
-    def from_sparse(cls, field, ambient, rows):
-        """Span of sparse vectors given as ``{column: scalar}`` dicts of any
+    def span(cls, field, ambient, rows):
+        """Span of vectors given as ``{column: scalar}`` dicts of any
         representatives."""
-        sparse = field.sparse
-        return cls._span(field, ambient, [sparse(r) for r in rows])
+        return cls(field, ambient, _echelon(map(field.sparse, rows), field.characteristic))
 
     @classmethod
-    def kernel_from_sparse(cls, field, n, rows):
+    def kernel(cls, field, n, rows):
         """Solution space in n unknowns of the homogeneous system whose rows
-        are ``{column: scalar}`` dicts of any representatives."""
-        sparse = field.sparse
-        return _kernel(field, n, [sparse(r) for r in rows])
+        are ``{column: scalar}`` dicts of any representatives: one vector
+        per free column of their echelon form."""
+        p = field.characteristic
+        reduced = _echelon(map(field.sparse, rows), p)
+        one = field.one
+        vectors = []
+        for f in range(n):
+            if f in reduced:
+                continue
+            v = {f: one}
+            for q, row in reduced.items():
+                x = row.get(f)
+                if x is not None:
+                    v[q] = -x % p if p else -x
+            vectors.append(v)
+        return cls(field, n, _echelon(vectors, p))
 
-    @classmethod
-    def zero(cls, field, ambient):
-        return cls(field, ambient, {})
+    @property
+    def basis(self):
+        """The echelon rows, in pivot order, as ``{column: scalar}`` dicts."""
+        return tuple(self._rows.values())
 
     @property
     def pivots(self):
@@ -167,10 +183,6 @@ class Subspace:
     def is_zero(self):
         return not self._rows
 
-    def _check_compatible(self, other):
-        if self.ambient != other.ambient or self.field != other.field:
-            raise ValueError("subspaces live in different ambient spaces")
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -181,23 +193,11 @@ class Subspace:
         return hash((self.ambient, self.pivots))
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return Subspace._span(self.field, self.ambient,
-                              list(self._rows.values()) + list(other._rows.values()))
-
-    def intersect(self, other):
-        """Intersection by Zassenhaus: the rows of the echelon form of
-        [[u, u], [w, 0]] that vanish on the left half span U ∩ W."""
-        self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient)
-        n = self.ambient
-        rows = [{**u, **{c + n: x for c, x in u.items()}} for u in self._rows.values()]
-        rows.extend(other._rows.values())
-        reduced = _echelon(rows, self.field.characteristic)
-        return Subspace(self.field, n,
-                        {q - n: {c - n: x for c, x in r.items()}
-                         for q, r in reduced.items() if q >= n})
+        if self.ambient != other.ambient or self.field != other.field:
+            raise ValueError("subspaces live in different ambient spaces")
+        return Subspace(self.field, self.ambient,
+                        _echelon([*self._rows.values(), *other._rows.values()],
+                                 self.field.characteristic))
 
     def _residual(self, row):
         """Sparse remainder of a sparse row after eliminating every pivot."""
@@ -209,11 +209,11 @@ class Subspace:
                 _axpy(out, x, prow, p)
         return out
 
-    def contains_sparse(self, row):
+    def __contains__(self, row):
         """Membership of a vector given as a ``{column: scalar}`` dict."""
         return not self._residual(self.field.sparse(row))
 
-    def sparse_coordinates(self, row):
+    def coordinates(self, row):
         """The coefficients on the echelon basis of a ``{column: scalar}``
         dict of nonzero canonical scalars, as ``{position: scalar}`` without
         zeros, in position order (a vector of the span has them at the
@@ -224,21 +224,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def _kernel(field, n, rows):
-    """Canonical basis of the solution space of the sparse rows in n unknowns."""
-    p = field.characteristic
-    reduced = _echelon(rows, p)
-    one = field.one
-    vectors = []
-    for f in range(n):
-        if f in reduced:
-            continue
-        v = {f: one}
-        for q, row in reduced.items():
-            x = row.get(f)
-            if x is not None:
-                v[q] = -x % p if p else -x
-        vectors.append(v)
-    return Subspace._span(field, n, vectors)

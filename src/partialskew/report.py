@@ -53,9 +53,8 @@ class CheckResult:
         return self.status != FAIL
 
 
-def check(name, passed, measured=None, witnesses=None, seconds=None):
-    return CheckResult(name, PASS if passed else FAIL,
-                       measured or {}, witnesses or [], seconds)
+def check(name, passed, measured=None, witnesses=None):
+    return CheckResult(name, PASS if passed else FAIL, measured or {}, witnesses or [])
 
 
 class Report:

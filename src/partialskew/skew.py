@@ -48,10 +48,10 @@ class SkewGroupRing:
         self.action, self.group = pa, grp
         *self.offsets, total = accumulate((ideal.dim for ideal in ideals), initial=0)
         self.grades = grades = tuple(g for g, ideal in enumerate(ideals) for _ in ideal.pivots)
-        self.vectors = vectors = tuple(v for ideal in ideals for v in ideal._rows.values())
+        self.vectors = vectors = tuple(v for ideal in ideals for v in ideal.basis)
         # per g: D_g in skew coordinates, spanned by the unit vectors of grade g
         one = field.one
-        self.components = [Subspace.from_sparse(field, total, [
+        self.components = [Subspace.span(field, total, [
             {j: one} for j, h in enumerate(grades) if h == g]) for g in range(n)]
 
         # g·v for every g and every basis vector v of every component, once
@@ -87,7 +87,7 @@ class SkewGroupRing:
         """a ∈ D_g placed at g: its coefficients on the echelon rows of D_g,
         read off the pivots of D_g, at the indices from ``offsets[g]`` on;
         None when a lies outside D_g."""
-        coords = self.action.ideals[g].sparse_coordinates(a)
+        coords = self.action.ideals[g].coordinates(a)
         if coords is None:
             return None
         base = self.offsets[g]
@@ -104,7 +104,7 @@ def component_product_span(skew, g, h):
     each component is spanned by the unit vectors at its pivots, so the
     products are cells of the product table."""
     products = skew.algebra.products
-    return Subspace.from_sparse(skew.algebra.field, skew.dim, [
+    return Subspace.span(skew.algebra.field, skew.dim, [
         dict(products[x].get(y, ())) for x in skew.components[g].pivots
         for y in skew.components[h].pivots])
 
@@ -122,10 +122,11 @@ def grading_report(skew):
     total = skew.components[0]
     overlap = []
     for g in range(1, n):
-        inter = total.intersect(skew.components[g])
-        if not inter.is_zero():
+        # D_g meets the sum before it iff the dimensions do not add up
+        grown = total + skew.components[g]
+        if grown.dim < total.dim + skew.components[g].dim:
             overlap.append(grp.label(g))
-        total = total + skew.components[g]
+        total = grown
     direct = not overlap and total.dim == skew.dim
     results.append(check("grading.direct_sum", direct,
                          {"total_dim": total.dim, "dim": skew.dim}, overlap))

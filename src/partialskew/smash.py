@@ -126,7 +126,7 @@ def _verify_free_over_twisted_ring(smash):
     units = smash.dual_units()
     for j, a in enumerate(smash.embed_skew_map.columns):
         for h, u in enumerate(units):
-            if B._mul_sparse(a, u) != {smash.index(j, h): B.field.one}:
+            if B.mul(a, u) != {smash.index(j, h): B.field.one}:
                 raise InternalCheckFailed(
                     f"smash is not free over the twisted ring at "
                     f"({smash.skew.algebra.labels[j]}, p_{smash.group.label(h)})")
@@ -146,7 +146,7 @@ def _tensor_image(smash, element):
             blocks[h].append((c, iota[j]))
         for h, terms in enumerate(blocks):
             if terms:
-                slots[h].append((B.field.one, B._mul_sparse(x, _lincomb(B.field, terms))))
+                slots[h].append((B.field.one, B.mul(x, _lincomb(B.field, terms))))
     return [_lincomb(B.field, terms) for terms in slots]
 
 
@@ -154,7 +154,7 @@ def _centrality_witness(smash, element):
     """First (label of a basis vector a of R, dual index label), a-major,
     where Φ(f·ι(a)) and Φ(ι(a)·f) differ for the tensor element f; None
     when f centralizes the embedded twisted ring."""
-    mul = smash.algebra._mul_sparse
+    mul = smash.algebra.mul
     for j, a in enumerate(smash.embed_skew_map.columns):
         fa = _tensor_image(smash, [(x, mul(y, a)) for x, y in element])
         af = _tensor_image(smash, [(mul(a, x), y) for x, y in element])
@@ -169,7 +169,7 @@ def _separability_checks(smash, element):
     B = smash.algebra
     field = B.field
     central = _centrality_witness(smash, element)
-    mu = _lincomb(field, ((field.one, B._mul_sparse(x, y)) for x, y in element))
+    mu = _lincomb(field, ((field.one, B.mul(x, y)) for x, y in element))
     # the smallest index at which μ(f) and the unit differ
     split = min((k for k in mu.keys() | B.unit.keys()
                  if mu.get(k, field.zero) != B.unit.get(k, field.zero)), default=None)

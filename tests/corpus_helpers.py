@@ -53,11 +53,11 @@ def dense_restriction(pa, e):
             for j, y in enumerate(v):
                 for k, c in rows[i][j] if x and y else ():
                     out[k] += x * y * c
-        return span.sparse_coordinates(sparse(map(field.reduce, out)))
+        return span.coordinates(sparse(map(field.reduce, out)))
 
     maps = action_matrices(pa)
     return ([times_e(apply(field, m, ev)) for m in maps],
-            [[times_e(apply(field, m, dense(v, d))) for v in span._rows.values()]
+            [[times_e(apply(field, m, dense(v, d))) for v in span.basis]
              for m in maps])
 
 

@@ -9,6 +9,8 @@ dense Gauss–Jordan elimination.  Each output coefficient is reduced through th
 field.  ``to_columns``/``to_rows`` and ``sparse``/``dense`` convert between
 the two forms, and ``unit_vector``, ``multiply``, ``basis_of`` and
 ``span_of`` give the dense routes their vectors, products and subspaces.
+``intersect`` is the Zassenhaus meet of two subspaces, by the same dense
+elimination; the library itself reads dim(U ∩ W) off the sum U + W.
 """
 
 from fractions import Fraction
@@ -43,17 +45,17 @@ def unit_vector(d, i):
 
 def multiply(alg, x, y):
     """The product of two dense vectors of the algebra alg, dense."""
-    return dense(alg._mul_sparse(sparse(x), sparse(y)), alg.dim)
+    return dense(alg.mul(sparse(x), sparse(y)), alg.dim)
 
 
 def basis_of(space):
     """The echelon basis of a subspace as dense tuples."""
-    return [dense(r, space.ambient) for r in space._rows.values()]
+    return [dense(r, space.ambient) for r in space.basis]
 
 
 def span_of(field, d, vectors):
     """The subspace of k^d spanned by dense vectors."""
-    return Subspace.from_sparse(field, d, [sparse(v) for v in vectors])
+    return Subspace.span(field, d, [sparse(v) for v in vectors])
 
 
 def identity(n):
@@ -106,6 +108,18 @@ def inverse(field, m):
 
 
 
+def intersect(u, w):
+    """U ∩ W by Zassenhaus: of the dense reduced rows of [[u, u], [w, 0]],
+    u and w over the echelon bases of U and W, those whose pivot lies in
+    the right half vanish on the left half, and their right halves span
+    U ∩ W."""
+    n = u.ambient
+    rows = [list(x) * 2 for x in basis_of(u)] + [list(x) + [0] * n for x in basis_of(w)]
+    pivots = _gauss_jordan(u.field, rows)
+    return Subspace.span(u.field, n, [sparse(row[n:]) for row, c in zip(rows, pivots)
+                                      if c >= n])
+
+
 def kernel(field, m):
     """The solution space of m·x = 0, m by dense rows, spanned by one
     vector per free column of the dense reduced rows."""
@@ -117,4 +131,4 @@ def kernel(field, m):
         for k, c in enumerate(pivots):
             v[c] = field.reduce(-rows[k][f])
         vectors.append(v)
-    return Subspace.from_sparse(field, len(m[0]), vectors)
+    return Subspace.span(field, len(m[0]), vectors)

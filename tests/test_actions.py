@@ -9,7 +9,7 @@ from partialskew.actions import (global_action, make_partial_action,
                                  restrict_global, trivial_from_split)
 from partialskew.algebras import AlgebraMap, field_algebra, product_of_fields
 from partialskew.constructions import matrix_algebra
-from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal
+from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal, ValidationError
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.lemma1 import dot_identities_report
@@ -50,7 +50,7 @@ def test_corrupted_variants_rejected():
 def test_dot_evaluation(s1_action):
     pa = s1_action
     alg = pa.algebra
-    e, g = (AlgebraMap(alg, alg, cols).apply_sparse for cols in pa.columns)
+    e, g = (AlgebraMap(alg, alg, cols).apply for cols in pa.columns)
     a = {0: 4, 1: 7}
     assert e(a) == a                               # identity acts trivially
     assert g(alg.unit) == {0: 1}                   # image of the unit
@@ -112,7 +112,7 @@ def test_ideal_product_grading_obstruction(s1_action):
     # some marker is not the unit (feeds the strong-grading test)
     pa = s1_action
     alg = pa.algebra
-    prod = alg._mul_sparse(pa.idempotents[1], pa.idempotents[1])
+    prod = alg.mul(pa.idempotents[1], pa.idempotents[1])
     assert prod == {0: 1} != alg.unit
 
 
@@ -153,6 +153,16 @@ def test_restriction_to_a_non_central_idempotent_is_refused():
     with pytest.raises(NotCentralIdempotent) as err:
         restrict_global(parent, {0: 1, 1: 1})
     assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1 + (1)*E[0,1]*1"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["q", "fp:2"])
+def test_restriction_to_the_zero_idempotent_is_refused(field):
+    # {0: 2} is the zero idempotent over F_2: B·0 would be the zero algebra
+    algebra = product_of_fields(field, 2)
+    parent = global_action(cyclic(1), algebra, [identity(2)])
+    for zero in ({}, {0: 0}, {0: 2} if field.characteristic else {1: 0}):
+        with pytest.raises(ValidationError, match="zero idempotent"):
+            restrict_global(parent, zero)
 
 
 # -- restrictions against a dense route --------------------------------

@@ -325,6 +325,8 @@ def _on_field(action):
      "restrict_global is missing its 'idempotent'"),
     (_on_field({"restrict_global": {"automorphisms": 5, "idempotent": [1]}}),
      "restrict_global.automorphisms must be a list"),
+    (_on_field({"restrict_global": {"automorphisms": [[[1]]], "idempotent": [0]}}),
+     "cannot restrict to the zero idempotent"),
     ({**_on_field({"explicit": {"idempotents": [[1]], "beta": [[[1]]]}}),
       "algebra": {"constants": [[[1]]]}}, "algebra is missing its 'unit'"),
     (_split_doc({"direct_product": 3}, FIELD_ONE, FIELD_ONE),

@@ -14,7 +14,7 @@ from partialskew.skew import build_skew
 from partialskew.smash import build_smash, separability_report
 
 from corpus_helpers import map_matrix, place, z3_restricted_action
-from dense_oracle import identity, to_rows
+from dense_oracle import dense, identity, intersect, span_of, to_rows, unit_vector
 
 
 def _smash_vec(smash, skew_vec, h):
@@ -28,10 +28,10 @@ def test_s1_map_images(s1_duality, s1_smash, s1_skew):
     e_bad = s1_skew.inject(0, {1: 1})
 
     # (1,0) at g # p_e lands on (1,0) in row g, column e
-    img = d.phi.apply_sparse(_smash_vec(s1_smash, g_gen, 0))
+    img = d.phi.apply(_smash_vec(s1_smash, g_gen, 0))
     assert img == place(mat, 1, 0, {0: 1})
     # (0,1) at e # p_g dies
-    assert d.phi.apply_sparse(_smash_vec(s1_smash, e_bad, 1)) == {}
+    assert d.phi.apply(_smash_vec(s1_smash, e_bad, 1)) == {}
 
 
 def test_s1_corner_idempotent(s1_duality):
@@ -39,7 +39,7 @@ def test_s1_corner_idempotent(s1_duality):
     want = {**place(mat, 0, 0, {0: 1, 1: 1}), **place(mat, 1, 1, {0: 1})}
     assert s1_duality.corner_idempotent == want
     assert list(s1_duality.corner_idempotent) == sorted(want)
-    assert s1_duality.phi.apply_sparse(s1_duality.smash.algebra.unit) == want
+    assert s1_duality.phi.apply(s1_duality.smash.algebra.unit) == want
 
 
 def test_s1_rank_against_sympy(s1_duality):
@@ -54,7 +54,7 @@ def test_s1_rank_against_sympy(s1_duality):
 def test_s1_kernel_span(s1_duality, s1_smash, s1_skew):
     e_bad = s1_skew.inject(0, {1: 1})
     expected = _smash_vec(s1_smash, e_bad, 1)
-    assert list(s1_duality.kernel._rows.values()) == [expected]
+    assert list(s1_duality.kernel.basis) == [expected]
     assert kernel_formula_subspace(s1_smash) == s1_duality.kernel
 
 
@@ -124,10 +124,10 @@ def test_cross_products_zero_names_first_pair(s1_duality):
     B = d.smash.algebra
     expected = next(
         text
-        for i, v in enumerate(d.ideal._rows.values())
-        for j, w in enumerate(d.ideal._rows.values())
-        for text, prod in ((f"ideal[{i}]*kernel[{j}] is nonzero", B._mul_sparse(v, w)),
-                           (f"kernel[{j}]*ideal[{i}] is nonzero", B._mul_sparse(w, v)))
+        for i, v in enumerate(d.ideal.basis)
+        for j, w in enumerate(d.ideal.basis)
+        for text, prod in ((f"ideal[{i}]*kernel[{j}] is nonzero", B.mul(v, w)),
+                           (f"kernel[{j}]*ideal[{i}] is nonzero", B.mul(w, v)))
         if prod)
     results = {c.name: c for c in decomposition_report(bad)}
     cross = results["duality.cross_products_zero"]
@@ -135,8 +135,50 @@ def test_cross_products_zero_names_first_pair(s1_duality):
     assert cross.witnesses == [expected]
 
 
+@pytest.fixture(scope="module")
+def z3_duality(z3_action):
+    return build_duality(build_smash(build_skew(z3_action)))
+
+
+def _direct_sum_with_ideal(d, ideal):
+    """The ``duality.direct_sum`` check of d with its ideal replaced."""
+    bent = DualityData(d.smash, d.mat, d.phi, d.corner_idempotent, d.kernel,
+                       d.image, ideal)
+    return next(c for c in decomposition_report(bent) if c.name == "duality.direct_sum")
+
+
+def test_direct_sum_names_the_kernel_vector_an_enlarged_ideal_meets(z3_duality):
+    # the ideal plus the last kernel row meets the kernel in that row alone,
+    # so no earlier kernel vector lies in the ideal plus the ones before it
+    d = z3_duality
+    B = d.smash.algebra
+    last = d.kernel.dim - 1
+    ideal = d.ideal + Subspace.span(B.field, B.dim, [d.kernel.basis[last]])
+    assert intersect(ideal, d.kernel).dim == 1
+    got = _direct_sum_with_ideal(d, ideal)
+    assert got.status == "fail"
+    assert got.measured == {"intersection_dim": 1, "sum_dim": B.dim, "dim": B.dim}
+    assert got.witnesses == [f"kernel[{last}] lies in ideal + kernel[:{last}]"]
+
+
+def test_direct_sum_names_the_first_label_a_shrunken_ideal_misses(z3_duality):
+    # the ideal without its first echelon row: the sum is direct but one
+    # short of the smash, and the first basis vector that raises the dense
+    # rank of ideal + kernel is the witness
+    d = z3_duality
+    B = d.smash.algebra
+    ideal = Subspace.span(B.field, B.dim, d.ideal.basis[1:])
+    rows = [dense(v, B.dim) for v in ideal.basis + d.kernel.basis]
+    first = next(b for b in range(B.dim)
+                 if span_of(B.field, B.dim, rows + [unit_vector(B.dim, b)]).dim > len(rows))
+    got = _direct_sum_with_ideal(d, ideal)
+    assert got.status == "fail"
+    assert got.measured == {"intersection_dim": 0, "sum_dim": B.dim - 1, "dim": B.dim}
+    assert got.witnesses == [f"{B.labels[first]} lies outside ideal + kernel"]
+
+
 def _two_sided(algebra, subspace):
-    left = [algebra.multiples(r) for r in subspace._rows.values()]
+    left = [algebra.multiples(r) for r in subspace.basis]
     return _is_two_sided_ideal(algebra, subspace, left)
 
 
@@ -146,14 +188,12 @@ def test_two_sided_ideal_check_on_a_left_ideal(field):
     # one: E11·E12 = E12 escapes, first at b = E12 on the right
     m2 = matrix_algebra(field_algebra(field), 2)
     one = {0: field.one}
-    column = Subspace.from_sparse(field, 4, [place(m2, 0, 0, one),
-                                             place(m2, 1, 0, one)])
+    column = Subspace.span(field, 4, [place(m2, 0, 0, one), place(m2, 1, 0, one)])
     assert _two_sided(m2, column) == (
         False, "right multiple of E[0,1]*1 escapes")
-    row = Subspace.from_sparse(field, 4, [place(m2, 0, 0, one),
-                                          place(m2, 0, 1, one)])
+    row = Subspace.span(field, 4, [place(m2, 0, 0, one), place(m2, 0, 1, one)])
     assert _two_sided(m2, row) == (
         False, "left multiple of E[1,0]*1 escapes")
-    full = Subspace.from_sparse(field, 4, identity(4))
+    full = Subspace.span(field, 4, identity(4))
     assert _two_sided(m2, full) == (True, "")
-    assert _two_sided(m2, Subspace.zero(field, 4)) == (True, "")
+    assert _two_sided(m2, Subspace(field, 4, {})) == (True, "")

@@ -1,6 +1,6 @@
 """The factored product kernels against the table routes they replace.
 
-* ``TensorAlgebra._mul_sparse`` multiplies through its factors; it must
+* ``TensorAlgebra.mul`` multiplies through its factors; it must
   equal the plain sparse product over the tensor's own table, which is
   built from the factors' rows on its first read.
 * ``algebras.smash_algebra`` indexes its action table by y, keeping only
@@ -96,7 +96,7 @@ def _table_product(alg, x, y):
 @given(_tensor_instances())
 def test_factored_tensor_product_matches_table_route(inst):
     t, x, y = inst
-    got = t._mul_sparse(x, y)
+    got = t.mul(x, y)
     # the product went through the factors: no table was built, nested or not
     assert not any("products" in vars(alg) for alg in (t, t.tensor_factors[1])
                    if isinstance(alg, TensorAlgebra))

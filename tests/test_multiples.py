@@ -66,7 +66,7 @@ def _layers(name, token):
     return [(pa.algebra, [pa.algebra.unit, *pa.idempotents]),
             (skew.algebra, [skew.algebra.unit, *at_e]),
             (smash.algebra, [smash.algebra.unit,
-                             *map(smash.embed_skew_map.apply_sparse, at_e)])]
+                             *map(smash.embed_skew_map.apply, at_e)])]
 
 
 @pytest.mark.parametrize("token", FIELDS)

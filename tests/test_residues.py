@@ -78,7 +78,7 @@ def test_product_kernels_match_wrapper_route(inst):
     p = field.p
     alg = StructureAlgebra(field, mapping_rows(table), None)
     want = _oracle_mul(field, table, x, y)
-    got = alg._mul_sparse(_sparse(x), _sparse(y))
+    got = alg.mul(_sparse(x), _sparse(y))
     assert got == _sparse(want) and _residues(got.values(), p)
 
 
@@ -97,13 +97,13 @@ def test_linear_kernels_match_wrapper_route(inst):
 
 def test_kernel_of_a_non_canonical_system():
     # 5 is 0 in F_5, so the one equation is x_1 = 0
-    kernel = Subspace.kernel_from_sparse(GF(5), 2, [{0: 5, 1: 1}])
-    assert list(kernel._rows.values()) == [{0: 1}]
+    kernel = Subspace.kernel(GF(5), 2, [{0: 5, 1: 1}])
+    assert list(kernel.basis) == [{0: 1}]
 
 
 def test_spans_of_non_canonical_vectors_are_residues():
-    assert list(Subspace.from_sparse(GF(5), 2, [{0: 5, 1: 6}])._rows.values()) == [{1: 1}]
-    assert (list(Subspace.from_sparse(GF(5), 2, [{0: 10, 1: 3}, {0: -1}])._rows.values())
+    assert list(Subspace.span(GF(5), 2, [{0: 5, 1: 6}]).basis) == [{1: 1}]
+    assert (list(Subspace.span(GF(5), 2, [{0: 10, 1: 3}, {0: -1}]).basis)
             == [{0: 1}, {1: 1}])
 
 

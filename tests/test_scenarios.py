@@ -89,7 +89,7 @@ def test_rational_scalars_are_int_or_fraction(name):
     scalars = [v for a in algebras for row in a.products for cell in row.values()
                for _, v in cell]
     scalars += [x for a in algebras for x in a.unit.values()]
-    scalars += [x for sp in subspaces for v in sp._rows.values() for x in v.values()]
+    scalars += [x for sp in subspaces for v in sp.basis for x in v.values()]
     assert scalars
     assert {type(x) for x in scalars} <= {int, Fraction}
 

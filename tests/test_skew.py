@@ -41,7 +41,7 @@ def test_s1_dimensions_and_basis(s1_skew):
 
 def test_s1_products(s1_skew):
     alg = s1_skew.algebra
-    mul = alg._mul_sparse
+    mul = alg.mul
     g_gen = s1_skew.inject(1, {0: 1})       # (1,0) in the g component
     e0 = s1_skew.inject(0, {0: 1})
     e1 = s1_skew.inject(0, {1: 1})
@@ -57,6 +57,18 @@ def test_s1_products(s1_skew):
 def test_grading_checks(s1_skew):
     results = grading_report(s1_skew)
     assert all(c.status == "pass" for c in results)
+
+
+def test_grading_direct_sum_names_a_repeated_component(z3_action):
+    # a fresh ring whose D_g1 is replaced by D_e: the component at g1 meets
+    # the sum before it, and the sum stops at dim D_e + the remaining D_g
+    skew = build_skew(z3_action)
+    skew.components[1] = skew.components[0]
+    got = next(c for c in grading_report(skew) if c.name == "grading.direct_sum")
+    assert got.status == "fail"
+    assert got.witnesses == [skew.group.label(1)]
+    others = sum(c.dim for c in skew.components[2:])
+    assert got.measured == {"total_dim": skew.components[0].dim + others, "dim": skew.dim}
 
 
 def test_strong_grading_partial(s1_skew):
@@ -105,7 +117,7 @@ def test_grade_round_trip(s1_skew):
 def test_layout_follows_the_echelon_bases(source, field):
     # index j is the j-th echelon row of the D_g taken in group order
     skew = _skew(source, field)
-    bases = [list(ideal._rows.values()) for ideal in skew.action.ideals]
+    bases = [list(ideal.basis) for ideal in skew.action.ideals]
     assert skew.offsets == [sum(map(len, bases[:g])) for g in range(len(bases))]
     assert skew.grades == tuple(g for g, basis in enumerate(bases) for _ in basis)
     assert skew.vectors == tuple(v for basis in bases for v in basis)
@@ -124,7 +136,7 @@ def test_inject_reads_each_component_off_its_pivots(source, field):
         assert skew.inject(g, v) == {j: one}
     rng = random.Random(f"{source.name} {field}")
     for g, ideal in enumerate(skew.action.ideals):
-        rows = list(ideal._rows.values())
+        rows = list(ideal.basis)
         # a random element of D_g, formed densely from chosen coefficients,
         # goes to those coefficients placed from offsets[g] on
         for _ in range(3):
@@ -137,7 +149,7 @@ def test_inject_reads_each_component_off_its_pivots(source, field):
             assert skew.inject(g, a) == {skew.offsets[g] + i: c
                                          for i, c in enumerate(coeffs) if c}
         # a basis vector of A outside D_g, alone or added to a row, is refused
-        outside = [t for t in range(alg.dim) if not ideal.contains_sparse({t: one})]
+        outside = [t for t in range(alg.dim) if {t: one} not in ideal]
         assert bool(outside) == (ideal.dim < alg.dim)
         for t in outside:
             assert skew.inject(g, {t: one}) is None
@@ -162,7 +174,7 @@ def test_strong_iff_global_names_the_short_product(monkeypatch, pair, labels):
     def planted(skew, g, h, span):
         if (g, h) != pair:
             return span
-        return Subspace.from_sparse(skew.algebra.field, skew.dim, [])
+        return Subspace.span(skew.algebra.field, skew.dim, [])
 
     _planted_product_span(monkeypatch, planted)
     report = run_scenario(fixture_path("global_z2_swap.json"), suites=["grading"])

@@ -73,7 +73,7 @@ SOURCES = tuple(bundled_fixtures()) + tuple(sorted(INLINE))
 def _left(algebra, subspace):
     """The left multiples of each echelon row of subspace, in order, as
     ``decomposition_report`` passes them to the two-sided test."""
-    return [algebra.multiples(r) for r in subspace._rows.values()]
+    return [algebra.multiples(r) for r in subspace.basis]
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +99,7 @@ def _sub(field, x, y):
 def _coords(space, vec):
     """The dense coordinates of a dense vector on the echelon basis of
     space, or None outside it."""
-    coords = space.sparse_coordinates(sparse(vec))
+    coords = space.coordinates(sparse(vec))
     return None if coords is None else dense(coords, space.dim)
 
 
@@ -120,7 +120,7 @@ def _full_center_basis(alg):
             for k, v in alg.products[j].get(i, ()):
                 row = rows[j * d + k]
                 row[i] = row.get(i, 0) - v
-    centre = Subspace.kernel_from_sparse(alg.field, d, rows)
+    centre = Subspace.kernel(alg.field, d, rows)
     units = [unit_vector(d, j) for j in range(d)]
     for v in basis_of(centre):
         for u in units:
@@ -141,14 +141,12 @@ def _own_products_two_sided(algebra, subspace):
     """The two-sided test with its own products, b-major, left first."""
     sparse = algebra.field.sparse
     prods = algebra.products
-    rows = [list(r.items()) for r in subspace._rows.values()]
+    rows = [list(r.items()) for r in subspace.basis]
     for b in range(algebra.dim):
         for r in rows:
-            if subspace._residual(_scaled_cells(
-                    sparse, ((x, prods[b].get(j, ())) for j, x in r))):
+            if _scaled_cells(sparse, ((x, prods[b].get(j, ())) for j, x in r)) not in subspace:
                 return False, f"left multiple of {algebra.labels[b]} escapes"
-            if subspace._residual(_scaled_cells(
-                    sparse, ((x, prods[i].get(b, ())) for i, x in r))):
+            if _scaled_cells(sparse, ((x, prods[i].get(b, ())) for i, x in r)) not in subspace:
                 return False, f"right multiple of {algebra.labels[b]} escapes"
     return True, ""
 
@@ -210,7 +208,7 @@ def _per_product_tally(d, left=None):
                        for t, c in enumerate(coords) if c}
             for l in range(grp.order):
                 b = smash.index(j, l)
-                true = (B._mul_sparse({b: alg.field.one}, sparse(v))
+                true = (B.mul({b: alg.field.one}, sparse(v))
                         if left is None else left[r].get(b, {}))
                 for name, cond in (("l=gh", l == grp.mul(g, h)),
                                    ("k=gh", k == grp.mul(g, h)),
@@ -335,7 +333,7 @@ def _dense_block_subspace(smash, multiplier):
                     raise InternalCheckFailed("block generator left its ideal")
                 vectors.append({smash.index(skew.offsets[g] + t, h): c
                                 for t, c in enumerate(coords) if c})
-    return Subspace.from_sparse(alg.field, smash.dim, vectors)
+    return Subspace.span(alg.field, smash.dim, vectors)
 
 
 def _dense_kernel_formula(smash):
@@ -363,7 +361,7 @@ def _dense_entrywise(pa, mat):
             for i in range(alg.dim):
                 v = multiply(alg, unit_vector(alg.dim, i), m)
                 vectors.append({mat.slot(r, s, t): x for t, x in enumerate(v) if x})
-    return Subspace.from_sparse(alg.field, mat.dim, vectors)
+    return Subspace.span(alg.field, mat.dim, vectors)
 
 
 def _dense_corner_idempotent(d):
@@ -391,9 +389,9 @@ def _dense_injectivity_argument(pa):
 
 def _pairwise_cross_witness(algebra, ideal, kernel):
     """One sparse product per (ideal row, kernel row) pair and side."""
-    mul = algebra._mul_sparse
-    ks = list(kernel._rows.values())
-    for i, sv in enumerate(ideal._rows.values()):
+    mul = algebra.mul
+    ks = list(kernel.basis)
+    for i, sv in enumerate(ideal.basis):
         for j, w in enumerate(ks):
             if mul(sv, w):
                 return f"ideal[{i}]*kernel[{j}] is nonzero"
@@ -442,8 +440,8 @@ def test_left_product_table_matches_own_products(name, field):
     assert (_is_two_sided_ideal(B, d.kernel, _left(B, d.kernel))
             == _own_products_two_sided(B, d.kernel))
     assert _delta_convention_tally(d, left) == _per_product_tally(d)
-    for r, row in zip(d.ideal._rows.values(), left):
-        assert all(row.get(b, {}) == B._mul_sparse({b: B.field.one}, r)
+    for r, row in zip(d.ideal.basis, left):
+        assert all(row.get(b, {}) == B.mul({b: B.field.one}, r)
                    for b in range(B.dim))
 
 
@@ -517,7 +515,7 @@ def test_tally_on_a_mixed_basis_of_the_ideal_matches_the_dense_route(name, field
                 mixed |= blocks[later[0]] != blocks[t]
                 v = [B.field.reduce(x + three * y) for x, y in zip(v, basis[later[0]])]
             rows.append(sparse(v))
-        assert Subspace.from_sparse(B.field, B.dim, rows) == d.ideal
+        assert Subspace.span(B.field, B.dim, rows) == d.ideal
         assert mixed == mix_blocks
         assert any(len(r) > 1 for r in rows)
         ideal = Subspace(B.field, B.dim, dict(enumerate(rows)))
@@ -598,7 +596,7 @@ def test_corner_spans_match_dense_routes(name, field):
     tampered = PartialAction(pa.group, alg, moved, pa.columns, pa.ideals)
     assert _entrywise_image(tampered, mat) == _dense_entrywise(tampered, mat)
     if d.image.dim != d.image.ambient:
-        b = next(b for b in range(mat.dim) if not d.image.contains_sparse({b: F.one}))
+        b = next(b for b in range(mat.dim) if {b: F.one} not in d.image)
         bent = {**d.corner_idempotent, b: F.one}
         assert _pierce_corner(mat, bent) == _dense_pierce(mat, bent) != d.image
 
@@ -713,7 +711,7 @@ def test_nonzero_cross_products_name_the_oracles_pair(name, field):
     # against itself and against spans of single basis vectors, both ways
     d = _duality(name, field)
     B = d.smash.algebra
-    singles = [Subspace.from_sparse(B.field, B.dim, [{b: B.field.one}])
+    singles = [Subspace.span(B.field, B.dim, [{b: B.field.one}])
                for b in range(0, B.dim, 1 + B.dim // 16)]
     pairs = [(d.ideal, d.ideal), (d.ideal, d.kernel), (d.kernel, d.ideal)]
     pairs += [(u, d.ideal) for u in singles] + [(d.ideal, u) for u in singles]
@@ -729,15 +727,15 @@ def test_nonzero_cross_products_name_the_oracles_pair(name, field):
 def test_subspace_that_is_not_an_ideal_names_the_oracles_failure(name, field):
     d = _duality(name, field)
     B = d.smash.algebra
-    rows = list(d.ideal._rows.values())
-    kernel = list(d.kernel._rows.values())
+    rows = list(d.ideal.basis)
+    kernel = list(d.kernel.basis)
     # the complement without one row, and with one row moved into the kernel
     candidates = [rows[:t] + rows[t + 1:] for t in range(len(rows))]
     candidates += [rows[:t] + [{**rows[t], **kernel[0]}] + rows[t + 1:]
                    for t in range(len(rows)) if not set(rows[t]) & set(kernel[0])]
     outcomes = []
     for vectors in candidates:
-        sub = Subspace.from_sparse(B.field, B.dim, vectors)
+        sub = Subspace.span(B.field, B.dim, vectors)
         got = _is_two_sided_ideal(B, sub, _left(B, sub))
         assert got == _own_products_two_sided(B, sub)
         outcomes.append(got[0])

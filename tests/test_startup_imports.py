@@ -204,17 +204,17 @@ def test_rationals_work_before_fractions_is_imported():
         "from partialskew.fields import QQ\n"
         "from partialskew.linalg import Subspace\n"
         "before = 'fractions' in sys.modules\n"
-        "span = Subspace.from_sparse(QQ, 2, [{0: 2, 1: 1}])\n"
+        "span = Subspace.span(QQ, 2, [{0: 2, 1: 1}])\n"
         "print(json.dumps([before, span.pivots,\n"
-        "                  [[type(v).__name__, str(v)] for v in span._rows[0].values()]]))"
+        "                  [[type(v).__name__, str(v)] for v in span.basis[0].values()]]))"
     ) == [False, [0], [["int", "1"], ["Fraction", "1/2"]]]
     # a pivot of -3 that divides its row is normalised in ``int``, and no
     # ``Fraction`` is made
     assert _fresh(
         "from partialskew.fields import QQ\n"
         "from partialskew.linalg import Subspace\n"
-        "span = Subspace.from_sparse(QQ, 3, [{0: -3, 1: -21, 2: 9}])\n"
-        "print(json.dumps([span._rows[0], 'fractions' in sys.modules]))"
+        "span = Subspace.span(QQ, 3, [{0: -3, 1: -21, 2: 9}])\n"
+        "print(json.dumps([span.basis[0], 'fractions' in sys.modules]))"
     ) == [{"0": 1, "1": 7, "2": -3}, False]
     # an inexact scalar over Q is refused without loading ``fractions``
     assert _fresh(

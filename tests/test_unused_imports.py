@@ -130,6 +130,28 @@ def test_detects_dead_public_members():
     assert dead_public_members([first, second]) == ["Public.dead_method", "dead"]
 
 
+def private_attribute_reads(source, names):
+    """The attributes among ``names`` that ``source`` reads, sorted."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in names})
+
+
+def test_detects_private_attribute_reads():
+    source = "span._rows.values()\nleft = span._residual\nother._rows = {}\n"
+    assert private_attribute_reads(source, {"_rows", "_residual", "_kept"}) == [
+        "_residual", "_rows"]
+
+
+def test_only_linalg_reads_the_echelon_form_of_a_subspace():
+    # other modules read a subspace through ``basis``, ``pivots``, ``in``
+    # and ``coordinates``, never its {pivot: row} dict or its reduction
+    paths = Path(partialskew.__file__).parent.glob("*.py")
+    reads = {p.name: private_attribute_reads(p.read_text(encoding="utf-8"),
+                                             {"_rows", "_residual"})
+             for p in sorted(paths) if p.name != "linalg.py"}
+    assert {name: attrs for name, attrs in reads.items() if attrs} == {}
+
+
 # The public members that no module of the package reads, kept as its API
 # for callers and the tests.  A helper that loses its last reader in the
 # package fails the test below until it is deleted or listed here.
