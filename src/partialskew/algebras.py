@@ -54,8 +54,7 @@ from collections.abc import Mapping
 from functools import cached_property
 
 from .errors import (AlgebraMismatch, FieldMismatch, InternalCheckFailed,
-                     NotAssociative, NotCentralIdempotent, UnitFails,
-                     ValidationError)
+                     NotAssociative, NotCentralIdempotent, UnitFails)
 from .fields import _rational_types
 from .linalg import Subspace, _transpose
 
@@ -535,8 +534,8 @@ def smash_algebra(a, b, comul, acted, unit):
     for one h), and each term walks only the nonempty cells of its row of B
     (one per row for k^G); a cell no term reaches, or whose terms cancel, is
     not emitted.  The sparse
-    rows are validated by ``make_algebra``; since every caller builds it
-    from validated data, a failure is internal.
+    rows are validated by ``make_algebra``, whose refusal is raised as is:
+    every caller builds from validated data, so a refusal is internal.
     """
     field = a.field
     sparse = field.sparse
@@ -595,10 +594,7 @@ def smash_algebra(a, b, comul, acted, unit):
                         row[base + j] = tuple(cell.items())
             products.append(row)
     labels = [f"{la}#{lb}" for la in a.labels for lb in b.labels]
-    try:
-        return make_algebra(field, products, unit, labels=labels)
-    except ValidationError as exc:
-        raise InternalCheckFailed(f"smash product: {exc}") from None
+    return make_algebra(field, products, unit, labels=labels)
 
 
 class AlgebraMap:

@@ -1,7 +1,8 @@
 """Command line interface: verify scenario files and run the bundled corpus.
 
 Exit codes: 0 all selected checks passed and every expectation matched,
-1 at least one check failed, 2 the input could not be parsed or validated.
+1 a check failed (a builder's refusal inside a suite is the failed check
+``<suite>.refused``), 2 the input could not be parsed or validated.
 """
 
 from __future__ import annotations

@@ -151,12 +151,27 @@ def corner_report(d):
     entrywise = _entrywise_image(pa, mat)
     pierce = _pierce_corner(mat, d.corner_idempotent)
     return [
-        check("duality.image_entrywise", d.image == entrywise,
-              {"image_dim": d.image.dim, "entrywise_dim": entrywise.dim}),
-        check("duality.image_pierce", d.image == pierce,
-              {"image_dim": d.image.dim, "pierce_dim": pierce.dim}),
+        _image_route_check("duality.image_entrywise", mat, d.image, entrywise,
+                           "entrywise"),
+        _image_route_check("duality.image_pierce", mat, d.image, pierce, "pierce"),
         check("duality.corner_idempotent", True, {"matrix_dim": mat.dim}),
     ]
+
+
+def _image_route_check(name, mat, image, route, route_name):
+    """φ's image against another route; a failure names the first echelon
+    row of the image outside the route, else the first one of the route
+    outside the image."""
+    measured = {"image_dim": image.dim, f"{route_name}_dim": route.dim}
+    if image == route:
+        return check(name, True, measured)
+    row = next((v for v in image.basis if v not in route), None)
+    if row is not None:
+        why = f"image row {mat.format_vec(row)} lies outside the {route_name} span"
+    else:
+        row = next(v for v in route.basis if v not in image)
+        why = f"{route_name} row {mat.format_vec(row)} lies outside the image"
+    return check(name, False, measured, [why])
 
 
 def _entrywise_image(pa, mat):

@@ -18,7 +18,9 @@ class InternalCheckFailed(RuntimeError):
     """A verification that should hold for every valid instance failed.
 
     This signals a bug in the tool (or falsified mathematics), never bad
-    user input.
+    user input.  Raised in a scenario suite, it is the failed check
+    ``<suite>.refused`` (exit 1), as is a ValidationError raised there: only
+    one raised while the document and its action are built is bad input.
     """
 
 

@@ -35,7 +35,8 @@ sub-checks of the partial smash; ``make_partial_hopf_action`` (axioms 1 and
 ``build_corner_maps`` and ``build_representations`` (φ multiplicative, λ
 unital) for ``hopf.corner_maps`` and ``opduality.idempotent``.  A partial
 Hopf action is kept only as the sparse columns ``acts[i][x]`` = b_i ▷ a_x,
-and the lift of a group action acts by α's own columns.
+and the lift of a group action acts by α's own columns.  A builder's
+refusal is raised, never caught here: the suite runner reports it.
 """
 
 from __future__ import annotations
@@ -713,32 +714,23 @@ def operator_duality_report(pha, ps, maps):
 
 def hopf_data_checks(h):
     """The hopf.axioms, hopf.dual_axioms and hopf.operator_reps checks of a
-    validated Hopf algebra, and λ from ``build_representations`` (None if
-    one fails).  Constructor-level failures are converted to failed checks
-    so a scenario report stays a report.  ``make_hopf`` inverted S (else it
-    raises ``AntipodeNotInvertible``), so ``antipode_rank`` states dim H.
+    validated Hopf algebra, and λ from ``build_representations``.  A refusal
+    of the dual's or λ's builder is raised, for the suite runner to report.
+    ``make_hopf`` inverted S (else it raises ``AntipodeNotInvertible``), so
+    ``antipode_rank`` states dim H.
     """
-    results = [check("hopf.axioms", True, {"dim": h.dim, "antipode_rank": h.dim})]
-    try:
-        dual = h.dual()
-        double = dual.dual()
-    except ValidationError as exc:
-        results.append(check("hopf.dual_axioms", False, {}, [str(exc)]))
-        return results, None
+    dual = h.dual()
+    double = dual.dual()
     differs = next((part for part, a, b in (
         ("products", double.algebra.products, h.algebra.products),
         ("comultiplication", double.comul, h.comul),
         ("counit", double.counit, h.counit),
         ("antipode", double.antipode, h.antipode)) if a != b), None)
-    results.append(check("hopf.dual_axioms", differs is None, {"dual_dim": dual.dim},
-                         [] if differs is None else [f"double dual differs in {differs}"]))
-    try:
-        lam = build_representations(h)
-    except InternalCheckFailed as exc:
-        results.append(check("hopf.operator_reps", False, {}, [str(exc)]))
-        return results, None
-    results.append(check("hopf.operator_reps", True, {"end_dim": h.dim * h.dim}))
-    return results, lam
+    lam = build_representations(h)
+    return [check("hopf.axioms", True, {"dim": h.dim, "antipode_rank": h.dim}),
+            check("hopf.dual_axioms", differs is None, {"dual_dim": dual.dim},
+                  [] if differs is None else [f"double dual differs in {differs}"]),
+            check("hopf.operator_reps", True, {"end_dim": h.dim * h.dim})], lam
 
 
 def hopf_lift_suite(pa, skew_ring):
@@ -748,37 +740,21 @@ def hopf_lift_suite(pa, skew_ring):
     ``build_corner_maps`` proved φ multiplicative, so its corner unit φ(1) is
     idempotent: ``hopf.corner_maps`` states it for the maps that builder made.
     """
-    try:
-        pha = lift_group_action(pa)
-    except ValidationError as exc:
-        return [check("hopf.partial_action_axioms", False, {}, [str(exc)])]
+    pha = lift_group_action(pa)
     h = pha.hopf
     results, lam = hopf_data_checks(h)
-    results.append(check("hopf.partial_action_axioms", True,
-                         {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}))
-    results.append(check("hopf.lift_matches_group_dot", True, {}))
-    results.extend(coaction_report(pha))
-    if lam is None:
-        return results
-    try:
-        maps = build_corner_maps(pha, lam)
-    except InternalCheckFailed as exc:
-        results.append(check("hopf.corner_maps", False, {}, [str(exc)]))
-        return results
-    results.append(check("hopf.corner_maps", True,
-                         {"target_dim": maps[0].codomain.dim, "corner_unit_idempotent": True}))
-
-    try:
-        ps = build_partial_smash(pha)
-        results.append(check("psmash.associative", True,
-                             {"ambient_dim": ps.ambient.dim, "sub_dim": ps.sub.dim}))
-    except InternalCheckFailed as exc:
-        results.append(check("psmash.associative", False, {}, [str(exc)]))
-        return results
-    results.extend(partial_smash_report(ps))
-    results.extend(smash_matches_skew_report(ps, skew_ring))
-    try:
-        results.extend(operator_duality_report(pha, ps, maps))
-    except InternalCheckFailed as exc:
-        results.append(check("opduality.multiplicative", False, {}, [str(exc)]))
-    return results
+    coaction = coaction_report(pha)
+    maps = build_corner_maps(pha, lam)
+    ps = build_partial_smash(pha)
+    return [*results,
+            check("hopf.partial_action_axioms", True,
+                  {"hopf_dim": h.dim, "algebra_dim": pha.algebra.dim}),
+            check("hopf.lift_matches_group_dot", True, {}),
+            *coaction,
+            check("hopf.corner_maps", True,
+                  {"target_dim": maps[0].codomain.dim, "corner_unit_idempotent": True}),
+            check("psmash.associative", True,
+                  {"ambient_dim": ps.ambient.dim, "sub_dim": ps.sub.dim}),
+            *partial_smash_report(ps),
+            *smash_matches_skew_report(ps, skew_ring),
+            *operator_duality_report(pha, ps, maps)]

@@ -21,7 +21,7 @@ from .actions import (global_action, make_partial_action, restrict_global,
                       trivial_from_split)
 from .algebras import (center_basis, direct_product, field_algebra,
                        make_algebra, product_of_fields)
-from .errors import ParseError, ValidationError
+from .errors import InternalCheckFailed, ParseError, ValidationError
 from .fields import parse_field
 from .groups import (check_labels, cyclic, direct_product as group_product,
                      make_group, symmetric)
@@ -372,6 +372,16 @@ def _explicit_hopf_checks(field, spec):
     yield results
 
 
+def _refusal_as_check(groups, name):
+    """The groups one runner yields, until a builder it calls refuses
+    (InternalCheckFailed, or a ValidationError past the input action): the
+    refusal is then one last group, the failed check ``name`` with its text."""
+    try:
+        yield from groups
+    except (InternalCheckFailed, ValidationError) as exc:
+        yield [check(name, False, {}, [str(exc)])]
+
+
 def run_scenario(source, suites=None, field_override=None):
     """Execute a scenario and return its Report.
 
@@ -379,7 +389,8 @@ def run_scenario(source, suites=None, field_override=None):
     scenario's action data fails an axiom; expectation mismatches and failed
     checks are recorded in the report, not raised.  The selected suites run
     once each, in table order; the checks of an explicit ``hopf`` block
-    follow them.
+    follow them.  A builder's refusal ends its suite with the failed check
+    ``<suite>.refused`` (``hopf.explicit_refused`` for the block).
     """
     doc = load_scenario(source) if not isinstance(source, dict) else dict(source)
     name = doc.get("name", "scenario")
@@ -393,9 +404,8 @@ def run_scenario(source, suites=None, field_override=None):
     expect = doc.get("expect", {})
     if not isinstance(expect, dict):
         raise ParseError("expect must be an object of measured values")
-    lift = doc.get("hopf_lift", False)
-    if not isinstance(lift, bool):
-        raise ParseError(f"hopf_lift must be true or false, got {lift!r}")
+    if "hopf_lift" in doc:
+        raise ParseError('hopf_lift is no longer read: list "hopf" in suites')
     if "hopf" in doc:
         for key in _HOPF_KEYS:
             _entry(doc["hopf"], key, "hopf")
@@ -408,10 +418,7 @@ def run_scenario(source, suites=None, field_override=None):
         raise ParseError("scenario is missing its 'action' entry")
     action = build_action(field, group, algebra, doc["action"])
 
-    selected = list(suites or doc.get("suites", SUITES))
-    # hopf_lift extends the document's suites; --suite overrides both
-    if not suites and lift:
-        selected.append("hopf")
+    selected = suites or doc.get("suites", SUITES)
     for s in selected:
         # a list or an object in "suites" is refused here, not by the dict
         if not isinstance(s, str) or s not in SUITES:
@@ -424,9 +431,11 @@ def run_scenario(source, suites=None, field_override=None):
         {"algebra_dimension": measured["algebra_dimension"],
          "ideal_dimensions": str(measured["ideal_dimensions"]),
          "group_order": group.order})])
-    runs = [runner(run) for s, (_, runner) in SUITES.items() if s in selected]
+    runs = [_refusal_as_check(runner(run), f"{s}.refused")
+            for s, (_, runner) in SUITES.items() if s in selected]
     if "hopf" in doc:
-        runs.append(_explicit_hopf_checks(field, doc["hopf"]))
+        runs.append(_refusal_as_check(_explicit_hopf_checks(field, doc["hopf"]),
+                                      "hopf.explicit_refused"))
     for groups in runs:
         # each group's wall time, the builds it triggers included, goes on
         # its first check (a text-only field)

@@ -148,48 +148,6 @@ def test_suite_selection(tmp_path, capsys):
     assert "skipp" in out
 
 
-def test_hopf_lift_flag(tmp_path, capsys):
-    doc = dict(S1_DOC)
-    doc.pop("expect")
-    doc["suites"] = ["lemma1"]
-    doc["hopf_lift"] = True
-    assert main(["verify", _write(tmp_path, doc)]) == 0
-    out = capsys.readouterr().out
-    assert "opduality.corner_membership" in out
-
-
-def test_suite_overrides_hopf_lift(tmp_path, capsys):
-    # --suite grading runs the same checks with or without hopf_lift
-    doc = dict(S1_DOC)
-    doc.pop("expect")
-    names = []
-    for lift in (False, True):
-        doc["hopf_lift"] = lift
-        assert main(["verify", _write(tmp_path, doc), "--suite", "grading",
-                     "--format", "structured"]) == 0
-        names.append([c.name for c in parse_structured(capsys.readouterr().out).checks])
-    assert names[0] == names[1]
-    assert "grading.direct_sum" in names[1]
-    assert not any(n.startswith(("hopf.", "coaction.", "psmash.", "opduality."))
-                   for n in names[1])
-
-
-@pytest.mark.parametrize("lift", ["false", "no", 1, 0, None, {"a": 1}, []])
-def test_non_boolean_hopf_lift_exits_two(tmp_path, capsys, lift):
-    # only a JSON boolean adds the hopf suite; anything else, truthy or
-    # not, is refused with its value, whatever --suite says
-    doc = dict(S1_DOC)
-    doc.pop("expect")
-    doc["suites"] = ["lemma1"]
-    doc["hopf_lift"] = lift
-    path = _write(tmp_path, doc)
-    for extra in ([], ["--suite", "grading"]):
-        assert main(["verify", path, *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: hopf_lift must be true or false, got {lift!r}\n"
-
-
 def test_exact_rational_strings(tmp_path):
     doc = {
         "name": "halves",
@@ -318,6 +276,10 @@ def _on_field(action):
                   hopf={k: v for k, v in HOPF_Z2.items() if k != key}),
        f"hopf is missing its {key!r} entry") for key in HOPF_Z2],
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf=[]), "hopf must be an object"),
+    # the removed hopf_lift key was "hopf" added to suites; it is refused
+    # with one line that says so, whatever its value
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf_lift=True),
+     'error: hopf_lift is no longer read: list "hopf" in suites\n'),
     (_on_field({"explicit": {"idempotents": [[1]]}}), "explicit is missing its 'beta'"),
     (_on_field({"explicit": {"beta": [[[1]]]}}),
      "explicit is missing its 'idempotents'"),

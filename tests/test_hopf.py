@@ -8,7 +8,7 @@ from partialskew import hopf
 from partialskew.algebras import StructureAlgebra, field_algebra, product_of_fields
 from partialskew.constructions import group_algebra
 from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
-                                InternalCheckFailed, ValidationError)
+                                InternalCheckFailed, NotAssociative, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
@@ -418,7 +418,7 @@ def test_nonassociative_partial_smash_names_witness(s1_action):
     # 2·I is not an algebra map, so the twisted product on A⊗H is not
     # associative; the action is built directly to skip its validation
     pha = _unchecked(s1_action, identity(2), to_columns([[2, 0], [0, 2]]))
-    with pytest.raises(InternalCheckFailed) as info:
+    with pytest.raises(NotAssociative) as info:
         build_partial_smash(pha)
     assert "not associative" in str(info.value)
     assert "(l_e0#g, l_e0#e, l_e0#e)" in str(info.value)

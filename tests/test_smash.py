@@ -3,7 +3,7 @@ import pytest
 from partialskew import smash
 from partialskew.actions import trivial_from_split
 from partialskew.algebras import AlgebraMap, StructureAlgebra, product_of_fields
-from partialskew.errors import InternalCheckFailed
+from partialskew.errors import InternalCheckFailed, NotAssociative
 from partialskew.fields import GF, QQ, parse_field
 from partialskew.groups import cyclic
 from partialskew.linalg import Subspace
@@ -90,10 +90,10 @@ def test_wrong_grade_fails_the_associativity_check(monkeypatch, s1_skew):
     # projection action is not a module-algebra action and the generic
     # smash product is not associative; make_algebra names the first triple
     monkeypatch.setattr(s1_skew, "grades", (1, *s1_skew.grades[1:]))
-    with pytest.raises(InternalCheckFailed) as err:
+    with pytest.raises(NotAssociative) as err:
         build_smash(s1_skew)
     assert str(err.value) == (
-        "smash product: algebra is not associative at triple "
+        "algebra is not associative at triple "
         "((1)*l_e0 at e#p_e, (1)*l_e0 at e#p_e, (1)*l_e0 at e#p_g)")
 
 

@@ -40,6 +40,7 @@ from functools import lru_cache
 
 import pytest
 
+import partialskew.duality as duality
 import partialskew.skew as skew_module
 from partialskew.actions import PartialAction
 from partialskew.algebras import (AlgebraMap, center_basis, field_algebra,
@@ -599,6 +600,51 @@ def test_corner_spans_match_dense_routes(name, field):
         b = next(b for b in range(mat.dim) if {b: F.one} not in d.image)
         bent = {**d.corner_idempotent, b: F.one}
         assert _pierce_corner(mat, bent) == _dense_pierce(mat, bent) != d.image
+
+
+def _corner_checks(d):
+    return {c.name: c for c in corner_report(d)}
+
+
+def test_entrywise_route_with_a_moved_idempotent_names_an_image_row(monkeypatch):
+    # s1: A = k×k on l_e0, r_e0, with 1_e = 1 and 1_g = l_e0, so the image
+    # is the corner of e = diag(1, l_e0): E[e,e]·A, E[e,g]·l_e0, E[g,e]·l_e0
+    # and E[g,g]·l_e0.  Planting 1_g = r_e0 in the entrywise route moves
+    # each l_e0 entry off the identity to r_e0: same dimension, 5, but the
+    # image row E[e,g]·l_e0 lies outside it (the rows E[e,e]·l_e0 and
+    # E[e,e]·r_e0 before it lie inside)
+    d = _duality("s1.json", "q")
+    idempotents = duality._idempotents
+
+    def moved(pa):
+        es, comps = idempotents(pa)
+        return [es[0], {1: 1}], comps
+
+    monkeypatch.setattr(duality, "_idempotents", moved)
+    checks = _corner_checks(d)
+    entrywise = checks["duality.image_entrywise"]
+    assert (entrywise.status, entrywise.measured) == (
+        "fail", {"image_dim": 5, "entrywise_dim": 5})
+    assert entrywise.witnesses == [
+        "image row (1)*E[e,g]*l_e0 lies outside the entrywise span"]
+    assert checks["duality.image_pierce"].status == "pass"
+
+
+def test_pierce_route_of_the_identity_names_a_route_row(monkeypatch):
+    # the corner of the identity, planted for e = diag(1, l_e0), is all of
+    # M_2(A): every image row lies in it, and its first echelon row outside
+    # the image is the unit vector E[e,g]·r_e0 (index 3; indices 0-2 are
+    # E[e,e]·l_e0, E[e,e]·r_e0 and E[e,g]·l_e0, all in the image)
+    d = _duality("s1.json", "q")
+    pierce_corner = duality._pierce_corner
+    identity = d.mat.unit
+    monkeypatch.setattr(duality, "_pierce_corner",
+                        lambda mat, e: pierce_corner(mat, identity))
+    checks = _corner_checks(d)
+    pierce = checks["duality.image_pierce"]
+    assert (pierce.status, pierce.measured) == ("fail", {"image_dim": 5, "pierce_dim": 8})
+    assert pierce.witnesses == ["pierce row (1)*E[e,g]*r_e0 lies outside the image"]
+    assert checks["duality.image_entrywise"].status == "pass"
 
 
 # -- tampered inputs -------------------------------------------------------
