@@ -636,14 +636,21 @@ class AlgebraMap:
         For each i one accumulator, keyed j·D + t (D = dim of the codomain),
         collects the coefficient of b_t in φ(b_i b_j) − φ(b_i)φ(b_j) for
         every j at once: the first side walks the nonempty cells of row i
-        of the domain, the second the codomain's product rows, for pairs of
-        nonzero columns only.  The cost is the nonzero product terms, not
-        d² products; the smallest failing j is the first failing pair of i.
+        of the domain; the second, for each coefficient x of φ(b_i) at b_r,
+        walks the nonempty cells b_r·b_s of codomain row r (b_s·b_r of
+        column r when ``anti``) against an index s → [(j, φ(b_j)[s])] of
+        the nonzero column entries.  The cost is the nonzero product terms,
+        not d² products; the smallest failing j is the first failing pair
+        of i.
         """
         dc = self.codomain.dim
         rows = self.codomain.products
+        by_col = self.codomain.nonempty_cells[1] if anti else None
         cols = [tuple(col.items()) for col in self.columns]
-        nonzero = [(j * dc, col) for j, col in enumerate(cols) if col]
+        at = [[] for _ in range(dc)]   # at[s]: (j·D, φ(b_j)[s]) over the nonzero entries
+        for j, col in enumerate(cols):
+            for s, y in col:
+                at[s].append((j * dc, y))
 
         def fill(acc, i):
             get = acc.get
@@ -654,15 +661,12 @@ class AlgebraMap:
                         key = base + t
                         acc[key] = get(key, 0) + v * x
             for r, x in cols[i]:
-                row_r = rows[r]
-                for base, col in nonzero:
-                    for s, y in col:
-                        cell = rows[s].get(r) if anti else row_r.get(s)
-                        if cell:
-                            c = x * y
-                            for t, v in cell:
-                                key = base + t
-                                acc[key] = get(key, 0) - c * v
+                for s, cell in (by_col[r] if anti else rows[r].items()):
+                    for base, y in at[s]:
+                        c = x * y
+                        for t, v in cell:
+                            key = base + t
+                            acc[key] = get(key, 0) - c * v
 
         return _first_residue(self.codomain.field, range(self.domain.dim), fill, dc)
 

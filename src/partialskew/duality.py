@@ -32,10 +32,14 @@ block subspaces, the entrywise image, the Pierce corner and the ideal's
 two-sided test read the products of an element with every basis vector
 from ``StructureAlgebra.multiples``; the left multiples of the
 complementary ideal's echelon rows are formed once, for the two-sided test
-and the Kronecker tally.  The cross products of ideal and kernel keep one
-accumulator per ideal row.  The corner idempotent, the map φ and its
-composite with the embedding of the twisted ring are formed from sparse
-products and columns, an element of D_g placed by ``skew.inject``.
+and the Kronecker tally.  The tally's predictions b_j·x, for an ideal row
+x#p_h, are read off the twisted ring's own table, whose cells
+``build_skew`` formed and placed in their graded components; it visits
+only the j where a prediction or a true product is nonzero.  The cross
+products of ideal and kernel keep one accumulator per ideal row.  The
+corner idempotent, the map φ and its composite with the embedding of the
+twisted ring are formed from sparse products and columns, an element of
+D_g placed by ``skew.inject``.
 """
 
 from __future__ import annotations
@@ -280,23 +284,32 @@ def _direct_sum_witness(algebra, ideal, kernel, total):
 def _delta_convention_tally(d, left):
     """Which printed Kronecker condition reproduces the true left product of
     the complementary ideal by basis elements: l = gh (the product rule),
-    k = gh, or h = kl.  The true products b·v are read from ``left``, the
-    left multiples of each sparse echelon row v of the ideal; v gives its
-    block (g, h) and A-coordinates directly.
+    k = gh, or h = kl; and where the product rule first fails.  The true
+    products b·v are read from ``left``, the left multiples of each sparse
+    echelon row v of the ideal.  A row v = x#p_h in one block (g, h)
+    predicts b_j#p_l · v from b_j·x, read off the twisted ring's own table
+    (``skew.algebra.multiples(x)``): ``build_skew`` formed each cell as
+    y·α_k(a), for b_j = y at k, and placed it in D_kg.
 
-    For each (v, j) only l = gh, l = k⁻¹h and the l with a nonzero product
-    are compared: at every other l the true product and the l = gh and
-    h = kl predictions are all empty, so one such l decides k = gh."""
+    Only the j where b_j·x or some b_j#p_l·v is nonzero are visited: at
+    every other j the true product and all three predictions are empty.
+    For each visited j only l = gh, l = k⁻¹h and the l with a nonzero
+    product are compared: at every other l the true product and the l = gh
+    and h = kl predictions are all empty, so one such l decides k = gh.
+
+    Returns (conventions, first): ``first`` is None when l = gh holds, else
+    (t, b) for the first homogeneous echelon row t and the least smash index
+    b = b_j#p_l at which its true product differs from the l = gh
+    prediction."""
     smash = d.smash
     skew = smash.skew
-    pa = skew.action
-    alg, grp = pa.algebra, pa.group
-    sparse, mul = alg.field.sparse, alg._mul_acc
+    grp = skew.group
     n = grp.order
-    grades, vectors = skew.grades, skew.vectors
+    grades = skew.grades
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
+    first = None
     none = {}
-    for v, products in zip(d.ideal.basis, left):
+    for t, (v, products) in enumerate(zip(d.ideal.basis, left)):
         blocks = {(grades[j], h) for j, h in map(smash.parts, v)}
         if len(blocks) != 1:
             continue
@@ -306,18 +319,12 @@ def _delta_convention_tally(d, left):
             j, l = smash.parts(b)
             reached.setdefault(j, set()).add(l)
         gh = grp.mul(g, h)
-        # the A-coordinates a of v, then k ▷ a for every k
-        a_part = _image(vectors, ((idx // n, c) for idx, c in v.items()))
-        moved = [sparse(_image(pa.columns[k], a_part.items())) for k in range(n)]
-        # the payload y·(k ▷ a) depends on the skew index j alone, so it is
-        # formed once per j and compared at the dual indices l that can
-        # differ; h = kl holds exactly at l = k^{-1}h
-        for j, (k, y) in enumerate(zip(grades, vectors)):
-            kg = grp.mul(k, g)
-            placed = skew.inject(kg, sparse(mul(y, moved[k])))
-            if placed is None:
-                raise InternalCheckFailed("ideal product left its graded block")
-            payload = {smash.index(i, h): c for i, c in placed.items()}
+        by_j = skew.algebra.multiples({idx // n: c for idx, c in v.items()})
+        # the payload b_j·x at dual index h is compared at the dual indices
+        # l that can differ; h = kl holds exactly at l = k^{-1}h
+        for j in by_j.keys() | reached.keys():
+            k = grades[j]
+            payload = {smash.index(i, h): c for i, c in by_j.get(j, none).items()}
             at_k = payload if k == gh else none
             kinv_h = grp.mul(grp.inv(k), h)
             base = smash.index(j, 0)
@@ -328,11 +335,13 @@ def _delta_convention_tally(d, left):
                 true = products.get(base + l, none)
                 if true != (payload if l == gh else none):
                     conventions["l=gh"] = False
+                    if first is None or first[0] == t and base + l < first[1]:
+                        first = (t, base + l)
                 if true != at_k:
                     conventions["k=gh"] = False
                 if true != (payload if l == kinv_h else none):
                     conventions["h=kl"] = False
-    return conventions
+    return conventions, first
 
 
 def decomposition_report(d):
@@ -371,9 +380,12 @@ def decomposition_report(d):
     results.append(check("duality.cross_products_zero", cross is None, {},
                          [cross] if cross else []))
 
-    conv = _delta_convention_tally(d, left)
-    results.append(check("duality.ideal_product_delta", conv["l=gh"],
-                         {f"matches[{k}]": v for k, v in sorted(conv.items())}))
+    conv, first = _delta_convention_tally(d, left)
+    results.append(check("duality.ideal_product_delta", first is None,
+                         {f"matches[{k}]": v for k, v in sorted(conv.items())},
+                         [] if first is None else
+                         [f"{B.labels[first[1]]} times ideal[{first[0]}] differs "
+                          f"from the l=gh prediction"]))
     return results
 
 

@@ -7,7 +7,10 @@ comultiplication triples (k, l, v), the counit as a sparse vector
 ``{row: scalar}``; ``make_hopf`` proves
 coassociativity, the counit laws, that coproduct and counit are algebra
 maps, and the antipode identity, on every basis element, and inverts S.
-The dual swaps the two sets of constants and transposes S.  ``HopfData``
+The dual swaps the two sets of constants and transposes S: one helper,
+``_transposed``, makes those tables, for ``HopfData.dual``, which proves the
+dual's axioms, and for the double dual, which ``hopf_data_checks`` only
+compares with H part by part.  ``HopfData``
 reads Δ(b_i) as a vector of H⊗H and the hit actions p_m ⇀ b_i and
 b_i ↼ p_m off the triples once; every later use reads them.  A map on the
 last tensor leg is ``_on_leg``/``_add_on_leg``.  Each identity that
@@ -33,7 +36,11 @@ a report on that object states it: ``make_hopf`` for ``antipode_rank`` of
 sub-checks of the partial smash; ``make_partial_hopf_action`` (axioms 1 and
 2) for ``coaction.multiplicative`` and ``coaction.counit``;
 ``build_corner_maps`` and ``build_representations`` (φ multiplicative, λ
-unital) for ``hopf.corner_maps`` and ``opduality.idempotent``.  A partial
+unital) for ``hopf.corner_maps`` and ``opduality.idempotent``; and
+``make_hopf`` or ``group_hopf`` for the axioms of the double dual, which
+``hopf.dual_axioms`` finds equal to H and does not prove again.  The
+operators λ(b_i#p_j) and ρ(p_j#b_i) are read off the products of each
+p_j ⇀ b_x and b_x ↼ p_j with every basis vector.  A partial
 Hopf action is kept only as the sparse columns ``acts[i][x]`` = b_i ▷ a_x,
 and the lift of a group action acts by α's own columns.  A builder's
 refusal is raised, never caught here: the suite runner reports it.
@@ -80,9 +87,10 @@ class HopfData:
         return self.algebra.dim
 
     def dual(self):
-        """The dual Hopf algebra on the dual basis (memoized)."""
+        """The dual Hopf algebra on the dual basis (memoized), its tables
+        from ``_transposed`` and its axioms proved by ``_checked_hopf``."""
         if self._dual is None:
-            self._dual = _build_dual(self)
+            self._dual = _checked_hopf(*_transposed(self))
         return self._dual
 
 
@@ -172,22 +180,25 @@ def _checked_hopf(algebra, comul, counit, antipode):
     return h
 
 
-def _build_dual(h):
+def _transposed(h):
+    """The tables of the dual of ``h`` on the dual basis, as (algebra,
+    comultiplication, counit, antipode): the product is the transposed
+    comultiplication, validated by ``make_algebra`` with the counit as its
+    unit; the comultiplication is the transposed product, the counit the
+    unit of H and the antipode the transpose of S."""
     field, d = h.algebra.field, h.dim
-    # the product of the dual is the transposed comultiplication, and back
     products = [{} for _ in range(d)]
     for i in range(d):
         for k, l, v in h.comul[i]:
             products[k].setdefault(l, []).append((i, v))
-    dual_alg = make_algebra(field, products, h.counit,
-                            labels=[f"p_{lab}" for lab in h.algebra.labels])
-    dual_comul = [[] for _ in range(d)]
+    algebra = make_algebra(field, products, h.counit,
+                           labels=[f"p_{lab}" for lab in h.algebra.labels])
+    comul = [[] for _ in range(d)]
     for k, row in enumerate(h.algebra.products):
         for l, cell in row.items():
             for i, v in cell:
-                dual_comul[i].append((k, l, v))
-    return _checked_hopf(dual_alg, tuple(map(tuple, dual_comul)), h.algebra.unit,
-                         _transpose(h.antipode, d))
+                comul[i].append((k, l, v))
+    return algebra, tuple(map(tuple, comul)), h.algebra.unit, _transpose(h.antipode, d)
 
 
 def group_hopf(field, group):
@@ -271,13 +282,16 @@ def _end_vec(op):
 
 def _basis_operators(h):
     """``lam[i][j]`` = λ(b_i#p_j): x ↦ b_i(p_j ⇀ x), and ``rho[j][i]`` =
-    ρ(p_j#b_i): x ↦ (x ↼ p_j)b_i, as sparse operators."""
-    d, one = h.dim, h.algebra.field.one
-    mul = h.algebra.mul
-    left, right = h.left_hits, h.right_hits
-    lam = [[[mul({i: one}, left[j][x]) for x in range(d)] for j in range(d)]
+    ρ(p_j#b_i): x ↦ (x ↼ p_j)b_i, as sparse operators, read off the
+    products of each p_j ⇀ b_x and b_x ↼ p_j with every basis vector
+    (``StructureAlgebra.multiples``): d² walks of each side."""
+    d, multiples = h.dim, h.algebra.multiples
+    # [j][x]: {i: b_i(p_j ⇀ b_x)} and {i: (b_x ↼ p_j)b_i}
+    by_left = [[multiples(hit) for hit in row] for row in h.left_hits]
+    by_right = [[multiples(hit, left=False) for hit in row] for row in h.right_hits]
+    lam = [[[by_left[j][x].get(i, {}) for x in range(d)] for j in range(d)]
            for i in range(d)]
-    rho = [[[mul(right[j][x], {i: one}) for x in range(d)] for i in range(d)]
+    rho = [[[by_right[j][x].get(i, {}) for x in range(d)] for i in range(d)]
            for j in range(d)]
     return lam, rho
 
@@ -717,15 +731,18 @@ def hopf_data_checks(h):
     validated Hopf algebra, and λ from ``build_representations``.  A refusal
     of the dual's or λ's builder is raised, for the suite runner to report.
     ``make_hopf`` inverted S (else it raises ``AntipodeNotInvertible``), so
-    ``antipode_rank`` states dim H.
+    ``antipode_rank`` states dim H.  The double dual's tables are transposed
+    from the dual's (its product validated by ``make_algebra``) and compared
+    with H part by part; equal to H, whose axioms ``make_hopf`` or
+    ``group_hopf`` proved, it satisfies them, so they are not proved again.
     """
     dual = h.dual()
-    double = dual.dual()
+    double, comul, counit, antipode = _transposed(dual)
     differs = next((part for part, a, b in (
-        ("products", double.algebra.products, h.algebra.products),
-        ("comultiplication", double.comul, h.comul),
-        ("counit", double.counit, h.counit),
-        ("antipode", double.antipode, h.antipode)) if a != b), None)
+        ("products", double.products, h.algebra.products),
+        ("comultiplication", comul, h.comul),
+        ("counit", counit, h.counit),
+        ("antipode", antipode, h.antipode)) if a != b), None)
     lam = build_representations(h)
     return [check("hopf.axioms", True, {"dim": h.dim, "antipode_rank": h.dim}),
             check("hopf.dual_axioms", differs is None, {"dual_dim": dual.dim},

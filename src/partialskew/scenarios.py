@@ -227,31 +227,49 @@ def load_scenario(path):
     return doc
 
 
+class _build(cached_property):
+    """A ``cached_property`` that caches a refusal too: a build that raised
+    InternalCheckFailed or ValidationError raises that exception again on
+    every later read, and is not run again."""
+
+    def __get__(self, run, owner=None):
+        if run is not None and self.attrname in run.refused:
+            raise run.refused[self.attrname]
+        try:
+            return super().__get__(run, owner)
+        except (InternalCheckFailed, ValidationError) as exc:
+            run.refused[self.attrname] = exc
+            raise
+
+
 class _ScenarioRun:
-    """Lazily builds the derived structures a suite needs, and records in
-    ``measured`` the dimensions of what it builds, so a key is measured
-    exactly when its build ran; the duality layer and the matrix algebra's
-    module are imported by the first build that needs them."""
+    """Lazily builds the derived structures a suite needs, once each, and
+    records in ``measured`` the dimensions of what it builds, so a key is
+    measured exactly when its build ran; a build that refused is recorded in
+    ``refused`` and its refusal raised again to every later suite that reads
+    it.  The duality layer and the matrix algebra's module are imported by
+    the first build that needs them."""
 
     def __init__(self, action):
         self.action = action
+        self.refused = {}   # build name -> the exception it raised
         self.measured = {"algebra_dimension": action.algebra.dim,
                          "ideal_dimensions": [sp.dim for sp in action.ideals],
                          "global": action.is_global()}
 
-    @cached_property
+    @_build
     def skew(self):
         skew = build_skew(self.action)
         self.measured["skew_dimension"] = skew.dim
         return skew
 
-    @cached_property
+    @_build
     def smash(self):
         smash = build_smash(self.skew)
         self.measured["smash_dimension"] = smash.dim
         return smash
 
-    @cached_property
+    @_build
     def duality(self):
         from .duality import build_duality
         d = build_duality(self.smash)
@@ -260,7 +278,7 @@ class _ScenarioRun:
                              matrix_dimension=d.mat.dim)
         return d
 
-    @cached_property
+    @_build
     def matrix(self):
         if "duality" in self.__dict__:
             return self.duality.mat

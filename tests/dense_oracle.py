@@ -11,6 +11,8 @@ the two forms, and ``unit_vector``, ``multiply``, ``basis_of`` and
 ``span_of`` give the dense routes their vectors, products and subspaces.
 ``intersect`` is the Zassenhaus meet of two subspaces, by the same dense
 elimination; the library itself reads dim(U ∩ W) off the sum U + W.
+``first_nonmultiplicative_pair`` tests a linear map between algebras one
+basis pair at a time, on dense vectors.
 """
 
 from fractions import Fraction
@@ -132,3 +134,33 @@ def kernel(field, m):
             v[c] = field.reduce(-rows[k][f])
         vectors.append(v)
     return Subspace.span(field, len(m[0]), vectors)
+
+
+def dense_product(alg, x, y):
+    """x·y for dense vectors x and y of the algebra alg, summed over every
+    pair of coordinates (r, s) against the cell b_r·b_s of its table."""
+    out = [0] * alg.dim
+    for r, xr in enumerate(x):
+        for s, ys in enumerate(y):
+            for t, v in alg.products[r].get(s, ()):
+                out[t] += xr * ys * v
+    return tuple(map(alg.field.reduce, out))
+
+
+def first_nonmultiplicative_pair(domain, codomain, columns, anti=False):
+    """The first basis pair (i, j), in lexicographic order, at which the
+    linear map with sparse ``columns`` sends b_i·b_j to something other
+    than φ(b_i)φ(b_j), or φ(b_j)φ(b_i) when ``anti``; None when there is
+    none.  Each pair is tested on its own, through the dense matrix of the
+    map and ``dense_product``."""
+    field, d = codomain.field, domain.dim
+    m = to_rows(columns, codomain.dim)
+    units = [unit_vector(d, i) for i in range(d)]
+    images = [apply(field, m, u) for u in units]
+    for i in range(d):
+        for j in range(d):
+            x, y = (images[j], images[i]) if anti else (images[i], images[j])
+            if apply(field, m, dense_product(domain, units[i], units[j])) != \
+                    dense_product(codomain, x, y):
+                return i, j
+    return None

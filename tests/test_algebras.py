@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,8 @@ from partialskew.groups import cyclic, symmetric
 from partialskew.linalg import Subspace
 
 from corpus_helpers import dense_rows, map_matrix, mapping_rows, place
-from dense_oracle import apply, dense, identity, to_columns
+from dense_oracle import (apply, dense, first_nonmultiplicative_pair, identity,
+                          to_columns)
 from fp_oracle import unwrap, wrap
 
 
@@ -511,6 +514,48 @@ def test_multiplicativity_witness_names_first_pair():
     assert (kk.labels[i], kk.labels[j]) == ("e0", "e0")
     ident = AlgebraMap(kk, kk, identity(2))
     assert ident._multiplicativity_witness() is None
+
+
+def _monomial_map(field, n, size, perm, scale, anti):
+    """The sparse columns of M_n(k) → M_size(k), n ≤ size, that sends E_rs
+    to c_{σr}/c_{σs}·E_{σr,σs}, an embedding into a corner followed by
+    conjugation by the monomial matrix of σ = ``perm`` and c = ``scale``;
+    when ``anti`` it is transposed, to c_{σr}/c_{σs}·E_{σs,σr}, an
+    anti-homomorphism."""
+    p = field.characteristic
+    cols = []
+    for r in range(n):
+        for s in range(n):
+            a, b = perm[r], perm[s]
+            c = scale[a] * pow(scale[b], -1, p) if p else Fraction(scale[a], scale[b])
+            cols.append({(b * size + a) if anti else (a * size + b): c})
+    return cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 3), st.integers(0, 1),
+       st.booleans(), st.randoms(use_true_random=False),
+       st.none() | st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(1, 4)))
+def test_indexed_multiplicativity_walk_matches_the_per_pair_oracle(
+        field, n, extra, anti, rng, fault):
+    # a monomial (anti-)homomorphism M_n(k) → M_{n+extra}(k), with at most
+    # one column changed in one entry: the walk over the nonempty cells of
+    # the codomain names the oracle's first failing pair, both ways
+    size = n + extra
+    dom = matrix_algebra(field_algebra(field), n)
+    cod = matrix_algebra(field_algebra(field), size)
+    perm = rng.sample(range(size), size)
+    scale = [rng.choice([1, 2, 3, 4]) for _ in range(size)]
+    cols = _monomial_map(field, n, size, perm, scale, anti)
+    if fault is not None:
+        j, t, c = fault[0] % dom.dim, fault[1] % cod.dim, fault[2]
+        cols[j] = {**cols[j], t: cols[j].get(t, 0) + c}
+    phi = AlgebraMap(dom, cod, cols)
+    for side in (anti, not anti):
+        walk = phi._multiplicativity_witness(anti=side)
+        assert walk == first_nonmultiplicative_pair(dom, cod, phi.columns, side)
+        if side == anti and fault is None:
+            assert walk is None
 
 
 def test_map_columns_are_checked_against_both_dimensions():

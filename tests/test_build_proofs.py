@@ -20,6 +20,9 @@ Eight more checks restate a proof: ``grading.components_multiply``
 S), ``coaction.multiplicative`` (axiom 1 of ``make_partial_hopf_action``)
 and the ``counit``, ``coassociative`` and ``unit_acts`` sub-checks of the
 partial smash (the right counit law and coassociativity in ``make_hopf``).
+``hopf.dual_axioms`` transposes the dual's tables once more and compares
+them with H, whose axioms ``group_hopf`` or ``make_hopf`` proved: the
+double dual's own axioms are not proved again.
 
 Here the reports are shown to run none of those proofs, and each builder
 to refuse an object that fails its proof, with its own message.
@@ -329,6 +332,45 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
         PartialSmash(_counit_doubled(pha), ps.ambient, ps.sub, ps.unit_vec,
                      ps.unit_multiples))}
     assert psmash == {k: c for k, c in expected.items() if k.startswith("psmash.")}
+
+
+def _legs_swapped(h):
+    """``h`` with the legs of its product and of its comultiplication
+    swapped: the opposite algebra with the co-opposite coalgebra."""
+    alg = h.algebra
+    op = [{} for _ in range(h.dim)]
+    for i, row in enumerate(alg.products):
+        for j, cell in row.items():
+            op[j][i] = cell
+    return HopfData(StructureAlgebra(alg.field, op, alg.unit, alg.labels),
+                    tuple(tuple(sorted((l, k, v) for k, l, v in row)) for row in h.comul),
+                    h.counit, h.antipode, h.antipode_inv)
+
+
+@pytest.mark.parametrize("of_dual, part", [(False, "products"), (True, "comultiplication")],
+                         ids=["kS3", "k^S3"])
+def test_the_double_dual_is_compared_with_h_not_re_proved(of_dual, part, monkeypatch):
+    # hopf_data_checks transposes the dual's tables once more and compares
+    # them with H, whose axioms group_hopf (or make_hopf) proved, so it runs
+    # no Hopf axiom check on the double dual; a transposition of the dual
+    # that swaps the legs of its tables makes hopf.dual_axioms name the
+    # part of H it breaks: the product of k[S3], the coproduct of k^S3
+    h = group_hopf(QQ, symmetric(3))
+    if of_dual:
+        h = h.dual()
+    dual = h.dual()
+    expected = hopf_data_checks(h)[0]
+    assert all(c.status == "pass" for c in expected)
+    monkeypatch.setattr(hopf, "_checked_hopf", _refuse("_checked_hopf"))
+    assert hopf_data_checks(h)[0] == expected
+
+    transposed = hopf._transposed
+    monkeypatch.setattr(hopf, "_transposed", lambda x: transposed(
+        _legs_swapped(x) if x is dual else x))
+    results = {c.name: c for c in hopf_data_checks(h)[0]}
+    assert results["hopf.dual_axioms"].status == "fail"
+    assert results["hopf.dual_axioms"].witnesses == [f"double dual differs in {part}"]
+    assert results["hopf.operator_reps"].status == "pass"
 
 
 @pytest.mark.parametrize("name", ["s1_action", "s3_action"])

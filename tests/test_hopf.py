@@ -321,10 +321,20 @@ def test_on_leg_matches_dense_reference():
     # a double dual that differs in two parts names the first of them
     ({0: 1, 1: 2}, "double dual differs in counit"),
 ])
-def test_dual_axioms_names_the_differing_part(counit, witness):
+def test_dual_axioms_names_the_differing_part(counit, witness, monkeypatch):
+    # the double dual's tables are transposed from the dual's: planted in
+    # that transposition, a counit and a swapped antipode
     h = group_hopf(QQ, cyclic(2))
+    dual = h.dual()
+    transposed = hopf._transposed
     swap = [{1: 1}, {0: 1}]
-    h.dual()._dual = HopfData(h.algebra, h.comul, counit, swap, swap)
+
+    def planted(x):
+        algebra, comul, x_counit, antipode = transposed(x)
+        return (algebra, comul, counit, swap) if x is dual else (
+            algebra, comul, x_counit, antipode)
+
+    monkeypatch.setattr(hopf, "_transposed", planted)
     checks, _ = hopf_data_checks(h)
     results = {c.name: c for c in checks}
     assert results["hopf.dual_axioms"].status == "fail"

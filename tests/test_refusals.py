@@ -93,6 +93,26 @@ def test_a_refused_twisted_ring_is_a_failed_check_not_bad_input(monkeypatch, cap
         "(enable the suite that computes it)"]
 
 
+def test_a_refused_build_runs_once(monkeypatch, capsys):
+    # the twisted ring is read by five suites; its refusal is cached beside
+    # the build and raised again to each, so make_algebra is called once and
+    # every suite still reports the one message
+    calls = []
+
+    def not_associative(*args, **kwargs):
+        calls.append(None)
+        raise NotAssociative("algebra", "x", "y", "z")
+
+    monkeypatch.setattr(skew_module, "make_algebra", not_associative)
+    code, report = _verify(capsys)
+    assert code == 1
+    assert len(calls) == 1
+    message = "algebra is not associative at triple (x, y, z)"
+    failed = {c.name: c.witnesses for c in report.checks
+              if c.status == "fail" and not c.name.startswith("expect.")}
+    assert failed == {f"{s}.refused": [message] for s in SUITES if s != "lemma1"}
+
+
 def test_a_refusal_in_the_explicit_hopf_block(monkeypatch, capsys, tmp_path):
     from test_cli import HOPF_Z2, _split_doc, _write
 

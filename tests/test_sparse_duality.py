@@ -7,10 +7,11 @@ they replaced.
 * ``StructureAlgebra.multiples`` forms b·r once per echelon row r for the
   two-sided test and the Kronecker tally (``_left``);
   ``_own_products_two_sided`` forms each product on its own, b-major.  The
-  tally reads the ideal's sparse echelon rows;
-  ``_per_product_tally`` finds each row's block with ``_block_of`` and its
-  A-coordinates with ``_project`` on the dense basis, and multiplies per
-  (v, j, l).
+  tally reads the ideal's sparse echelon rows and its predictions b_j·x off
+  the twisted ring's table; ``_per_product_tally`` finds each row's block
+  with ``_block_of`` and its A-coordinates with ``_project`` on the dense
+  basis, multiplies per (v, j, l) through α, and names the same first
+  failure of the l = gh rule.
 * ``build_duality`` checks φ multiplicative on every basis pair, which is
   the entry identity on every group triple (g, h, k);
   ``_per_k_entry_identity`` redoes all five dense images and both products
@@ -51,7 +52,7 @@ from partialskew.duality import (DualityData, _cross_product_witness,
                                  _is_two_sided_ideal,
                                  _pierce_corner, build_duality,
                                  complement_ideal_subspace, corner_report,
-                                 kernel_formula_subspace,
+                                 decomposition_report, kernel_formula_subspace,
                                  skew_injectivity_report)
 from partialskew.errors import InternalCheckFailed, ValidationError
 from partialskew.fields import parse_field
@@ -186,13 +187,16 @@ def _project(skew, coeffs, g):
 
 def _per_product_tally(d, left=None):
     """The Kronecker tally with one sparse product per (v, j, l), or, given
-    a left-product table, one lookup in it per (v, j, l)."""
+    a left-product table, one lookup in it per (v, j, l), and the first
+    (row, smash index) at which the l = gh prediction fails, in row order
+    and then index order (None when it never does)."""
     smash = d.smash
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
     B = smash.algebra
     conventions = {"l=gh": True, "k=gh": True, "h=kl": True}
+    first = None
     for r, v in enumerate(basis_of(d.ideal)):
         blk = _block_of(smash, v)
         if blk is None:
@@ -216,7 +220,9 @@ def _per_product_tally(d, left=None):
                                    ("h=kl", h == grp.mul(k, l))):
                     if true != (payload if cond else {}):
                         conventions[name] = False
-    return conventions
+                        if name == "l=gh" and first is None:
+                            first = (r, b)
+    return conventions, first
 
 
 def _per_k_entry_identity(pa):
@@ -489,9 +495,37 @@ def test_tally_of_reshaped_tables_matches_every_index(name):
         tallies[shape] = _delta_convention_tally(d, table)
         assert tallies[shape] == _per_product_tally(d, table), shape
     assert tallies["true"] == _per_product_tally(d)
-    assert tallies["h=kl"]["h=kl"] and tallies["k=gh"]["k=gh"]
+    assert tallies["h=kl"][0]["h=kl"] and tallies["k=gh"][0]["k=gh"]
     if grp.order > 2:
-        assert not tallies["k=gh at two"]["k=gh"]
+        assert not tallies["k=gh at two"][0]["k=gh"]
+
+
+@pytest.mark.parametrize("shape", ["empty", "h=kl"])
+@pytest.mark.parametrize("name", SOURCES)
+def test_a_reshaped_left_table_names_the_oracles_row_and_label(name, shape, monkeypatch):
+    # planted in the left products decomposition_report reads: every
+    # product dropped, or moved to l = k⁻¹h; ideal_product_delta fails and
+    # names the first row and the least b_j#p_l the dense route names
+    d = _duality(name, "q")
+    B, grp = d.smash.algebra, d.smash.group
+    where = {"empty": lambda g, h, k: [],
+             "h=kl": lambda g, h, k: [grp.mul(grp.inv(k), h)]}[shape]
+    table = _reshaped_left(d, _left(B, d.ideal), where)
+    conventions, first = _per_product_tally(d, table)
+    assert first is not None and not conventions["l=gh"]
+    multiples = B.multiples
+
+    def planted(x, left=True):
+        rows = [t for t, r in enumerate(d.ideal.basis) if r is x]
+        return table[rows[0]] if left and rows else multiples(x, left)
+
+    monkeypatch.setattr(B, "multiples", planted)
+    delta = {c.name: c for c in decomposition_report(d)}["duality.ideal_product_delta"]
+    assert delta.status == "fail"
+    assert delta.measured == {f"matches[{k}]": v for k, v in sorted(conventions.items())}
+    row, b = first
+    assert delta.witnesses == [f"{B.labels[b]} times ideal[{row}] differs "
+                               f"from the l=gh prediction"]
 
 
 @pytest.mark.parametrize("field", FIELDS)
