@@ -225,7 +225,7 @@ def restrict_global(pa, e):
         raise ValidationError("cannot restrict to the zero idempotent: "
                               "its ideal is the zero algebra")
     span = ideal_basis(parent, x)     # raises NotCentralIdempotent
-    sub, _ = subalgebra(parent, span, x)
+    sub = subalgebra(parent, span, x)
     field = parent.field
 
     def restricted(cols, v):

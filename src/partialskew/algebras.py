@@ -688,8 +688,9 @@ def subalgebra(parent, span, unit_vec, labels=None):
     """Structure algebra on a multiplicatively closed subspace of `parent`.
 
     `span` must be closed under the parent product and contain the sparse
-    vector `unit_vec`, which becomes the unit of the subalgebra.  Returns the subalgebra and
-    its inclusion map.
+    vector `unit_vec`, which becomes the unit of the subalgebra.  Its basis
+    is the echelon basis of `span`, so the inclusion has the columns
+    ``span.basis``.
     """
     basis = span.basis
     products = []
@@ -705,6 +706,4 @@ def subalgebra(parent, span, unit_vec, labels=None):
     unit_coords = span.coordinates(unit_vec)
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
-    alg = make_algebra(parent.field, products, unit_coords, labels=labels)
-    include = AlgebraMap(alg, parent, basis)
-    return alg, include
+    return make_algebra(parent.field, products, unit_coords, labels=labels)

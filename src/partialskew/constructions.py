@@ -9,20 +9,23 @@ run of the separability suite alone never compiles them.
 
 A matrix algebra M_n(B) over a base algebra B has the basis E_{r,s}⊗b_i,
 its rows emitted directly from the base's sorted rows, and re-proves its
-matrix-unit relations and unit law when built.  A tensor product multiplies
-through its factors' rows, (b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l; its own
-table ``products`` is built from the factors' rows when first read, by the
-multiplicativity check of a map into it.  The group algebra k[G] is
-validated by ``make_algebra`` like any other structure-constant table.
+matrix-unit relations and unit law when built; ``_pierce_corner`` spans
+its corner e·M·e, for the duality suite and the Hopf layer's operator
+map.  A tensor product multiplies through its factors' rows,
+(b_i⊗c_j)(b_k⊗c_l) = b_i b_k ⊗ c_j c_l; its own table ``products`` is
+built from the factors' rows when first read, by the multiplicativity
+check of a map into it.  The group algebra k[G] is validated by
+``make_algebra`` like any other structure-constant table.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .algebras import (StructureAlgebra, _first_residue, _pure_tensor,
+from .algebras import (StructureAlgebra, _first_residue, _lincomb, _pure_tensor,
                        _unit_law_failure, make_algebra)
 from .errors import FieldMismatch, InternalCheckFailed
+from .linalg import Subspace
 
 
 def _legs(x, dr):
@@ -138,6 +141,21 @@ def matrix_algebra(base, index):
     if isinstance(index, int):
         return MatrixAlgebra(base, index)
     return MatrixAlgebra(base, index.order, group=index)
+
+
+def _pierce_corner(mat, e):
+    """The span of the Pierce corner e·E_b·e over the basis E_b:
+    e·E_b·e = Σ_k (E_b·e)_k·(e·E_k), with the e·E_k the right multiples of
+    e and E_b·e one unreduced product per b.  It forms no left multiples,
+    so it builds no column index of the matrix algebra."""
+    field = mat.field
+    e_times = mat.multiples(e, left=False)
+    corner = []
+    for b in range(mat.dim):
+        times_e = mat._mul_acc({b: field.one}, e)
+        corner.append(_lincomb(field, ((c, e_times[k]) for k, c in times_e.items()
+                                       if k in e_times)))
+    return Subspace.span(field, mat.dim, corner)
 
 
 class TensorAlgebra(StructureAlgebra):

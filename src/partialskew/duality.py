@@ -24,7 +24,7 @@ promises about this map is re-proved here per instance, by linear algebra:
 
 Separability of the smash over the twisted ring reads neither the map nor
 the matrix algebra, and is checked in :mod:`smash`.  Only the ``duality``
-suite (and the Hopf layer, for ``_pierce_corner``) loads this module.
+suite loads this module.
 
 The checks work on sparse vectors and cost their nonzero product terms;
 no product makes a vector as long as the smash or matrix algebra.  The
@@ -45,8 +45,8 @@ D_g placed by ``skew.inject``.
 from __future__ import annotations
 
 from .actions import _complement, _image
-from .algebras import AlgebraMap, _add, _first_residue, _lincomb
-from .constructions import matrix_algebra
+from .algebras import AlgebraMap, _add, _first_residue
+from .constructions import _pierce_corner, matrix_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
 from .report import check
@@ -66,11 +66,6 @@ class DualityData:
         self.ideal = ideal
 
 
-def _idempotents(pa):
-    """The idempotents 1_g and their complements 1 - 1_g, sparse."""
-    return pa.idempotents, [_complement(pa.algebra, e) for e in pa.idempotents]
-
-
 def _block_subspace(smash, complement):
     """Span of {b_i·x_{gh}·1_g placed at grade g with dual index h}, x the
     complement 1 - 1_{gh} or the idempotent 1_{gh}; each nonzero generator
@@ -78,11 +73,12 @@ def _block_subspace(smash, complement):
     skew = smash.skew
     pa = skew.action
     alg, grp = pa.algebra, pa.group
-    es, comps = _idempotents(pa)
+    es = pa.idempotents
     vectors = []
     for g in range(grp.order):
         for h in range(grp.order):
-            m = alg.mul((comps if complement else es)[grp.mul(g, h)], es[g])
+            x = es[grp.mul(g, h)]
+            m = alg.mul(_complement(alg, x) if complement else x, es[g])
             for v in alg.multiples(m).values():
                 placed = skew.inject(g, v)
                 if placed is None:
@@ -127,7 +123,7 @@ def build_duality(smash):
                                   f"({labels[pair[0]]}, {labels[pair[1]]})")
 
     # φ(1) = e with φ multiplicative gives e·e = φ(1·1) = e
-    es, _ = _idempotents(pa)
+    es = pa.idempotents
     bold_e = {mat.slot(g, g, t): x for g in range(n) for t, x in es[grp.inv(g)].items()}
     if phi.apply(smash.algebra.unit) != bold_e:
         raise InternalCheckFailed("unit does not map to the corner idempotent")
@@ -140,11 +136,10 @@ def build_duality(smash):
 
 def kernel_report(d):
     formula = kernel_formula_subspace(d.smash)
-    agree = formula == d.kernel
-    witnesses = [] if agree else ["kernel of the matrix map differs from the block formula"]
-    return [check("duality.kernel_formula", agree,
+    return [check("duality.kernel_formula",
                   {"kernel_dim": d.kernel.dim, "formula_dim": formula.dim},
-                  witnesses)]
+                  None if formula == d.kernel else
+                  "kernel of the matrix map differs from the block formula")]
 
 
 def corner_report(d):
@@ -155,27 +150,27 @@ def corner_report(d):
     entrywise = _entrywise_image(pa, mat)
     pierce = _pierce_corner(mat, d.corner_idempotent)
     return [
-        _image_route_check("duality.image_entrywise", mat, d.image, entrywise,
-                           "entrywise"),
-        _image_route_check("duality.image_pierce", mat, d.image, pierce, "pierce"),
-        check("duality.corner_idempotent", True, {"matrix_dim": mat.dim}),
+        check("duality.image_entrywise",
+              {"image_dim": d.image.dim, "entrywise_dim": entrywise.dim},
+              _route_witness(mat, d.image, entrywise, "entrywise")),
+        check("duality.image_pierce",
+              {"image_dim": d.image.dim, "pierce_dim": pierce.dim},
+              _route_witness(mat, d.image, pierce, "pierce")),
+        check("duality.corner_idempotent", {"matrix_dim": mat.dim}),
     ]
 
 
-def _image_route_check(name, mat, image, route, route_name):
-    """φ's image against another route; a failure names the first echelon
-    row of the image outside the route, else the first one of the route
-    outside the image."""
-    measured = {"image_dim": image.dim, f"{route_name}_dim": route.dim}
+def _route_witness(mat, image, route, route_name):
+    """None when φ's image equals the span ``route``; else the first
+    echelon row of the image outside the route, else the first one of the
+    route outside the image."""
     if image == route:
-        return check(name, True, measured)
+        return None
     row = next((v for v in image.basis if v not in route), None)
     if row is not None:
-        why = f"image row {mat.format_vec(row)} lies outside the {route_name} span"
-    else:
-        row = next(v for v in route.basis if v not in image)
-        why = f"{route_name} row {mat.format_vec(row)} lies outside the image"
-    return check(name, False, measured, [why])
+        return f"image row {mat.format_vec(row)} lies outside the {route_name} span"
+    row = next(v for v in route.basis if v not in image)
+    return f"{route_name} row {mat.format_vec(row)} lies outside the image"
 
 
 def _entrywise_image(pa, mat):
@@ -183,7 +178,7 @@ def _entrywise_image(pa, mat):
     (r, s, i).  The products b_i·m are formed once per distinct
     m = 1_{r⁻¹}1_{s⁻¹}, in one walk over the columns m reaches."""
     alg, grp = pa.algebra, pa.group
-    es, _ = _idempotents(pa)
+    es = pa.idempotents
     left = {}   # m, as its sorted items -> {i: b_i·m}
     vectors = []
     for r in range(grp.order):
@@ -196,21 +191,6 @@ def _entrywise_image(pa, mat):
             base = mat.slot(r, s, 0)
             vectors += [{base + t: x for t, x in v.items()} for v in products.values()]
     return Subspace.span(alg.field, mat.dim, vectors)
-
-
-def _pierce_corner(mat, e):
-    """The span of the Pierce corner e·E_b·e over the basis E_b:
-    e·E_b·e = Σ_k (E_b·e)_k·(e·E_k), with the e·E_k the right multiples of
-    e and E_b·e one unreduced product per b.  It forms no left multiples,
-    so it builds no column index of the matrix algebra."""
-    field = mat.field
-    e_times = mat.multiples(e, left=False)
-    corner = []
-    for b in range(mat.dim):
-        times_e = mat._mul_acc({b: field.one}, e)
-        corner.append(_lincomb(field, ((c, e_times[k]) for k, c in times_e.items()
-                                       if k in e_times)))
-    return Subspace.span(field, mat.dim, corner)
 
 
 def _is_two_sided_ideal(algebra, subspace, left):
@@ -266,19 +246,37 @@ def _cross_product_witness(algebra, ideal, kernel):
             else f"ideal[{i}]*kernel[{j}] is nonzero")
 
 
+def _first_dependent(span, vectors):
+    """The first index t at which vectors[t] lies in ``span`` plus the
+    vectors before it; None when there is none."""
+    for t, v in enumerate(vectors):
+        if v in span:
+            return t
+        span += Subspace.span(span.field, span.ambient, [v])
+    return None
+
+
 def _direct_sum_witness(algebra, ideal, kernel, total):
     """Why I + K = ``total`` is not a direct sum equal to the algebra: the
     first kernel basis vector lying in I plus the kernel vectors before it,
     else the first basis label outside I + K."""
     if ideal.dim + kernel.dim > total.dim:
-        span = ideal
-        for j, w in enumerate(kernel.basis):
-            if w in span:
-                return f"kernel[{j}] lies in ideal + kernel[:{j}]"
-            span += Subspace.span(algebra.field, algebra.dim, [w])
+        j = _first_dependent(ideal, kernel.basis)
+        return f"kernel[{j}] lies in ideal + kernel[:{j}]"
     one = algebra.field.one
     b = next(b for b in range(algebra.dim) if {b: one} not in total)
     return f"{algebra.labels[b]} lies outside ideal + kernel"
+
+
+def _restriction_witness(d, images, image):
+    """Why φ, restricted to the ideal, is not a bijection onto its image:
+    the first ideal row whose image lies in the span of the earlier rows'
+    images, else the first echelon row of φ's image or of ``image`` (the
+    span of ``images``) that lies outside the other; None when it is one."""
+    if image.dim < len(images):
+        t = _first_dependent(Subspace.span(image.field, image.ambient, []), images)
+        return f"phi(ideal[{t}]) lies in the span of phi(ideal[:{t}])"
+    return _route_witness(d.mat, d.image, image, "restricted")
 
 
 def _delta_convention_tally(d, left):
@@ -354,38 +352,37 @@ def decomposition_report(d):
 
     left = [B.multiples(r) for r in d.ideal.basis]
     ok, why = _is_two_sided_ideal(B, d.ideal, left)
-    results.append(check("duality.ideal_two_sided", ok,
-                         {"ideal_dim": d.ideal.dim}, [why] if why else []))
-    results.append(check("duality.kernel_two_sided", True,
-                         {"kernel_dim": d.kernel.dim}))
+    results.append(check("duality.ideal_two_sided", {"ideal_dim": d.ideal.dim},
+                         None if ok else why))
+    results.append(check("duality.kernel_two_sided", {"kernel_dim": d.kernel.dim}))
 
     total = d.ideal + d.kernel
     # dim(I ∩ K) = dim I + dim K − dim(I + K)
     meet = d.ideal.dim + d.kernel.dim - total.dim
-    direct = meet == 0 and total.dim == B.dim
-    results.append(check("duality.direct_sum", direct,
+    results.append(check("duality.direct_sum",
                          {"intersection_dim": meet, "sum_dim": total.dim,
                           "dim": B.dim},
-                         [] if direct else [_direct_sum_witness(B, d.ideal, d.kernel, total)]))
+                         None if meet == 0 and total.dim == B.dim else
+                         _direct_sum_witness(B, d.ideal, d.kernel, total)))
 
     # φ on the ideal's echelon rows, from the sparse columns of φ; the
     # rank of the restriction is the dimension of their span
-    image = Subspace.span(B.field, d.mat.dim, [d.phi.apply(r) for r in d.ideal.basis])
+    images = [d.phi.apply(r) for r in d.ideal.basis]
+    image = Subspace.span(B.field, d.mat.dim, images)
     results.append(check("duality.restricted_bijection",
-                         image == d.image and image.dim == d.ideal.dim,
                          {"restricted_rank": image.dim,
-                          "corner_dim": d.image.dim}))
+                          "corner_dim": d.image.dim},
+                         _restriction_witness(d, images, image)))
 
     cross = _cross_product_witness(B, d.ideal, d.kernel)
-    results.append(check("duality.cross_products_zero", cross is None, {},
-                         [cross] if cross else []))
+    results.append(check("duality.cross_products_zero", {}, cross))
 
     conv, first = _delta_convention_tally(d, left)
-    results.append(check("duality.ideal_product_delta", first is None,
+    results.append(check("duality.ideal_product_delta",
                          {f"matches[{k}]": v for k, v in sorted(conv.items())},
-                         [] if first is None else
-                         [f"{B.labels[first[1]]} times ideal[{first[0]}] differs "
-                          f"from the l=gh prediction"]))
+                         None if first is None else
+                         f"{B.labels[first[1]]} times ideal[{first[0]}] differs "
+                         f"from the l=gh prediction"))
     return results
 
 
@@ -398,7 +395,10 @@ def skew_injectivity_report(d):
     smash = d.smash
     ker = d.phi.compose(smash.embed_skew_map).kernel()
     return [
-        check("duality.skew_embedding_injective", ker.is_zero(),
-              {"kernel_dim": ker.dim, "skew_dim": smash.skew.dim}),
-        check("duality.skew_embedding_argument", True),
+        check("duality.skew_embedding_injective",
+              {"kernel_dim": ker.dim, "skew_dim": smash.skew.dim},
+              None if ker.is_zero() else
+              f"twisted ring row {smash.skew.algebra.format_vec(ker.basis[0])} "
+              f"maps to 0 under phi"),
+        check("duality.skew_embedding_argument"),
     ]

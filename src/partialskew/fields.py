@@ -103,6 +103,9 @@ class RationalField:
     def parse(self, text):
         from fractions import Fraction
         text = str(text).strip().translate(_MINUS_VARIANTS)
+        if "e" in text.lower():
+            # Fraction would read 1e999999999 by forming 10**999999999
+            raise ParseError(f"bad rational literal {text!r}: exponent notation is not read")
         try:
             return _canonical(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:

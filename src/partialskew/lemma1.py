@@ -50,8 +50,7 @@ def dot_identities_report(pa):
                 _add(acc, base, -1, mul(cg[i], col).items())
             bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
                     for j in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.multiplicative", not bad, {"pairs": n * d * d},
-                         bad[:3]))
+    results.append(check("lemma1.multiplicative", {"pairs": n * d * d}, *bad[:3]))
 
     bad = []
     for g in range(n):
@@ -62,8 +61,7 @@ def dot_identities_report(pa):
                 _image(right[g], cols[gh][i].items(), acc, i * d, -1)  # − α_gh(b_i)·1_g
             bad += [f"g={grp.label(g)} h={grp.label(h)} a={labels[i]}"
                     for i in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.composition", not bad, {"triples": n * n * d},
-                         bad[:3]))
+    results.append(check("lemma1.composition", {"triples": n * n * d}, *bad[:3]))
 
     bad = []
     for g in range(n):
@@ -78,12 +76,11 @@ def dot_identities_report(pa):
                 _image(cg, t.get(i, {}).items(), acc, j * d, -1)
             bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
                     for j in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.pull_through", not bad, {"pairs": n * d * d},
-                         bad[:3]))
+    results.append(check("lemma1.pull_through", {"pairs": n * d * d}, *bad[:3]))
 
     bad = [grp.label(g) for g in range(n)
            if sparse(_image(cols[g], alg.unit.items())) != pa.idempotents[g]]
-    results.append(check("lemma1.unit_image", not bad, {"elements": n}, bad))
+    results.append(check("lemma1.unit_image", {"elements": n}, *bad))
 
     bad = []
     for g in range(n):
@@ -93,7 +90,7 @@ def dot_identities_report(pa):
             _add(acc, i * d, -1, right[g][i].items())    # − b_i·1_g
         bad += [f"g={grp.label(g)} a={labels[i]}"
                 for i in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.round_trip", not bad, {"pairs": n * d}, bad[:3]))
+    results.append(check("lemma1.round_trip", {"pairs": n * d}, *bad[:3]))
 
     # kernel of the g-map: the evaluation kills exactly A(1-1_{g^{-1}}),
     # the complement of its source ideal.  Whether the complement of the
@@ -111,7 +108,7 @@ def dot_identities_report(pa):
             bad.append(f"g={grp.label(g)}: kernel dim {ker.dim} vs ideal dim {comp.dim}")
         if ker != comps[g]:
             target_variant = False
-    results.append(check("lemma1.kernel_ideal", not bad,
+    results.append(check("lemma1.kernel_ideal",
                          {"kernel_dims": dims,
-                          "target_idempotent_variant": target_variant}, bad))
+                          "target_idempotent_variant": target_variant}, *bad))
     return results

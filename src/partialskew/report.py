@@ -53,8 +53,13 @@ class CheckResult:
         return self.status != FAIL
 
 
-def check(name, passed, measured=None, witnesses=None):
-    return CheckResult(name, PASS if passed else FAIL, measured or {}, witnesses or [])
+def check(name, measured=None, *witnesses):
+    """The check ``name``, failed exactly when it names a witness: the
+    ``None`` witnesses are dropped, and any other one fails it (an empty
+    message too).  A call that passes no witness restates a proof and
+    cannot fail."""
+    kept = [w for w in witnesses if w is not None]
+    return CheckResult(name, FAIL if kept else PASS, measured, kept)
 
 
 class Report:

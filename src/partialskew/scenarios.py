@@ -301,16 +301,16 @@ def _grading(run):
     run.measured["strong"] = st["strong"]
     label = run.action.group.label
     if st["agree"]:
-        witnesses = []
+        witness = None
     elif st["global"]:
         g, h = st["pair"]
-        witnesses = [f"global, but R_g·R_h misses R_gh at (g={label(g)}, h={label(h)})"]
+        witness = f"global, but R_g·R_h misses R_gh at (g={label(g)}, h={label(h)})"
     else:
         unit = run.action.algebra.unit
         g = next(g for g, e in enumerate(run.action.idempotents) if e != unit)
-        witnesses = [f"strongly graded, but D_g != A at g={label(g)}"]
-    yield [check("grading.strong_iff_global", st["agree"],
-                 {"strong": st["strong"], "global": st["global"]}, witnesses)]
+        witness = f"strongly graded, but D_g != A at g={label(g)}"
+    yield [check("grading.strong_iff_global",
+                 {"strong": st["strong"], "global": st["global"]}, witness)]
 
 
 def _duality(run):
@@ -341,7 +341,7 @@ def _centers(run):
             "matrix_center_dimension": center_basis(
                 run.matrix, run.matrix.generators()).dim}
     run.measured.update(dims)
-    yield [check("centers.computed", True, dims)]
+    yield [check("centers.computed", dims)]
 
 
 # The one suite table, name -> (description, runner), in run order: the
@@ -382,7 +382,7 @@ def _explicit_hopf_checks(field, spec):
         antipode = _parse_matrix(field, spec["antipode"], d)
         data = make_hopf(algebra, triples, counit, antipode)
     except ValidationError as exc:
-        yield [check("hopf.explicit_axioms", False, {}, [str(exc)])]
+        yield [check("hopf.explicit_axioms", {}, str(exc))]
         return
     results = hopf_data_checks(data)[0]
     for c in results:
@@ -397,7 +397,7 @@ def _refusal_as_check(groups, name):
     try:
         yield from groups
     except (InternalCheckFailed, ValidationError) as exc:
-        yield [check(name, False, {}, [str(exc)])]
+        yield [check(name, {}, str(exc))]
 
 
 def run_scenario(source, suites=None, field_override=None):
@@ -445,7 +445,7 @@ def run_scenario(source, suites=None, field_override=None):
     run = _ScenarioRun(action)
     measured = run.measured
     report = Report(name, [check(
-        "action.axioms", True,
+        "action.axioms",
         {"algebra_dimension": measured["algebra_dimension"],
          "ideal_dimensions": str(measured["ideal_dimensions"]),
          "group_order": group.order})])
@@ -468,19 +468,18 @@ def run_scenario(source, suites=None, field_override=None):
         name, want = f"expect.{key}", expect[key]
         if key in measured:
             got = measured[key]
-            result = check(name, got == want,
-                           {"expected": str(want), "measured": str(got)},
-                           [] if got == want else
-                           [f"ExpectationMismatch: expected {want!r}, measured {got!r}"])
+            result = check(name, {"expected": str(want), "measured": str(got)},
+                           None if got == want else
+                           f"ExpectationMismatch: expected {want!r}, measured {got!r}")
         elif suites:
             # the caller deliberately narrowed the run; expectations of
-            # skipped suites are not failures
+            # skipped suites are not failures, so this one names its reason
+            # without failing
             result = CheckResult(name, SKIPPED, {},
                                  [f"{key} is not measured by the selected suites"])
         else:
-            result = check(name, False, {},
-                           [f"ExpectationMismatch: {key} was never measured "
-                            f"(enable the suite that computes it)"])
+            result = check(name, {}, f"ExpectationMismatch: {key} was never measured "
+                                     f"(enable the suite that computes it)")
         report.checks.append(result)
     return report
 

@@ -117,7 +117,7 @@ def grading_report(skew):
     base algebra embeds as the identity component."""
     grp = skew.group
     n = grp.order
-    results = [check("grading.components_multiply", True, {"pairs": n * n})]
+    results = [check("grading.components_multiply", {"pairs": n * n})]
 
     total = skew.components[0]
     overlap = []
@@ -127,11 +127,16 @@ def grading_report(skew):
         if grown.dim < total.dim + skew.components[g].dim:
             overlap.append(grp.label(g))
         total = grown
-    direct = not overlap and total.dim == skew.dim
-    results.append(check("grading.direct_sum", direct,
-                         {"total_dim": total.dim, "dim": skew.dim}, overlap))
+    uncovered = None
+    if not overlap and total.dim < skew.dim:
+        # the sum is direct but short: name the first label it misses
+        one = skew.algebra.field.one
+        b = next(b for b in range(skew.dim) if {b: one} not in total)
+        uncovered = f"{skew.algebra.labels[b]} lies outside the sum of the components"
+    results.append(check("grading.direct_sum",
+                         {"total_dim": total.dim, "dim": skew.dim}, *overlap, uncovered))
 
-    results.append(check("grading.base_embedding", True,
+    results.append(check("grading.base_embedding",
                          {"base_dim": skew.action.algebra.dim}))
     return results
 

@@ -110,10 +110,12 @@ def smash_report(smash):
     zero kernel that build measured."""
     return [
         check("smash.dimension",
-              smash.dim == smash.skew.dim * smash.group.order,
               {"dim": smash.dim, "skew_dim": smash.skew.dim,
-               "group_order": smash.group.order}),
-        check("smash.skew_embedding", True, {"kernel_dim": 0}),
+               "group_order": smash.group.order},
+              None if smash.dim == smash.skew.dim * smash.group.order else
+              f"smash dim {smash.dim} != skew dim {smash.skew.dim} * group order "
+              f"{smash.group.order}"),
+        check("smash.skew_embedding", {"kernel_dim": 0}),
     ]
 
 
@@ -174,15 +176,16 @@ def _separability_checks(smash, element):
     split = min((k for k in mu.keys() | B.unit.keys()
                  if mu.get(k, field.zero) != B.unit.get(k, field.zero)), default=None)
     return [
-        check("separability.centralizes", central is None,
+        check("separability.centralizes",
               {"ambient_dim": B.dim * B.dim,
                "relation_dim": B.dim * B.dim - smash.group.order * B.dim},
-              [] if central is None else
-              [f"f*a != a*f for a = {central[0]} in component p_{central[1]}"]),
-        check("separability.splits_multiplication", split is None, {},
-              [] if split is None else [f"mu(f) differs from the unit at {B.labels[split]}"]),
-        check("separability.element_nonzero",
-              any(_tensor_image(smash, element)), {"tensor_terms": len(element)}),
+              None if central is None else
+              f"f*a != a*f for a = {central[0]} in component p_{central[1]}"),
+        check("separability.splits_multiplication", {}, None if split is None else
+              f"mu(f) differs from the unit at {B.labels[split]}"),
+        check("separability.element_nonzero", {"tensor_terms": len(element)},
+              None if any(_tensor_image(smash, element)) else
+              "Phi(f) is zero in every p_h component"),
     ]
 
 

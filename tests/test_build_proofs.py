@@ -116,13 +116,8 @@ def test_build_smash_refuses_a_ring_that_does_not_embed(proof, monkeypatch, s1_s
 def test_build_duality_refuses_a_unit_off_the_corner_idempotent(monkeypatch, s1_smash):
     # the corner element of a global action: every 1_g the unit, so e is
     # the identity matrix, which is not φ(1) for the partial s1 action
-    idempotents = duality._idempotents
-
-    def global_idempotents(pa):
-        es, comps = idempotents(pa)
-        return [es[0]] * len(es), comps
-
-    monkeypatch.setattr(duality, "_idempotents", global_idempotents)
+    pa = s1_smash.skew.action
+    monkeypatch.setattr(pa, "idempotents", [pa.algebra.unit] * len(pa.idempotents))
     with pytest.raises(InternalCheckFailed) as err:
         build_duality(s1_smash)
     assert str(err.value) == "unit does not map to the corner idempotent"
@@ -266,8 +261,8 @@ def test_grading_and_duality_reports_run_no_re_proof(name, request, monkeypatch)
 
     monkeypatch.setattr(skew, "component_product_span", _refuse("component_product_span"))
     monkeypatch.setattr(duality, "_is_two_sided_ideal", ideal_only)
-    # b_i·(1 - 1_g)·1_g would be formed from the idempotents and their complements
-    monkeypatch.setattr(duality, "_idempotents", _refuse("_idempotents"))
+    # the blocks b_i·(1 - 1_g)·1_g and b_i·1_g would be formed here
+    monkeypatch.setattr(duality, "_block_subspace", _refuse("_block_subspace"))
     assert reports() == expected
 
 

@@ -2,7 +2,7 @@ import sympy
 
 import pytest
 
-from partialskew.algebras import field_algebra
+from partialskew.algebras import AlgebraMap, field_algebra
 from partialskew.constructions import matrix_algebra
 from partialskew.duality import (DualityData, _is_two_sided_ideal,
                                  build_duality, corner_report,
@@ -175,6 +175,60 @@ def test_direct_sum_names_the_first_label_a_shrunken_ideal_misses(z3_duality):
     assert got.status == "fail"
     assert got.measured == {"intersection_dim": 0, "sum_dim": B.dim - 1, "dim": B.dim}
     assert got.witnesses == [f"{B.labels[first]} lies outside ideal + kernel"]
+
+
+def _decomposition_check(d, ideal, name):
+    """The check ``name`` of the decomposition report of d with its ideal
+    replaced."""
+    bent = DualityData(d.smash, d.mat, d.phi, d.corner_idempotent, d.kernel,
+                       d.image, ideal)
+    return next(c for c in decomposition_report(bent) if c.name == name)
+
+
+def test_restricted_bijection_names_the_first_dependent_ideal_row(z3_duality):
+    # the ideal plus a kernel row: its rows are one more than the rank of
+    # their images, and the first row whose image lies in the span of the
+    # earlier ones is found here by dense rank
+    d = z3_duality
+    B = d.smash.algebra
+    ideal = d.ideal + Subspace.span(B.field, B.dim, [d.kernel.basis[-1]])
+    images = [dense(d.phi.apply(r), d.mat.dim) for r in ideal.basis]
+    first = next(t for t in range(len(images))
+                 if span_of(B.field, d.mat.dim, images[:t + 1]).dim == t)
+    got = _decomposition_check(d, ideal, "duality.restricted_bijection")
+    assert (got.status, got.measured) == ("fail", {"restricted_rank": 8, "corner_dim": 8})
+    assert got.witnesses == [f"phi(ideal[{first}]) lies in the span of phi(ideal[:{first}])"]
+
+
+def test_restricted_bijection_names_the_first_image_row_a_shrunken_ideal_misses(z3_duality):
+    # the ideal without its first echelon row maps injectively onto a
+    # proper part of the corner: the first echelon row of φ's image outside
+    # the restricted span is the witness
+    d = z3_duality
+    B = d.smash.algebra
+    ideal = Subspace.span(B.field, B.dim, d.ideal.basis[1:])
+    restricted = Subspace.span(B.field, d.mat.dim, [d.phi.apply(r) for r in ideal.basis])
+    row = next(v for v in d.image.basis if v not in restricted)
+    got = _decomposition_check(d, ideal, "duality.restricted_bijection")
+    assert (got.status, got.measured) == ("fail", {"restricted_rank": 7, "corner_dim": 8})
+    assert got.witnesses == [
+        f"image row {d.mat.format_vec(row)} lies outside the restricted span"]
+
+
+def test_skew_embedding_injective_names_a_kernel_row(z3_duality):
+    # φ with every column b_1#p_h zeroed kills ι(b_1) = Σ_h b_1#p_h and no
+    # other element of the twisted ring
+    d = z3_duality
+    smash = d.smash
+    n = smash.group.order
+    cols = [{} if idx // n == 1 else col for idx, col in enumerate(d.phi.columns)]
+    bent = DualityData(smash, d.mat, AlgebraMap(smash.algebra, d.mat, cols),
+                       d.corner_idempotent, d.kernel, d.image, d.ideal)
+    got = next(c for c in skew_injectivity_report(bent)
+               if c.name == "duality.skew_embedding_injective")
+    assert (got.status, got.measured) == ("fail", {"kernel_dim": 1, "skew_dim": 4})
+    label = smash.skew.algebra.labels[1]
+    assert got.witnesses == [f"twisted ring row (1)*{label} maps to 0 under phi"]
 
 
 def _two_sided(algebra, subspace):

@@ -39,6 +39,17 @@ def test_rational_parse():
         QQ.parse("1/0")
 
 
+@pytest.mark.parametrize("literal", ["1e3", "2E-2"])
+def test_rational_parse_refuses_exponent_notation(literal):
+    # Fraction would read them as 1000 and 1/50, forming 10**exponent, which
+    # for 1e999999999 is an integer of ~3.3e9 bits; F_p refuses them too
+    with pytest.raises(ParseError) as err:
+        QQ.parse(literal)
+    assert str(err.value) == f"bad rational literal {literal!r}: exponent notation is not read"
+    with pytest.raises(ParseError):
+        GF(5).parse(literal)
+
+
 def _is_residue(x, p):
     return type(x) is int and 0 <= x < p
 

@@ -66,6 +66,15 @@ def test_a_refusal_in_a_suite_is_one_failed_check(suite, monkeypatch, capsys):
     assert any(c.name.startswith("expect.") for c in report.checks)
 
 
+def test_a_refusal_with_an_empty_message_still_fails(monkeypatch, capsys):
+    # only None is dropped from a check's witnesses: the empty message is one
+    monkeypatch.setattr(duality, "build_duality", _refusing(""))
+    code, report = _verify(capsys, "--suite", "duality")
+    assert code == 1
+    refused = report.named("duality.refused")
+    assert (refused.status, refused.witnesses) == ("fail", [""])
+
+
 def test_checks_a_suite_made_before_its_refusal_stay(monkeypatch, capsys):
     # the duality suite reports on the smash before it builds the matrix map
     monkeypatch.setattr(duality, "build_duality", _refusing("planted"))

@@ -71,6 +71,18 @@ def test_grading_direct_sum_names_a_repeated_component(z3_action):
     assert got.measured == {"total_dim": skew.components[0].dim + others, "dim": skew.dim}
 
 
+def test_grading_direct_sum_names_a_label_the_components_miss(z3_action):
+    # a fresh ring whose D_g1 loses its one basis vector: the sum is direct
+    # but one short, and the first twisted-ring label outside it is named
+    skew = build_skew(z3_action)
+    missed = skew.components[1].basis[0]
+    skew.components[1] = Subspace.span(skew.algebra.field, skew.dim, [])
+    got = next(c for c in grading_report(skew) if c.name == "grading.direct_sum")
+    assert (got.status, got.measured) == ("fail", {"total_dim": skew.dim - 1, "dim": skew.dim})
+    (b,) = missed
+    assert got.witnesses == [f"{skew.algebra.labels[b]} lies outside the sum of the components"]
+
+
 def test_strong_grading_partial(s1_skew):
     st = strong_grading_test(s1_skew)
     # (g, g): D_g·D_g lies in D_g, a proper ideal of R_e = A

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from partialskew import smash
@@ -68,6 +70,14 @@ def test_embedding(s1_smash, s1_skew):
 
 def test_smash_report(s1_smash):
     assert all(c.status == "pass" for c in smash_report(s1_smash))
+
+
+def test_smash_dimension_names_its_three_dimensions(s1_smash):
+    # a smash one dimension larger than |R|·|G| = 3·2
+    planted = SimpleNamespace(dim=7, skew=s1_smash.skew, group=s1_smash.group)
+    got = next(c for c in smash_report(planted) if c.name == "smash.dimension")
+    assert (got.status, got.measured) == ("fail", {"dim": 7, "skew_dim": 3, "group_order": 2})
+    assert got.witnesses == ["smash dim 7 != skew dim 3 * group order 2"]
 
 
 def test_perturbed_generic_cell_fails_the_closed_rule(monkeypatch, s1_skew):
@@ -313,6 +323,19 @@ def test_splits_multiplication_names_its_witness(s1_smash, s3_smash_fp5):
             assert split.status == "fail"
             assert split.witnesses == [f"mu(f) differs from the unit at {B.labels[first]}"]
         assert [c.status for c in _separability_checks(smash, canonical)] == ["pass"] * 3
+
+
+def test_element_nonzero_names_its_witness(s1_smash, s3_smash_fp5):
+    # f = (1#p_s)⊗(1#p_s) + (-1#p_s)⊗(1#p_s): its two terms cancel, so Φ(f)
+    # is zero in every component
+    for smash in (s1_smash, s3_smash_fp5):
+        field = smash.algebra.field
+        for u in smash.dual_units():
+            minus = {k: field.reduce(-c) for k, c in u.items()}
+            checks = {c.name: c for c in _separability_checks(smash, [(u, u), (minus, u)])}
+            nonzero = checks["separability.element_nonzero"]
+            assert (nonzero.status, nonzero.measured) == ("fail", {"tensor_terms": 2})
+            assert nonzero.witnesses == ["Phi(f) is zero in every p_h component"]
 
 
 def test_separability_refuses_a_smash_that_is_not_free(s1_smash):

@@ -38,6 +38,7 @@ q, fp:5 and fp:2, and on tampered inputs that must fail the same way.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -648,13 +649,14 @@ def test_entrywise_route_with_a_moved_idempotent_names_an_image_row(monkeypatch)
     # image row E[e,g]·l_e0 lies outside it (the rows E[e,e]·l_e0 and
     # E[e,e]·r_e0 before it lie inside)
     d = _duality("s1.json", "q")
-    idempotents = duality._idempotents
+    entrywise_image = duality._entrywise_image
 
-    def moved(pa):
-        es, comps = idempotents(pa)
-        return [es[0], {1: 1}], comps
+    def moved(pa, mat):
+        planted = SimpleNamespace(algebra=pa.algebra, group=pa.group,
+                                  idempotents=[pa.idempotents[0], {1: 1}])
+        return entrywise_image(planted, mat)
 
-    monkeypatch.setattr(duality, "_idempotents", moved)
+    monkeypatch.setattr(duality, "_entrywise_image", moved)
     checks = _corner_checks(d)
     entrywise = checks["duality.image_entrywise"]
     assert (entrywise.status, entrywise.measured) == (

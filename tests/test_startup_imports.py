@@ -118,8 +118,8 @@ def test_the_hopf_suite_loads_the_hopf_layer():
     assert _loaded_after(
         "from partialskew.scenarios import run_scenario\n"
         f"r = run_scenario({path!r}, suites=['hopf'])\n"
-        "assert r.named('hopf.lift_matches_group_dot').status == 'pass'"
-    ) == ["partialskew.hopf"]
+        "assert r.named('hopf.lift_matches_group_dot').status == 'pass'",
+        HEAVY + ("partialskew.duality",)) == ["partialskew.hopf"]
 
 
 def test_the_duality_suite_loads_the_duality_layer():
@@ -235,7 +235,13 @@ def test_check_result_equality_ignores_seconds():
     assert a != CheckResult("x.y", "pass", {"n": 2}, ["w"])
     assert a != CheckResult("x.y", "pass", {"n": 1}, [])
     assert a != ("x.y", "pass", {"n": 1}, ["w"])
-    assert check("x.y", True, {"n": 1}, ["w"]) == a
+
+
+def test_a_check_fails_exactly_when_it_names_a_witness():
+    assert check("x.y", {"n": 1}) == CheckResult("x.y", "pass", {"n": 1}, [])
+    assert check("x.y", None, None, None) == CheckResult("x.y", "pass", {}, [])
+    # only None is dropped: an empty message is a witness and fails
+    assert check("x.y", {}, None, "", None, "w") == CheckResult("x.y", "fail", {}, ["", "w"])
 
 
 def test_check_result_defaults_are_fresh_and_fields_keep_their_order():
