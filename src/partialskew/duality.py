@@ -194,9 +194,9 @@ def _entrywise_image(pa, mat):
 
 
 def _is_two_sided_ideal(algebra, subspace, left):
-    """(True, "") when b·r and r·b lie in the subspace for every basis
-    element b and echelon row r; else (False, message) for the first
-    failure, b-major and left before right.
+    """None when b·r and r·b lie in the subspace for every basis element b
+    and echelon row r; else the witness of the first failure, b-major and
+    left before right.
 
     b·r is read from ``left``, the left multiples ``algebra.multiples(r)``
     of each echelon row r in order; r·b is formed per row r for every b at
@@ -209,9 +209,9 @@ def _is_two_sided_ideal(algebra, subspace, left):
                 if (first is None or (b, t, side) < first) and prod not in subspace:
                     first = (b, t, side)
     if first is None:
-        return True, ""
+        return None
     b, _, side = first
-    return False, f"{('left', 'right')[side]} multiple of {algebra.labels[b]} escapes"
+    return f"{('left', 'right')[side]} multiple of {algebra.labels[b]} escapes"
 
 
 def _cross_product_witness(algebra, ideal, kernel):
@@ -351,9 +351,8 @@ def decomposition_report(d):
     results = []
 
     left = [B.multiples(r) for r in d.ideal.basis]
-    ok, why = _is_two_sided_ideal(B, d.ideal, left)
     results.append(check("duality.ideal_two_sided", {"ideal_dim": d.ideal.dim},
-                         None if ok else why))
+                         _is_two_sided_ideal(B, d.ideal, left)))
     results.append(check("duality.kernel_two_sided", {"kernel_dim": d.kernel.dim}))
 
     total = d.ideal + d.kernel

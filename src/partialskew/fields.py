@@ -2,8 +2,8 @@
 
 Scalars are plain Python numbers, never wrapper objects.  A rational scalar
 is an ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
-``zero``, ``one``, ``from_int`` and ``parse`` give an ``int`` whenever the
-denominator is 1, so integral structure constants (Cayley tables, matrix
+``zero``, ``one`` and ``parse`` give an ``int`` whenever the denominator is 1,
+so integral structure constants (Cayley tables, matrix
 units, idempotents) multiply as machine integers.  Sums and products of the
 two kinds stay exact (a ``Fraction`` result may then be integral; it
 compares and hashes equal to the ``int``).  The one division of rational
@@ -52,7 +52,6 @@ their fields), not by scalars.
 from __future__ import annotations
 
 import sys
-from operator import index
 
 from .errors import ParseError
 
@@ -66,6 +65,31 @@ def _canonical(x):
     if type(x) is not int and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _literal(text):
+    """The one literal grammar of every field, as a numerator and a positive
+    denominator in lowest terms: an ``int``, or a string (stripped, Unicode
+    minus signs read as "-") of an optional sign, ASCII digits with at most
+    one decimal point, and optionally "/" and an optionally signed nonzero
+    ASCII integer ("-0.5", ".5", "1.", "3/-4").  Anything else is refused,
+    exponent notation by name, as it would ask for 10**exponent."""
+    if type(text) is int:
+        return text, 1
+    import re
+    from math import gcd
+    literal = text.strip().translate(_MINUS_VARIANTS) if isinstance(text, str) else ""
+    m = re.fullmatch(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:/([+-]?0*[1-9]\d*))?", literal, re.A)
+    try:
+        if not m:
+            raise ValueError("exponent notation is not read" if "e" in literal.lower() else
+                             "expected [sign]digits[.digits][/[sign]nonzero integer]")
+        sign, whole, frac, bottom = m.groups("")
+        num, den = int(sign + whole + frac), int(bottom or 1) * 10 ** len(frac)
+    except ValueError as exc:   # int() refuses more digits than it converts, too
+        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _rational_types():
@@ -97,19 +121,12 @@ class RationalField:
             return {k: v for k, v in acc.items() if v}
         return acc
 
-    def from_int(self, n):
-        return index(n)
-
     def parse(self, text):
+        num, den = _literal(text)
+        if den == 1:
+            return num
         from fractions import Fraction
-        text = str(text).strip().translate(_MINUS_VARIANTS)
-        if "e" in text.lower():
-            # Fraction would read 1e999999999 by forming 10**999999999
-            raise ParseError(f"bad rational literal {text!r}: exponent notation is not read")
-        try:
-            return _canonical(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -188,22 +205,11 @@ class PrimeField:
         p = self.p
         return tuple(x % p for x in xs)
 
-    def from_int(self, n):
-        return index(n) % self.p
-
     def parse(self, text):
-        text = str(text).strip().translate(_MINUS_VARIANTS)
-        try:
-            num, _, den = text.partition("/")
-            value = int(num) % self.p
-            if not den:
-                return value
-            den = int(den) % self.p
-            if not den:
-                raise ValueError(f"division by zero in F_{self.p}")
-            return value * pow(den, -1, self.p) % self.p
-        except ValueError as exc:
-            raise ParseError(f"bad F_{self.p} literal {text!r}: {exc}") from None
+        num, den = _literal(text)
+        if den % self.p == 0:
+            raise ParseError(f"bad F_{self.p} literal {text!r}: division by zero in F_{self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

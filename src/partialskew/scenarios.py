@@ -1,13 +1,12 @@
-"""Declarative scenario files: parsing, construction, suite execution.
+"""Declarative scenario files: reading, construction, suite execution.
 
 A scenario is one JSON document naming a field, a group, an algebra and a
 partial action, plus the verification suites to run and optional expected
-values.  Matrices and vectors are written as row-major arrays whose entries
-are exact rational strings ("-3/2") or integers; matrix entry [r][c] is the
-coefficient of basis r in the image of basis c.  The parser is the one
-reader of these dense arrays: a vector becomes a sparse vector
-``{index: scalar}`` and a matrix its sparse columns ``{row: scalar}``, the
-forms the library takes.
+values.  Matrices and vectors are row-major arrays of integers or exact
+rational strings ("-3/2"); matrix entry [r][c] is the coefficient of basis
+r in the image of basis c.  The one table ``_SPECS`` reads every spec: a
+vector becomes a sparse vector ``{index: scalar}`` and a matrix its sparse
+columns ``{row: scalar}``, and a malformed entry is refused by JSON path.
 """
 
 from __future__ import annotations
@@ -29,183 +28,170 @@ from .report import SKIPPED, CheckResult, Report, check
 from .skew import build_skew, grading_report, strong_grading_test
 from .smash import build_smash, separability_report, smash_report
 
-def _parse_scalar(field, x):
-    if isinstance(x, bool):
-        raise ParseError(f"expected a scalar, got boolean {x!r}")
-    if isinstance(x, int):
-        return field.from_int(x)
-    if isinstance(x, str):
-        return field.parse(x)
-    raise ParseError(f"scalar entries must be integers or exact strings, got {x!r}")
+# A shape reads one entry: ``shape(data, path, ctx)`` returns its value or
+# raises a ParseError naming ``path``.  ``ctx`` holds the field, the group
+# order and the dimension "d", which a spec's first cube or table may set.
 
 
-def _parse_entries(field, data):
-    """The scalars of a JSON array, in order."""
-    if not isinstance(data, list):
-        raise ParseError(f"expected a vector, got {type(data).__name__}")
-    return [_parse_scalar(field, x) for x in data]
+def _got(data):
+    return f"a list of length {len(data)}" if isinstance(data, list) else repr(data)
 
 
-def _parse_vector(field, data, length):
-    """A JSON array of ``length`` scalars as a sparse vector ``{index: scalar}``."""
-    entries = _parse_entries(field, data)
-    if len(entries) != length:
-        raise ParseError(f"vector has length {len(entries)}, expected {length}")
-    return {i: x for i, x in enumerate(entries) if x}
+def _items(data, path, n=None):
+    """The (path, item) pairs of a JSON list, of length n when n is given."""
+    if not isinstance(data, list) or n not in (None, len(data)):
+        of = "" if n is None else f" of length {n}"
+        raise ParseError(f"{path} must be a list{of}, got {_got(data)}")
+    return [(f"{path}[{i}]", x) for i, x in enumerate(data)]
 
 
-def _parse_cube(field, data, name, d=None):
-    """Sparse rows from a dense d×d×d array: row i is ``{j: cell}`` over the
-    nonempty cells, and cell (i, j) lists the (k, v) with ``data[i][j][k]`` =
-    v nonzero.  d defaults to ``len(data)``."""
-    if not isinstance(data, list):
-        raise ParseError(f"{name} must be a d x d x d array")
-    if d is None:
-        d = len(data)
-    if len(data) != d:
-        raise ParseError(f"{name} has {len(data)} rows, expected {d}")
-    rows = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != d:
-            raise ParseError(f"{name}[{i}] must be a list of {d} cells")
-        cells = {}
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != d:
-                raise ParseError(f"{name}[{i}][{j}] must be a list of {d} entries")
-            entries = [(k, _parse_scalar(field, x)) for k, x in enumerate(cell)]
-            nonzero = [(k, v) for k, v in entries if v]
-            if nonzero:
-                cells[j] = nonzero
-        rows.append(cells)
-    return rows
+def _must(test, what):
+    """The shape of a JSON value that passes ``test``, ``what`` by name."""
+    def read(data, path, ctx):
+        if not test(data):
+            raise ParseError(f"{path} must be {what}, got {_got(data)}")
+        return data
+    return read
 
 
-def _parse_matrix(field, data, size):
-    """A row-major size×size JSON array as its sparse columns ``{row: scalar}``."""
-    if not isinstance(data, list) or not data:
-        raise ParseError("expected a non-empty matrix")
-    rows = [_parse_entries(field, row) for row in data]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("matrix rows have unequal lengths")
-    if len(rows) != size or len(rows[0]) != size:
-        raise ParseError(f"matrix is {len(rows)}x{len(rows[0])}, expected {size}x{size}")
-    columns = [{} for _ in range(size)]
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            if x:
-                columns[c][r] = x
-    return columns
+_any = _must(lambda data: True, "anything")
+_positive = _must(lambda data: type(data) is int and data >= 1, "an integer >= 1")
 
 
-def _entry(spec, key, where):
-    """spec[key], or a ParseError naming the missing key."""
-    if not isinstance(spec, dict):
-        raise ParseError(f"{where} must be an object")
-    if key not in spec:
-        raise ParseError(f"{where} is missing its {key!r} entry")
-    return spec[key]
+def _vector(data, path, ctx):
+    """A JSON list of d scalars as a sparse vector ``{index: scalar}``."""
+    if "d" not in ctx:
+        raise ParseError(f"{path} needs the scenario's 'algebra' entry")
+    vector = {}
+    for i, (p, x) in enumerate(_items(data, path, ctx["d"])):
+        try:
+            x = ctx["field"].parse(x)
+        except ParseError as exc:
+            raise ParseError(f"{p}: {exc}") from None
+        if x:
+            vector[i] = x
+    return vector
 
 
-def _list_entry(spec, key, where, length=None):
-    """spec[key] as a JSON list, of ``length`` items when given, else
-    ParseError naming the entry."""
-    x = _entry(spec, key, where)
-    if not isinstance(x, list) or (length is not None and len(x) != length):
-        items = "" if length is None else f" of {length} items"
-        got = f"{len(x)} items" if isinstance(x, list) else repr(x)
-        raise ParseError(f"{where}.{key} must be a list{items}, got {got}")
-    return x
+def _matrix(data, path, ctx):
+    """A row-major d×d JSON array as its sparse columns ``{row: scalar}``."""
+    rows = [_vector(row, p, ctx) for p, row in _items(data, path, ctx.get("d"))]
+    return [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(len(rows))]
 
 
-def _positive_int(spec, key, where):
-    """spec[key] as a JSON integer >= 1 (not a boolean), else ParseError."""
-    x = _entry(spec, key, where)
-    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        raise ParseError(f"{where}.{key} must be an integer >= 1, got {x!r}")
-    return x
+def _cube(data, path, ctx):
+    """A d×d×d array as sparse rows: row i is ``{j: [(k, v), ...]}`` over the
+    nonzero ``data[i][j][k]`` = v.  A spec's first cube sets d >= 1."""
+    rows = _items(data, path, ctx.get("d"))
+    if not rows:
+        raise ParseError(f"{path} must be a non-empty list")
+    ctx["d"] = len(rows)
+    cells = [[_vector(cell, q, ctx) for q, cell in _items(row, p, len(rows))]
+             for p, row in rows]
+    return [{j: list(cell.items()) for j, cell in enumerate(row) if cell} for row in cells]
+
+
+def _table(data, path, ctx):
+    """A Cayley table, a JSON list of rows; ``make_group`` reads the rest."""
+    ctx["d"] = len([_items(row, p) for p, row in _items(data, path)])
+    return data
+
+
+def _labels(data, path, ctx):
+    try:
+        check_labels([x for _, x in _items(data, path)], ctx["d"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return data
+
+
+def _list(shape, n):
+    """A JSON list of n ``shape``s; n is a number, or "order", the group's."""
+    def read(data, path, ctx):
+        return [shape(x, p, ctx) for p, x in _items(data, path, ctx.get(n, n))]
+    return read
+
+
+def _spec(family):
+    """A spec of ``family``, read and built on its own."""
+    return lambda data, path, ctx: _walk(family, data, path, {"field": ctx.get("field")})
+
+
+def _matrix_algebra(ctx, e):
+    from .constructions import matrix_algebra
+    return matrix_algebra(field_algebra(ctx["field"]), e["size"])
+
+
+def _explicit_hopf_checks(ctx, e):
+    """The one group of checks of an explicit Hopf block, like a runner's."""
+    from .hopf import hopf_data_checks, make_hopf
+    triples = [[(k, l, v) for k, cell in row.items() for l, v in cell]
+               for row in e["comultiplication"]]
+    try:
+        algebra = make_algebra(ctx["field"], e["constants"], e["unit"],
+                               labels=e.get("labels"))
+        data = make_hopf(algebra, triples, e["counit"], e["antipode"])
+    except ValidationError as exc:
+        yield [check("hopf.explicit_axioms", {}, str(exc))]
+        return
+    results = hopf_data_checks(data)[0]
+    for c in results:
+        c.name = c.name.replace("hopf.", "hopf.explicit_", 1)
+    yield results
+
+
+def _entries(entries, data, path, ctx):
+    """The values of ``entries`` in the object ``data``, those of an object
+    an entry holds merged in."""
+    where = path or "scenario"
+    if not isinstance(data, dict):
+        raise ParseError(f"{where} must be an object, got {_got(data)}")
+    keys = {name.rstrip("?"): name for name in entries}
+    for key in data:
+        if key not in keys:
+            raise ParseError(f"{where} has an unknown entry {key!r} "
+                             f"(expected one of {', '.join(keys)})")
+    values = {}
+    for key, name in keys.items():
+        p, shape = f"{path}.{key}" if path else key, entries[name]
+        if key not in data:
+            if name == key:
+                raise ParseError(f"{where} is missing its {key!r} entry")
+        elif isinstance(shape, dict):
+            values.update(_entries(shape, data[key], p, ctx))
+        else:
+            values[key] = shape(data[key], p, ctx)
+    return values
+
+
+def _walk(family, data, path, ctx):
+    """Read a spec of ``family`` through ``_SPECS`` and build it."""
+    kinds = _SPECS[family]
+    found = [k for k in kinds if k is None or isinstance(data, dict) and k in data]
+    if len(found) != 1:
+        raise ParseError(f"{path} must be an object naming exactly one of "
+                         f"{', '.join(kinds)}, got {_got(data)}")
+    entries, build = kinds[found[0]]
+    try:
+        return build(ctx, _entries(entries, data, path, ctx))
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{path}.{found[0]}: {exc}") from None
 
 
 def build_group(spec):
-    if not isinstance(spec, dict):
-        raise ParseError("group spec must be an object")
-    if "cyclic" in spec:
-        return cyclic(_positive_int(spec, "cyclic", "group"))
-    if "symmetric" in spec:
-        return symmetric(_positive_int(spec, "symmetric", "group"))
-    if "direct_product" in spec:
-        parts = _list_entry(spec, "direct_product", "group", 2)
-        return group_product(build_group(parts[0]), build_group(parts[1]))
-    if "table" in spec:
-        table = _list_entry(spec, "table", "group")
-        if not all(isinstance(row, list) for row in table):
-            raise ParseError("group.table must be a list of rows")
-        labels = None
-        if "labels" in spec:
-            labels = _list_entry(spec, "labels", "group")
-            try:
-                check_labels(labels, len(table))
-            except ValueError as exc:
-                raise ParseError(f"group.labels: {exc}") from None
-        try:
-            return make_group(table, labels)
-        except ValueError as exc:
-            raise ParseError(f"group.table: {exc}") from None
-    raise ParseError(f"unknown group spec {sorted(spec)!r}")
+    return _walk("group", spec, "group", {})
 
 
 def build_algebra(field, spec):
-    if not isinstance(spec, dict):
-        raise ParseError("algebra spec must be an object")
-    if "product_of_fields" in spec:
-        return product_of_fields(field, _positive_int(spec, "product_of_fields",
-                                                      "algebra"))
-    if "matrix" in spec:
-        from .constructions import matrix_algebra
-        size = _positive_int(spec["matrix"], "size", "matrix")
-        return matrix_algebra(field_algebra(field), size)
-    if "direct_product" in spec:
-        parts = _list_entry(spec, "direct_product", "algebra", 2)
-        return direct_product(build_algebra(field, parts[0]),
-                              build_algebra(field, parts[1]))
-    if "constants" in spec:
-        products = _parse_cube(field, spec["constants"], "constants")
-        unit = _parse_vector(field, _entry(spec, "unit", "algebra"), len(products))
-        labels = None
-        if "labels" in spec:
-            labels = _list_entry(spec, "labels", "algebra")
-            try:
-                check_labels(labels, len(products))
-            except ValueError as exc:
-                raise ParseError(f"algebra.labels: {exc}") from None
-        return make_algebra(field, products, unit, labels=labels)
-    raise ParseError(f"unknown algebra spec {sorted(spec)!r}")
+    return _walk("algebra", spec, "algebra", {"field": field})
 
 
 def build_action(field, group, algebra, spec):
-    if not isinstance(spec, dict):
-        raise ParseError("action spec must be an object")
-    if "trivial_split" in spec:
-        split = spec["trivial_split"]
-        left = build_algebra(field, _entry(split, "left", "trivial_split"))
-        right = build_algebra(field, _entry(split, "right", "trivial_split"))
-        return trivial_from_split(left, right, group)
-    if algebra is None:
-        raise ParseError("this action spec needs an explicit 'algebra' entry")
-    if "restrict_global" in spec:
-        data = spec["restrict_global"]
-        mats = _list_entry(data, "automorphisms", "restrict_global", group.order)
-        parsed = [_parse_matrix(field, m, algebra.dim) for m in mats]
-        parent = global_action(group, algebra, parsed)
-        e = _parse_vector(field, _entry(data, "idempotent", "restrict_global"), algebra.dim)
-        return restrict_global(parent, e)
-    if "explicit" in spec:
-        data = spec["explicit"]
-        idems = [_parse_vector(field, v, algebra.dim)
-                 for v in _list_entry(data, "idempotents", "explicit")]
-        betas = [_parse_matrix(field, m, algebra.dim)
-                 for m in _list_entry(data, "beta", "explicit")]
-        return make_partial_action(group, algebra, idems, betas)
-    raise ParseError(f"unknown action spec {sorted(spec)!r}")
+    # without an algebra d is unset, and the first vector read refuses
+    ctx = {"field": field, "group": group, "algebra": algebra, "order": group.order}
+    if algebra is not None:
+        ctx["d"] = algebra.dim
+    return _walk("action", spec, "action", ctx)
 
 
 def load_scenario(path):
@@ -221,6 +207,8 @@ def load_scenario(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:   # past int()'s digits or the stack
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: scenario must be a JSON object")
     doc.setdefault("name", path.stem)
@@ -362,32 +350,61 @@ SUITES = {
 }
 
 
-# the entries an explicit ``hopf`` block must have, checked before any suite runs
-_HOPF_KEYS = ("constants", "unit", "comultiplication", "counit", "antipode")
+# an object or a list among the names is refused as such, not as unhashable
+_SUITE_NAMES = _list(_must(lambda s: isinstance(s, str) and s in SUITES,
+                           f"one of {', '.join(SUITES)}"), None)
 
 
-def _explicit_hopf_checks(field, spec):
-    """Validate user-supplied Hopf structure constants and the operator
-    layer; yields that one group of checks, like a suite runner."""
-    from .hopf import hopf_data_checks, make_hopf
-    try:
-        algebra = build_algebra(field, {key: spec[key] for key in
-                                        ("constants", "unit", "labels")
-                                        if key in spec})
-        d = algebra.dim
-        comul = _parse_cube(field, spec["comultiplication"], "comultiplication", d)
-        triples = [[(k, l, v) for k, cell in row.items() for l, v in cell]
-                   for row in comul]
-        counit = _parse_vector(field, spec["counit"], d)
-        antipode = _parse_matrix(field, spec["antipode"], d)
-        data = make_hopf(algebra, triples, counit, antipode)
-    except ValidationError as exc:
-        yield [check("hopf.explicit_axioms", {}, str(exc))]
-        return
-    results = hopf_data_checks(data)[0]
-    for c in results:
-        c.name = c.name.replace("hopf.", "hopf.explicit_", 1)
-    yield results
+# The one table of spec kinds, family -> {kind: (entries, builder)}.  A spec
+# names exactly one kind; the hopf block and the document have one, None.
+# ``entries`` maps each entry, in reading order, to its shape or to the
+# entries of the object it holds; a name ending in "?" may be left out, and
+# any other key is refused.  ``builder(ctx, values)`` builds the spec (like
+# a runner, through this module's bindings).  A ValueError (a Cayley table's
+# products) or a nesting too deep to walk names the kind's entry.
+_SPECS = {
+    "group": {
+        "cyclic": ({"cyclic": _positive}, lambda c, e: cyclic(e["cyclic"])),
+        "symmetric": ({"symmetric": _positive}, lambda c, e: symmetric(e["symmetric"])),
+        "direct_product": ({"direct_product": _list(_spec("group"), 2)},
+                           lambda c, e: group_product(*e["direct_product"])),
+        "table": ({"table": _table, "labels?": _labels},
+                  lambda c, e: make_group(e["table"], e.get("labels"))),
+    },
+    "algebra": {
+        "product_of_fields": ({"product_of_fields": _positive}, lambda c, e:
+                              product_of_fields(c["field"], e["product_of_fields"])),
+        "matrix": ({"matrix": {"size": _positive}}, _matrix_algebra),
+        "direct_product": ({"direct_product": _list(_spec("algebra"), 2)},
+                           lambda c, e: direct_product(*e["direct_product"])),
+        "constants": ({"constants": _cube, "unit": _vector, "labels?": _labels},
+                      lambda c, e: make_algebra(c["field"], e["constants"], e["unit"],
+                                                labels=e.get("labels"))),
+    },
+    "action": {
+        "trivial_split": ({"trivial_split": {"left": _spec("algebra"),
+                                             "right": _spec("algebra")}},
+                          lambda c, e: trivial_from_split(e["left"], e["right"], c["group"])),
+        "restrict_global": ({"restrict_global": {"automorphisms": _list(_matrix, "order"),
+                                                 "idempotent": _vector}},
+                            lambda c, e: restrict_global(global_action(
+                                c["group"], c["algebra"], e["automorphisms"]), e["idempotent"])),
+        "explicit": ({"explicit": {"idempotents": _list(_vector, "order"),
+                                   "beta": _list(_matrix, "order")}},
+                     lambda c, e: make_partial_action(c["group"], c["algebra"],
+                                                      e["idempotents"], e["beta"])),
+    },
+    "hopf": {None: ({"constants": _cube, "unit": _vector, "labels?": _labels,
+                     "comultiplication": _cube, "counit": _vector, "antipode": _matrix},
+                    _explicit_hopf_checks)},
+    "scenario": {None: ({"name?": _must(lambda x: isinstance(x, str), "a string"),
+                         "field?": _any, "group": _any, "algebra?": _any, "action": _any,
+                         "suites?": _SUITE_NAMES,
+                         "expect?": _must(lambda x: isinstance(x, dict), "an object"),
+                         "hopf?": _any},
+                        lambda c, e: {"name": "scenario", "field": "q", "suites": SUITES,
+                                      "expect": {}, **e})},
+}
 
 
 def _refusal_as_check(groups, name):
@@ -410,50 +427,25 @@ def run_scenario(source, suites=None, field_override=None):
     follow them.  A builder's refusal ends its suite with the failed check
     ``<suite>.refused`` (``hopf.explicit_refused`` for the block).
     """
-    doc = load_scenario(source) if not isinstance(source, dict) else dict(source)
-    name = doc.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ParseError("name must be a string")
-    if not isinstance(doc.get("suites", []), list):
-        raise ParseError("suites must be a list of suite names")
-
-    field = parse_field(doc.get("field", "q") if field_override is None else field_override)
-
-    expect = doc.get("expect", {})
-    if not isinstance(expect, dict):
-        raise ParseError("expect must be an object of measured values")
-    if "hopf_lift" in doc:
-        raise ParseError('hopf_lift is no longer read: list "hopf" in suites')
-    if "hopf" in doc:
-        for key in _HOPF_KEYS:
-            _entry(doc["hopf"], key, "hopf")
-
-    if "group" not in doc:
-        raise ParseError("scenario is missing its 'group' entry")
+    doc = _walk("scenario", source if isinstance(source, dict) else load_scenario(source), "", {})
+    field = parse_field(doc["field"] if field_override is None else field_override)
+    hopf = _walk("hopf", doc["hopf"], "hopf", {"field": field}) if "hopf" in doc else None
     group = build_group(doc["group"])
     algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None
-    if "action" not in doc:
-        raise ParseError("scenario is missing its 'action' entry")
     action = build_action(field, group, algebra, doc["action"])
-
-    selected = suites or doc.get("suites", SUITES)
-    for s in selected:
-        # a list or an object in "suites" is refused here, not by the dict
-        if not isinstance(s, str) or s not in SUITES:
-            raise ParseError(f"unknown suite {s!r} (choose from {', '.join(SUITES)})")
+    selected = _SUITE_NAMES(suites, "suites", {}) if suites else doc["suites"]
 
     run = _ScenarioRun(action)
     measured = run.measured
-    report = Report(name, [check(
+    report = Report(doc["name"], [check(
         "action.axioms",
         {"algebra_dimension": measured["algebra_dimension"],
          "ideal_dimensions": str(measured["ideal_dimensions"]),
          "group_order": group.order})])
     runs = [_refusal_as_check(runner(run), f"{s}.refused")
             for s, (_, runner) in SUITES.items() if s in selected]
-    if "hopf" in doc:
-        runs.append(_refusal_as_check(_explicit_hopf_checks(field, doc["hopf"]),
-                                      "hopf.explicit_refused"))
+    if hopf is not None:
+        runs.append(_refusal_as_check(hopf, "hopf.explicit_refused"))
     for groups in runs:
         # each group's wall time, the builds it triggers included, goes on
         # its first check (a text-only field)
@@ -464,6 +456,7 @@ def run_scenario(source, suites=None, field_override=None):
             report.extend(results)
             start = perf_counter()
 
+    expect = doc["expect"]
     for key in sorted(expect):
         name, want = f"expect.{key}", expect[key]
         if key in measured:

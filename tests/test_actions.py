@@ -13,8 +13,8 @@ from partialskew.errors import NotCentralIdempotent, NotIsoOnIdeal, ValidationEr
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
 from partialskew.lemma1 import dot_identities_report
-from partialskew.scenarios import (_parse_matrix, _parse_vector, build_algebra,
-                                   build_group, fixture_path, load_scenario)
+from partialskew.scenarios import (_matrix, _vector, build_algebra, build_group,
+                                   fixture_path, load_scenario)
 
 from corpus_helpers import corrupted_action_variants, dense_restriction, split_action
 from dense_oracle import identity, to_columns
@@ -172,9 +172,10 @@ def _fixture_parent(name, field):
     doc = load_scenario(fixture_path(name))
     spec = doc["action"]["restrict_global"]
     algebra = build_algebra(field, doc["algebra"])
-    mats = [_parse_matrix(field, m, algebra.dim) for m in spec["automorphisms"]]
+    ctx = {"field": field, "d": algebra.dim}
+    mats = [_matrix(m, "automorphism", ctx) for m in spec["automorphisms"]]
     return (global_action(build_group(doc["group"]), algebra, mats),
-            _parse_vector(field, spec["idempotent"], algebra.dim))
+            _vector(spec["idempotent"], "idempotent", ctx))
 
 
 def _s4_pairs_parent(field):

@@ -491,7 +491,7 @@ def test_make_algebra_refuses_non_residues(cell, unit):
     # (a kernel reduces what it computes; a table or unit is taken as given)
     with pytest.raises(ValueError, match="not a residue mod 5"):
         make_algebra(GF(5), [{0: [(0, cell)]}], {0: unit})
-    assert make_algebra(GF(5), [{0: [(0, 1)]}], {0: GF(5).from_int(6)}).unit == {0: 1}
+    assert make_algebra(GF(5), [{0: [(0, 1)]}], {0: GF(5).parse(6)}).unit == {0: 1}
 
 
 @pytest.mark.parametrize("index", [1, -1, True, 0.0, "0"])

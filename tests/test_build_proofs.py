@@ -141,7 +141,7 @@ def test_ideal_basis_refuses_a_marker_whose_span_is_one_sided():
     span = Subspace.span(QQ, m2.dim, [m2.mul({i: 1}, {m2.slot(0, 0, 0): 1})
                                             for i in range(m2.dim)])
     left = [m2.multiples(r) for r in span.basis]
-    assert not duality._is_two_sided_ideal(m2, span, left)[0]
+    assert duality._is_two_sided_ideal(m2, span, left) == "right multiple of E[0,1]*1 escapes"
     with pytest.raises(NotCentralIdempotent) as err:
         ideal_basis(m2, e00)
     assert str(err.value) == "not a central idempotent: (1)*E[0,0]*1"

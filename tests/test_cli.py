@@ -1,6 +1,9 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partialskew.cli import main
 from partialskew.errors import ParseError
@@ -258,28 +261,31 @@ def _on_field(action):
     (_split_doc({"cyclic": True}, FIELD_ONE, FIELD_ONE), "group.cyclic"),
     (_split_doc({"symmetric": 0}, FIELD_ONE, FIELD_ONE), "group.symmetric"),
     (_split_doc({"cyclic": 2}, {"product_of_fields": 2.0}, FIELD_ONE),
-     "algebra.product_of_fields"),
+     "action.trivial_split.left.product_of_fields"),
     (_split_doc({"cyclic": 2}, {"matrix": {"size": "2"}}, FIELD_ONE), "matrix.size"),
     (_split_doc({"cyclic": 2}, {"matrix": {}}, FIELD_ONE), "'size'"),
     (_split_doc({"cyclic": 2}, None, FIELD_ONE), "'left'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, None), "'right'"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites="duality"), "suites"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=["nope"]),
-     "unknown suite 'nope' (choose from lemma1, grading, duality, separability, "
-     "hopf, centers)"),
+     "suites[0] must be one of lemma1, grading, duality, separability, hopf, "
+     "centers, got 'nope'"),
     # a suite that is not a string is refused by name, not as unhashable
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=[["grading"]]),
-     "unknown suite ['grading'] (choose from "),
+     "suites[0] must be one of lemma1, grading, duality, separability, hopf, "
+     "centers, got a list of length 1"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, suites=[{}]),
-     "unknown suite {} (choose from "),
+     "suites[0] must be one of lemma1, grading, duality, separability, hopf, "
+     "centers, got {}"),
     *[(_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE,
                   hopf={k: v for k, v in HOPF_Z2.items() if k != key}),
        f"hopf is missing its {key!r} entry") for key in HOPF_Z2],
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf=[]), "hopf must be an object"),
-    # the removed hopf_lift key was "hopf" added to suites; it is refused
-    # with one line that says so, whatever its value
+    # an unknown key is refused whatever its value, the removed hopf_lift
+    # too, by one line naming the entries a document may hold
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf_lift=True),
-     'error: hopf_lift is no longer read: list "hopf" in suites\n'),
+     "error: scenario has an unknown entry 'hopf_lift' (expected one of name, field, "
+     "group, algebra, action, suites, expect, hopf)\n"),
     (_on_field({"explicit": {"idempotents": [[1]]}}), "explicit is missing its 'beta'"),
     (_on_field({"explicit": {"beta": [[[1]]]}}),
      "explicit is missing its 'idempotents'"),
@@ -292,9 +298,9 @@ def _on_field(action):
     ({**_on_field({"explicit": {"idempotents": [[1]], "beta": [[[1]]]}}),
       "algebra": {"constants": [[[1]]]}}, "algebra is missing its 'unit'"),
     (_split_doc({"direct_product": 3}, FIELD_ONE, FIELD_ONE),
-     "group.direct_product must be a list of 2 items"),
+     "group.direct_product must be a list of length 2, got 3"),
     (_split_doc({"cyclic": 2}, {"direct_product": 3}, FIELD_ONE),
-     "algebra.direct_product must be a list of 2 items"),
+     "action.trivial_split.left.direct_product must be a list of length 2, got 3"),
     (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, expect=["skew_dimension"]),
      "expect must be an object"),
     (_split_doc({"table": "abc"}, FIELD_ONE, FIELD_ONE), "group.table must be a list"),
@@ -306,12 +312,82 @@ def _on_field(action):
      "group.labels: label 'a' is repeated"),
     (_split_doc({"table": [[0, 1], [1, 0]], "labels": ["e"]}, FIELD_ONE, FIELD_ONE),
      "group.labels: 1 labels for 2 elements"),
+    # a spec names exactly one kind, and holds no key its kind does not read
+    (_split_doc({"cyclic": 2, "symmetric": 3}, FIELD_ONE, FIELD_ONE),
+     "group must be an object naming exactly one of cyclic, symmetric, direct_product, "
+     "table, got {'cyclic': 2, 'symmetric': 3}"),
+    (_split_doc({"cyclic": 2, "labels": ["e", "g"]}, FIELD_ONE, FIELD_ONE),
+     "group has an unknown entry 'labels' (expected one of cyclic)"),
+    (_split_doc({"cyclic": 2}, {"matrix": {"size": 2, "labels": []}}, FIELD_ONE),
+     "action.trivial_split.left.matrix has an unknown entry 'labels' (expected one of size)"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, comment="x"),
+     "scenario has an unknown entry 'comment'"),
+    (_split_doc({"cyclic": 2}, FIELD_ONE, {"cyclic": 2}),
+     "action.trivial_split.right must be an object naming exactly one of product_of_fields"),
+    ({**_on_field({"explicit": {"idempotents": [[1]], "beta": [[[1]]]}}), "algebra": None},
+     "algebra must be an object naming exactly one of "),
+    ({key: value for key, value in _on_field({"explicit": {
+        "idempotents": [[1]], "beta": [[[1]]]}}).items() if key != "algebra"},
+     "action.explicit.idempotents[0] needs the scenario's 'algebra' entry"),
+    (_on_field({"explicit": {"idempotents": [[1], [1]], "beta": [[[1]]]}}),
+     "action.explicit.idempotents must be a list of length 1, got a list of length 2"),
+    (_on_field({"explicit": {"idempotents": [[True]], "beta": [[[1]]]}}),
+     "action.explicit.idempotents[0][0]: bad rational literal True"),
+    (_on_field({"explicit": {"idempotents": [[1]], "beta": [[[0.5]]]}}),
+     "action.explicit.beta[0][0][0]: bad rational literal 0.5"),
 ])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, doc, message):
     assert main(["verify", _write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("where", ["algebra", "hopf"])
+def test_zero_dimensional_constants_exit_two(tmp_path, capsys, where):
+    # a constants cube has side at least 1: a trivial split of two
+    # 0-dimensional algebras once ran every suite and failed only
+    # separability.element_nonzero (exit 1), as if the input were sound
+    empty = {"constants": [], "unit": []}
+    if where == "algebra":
+        doc, path = _split_doc({"cyclic": 2}, empty, empty), "action.trivial_split.left"
+    else:
+        doc = _split_doc({"cyclic": 2}, FIELD_ONE, FIELD_ONE, hopf=dict(HOPF_Z2, **empty))
+        path = "hopf"
+    assert main(["verify", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.constants must be a non-empty list\n"
+
+
+@pytest.mark.parametrize("literal", ["3/ 4", "1_000", "1e999999999"])
+def test_a_bad_literal_is_the_same_error_line_over_every_field(tmp_path, capsys, literal):
+    doc = _on_field({"explicit": {"idempotents": [[1]], "beta": [[[literal]]]}})
+    path = _write(tmp_path, doc)
+    errors = set()
+    for field in ("q", "fp:5", "fp:2"):
+        assert main(["verify", path, "--field", field]) == 2
+        errors.add(capsys.readouterr().err)
+    assert len(errors) == 1
+    assert errors.pop().startswith(f"error: action.explicit.beta[0][0][0]: bad rational "
+                                   f"literal {literal!r}: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"group": {"cyclic": ' + "1" * 5000 + "}}",
+    "[" * 100000 + "]" * 100000,
+    json.dumps({"group": {"cyclic": 1}, "action": {"trivial_split": {
+        "left": FIELD_ONE, "right": FIELD_ONE}}}).replace(
+            '{"cyclic": 1}', '{"direct_product": [' * 400 + '{"cyclic": 1}'
+            + ', {"cyclic": 1}]}' * 400),
+], ids=["more_digits_than_int_reads", "nested_past_the_decoder", "nested_past_the_walker"])
+def test_oversized_documents_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "oversized.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def _matrix_doc(kind, matrix):
@@ -325,20 +401,24 @@ def _matrix_doc(kind, matrix):
             "algebra": {"product_of_fields": 2}, "action": action, "suites": ["lemma1"]}
 
 
-@pytest.mark.parametrize("kind", ["explicit", "restrict_global"])
-@pytest.mark.parametrize("matrix, message", [
-    ([], "expected a non-empty matrix"),
-    (5, "expected a non-empty matrix"),
-    ([[1, 0], [0]], "matrix rows have unequal lengths"),
-    ([[1]], "matrix is 1x1, expected 2x2"),
-    ([[1, 0, 0], [0, 1, 0]], "matrix is 2x3, expected 2x2"),
-    ([[1, 0], 7], "expected a vector, got int"),
+@pytest.mark.parametrize("kind, path", [
+    ("explicit", "action.explicit.beta[0]"),
+    ("restrict_global", "action.restrict_global.automorphisms[0]")])
+@pytest.mark.parametrize("matrix, at, message", [
+    ([], "", "must be a list of length 2, got a list of length 0"),
+    (5, "", "must be a list of length 2, got 5"),
+    ([[1, 0], [0]], "[1]", "must be a list of length 2, got a list of length 1"),
+    ([[1]], "", "must be a list of length 2, got a list of length 1"),
+    ([[1, 0, 0], [0, 1, 0]], "[0]", "must be a list of length 2, got a list of length 3"),
+    ([[1, 0], 7], "[1]", "must be a list of length 2, got 7"),
 ])
-def test_malformed_action_matrix_exits_two(tmp_path, capsys, kind, matrix, message):
+def test_malformed_action_matrix_exits_two(tmp_path, capsys, kind, path, matrix, at,
+                                           message):
+    # the one error line names the row or the matrix by its JSON path
     assert main(["verify", _write(tmp_path, _matrix_doc(kind, matrix))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {path}{at} {message}\n"
 
 
 @pytest.mark.parametrize("name", [["x"], 7, None, {"a": 1}])
@@ -453,7 +533,7 @@ def test_hopf_block_labels_are_checked_like_algebra_labels(tmp_path, capsys):
     doc["hopf"] = dict(_z3_group_hopf_block(), labels=["e", "g"])
     assert main(["verify", _write(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
-    assert "algebra.labels: 2 labels for 3 elements" in captured.err
+    assert "hopf.labels: 2 labels for 3 elements" in captured.err
     assert captured.out == ""
     doc["hopf"]["labels"] = ["e", "g", "g2"]
     assert main(["verify", _write(tmp_path, doc)]) == 0
@@ -482,3 +562,68 @@ def test_explicit_hopf_scenario(tmp_path, capsys):
     assert report.named("hopf.explicit_axioms").status == "pass"
     assert report.named("hopf.explicit_axioms").measured["dim"] == 3
     assert report.named("hopf.explicit_operator_reps").status == "pass"
+
+
+# -- document fuzzing ------------------------------------------------------
+#
+# Each example mutates one bundled fixture or benchmark S3 document once:
+# a value replaced by one of another JSON type, an entry or item dropped, a
+# key added, or a spec of another family nested in its place.  Whatever
+# the mutation, ``verify`` exits 0, 1 or 2 and raises nothing.  Each run
+# selects the lemma1 suite alone, so an example costs milliseconds, and
+# drawn integers stay in -1..3, since ``{"symmetric": n}`` forms a Cayley
+# table of (n!)² entries and nothing bounds sizes yet.
+
+MUTATION_SOURCES = [load_scenario(fixture_path(name)) for name in bundled_fixtures()] + [
+    load_scenario(Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / name)
+    for name in ("s3_split.json", "s3_separability.json")]
+
+SPECS = [{"cyclic": 2}, {"symmetric": 3}, {"table": [[0]]}, FIELD_ONE,
+         {"matrix": {"size": 2}}, {"constants": [[[1]]], "unit": [1]},
+         {"direct_product": [FIELD_ONE, FIELD_ONE]}, HOPF_Z2,
+         {"trivial_split": {"left": FIELD_ONE, "right": FIELD_ONE}},
+         {"explicit": {"idempotents": [[1]], "beta": [[[1]]]}}]
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.just(0.5),
+    st.sampled_from(["", "x", "1/2", "-3/2", "0.5", "1e3", "3/ 4", "lemma1"]),
+    st.lists(st.integers(-1, 3), max_size=3), st.just({}))
+
+
+def _nodes(node, path=()):
+    """The paths of every value below ``node``, itself included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_SOURCES)))
+    path = draw(st.sampled_from(list(_nodes(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    mutation = draw(st.sampled_from(["replace", "drop", "add", "nest"]))
+    if mutation == "replace":
+        parent[key] = draw(JSON_VALUES)
+    elif mutation == "drop":
+        del parent[key]
+    elif mutation == "add":
+        target = value if isinstance(value, dict) else doc
+        extra = draw(st.sampled_from(["extra", "labels", "unit", "symmetric", "size", "hopf"]))
+        target[extra] = draw(st.one_of(JSON_VALUES, st.sampled_from(SPECS)))
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(SPECS)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_documents(), field=st.sampled_from(["q", "fp:5"]))
+def test_mutated_documents_exit_zero_one_or_two(tmp_path_factory, doc, field):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--field", field, "--suite", "lemma1"]) in (0, 1, 2)

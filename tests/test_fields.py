@@ -50,6 +50,43 @@ def test_rational_parse_refuses_exponent_notation(literal):
         GF(5).parse(literal)
 
 
+LITERAL_FIELDS = [QQ, GF(2), GF(5), GF(2**61 - 1)]
+
+
+@pytest.mark.parametrize("field", LITERAL_FIELDS, ids=repr)
+@pytest.mark.parametrize("literal, value", [
+    ("0.5", Fraction(1, 2)), ("1.", Fraction(1)), (".5", Fraction(1, 2)),
+    ("1/-2", Fraction(-1, 2)), ("3/+4", Fraction(3, 4)), ("5/5", Fraction(1)),
+    ("2/4", Fraction(1, 2)), ("−3/2", Fraction(-3, 2)), (" -7 ", Fraction(-7)),
+])
+def test_one_literal_grammar_reduced_per_field(field, literal, value):
+    # every field reads the literal as one rational; F_p refuses it exactly
+    # when p divides the reduced denominator
+    if not field.characteristic:
+        got = field.parse(literal)
+        assert got == value and type(got) is (int if value.denominator == 1 else Fraction)
+    elif value.denominator % field.p:
+        p = field.p
+        assert field.parse(literal) == value.numerator * pow(value.denominator, -1, p) % p
+    else:
+        with pytest.raises(ParseError) as err:
+            field.parse(literal)
+        assert str(err.value) == (f"bad {field.name} literal {literal!r}: "
+                                  f"division by zero in {field.name}")
+
+
+@pytest.mark.parametrize("literal", ["3/ 4", "1_000", "١٢", "1e3", "1/0", "", "1.5.", "--1",
+                                     "1/2/3", "0x10", "1/", 0.5, True, None])
+def test_a_literal_outside_the_grammar_is_refused_alike_over_every_field(literal):
+    messages = set()
+    for field in LITERAL_FIELDS:
+        with pytest.raises(ParseError) as err:
+            field.parse(literal)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith(f"bad rational literal {literal!r}: ")
+
+
 def _is_residue(x, p):
     return type(x) is int and 0 <= x < p
 
@@ -60,7 +97,7 @@ def test_prime_field_arithmetic(p, x, y):
     # an F_p scalar is its canonical residue, whatever representative it
     # comes from; the normalisers agree with the wrapper arithmetic
     f = GF(p)
-    a, b = f.from_int(x), f.from_int(y)
+    a, b = f.parse(x), f.parse(y)
     for z in (f.zero, f.one, a, b, f.parse(str(x)), f.reduce(x * y)):
         assert _is_residue(z, p)
     assert (f.zero, f.one) == (0, 1)
@@ -84,8 +121,8 @@ def test_prime_field_inverse_scan():
 
 def test_prime_field_parse_and_validation():
     f = GF(5)
-    assert f.parse("7") == f.from_int(2)
-    assert f.parse("1/2") == f.from_int(3)  # 2*3 = 6 = 1 mod 5
+    assert f.parse("7") == f.parse(2)
+    assert f.parse("1/2") == f.parse(3)  # 2*3 = 6 = 1 mod 5
     with pytest.raises(ValueError):
         GF(6)
     with pytest.raises(ParseError, match="division by zero"):
@@ -96,7 +133,7 @@ def test_prime_field_parse_and_validation():
 
 def test_integral_rationals_are_ints():
     for x in (QQ.parse("4/2"), QQ.parse("-6/3"), QQ.reduce(Fraction(3)),
-              QQ.from_int(3), QQ.zero, QQ.one):
+              QQ.parse(3), QQ.zero, QQ.one):
         assert type(x) is int
     assert QQ.parse("4/2") == 2 and QQ.reduce(Fraction(3)) == 3
     assert QQ.parse("1/2") == Fraction(1, 2) and type(QQ.parse("1/2")) is Fraction
@@ -127,7 +164,7 @@ def test_field_mix_caught_by_structural_guards():
     # kernel reduces it, so the structures themselves must refuse to mix
     # fields
     assert GF(5).one == GF(7).one == QQ.one
-    assert GF(5).reduce(3 * GF(5).from_int(2)) == GF(5).from_int(1)
+    assert GF(5).reduce(3 * GF(5).parse(2)) == GF(5).parse(1)
     kq, kf = product_of_fields(QQ, 1), product_of_fields(GF(5), 1)
     for build in (tensor_algebra, direct_product):
         with pytest.raises(FieldMismatch):

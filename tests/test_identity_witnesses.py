@@ -462,7 +462,7 @@ def _rescaled_group_hopf(field, group, c):
                  for h in range(n)} for g in range(n)]
     alg = make_algebra(field, products, {e: q(1, c(e))})
     comul = [[(g, g, q(1, c(g)))] for g in range(n)]
-    counit = {g: field.from_int(c(g)) for g in range(n)}
+    counit = {g: field.parse(c(g)) for g in range(n)}
     antipode = [{group.inv(j): q(c(j), c(group.inv(j)))} for j in range(n)]
     return make_hopf(alg, comul, counit, antipode)
 

@@ -136,7 +136,7 @@ def square_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(entries=square_matrices())
 def test_sparse_inverse_matches_the_dense_inverse(field, entries):
-    m = [[field.from_int(x) for x in row] for row in entries]
+    m = [[field.parse(x) for x in row] for row in entries]
     got = _inverse(field, to_columns(m))
     expected = inverse(field, m)
     assert (got is None) == (expected is None)
@@ -175,7 +175,7 @@ def test_rref_against_sympy_over_prime_fields(p, entries):
                       (len(entries), len(entries[0])), domain)
     expected, pivots = dm.rref()
     f = GF(p)
-    rows, ours = _reduced([[f.from_int(x) for x in row] for row in entries], f)
+    rows, ours = _reduced([[f.parse(x) for x in row] for row in entries], f)
     assert ours == list(pivots)
     assert all(type(x) is int and 0 <= x < p for row in rows for x in row)
     assert ([list(row) for row in rows]
@@ -200,7 +200,7 @@ def test_sparse_coordinates_against_the_spanning_rows(field, entries, data):
     # half the vectors are combinations of the spanning rows, so inside the
     # subspace; the rest are drawn freely and may lie either side
     n = len(entries[0])
-    span = span_of(field, n, [[field.from_int(x) for x in row] for row in entries])
+    span = span_of(field, n, [[field.parse(x) for x in row] for row in entries])
     rank = sympy.Matrix(entries).rank() if not field.characteristic else None
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(small_entries, min_size=len(entries),
@@ -208,7 +208,7 @@ def test_sparse_coordinates_against_the_spanning_rows(field, entries, data):
         vec = [sum(c * row[t] for c, row in zip(coeffs, entries)) for t in range(n)]
     else:
         vec = data.draw(st.lists(small_entries, min_size=n, max_size=n))
-    vec = sparse(field.from_int(x) for x in vec)
+    vec = sparse(field.parse(x) for x in vec)
     got = span.coordinates(vec)
     assert (got is None) == (vec not in span)
     if rank is not None:
@@ -263,7 +263,7 @@ def test_rref_fractional_pivot_row():
 @settings(max_examples=80, deadline=None)
 @given(entries=integer_matrices(), data=st.data())
 def test_plain_int_rationals_stay_exact(entries, data):
-    # the input entries are plain ints, as QQ.parse and QQ.from_int give them
+    # the input entries are plain ints, as QQ.parse gives them
     sm = sympy.Matrix(entries)
 
     rows, pivots = _reduced(entries, QQ)

@@ -152,7 +152,7 @@ def test_inject_reads_each_component_off_its_pivots(source, field):
         # a random element of D_g, formed densely from chosen coefficients,
         # goes to those coefficients placed from offsets[g] on
         for _ in range(3):
-            coeffs = [F.from_int(rng.randrange(-3, 4)) for _ in rows]
+            coeffs = [F.parse(rng.randrange(-3, 4)) for _ in rows]
             a = [0] * alg.dim
             for c, v in zip(coeffs, rows):
                 for t, x in v.items():
