@@ -33,21 +33,12 @@ is the failure of a per-pair loop.  The table A·(1 - 1_g) is
 
 from __future__ import annotations
 
-from .algebras import (_add, _central_multiples, _first_residue, _lincomb,
+from .algebras import (_add, _central_multiples, _image, _lincomb, _residues,
                        _sparse_columns, _sparse_vector, direct_product,
                        ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from .linalg import Subspace
-
-
-def _image(cols, terms, acc=None, base=0, c=1):
-    """Add c·α(Σ x·b_k) at keys base + t, unreduced, into acc (or a new
-    dict); α is the map with sparse columns cols.  Returns acc."""
-    acc = {} if acc is None else acc
-    for k, x in terms:
-        _add(acc, base, c * x, cols[k].items())
-    return acc
 
 
 class PartialAction:
@@ -183,7 +174,7 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
             _image(cols, mul(u, v).items(), acc, j * d)
             _add(acc, j * d, -1, mul(gu, gv).items())
 
-    if _first_residue(field, zip(basis, images), fill, d) is not None:
+    if any(_residues(field, zip(basis, images), fill, d)):
         raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
 

@@ -26,9 +26,10 @@ The exhaustive identity checks (associativity, matrix units, maps being
 multiplicative) sum the difference of both sides over every inner index in
 one accumulator per outer index: they cost the nonzero product terms, and
 the smallest nonzero key is the first failure of a tuple-by-tuple loop.
-The walks that stop at their first failing outer index, here and in
-:mod:`actions`, :mod:`constructions`, :mod:`duality` and :mod:`hopf`,
-share one skeleton, ``_first_residue``.  Associativity keeps one
+Every such walk but associativity runs on one skeleton, ``_residues``,
+which yields the failing tuples in order, and every table of sparse
+columns, a map's or one on the last leg of a tensor, is applied by one
+kernel, ``_image``.  Associativity keeps one
 accumulator per middle index j, covering every (i, k), and walks the
 nonempty cells of the product table by row and by column
 (``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that index in
@@ -169,21 +170,32 @@ def _add(acc, base, c, terms):
         acc[key] = get(key, 0) + c * v
 
 
-def _first_residue(field, outer, fill, width, split=None):
-    """The first failure of an identity checked with one accumulator per
-    outer index: ``fill(acc, o)`` adds into a fresh ``acc`` the left side
-    minus the right for every inner tuple, at key inner·width + t.  Returns
-    (o, inner) for the first o of ``outer`` whose accumulator does not
-    reduce to zero, inner read off its smallest key (and split into
-    divmod(inner, split) when ``split`` is given); None when all do."""
+def _residues(field, outer, fill, width, split=None):
+    """The failures of an identity checked with one accumulator per outer
+    index: ``fill(acc, o)`` adds into a fresh ``acc`` the left side minus
+    the right for every inner tuple, at key inner·width + t.  Yields
+    (o, inner) for every failing tuple in the order of a per-tuple loop,
+    inner read off the keys that do not reduce to zero (split into
+    divmod(inner, split) when ``split`` is given); a caller that stops
+    fills nothing past the outer index of the last item it took."""
     for o in outer:
         acc = {}
         fill(acc, o)
-        bad = field.sparse(acc)
-        if bad:
-            inner = min(bad) // width
-            return (o, inner) if split is None else (o, *divmod(inner, split))
-    return None
+        for inner in sorted({k // width for k in field.sparse(acc)}):
+            yield (o, inner) if split is None else (o, *divmod(inner, split))
+
+
+def _image(cols, terms, acc=None, base=0, c=1, width=0):
+    """Add c·α(Σ x·b_k) at keys base + t, unreduced, into acc (or a new
+    dict); α is the map with sparse columns cols.  Returns acc.  With a
+    ``width``, α acts on the last leg of a tensor: a term of index
+    y·len(cols) + k adds c·x·α(b_k) at base + y·width + t."""
+    acc = {} if acc is None else acc
+    d = len(cols)
+    for idx, x in terms:
+        y, k = divmod(idx, d)
+        _add(acc, base + y * width, c * x, cols[k].items())
+    return acc
 
 
 def _sparse_columns(field, columns, count, rows, what="map column"):
@@ -469,7 +481,7 @@ def center_basis(alg, generators=None):
                 for k, w in cell:
                     acc[base + k] = get(base + k, 0) - x * w
 
-    if _first_residue(alg.field, centre.basis, commutators, d) is not None:
+    if any(_residues(alg.field, centre.basis, commutators, d)):
         raise InternalCheckFailed("central element does not commute")
     return centre
 
@@ -618,8 +630,7 @@ class AlgebraMap:
 
     def apply(self, x):
         """The image of a sparse vector ``{index: scalar}``, sparse."""
-        cols = self.columns
-        return _lincomb(self.codomain.field, ((c, cols[k]) for k, c in x.items()))
+        return self.codomain.field.sparse(_image(self.columns, x.items()))
 
     def compose(self, inner):
         """self after inner, column by column from the sparse columns."""
@@ -631,7 +642,12 @@ class AlgebraMap:
     def _multiplicativity_witness(self, anti=False):
         """First basis pair (i, j), in lexicographic order, where
         φ(b_i b_j) differs from φ(b_i)φ(b_j), or from φ(b_j)φ(b_i) when
-        ``anti``; None when there is no such pair.
+        ``anti``; None when there is no such pair."""
+        return next(self._multiplicativity_failures(anti), None)
+
+    def _multiplicativity_failures(self, anti=False):
+        """Every basis pair (i, j) where the multiplicativity of
+        ``_multiplicativity_witness`` fails, in lexicographic order.
 
         For each i one accumulator, keyed j·D + t (D = dim of the codomain),
         collects the coefficient of b_t in φ(b_i b_j) − φ(b_i)φ(b_j) for
@@ -640,8 +656,8 @@ class AlgebraMap:
         walks the nonempty cells b_r·b_s of codomain row r (b_s·b_r of
         column r when ``anti``) against an index s → [(j, φ(b_j)[s])] of
         the nonzero column entries.  The cost is the nonzero product terms,
-        not d² products; the smallest failing j is the first failing pair
-        of i.
+        not d² products; the failing keys of i name its failing j, read by
+        ``_residues``.
         """
         dc = self.codomain.dim
         rows = self.codomain.products
@@ -668,7 +684,7 @@ class AlgebraMap:
                             key = base + t
                             acc[key] = get(key, 0) - c * v
 
-        return _first_residue(self.codomain.field, range(self.domain.dim), fill, dc)
+        return _residues(self.codomain.field, range(self.domain.dim), fill, dc)
 
     def is_multiplicative(self):
         return self._multiplicativity_witness() is None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebras import (StructureAlgebra, _first_residue, _lincomb, _pure_tensor,
+from .algebras import (StructureAlgebra, _lincomb, _pure_tensor, _residues,
                        _unit_law_failure, make_algebra)
 from .errors import FieldMismatch, InternalCheckFailed
 from .linalg import Subspace
@@ -59,28 +59,22 @@ class MatrixAlgebra(StructureAlgebra):
         self.base = base
         self.size = n
         self.group = group
-
-        def idx(r, s, i):
-            return (r * n + s) * d + i
+        slot = self.slot
 
         # (E_{gh} a_i)(E_{hs} a_j) = E_{gs} a_i a_j; every other product of
         # units is 0.  The cell depends on (g, s, i, j), not on h: row
         # (g, h, i) is the row of (g, i) shifted by h·n·d, sharing its cells
         products = []
         for g in range(n):
-            shifted = [[(s * d + j, tuple((idx(g, s, k), v) for k, v in cell))
+            shifted = [[(s * d + j, tuple((slot(g, s, k), v) for k, v in cell))
                         for s in range(n) for j, cell in base_row.items()]
                        for base_row in base.products]
             for h in range(n):
                 offset = h * n * d
                 products += ({offset + y: cell for y, cell in row} for row in shifted)
-        unit = {idx(g, g, i): v for g in range(n) for i, v in base.unit.items()}
-        if group is not None:
-            labels = [f"E[{group.label(r)},{group.label(s)}]*{base.labels[i]}"
-                      for r in range(n) for s in range(n) for i in range(d)]
-        else:
-            labels = [f"E[{r},{s}]*{base.labels[i]}"
-                      for r in range(n) for s in range(n) for i in range(d)]
+        unit = {slot(g, g, i): v for g in range(n) for i, v in base.unit.items()}
+        names = range(n) if group is None else group.labels
+        labels = [f"E[{r},{s}]*{lab}" for r in names for s in names for lab in base.labels]
         super().__init__(field, products, unit, labels)
         self._verify()
 
@@ -127,8 +121,8 @@ class MatrixAlgebra(StructureAlgebra):
                 for t, v in eu[g][s].items():
                     acc[base + t] = get(base + t, 0) - v
 
-        fail = _first_residue(self.field, [(g, h) for g in range(n) for h in range(n)],
-                              relations, dim, n)
+        fail = next(_residues(self.field, [(g, h) for g in range(n) for h in range(n)],
+                              relations, dim, n), None)
         if fail is not None:
             (g, h), r, s = fail
             raise InternalCheckFailed(f"matrix-unit relation fails at ({g},{h})x({r},{s})")

@@ -44,8 +44,8 @@ D_g placed by ``skew.inject``.
 
 from __future__ import annotations
 
-from .actions import _complement, _image
-from .algebras import AlgebraMap, _add, _first_residue
+from .actions import _complement
+from .algebras import AlgebraMap, _add, _image, _residues
 from .constructions import _pierce_corner, matrix_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
@@ -238,7 +238,7 @@ def _cross_product_witness(algebra, ideal, kernel):
                     for base, y in at[b]:
                         _add(acc, base + offset, x * y, cell)
 
-    fail = _first_residue(algebra.field, range(len(rows)), fill, dim, 2)
+    fail = next(_residues(algebra.field, range(len(rows)), fill, dim, 2), None)
     if fail is None:
         return None
     i, j, side = fail

@@ -226,13 +226,15 @@ def GF(p):
 
 
 def parse_field(token):
-    """Field from a CLI/scenario token: ``q`` or ``fp:<p>``."""
-    token = str(token).strip().lower()
-    if token in ("q", "qq", "rationals"):
+    """Field from a CLI/scenario token: exactly ``q``, or ``fp:`` followed by
+    the ASCII digits of a prime p.  Nothing is stripped, folded or read
+    past that grammar, so any other token, a non-string included, is refused."""
+    if token == "q":
         return QQ
-    if token.startswith("fp:"):
-        try:
-            return GF(int(token[3:]))
-        except ValueError as exc:
-            raise ParseError(f"bad field token {token!r}: {exc}") from None
-    raise ParseError(f"unknown field token {token!r} (expected 'q' or 'fp:<p>')")
+    digits = token[3:] if isinstance(token, str) and token.startswith("fp:") else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"unknown field token {token!r} (expected 'q' or 'fp:<p>')")
+    try:
+        return GF(int(digits))
+    except ValueError as exc:   # not prime, or more digits than int() reads
+        raise ParseError(f"bad field token {token!r}: {exc}") from None

@@ -13,13 +13,14 @@ dual's axioms, and for the double dual, which ``hopf_data_checks`` only
 compares with H part by part.  ``HopfData``
 reads Δ(b_i) as a vector of H⊗H and the hit actions p_m ⇀ b_i and
 b_i ↼ p_m off the triples once; every later use reads them.  A map on the
-last tensor leg is ``_on_leg``/``_add_on_leg``.  Each identity that
-compares a left side with a sum over Δ (action axioms 1 and 3, the λ/ρ
-exchange identity, the corner exchange lemma, and the comodule and module
-laws of the partial smash) runs on the skeleton of :mod:`algebras`,
-``_first_residue``: one accumulator per outer index holds the left side
-minus the right for every inner tuple at once, is reduced once, and its
-smallest key names the first failing tuple.
+last tensor leg, like every table of sparse columns, is applied by the one
+kernel of :mod:`algebras`, ``_image``; ``_on_leg`` is its reduced form.
+Each identity that compares a left side with a sum over Δ (action axioms 1
+and 3, the λ/ρ exchange identity, the corner exchange lemma, and the
+comodule and module laws of the partial smash) runs on the skeleton of
+:mod:`algebras`, ``_residues``: one accumulator per outer index holds the
+left side minus the right for every inner tuple at once, is reduced once,
+and its smallest key names the first failing tuple.
 
 Every algebra this layer builds is a smash product A # B, (x#b)(y#c) =
 Σ x(b₁▷y) # b₂c, made by ``algebras.smash_algebra`` and validated through
@@ -48,7 +49,7 @@ refusal is raised, never caught here: the suite runner reports it.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _add, _first_residue, _lincomb,
+from .algebras import (AlgebraMap, _add, _image, _lincomb, _residues,
                        _pure_tensor, _sparse_columns, _sparse_vector,
                        field_algebra, make_algebra, smash_algebra)
 from .constructions import _pierce_corner, group_algebra, matrix_algebra, tensor_algebra
@@ -211,20 +212,10 @@ def group_hopf(field, group):
 
 # -- sparse helpers --------------------------------------------------------
 
-def _add_on_leg(acc, base, table, width, vec):
-    """Add to ``acc``, at base + x·width + t, the image of b_i ↦ ``table[i]``
-    on the last leg of a sparse vector with index x·d + i, d = len(table)."""
-    d = len(table)
-    for idx, c in vec.items():
-        x, i = divmod(idx, d)
-        _add(acc, base + x * width, c, table[i].items())
-
-
 def _on_leg(field, table, width, vec):
-    """b_i ↦ ``table[i]`` on the last leg of ``vec``, reduced (see ``_add_on_leg``)."""
-    out = {}
-    _add_on_leg(out, 0, table, width, vec)
-    return field.sparse(out)
+    """b_i ↦ ``table[i]`` on the last leg of ``vec``, reduced: the index
+    x·d + i, d = len(table), goes to x·width + t (see ``algebras._image``)."""
+    return field.sparse(_image(table, vec.items(), width=width))
 
 
 def _hit_by(h, cols):
@@ -324,9 +315,7 @@ def _verify_exchange_identity(h, ops):
         op, tw, cols = lam[a][b], twisted[a], lam_cols[b]
         for c in range(d):
             for x, col in rho_cols[c]:
-                base = (c * d + x) * d
-                for s, y in col:
-                    _add(acc, base, y, op[s].items())
+                _image(op, col, acc, (c * d + x) * d)
             for u, w, m in dual.comul[c]:
                 for t, xt in tw[u]:
                     for x, col in cols[t]:
@@ -336,7 +325,8 @@ def _verify_exchange_identity(h, ops):
                             for r, v in rho_g[w][s]:
                                 acc[base + r] = get(base + r, 0) - my * v
 
-    fail = _first_residue(field, [(a, b) for a in range(d) for b in range(d)], fill, d * d)
+    fail = next(_residues(field, [(a, b) for a in range(d) for b in range(d)], fill, d * d),
+                None)
     if fail:
         raise InternalCheckFailed("exchange identity fails at basis ({},{},{})".format(
             *fail[0], fail[1]))
@@ -386,11 +376,10 @@ def _checked_hopf_action(h, algebra, acts):
             for p, row in enumerate(left):
                 for q, terms in enumerate(row):
                     base = (p * da + q) * da
-                    for t, c in terms:
-                        _add(acc, base, c, acts[i][t].items())
+                    _image(acts[i], terms, acc, base)
                     for k, l, v in h.comul[i]:
                         _add(acc, base, -v, mul(first[k][p], second[l][p][q]).items())
-        return _first_residue(field, range(d), fill, da, da)
+        return next(_residues(field, range(d), fill, da, da), None)
 
     # h ▷ (xy) = Σ (h1 ▷ x)(h2 ▷ y)
     fail = residue([[row.get(y, ()) for y in range(da)] for row in algebra.products],
@@ -512,7 +501,7 @@ def build_corner_maps(pha, lam):
                 for k, l, v in h.comul[i]:
                     _add(acc, base, -v, mul(phi_ka[k], psi[l * d + j]).items())
 
-    fail = _first_residue(field, range(da), lemma, dim, d)
+    fail = next(_residues(field, range(da), lemma, dim, d), None)
     if fail:
         raise InternalCheckFailed("corner exchange lemma fails at (a={}, h={}, f={})"
                                   .format(*fail))
@@ -589,7 +578,7 @@ def partial_smash_report(ps):
 
     def multiplicative(acc, a):
         for b in corner:
-            _add_on_leg(acc, b * t.dim, h.coproduct, d * d, uv[a][b])
+            _image(h.coproduct, uv[a][b].items(), acc, b * t.dim, width=d * d)
             _add(acc, b * t.dim, -1, t._mul_acc(co[a], co[b]).items())
 
     # left module algebra over the dual via 1 ⊗ (p_m ⇀ ·)
@@ -601,7 +590,7 @@ def partial_smash_report(ps):
         get, dim = acc.get, amb.dim
         for a in corner:
             for b in corner:
-                _add_on_leg(acc, (a * n + b) * dim, hits[m], d, uv[a][b])
+                _image(hits[m], uv[a][b].items(), acc, (a * n + b) * dim, width=d)
         for k, l, w in dual.comul[m]:
             for a in corner:
                 for r, x in acted[k][a].items():
@@ -613,8 +602,8 @@ def partial_smash_report(ps):
                             for i, v in cell_at(s, ()):
                                 acc[base + i] = get(base + i, 0) - c * v
 
-    pair = _first_residue(field, corner, multiplicative, t.dim)
-    law = _first_residue(field, ms, module_law, amb.dim, n)
+    pair = next(_residues(field, corner, multiplicative, t.dim), None)
+    law = next(_residues(field, ms, module_law, amb.dim, n), None)
     by_unit = ps.unit_multiples
     return [
         check("psmash.closed", {"sub_dim": sub.dim}, None if leaves is None else

@@ -8,18 +8,22 @@ of the g-map is A(1-1_{g^{-1}}).  Only the ``lemma1`` suite reads them, so
 the dispatcher imports this module in that branch, and a run without the
 suite never compiles it.
 
-Each identity sums lhs − rhs in one accumulator per outer index, keyed
-inner·d + t: per (g, i) for ``multiplicative`` and ``pull_through``, per
-(g, h) for ``composition``, per g for ``round_trip``.  Each is reduced
-once; its failing inner indices, in order, are the failing tuples of a
-per-tuple loop, so the witnesses are those of that loop.  The tables
-b_r·1_g and b_i·α_{g⁻¹}(b_j) are ``StructureAlgebra.multiples``.
+Multiplicativity is read off the failing pairs of ``AlgebraMap(A, A,
+α_g)``, one map per g, whose kernel is the kernel of the g-map.  The other
+identities sum lhs − rhs in one accumulator per outer index, keyed
+inner·d + t: per (g, h) for ``composition``, per (g, i) for
+``pull_through``, per g for ``round_trip``.  All four run on the skeleton
+of :mod:`algebras`, ``_residues``, which yields the failing tuples of a
+per-tuple loop in its order; a check names the first three, and its walk
+stops at the third.  The tables b_r·1_g and b_i·α_g(b_j) are
+``StructureAlgebra.multiples``.
 """
 
 from __future__ import annotations
 
-from .actions import _image
-from .algebras import AlgebraMap, _add
+from itertools import islice
+
+from .algebras import AlgebraMap, _add, _image, _residues
 from .report import check
 
 
@@ -33,64 +37,52 @@ def dot_identities_report(pa):
     """
     alg, grp = pa.algebra, pa.group
     d, n = alg.dim, grp.order
-    sparse, mul = alg.field.sparse, alg._mul_acc
-    by_row, labels, cols = alg.nonempty_cells[0], alg.labels, pa.columns
+    field, label, labels, cols = alg.field, grp.label, alg.labels, pa.columns
+    by_row = alg.nonempty_cells[0]
+    maps = [AlgebraMap(alg, alg, cg) for cg in cols]
     # b_r·1_g for every (g, r), an empty dict where it is zero
     right = [[m.get(r, {}) for r in range(d)] for m in map(alg.multiples, pa.idempotents)]
-    results = []
+    # [g][j]: {i: b_i·α_g(b_j)}
+    times = [[alg.multiples(col) for col in cg] for cg in cols]
+    results = [check("lemma1.multiplicative", {"pairs": n * d * d}, *islice((
+        f"g={label(g)} on ({labels[i]}, {labels[j]})"
+        for g, m in enumerate(maps) for i, j in m._multiplicativity_failures()), 3))]
 
-    bad = []
-    for g, cg in enumerate(cols):
-        nonzero = [(j * d, col) for j, col in enumerate(cg) if col]
+    def composition(acc, pair):
+        g, h = pair
+        gh = grp.mul(g, h)
         for i in range(d):
-            acc = {}
-            for j, cell in by_row[i]:                    # α_g(b_i b_j)
-                _image(cg, cell, acc, j * d)
-            for base, col in nonzero:                    # − α_g(b_i)α_g(b_j)
-                _add(acc, base, -1, mul(cg[i], col).items())
-            bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
-                    for j in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.multiplicative", {"pairs": n * d * d}, *bad[:3]))
+            _image(cols[g], cols[h][i].items(), acc, i * d)        # α_g(α_h(b_i))
+            _image(right[g], cols[gh][i].items(), acc, i * d, -1)  # − α_gh(b_i)·1_g
 
-    bad = []
-    for g in range(n):
-        for h in range(n):
-            gh, acc = grp.mul(g, h), {}
-            for i in range(d):
-                _image(cols[g], cols[h][i].items(), acc, i * d)    # α_g(α_h(b_i))
-                _image(right[g], cols[gh][i].items(), acc, i * d, -1)  # − α_gh(b_i)·1_g
-            bad += [f"g={grp.label(g)} h={grp.label(h)} a={labels[i]}"
-                    for i in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.composition", {"triples": n * n * d}, *bad[:3]))
+    pairs = [(g, h) for g in range(n) for h in range(n)]
+    results.append(check("lemma1.composition", {"triples": n * n * d}, *islice((
+        f"g={label(g)} h={label(h)} a={labels[i]}"
+        for (g, h), i in _residues(field, pairs, composition, d)), 3)))
 
-    bad = []
-    for g in range(n):
-        cg = cols[g]
-        times = [alg.multiples(col) for col in cols[grp.inv(g)]]   # [j][i]: b_i·α_{g⁻¹}(b_j)
-        for i in range(d):
-            acc = {}
-            for r, x in cg[i].items():                   # α_g(b_i)·b_j
-                for j, cell in by_row[r]:
-                    _add(acc, j * d, x, cell)
-            for j, t in enumerate(times):                # − α_g(b_i·α_{g⁻¹}(b_j))
-                _image(cg, t.get(i, {}).items(), acc, j * d, -1)
-            bad += [f"g={grp.label(g)} on ({labels[i]}, {labels[j]})"
-                    for j in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.pull_through", {"pairs": n * d * d}, *bad[:3]))
+    def pull_through(acc, pair):
+        g, i = pair
+        for r, x in cols[g][i].items():                  # α_g(b_i)·b_j
+            for j, cell in by_row[r]:
+                _add(acc, j * d, x, cell)
+        for j, t in enumerate(times[grp.inv(g)]):        # − α_g(b_i·α_{g⁻¹}(b_j))
+            _image(cols[g], t.get(i, {}).items(), acc, j * d, -1)
 
-    bad = [grp.label(g) for g in range(n)
-           if sparse(_image(cols[g], alg.unit.items())) != pa.idempotents[g]]
+    pairs = [(g, i) for g in range(n) for i in range(d)]
+    results.append(check("lemma1.pull_through", {"pairs": n * d * d}, *islice((
+        f"g={label(g)} on ({labels[i]}, {labels[j]})"
+        for (g, i), j in _residues(field, pairs, pull_through, d)), 3)))
+
+    bad = [label(g) for g in range(n) if maps[g].apply(alg.unit) != pa.idempotents[g]]
     results.append(check("lemma1.unit_image", {"elements": n}, *bad))
 
-    bad = []
-    for g in range(n):
-        cg, acc = cols[g], {}
+    def round_trip(acc, g):
         for i, col in enumerate(cols[grp.inv(g)]):
-            _image(cg, col.items(), acc, i * d)           # α_g(α_{g⁻¹}(b_i))
+            _image(cols[g], col.items(), acc, i * d)     # α_g(α_{g⁻¹}(b_i))
             _add(acc, i * d, -1, right[g][i].items())    # − b_i·1_g
-        bad += [f"g={grp.label(g)} a={labels[i]}"
-                for i in sorted({k // d for k in sparse(acc)})]
-    results.append(check("lemma1.round_trip", {"pairs": n * d}, *bad[:3]))
+
+    results.append(check("lemma1.round_trip", {"pairs": n * d}, *islice((
+        f"g={label(g)} a={labels[i]}" for g, i in _residues(field, range(n), round_trip, d)), 3)))
 
     # kernel of the g-map: the evaluation kills exactly A(1-1_{g^{-1}}),
     # the complement of its source ideal.  Whether the complement of the
@@ -101,11 +93,11 @@ def dot_identities_report(pa):
     target_variant = True
     comps = [pa.complement_ideal(g) for g in range(n)]
     for g in range(n):
-        ker = AlgebraMap(alg, alg, cols[g]).kernel()
+        ker = maps[g].kernel()
         comp = comps[grp.inv(g)]
         dims.append(ker.dim)
         if ker != comp:
-            bad.append(f"g={grp.label(g)}: kernel dim {ker.dim} vs ideal dim {comp.dim}")
+            bad.append(f"g={label(g)}: kernel dim {ker.dim} vs ideal dim {comp.dim}")
         if ker != comps[g]:
             target_variant = False
     results.append(check("lemma1.kernel_ideal",

@@ -21,7 +21,7 @@ from .actions import (global_action, make_partial_action, restrict_global,
 from .algebras import (center_basis, direct_product, field_algebra,
                        make_algebra, product_of_fields)
 from .errors import InternalCheckFailed, ParseError, ValidationError
-from .fields import parse_field
+from .fields import QQ, parse_field
 from .groups import (check_labels, cyclic, direct_product as group_product,
                      make_group, symmetric)
 from .report import SKIPPED, CheckResult, Report, check
@@ -56,6 +56,14 @@ def _must(test, what):
 
 _any = _must(lambda data: True, "anything")
 _positive = _must(lambda data: type(data) is int and data >= 1, "an integer >= 1")
+
+
+def _field(data, path, ctx):
+    """A field token, ``q`` or ``fp:<p>``, as its field."""
+    try:
+        return parse_field(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _vector(data, path, ctx):
@@ -398,11 +406,11 @@ _SPECS = {
                      "comultiplication": _cube, "counit": _vector, "antipode": _matrix},
                     _explicit_hopf_checks)},
     "scenario": {None: ({"name?": _must(lambda x: isinstance(x, str), "a string"),
-                         "field?": _any, "group": _any, "algebra?": _any, "action": _any,
+                         "field?": _field, "group": _any, "algebra?": _any, "action": _any,
                          "suites?": _SUITE_NAMES,
                          "expect?": _must(lambda x: isinstance(x, dict), "an object"),
                          "hopf?": _any},
-                        lambda c, e: {"name": "scenario", "field": "q", "suites": SUITES,
+                        lambda c, e: {"name": "scenario", "field": QQ, "suites": SUITES,
                                       "expect": {}, **e})},
 }
 
@@ -428,7 +436,7 @@ def run_scenario(source, suites=None, field_override=None):
     ``<suite>.refused`` (``hopf.explicit_refused`` for the block).
     """
     doc = _walk("scenario", source if isinstance(source, dict) else load_scenario(source), "", {})
-    field = parse_field(doc["field"] if field_override is None else field_override)
+    field = doc["field"] if field_override is None else parse_field(field_override)
     hopf = _walk("hopf", doc["hopf"], "hopf", {"field": field}) if "hopf" in doc else None
     group = build_group(doc["group"])
     algebra = build_algebra(field, doc["algebra"]) if "algebra" in doc else None

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .actions import _image
-from .algebras import AlgebraMap, make_algebra
+from .algebras import AlgebraMap, _image, make_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
 from .report import check

@@ -440,7 +440,32 @@ def test_non_string_field_exits_two(tmp_path, capsys, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: unknown field token ")
+    assert captured.err.startswith("error: field: unknown field token ")
+
+
+@pytest.mark.parametrize("token", ["fp:1_1", "fp:٥", "fp:+5", "fp: 5", " fp:5 ",
+                                   "Q", "qq", "rationals"])
+def test_a_token_outside_the_grammar_exits_two_by_every_route(tmp_path, capsys, token):
+    # exactly "q" and "fp:" with ASCII digits are read: nothing is stripped,
+    # case-folded or read by int() past them; the --field of verify and of
+    # selftest print one line, and the document's entry names its path
+    want = f"unknown field token {token!r} (expected 'q' or 'fp:<p>')"
+    for argv, line in ((["verify", str(fixture_path("s1.json")), "--field", token], want),
+                       (["selftest", "--field", token], want),
+                       (["verify", _write(tmp_path, dict(S1_DOC, field=token))],
+                        f"field: {want}")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize("token", ["q", "fp:5", "fp:05"])
+def test_a_token_in_the_grammar_is_read_by_every_route(tmp_path, capsys, token):
+    doc = dict(S1_DOC, suites=["lemma1"], expect={})
+    assert main(["verify", _write(tmp_path, dict(doc, field=token))]) == 0
+    assert main(["verify", _write(tmp_path, doc), "--field", token]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_empty_report_renders_header_only():

@@ -176,9 +176,19 @@ def test_field_mix_caught_by_structural_guards():
 def test_field_tokens():
     assert parse_field("q") == QQ
     assert parse_field("fp:13") == GF(13)
+    assert parse_field("fp:2") == GF(2) and parse_field("fp:007") == GF(7)
     assert GF(5) == GF(5) and GF(5) != GF(7) and QQ != GF(5)
     with pytest.raises(ParseError):
         parse_field("r")
+
+
+@pytest.mark.parametrize("token", [
+    "Q", "qq", "rationals", " q", "q\n", "fp:1_1", "fp:٥", "fp:+5", "fp:-5", "fp: 5",
+    " fp:5 ", "FP:5", "fp:5.0", "fp:", "", 5, None, ["q"]])
+def test_tokens_outside_the_grammar_are_refused(token):
+    # exactly "q", or "fp:" followed by ASCII digits
+    with pytest.raises(ParseError, match=r"^unknown field token .* \(expected 'q' or 'fp:<p>'\)$"):
+        parse_field(token)
 
 
 def test_large_prime_tokens_decided_fast():

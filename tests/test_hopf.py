@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from partialskew import hopf
-from partialskew.algebras import StructureAlgebra, field_algebra, product_of_fields
+from partialskew.algebras import (StructureAlgebra, _image, field_algebra,
+                                  product_of_fields)
 from partialskew.constructions import group_algebra
 from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
                                 InternalCheckFailed, NotAssociative, ValidationError)
@@ -303,17 +304,28 @@ def test_tables_match_dense_oracle(field, take_dual):
         assert h.coproduct[i] == sparse(map(field.reduce, flat))
 
 
-def test_on_leg_matches_dense_reference():
-    # b_i ↦ table[i] on the last leg of a vector of k²⊗k⁴ is the dense
-    # matrix I₂ ⊗ M, where column i of M is table[i]
-    field = GF(5)
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
+def test_on_leg_matches_dense_reference(field):
+    # b_i ↦ table[i] is the dense matrix M whose column i is table[i], and
+    # on the last leg of a vector of k²⊗k⁴ it is I₂ ⊗ M; the one column
+    # kernel, _image, applies both, unreduced, scaled by c and shifted by
+    # base, into what its accumulator holds (its entries are
+    # representatives: over F_2 the 3 and 4 of the table are 1 and 0)
     table = [{0: 1, 2: 3}, {}, {1: 4}, {0: 2, 1: 1, 2: 1}]
     d, width = len(table), 3
-    kron = [[table[i].get(t, 0) if x == y else 0
-             for y in range(2) for i in range(d)]
+    m = [[table[i].get(t, 0) for i in range(d)] for t in range(width)]
+    kron = [[m[t][i] if x == y else 0 for y in range(2) for i in range(d)]
             for x in range(2) for t in range(width)]
-    vec = (1, 2, 0, 4, 3, 0, 1, 1)
-    assert _on_leg(field, table, width, sparse(vec)) == sparse(apply(field, kron, vec))
+    head, vec = (1, 0, 2, 3), (1, 2, 0, 4, 3, 0, 1, 1)
+    plain, leg = sparse(apply(field, m, head)), sparse(apply(field, kron, vec))
+    assert field.sparse(_image(table, sparse(head).items())) == plain
+    assert _on_leg(field, table, width, sparse(vec)) == leg
+    for c in (1, -1):
+        for terms, want, w in ((sparse(head), plain, 0), (sparse(vec), leg, width)):
+            acc = {0: 7}
+            assert _image(table, terms.items(), acc, 5, c, w) is acc
+            assert field.sparse(acc) == field.sparse(
+                {0: 7, **{5 + t: c * x for t, x in want.items()}})
 
 
 @pytest.mark.parametrize("counit, witness", [

@@ -1,5 +1,8 @@
 """The accumulator identity checks against per-product oracles.
 
+* ``algebras._residues``, the skeleton of the walks below but
+  associativity, yields a planted identity's failing tuples in tuple order
+  and fills no accumulator past the outer index of the last one taken.
 * ``algebras._associativity_witness`` collects (b_i b_j)b_k − b_i(b_j b_k)
   for every (i, k) in one accumulator per middle index j;
   ``_pairwise_associativity_witness`` keeps one accumulator per pair (i, j)
@@ -25,11 +28,14 @@
   of each α_g, spans each meet D_a ∩ D_b as A·1_a1_b, checks Axiom II as
   α_g(1_{g⁻¹}1_h) = 1_g1_{gh}, and its multiplicativity check on the
   source ideal keeps one accumulator per source basis vector; the
-  Lemma 1 identities of ``dot_identities_report`` keep one accumulator per
-  (g, i), (g, h) or g.  The retired loops on the dense maps are oracles
+  Lemma 1 identities of ``dot_identities_report`` read multiplicativity
+  off ``AlgebraMap(A, A, α_g)`` and keep one accumulator per (g, i),
+  (g, h) or g for the others.  The retired loops on the dense maps are oracles
   here, and actions built directly from a tampered α_g column must give
   the same exception message and the same ``CheckResult``s.
 """
+
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -37,7 +43,7 @@ import pytest
 from partialskew import actions, algebras, hopf
 from partialskew.actions import PartialAction, make_partial_action
 from partialskew.algebras import (AlgebraMap, StructureAlgebra,
-                                  _associativity_witness, _lincomb,
+                                  _associativity_witness, _lincomb, _residues,
                                   field_algebra, ideal_basis,
                                   is_central_idempotent, make_algebra,
                                   product_of_fields)
@@ -70,6 +76,37 @@ from test_hopf import _first_exchange_failure
 
 FIELDS = (QQ, GF(5), GF(2))
 FIELD_IDS = ("q", "fp5", "fp2")
+
+
+# -- the skeleton ------------------------------------------------------------
+
+def test_residues_yield_failing_tuples_in_order_and_stop_at_the_last_taken():
+    # five failing (outer, inner) tuples, planted in reverse, each at two
+    # keys, beside entries that reduce to zero in F_5
+    field, width = GF(5), 3
+    failing = [(0, 2), (1, 0), (1, 4), (3, 1), (4, 0)]
+    filled = []
+
+    def fill(acc, o):
+        filled.append(o)
+        for inner in range(6):
+            acc[inner * width + 1] = 5
+        for f, inner in reversed(failing):
+            if f == o:
+                for t in (2, 0):
+                    acc[inner * width + t] = 1
+
+    assert list(_residues(field, range(6), fill, width)) == failing
+    assert filled == list(range(6))
+    filled.clear()
+    assert list(islice(_residues(field, range(6), fill, width), 3)) == failing[:3]
+    assert filled == [0, 1]
+    filled.clear()
+    assert next(_residues(field, range(6), fill, width)) == failing[0]
+    assert filled == [0]
+    # with a split, each inner index is read as divmod(inner, split)
+    assert list(_residues(field, range(6), fill, width, 2)) == [
+        (o, *divmod(inner, 2)) for o, inner in failing]
 
 
 # -- associativity -----------------------------------------------------------

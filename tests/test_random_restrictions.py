@@ -7,8 +7,8 @@ from math import lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
-from partialskew.actions import _image, global_action, restrict_global
-from partialskew.algebras import ideal_basis, product_of_fields
+from partialskew.actions import global_action, restrict_global
+from partialskew.algebras import _image, ideal_basis, product_of_fields
 from partialskew.duality import (build_duality, corner_report,
                                  decomposition_report, kernel_report,
                                  skew_injectivity_report)
