@@ -24,16 +24,17 @@ A·1_a1_b, and once α_g is proved a multiplicative bijection D_{g⁻¹} -> D_g
 that kills A·(1 - 1_{g⁻¹}), Axiom II at (g, h) is α_g(1_{g⁻¹}1_h) =
 1_g1_{gh} (Dokuchaev–Exel 2005).  Past Axiom I nothing is checked where g
 or h is e: Axiom I, and the isomorphism at g, imply it.  Multiplicativity
-on the source ideal sums lhs − rhs in one accumulator per source basis
-vector u, keyed inner·d + t, and is reduced once; its smallest failing key
-is the failure of a per-pair loop.  The table A·(1 - 1_g) is
+on the source ideal is ``AlgebraMap(A, A, α_g).is_multiplicative()``, the
+walk :mod:`lemma1` reads too: once α_g is proved to kill
+C = A·(1 - 1_{g⁻¹}), it is multiplicative on D_{g⁻¹} exactly when it is on
+A = D_{g⁻¹} ⊕ C, since D_{g⁻¹}·C = 0.  The table A·(1 - 1_g) is
 ``StructureAlgebra.multiples``.  The report on the Lemma 1 identities is
 :mod:`lemma1`, which only the ``lemma1`` suite loads.
 """
 
 from __future__ import annotations
 
-from .algebras import (_add, _central_multiples, _image, _lincomb, _residues,
+from .algebras import (AlgebraMap, _central_multiples, _image, _lincomb,
                        _sparse_columns, _sparse_vector, direct_product,
                        ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
@@ -148,33 +149,26 @@ def _checked_action(group, algebra, idempotents, columns):
 
 def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
     field, d, cols = algebra.field, algebra.dim, columns[g]
-    sparse, mul = field.sparse, algebra._mul_acc
     ginv = group.inv(g)
     source, target = ideals[ginv], ideals[g]
     comp = _complement(algebra, idempotents[ginv])
     # α_g(0) = 0, so the first failing b_i has a nonzero comp·b_i
     for i, v in sorted(algebra.multiples(comp, left=False).items()):
-        if sparse(_image(cols, v.items())):
+        if field.sparse(_image(cols, v.items())):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    basis = source.basis
-    images = [sparse(_image(cols, u.items())) for u in basis]
+    images = [field.sparse(_image(cols, u.items())) for u in source.basis]
     image_span = Subspace.span(field, d, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(
             group.label(g),
             f"image of source ideal has dim {image_span.dim}, "
             f"target ideal has dim {target.dim} (source dim {source.dim})")
-
-    def fill(acc, pair):
-        u, gu = pair
-        for j, (v, gv) in enumerate(zip(basis, images)):
-            _image(cols, mul(u, v).items(), acc, j * d)
-            _add(acc, j * d, -1, mul(gu, gv).items())
-
-    if any(_residues(field, zip(basis, images), fill, d)):
+    # α_g kills C = A·(1 - 1_{g⁻¹}), and A = D_{g⁻¹} ⊕ C with D_{g⁻¹}·C = 0,
+    # so α_g is multiplicative on D_{g⁻¹} exactly when it is on A
+    if not AlgebraMap(algebra, algebra, cols).is_multiplicative():
         raise NotIsoOnIdeal(group.label(g), "not multiplicative on its source ideal")
 
 

@@ -26,15 +26,14 @@ The exhaustive identity checks (associativity, matrix units, maps being
 multiplicative) sum the difference of both sides over every inner index in
 one accumulator per outer index: they cost the nonzero product terms, and
 the smallest nonzero key is the first failure of a tuple-by-tuple loop.
-Every such walk but associativity runs on one skeleton, ``_residues``,
-which yields the failing tuples in order, and every table of sparse
-columns, a map's or one on the last leg of a tensor, is applied by one
-kernel, ``_image``.  Associativity keeps one
-accumulator per middle index j, covering every (i, k), and walks the
-nonempty cells of the product table by row and by column
-(``StructureAlgebra.nonempty_cells``); ``make_algebra`` builds that index in
-its shape pass, so the check allocates nothing per pair, and
-``center_basis`` and ``smash_algebra`` reuse it.
+Every such walk runs on one skeleton, ``_residues``, which yields the
+failing tuples in order; associativity's outer index is the middle index j,
+its witness the least triple over every j.  It walks the nonempty cells of
+the product table by row and by column (``StructureAlgebra.nonempty_cells``),
+an index ``make_algebra`` builds in its shape pass, so the check allocates
+nothing per pair, and ``center_basis`` and ``smash_algebra`` reuse it.
+Every table of sparse columns, a map's or one on the last leg of a tensor,
+is applied by one kernel, ``_image``.
 
 An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
 the unit is one, in index order.  Scalars follow :mod:`fields`: the
@@ -229,23 +228,20 @@ def _associativity_witness(alg):
     """First basis triple (i, j, k), in lexicographic order, with
     (b_i b_j) b_k != b_i (b_j b_k), or None when the table is associative.
 
-    Works on the nonempty cells of the product table.  For each middle
-    index j one accumulator, keyed i·d² + k·d + n, collects the coefficient
-    of b_n in (b_i b_j) b_k minus that in b_i (b_j b_k) for every (i, k) at
-    once: the first side runs i over the nonempty cells of column j, m over
-    b_i b_j and k over the nonempty cells of row m; the second runs k over
-    the nonempty cells of row j, m over b_j b_k and i over the nonempty
-    cells of column m.  The cost is the nonzero product terms, not d³
-    triples.  The smallest failing key of a j gives its first (i, k), and
-    the witness is the least (i, j, k) over every j.
+    Runs on ``_residues`` with one accumulator per middle index j, keyed
+    (i·d + k)·d + n, that collects the coefficient of b_n in (b_i b_j) b_k
+    minus that in b_i (b_j b_k) for every (i, k) at once: the first side
+    runs i over the nonempty cells of column j, m over b_i b_j and k over
+    the nonempty cells of row m; the second runs k over the nonempty cells
+    of row j, m over b_j b_k and i over the nonempty cells of column m.  The
+    cost is the nonzero product terms, not d³ triples; the witness is the
+    least (i, j, k) over every j.
     """
-    sparse = alg.field.sparse
     d = alg.dim
     dd = d * d
     by_row, by_col = alg.nonempty_cells
-    first = None
-    for j in range(d):
-        acc = {}
+
+    def fill(acc, j):
         get = acc.get
         for i, cell in by_col[j]:
             base_i = i * dd
@@ -263,13 +259,9 @@ def _associativity_witness(alg):
                     for n, v in mcell:
                         key = base + n
                         acc[key] = get(key, 0) - c * v
-        bad = sparse(acc)
-        if bad:
-            i, rest = divmod(min(bad), dd)
-            witness = (i, j, rest // d)
-            if first is None or witness < first:
-                first = witness
-    return first
+
+    return min(((i, j, k) for j, i, k in _residues(alg.field, range(d), fill, d, d)),
+               default=None)
 
 
 def _canonical_cells(field, products, unit, d):
@@ -700,7 +692,7 @@ class AlgebraMap:
         return Subspace.span(self.domain.field, self.codomain.dim, self.columns)
 
 
-def subalgebra(parent, span, unit_vec, labels=None):
+def subalgebra(parent, span, unit_vec):
     """Structure algebra on a multiplicatively closed subspace of `parent`.
 
     `span` must be closed under the parent product and contain the sparse
@@ -722,4 +714,4 @@ def subalgebra(parent, span, unit_vec, labels=None):
     unit_coords = span.coordinates(unit_vec)
     if unit_coords is None:
         raise ValueError("unit vector lies outside the subspace")
-    return make_algebra(parent.field, products, unit_coords, labels=labels)
+    return make_algebra(parent.field, products, unit_coords)

@@ -39,7 +39,6 @@ class NoIdentity(ValidationError):
 
 class NoInverse(ValidationError):
     def __init__(self, g):
-        self.witness = g
         super().__init__(f"element {g} has no two-sided inverse")
 
 
@@ -47,7 +46,6 @@ class NoInverse(ValidationError):
 
 class UnitFails(ValidationError):
     def __init__(self, i, side):
-        self.witness = i
         super().__init__(f"unit law fails on basis element {i} ({side} side)")
 
 
@@ -74,24 +72,18 @@ class AxiomIFails(ValidationError):
 
 
 class AxiomIIFails(ValidationError):
-    def __init__(self, g, h, detail=""):
-        self.witness = (g, h)
-        super().__init__(
-            f"domain-intersection axiom fails at pair (g={g}, h={h}){': ' + detail if detail else ''}"
-        )
+    def __init__(self, g, h, detail):
+        super().__init__(f"domain-intersection axiom fails at pair (g={g}, h={h}): {detail}")
 
 
 class AxiomIIIFails(ValidationError):
     def __init__(self, g, h, basis_index):
-        self.witness = (g, h, basis_index)
-        super().__init__(
-            f"composition axiom fails at (g={g}, h={h}) on basis vector {basis_index}"
-        )
+        super().__init__(f"composition axiom fails at (g={g}, h={h}) "
+                         f"on basis vector {basis_index}")
 
 
 class NotIsoOnIdeal(ValidationError):
     def __init__(self, g, detail):
-        self.witness = g
         super().__init__(f"map for g={g} is not an isomorphism between its ideals: {detail}")
 
 
@@ -110,7 +102,6 @@ class AntipodeNotInvertible(ValidationError):
 
 class Axiom1Fails(ValidationError):
     def __init__(self, i, x, y):
-        self.witness = (i, x, y)
         super().__init__(f"action is not multiplicative: basis {i} on product of basis {x}, {y}")
 
 
@@ -121,5 +112,4 @@ class Axiom2Fails(ValidationError):
 
 class Axiom3Fails(ValidationError):
     def __init__(self, i, j, x):
-        self.witness = (i, j, x)
         super().__init__(f"iterated-action axiom fails at basis ({i}, {j}) on basis vector {x}")

@@ -29,7 +29,8 @@ whose operator representations satisfy the exchange identity; A⊗H twisted
 by a partial action of H on A (so the unit of A need not absorb h·1), whose
 unital corner is the partial smash product; and (A⊗H) # H^*, the domain of
 the operator duality map into A⊗End(H).  Around them sit the coaction
-induced by a partial action and the corner maps into A⊗End(H).
+induced by a partial action and the corner maps into A⊗End(H), which both
+read δ(a) = Σ (b_i ▷ a) ⊗ p_i from one helper, ``_coaction``.
 
 Each invariant is proved once, by the builder that returns the object, and
 a report on that object states it: ``make_hopf`` for ``antipode_rank`` of
@@ -145,7 +146,8 @@ def _checked_hopf(algebra, comul, counit, antipode):
         if left != {i: field.one} or right != {i: field.one}:
             raise HopfAxiomFails("counit", f"basis {algebra.labels[i]}")
 
-    # coproduct and counit are algebra maps, on sparse vectors of H⊗H
+    # coproduct and counit are algebra maps, on sparse vectors of H⊗H, pair
+    # by pair: an AlgebraMap would tabulate the product of H⊗H, d⁴ cells
     reduce, labels = field.reduce, algebra.labels
     hh = tensor_algebra(algebra, algebra)
     for i in range(d):
@@ -413,6 +415,14 @@ def lift_group_action(pa):
     return _checked_hopf_action(h, pa.algebra, pa.columns)
 
 
+def _coaction(pha):
+    """The columns δ(a_x) = Σ_i (b_i ▷ a_x) ⊗ p_i of the induced coaction, in A ⊗ H*
+    at index a·d + i."""
+    d, acts = pha.hopf.dim, pha.acts
+    return [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
+            for x in range(pha.algebra.dim)]
+
+
 def coaction_report(pha):
     """The induced map δ(a) = Σ (b_i·a)⊗p_i and its three properties.
 
@@ -429,11 +439,9 @@ def coaction_report(pha):
     dual = h.dual()
     d, da = h.dim, alg.dim
     field = alg.field
-    acts = pha.acts
 
-    # δ(a_x) in A ⊗ H*, index a·d + i, and the table of δ ⊗ 1 on a⊗p_j
-    cols = [{a * d + i: c for i in range(d) for a, c in acts[i][x].items()}
-            for x in range(da)]
+    # δ, and the table of δ ⊗ 1 on a⊗p_j
+    cols = _coaction(pha)
     wide = [{k * d + j: c for k, c in col.items()} for col in cols for j in range(d)]
 
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j:
@@ -475,9 +483,7 @@ def build_corner_maps(pha, lam):
     rho_sinv = [_end_vec(op) for op in zip(*_hit_by(h, h.dual().antipode_inv))]
 
     # φ(a_x), index a·d² + e: p_i ↦ ρ(S^{-1}(p_i)#1) on δ(a_x)
-    phi_cols = [_on_leg(field, rho_sinv, dd, {a * d + i: c for i in range(d)
-                                              for a, c in acts[i][x].items()})
-                for x in range(da)]
+    phi_cols = [_on_leg(field, rho_sinv, dd, col) for col in _coaction(pha)]
     phi = AlgebraMap(alg, target, phi_cols)
     if not phi.is_multiplicative():
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")

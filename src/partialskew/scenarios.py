@@ -57,6 +57,21 @@ def _must(test, what):
 _any = _must(lambda data: True, "anything")
 _positive = _must(lambda data: type(data) is int and data >= 1, "an integer >= 1")
 
+# Every key a run measures (``_ScenarioRun.measured``): the keys ``expect`` may name
+EXPECT_KEYS = ("algebra_dimension", "ideal_dimensions", "skew_dimension",
+               "smash_dimension", "kernel_dimension", "corner_dimension",
+               "matrix_dimension", "strong", "global", "algebra_center_dimension",
+               "skew_center_dimension", "smash_center_dimension", "matrix_center_dimension")
+
+
+def _expect(data, path, ctx):
+    """An object of expected values; a key outside ``EXPECT_KEYS`` is refused."""
+    for key in _must(lambda data: isinstance(data, dict), "an object")(data, path, ctx):
+        if key not in EXPECT_KEYS:
+            raise ParseError(f"{path}.{key} is not a measured key "
+                             f"(expected one of {', '.join(EXPECT_KEYS)})")
+    return data
+
 
 def _field(data, path, ctx):
     """A field token, ``q`` or ``fp:<p>``, as its field."""
@@ -408,7 +423,7 @@ _SPECS = {
     "scenario": {None: ({"name?": _must(lambda x: isinstance(x, str), "a string"),
                          "field?": _field, "group": _any, "algebra?": _any, "action": _any,
                          "suites?": _SUITE_NAMES,
-                         "expect?": _must(lambda x: isinstance(x, dict), "an object"),
+                         "expect?": _expect,
                          "hopf?": _any},
                         lambda c, e: {"name": "scenario", "field": QQ, "suites": SUITES,
                                       "expect": {}, **e})},

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from partialskew.cli import main
 from partialskew.errors import ParseError
 from partialskew.report import emit_report, parse_structured
-from partialskew.scenarios import (bundled_fixtures, fixture_path,
+from partialskew.scenarios import (EXPECT_KEYS, bundled_fixtures, fixture_path,
                                    load_scenario, run_scenario)
 
 S1_DOC = {
@@ -441,6 +441,20 @@ def test_non_string_field_exits_two(tmp_path, capsys, field):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: field: unknown field token ")
+
+
+@pytest.mark.parametrize("key", ["nonsense", "skew_dim", "Global"])
+def test_an_expect_key_no_run_measures_exits_two_by_every_route(tmp_path, capsys, key):
+    # a misspelled key is refused as the document is read, whether or not
+    # --suite narrows the run: it is never skipped or left unmeasured
+    path = _write(tmp_path, dict(S1_DOC, expect={key: 3, "skew_dimension": 3}))
+    for argv in (["verify", path], ["verify", path, "--suite", "lemma1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: expect.{key} is not a measured key (expected one of "
+            f"{', '.join(EXPECT_KEYS)})"]
 
 
 @pytest.mark.parametrize("token", ["fp:1_1", "fp:٥", "fp:+5", "fp: 5", " fp:5 ",

@@ -23,8 +23,8 @@ from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg
 from partialskew.linalg import Subspace
 from partialskew.skew import build_skew
 
-from corpus_helpers import (global_swap_action, map_matrix, split_action,
-                            z3_restricted_action)
+from corpus_helpers import (action_matrices, global_swap_action, map_matrix,
+                            split_action, z3_restricted_action)
 from dense_oracle import (apply, dense, identity, inverse, matmul, multiply,
                           sparse, to_columns, to_rows, unit_vector)
 from fp_oracle import unwrap, wrap
@@ -410,6 +410,26 @@ def test_coaction_global_is_strict():
 def _corner_maps(pha):
     """φ and the ψ columns, from λ of ``build_representations``."""
     return build_corner_maps(pha, build_representations(pha.hopf))
+
+
+def test_coaction_report_and_corner_maps_read_one_delta(s1_action, monkeypatch):
+    # δ(a_x) = Σ_g α_g(a_x) ⊗ p_g for the lift, from the dense rows of each
+    # α_g; with ``hopf._coaction`` made to return the zero map, the strict
+    # law holds and φ is zero, so both read δ from it, once per call
+    pha = lift_group_action(s1_action)
+    n, da = pha.hopf.dim, pha.algebra.dim
+    rows = action_matrices(s1_action)
+    assert hopf._coaction(pha) == [
+        {a * n + g: rows[g][a][x] for a in range(da) for g in range(n) if rows[g][a][x]}
+        for x in range(da)]
+    calls = []
+    monkeypatch.setattr(hopf, "_coaction",
+                        lambda p: calls.append(p) or [{} for _ in range(da)])
+    weak = {c.name: c for c in coaction_report(pha)}["coaction.weak_coassociativity"]
+    assert weak.measured == {"strict_coassociativity": True}
+    phi, _ = _corner_maps(pha)
+    assert not any(phi.columns)
+    assert calls == [pha, pha]
 
 
 def test_corner_maps_s1(s1_action):

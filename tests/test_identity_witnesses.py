@@ -1,10 +1,11 @@
 """The accumulator identity checks against per-product oracles.
 
-* ``algebras._residues``, the skeleton of the walks below but
-  associativity, yields a planted identity's failing tuples in tuple order
-  and fills no accumulator past the outer index of the last one taken.
+* ``algebras._residues``, the skeleton of the walks below, yields a
+  planted identity's failing tuples in tuple order and fills no
+  accumulator past the outer index of the last one taken.
 * ``algebras._associativity_witness`` collects (b_i b_j)b_k − b_i(b_j b_k)
-  for every (i, k) in one accumulator per middle index j;
+  for every (i, k) in one accumulator per middle index j, on the skeleton,
+  and takes the least triple it yields;
   ``_pairwise_associativity_witness`` keeps one accumulator per pair (i, j)
   and returns at the first failing pair; both must name the same first
   triple, which is also the dense oracle's.
@@ -27,7 +28,7 @@
 * The partial-action layer: ``make_partial_action`` reads the sparse columns
   of each α_g, spans each meet D_a ∩ D_b as A·1_a1_b, checks Axiom II as
   α_g(1_{g⁻¹}1_h) = 1_g1_{gh}, and its multiplicativity check on the
-  source ideal keeps one accumulator per source basis vector; the
+  source ideal is ``AlgebraMap(A, A, α_g).is_multiplicative()``; the
   Lemma 1 identities of ``dot_identities_report`` read multiplicativity
   off ``AlgebraMap(A, A, α_g)`` and keep one accumulator per (g, i),
   (g, h) or g for the others.  The retired loops on the dense maps are oracles
@@ -35,7 +36,7 @@
   the same exception message and the same ``CheckResult``s.
 """
 
-from itertools import islice
+from itertools import islice, product
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -206,24 +207,43 @@ def test_every_associativity_check_matches_pairwise_oracle(monkeypatch, field):
     assert failing > len(tables)
 
 
+# Non-unital k^d with some products e_i·e_j = e_k planted, as (d, {(i, j): k}),
+# and the least failing (i, j) of each failing middle index j, in order of j.
+_LATER_J_TABLES = [
+    # e_2·e_0 = e_1: j = 0 fails only at i = 2, and (1, 2, 0) comes first:
+    # (e_1 e_2) e_0 = 0, e_1 (e_2 e_0) = e_1
+    (3, {(2, 0): 1}, [(2, 0), (1, 2)]),
+    # e_0·e_1 = e_0 and e_2·e_0 = e_3: j = 0 fails only at i = 2, j = 1 at
+    # i = 0 and j = 2 at i = 2 again, so the least triple is the first
+    # failure of neither the first failing j nor the last
+    (4, {(0, 1): 0, (2, 0): 3}, [(2, 0), (0, 1), (2, 2)]),
+]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_first_failure_at_a_later_middle_index_is_named(field):
-    # k³ with e_2·e_0 = e_1: the triples (2, 0, 0) and (2, 0, 1) fail at
-    # j = 0, but (1, 2, 0) comes first: (e_1 e_2) e_0 = 0, e_1 (e_2 e_0) = e_1
     one = field.one
-    rows = [[((i, one),) if i == j else () for j in range(3)] for i in range(3)]
-    rows[2][0] = ((1, one),)
-    alg = StructureAlgebra(field, mapping_rows(rows), None)
-    mul, basis = _dense_mul(field, _densify(alg))
-    failures = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
-                if mul(mul(basis[i], basis[j]), basis[k])
-                != mul(basis[i], mul(basis[j], basis[k]))]
-    assert failures[0] == (1, 2, 0) and (2, 0, 0) in failures
-    assert _associativity_witness(alg) == (1, 2, 0)
-    assert _pairwise_associativity_witness(alg) == (1, 2, 0)
-    with pytest.raises(NotAssociative) as info:
-        make_algebra(field, mapping_rows(rows), None)
-    assert str(info.value) == "algebra is not associative at triple (b1, b2, b0)"
+    for d, planted, firsts in _LATER_J_TABLES:
+        table = [[[one if i == j == k else 0 for k in range(d)] for j in range(d)]
+                 for i in range(d)]
+        for (i, j), k in planted.items():
+            table[i][j] = [one if t == k else 0 for t in range(d)]
+        mul, basis = _dense_mul(field, table)
+        failures = [(i, j, k) for i, j, k in product(range(d), repeat=3)
+                    if mul(mul(basis[i], basis[j]), basis[k])
+                    != mul(basis[i], mul(basis[j], basis[k]))]
+        least = [min(t for t in failures if t[1] == j)
+                 for j in sorted({t[1] for t in failures})]
+        assert [(i, j) for i, j, _ in least] == firsts
+        expected = min(least)
+        assert _first_nonassociative_triple(field, table) == expected
+        alg = StructureAlgebra(field, _sparsify(table), None)
+        assert _associativity_witness(alg) == expected
+        assert _pairwise_associativity_witness(alg) == expected
+        with pytest.raises(NotAssociative) as info:
+            make_algebra(field, _sparsify(table), None)
+        assert str(info.value) == ("algebra is not associative at triple "
+                                   "(b%d, b%d, b%d)" % expected)
 
 
 _BASES = {

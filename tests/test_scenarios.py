@@ -7,8 +7,8 @@ from partialskew.duality import build_duality
 from partialskew.errors import ParseError
 from partialskew.fields import GF, QQ
 from partialskew.report import SKIPPED
-from partialskew.scenarios import (build_action, build_algebra, build_group,
-                                   bundled_fixtures, fixture_path,
+from partialskew.scenarios import (EXPECT_KEYS, build_action, build_algebra,
+                                   build_group, bundled_fixtures, fixture_path,
                                    load_scenario, run_scenario)
 from partialskew.skew import build_skew
 from partialskew.smash import build_smash
@@ -94,13 +94,7 @@ def test_rational_scalars_are_int_or_fraction(name):
     assert {type(x) for x in scalars} <= {int, Fraction}
 
 
-# every key a run can measure, and the keys each suite adds, run alone, to
-# the three every run measures
-MEASURED_KEYS = ("algebra_dimension", "ideal_dimensions", "global",
-                 "skew_dimension", "strong", "smash_dimension",
-                 "kernel_dimension", "corner_dimension", "matrix_dimension",
-                 "algebra_center_dimension", "skew_center_dimension",
-                 "smash_center_dimension", "matrix_center_dimension")
+# the keys each suite adds, run alone, to the three every run measures
 BASE_KEYS = {"algebra_dimension", "ideal_dimensions", "global"}
 SUITE_KEYS = {
     "lemma1": set(),
@@ -115,10 +109,18 @@ SUITE_KEYS = {
 }
 
 
+def test_the_expect_table_is_what_the_suites_measure():
+    # an expect key outside the table is refused, so every key a suite
+    # measures must be in it, and every key in it measured by some suite
+    assert len(set(EXPECT_KEYS)) == len(EXPECT_KEYS) == 13
+    assert all(BASE_KEYS | keys <= set(EXPECT_KEYS) for keys in SUITE_KEYS.values())
+    assert BASE_KEYS.union(*SUITE_KEYS.values()) == set(EXPECT_KEYS)
+
+
 @pytest.mark.parametrize("name", bundled_fixtures())
 def test_each_suite_measures_its_keys(name):
     doc = dict(load_scenario(fixture_path(name)),
-               expect={key: None for key in MEASURED_KEYS})
+               expect=dict.fromkeys(EXPECT_KEYS))
     for suite, keys in SUITE_KEYS.items():
         report = run_scenario(doc, suites=[suite])
         measured = {c.name.removeprefix("expect.") for c in report.checks
