@@ -15,8 +15,9 @@ group and the basis:
 An action is stored once, as the sparse columns ``columns[g][j] =
 {row: scalar}`` = α_g(b_j): g·a, the axioms, the Lemma 1 identities of
 :mod:`lemma1`, the kernel of α_g and the Hopf lift read them, and each
-idempotent 1_g is a sparse vector ``{index: scalar}``.
-``make_partial_action`` reads both through the column check of
+idempotent 1_g is a sparse vector ``{index: scalar}``.  α_g(v) is
+``algebras._apply`` of the columns: Axiom III compares α_g(α_h(v)) with
+α_gh(v).  ``make_partial_action`` reads both through the column check of
 :mod:`algebras`; the builders below make them in that form.  Each distinct
 1_g is proved central once, by the test whose multiples span D_g.  Then no
 elimination meets two ideals: for central idempotents D_a ∩ D_b =
@@ -34,9 +35,9 @@ A = D_{g⁻¹} ⊕ C, since D_{g⁻¹}·C = 0.  The table A·(1 - 1_g) is
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _central_multiples, _image, _lincomb,
-                       _sparse_columns, _sparse_vector, direct_product,
-                       ideal_basis, subalgebra)
+from .algebras import (AlgebraMap, _apply, _central_multiples, _image,
+                       _lincomb, _sparse_columns, _sparse_vector,
+                       direct_product, ideal_basis, subalgebra)
 from .errors import (AxiomIFails, AxiomIIFails, AxiomIIIFails,
                      NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from .linalg import Subspace
@@ -132,7 +133,7 @@ def _checked_action(group, algebra, idempotents, columns):
         for h in others:
             source, domain = meet(group.inv(g), h)
             target, span = meet(g, group.mul(g, h))
-            if field.sparse(_image(columns[g], source.items())) != target:
+            if _apply(field, columns[g], source) != target:
                 raise AxiomIIFails(group.label(g), group.label(h),
                                    f"image dim {domain.dim}, target dim {span.dim}")
 
@@ -140,8 +141,8 @@ def _checked_action(group, algebra, idempotents, columns):
         for h in others:
             gh = group.mul(g, h)
             for idx, v in enumerate(meet(group.inv(h), group.inv(gh))[1].basis):
-                acc = _image(columns[g], _image(columns[h], v.items()).items())
-                if field.sparse(_image(columns[gh], v.items(), acc, c=-1)):
+                twice = _apply(field, columns[g], _apply(field, columns[h], v))
+                if twice != _apply(field, columns[gh], v):
                     raise AxiomIIIFails(group.label(g), group.label(h), idx)
 
     return PartialAction(group, algebra, idempotents, columns, ideals)
@@ -154,12 +155,12 @@ def _check_iso_on_ideal(group, algebra, idempotents, columns, ideals, g):
     comp = _complement(algebra, idempotents[ginv])
     # α_g(0) = 0, so the first failing b_i has a nonzero comp·b_i
     for i, v in sorted(algebra.multiples(comp, left=False).items()):
-        if field.sparse(_image(cols, v.items())):
+        if _apply(field, cols, v):
             raise NotIsoOnIdeal(
                 group.label(g),
                 f"does not vanish on the complement of its source ideal "
                 f"(basis {algebra.labels[i]})")
-    images = [field.sparse(_image(cols, u.items())) for u in source.basis]
+    images = [_apply(field, cols, u) for u in source.basis]
     image_span = Subspace.span(field, d, images)
     if image_span != target or image_span.dim != source.dim:
         raise NotIsoOnIdeal(

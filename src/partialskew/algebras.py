@@ -29,11 +29,11 @@ the smallest nonzero key is the first failure of a tuple-by-tuple loop.
 Every such walk runs on one skeleton, ``_residues``, which yields the
 failing tuples in order; associativity's outer index is the middle index j,
 its witness the least triple over every j.  It walks the nonempty cells of
-the product table by row and by column (``StructureAlgebra.nonempty_cells``),
-an index ``make_algebra`` builds in its shape pass, so the check allocates
-nothing per pair, and ``center_basis`` and ``smash_algebra`` reuse it.
-Every table of sparse columns, a map's or one on the last leg of a tensor,
-is applied by one kernel, ``_image``.
+the product table by row and by column, so it allocates nothing per pair;
+the column index is built in one place, the cached ``column_index``.  Every
+table of sparse columns, a map's or one on the last leg of a tensor, is
+applied by one kernel, ``_image``, into a caller's accumulator, unreduced;
+``_apply`` is its one reduced form.
 
 An element is a sparse vector ``{index: scalar}`` of nonzero scalars, and
 the unit is one, in index order.  Scalars follow :mod:`fields`: the
@@ -82,28 +82,26 @@ class StructureAlgebra:
         self.labels = tuple(labels)
 
     @cached_property
-    def nonempty_cells(self):
-        """The nonempty cells of the product table as (by_row, by_col):
-        by_row[i] lists the pairs (j, b_i·b_j), by_col[j] the pairs
-        (i, b_i·b_j), in index order.  ``make_algebra`` sets it from its
-        shape pass; any other algebra derives it on first read."""
-        by_row = [row.items() for row in self.products]
+    def column_index(self):
+        """The nonempty cells of the product table by column: ``[j]`` lists
+        the pairs (i, b_i·b_j) in ascending i.  Built on first read and
+        kept; a row's cells are ``products[i].items()``."""
         by_col = [[] for _ in range(self.dim)]
-        for i, row in enumerate(by_row):
-            for j, cell in row:
+        for i, row in enumerate(self.products):
+            for j, cell in row.items():
                 by_col[j].append((i, cell))
-        return by_row, by_col
+        return by_col
 
     def multiples(self, x, left=True):
         """``{b: b_b·x}``, or ``{b: x·b_b}`` when not ``left``, over the
         basis indices b whose product is nonzero, each canonical: the
         products of x with every basis vector, from one walk over the
-        nonempty cells that x's support reaches.  Left multiples read the
-        column index ``nonempty_cells[1]``; right multiples read
-        ``products`` directly and never build a column index, which on a
-        matrix algebra would stay cached for the rest of the run."""
+        nonempty cells that x's support reaches.  Left multiples read
+        ``column_index``; right multiples read ``products`` directly and
+        never build the index, which on a matrix algebra would stay cached
+        for the rest of the run."""
         rows = self.products
-        cells = self.nonempty_cells[1] if left else {j: rows[j].items() for j in x}
+        cells = self.column_index if left else {j: rows[j].items() for j in x}
         acc = {}
         for j, c in x.items():
             for b, cell in cells[j]:
@@ -197,6 +195,13 @@ def _image(cols, terms, acc=None, base=0, c=1, width=0):
     return acc
 
 
+def _apply(field, cols, x, width=0):
+    """α(x) as a canonical sparse vector, α the map with sparse columns
+    ``cols`` (on the last leg of a tensor when a ``width`` is given, see
+    ``_image``): the one reduced application of a table of columns."""
+    return field.sparse(_image(cols, x.items(), width=width))
+
+
 def _sparse_columns(field, columns, count, rows, what="map column"):
     """``columns`` read in ``field`` as canonical ``{row: scalar}`` dicts
     without zeros; ValueError unless there are ``count`` of them, each a
@@ -239,7 +244,7 @@ def _associativity_witness(alg):
     """
     d = alg.dim
     dd = d * d
-    by_row, by_col = alg.nonempty_cells
+    by_row, by_col = [row.items() for row in alg.products], alg.column_index
 
     def fill(acc, j):
         get = acc.get
@@ -266,9 +271,8 @@ def _associativity_witness(alg):
 
 def _canonical_cells(field, products, unit, d):
     """The shape pass of ``make_algebra``, one walk over the given cells:
-    the rows in the form of ``StructureAlgebra.products``, the
-    (by_row, by_col) index of ``StructureAlgebra.nonempty_cells`` and the
-    unit in index order without zeros; ValueError for a malformed table.
+    the rows in the form of ``StructureAlgebra.products`` and the unit in
+    index order without zeros; ValueError for a malformed table.
 
     A row must be a dict ``{j: cell}``, and every j an ``int`` in range;
     every cell has indices in range, no zero and no repeated index, and its
@@ -280,7 +284,6 @@ def _canonical_cells(field, products, unit, d):
     exact = {int} if p else _rational_types()
     bad = None   # the first scalar that is not exact, raised last
     rows = []
-    by_col = [[] for _ in range(d)]
     for i, row in enumerate(products):
         if not isinstance(row, Mapping):
             raise ValueError(f"product row {i} must be a dict {{j: cell}}, "
@@ -313,8 +316,6 @@ def _canonical_cells(field, products, unit, d):
             last = j
         if not ascending:
             cells = dict(sorted(cells.items()))
-        for j, cell in cells.items():
-            by_col[j].append((i, cell))
         rows.append(cells)
     if unit is not None:
         if not all(type(k) is int and 0 <= k < d for k in _mapping(unit, "unit")):
@@ -327,7 +328,7 @@ def _canonical_cells(field, products, unit, d):
         if not p:
             field.scalars((bad,))   # raises the field's ValueError
         raise ValueError(f"scalar {bad!r} is not a residue mod {p}")
-    return rows, ([row.items() for row in rows], by_col), unit
+    return rows, unit
 
 
 def make_algebra(field, products, unit, labels=None):
@@ -343,10 +344,8 @@ def make_algebra(field, products, unit, labels=None):
     d^3 basis triples and the unit law on every basis element; the first
     failure names its witness.
     """
-    d = len(products)
-    rows, index, unit = _canonical_cells(field, products, unit, d)
+    rows, unit = _canonical_cells(field, products, unit, len(products))
     alg = StructureAlgebra(field, rows, unit, labels)
-    alg.nonempty_cells = index   # seeds the cached index from the same walk
 
     witness = _associativity_witness(alg)
     if witness is not None:
@@ -440,7 +439,7 @@ def center_basis(alg, generators=None):
     InternalCheckFailed.
     """
     d = alg.dim
-    by_row, by_col = alg.nonempty_cells
+    by_row, by_col = [row.items() for row in alg.products], alg.column_index
     if generators is None:
         one = alg.field.one
         generators = [{j: one} for j in range(d)]
@@ -544,7 +543,7 @@ def smash_algebra(a, b, comul, acted, unit):
     field = a.field
     sparse = field.sparse
     db = b.dim
-    brows = b.nonempty_cells[0]
+    brows = [row.items() for row in b.products]
     acting = [[] for _ in range(a.dim)]   # y -> [(k, b_k▷a_y)], nonzero only
     for k, by_y in enumerate(acted):
         for y, ay in enumerate(by_y):
@@ -622,7 +621,7 @@ class AlgebraMap:
 
     def apply(self, x):
         """The image of a sparse vector ``{index: scalar}``, sparse."""
-        return self.codomain.field.sparse(_image(self.columns, x.items()))
+        return _apply(self.codomain.field, self.columns, x)
 
     def compose(self, inner):
         """self after inner, column by column from the sparse columns."""
@@ -653,7 +652,7 @@ class AlgebraMap:
         """
         dc = self.codomain.dim
         rows = self.codomain.products
-        by_col = self.codomain.nonempty_cells[1] if anti else None
+        by_col = self.codomain.column_index if anti else None
         cols = [tuple(col.items()) for col in self.columns]
         at = [[] for _ in range(dc)]   # at[s]: (j·D, φ(b_j)[s]) over the nonzero entries
         for j, col in enumerate(cols):

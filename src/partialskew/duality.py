@@ -45,7 +45,7 @@ D_g placed by ``skew.inject``.
 from __future__ import annotations
 
 from .actions import _complement
-from .algebras import AlgebraMap, _add, _image, _residues
+from .algebras import AlgebraMap, _add, _apply, _image, _residues
 from .constructions import _pierce_corner, matrix_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
@@ -111,7 +111,7 @@ def build_duality(smash):
     # column of a#p_h: h^{-1}·(g^{-1}·a) in entry (gh, h), a of grade g
     cols = []
     for g, a in zip(skew.grades, skew.vectors):
-        ginv_a = alg.field.sparse(_image(pa.columns[grp.inv(g)], a.items()))
+        ginv_a = _apply(alg.field, pa.columns[grp.inv(g)], a)
         cols += [_image(pa.columns[grp.inv(h)], ginv_a.items(),
                         base=mat.slot(grp.mul(g, h), h, 0)) for h in range(n)]
     phi = AlgebraMap(smash.algebra, mat, cols)
@@ -229,9 +229,10 @@ def _cross_product_witness(algebra, ideal, kernel):
         for b, y in w.items():
             at[b].append((2 * j * dim, y))
     rows = ideal.basis
+    sides = [row.items() for row in algebra.products], algebra.column_index
 
     def fill(acc, i):
-        for side, cells in enumerate(algebra.nonempty_cells):
+        for side, cells in enumerate(sides):
             offset = side * dim
             for a, x in rows[i].items():
                 for b, cell in cells[a]:

@@ -14,7 +14,7 @@ compares with H part by part.  ``HopfData``
 reads Δ(b_i) as a vector of H⊗H and the hit actions p_m ⇀ b_i and
 b_i ↼ p_m off the triples once; every later use reads them.  A map on the
 last tensor leg, like every table of sparse columns, is applied by the one
-kernel of :mod:`algebras`, ``_image``; ``_on_leg`` is its reduced form.
+kernel of :mod:`algebras`, ``_image``, or by its one reduced form, ``_apply``.
 Each identity that compares a left side with a sum over Δ (action axioms 1
 and 3, the λ/ρ exchange identity, the corner exchange lemma, and the
 comodule and module laws of the partial smash) runs on the skeleton of
@@ -50,7 +50,7 @@ refusal is raised, never caught here: the suite runner reports it.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraMap, _add, _image, _lincomb, _residues,
+from .algebras import (AlgebraMap, _add, _apply, _image, _lincomb, _residues,
                        _pure_tensor, _sparse_columns, _sparse_vector,
                        field_algebra, make_algebra, smash_algebra)
 from .constructions import _pierce_corner, group_algebra, matrix_algebra, tensor_algebra
@@ -133,8 +133,8 @@ def _checked_hopf(algebra, comul, counit, antipode):
     # last two legs of Δ(b_i), a vector of k⊗H⊗H
     middle = [{kl * d + l: v for kl, v in cop[i].items()}
               for i in range(d) for l in range(d)]
-    i = next((i for i, vec in enumerate(cop) if _on_leg(field, middle, d ** 3, vec)
-              != _on_leg(field, cop, d * d, vec)), None)
+    i = next((i for i, vec in enumerate(cop)
+              if _apply(field, middle, vec, d ** 3) != _apply(field, cop, vec, d * d)), None)
     if i is not None:
         raise HopfAxiomFails("coassociativity", f"basis {algebra.labels[i]}")
 
@@ -154,7 +154,7 @@ def _checked_hopf(algebra, comul, counit, antipode):
         row = algebra.products[i]
         for j in range(d):
             prod = row.get(j, ())
-            if _lincomb(field, ((c, cop[t]) for t, c in prod)) != hh.mul(cop[i], cop[j]):
+            if _apply(field, cop, dict(prod)) != hh.mul(cop[i], cop[j]):
                 axiom = "coproduct multiplicative"
             elif reduce(sum(c * eps(t, 0) for t, c in prod) - eps(i, 0) * eps(j, 0)):
                 axiom = "counit multiplicative"
@@ -162,7 +162,7 @@ def _checked_hopf(algebra, comul, counit, antipode):
                 continue
             raise HopfAxiomFails(axiom, f"pair ({labels[i]}, {labels[j]})")
     unit = algebra.unit
-    if _on_leg(field, cop, d * d, unit) != _on_leg(field, [unit], d, unit):
+    if _apply(field, cop, unit, d * d) != _apply(field, [unit], unit, d):
         raise HopfAxiomFails("coproduct unital", "unit element")
     if reduce(sum(c * eps(t, 0) for t, c in unit.items())) != field.one:
         raise HopfAxiomFails("counit unital", "unit element")
@@ -214,17 +214,10 @@ def group_hopf(field, group):
 
 # -- sparse helpers --------------------------------------------------------
 
-def _on_leg(field, table, width, vec):
-    """b_i ↦ ``table[i]`` on the last leg of ``vec``, reduced: the index
-    x·d + i, d = len(table), goes to x·width + t (see ``algebras._image``)."""
-    return field.sparse(_image(table, vec.items(), width=width))
-
-
 def _hit_by(h, cols):
     """``[x][u]`` = b_x ↼ M(p_u), M the map on the dual basis with sparse
-    columns ``cols``."""
-    return [[_lincomb(h.algebra.field, ((c, h.right_hits[m][x]) for m, c in s.items()))
-             for s in cols] for x in range(h.dim)]
+    columns ``cols``, through the table p_m ↦ b_x ↼ p_m of each x."""
+    return [[_apply(h.algebra.field, hits, s) for s in cols] for hits in zip(*h.right_hits)]
 
 
 # -- operator representations --------------------------------------------
@@ -302,8 +295,8 @@ def _verify_exchange_identity(h, ops):
     lam, rho = ops
     unit = h.algebra.unit
     # ρ(g_c#1) by column, as (row, scalar) pairs, and its nonempty columns
-    rho_g = [[tuple(_lincomb(field, ((u, rho[c][i][x]) for i, u in unit.items())).items())
-              for x in range(d)] for c in range(d)]
+    rho_g = [[tuple(_apply(field, by_i, unit).items()) for by_i in zip(*rho[c])]
+             for c in range(d)]
     rho_cols = [[(x, col) for x, col in enumerate(op) if col] for op in rho_g]
     # the nonempty columns of λ(b_t#p_b), at [b][t]
     lam_cols = [[[(x, col.items()) for x, col in enumerate(lam[t][b]) if col]
@@ -389,21 +382,18 @@ def _checked_hopf_action(h, algebra, acts):
     if fail:
         raise Axiom1Fails(ha[fail[0]], aa[fail[1]], aa[fail[2]])
 
-    # 1_H ▷ a_x = a_x
-    h_unit = h.algebra.unit.items()
-    x = next((x for x in range(da) if _lincomb(field, ((c, acts[i][x]) for i, c in h_unit))
-              != {x: field.one}), None)
+    # 1_H ▷ a_x = a_x, with by_x[x][t] = b_t ▷ a_x
+    by_x = list(zip(*acts))
+    x = next((x for x, by_t in enumerate(by_x)
+              if _apply(field, by_t, h.algebra.unit) != {x: field.one}), None)
     if x is not None:
         raise Axiom2Fails(f"on basis {aa[x]}")
 
     # h ▷ (k ▷ x) = Σ (h1 ▷ 1)((h2 k) ▷ x), with (b_l b_j) ▷ a_x formed once
-    unit = algebra.unit
-    unit_acts = [_on_leg(field, acts[k], da, unit) for k in range(d)]
-    hrows = h.algebra.products
-    lj_acts = [[[_lincomb(field, ((c, acts[t][x]) for t, c in hrows[l].get(j, ())))
-                 for x in range(da)] for j in range(d)] for l in range(d)]
+    lj_acts = [[[_apply(field, by_t, dict(row.get(j, ()))) for by_t in by_x] for j in range(d)]
+               for row in h.algebra.products]
     fail = residue([[col.items() for col in row] for row in acts],
-                   [[u] * d for u in unit_acts], lj_acts)
+                   [[_apply(field, cols, algebra.unit)] * d for cols in acts], lj_acts)
     if fail:
         raise Axiom3Fails(ha[fail[0]], ha[fail[1]], aa[fail[2]])
     return PartialHopfAction(h, algebra, acts)
@@ -447,10 +437,10 @@ def coaction_report(pha):
     # weakened coassociativity in A ⊗ H* ⊗ H*, index (a·d + i)·d + j:
     # (δ⊗1)δ = (δ(1)⊗1)·(1⊗Δ)δ
     t3 = tensor_algebra(alg, tensor_algebra(dual.algebra, dual.algebra))
-    delta_unit = _on_leg(field, cols, da * d, alg.unit)
-    left_factor = _on_leg(field, [dual.algebra.unit], d, delta_unit)
-    lhs = [_on_leg(field, wide, da * d * d, col) for col in cols]
-    spread = [_on_leg(field, dual.coproduct, d * d, col) for col in cols]
+    delta_unit = _apply(field, cols, alg.unit, da * d)
+    left_factor = _apply(field, [dual.algebra.unit], delta_unit, d)
+    lhs = [_apply(field, wide, col, da * d * d) for col in cols]
+    spread = [_apply(field, dual.coproduct, col, d * d) for col in cols]
     weak = next((x for x in range(da) if lhs[x] != t3.mul(left_factor, spread[x])), None)
     strict = next((x for x in range(da) if lhs[x] != spread[x]), None)
     coassoc_witnesses = [f"{kind} coassociativity fails on basis {alg.labels[x]}"
@@ -483,14 +473,14 @@ def build_corner_maps(pha, lam):
     rho_sinv = [_end_vec(op) for op in zip(*_hit_by(h, h.dual().antipode_inv))]
 
     # φ(a_x), index a·d² + e: p_i ↦ ρ(S^{-1}(p_i)#1) on δ(a_x)
-    phi_cols = [_on_leg(field, rho_sinv, dd, col) for col in _coaction(pha)]
+    phi_cols = [_apply(field, rho_sinv, col, dd) for col in _coaction(pha)]
     phi = AlgebraMap(alg, target, phi_cols)
     if not phi.is_multiplicative():
         raise InternalCheckFailed("corner map on the algebra is not multiplicative")
 
     # ψ(b_i#p_j) = 1⊗λ(b_i#p_j), from the sparse columns of λ
     one_a = alg.unit
-    psi = [_on_leg(field, [col], dd, one_a) for col in lam.columns]
+    psi = [_apply(field, [col], one_a, dd) for col in lam.columns]
 
     # exchange lemma
     mul, dim = target._mul_acc, target.dim
@@ -580,7 +570,7 @@ def partial_smash_report(ps):
 
     # right comodule algebra via ρ = 1 ⊗ coproduct
     t = tensor_algebra(amb, h.algebra)
-    co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
+    co = [_apply(field, h.coproduct, u, d * d) for u in su]
 
     def multiplicative(acc, a):
         for b in corner:
@@ -589,7 +579,7 @@ def partial_smash_report(ps):
 
     # left module algebra over the dual via 1 ⊗ (p_m ⇀ ·)
     hits, rows = h.left_hits, amb.products
-    acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in ms]
+    acted = [[_apply(field, hits[m], u, d) for u in su] for m in ms]
 
     def module_law(acc, m):
         # p_m ⇀ (uv) = Σ over (k, l, w) in Δ(p_m) of w·(p_k ⇀ u)(p_l ⇀ v)
@@ -626,7 +616,7 @@ def partial_smash_report(ps):
             # p_m ⇀ ((x#b_i)·1) = (x#(p_m ⇀ b_i))·1
             "closed_form": next((f"{p[m]}, {amb.labels[x * d + i]}"
                                  for x in range(alg.dim) for i in ms for m in ms
-                                 if _on_leg(field, hits[m], d, by_unit.get(x * d + i, {}))
+                                 if _apply(field, hits[m], by_unit.get(x * d + i, {}), d)
                                  != _lincomb(field, ((v, by_unit.get(x * d + b, {}))
                                                      for b, v in hits[m][i].items()))),
                                 None)}),
@@ -651,17 +641,16 @@ def smash_matches_skew_report(ps, skew_ring):
 
     # T(x#b_g), index x·d + g, as a sparse vector of the twisted ring
     times = [alg.multiples(e) for e in skew_ring.action.idempotents]   # {x: b_x·1_g}
-    t_map = AlgebraMap(ps.ambient, ring, [
-        skew_ring.inject(g, times[g].get(x, {}))
-        for x in range(alg.dim) for g in range(d)]).apply
+    t_cols = [skew_ring.inject(g, times[g].get(x, {}))
+              for x in range(alg.dim) for g in range(d)]
     su = ps.sub.basis
-    images = [t_map(u) for u in su]
+    images = [_apply(field, t_cols, u) for u in su]
     span = Subspace.span(field, skew_ring.dim, images)
     bijective = ps.sub.dim == skew_ring.dim == span.dim
     mul = ps.ambient.mul
     pair = next(((a, b) for a, u in enumerate(su) for b, v in enumerate(su)
-                 if t_map(mul(u, v)) != ring.mul(images[a], images[b])), None)
-    unital = t_map(ps.unit_vec) == ring.unit
+                 if _apply(field, t_cols, mul(u, v)) != ring.mul(images[a], images[b])), None)
+    unital = _apply(field, t_cols, ps.unit_vec) == ring.unit
 
     vec = ps.ambient.format_vec
     if not bijective:
@@ -691,7 +680,7 @@ def operator_duality_report(pha, ps, maps):
     phi, psi_columns = maps
     target = phi.codomain
 
-    acted = [[_on_leg(field, h.left_hits[m], d, {y: field.one})
+    acted = [[_apply(field, h.left_hits[m], {y: field.one}, d)
               for y in range(ps.ambient.dim)] for m in range(d)]
     triple = smash_algebra(ps.ambient, dual.algebra, dual.comul, acted, None)
 
@@ -704,8 +693,7 @@ def operator_duality_report(pha, ps, maps):
     # the first restricted generator s#p_j whose image leaves the corner
     subs = ps.sub.basis
     outside = next(((a, j) for a, s in enumerate(subs) for j in range(d)
-                    if _lincomb(field, ((c, cols[idx * d + j]) for idx, c in s.items()))
-                    not in corner), None)
+                    if _apply(field, cols[j::d], s) not in corner), None)
 
     return [
         check("opduality.multiplicative", {"dim": triple.dim}, None if pair is None else

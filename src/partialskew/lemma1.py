@@ -38,7 +38,7 @@ def dot_identities_report(pa):
     alg, grp = pa.algebra, pa.group
     d, n = alg.dim, grp.order
     field, label, labels, cols = alg.field, grp.label, alg.labels, pa.columns
-    by_row = alg.nonempty_cells[0]
+    by_row = [row.items() for row in alg.products]
     maps = [AlgebraMap(alg, alg, cg) for cg in cols]
     # b_r·1_g for every (g, r), an empty dict where it is zero
     right = [[m.get(r, {}) for r in range(d)] for m in map(alg.multiples, pa.idempotents)]

@@ -185,8 +185,9 @@ def emit_report(report, fmt="text"):
         for w in c.witnesses:
             lines.append(f"{''.ljust(name_w)}  {' ' * 6}  ! {w}")
     verdict = "PASS" if report.passed() else "FAIL"
-    lines.append(f"result: {verdict} ({sum(1 for c in checks if c.status == PASS)}"
-                 f"/{len(checks)} checks passed)")
+    passed, skipped = (sum(c.status == status for c in checks) for status in (PASS, SKIPPED))
+    tail = f", {skipped} skipped" if skipped else ""
+    lines.append(f"result: {verdict} ({passed}/{len(checks)} checks passed{tail})")
     return "\n".join(lines) + "\n"
 
 

@@ -56,20 +56,34 @@ def _must(test, what):
 
 _any = _must(lambda data: True, "anything")
 _positive = _must(lambda data: type(data) is int and data >= 1, "an integer >= 1")
+_count = _must(lambda data: type(data) is int and data >= 0, "an integer >= 0")
+_truth = _must(lambda data: type(data) is bool, "true or false")
 
-# Every key a run measures (``_ScenarioRun.measured``): the keys ``expect`` may name
-EXPECT_KEYS = ("algebra_dimension", "ideal_dimensions", "skew_dimension",
-               "smash_dimension", "kernel_dimension", "corner_dimension",
-               "matrix_dimension", "strong", "global", "algebra_center_dimension",
-               "skew_center_dimension", "smash_center_dimension", "matrix_center_dimension")
+
+def _list(shape, n):
+    """A JSON list of n ``shape``s; n is a number, "order" (the group's) or None."""
+    def read(data, path, ctx):
+        return [shape(x, p, ctx) for p, x in _items(data, path, ctx.get(n, n))]
+    return read
+
+
+# Every key a run measures (``_ScenarioRun.measured``), the keys ``expect`` may
+# name, with the shape of its value (``==`` would take 2.0 for 2, 0 for false)
+EXPECT_KEYS = dict.fromkeys((
+    "algebra_dimension", "ideal_dimensions", "skew_dimension", "smash_dimension",
+    "kernel_dimension", "corner_dimension", "matrix_dimension", "strong", "global",
+    "algebra_center_dimension", "skew_center_dimension", "smash_center_dimension",
+    "matrix_center_dimension"), _count) | {
+        "ideal_dimensions": _list(_count, None), "strong": _truth, "global": _truth}
 
 
 def _expect(data, path, ctx):
-    """An object of expected values; a key outside ``EXPECT_KEYS`` is refused."""
+    """An object of expected values, each read by its key's shape in ``EXPECT_KEYS``."""
     for key in _must(lambda data: isinstance(data, dict), "an object")(data, path, ctx):
         if key not in EXPECT_KEYS:
             raise ParseError(f"{path}.{key} is not a measured key "
                              f"(expected one of {', '.join(EXPECT_KEYS)})")
+        EXPECT_KEYS[key](data[key], f"{path}.{key}", ctx)
     return data
 
 
@@ -126,13 +140,6 @@ def _labels(data, path, ctx):
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return data
-
-
-def _list(shape, n):
-    """A JSON list of n ``shape``s; n is a number, or "order", the group's."""
-    def read(data, path, ctx):
-        return [shape(x, p, ctx) for p, x in _items(data, path, ctx.get(n, n))]
-    return read
 
 
 def _spec(family):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .algebras import AlgebraMap, _image, make_algebra
+from .algebras import AlgebraMap, _apply, make_algebra
 from .errors import InternalCheckFailed
 from .linalg import Subspace
 from .report import check
@@ -54,8 +54,7 @@ class SkewGroupRing:
             {j: one} for j, h in enumerate(grades) if h == g]) for g in range(n)]
 
         # g·v for every g and every basis vector v of every component, once
-        moved = [[sparse(_image(pa.columns[g], v.items())) for v in vectors]
-                 for g in range(n)]
+        moved = [[_apply(field, pa.columns[g], v) for v in vectors] for g in range(n)]
         products = []
         for g, u in zip(grades, vectors):
             row = {}

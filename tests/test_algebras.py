@@ -455,7 +455,7 @@ def test_make_algebra_drops_empty_cells():
     alg = make_algebra(QQ, [{0: [(0, one)], 1: []}, {0: (), 1: [(1, one)]}],
                        {0: 1, 1: 1})
     assert alg.products == ({0: ((0, one),)}, {1: ((1, one),)})
-    assert alg.nonempty_cells[1] == [[(0, ((0, one),))], [(1, ((1, one),))]]
+    assert alg.column_index == [[(0, ((0, one),))], [(1, ((1, one),))]]
 
 
 @pytest.mark.parametrize("rows, message", [

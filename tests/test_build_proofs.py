@@ -306,19 +306,19 @@ def test_hopf_data_coaction_and_psmash_reports_run_no_re_proof(
 
     # make_hopf proves coassociativity by running Δ(b_i) through the (Δ⊗1)
     # table b_k⊗b_l ↦ Δ(b_k)⊗b_l; no report may read that table again
-    d, on_leg = h.dim, hopf._on_leg
+    d, apply = h.dim, hopf._apply
     delta_left = [{kl * d + l: v for kl, v in h.coproduct[k].items()}
                   for k in range(d) for l in range(d)]
 
-    def no_coassociativity(field, table, width, vec):
-        if table == delta_left:
+    def no_coassociativity(field, cols, x, width=0):
+        if cols == delta_left:
             raise AssertionError("a report re-proved coassociativity")
-        return on_leg(field, table, width, vec)
+        return apply(field, cols, x, width)
 
     # make_hopf inverted S, so no report inverts (or ranks) it again
     monkeypatch.setattr(hopf, "_inverse", _refuse("_inverse"))
     monkeypatch.setattr(AlgebraMap, "_multiplicativity_witness", no_coaction_witness)
-    monkeypatch.setattr(hopf, "_on_leg", no_coassociativity)
+    monkeypatch.setattr(hopf, "_apply", no_coassociativity)
     with pytest.raises(AssertionError, match="re-proved coassociativity"):
         make_hopf(h.algebra, h.comul, h.counit, h.antipode)
     assert reports() == expected

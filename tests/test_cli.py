@@ -457,6 +457,49 @@ def test_an_expect_key_no_run_measures_exits_two_by_every_route(tmp_path, capsys
             f"{', '.join(EXPECT_KEYS)})"]
 
 
+@pytest.mark.parametrize("expect, line", [
+    ({"skew_dimension": 3.0}, "expect.skew_dimension must be an integer >= 0, got 3.0"),
+    ({"kernel_dimension": True}, "expect.kernel_dimension must be an integer >= 0, got True"),
+    ({"smash_dimension": -1}, "expect.smash_dimension must be an integer >= 0, got -1"),
+    ({"matrix_center_dimension": "2"},
+     "expect.matrix_center_dimension must be an integer >= 0, got '2'"),
+    ({"strong": 0}, "expect.strong must be true or false, got 0"),
+    ({"global": "false"}, "expect.global must be true or false, got 'false'"),
+    ({"ideal_dimensions": 2}, "expect.ideal_dimensions must be a list, got 2"),
+    ({"ideal_dimensions": [2, True]},
+     "expect.ideal_dimensions[1] must be an integer >= 0, got True"),
+    # every value is of the wrong type; the first in document order is named
+    ({"algebra_dimension": 2.0, "skew_dimension": 3.0, "strong": 0, "global": 0,
+      "ideal_dimensions": [2, True]},
+     "expect.algebra_dimension must be an integer >= 0, got 2.0"),
+], ids=["float", "bool-count", "negative", "string-count", "int-truth", "string-truth",
+        "scalar-list", "bool-in-list", "all-five"])
+def test_an_expect_value_of_the_wrong_type_exits_two_by_every_route(tmp_path, capsys,
+                                                                    expect, line):
+    # measured values are compared with ==, where 2.0 == 2, 0 == False and
+    # True == 1: a value is read by the shape of its key, so a wrong type is
+    # refused as the document is read, whether or not --suite narrows the run
+    path = _write(tmp_path, dict(S1_DOC, suites=["grading"], expect=expect))
+    for argv in (["verify", path], ["verify", path, "--suite", "grading"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
+
+def test_the_text_result_line_counts_skipped_checks(capsys):
+    # a run narrowed by --suite skips the expectations it does not measure
+    # and says how many; a run that skips none prints no count
+    s1 = str(fixture_path("s1.json"))
+    assert main(["verify", s1, "--suite", "lemma1"]) == 0
+    narrowed = capsys.readouterr().out.splitlines()
+    skipped = sum(1 for row in narrowed if row.split()[1:2] == ["skipped"])
+    assert skipped == 7
+    assert narrowed[-1] == "result: PASS (10/17 checks passed, 7 skipped)"
+    assert main(["verify", s1]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: PASS (57/57 checks passed)"
+
+
 @pytest.mark.parametrize("token", ["fp:1_1", "fp:٥", "fp:+5", "fp: 5", " fp:5 ",
                                    "Q", "qq", "rationals"])
 def test_a_token_outside_the_grammar_exits_two_by_every_route(tmp_path, capsys, token):

@@ -16,6 +16,10 @@
   ``StructureAlgebra`` stores them as they come: every row of every algebra
   a scenario builds holds its cells in ascending j, and every cell is
   nonempty and strictly sorted by index.
+* ``StructureAlgebra.column_index``, built on its first read, lists for
+  every j the pairs (i, b_i·b_j) over the nonempty cells of column j in
+  ascending i: on every algebra a scenario builds it equals the per-cell
+  lookup ``products[i].get(j)``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -150,7 +154,7 @@ def _retired_smash_rows(a, b, comul, acted):
     Each cell is sorted by index, as ``make_algebra`` stores it."""
     sparse = a.field.sparse
     da, db = a.dim, b.dim
-    brows = b.nonempty_cells[0]
+    brows = [row.items() for row in b.products]
     rows = []
     for arow in a.products:
         xky = []
@@ -333,3 +337,18 @@ def test_every_built_cell_is_strictly_sorted(monkeypatch, field):
         for row in alg.products:
             for cell in row.values():
                 assert all(a[0] < b[0] for a, b in zip(cell, cell[1:])), (alg, cell)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5", "fp:2"])
+def test_every_built_column_index_matches_the_cells(monkeypatch, field):
+    built = _record_algebras(monkeypatch)
+    sources = [fixture_path(name) for name in bundled_fixtures()] + [INLINE["s3_split"]]
+    for source in sources:
+        assert run_scenario(source, field_override=field).passed()
+    kinds = {type(alg).__name__ for alg in built}
+    assert {"StructureAlgebra", "MatrixAlgebra", "TensorAlgebra"} <= kinds
+    for alg in built:
+        index = alg.column_index
+        assert alg.column_index is index
+        assert index == [[(i, row[j]) for i, row in enumerate(alg.products) if j in row]
+                         for j in range(alg.dim)], alg

@@ -5,14 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from partialskew import hopf
-from partialskew.algebras import (StructureAlgebra, _image, field_algebra,
+from partialskew.algebras import (StructureAlgebra, _apply, _image, field_algebra,
                                   product_of_fields)
 from partialskew.constructions import group_algebra
 from partialskew.errors import (Axiom2Fails, FieldMismatch, HopfAxiomFails,
                                 InternalCheckFailed, NotAssociative, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash, _on_leg,
+from partialskew.hopf import (HopfData, PartialHopfAction, PartialSmash,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations,
                               coaction_report, group_hopf,
@@ -305,12 +305,13 @@ def test_tables_match_dense_oracle(field, take_dual):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
-def test_on_leg_matches_dense_reference(field):
+def test_apply_matches_dense_reference(field):
     # b_i ↦ table[i] is the dense matrix M whose column i is table[i], and
-    # on the last leg of a vector of k²⊗k⁴ it is I₂ ⊗ M; the one column
-    # kernel, _image, applies both, unreduced, scaled by c and shifted by
-    # base, into what its accumulator holds (its entries are
-    # representatives: over F_2 the 3 and 4 of the table are 1 and 0)
+    # on the last leg of a vector of k²⊗k⁴ it is I₂ ⊗ M; _apply applies
+    # both reduced, without and with a width, and the one column kernel,
+    # _image, applies both, unreduced, scaled by c and shifted by base,
+    # into what its accumulator holds (its entries are representatives:
+    # over F_2 the 3 and 4 of the table are 1 and 0)
     table = [{0: 1, 2: 3}, {}, {1: 4}, {0: 2, 1: 1, 2: 1}]
     d, width = len(table), 3
     m = [[table[i].get(t, 0) for i in range(d)] for t in range(width)]
@@ -318,8 +319,8 @@ def test_on_leg_matches_dense_reference(field):
             for x in range(2) for t in range(width)]
     head, vec = (1, 0, 2, 3), (1, 2, 0, 4, 3, 0, 1, 1)
     plain, leg = sparse(apply(field, m, head)), sparse(apply(field, kron, vec))
-    assert field.sparse(_image(table, sparse(head).items())) == plain
-    assert _on_leg(field, table, width, sparse(vec)) == leg
+    assert _apply(field, table, sparse(head)) == plain
+    assert _apply(field, table, sparse(vec), width) == leg
     for c in (1, -1):
         for terms, want, w in ((sparse(head), plain, 0), (sparse(vec), leg, width)):
             acc = {0: 7}

@@ -43,7 +43,7 @@ import pytest
 
 from partialskew import actions, algebras, hopf
 from partialskew.actions import PartialAction, make_partial_action
-from partialskew.algebras import (AlgebraMap, StructureAlgebra,
+from partialskew.algebras import (AlgebraMap, StructureAlgebra, _apply,
                                   _associativity_witness, _lincomb, _residues,
                                   field_algebra, ideal_basis,
                                   is_central_idempotent, make_algebra,
@@ -56,7 +56,7 @@ from partialskew.errors import (Axiom1Fails, Axiom2Fails, Axiom3Fails,
                                 NotCentralIdempotent, NotIsoOnIdeal, ValidationError)
 from partialskew.fields import GF, QQ
 from partialskew.groups import cyclic, symmetric
-from partialskew.hopf import (HopfData, PartialSmash, _on_leg,
+from partialskew.hopf import (HopfData, PartialSmash,
                               _verify_exchange_identity, build_corner_maps,
                               build_partial_smash, build_representations, group_hopf,
                               make_hopf, make_partial_hopf_action, partial_smash_report)
@@ -545,30 +545,30 @@ def test_exchange_identity_on_a_rescaled_basis(field):
 
 def test_exchange_identity_keeps_d2_accumulators(monkeypatch):
     # no operator is composed: the only reductions are one per column of the
-    # d operators ρ(g_c#1) and one per b_a ↼ S(p_u) (2·d² _lincomb calls),
+    # d operators ρ(g_c#1) and one per b_a ↼ S(p_u) (2·d² _apply calls),
     # and one per accumulator (a, b): 36 on k[S3], where composing the
     # operators made 432 compositions of d reductions each
     h = group_hopf(QQ, symmetric(3))
     d = h.dim
     ops = hopf._basis_operators(h)
     h.dual()
-    counts = {"lincomb": 0, "sparse": 0}
-    lincomb, sparse = hopf._lincomb, QQ.sparse
+    counts = {"apply": 0, "sparse": 0}
+    apply, sparse = hopf._apply, QQ.sparse
 
-    def counting_lincomb(field, terms):
-        counts["lincomb"] += 1
-        return lincomb(field, terms)
+    def counting_apply(field, cols, x, width=0):
+        counts["apply"] += 1
+        return apply(field, cols, x, width)
 
     def counting_sparse(acc):
         counts["sparse"] += 1
         return sparse(acc)
 
-    monkeypatch.setattr(hopf, "_lincomb", counting_lincomb)
+    monkeypatch.setattr(hopf, "_apply", counting_apply)
     monkeypatch.setattr(QQ, "sparse", counting_sparse)
     _verify_exchange_identity(h, ops)
     assert not hasattr(hopf, "_compose")
-    assert counts["lincomb"] == 2 * d * d
-    assert counts["sparse"] - counts["lincomb"] == d * d == 36
+    assert counts["apply"] == 2 * d * d
+    assert counts["sparse"] - counts["apply"] == d * d == 36
 
 
 # -- the Hopf-layer identity checks ---------------------------------------
@@ -759,14 +759,14 @@ def _psmash_oracle(ps):
         return amb.format_vec(su[a])
 
     t = tensor_algebra(amb, h.algebra)
-    co = [_on_leg(field, h.coproduct, d * d, u) for u in su]
+    co = [_apply(field, h.coproduct, u, d * d) for u in su]
     pair = next(((a, b) for a in corner for b in corner
-                 if _on_leg(field, h.coproduct, d * d, uv[a][b])
+                 if _apply(field, h.coproduct, uv[a][b], d * d)
                  != t.mul(co[a], co[b])), None)
     hits = h.left_hits
-    acted = [[_on_leg(field, hits[m], d, u) for u in su] for m in range(d)]
+    acted = [[_apply(field, hits[m], u, d) for u in su] for m in range(d)]
     triple = next(((m, a, b) for m in range(d) for a in corner for b in corner
-                   if _on_leg(field, hits[m], d, uv[a][b]) != _lincomb(
+                   if _apply(field, hits[m], uv[a][b], d) != _lincomb(
                        field, ((w, mul(acted[k][a], acted[l][b]))
                                for k, l, w in dual.comul[m]))), None)
     p = dual.algebra.labels

@@ -104,9 +104,9 @@ def test_right_multiples_build_no_column_index():
     e00 = {m2.slot(0, 0, 0): 1}
     assert m2.multiples(e00, left=False) == {m2.slot(0, 0, 0): e00,
                                              m2.slot(0, 1, 0): {m2.slot(0, 1, 0): 1}}
-    assert "nonempty_cells" not in m2.__dict__
+    assert "column_index" not in m2.__dict__
     m2.multiples(e00)
-    assert "nonempty_cells" in m2.__dict__
+    assert "column_index" in m2.__dict__
 
 
 @pytest.mark.parametrize("name", bundled_fixtures())
@@ -114,4 +114,4 @@ def test_pierce_corner_builds_no_column_index(name):
     d = build_duality(_smash(name, "q"))
     mat = matrix_algebra(d.mat.base, d.mat.group)
     assert _pierce_corner(mat, d.corner_idempotent) == d.image
-    assert "nonempty_cells" not in mat.__dict__
+    assert "column_index" not in mat.__dict__
